@@ -67,8 +67,14 @@ class RootValue:
         return isinstance(other, RootValue) and self.cmp(other) == 0
 
     def __hash__(self):
-        # hash via the canonical M-th power with reduced root index
-        return hash(self.Q)
+        # Equal values must hash equal, so hash the canonical form: the
+        # root index reduced by the largest g | M for which Q is a perfect
+        # g-th power, i.e. the least M' with value**M' rational.
+        for g in range(self.M, 0, -1):
+            if self.M % g == 0:
+                q = RootValue(self.Q, g).to_rational()
+                if q is not None:
+                    return hash((q, self.M // g))
 
     def to_rational(self) -> Fraction | None:
         """Exact rational value when Q is a perfect M-th power, else None."""
@@ -163,6 +169,7 @@ class BalanceState:
     iteration: int
     status: str  # "balanced" | "cap-hit"
     log: list  # per-iteration dicts
+    ledgers: dict  # member ref -> BasisLedger at alpha
 
 
 def _sorted_desc(W: dict) -> list:
@@ -192,7 +199,8 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     Repeatedly finds the least t whose consecutive sorted gap exceeds
     tau, decrements the handicaps of the top-t joints (with doubling
     step size until the W multiset changes), and rebuilds.  Stops when
-    no gap exceeds tau or the rebuild cap is hit.
+    no gap exceeds tau or the rebuild cap is hit.  The returned state
+    carries the ledgers built at its final handicaps.
     """
     from .config import connected_components
 
@@ -205,7 +213,8 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     h = Handicap.zero(joints)
     rebuilds = 0
     log = []
-    W = compute_W(cfg, h, n, weights)
+    ledgers = build_all_ledgers(cfg, h, n)
+    W = compute_W(cfg, h, n, weights, ledgers=ledgers)
     rebuilds += 1
     sw = _sorted_desc(W)
     iteration = 0
@@ -231,14 +240,15 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
                 for j in top:
                     alpha2[j] -= step
                 h2 = Handicap(alpha2, list(h.preassigned))
-                W2 = compute_W(cfg, h2, n, weights)
+                ledgers2 = build_all_ledgers(cfg, h2, n)
+                W2 = compute_W(cfg, h2, n, weights, ledgers=ledgers2)
                 rebuilds += 1
                 sw2 = _sorted_desc(W2)
                 # accept only strictly lex-decreasing multisets; a changed
                 # but larger multiset means the step is not yet big enough
                 # to push the top block below the rest, so keep doubling
                 if _lex_cmp(sw2, sw) < 0:
-                    h, W, sw = h2, W2, sw2
+                    h, W, sw, ledgers = h2, W2, sw2, ledgers2
                     moved = True
                     used_t = t
                     break
@@ -259,4 +269,4 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
         if not moved or rebuilds >= cap:
             status = "cap-hit"
             break
-    return BalanceState(h, W, sw, iteration, status, log)
+    return BalanceState(h, W, sw, iteration, status, log, ledgers)

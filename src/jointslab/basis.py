@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ChartMissing, TruncationTooLow, UnknownJoint
@@ -226,14 +225,9 @@ def T_dimension(charts: list, v, n: int) -> int:
     red = IncrementalRowReducer(F)
     for C, vp in zip(charts, v):
         for r in range(vp):
-            for gamma, op in zip(*_space_pairs(C, r)):
+            for op in derivative_space(C, r).operators:
                 red.insert([op.monomial_functional(delta, list(C.center)) for delta in monos])
     return dim_R - red.rank
-
-
-def _space_pairs(C, r):
-    sp = derivative_space(C, r)
-    return sp.gammas, sp.operators
 
 
 def b_p(charts: list, v, idx: int, n: int) -> int:
@@ -266,7 +260,3 @@ def ledgers_summary(ledgers: list) -> dict:
         vid = "-".join(str(x) for x in led.variety_id)
         out[vid] = {str(p): tot for p, tot in led.totals().items()}
     return out
-
-
-def ledgers_summary_json(ledgers: list) -> str:
-    return json.dumps(ledgers_summary(ledgers), indent=2, sort_keys=True)

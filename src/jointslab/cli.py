@@ -1,7 +1,8 @@
 """Command-line front end: generate, pipeline, balance, verify.
 
-Every run writes a manifest recording the command, parameters, and
-outputs so that identical inputs reproduce identical files.  Exit codes:
+Every run writes a manifest recording the command, parameters, outputs
+and elapsed time; identical inputs reproduce identical output files, but
+the manifest and ``verify-*.json`` also hold the elapsed time.  Exit codes:
 0 all checks pass, 1 a check failed, 2 usage or input error, 3 a cap was
 hit (balance or ledger saturation guard).
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -49,13 +49,6 @@ def _default_n(d: int) -> int:
     return 6 if d == 3 else 3
 
 
-def _workers(args) -> int:
-    env = os.environ.get("JOINTSLAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, getattr(args, "workers", 1) or 1)
-
-
 def _out_dir(args) -> Path:
     out = Path(getattr(args, "out_dir", None) or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -73,7 +66,6 @@ def _manifest(args, command: str, extra: dict, outputs: list, t0: float) -> dict
         "config": getattr(args, "config", None),
         "n": getattr(args, "n", None),
         "seed": getattr(args, "seed", None),
-        "workers": _workers(args),
         "elapsed_s": round(time.time() - t0, 3),
         "outputs": outputs,
         **extra,
@@ -130,7 +122,7 @@ def cmd_pipeline(args) -> int:
         st = balance(comp, n, tau=tau, cap=args.cap)
         if st.status != "balanced":
             cap_hit = True
-        ledgers = build_all_ledgers(comp, st.alpha, n)
+        ledgers = st.ledgers
         if any(led.cap_hit for led in ledgers.values()):
             cap_hit = True
         rank = vanishing_rank_check(comp, ledgers, n)
@@ -255,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--field-p", default=None,
                        help="prime modulus, or 'rational'")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out-dir", default=".")
 
     g = sub.add_parser("generate", help="write an example configuration")

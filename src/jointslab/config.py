@@ -6,8 +6,9 @@ they form.  A point is a joint when some admissible tuple of member
 varieties -- m_i members from family i -- passes through it with
 tangent spaces that are independent and span the ambient space.  Each
 joint records one designated tuple (the lexicographically first
-qualifying one) and the multiset of all qualifying tuples, whose size is
-the joint's multiplicity.
+qualifying one), the multiset of all qualifying tuples, whose size is
+the joint's multiplicity, and the set of members passing through it,
+which is the incidence every later step reads.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .errors import (
 )
 from .field import DEFAULT_PRIME, FieldSpec
 from .varieties import (
-    Chart,
     VarietySpec,
     _flat_equations,
     contains_point,
     make_chart,
-    tangent_directions,
+    tangent_space,
     variety_from_json,
     variety_to_json,
 )
@@ -72,6 +72,7 @@ class JointsConfiguration:
     joints: list  # points, preassigned order = list order
     chosen: list  # per joint: tuple of (family_idx, member_idx), length s
     multiplicity: list  # per joint: list of qualifying tuple choices
+    incidence: list  # per joint: frozenset of the member refs through it
     seed: int = 0
 
     @property
@@ -92,10 +93,7 @@ class JointsConfiguration:
 
     def joints_on(self, ref) -> list:
         """Indices of joints lying on the given member (geometric)."""
-        V = self.member(ref)
-        return [
-            i for i, p in enumerate(self.joints) if contains_point(V, p, self.field)
-        ]
+        return [i for i, on in enumerate(self.incidence) if ref in on]
 
     def designated_charts(self, joint_idx: int, truncation: int) -> list:
         p = self.joints[joint_idx]
@@ -134,29 +132,12 @@ def is_joint(p, charts: list) -> bool:
     dims = sum(c.owner.dim for c in charts)
     if dims != d:
         raise DimensionMismatch(f"tangent dimensions sum to {dims}, ambient is {d}")
-    from .varieties import tangent_space
-
+    center = tuple(F.of(x) for x in p)
     rows = []
     for c in charts:
-        if tuple(c.center) != tuple(F.of(x) for x in p):
+        if tuple(c.center) != center:
             raise DimensionMismatch("chart not centered at the point")
         rows.extend(tangent_space(c))
-    return linalg.rank(F, rows) == d
-
-
-def _tuple_qualifies(F: FieldSpec, families, choice, p, d) -> bool:
-    """choice: per family, a tuple of member indices; check containment,
-    regularity, and direct-sum spanning tangents at p."""
-    rows = []
-    for fi, picks in enumerate(choice):
-        for mi in picks:
-            V = families[fi].members[mi]
-            if not contains_point(V, p, F):
-                return False
-            try:
-                rows.extend(tangent_directions(V, p, F))
-            except SingularPoint:
-                return False
     return linalg.rank(F, rows) == d
 
 
@@ -170,12 +151,18 @@ def detect_joints(
 
     For flat-only families the candidates may be omitted: intersection
     points of admissible flat tuples are solved exactly.  Otherwise
-    candidates must be supplied.
+    candidates must be supplied.  Each member through a candidate gets
+    one chart there (truncation 1: the frame, hence the tangent space,
+    does not depend on it); a member singular at the point joins no
+    tuple, and every admissible tuple of the others is decided by
+    ``is_joint``.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:
         if f.m > len(f.members):
             raise DimensionMismatch("family multiplicity exceeds member count")
+        if any(V.dim != f.k for V in f.members):
+            raise DimensionMismatch(f"a member's dimension differs from its family's k = {f.k}")
     if candidates is None:
         if any(V.kind != "flat" for f in families for V in f.members):
             raise MissingCandidates(
@@ -183,29 +170,38 @@ def detect_joints(
             )
         candidates = _flat_tuple_intersections(F, families, d)
     seen = set()
-    joints, chosen, multiplicity = [], [], []
+    joints, chosen, multiplicity, incidence = [], [], [], []
     for raw_p in candidates:
         p = tuple(F.of(x) for x in raw_p)
         if p in seen:
             continue
         seen.add(p)
-        qualifying = []
+        through = []
+        charts = {}
         per_family = []
-        for f in families:
-            on = [
-                mi
-                for mi, V in enumerate(f.members)
-                if contains_point(V, p, F)
-            ]
-            per_family.append(list(itertools.combinations(on, f.m)))
-        for choice in itertools.product(*per_family):
-            if _tuple_qualifies(F, families, choice, p, d):
-                qualifying.append(choice)
+        for fi, f in enumerate(families):
+            regular = []
+            for mi, V in enumerate(f.members):
+                if not contains_point(V, p, F):
+                    continue
+                through.append((fi, mi))
+                try:
+                    charts[fi, mi] = make_chart(V, p, 1, F)
+                except SingularPoint:
+                    continue
+                regular.append(mi)
+            per_family.append(list(itertools.combinations(regular, f.m)))
+        qualifying = [
+            choice
+            for choice in itertools.product(*per_family)
+            if is_joint(p, [charts[ref] for ref in _flatten_choice(choice)])
+        ]
         if qualifying:
             joints.append(p)
             chosen.append(_flatten_choice(qualifying[0]))
             multiplicity.append(qualifying)
-    return JointsConfiguration(F, d, families, joints, chosen, multiplicity, seed)
+            incidence.append(frozenset(through))
+    return JointsConfiguration(F, d, families, joints, chosen, multiplicity, incidence, seed)
 
 
 def _flatten_choice(choice) -> tuple:
@@ -245,11 +241,14 @@ def _flat_tuple_intersections(F: FieldSpec, families, d: int) -> list:
 def connected_components(cfg: JointsConfiguration) -> list:
     """Split along the graph joining joints that share a member variety."""
     n = len(cfg.joints)
-    incidence = {ref: set(cfg.joints_on(ref)) for ref in cfg.all_members()}
+    joints_of = {}
+    for j, on in enumerate(cfg.incidence):
+        for ref in on:
+            joints_of.setdefault(ref, set()).add(j)
     adj = [set() for _ in range(n)]
-    for on in incidence.values():
-        for a in on:
-            adj[a] |= on
+    for js in joints_of.values():
+        for a in js:
+            adj[a] |= js
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -266,21 +265,19 @@ def connected_components(cfg: JointsConfiguration) -> list:
                     seen[w] = True
                     stack.append(w)
         comps.append(sorted(comp))
-    out = []
-    for comp in comps:
-        keep = set(comp)
-        out.append(
-            JointsConfiguration(
-                cfg.field,
-                cfg.ambient,
-                cfg.families,
-                [cfg.joints[i] for i in comp],
-                [cfg.chosen[i] for i in comp],
-                [cfg.multiplicity[i] for i in comp],
-                cfg.seed,
-            )
+    return [
+        JointsConfiguration(
+            cfg.field,
+            cfg.ambient,
+            cfg.families,
+            [cfg.joints[i] for i in comp],
+            [cfg.chosen[i] for i in comp],
+            [cfg.multiplicity[i] for i in comp],
+            [cfg.incidence[i] for i in comp],
+            cfg.seed,
         )
-    return out
+        for comp in comps
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,6 @@ class FieldSpec:
 
     # -- serialization -------------------------------------------------
 
-    def format(self, a: FieldElement) -> str:
-        return str(a)
-
     def to_json(self) -> dict:
         if self.kind == "prime":
             return {"kind": "prime", "p": self.p}
@@ -136,19 +133,6 @@ class FieldSpec:
         if obj.get("kind") == "prime":
             return FieldSpec("prime", int(obj["p"]))
         return FieldSpec("rational")
-
-
-def arith(spec: FieldSpec, a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one of add/sub/mul/div on canonical elements."""
-    if op == "add":
-        return spec.add(a, b)
-    if op == "sub":
-        return spec.sub(a, b)
-    if op == "mul":
-        return spec.mul(a, b)
-    if op == "div":
-        return spec.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def binom(n: int, k: int) -> int:

@@ -1,11 +1,14 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Matrices are lists of row lists of canonical field elements.  Everything
-here is plain Gaussian elimination; the sizes that show up in practice
+Matrices are lists of row lists of canonical field elements.  There is
+one elimination loop, ``IncrementalRowReducer``: it streams rows into a
+pivot store that maps each pivot column to its normalized, fully reduced
+row, so the store is the reduced row echelon form (RREF) of the rows seen
+so far.  ``rank``, ``solve``, ``inverse`` and ``nullspace`` read their
+answers off that store; since the RREF is unique, they do not depend on
+the order in which rows are inserted.  The sizes that show up in practice
 (hundreds of rows, columns bounded by C(n+d, d)) keep this comfortably
-interactive.  ``IncrementalRowReducer`` maintains a persistent pivot
-structure so that the ledger construction can stream rows one at a time
-without re-solving from scratch.
+interactive.
 """
 
 from __future__ import annotations
@@ -38,50 +41,23 @@ def identity(F: FieldSpec, n: int):
 
 
 def rank(F: FieldSpec, rows) -> int:
+    return _reduced(F, rows).rank
+
+
+def _reduced(F: FieldSpec, rows) -> "IncrementalRowReducer":
     red = IncrementalRowReducer(F)
     for r in rows:
         red.insert(r)
-    return red.rank
-
-
-def determinant(F: FieldSpec, A):
-    n = len(A)
-    M = [list(row) for row in A]
-    det = F.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            return F.zero
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = F.neg(det)
-        det = F.mul(det, M[c][c])
-        inv = F.inv(M[c][c])
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = F.mul(M[i][c], inv)
-                M[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[i], M[c])]
-    return det
+    return red
 
 
 def inverse(F: FieldSpec, A):
     """Inverse of a square matrix, or None if singular."""
     n = len(A)
-    M = [list(row) + list(e) for row, e in zip(A, identity(F, n))]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if M[i][c]), None)
-        if piv is None:
-            return None
-        M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        M[r] = [F.mul(inv, a) for a in M[r]]
-        for i in range(n):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[i], M[r])]
-        r += 1
-    return [row[n:] for row in M]
+    red = _reduced(F, (list(row) + e for row, e in zip(A, identity(F, n))))
+    if any(c >= n for c in red.pivots):
+        return None
+    return [red.pivots[i][n:] for i in range(n)]
 
 
 def solve(F: FieldSpec, A, b):
@@ -89,62 +65,29 @@ def solve(F: FieldSpec, A, b):
 
     Free variables are set to zero, which keeps the output deterministic.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [list(row) + [bv] for row, bv in zip(A, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        M[r] = [F.mul(inv, a) for a in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [F.sub(a, F.mul(f, v)) for a, v in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n]:
-            return None
+    n = len(A[0]) if A else 0
+    red = _reduced(F, (list(row) + [bv] for row, bv in zip(A, b)))
+    if n in red.pivots:
+        return None
     x = [F.zero] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = M[row_idx][n]
+    for c, row in red.pivots.items():
+        x[c] = row[n]
     return x
 
 
 def nullspace(F: FieldSpec, A):
-    """Basis of the right nullspace of A (deterministic)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [list(row) for row in A]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        M[r] = [F.mul(inv, a) for a in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [F.sub(a, F.mul(f, v)) for a, v in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
+    """Basis of the right nullspace of A (deterministic): one vector per
+    free column, in column order."""
+    n = len(A[0]) if A else 0
+    pivots = _reduced(F, A).pivots
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [F.zero] * n
         v[fc] = F.one
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = F.neg(M[row_idx][fc])
+        for pc, row in pivots.items():
+            v[pc] = F.neg(row[fc])
         basis.append(v)
     return basis
 
@@ -168,10 +111,11 @@ def complete_basis(F: FieldSpec, vectors, n: int):
 
 
 class IncrementalRowReducer:
-    """Row-echelon pivot store supporting streaming inserts.
+    """Reduced row echelon pivot store supporting streaming inserts.
 
-    Each stored pivot row is normalized to a leading 1; inserted rows are
-    reduced against all existing pivots before deciding independence.
+    Each stored pivot row is normalized to a leading 1 and is zero in
+    every other pivot column; inserted rows are reduced against all
+    existing pivots before deciding independence.
     """
 
     def __init__(self, F: FieldSpec):

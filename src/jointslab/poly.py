@@ -459,23 +459,13 @@ class HasseOperator:
         return "HasseOperator(" + " + ".join(parts or ["0"]) + ")"
 
 
-def hasse_compose(a, b, field: FieldSpec, nvars: int | None = None) -> HasseOperator:
-    """Hasse^a Hasse^b = C(a+b, a) Hasse^(a+b)."""
-    if len(a) != len(b):
-        raise DimensionMismatch("exponent vectors differ in dimension")
-    nvars = len(a) if nvars is None else nvars
-    w = tuple(x + y for x, y in zip(a, b))
-    c = field.of(binom_vec(w, a))
-    return HasseOperator(field, nvars, {w: c} if c else {})
-
-
 # ---------------------------------------------------------------------------
 # Affine maps and Taylor machinery
 # ---------------------------------------------------------------------------
 
 
 class AffineMap:
-    """x -> A x + b with A invertible (checked at construction)."""
+    """x -> A x + b with A square and invertible (checked at construction)."""
 
     __slots__ = ("field", "matrix", "translation")
 
@@ -483,7 +473,12 @@ class AffineMap:
         self.field = field
         self.matrix = [[field.of(a) for a in row] for row in matrix]
         self.translation = [field.of(t) for t in translation]
-        if not _trusted and not linalg.determinant(field, self.matrix):
+        if _trusted:
+            return
+        d = len(self.translation)
+        if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
+            raise DimensionMismatch(f"affine map needs a {d}x{d} matrix")
+        if linalg.rank(field, self.matrix) != d:
             raise SingularMap("affine map matrix is singular")
 
     @classmethod

@@ -140,12 +140,11 @@ class DerivativeSpace:
     chart: Chart
     order: int
     gammas: list
-    framed: list  # operators in chart coordinates
-    operators: list  # same operators conjugated to ambient coordinates
+    operators: list  # in ambient coordinates, one per gamma
 
 
 # ---------------------------------------------------------------------------
-# Point membership, tangents, defining equations
+# Point membership and defining equations
 # ---------------------------------------------------------------------------
 
 
@@ -184,48 +183,6 @@ def _flat_coordinates(V: VarietySpec, p, F: FieldSpec):
     cols = [[u[i] for u in dirs] for i in range(V.ambient)]  # ambient x (k+1)
     rhs = [F.sub(a, b) for a, b in zip(p, base)]
     return linalg.solve(F, cols, rhs)
-
-
-def tangent_directions(V: VarietySpec, p, F: FieldSpec) -> list:
-    """A basis of the tangent space of V at the regular point p."""
-    if V.kind == "flat":
-        return [_coerce_point(F, u) for u in V.directions]
-    if V.kind == "graph":
-        y = V.frame.apply(p)
-        k = V.dim
-        t = y[:k]
-        Ainv = linalg.inverse(F, V.frame.matrix)
-        dirs = []
-        for i in range(k):
-            vec = [F.zero] * V.ambient
-            vec[i] = F.one
-            ei = tuple(1 if j == i else 0 for j in range(k))
-            for j, f in enumerate(V.graph_polys):
-                from .poly import hasse_apply
-
-                vec[k + j] = hasse_apply(ei, f).evaluate(t)
-            dirs.append(linalg.mat_vec(F, Ainv, vec))
-        return dirs
-    if V.kind == "hypersurface":
-        z0 = _flat_coordinates(V, p, F)
-        if z0 is None:
-            raise NotOnVariety("point is off the carrier flat")
-        shifted = taylor_shift(V.surface_poly, z0)
-        m = V.dim + 1
-        grad = [shifted.coefficient(tuple(1 if j == i else 0 for j in range(m))) for i in range(m)]
-        i0 = next((i for i, l in enumerate(grad) if l), None)
-        if i0 is None:
-            raise SingularPoint("gradient vanishes at the point")
-        dirs = [_coerce_point(F, u) for u in V.directions]
-        out = []
-        for i in range(m):
-            if i == i0:
-                continue
-            coef = F.neg(F.div(grad[i], grad[i0]))
-            vec = [F.add(dirs[i][j], F.mul(coef, dirs[i0][j])) for j in range(V.ambient)]
-            out.append(vec)
-        return out
-    raise UnsupportedKind("tangent directions of a raw slice need a user chart")
 
 
 def ambient_equations(V: VarietySpec) -> list:
@@ -483,9 +440,7 @@ def derivative_space(C: Chart, r: int) -> DerivativeSpace:
     if r > C.truncation:
         raise TruncationTooLow(f"chart truncated at {C.truncation}, need {r}")
     gammas = list(exponents_of_degree(C.owner.dim, r))
-    framed = [derivative_operator(C, g, ambient=False) for g in gammas]
-    ambient = [conjugate_operator(op, C.frame_inverse) for op in framed]
-    return DerivativeSpace(C, r, gammas, framed, ambient)
+    return DerivativeSpace(C, r, gammas, [derivative_operator(C, g) for g in gammas])
 
 
 def well_defined_check(C: Chart, D: HasseOperator, trials: int = 20, seed: int = 0) -> dict:
@@ -540,7 +495,7 @@ def dim_regular_functions(V: VarietySpec, n: int, F: FieldSpec | None = None) ->
         index = {e: i for i, e in enumerate(target)}
         red = linalg.IncrementalRowReducer(F)
         t_vars = [Polynomial.variable(F, k, i) for i in range(k)]
-        images = t_vars + [_as_kvars(f, k) for f in V.graph_polys]
+        images = t_vars + list(V.graph_polys)
         for mono in monomials_upto(V.ambient, n):
             restricted = Polynomial.monomial(F, V.ambient, mono).substitute(images)
             row = [F.zero] * len(target)
@@ -561,12 +516,6 @@ def dim_regular_functions(V: VarietySpec, n: int, F: FieldSpec | None = None) ->
             row[index[exp]] = c
         red.insert(row)
     return binom(n + V.ambient, V.ambient) - red.rank
-
-
-def _as_kvars(f: Polynomial, k: int) -> Polynomial:
-    if f.nvars == k:
-        return f
-    raise DimensionMismatch("graph polynomial in wrong ring")
 
 
 # ---------------------------------------------------------------------------

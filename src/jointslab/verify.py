@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import linalg
@@ -206,12 +206,13 @@ def schwartz_zippel_mult(g: Polynomial, A: list) -> dict:
 
 def decimal12(x) -> str:
     """12-significant-digit decimal rendering (reports only)."""
-    getcontext().prec = 12
     if isinstance(x, RootValue):
         lo, hi = x.brackets(64)
         x = (lo + hi) / 2
     f = Fraction(x)
-    return str(Decimal(f.numerator) / Decimal(f.denominator))
+    with localcontext() as ctx:
+        ctx.prec = 12
+        return str(Decimal(f.numerator) / Decimal(f.denominator))
 
 
 @dataclass

@@ -10,12 +10,13 @@ from jointslab.balance import (
     BalanceState,
     RootValue,
     balance,
+    build_all_ledgers,
     compute_W,
     default_tau,
     integer_nth_root,
     root_gap_exceeds,
 )
-from jointslab.basis import Handicap
+from jointslab.basis import Handicap, ledgers_to_csv
 from jointslab.config import connected_components, detect_joints, generate, grid_line_composite
 from jointslab.errors import Disconnected
 from jointslab.field import DEFAULT_PRIME, FieldSpec
@@ -39,6 +40,10 @@ def test_root_value_comparisons():
     assert sqrt2 == RootValue(Fraction(4), 4)  # 4^(1/4) = 2^(1/2)
     assert RootValue(Fraction(8), 3) == RootValue(Fraction(2))
     assert RootValue(Fraction(0), 5).is_zero()
+    # equal values hash equal
+    assert len({RootValue(Fraction(4), 2), RootValue(Fraction(2), 1)}) == 1
+    assert len({RootValue(Fraction(8), 2), RootValue(Fraction(64), 4)}) == 1
+    assert len({RootValue(Fraction(0), 3), RootValue(Fraction(0))}) == 1
     with pytest.raises(ValueError):
         RootValue(Fraction(-1))
 
@@ -181,6 +186,9 @@ def test_balance_composite_moves_and_invariant():
     # every accepted iteration lowered the sorted multiset
     assert all(row["changed"] for row in state.log)
     assert all(row["min_W"] <= row["max_W"] for row in state.log)
+    # the returned ledgers are those of the accepted handicap
+    assert ledgers_to_csv(list(state.ledgers.values())) == ledgers_to_csv(
+        list(build_all_ledgers(cfg, state.alpha, n).values()))
 
 
 def test_default_tau_value():

@@ -33,7 +33,6 @@ def test_generate_writes_config_and_manifest(tmp_path):
     manifest = json.loads((cfg_path.parent / "manifest.json").read_text())
     assert manifest["command"] == "generate"
     assert manifest["outputs"] == [str(cfg_path)]
-    assert manifest["workers"] >= 1
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -122,8 +121,15 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
     assert code == EXIT_CHECK_FAILED
 
 
-def test_workers_env_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("JOINTSLAB_WORKERS", "2")
-    cfg_path = gen(tmp_path, "a")
-    manifest = json.loads((cfg_path.parent / "manifest.json").read_text())
-    assert manifest["workers"] == 2
+def test_non_square_frame_matrix_is_input_error(tmp_path):
+    parabola = {"kind": "graph", "dim": 1, "ambient": 2, "degree": 2,
+                "frame_matrix": [["1", "0"], ["0", "1"], ["0", "0"]],
+                "frame_translation": ["0", "0"], "equations": ["1 * x1^2"]}
+    line = {"kind": "flat", "dim": 1, "ambient": 2, "degree": 1,
+            "point": ["0", "0"], "directions": [["0", "1"]]}
+    cfg = {"field": {"kind": "rational"}, "seed": 0, "joints": [["0", "0"]],
+           "families": [{"k": 1, "m": 2, "members": [parabola, line]}]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "p")])
+    assert code == EXIT_USAGE

@@ -22,7 +22,8 @@ from jointslab.errors import (
 )
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import rank
-from jointslab.varieties import VarietySpec, contains_point, make_chart, tangent_directions
+from jointslab.poly import parse_poly
+from jointslab.varieties import VarietySpec, contains_point, make_chart
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -84,8 +85,6 @@ def test_detect_coordinate_flats():
 
 
 def test_detect_requires_candidates_for_nonflat():
-    from jointslab.poly import parse_poly
-
     E = parse_poly("1 * x1^2 + 1 * x2^2 + -1 * x2", FQ, 2)
     circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
                          point=(0, 0), directions=((1, 0), (0, 1)), surface_poly=E)
@@ -98,6 +97,44 @@ def test_detect_requires_candidates_for_nonflat():
     assert cfg.chosen[0] == ((0, 0), (0, 1))
 
 
+def curved_plane_config():
+    """Four curves through the origin of Q^2: the circle x1^2 + x2^2 = x2
+    and the line x2 = 0 (both tangent to the x1-axis), the line x1 = 0,
+    and the cusp x2^2 = x1^3, singular at the origin."""
+    def curve(text, degree):
+        return VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=degree,
+                           point=(0, 0), directions=((1, 0), (0, 1)),
+                           surface_poly=parse_poly(text, FQ, 2))
+
+    members = [
+        curve("1 * x1^2 + 1 * x2^2 + -1 * x2", 2),
+        coordinate_flat(2, (0,)),
+        coordinate_flat(2, (1,)),
+        curve("1 * x2^2 + -1 * x1^3", 3),
+    ]
+    return detect_joints(FQ, [Family(k=1, m=2, members=members)],
+                         candidates=[(0, 0), (0, 1), (1, 1)])
+
+
+def test_detect_curved_joint_at_origin():
+    cfg = curved_plane_config()
+    # (1, 1) lies on the cusp alone; (0, 1) on the circle and x1 = 0
+    assert cfg.joints == [(0, 0), (0, 1)]
+    # at the origin only the pairs with the line x1 = 0 are transversal:
+    # circle and x2 = 0 share a tangent, and the cusp is singular
+    assert cfg.M(0) == 2
+    assert cfg.multiplicity[0] == [((0, 2),), ((1, 2),)]
+    assert cfg.chosen[0] == ((0, 0), (0, 2))
+    assert cfg.chosen[1] == ((0, 0), (0, 2))
+    assert cfg.joints_on((0, 3)) == [0]
+
+
+def test_detect_rejects_member_of_wrong_dimension():
+    flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (2, 3)), coordinate_flat(6, (4,))]
+    with pytest.raises(DimensionMismatch):
+        detect_joints(FQ, [Family(k=2, m=3, members=flats)], candidates=[(0,) * 6])
+
+
 def test_multiplicity_brute_force():
     # M(p) counts qualifying tuples; cross-check by explicit enumeration
     cfg = generate("random-flats", field=F, seed=3, d=6, k=2, count=5,
@@ -108,9 +145,7 @@ def test_multiplicity_brute_force():
     fam = cfg.families[0]
     expected = 0
     for picks in itertools.combinations(range(len(fam.members)), fam.m):
-        rows = []
-        for mi in picks:
-            rows.extend(tangent_directions(fam.members[mi], p, F))
+        rows = [u for mi in picks for u in fam.members[mi].directions]
         if rank(F, rows) == 6:
             expected += 1
     assert cfg.M(i) == expected
@@ -240,9 +275,20 @@ def test_connected_components_shared_member():
 
 
 def test_joints_on_geometric():
-    cfg = generate("generic-hyperplanes", field=F, seed=0, d=3, h=4)
-    for ref in cfg.all_members():
-        V = cfg.member(ref)
-        assert cfg.joints_on(ref) == [
-            i for i, p in enumerate(cfg.joints) if contains_point(V, p, F)
-        ]
+    d = 6
+    q = (100,) * d
+    split = [coordinate_flat(d, axes, c) for c in ((0,) * d, q)
+             for axes in ((0, 1), (2, 3), (4, 5))]
+    configs = [
+        generate("generic-hyperplanes", field=F, seed=0, d=3, h=4),
+        curved_plane_config(),
+        detect_joints(FQ, [Family(k=2, m=3, members=split)], candidates=[(0,) * d, q]),
+    ]
+    assert len(connected_components(configs[-1])) == 2
+    for whole in configs:
+        for cfg in [whole] + connected_components(whole):
+            for ref in cfg.all_members():
+                V = cfg.member(ref)
+                assert cfg.joints_on(ref) == [
+                    i for i, p in enumerate(cfg.joints) if contains_point(V, p, cfg.field)
+                ]

@@ -10,7 +10,6 @@ from jointslab.errors import DivisionByZero
 from jointslab.field import (
     DEFAULT_PRIME,
     FieldSpec,
-    arith,
     binom,
     binom_in_field,
     is_prime,
@@ -83,15 +82,6 @@ def test_pow_matches_repeated_mul(a, e):
         acc = FP.mul(acc, x)
     if e <= 12:
         assert FP.pow(x, e) == acc
-
-
-def test_arith_dispatch():
-    assert arith(FP, FP.of(3), FP.of(4), "add") == 7
-    assert arith(FQ, Fraction(1, 2), Fraction(1, 3), "sub") == Fraction(1, 6)
-    assert arith(FP, FP.of(3), FP.of(4), "mul") == 12
-    assert arith(FQ, Fraction(1), Fraction(3), "div") == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        arith(FP, 1, 2, "pow")
 
 
 def test_binom_edge_cases():

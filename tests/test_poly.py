@@ -19,7 +19,6 @@ from jointslab.poly import (
     format_poly,
     grlex_key,
     hasse_apply,
-    hasse_compose,
     monomials_upto,
     parse_poly,
     pullback,
@@ -166,7 +165,7 @@ def test_taylor_identity(data):
 
 def test_hasse_composition_rule():
     for a, b in (((1, 0), (2, 0)), ((1, 1), (0, 2)), ((2, 0), (0, 0))):
-        got = hasse_compose(a, b, FQ)
+        got = HasseOperator.single(FQ, 2, a).compose(HasseOperator.single(FQ, 2, b))
         w = tuple(x + y for x, y in zip(a, b))
         assert got.combo == {w: FQ.of(binom_vec(w, a))}
 
@@ -174,7 +173,8 @@ def test_hasse_composition_rule():
 def test_hasse_composition_in_small_characteristic():
     F2 = FieldSpec("prime", 2)
     # Hasse^(1) Hasse^(1) = C(2,1) Hasse^(2) = 0 in characteristic 2
-    got = hasse_compose((1,), (1,), F2)
+    H1 = HasseOperator.single(F2, 1, (1,))
+    got = H1.compose(H1)
     assert got.is_zero()
 
 
@@ -217,6 +217,15 @@ def test_affine_map_singular_rejected():
 
     with pytest.raises(SingularMap):
         AffineMap(FQ, [[1, 2], [2, 4]], [0, 0])
+
+
+def test_affine_map_requires_square_matrix():
+    from jointslab.errors import DimensionMismatch
+
+    with pytest.raises(DimensionMismatch):
+        AffineMap(FQ, [[1, 0, 0], [0, 1, 0]], [0, 0])
+    with pytest.raises(DimensionMismatch):
+        AffineMap(FQ, [[1, 0], [0, 1], [0, 0]], [0, 0])
 
 
 def test_affine_apply_compose_inverse():

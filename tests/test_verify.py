@@ -2,6 +2,7 @@
 
 import copy
 import random
+from decimal import getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -273,3 +274,11 @@ def test_bound_single_family_not_applicable():
 def test_decimal12():
     assert decimal12(Fraction(1, 3)).startswith("0.333333333333")
     assert decimal12(RootValue(Fraction(2), 2)).startswith("1.41421356237")
+
+
+def test_bound_report_leaves_decimal_context():
+    cfg = generate("generic-hyperplanes", field=F, seed=0, d=3, h=4)
+    with localcontext() as ctx:
+        ctx.prec = 28
+        bound_report(cfg).to_json()
+        assert getcontext().prec == 28
