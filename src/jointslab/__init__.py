@@ -8,7 +8,7 @@ fields or the rationals.
 
 __version__ = "0.1.0"
 
-from .balance import BalanceState, RootValue, balance, compute_W
+from .balance import BalanceState, RootValue, compute_W
 from .basis import (
     BasisLedger,
     FunctionalRow,

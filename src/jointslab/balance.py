@@ -100,12 +100,22 @@ class RootValue:
 
 
 def root_gap_exceeds(a: RootValue, b: RootValue, tau: Fraction) -> bool:
-    """Exact verdict on a - b > tau for nonnegative root values."""
+    """Exact verdict on a - b > tau for nonnegative root values.
+
+    Equal values are decided by ``cmp``, two rationals directly.
+    Otherwise a - b != tau, so refining the brackets always ends.  For if
+    a = b + tau with b irrational, b has a conjugate b*zeta != b (zeta a
+    root of unity), and b*zeta + tau is then a conjugate of a, so
+    |b*zeta + tau| = a = b + tau, which forces tau = 0 and a = b.  If b
+    is rational, a = b + tau would be rational too.
+    """
+    if a.cmp(b) == 0:
+        return 0 > tau
     ra, rb = a.to_rational(), b.to_rational()
     if ra is not None and rb is not None:
         return ra - rb > tau
     bits = 48
-    while bits <= 3072:
+    while True:
         alo, ahi = a.brackets(bits)
         blo, bhi = b.brackets(bits)
         if alo - bhi > tau:
@@ -113,7 +123,6 @@ def root_gap_exceeds(a: RootValue, b: RootValue, tau: Fraction) -> bool:
         if ahi - blo <= tau:
             return False
         bits *= 2
-    raise ArithmeticError("could not separate root values from the threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,15 @@ def root_gap_exceeds(a: RootValue, b: RootValue, tau: Fraction) -> bool:
 
 def build_all_ledgers(cfg, h: Handicap, n: int, cap: int | None = None) -> dict:
     return {ref: build_ledger(cfg, ref, h, n, cap=cap) for ref in cfg.all_members()}
+
+
+def _ledgers_on(cfg, h: Handicap, n: int, charts: dict) -> dict:
+    """``build_all_ledgers`` over charts kept per member across calls, so
+    that each chart and its functional rows are built once."""
+    return {
+        ref: build_ledger(cfg, ref, h, n, charts=charts.setdefault(ref, {}))
+        for ref in cfg.all_members()
+    }
 
 
 def compute_W(cfg, h: Handicap, n: int, weights=None, ledgers=None) -> dict:
@@ -200,7 +218,9 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     tau, decrements the handicaps of the top-t joints (with doubling
     step size until the W multiset changes), and rebuilds.  Stops when
     no gap exceeds tau or the rebuild cap is hit.  The returned state
-    carries the ledgers built at its final handicaps.
+    carries the ledgers built at its final handicaps.  The handicap only
+    orders the steps, so every chart and functional row is built once per
+    call and shared by the ledgers of every handicap tried.
     """
     from .config import connected_components
 
@@ -213,7 +233,8 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     h = Handicap.zero(joints)
     rebuilds = 0
     log = []
-    ledgers = build_all_ledgers(cfg, h, n)
+    charts: dict = {}  # member ref -> joint id -> Chart
+    ledgers = _ledgers_on(cfg, h, n, charts)
     W = compute_W(cfg, h, n, weights, ledgers=ledgers)
     rebuilds += 1
     sw = _sorted_desc(W)
@@ -240,7 +261,7 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
                 for j in top:
                     alpha2[j] -= step
                 h2 = Handicap(alpha2, list(h.preassigned))
-                ledgers2 = build_all_ledgers(cfg, h2, n)
+                ledgers2 = _ledgers_on(cfg, h2, n, charts)
                 W2 = compute_W(cfg, h2, n, weights, ledgers=ledgers2)
                 rebuilds += 1
                 sw2 = _sorted_desc(W2)

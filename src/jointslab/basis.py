@@ -15,7 +15,7 @@ import io
 import csv
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ChartMissing, TruncationTooLow, UnknownJoint
+from .errors import ChartMissing, JointslabError, TruncationTooLow, UnknownJoint
 from .field import FieldSpec, binom
 from .linalg import IncrementalRowReducer
 from .poly import monomials_upto
@@ -95,16 +95,24 @@ class FunctionalRow:
 
 
 def functional_rows(C: Chart, p, r: int, n: int) -> list:
-    """One row per local gamma with |gamma| = r, over F[x]_{<= n}."""
+    """One row per local gamma with |gamma| = r, over F[x]_{<= n}.
+
+    The rows depend only on the chart, so they are built once and kept on
+    it; every later call returns the same list, which callers share and
+    must not modify.
+    """
     if r > C.truncation:
         raise TruncationTooLow(f"chart truncated at {C.truncation}, need order {r}")
-    space = derivative_space(C, r)
-    monos = monomials_upto(C.owner.ambient, n)
-    point = list(C.center)
-    rows = []
-    for gamma, op in zip(space.gammas, space.operators):
-        coeffs = [op.monomial_functional(delta, point) for delta in monos]
-        rows.append(FunctionalRow(coeffs, p, r, gamma, op))
+    rows = C.row_cache.get((p, r, n))
+    if rows is None:
+        space = derivative_space(C, r)
+        monos = monomials_upto(C.owner.ambient, n)
+        point = list(C.center)
+        rows = [
+            FunctionalRow([op.monomial_functional(delta, point) for delta in monos], p, r, gamma, op)
+            for gamma, op in zip(space.gammas, space.operators)
+        ]
+        C.row_cache[p, r, n] = rows
     return rows
 
 
@@ -170,7 +178,7 @@ def build_ledger(
         if j not in charts:
             try:
                 charts[j] = make_chart(V, cfg.joints[j], cap, F)
-            except Exception as exc:
+            except JointslabError as exc:
                 raise ChartMissing(f"no chart at joint {j} on {ref}: {exc}") from exc
     target = dim_regular_functions(V, n, F)
     red = IncrementalRowReducer(F)

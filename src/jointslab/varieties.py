@@ -103,6 +103,8 @@ class Chart:
     truncation: int
     _frame_inv: AffineMap | None = dc_field(default=None, repr=False)
     _framed_eqs: list | None = dc_field(default=None, repr=False)
+    # basis.functional_rows results, keyed by (joint, order, degree bound)
+    row_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> FieldSpec:

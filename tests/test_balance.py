@@ -1,5 +1,6 @@
 """Exact root arithmetic and handicap-balancing descent."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,15 @@ from jointslab.balance import (
     integer_nth_root,
     root_gap_exceeds,
 )
-from jointslab.basis import Handicap, ledgers_to_csv
-from jointslab.config import connected_components, detect_joints, generate, grid_line_composite
+from jointslab.basis import Handicap, build_ledger, ledgers_to_csv
+from jointslab.config import Family, connected_components, detect_joints, generate, grid_line_composite
 from jointslab.errors import Disconnected
 from jointslab.field import DEFAULT_PRIME, FieldSpec
+from jointslab.poly import AffineMap, parse_poly
+from jointslab.varieties import VarietySpec
 
 F = FieldSpec("prime", DEFAULT_PRIME)
+FQ = FieldSpec("rational")
 
 
 # -- exact roots ------------------------------------------------------------
@@ -67,6 +71,16 @@ def test_root_gap_exceeds():
     sqrt8 = RootValue(Fraction(8), 2)
     assert root_gap_exceeds(sqrt8, sqrt2, Fraction(7, 5))
     assert not root_gap_exceeds(sqrt8, sqrt2, RootValue(Fraction(2), 2).brackets(8)[1])
+
+
+def test_root_gap_exceeds_equal_irrationals():
+    # 2^(1/2) and 8^(1/6) are the same irrational number: no bracket
+    # width ever separates their difference from 0
+    a, b = RootValue(Fraction(2), 2), RootValue(Fraction(8), 6)
+    for x, y in ((a, b), (b, a)):
+        assert not root_gap_exceeds(x, y, Fraction(0))
+        assert not root_gap_exceeds(x, y, Fraction(1, 10))
+        assert root_gap_exceeds(x, y, Fraction(-1, 10))
 
 
 # -- W products -------------------------------------------------------------
@@ -187,6 +201,73 @@ def test_balance_composite_moves_and_invariant():
     assert all(row["changed"] for row in state.log)
     assert all(row["min_W"] <= row["max_W"] for row in state.log)
     # the returned ledgers are those of the accepted handicap
+    assert ledgers_to_csv(list(state.ledgers.values())) == ledgers_to_csv(
+        list(build_all_ledgers(cfg, state.alpha, n).values()))
+
+
+def test_balance_module_is_not_shadowed():
+    import jointslab.balance as B
+
+    assert inspect.ismodule(B)
+    assert B.balance is balance
+
+
+def parabola_circle_config():
+    """Over Q: the parabola x2 = x1^2 (a graph), the circle
+    x1^2 + x2^2 = 2 x2 (a hypersurface) and three lines, meeting at the
+    joints (0, 0), (1, 1) and (-1, 1)."""
+    def line(point, direction):
+        return VarietySpec(kind="flat", ambient=2, dim=1, degree=1,
+                           point=point, directions=(direction,))
+
+    parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
+                           frame=AffineMap.identity(FQ, 2),
+                           graph_polys=(parse_poly("1 * x1^2", FQ, 1),))
+    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
+                         point=(0, 0), directions=((1, 0), (0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -2 * x2", FQ, 2))
+    members = [parabola, circle, line((0, 1), (1, 0)), line((0, 0), (1, 1)), line((0, 0), (0, 1))]
+    return detect_joints(FQ, [Family(k=1, m=2, members=members)],
+                         candidates=[(0, 0), (1, 1), (-1, 1)])
+
+
+@pytest.mark.parametrize("make, kinds, n, tau, cap", [
+    (lambda: grid_line_composite(F, 3, seed=4), {"flat"}, 6, Fraction(3, 56), 10**4),
+    (parabola_circle_config, {"flat", "graph", "hypersurface"}, 4, Fraction(1, 1000), 12),
+], ids=["grid-line", "curved-q"])
+def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, cap):
+    # The descent builds each chart once and shares its rows across the
+    # handicaps it tries; at every one of them the ledger must equal a
+    # build_ledger call that starts from nothing.
+    import jointslab.balance as B
+    import jointslab.basis as basis_module
+
+    cfg = make()
+    built, charts_made = [], []
+    real_build, real_chart = B.build_ledger, basis_module.make_chart
+
+    def recording_build(cfg_, ref, h, n_, charts=None, cap=None):
+        led = real_build(cfg_, ref, h, n_, charts=charts, cap=cap)
+        built.append((ref, Handicap(dict(h.alpha), list(h.preassigned)), led))
+        return led
+
+    def counting_chart(*args, **kwargs):
+        charts_made.append(args[1])
+        return real_chart(*args, **kwargs)
+
+    monkeypatch.setattr(B, "build_ledger", recording_build)
+    monkeypatch.setattr(basis_module, "make_chart", counting_chart)
+    state = B.balance(cfg, n, tau=tau, cap=cap)
+    monkeypatch.undo()
+
+    assert {cfg.member(ref).kind for ref in cfg.all_members()} == kinds
+    assert len({tuple(sorted(h.alpha.items())) for _, h, _ in built}) > 1
+    assert len(charts_made) == sum(len(cfg.joints_on(ref)) for ref in cfg.all_members())
+    for ref, h, led in built:
+        fresh = build_ledger(cfg, ref, h, n)
+        assert ledgers_to_csv([led]) == ledgers_to_csv([fresh])
+        assert [row.coeffs for st in led.steps for row in st.rows] == [
+            row.coeffs for st in fresh.steps for row in st.rows]
     assert ledgers_to_csv(list(state.ledgers.values())) == ledgers_to_csv(
         list(build_all_ledgers(cfg, state.alpha, n).values()))
 

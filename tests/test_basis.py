@@ -18,7 +18,7 @@ from jointslab.basis import (
     v_vector,
 )
 from jointslab.config import generate, grid_line_composite
-from jointslab.errors import TruncationTooLow, UnknownJoint
+from jointslab.errors import ChartMissing, NotOnVariety, TruncationTooLow, UnknownJoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer
 from jointslab.poly import Polynomial, monomials_upto, parse_poly, taylor_shift
@@ -133,7 +133,44 @@ def test_rows_respect_truncation():
         functional_rows(C, "p", 2, 3)
 
 
+def test_rows_are_built_once_per_chart_and_not_mutated():
+    C = plane_charts(F, [(3, 5)], 4)[0]
+    rows = functional_rows(C, "p", 2, 3)
+    assert functional_rows(C, "p", 2, 3) is rows
+    assert {len(row.coeffs) for row in functional_rows(C, "p", 2, 4)} == {binom(6, 2)}
+    fresh = functional_rows(plane_charts(F, [(3, 5)], 4)[0], "p", 2, 3)
+    assert [row.coeffs for row in rows] == [row.coeffs for row in fresh]
+    # reduce them against a store that already holds other rows
+    red = IncrementalRowReducer(F)
+    for r in (0, 1):
+        for row in functional_rows(C, "p", r, 3):
+            red.insert(row.coeffs)
+    before = [list(row.coeffs) for row in rows]
+    for row in rows:
+        red.insert(row.coeffs)
+    assert [row.coeffs for row in rows] == before
+
+
 # -- ledgers ----------------------------------------------------------------
+
+
+def test_build_ledger_wraps_only_library_errors(monkeypatch):
+    import jointslab.basis as basis_module
+
+    cfg = generate("grid", field=F, seed=0, t=1)
+    h = Handicap.zero(range(len(cfg.joints)))
+
+    def raising(exc):
+        def make_chart(*args, **kwargs):
+            raise exc
+        return make_chart
+
+    monkeypatch.setattr(basis_module, "make_chart", raising(NotOnVariety("off the flat")))
+    with pytest.raises(ChartMissing):
+        build_ledger(cfg, (0, 0), h, 2)
+    monkeypatch.setattr(basis_module, "make_chart", raising(TypeError("a bug")))
+    with pytest.raises(TypeError):
+        build_ledger(cfg, (0, 0), h, 2)
 
 
 def test_single_point_ledger():
