@@ -3,23 +3,25 @@
 Given a handicap vector alpha over the joints, steps (p, r) are ordered
 by r - alpha_p with ties broken by a preassigned order on the joints.
 Walking the steps in this order, each step contributes the functional
-rows g -> D^gamma g(p) for all local gamma with |gamma| = r; a greedy
-maximal independent subset is kept.  The walk stops when the selected
-rows span the dual of R_{V, <= n}, giving the counts |B^r_{p,V}| whose
-per-joint totals drive the counting argument.
+rows g -> D^gamma g(p) for all local gamma with |gamma| = r, each the
+t^gamma Taylor coefficient along the chart's parametrization
+(``poly.expansion_row``); a greedy maximal independent subset is kept.
+The walk stops when the selected rows span the dual of R_{V, <= n},
+giving the counts |B^r_{p,V}| whose per-joint totals drive the counting
+argument.  A ledger keeps the selected gammas and each joint's chart
+coordinates, which is all the rank check reads.
 """
 
 from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ChartMissing, JointslabError, TruncationTooLow, UnknownJoint
-from .field import FieldSpec, binom
 from .linalg import IncrementalRowReducer
-from .poly import monomials_upto
-from .varieties import Chart, derivative_space, dim_regular_functions, make_chart
+from .poly import expansion_row, exponents_of_degree
+from .varieties import Chart, dim_regular_functions, make_chart
 
 
 @dataclass
@@ -46,12 +48,6 @@ class Handicap:
 
     def shifted(self, delta: int) -> "Handicap":
         return Handicap({p: a + delta for p, a in self.alpha.items()}, list(self.preassigned))
-
-    def decremented(self, joints) -> "Handicap":
-        alpha = dict(self.alpha)
-        for p in joints:
-            alpha[p] = alpha[p] - 1
-        return Handicap(alpha, list(self.preassigned))
 
     @staticmethod
     def zero(joint_ids) -> "Handicap":
@@ -91,26 +87,26 @@ class FunctionalRow:
     joint: object
     order: int
     gamma: tuple
-    operator: object  # ambient HasseOperator
 
 
 def functional_rows(C: Chart, p, r: int, n: int) -> list:
     """One row per local gamma with |gamma| = r, over F[x]_{<= n}.
 
-    The rows depend only on the chart, so they are built once and kept on
-    it; every later call returns the same list, which callers share and
-    must not modify.
+    D^gamma g(p) is the t^gamma coefficient of g along the chart's
+    parametrization, so each row is the chart's ``expansion_row`` of
+    gamma.  The rows depend only on the chart, so they are built once and
+    kept on it; every later call returns the same list, which callers
+    share and must not modify.
     """
     if r > C.truncation:
         raise TruncationTooLow(f"chart truncated at {C.truncation}, need order {r}")
     rows = C.row_cache.get((p, r, n))
     if rows is None:
-        space = derivative_space(C, r)
-        monos = monomials_upto(C.owner.ambient, n)
-        point = list(C.center)
+        coords = C.coordinates()
+        memo = C.expansion_memos.setdefault(n, {})
         rows = [
-            FunctionalRow([op.monomial_functional(delta, point) for delta in monos], p, r, gamma, op)
-            for gamma, op in zip(space.gammas, space.operators)
+            FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), p, r, gamma)
+            for gamma in exponents_of_degree(C.owner.dim, r)
         ]
         C.row_cache[p, r, n] = rows
     return rows
@@ -136,6 +132,7 @@ class BasisLedger:
     counts: dict  # joint -> {r: count}
     cap: int
     cap_hit: bool
+    coordinates: dict  # joint -> its chart's coordinates(), read by the rank check
 
     def joint_total(self, p) -> int:
         return sum(self.counts.get(p, {}).values())
@@ -143,13 +140,10 @@ class BasisLedger:
     def totals(self) -> dict:
         return {p: sum(tbl.values()) for p, tbl in self.counts.items()}
 
-    def selected_operators(self, p) -> dict:
-        """r -> list of ambient operators selected at (p, r)."""
-        out: dict = {}
-        for st in self.steps:
-            if st.joint == p:
-                out.setdefault(st.order, []).extend(row.operator for row in st.rows)
-        return out
+    def selected_gammas(self, p) -> list:
+        """The gammas selected at joint p, in step order (increasing r),
+        then in row order."""
+        return [row.gamma for st in self.steps if st.joint == p for row in st.rows]
 
 
 def build_ledger(
@@ -209,7 +203,8 @@ def build_ledger(
                     break
         if not done and red.rank < target:
             cap_hit = True
-    return BasisLedger(ref, n, target, red.rank, steps, counts, cap, cap_hit)
+    coords = {j: charts[j].coordinates() for j in on}
+    return BasisLedger(ref, n, target, red.rank, steps, counts, cap, cap_hit, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +224,11 @@ def T_dimension(charts: list, v, n: int) -> int:
     V = charts[0].owner
     F = charts[0].field
     dim_R = dim_regular_functions(V, n, F)
-    monos = monomials_upto(V.ambient, n)
     red = IncrementalRowReducer(F)
     for C, vp in zip(charts, v):
         for r in range(vp):
-            for op in derivative_space(C, r).operators:
-                red.insert([op.monomial_functional(delta, list(C.center)) for delta in monos])
+            for row in functional_rows(C, None, r, n):
+                red.insert(row.coeffs)
     return dim_R - red.rank
 
 

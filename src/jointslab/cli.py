@@ -20,7 +20,7 @@ from . import __version__
 from .balance import balance, build_all_ledgers, compute_W
 from .basis import Handicap, ledgers_summary, ledgers_to_csv
 from .config import JointsConfiguration, connected_components, generate
-from .errors import JointslabError
+from .errors import JointslabError, MalformedInput
 from .field import DEFAULT_PRIME, FieldSpec
 from .poly import parse_poly
 from .verify import (
@@ -37,11 +37,19 @@ EXIT_USAGE = 2
 EXIT_CAP_HIT = 3
 
 
+def _parse(flag: str, parse, text):
+    """parse(text), a value that does not parse being an input error."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"{flag} {text!r}: {exc}") from exc
+
+
 def _field_from_args(args) -> FieldSpec:
     if getattr(args, "field_p", None):
         if args.field_p == "rational":
             return FieldSpec("rational")
-        return FieldSpec("prime", int(args.field_p))
+        return _parse("--field-p", lambda s: FieldSpec("prime", int(s)), args.field_p)
     return FieldSpec("prime", DEFAULT_PRIME)
 
 
@@ -74,7 +82,11 @@ def _manifest(args, command: str, extra: dict, outputs: list, t0: float) -> dict
 
 def _load_config(args) -> JointsConfiguration:
     with open(args.config) as fh:
-        return JointsConfiguration.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise MalformedInput(f"{args.config}: not JSON: {exc}") from exc
+    return JointsConfiguration.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +130,7 @@ def cmd_pipeline(args) -> int:
     cap_hit = False
     reports = []
     for ci, comp in enumerate(comps):
-        tau = Fraction(args.tau) if args.tau else None
+        tau = _parse("--tau", Fraction, args.tau) if args.tau else None
         st = balance(comp, n, tau=tau, cap=args.cap)
         if st.status != "balanced":
             cap_hit = True
@@ -161,7 +173,7 @@ def cmd_balance(args) -> int:
     cfg = _load_config(args)
     n = args.n or _default_n(cfg.ambient)
     out = _out_dir(args)
-    tau = Fraction(args.tau) if args.tau else None
+    tau = _parse("--tau", Fraction, args.tau) if args.tau else None
     st = balance(cfg, n, tau=tau, cap=args.cap)
     lines = ["iteration,t,min_W,max_W,changed"]
     for row in st.log:
@@ -187,7 +199,7 @@ def cmd_verify(args) -> int:
     if args.check == "sz":
         F = _field_from_args(args)
         g = parse_poly(args.poly, F, args.d or 2)
-        A = [F.of(x) for x in args.set.split(",")]
+        A = [_parse("--set", F.of, x) for x in args.set.split(",")]
         r = schwartz_zippel_mult(g, A)
         result = {"check": "sz", **r}
     else:
@@ -200,6 +212,8 @@ def cmd_verify(args) -> int:
             if not args.poly:
                 print("witness requires --poly", file=sys.stderr)
                 return EXIT_USAGE
+            if not 0 <= args.joint < len(cfg.joints):
+                raise MalformedInput(f"--joint {args.joint}: there are {len(cfg.joints)} joints")
             g = parse_poly(args.poly, cfg.field, cfg.ambient)
             charts = cfg.designated_charts(args.joint, n * 2)
             w = hasse_vanishing_witness(cfg.joints[args.joint], charts, g)
@@ -292,6 +306,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.cmd == "verify" and args.check != "sz" and args.config is None:
         print("verify requires --config (except sz)", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n is not None and args.n < 0:
+        print("error: --n must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

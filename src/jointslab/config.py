@@ -21,6 +21,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     FieldTooSmall,
+    MalformedInput,
     MissingCandidates,
     NotAJoint,
     SingularPoint,
@@ -112,10 +113,14 @@ class JointsConfiguration:
 
     @staticmethod
     def from_json(obj: dict) -> "JointsConfiguration":
-        F = FieldSpec.from_json(obj["field"])
-        families = [Family.from_json(f, F) for f in obj["families"]]
-        joints = [tuple(F.of(x) for x in p) for p in obj["joints"]]
-        return detect_joints(F, families, candidates=joints, seed=int(obj.get("seed", 0)))
+        try:
+            F = FieldSpec.from_json(obj["field"])
+            families = [Family.from_json(f, F) for f in obj["families"]]
+            joints = [tuple(F.of(x) for x in p) for p in obj["joints"]]
+            seed = int(obj.get("seed", 0))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"malformed configuration: {exc!r}") from exc
+        return detect_joints(F, families, candidates=joints, seed=seed)
 
 
 # ---------------------------------------------------------------------------

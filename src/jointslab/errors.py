@@ -63,3 +63,7 @@ class ZeroPolynomial(JointslabError):
 
 class NotAJoint(JointslabError):
     pass
+
+
+class MalformedInput(JointslabError, ValueError):
+    """Text or JSON from outside the program that does not parse."""

@@ -8,17 +8,20 @@ used by the vanishing-basis machinery.
 Hasse derivatives act by Hasse^w x^e = C(e, w) x^(e-w) with the binomial
 computed coordinatewise over Z and then reduced into the field; this is
 what keeps the calculus correct in small characteristic.
+``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial
+for a parametrization phi; each vanishing-condition row is one.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import DimensionMismatch, SingularMap
-from .field import FieldElement, FieldSpec, binom, binom_in_field
+from .errors import DimensionMismatch, MalformedInput, SingularMap
+from .field import FieldElement, FieldSpec, binom
 
 ExponentVector = tuple
 
@@ -259,32 +262,38 @@ def format_poly(g: Polynomial) -> str:
     return " + ".join(parts)
 
 
+_COEFF = re.compile(r"-?\d+(?:/\d*[1-9]\d*)?")
+_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
+
+
 def parse_poly(text: str, field: FieldSpec, nvars: int) -> Polynomial:
+    """Read the text form written by ``format_poly``.
+
+    Terms are joined by '+'.  A term is a coefficient (an integer or a/b,
+    with an optional leading '-'), a monomial, or 'coefficient * monomial';
+    a monomial is factors x<i> or x<i>^<e> separated by spaces, with
+    1 <= i <= nvars and e >= 1.  Anything else, such as '-' between terms
+    or '2 x1', raises MalformedInput.
+    """
     text = text.strip()
     if text in ("", "0"):
         return Polynomial.zero(field, nvars)
     F = field
     terms: dict = {}
-    for part in text.split(" + "):
-        part = part.strip()
-        if "*" in part:
-            coeff_s, mono_s = part.split("*", 1)
-        else:
-            coeff_s, mono_s = part, ""
-        coeff_s = coeff_s.strip()
-        # bare monomial like "x2^3" with implicit coefficient 1
-        if coeff_s.startswith("x") and not mono_s:
-            mono_s, coeff_s = coeff_s, "1"
-        c = F.of(Fraction(coeff_s))
+    for part in text.split("+"):
+        coeff_s, star, mono_s = (s.strip() for s in part.partition("*"))
+        if not star and coeff_s.startswith("x"):
+            coeff_s, mono_s = "1", coeff_s
+        if not _COEFF.fullmatch(coeff_s) or (star and not mono_s):
+            raise MalformedInput(f"malformed term {part.strip()!r} in {text!r}")
         exps = [0] * nvars
         for factor in mono_s.split():
-            name, _, pow_s = factor.partition("^")
-            idx = int(name[1:]) - 1
-            if idx < 0 or idx >= nvars:
-                raise ValueError(f"variable {name} outside ring with {nvars} variables")
-            exps[idx] += int(pow_s) if pow_s else 1
+            m = _FACTOR.fullmatch(factor)
+            if not m or not 1 <= int(m[1]) <= nvars or (m[2] and int(m[2]) < 1):
+                raise MalformedInput(f"malformed factor {factor!r} in a ring of {nvars} variables")
+            exps[int(m[1]) - 1] += int(m[2] or 1)
         e = tuple(exps)
-        s = F.add(terms.get(e, F.zero), c)
+        s = F.add(terms.get(e, F.zero), F.of(Fraction(coeff_s)))
         if s:
             terms[e] = s
         else:
@@ -421,18 +430,8 @@ class HasseOperator:
         F = self.field
         point = [F.of(x) for x in point]
         acc = F.zero
-        for w, cw in self.combo.items():
-            for e, ce in g.terms.items():
-                if any(ei < wi for ei, wi in zip(e, w)):
-                    continue
-                b = F.of(binom_vec(e, w))
-                if not b:
-                    continue
-                v = F.mul(F.mul(cw, ce), b)
-                for x, k in zip(point, (ei - wi for ei, wi in zip(e, w))):
-                    if k:
-                        v = F.mul(v, F.pow(x, k))
-                acc = F.add(acc, v)
+        for e, c in g.terms.items():
+            acc = F.add(acc, F.mul(c, self.monomial_functional(e, point)))
         return acc
 
     def monomial_functional(self, delta, point) -> FieldElement:
@@ -556,14 +555,63 @@ def vanishing_order(g: Polynomial, point):
     return min(sum(e) for e in shifted.terms)
 
 
+@lru_cache(maxsize=None)
+def _expansion_steps(d: int, n: int) -> tuple:
+    """Per monomial x^delta after the first in monomials_upto(d, n): (i, k)
+    with x_i the first variable of x^delta and k the index of x^(delta - e_i)."""
+    monos = monomials_upto(d, n)
+    index = {e: k for k, e in enumerate(monos)}
+    out = []
+    for delta in monos[1:]:
+        i = next(i for i, e in enumerate(delta) if e)
+        out.append((i, index[delta[:i] + (delta[i] - 1,) + delta[i + 1 :]]))
+    return tuple(out)
+
+
+def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
+    """[t^gamma] x^delta(phi(t)) for every x^delta in monomials_upto(d, n).
+
+    ``coords[i]`` is x_i(phi(t)) as a {beta: c} map and ``gamma`` a tuple
+    over the t variables; the row is the functional g -> [t^gamma] g(phi(t))
+    on F[x]_{<= n}.  By x^delta = x^(delta - e_i) * x_i, each entry is
+        sum over beta <= gamma of c_{i,beta} [t^(gamma - beta)] x^(delta - e_i),
+    where beta = 0 reads the row being built and every other beta a row
+    below gamma.  ``memo`` maps gamma to its row for one (coords, n) pair;
+    callers share its rows and must not modify them.
+    """
+    row = memo.get(gamma)
+    if row is not None:
+        return row
+    zero = (0,) * len(gamma)
+    const = [ci.get(zero, F.zero) for ci in coords]
+    lower = [
+        [
+            (c, expansion_row(F, coords, n, tuple(g - b for g, b in zip(gamma, beta)), memo))
+            for beta, c in ci.items()
+            if beta != zero and all(b <= g for b, g in zip(beta, gamma))
+        ]
+        for ci in coords
+    ]
+    p = F.p
+    row = [F.one if gamma == zero else F.zero]
+    for i, k in _expansion_steps(len(coords), n):
+        acc = const[i] * row[k]
+        for c, below in lower[i]:
+            acc += c * below[k]
+        row.append(acc % p if p else acc)
+    memo[gamma] = row
+    return row
+
+
 def conjugate_operator(D: HasseOperator, T: AffineMap) -> HasseOperator:
     """The operator D' with D' g = (D (g o T)) o T^{-1}.
 
     For an affine T: x -> Ax + b one has
         Hasse^w (g o T) = sum_delta m_{w,delta} (Hasse^delta g) o T,
-    where m_{w,delta} is the y^w coefficient of prod_j (A_j . y)^{delta_j};
-    only |delta| = |w| contributes.  The translation b plays no role in
-    the operator coefficients.
+    where m_{w,delta} is the y^w coefficient of prod_j (A_j . y)^{delta_j},
+    the expansion row of y^w along the linear forms A_j . y; only
+    |delta| = |w| contributes.  The translation b plays no role in the
+    operator coefficients.
     """
     F = D.field
     d = D.nvars
@@ -572,35 +620,13 @@ def conjugate_operator(D: HasseOperator, T: AffineMap) -> HasseOperator:
     r = D.order
     if r is NEG_INF:
         return HasseOperator(F, d)
-    # linear forms (A_j . y) as polynomials in y
-    rows = []
-    for j in range(d):
-        terms = {}
-        for i, a in enumerate(T.matrix[j]):
-            if a:
-                e = [0] * d
-                e[i] = 1
-                terms[tuple(e)] = a
-        rows.append(Polynomial(F, d, terms))
+    units = exponents_of_degree(d, 1)
+    forms = [{e: a for e, a in zip(units, row) if a} for row in T.matrix]
+    monos = monomials_upto(d, r)
+    memo: dict = {}
     combo: dict = {}
-    by_order: dict[int, dict] = {}
     for w, c in D.combo.items():
-        by_order.setdefault(sum(w), {})[w] = c
-    for order, part in by_order.items():
-        for delta in exponents_of_degree(d, order):
-            prod = Polynomial.constant(F, d, 1)
-            for j, k in enumerate(delta):
-                if k:
-                    prod = prod * rows[j] ** k
-            acc = F.zero
-            for w, c in part.items():
-                coeff = prod.coefficient(w)
-                if coeff:
-                    acc = F.add(acc, F.mul(c, coeff))
-            if acc:
-                s = F.add(combo.get(delta, F.zero), acc)
-                if s:
-                    combo[delta] = s
-                else:
-                    combo.pop(delta, None)
+        for delta, m in zip(monos, expansion_row(F, forms, r, w, memo)):
+            if m:
+                combo[delta] = F.add(combo.get(delta, F.zero), F.mul(c, m))
     return HasseOperator(F, d, combo)

@@ -3,12 +3,14 @@
 A chart frames a regular point p of a k-dimensional variety V so that p
 sits at the origin with the tangent space along the first k coordinates;
 the remaining coordinates are graphs of truncated power series h_i with
-no constant or linear part.  Directional derivative operators are built
-from the series: the operator attached to a local exponent vector gamma
-extracts the x^gamma coefficient of a polynomial rewritten in the local
-coordinates, and is expressed as a linear combination of Hasse
-derivatives so that it composes with operators of other varieties in
-ambient coordinates.
+no constant or linear part.  ``Chart.coordinates`` is the resulting
+parametrization phi of V near p, one power series per ambient
+coordinate.  The functional g -> D^gamma g(p) attached to a local
+exponent vector gamma is g -> [t^gamma] g(phi(t)); ledgers and the rank
+check read it as ``poly.expansion_row`` rows.  The same functional as a
+linear combination of ambient Hasse derivatives (``derivative_operator``,
+``derivative_space``) serves the witness and is the test oracle for
+those rows.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .poly import (
     HasseOperator,
     Polynomial,
     conjugate_operator,
+    expansion_row,
     exponents_of_degree,
     format_poly,
     monomials_upto,
@@ -103,8 +106,11 @@ class Chart:
     truncation: int
     _frame_inv: AffineMap | None = dc_field(default=None, repr=False)
     _framed_eqs: list | None = dc_field(default=None, repr=False)
-    # basis.functional_rows results, keyed by (joint, order, degree bound)
+    _coords: list | None = dc_field(default=None, repr=False)
+    # basis.functional_rows results, keyed by (joint, order, degree bound),
+    # and the expansion rows behind them, one gamma -> row memo per degree bound
     row_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> FieldSpec:
@@ -134,15 +140,16 @@ class Chart:
         images += [h.truncate(N) for h in self.series]
         return framed.substitute(images, truncation=N)
 
-
-@dataclass
-class DerivativeSpace:
-    """All order-r directional derivative operators of one chart."""
-
-    chart: Chart
-    order: int
-    gammas: list
-    operators: list  # in ambient coordinates, one per gamma
+    def coordinates(self) -> list:
+        """x_i(phi(t)) for each ambient coordinate, as {beta: c} maps over
+        the local variables: the chart's parametrization of V near the
+        center, exact up to the truncation degree."""
+        if self._coords is None:
+            F, d = self.field, self.owner.ambient
+            self._coords = [
+                self.local_expansion(Polynomial.variable(F, d, i)).terms for i in range(d)
+            ]
+        return self._coords
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +401,11 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
 
     In the framed coordinates it is sum_w c_w Hasse^w where c_w is the
     x^gamma coefficient of x_1^{w_1}...x_k^{w_k} h_{k+1}^{w_{k+1}}...
-    h_d^{w_d}; the support is restricted to |w| <= |gamma|, whose
-    sufficiency follows from the series having no constant or linear
-    terms.  With ambient=True the operator is conjugated with the frame
-    so that it acts in ambient coordinates and evaluates at the center.
+    h_d^{w_d}, read off the expansion row of gamma along (x, h(x)); the
+    support is restricted to |w| <= |gamma|, whose sufficiency follows
+    from the series having no constant or linear terms.  With
+    ambient=True the operator is conjugated with the frame so that it
+    acts in ambient coordinates and evaluates at the center.
     """
     F = C.field
     d, k = C.owner.ambient, C.owner.dim
@@ -407,42 +415,19 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
     r = sum(gamma)
     if r > C.truncation:
         raise TruncationTooLow(f"chart truncated at {C.truncation}, need {r}")
-    h_trunc = [h.truncate(r) for h in C.series]
-    pow_cache: list[dict[int, Polynomial]] = [dict() for _ in h_trunc]
-
-    def hpow(j, e):
-        if e not in pow_cache[j]:
-            if e == 0:
-                pow_cache[j][e] = Polynomial.constant(F, k, 1)
-            else:
-                pow_cache[j][e] = (hpow(j, e - 1) * h_trunc[j]).truncate(r)
-        return pow_cache[j][e]
-
-    combo = {}
-    for w in monomials_upto(d, r):
-        # x^{w_1..w_k} * prod h_j^{w_{k+j}}: pick the x^gamma coefficient
-        if any(wi > gi for wi, gi in zip(w, gamma)):
-            # the tangent part already overshoots some coordinate of gamma
-            continue
-        prod = Polynomial.monomial(F, k, w[:k])
-        for j in range(d - k):
-            if w[k + j]:
-                prod = (prod * hpow(j, w[k + j])).truncate(r)
-        c = prod.coefficient(gamma)
-        if c:
-            combo[w] = c
-    framed = HasseOperator(F, d, combo)
+    framed_coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h.terms for h in C.series]
+    row = expansion_row(F, framed_coords, r, gamma, {})
+    framed = HasseOperator(F, d, dict(zip(monomials_upto(d, r), row)))
     if not ambient:
         return framed
     return conjugate_operator(framed, C.frame_inverse)
 
 
-def derivative_space(C: Chart, r: int) -> DerivativeSpace:
-    """All D^gamma with |gamma| = r, enumerated in graded-lex gamma order."""
+def derivative_space(C: Chart, r: int) -> list:
+    """All D^gamma with |gamma| = r, in graded-lex gamma order."""
     if r > C.truncation:
         raise TruncationTooLow(f"chart truncated at {C.truncation}, need {r}")
-    gammas = list(exponents_of_degree(C.owner.dim, r))
-    return DerivativeSpace(C, r, gammas, [derivative_operator(C, g) for g in gammas])
+    return [derivative_operator(C, g) for g in exponents_of_degree(C.owner.dim, r)]
 
 
 def well_defined_check(C: Chart, D: HasseOperator, trials: int = 20, seed: int = 0) -> dict:

@@ -1,8 +1,10 @@
 """Executable checks behind the counting argument and the final bounds.
 
-The rank check composes one derivative operator per designated variety
-at every joint and verifies that the resulting functionals annihilate no
-nonzero polynomial of degree at most n.  The witness constructs, for a
+The rank check stacks, at every joint, the products of one vanishing
+condition per designated variety, each product read as one Taylor
+coefficient along the sum of the varieties' parametrizations, and
+verifies that they annihilate no nonzero polynomial of degree at most n.
+The witness constructs, for a
 given polynomial and joint, per-variety operators whose product recovers
 the leading coefficient of the polynomial's local expansion.  The bound
 report evaluates both headline inequalities with exact cross-powered
@@ -18,17 +20,16 @@ from fractions import Fraction
 
 from . import linalg
 from .balance import RootValue
-from .basis import BasisLedger
 from .errors import LedgerMissing, NotAJoint, ZeroPolynomial
-from .field import FieldSpec, binom
+from .field import binom
 from .linalg import IncrementalRowReducer
 from .poly import (
     HasseOperator,
     Polynomial,
     conjugate_operator,
+    expansion_row,
     exponents_of_degree,
     grlex_key,
-    monomials_upto,
     pullback,
     vanishing_order,
 )
@@ -42,36 +43,43 @@ from .varieties import derivative_space, tangent_space
 
 def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     """Stack the product functionals D_1 ... D_s g(p) over all joints and
-    check that they have full rank C(n+d, d) on F[x]_{<= n}."""
+    check that they have full rank C(n+d, d) on F[x]_{<= n}.
+
+    With phi_i the designated charts' parametrizations at p, the product
+    row of a pick (gamma_1, ..., gamma_s) is the expansion row of
+    t_1^gamma_1 ... t_s^gamma_s along p + sum_i (phi_i(t_i) - p), one
+    variable block per chart.  Picks run over the product of the ledgers'
+    selected gammas.
+    """
     F = cfg.field
     d = cfg.ambient
     expected = binom(n + d, d)
-    monos = monomials_upto(d, n)
     red = IncrementalRowReducer(F)
     rows_seen = 0
     for j, p in enumerate(cfg.joints):
-        for op in _product_operators(cfg, ledgers, j):
+        designated = [(cfg.member(ref).dim, _ledger(ledgers, ref)) for ref in cfg.chosen[j]]
+        total = sum(k for k, _ in designated)
+        coords = [{(0,) * total: p_i} for p_i in p]
+        before = 0
+        for k, led in designated:
+            pad = (0,) * before, (0,) * (total - before - k)
+            for terms, ci in zip(coords, led.coordinates[j]):
+                terms.update((pad[0] + beta + pad[1], c) for beta, c in ci.items() if any(beta))
+            before += k
+        memo: dict = {}
+        for pick in itertools.product(*(led.selected_gammas(j) for _, led in designated)):
             rows_seen += 1
-            red.insert([op.monomial_functional(delta, p) for delta in monos])
+            red.insert(expansion_row(F, coords, n, sum(pick, ()), memo))
             if red.rank >= expected:
                 return {"rank": red.rank, "expected": expected, "rows": rows_seen, "pass": True}
     return {"rank": red.rank, "expected": expected, "rows": rows_seen, "pass": red.rank == expected}
 
 
-def _product_operators(cfg, ledgers: dict, joint_idx: int):
-    """All composed operators D_1 ... D_s over the designated tuple."""
-    per_variety = []
-    for ref in cfg.chosen[joint_idx]:
-        led = ledgers.get(ref)
-        if led is None:
-            raise LedgerMissing(f"no ledger for member {ref}")
-        ops = [op for _, ops in sorted(led.selected_operators(joint_idx).items()) for op in ops]
-        per_variety.append(ops)
-    for pick in itertools.product(*per_variety):
-        op = pick[0]
-        for other in pick[1:]:
-            op = op.compose(other)
-        yield op
+def _ledger(ledgers: dict, ref):
+    led = ledgers.get(ref)
+    if led is None:
+        raise LedgerMissing(f"no ledger for member {ref}")
+    return led
 
 
 def parameter_count_check(cfg, ledgers: dict, n: int) -> dict:
@@ -81,10 +89,7 @@ def parameter_count_check(cfg, ledgers: dict, n: int) -> dict:
     for j in range(len(cfg.joints)):
         prod = 1
         for ref in cfg.chosen[j]:
-            led = ledgers.get(ref)
-            if led is None:
-                raise LedgerMissing(f"no ledger for member {ref}")
-            prod *= led.joint_total(j)
+            prod *= _ledger(ledgers, ref).joint_total(j)
         lhs += prod
     rhs = binom(n + d, d)
     return {"lhs": lhs, "rhs": rhs, "pass": lhs >= rhs}
@@ -165,8 +170,8 @@ def _in_chart_span(C, r: int, target: HasseOperator) -> HasseOperator:
     space = derivative_space(C, r)
     cols = exponents_of_degree(d, r)
     idx = {e: i for i, e in enumerate(cols)}
-    A = [[F.zero] * len(space.operators) for _ in cols]
-    for jcol, op in enumerate(space.operators):
+    A = [[F.zero] * len(space) for _ in cols]
+    for jcol, op in enumerate(space):
         for w, c in op.top_part().combo.items():
             A[idx[w]][jcol] = c
     rhs = [F.zero] * len(cols)
@@ -176,7 +181,7 @@ def _in_chart_span(C, r: int, target: HasseOperator) -> HasseOperator:
     if lam is None:
         raise NotAJoint("target derivative is not tangential to the chart")
     out = HasseOperator(F, d)
-    for c, op in zip(lam, space.operators):
+    for c, op in zip(lam, space):
         if c:
             out = out + op.scale(c)
     return out

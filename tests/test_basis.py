@@ -21,8 +21,8 @@ from jointslab.config import generate, grid_line_composite
 from jointslab.errors import ChartMissing, NotOnVariety, TruncationTooLow, UnknownJoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer
-from jointslab.poly import Polynomial, monomials_upto, parse_poly, taylor_shift
-from jointslab.varieties import VarietySpec, make_chart
+from jointslab.poly import AffineMap, Polynomial, monomials_upto, parse_poly, taylor_shift
+from jointslab.varieties import VarietySpec, derivative_operator, make_chart
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -149,6 +149,45 @@ def test_rows_are_built_once_per_chart_and_not_mutated():
     for row in rows:
         red.insert(row.coeffs)
     assert [row.coeffs for row in rows] == before
+
+
+def oracle_charts():
+    """name -> (chart, degree bound), all away from the origin: a flat with
+    a non-trivial frame in every characteristic tried, and curved charts."""
+    out = {}
+    for name, Ff in (("F2", FieldSpec("prime", 2)), ("F3", FieldSpec("prime", 3)),
+                     ("Fp", F), ("Q", FQ)):
+        plane = VarietySpec(kind="flat", ambient=3, dim=2, degree=1, point=(1, 0, 1),
+                            directions=((1, 1, 0), (0, 1, 2)))
+        out[name] = (make_chart(plane, (2, 1, 1), 3, Ff), 3)
+    parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
+                           frame=AffineMap(FQ, [[1, 1], [0, 1]], [0, 1]),
+                           graph_polys=(parse_poly("1/2 * x1^2 + -1 * x1^3", FQ, 1),))
+    out["graph-curve"] = (make_chart(parabola, (9, -7), 4, FQ), 3)
+    saddle = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
+                         frame=AffineMap.identity(FQ, 3),
+                         graph_polys=(parse_poly("1 * x1 x2 + -2 * x2^2", FQ, 2),))
+    out["graph-surface"] = (make_chart(saddle, (1, 2, -6), 3, FQ), 2)
+    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
+                         point=(0, 0), directions=((1, 0), (0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", FQ, 2))
+    out["circle"] = (make_chart(circle, (3, 4), 5, FQ), 3)
+    return out
+
+
+@pytest.mark.parametrize("case", ["F2", "F3", "Fp", "Q", "graph-curve", "graph-surface",
+                                  "circle"])
+def test_rows_match_operator_and_expansion_oracles(case):
+    # row entry for x^delta = D^gamma x^delta (center) = [t^gamma] x^delta(phi(t))
+    C, n = oracle_charts()[case]
+    Ff, d = C.field, C.owner.ambient
+    monos = monomials_upto(d, n)
+    expansions = [C.local_expansion(Polynomial.monomial(Ff, d, delta)) for delta in monos]
+    for r in range(C.truncation + 1):
+        for row in functional_rows(C, "p", r, n):
+            D = derivative_operator(C, row.gamma)
+            assert row.coeffs == [D.monomial_functional(delta, C.center) for delta in monos]
+            assert row.coeffs == [x.coefficient(row.gamma) for x in expansions]
 
 
 # -- ledgers ----------------------------------------------------------------

@@ -133,3 +133,47 @@ def test_non_square_frame_matrix_is_input_error(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     code = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "p")])
     assert code == EXIT_USAGE
+
+
+def _drop(key):
+    def edit(text):
+        obj = json.loads(text)
+        del obj[key]
+        return json.dumps(obj)
+    return edit
+
+
+# argv with CFG standing for a generated config, and an edit of its text
+CFG = "<config>"
+MALFORMED = {
+    "poly-juxtaposition": (["verify", "sz", "--poly", "2 x1"], None),
+    "poly-minus-operator": (["verify", "sz", "--poly", "1 * x1 - 1"], None),
+    "poly-unknown-name": (["verify", "sz", "--poly", "1 * y1"], None),
+    "poly-negative-exponent": (["verify", "sz", "--poly", "1 * x1^-1"], None),
+    "set-not-numbers": (["verify", "sz", "--poly", "1 * x1", "--set", "a,b"], None),
+    "tau-not-a-number": (["pipeline", "--config", CFG, "--tau", "abc"], None),
+    "field-not-prime": (["verify", "sz", "--poly", "1 * x1", "--field-p", "4"], None),
+    "config-without-families": (["pipeline", "--config", CFG], _drop("families")),
+    "config-without-joints": (["pipeline", "--config", CFG], _drop("joints")),
+    "config-not-json": (["pipeline", "--config", CFG], lambda text: text[:-3]),
+    "witness-joint-out-of-range": (["verify", "witness", "--config", CFG, "--joint", "99",
+                                    "--poly", "1 * x1"], None),
+    "witness-joint-negative": (["verify", "witness", "--config", CFG, "--joint", "-1",
+                                "--poly", "1 * x1"], None),
+    "n-negative": (["pipeline", "--config", CFG, "--n", "-1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_input_error(tmp_path, capsys, case):
+    argv, edit = MALFORMED[case]
+    if CFG in argv:
+        cfg_path = gen(tmp_path, "a")
+        if edit:
+            cfg_path.write_text(edit(cfg_path.read_text()))
+        argv = [str(cfg_path) if a == CFG else a for a in argv]
+    capsys.readouterr()
+    code = main([*argv, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert any(line.startswith("error: ") for line in err.splitlines()), err

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointslab.field import FieldSpec, binom
+from jointslab.errors import MalformedInput
+from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.poly import (
     AffineMap,
     HasseOperator,
@@ -122,6 +123,41 @@ def test_format_parse_roundtrip():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError):
         parse_poly("1 * x3", FQ, 2)
+
+
+@pytest.mark.parametrize("F", [FQ, FP, FieldSpec("prime", DEFAULT_PRIME)],
+                         ids=["Q", "F101", "Fp"])
+def test_parse_inverts_format_with_signed_fractions(F):
+    rng = random.Random(4)
+    for _ in range(30):
+        terms = {}
+        for e in rng.sample(monomials_upto(3, 4), 5):
+            c = F.of(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+            if c:
+                terms[e] = c
+        g = Polynomial(F, 3, terms)
+        assert parse_poly(format_poly(g), F, 3) == g
+    assert parse_poly("-3/2 * x1 x3^2 + -1", F, 3) == Polynomial(
+        F, 3, {(1, 0, 2): F.of(Fraction(-3, 2)), (0, 0, 0): F.of(-1)})
+
+
+@pytest.mark.parametrize("text", [
+    "2 x1",            # juxtaposition instead of '*'
+    "2x1",
+    "1 * x1 - 1",      # '-' as an operator
+    "1 * y1",          # unknown name
+    "1 * x0",          # index outside the ring
+    "1 * x3",
+    "1 * x1^-1",       # exponent below 1
+    "1 * x1^0",
+    "1 *",             # '*' without a monomial
+    "1 + + 2",
+    "1/0 * x1",
+    "x1 * x2",
+])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(MalformedInput):
+        parse_poly(text, FQ, 2)
 
 
 # -- Hasse calculus ---------------------------------------------------------
@@ -277,6 +313,21 @@ def test_conjugate_operator_definition():
         lhs = Dp.apply(g).evaluate(p)
         rhs = D.apply(pullback(g, T)).evaluate(T.inverse().apply(p))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("F", [FieldSpec("prime", 2), FieldSpec("prime", 3), FQ],
+                         ids=["F2", "F3", "Q"])
+def test_conjugate_operator_definition_as_polynomials(F):
+    # D' g = (D (g o T)) o T^{-1} as polynomials, which in small
+    # characteristic is stronger than agreeing at the field's points
+    rng = random.Random(9)
+    T = AffineMap(F, [[2, 1], [3, 1]], [3, 1])
+    D = HasseOperator(F, 2, {(1, 2): F.one, (2, 0): F.one, (1, 1): F.of(-1),
+                             (0, 1): F.one, (0, 0): F.of(5)})
+    Dp = conjugate_operator(D, T)
+    for _ in range(10):
+        g = random_poly(rng, F, 2, 5)
+        assert Dp.apply(g) == pullback(D.apply(pullback(g, T)), T.inverse())
 
 
 def test_conjugate_operator_is_homomorphism():

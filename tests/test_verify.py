@@ -1,6 +1,7 @@
 """Rank/count checks, witnesses, multiplicity Schwartz-Zippel, bounds."""
 
 import copy
+import itertools
 import random
 from decimal import getcontext, localcontext
 from fractions import Fraction
@@ -21,7 +22,7 @@ from jointslab.poly import (
     parse_poly,
     taylor_shift,
 )
-from jointslab.varieties import VarietySpec, make_chart
+from jointslab.varieties import VarietySpec, derivative_operator, make_chart
 from jointslab.verify import (
     bound_report,
     decimal12,
@@ -74,14 +75,78 @@ def test_rank_matches_taylor_oracle_on_plane():
     red = IncrementalRowReducer(F)
     for j, p in enumerate(cfg.joints):
         led = L[(0, 0)]
-        for r, ops in sorted(led.selected_operators(j).items()):
-            for op in ops:
-                gamma = max(op.combo, key=lambda w: sum(w))
-                shifts = [taylor_shift(Polynomial.monomial(F, 2, e), list(p))
-                          for e in monos]
-                red.insert([s.coefficient(gamma) for s in shifts])
+        for gamma in led.selected_gammas(j):
+            shifts = [taylor_shift(Polynomial.monomial(F, 2, e), list(p))
+                      for e in monos]
+            red.insert([s.coefficient(gamma) for s in shifts])
     assert got["pass"] == (red.rank == binom(n + 2, 2))
     assert got["rank"] == red.rank
+
+
+def composed_operator_rows(cfg, ledgers, n):
+    """The product rows by the operator path: per joint, compose one
+    derivative operator per designated member over the product of the
+    rows its ledger selected there (by order, then row order), and
+    evaluate the product on each monomial."""
+    monos = monomials_upto(cfg.ambient, n)
+    rows = []
+    for j, p in enumerate(cfg.joints):
+        per_member = []
+        for ref in cfg.chosen[j]:
+            C = make_chart(cfg.member(ref), p, ledgers[ref].cap, cfg.field)
+            steps = sorted((st for st in ledgers[ref].steps if st.joint == j),
+                           key=lambda st: st.order)
+            per_member.append([derivative_operator(C, row.gamma)
+                               for st in steps for row in st.rows])
+        for pick in itertools.product(*per_member):
+            op = pick[0]
+            for other in pick[1:]:
+                op = op.compose(other)
+            rows.append([op.monomial_functional(delta, p) for delta in monos])
+    return rows
+
+
+def line(point, direction):
+    return VarietySpec(kind="flat", ambient=2, dim=1, degree=1, point=point,
+                       directions=(direction,))
+
+
+def circle_and_lines():
+    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
+                         point=(0, 0), directions=((1, 0), (0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", FQ, 2))
+    members = [circle, line((3, 0), (0, 1)), line((0, 4), (1, 0))]
+    return detect_joints(FQ, [Family(1, 2, members)], candidates=[(3, 4), (3, -4), (-3, 4)])
+
+
+def lines_off_origin():
+    members = [line((2, 0), (0, 1)), line((0, 3), (1, 0)), line((5, 0), (-1, 1)),
+               line((0, 0), (1, 0))]
+    return detect_joints(F, [Family(1, 2, members)])
+
+
+@pytest.mark.parametrize("make", [lines_off_origin, circle_and_lines])
+def test_rank_rows_match_composed_operators(monkeypatch, make):
+    import jointslab.verify as verify_module
+
+    cfg = make()
+    assert all(any(p) for p in cfg.joints)
+    inserted = []
+
+    class Recording(IncrementalRowReducer):
+        def insert(self, row):
+            inserted.append(list(row))
+            return super().insert(row)
+
+    monkeypatch.setattr(verify_module, "IncrementalRowReducer", Recording)
+    for n in (1, 2, 3):
+        L = build_all_ledgers(cfg, zero_handicap(cfg), n)
+        assert any((0,) in L[ref].selected_gammas(j)
+                   for j in range(len(cfg.joints)) for ref in cfg.chosen[j])
+        inserted.clear()
+        got = vanishing_rank_check(cfg, L, n)
+        assert got["pass"] and got["rows"] == len(inserted)
+        assert inserted == composed_operator_rows(cfg, L, n)[: len(inserted)]
 
 
 def test_rank_drops_when_a_joint_is_silenced():
