@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import Handicap, build_ledger
+from .basis import Handicap, build_ledger, default_cap, step_order
 from .errors import Disconnected, LedgerMissing
 from .field import binom
 
@@ -134,15 +134,6 @@ def build_all_ledgers(cfg, h: Handicap, n: int, cap: int | None = None) -> dict:
     return {ref: build_ledger(cfg, ref, h, n, cap=cap) for ref in cfg.all_members()}
 
 
-def _ledgers_on(cfg, h: Handicap, n: int, charts: dict) -> dict:
-    """``build_all_ledgers`` over charts kept per member across calls, so
-    that each chart and its functional rows are built once."""
-    return {
-        ref: build_ledger(cfg, ref, h, n, charts=charts.setdefault(ref, {}))
-        for ref in cfg.all_members()
-    }
-
-
 def compute_W(cfg, h: Handicap, n: int, weights=None, ledgers=None) -> dict:
     """Exact W_p for every joint.
 
@@ -220,7 +211,12 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     no gap exceeds tau or the rebuild cap is hit.  The returned state
     carries the ledgers built at its final handicaps.  The handicap only
     orders the steps, so every chart and functional row is built once per
-    call and shared by the ledgers of every handicap tried.
+    call and shared by the ledgers of every handicap tried, and a member's
+    ledger is built once per distinct step order (``basis.step_order``)
+    and reused whenever a later handicap gives the same order.  The rebuild
+    count and ``cap`` still count attempts, reused ledgers included, so
+    ``status``, ``alpha``, ``log`` and the iteration count are what building
+    every ledger afresh would give.
     """
     from .config import connected_components
 
@@ -233,8 +229,21 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     h = Handicap.zero(joints)
     rebuilds = 0
     log = []
+    members = [(ref, cfg.joints_on(ref), default_cap(cfg.member(ref), n))
+               for ref in cfg.all_members()]
     charts: dict = {}  # member ref -> joint id -> Chart
-    ledgers = _ledgers_on(cfg, h, n, charts)
+    built: dict = {}  # (member ref, step order) -> BasisLedger
+
+    def ledgers_at(h: Handicap) -> dict:
+        out = {}
+        for ref, on, max_r in members:
+            key = (ref, tuple(step_order(h, on, max_r)))
+            if key not in built:
+                built[key] = build_ledger(cfg, ref, h, n, charts=charts.setdefault(ref, {}))
+            out[ref] = built[key]
+        return out
+
+    ledgers = ledgers_at(h)
     W = compute_W(cfg, h, n, weights, ledgers=ledgers)
     rebuilds += 1
     sw = _sorted_desc(W)
@@ -261,7 +270,7 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
                 for j in top:
                     alpha2[j] -= step
                 h2 = Handicap(alpha2, list(h.preassigned))
-                ledgers2 = _ledgers_on(cfg, h2, n, charts)
+                ledgers2 = ledgers_at(h2)
                 W2 = compute_W(cfg, h2, n, weights, ledgers=ledgers2)
                 rebuilds += 1
                 sw2 = _sorted_desc(W2)

@@ -55,15 +55,15 @@ class Handicap:
         return Handicap({p: 0 for p in ids}, ids)
 
 
+def _priority(step, h: Handicap) -> tuple:
+    """Sort key of a step (joint, order): level r - alpha_p, then position."""
+    p, r = step
+    return (r - h.of(p), h.position(p))
+
+
 def priority_less(a, b, h: Handicap) -> bool:
     """Strict priority order on steps (joint, order)."""
-    pa, ra = a
-    pb, rb = b
-    ka = ra - h.of(pa)
-    kb = rb - h.of(pb)
-    if ka != kb:
-        return ka < kb
-    return h.position(pa) < h.position(pb)
+    return _priority(a, h) < _priority(b, h)
 
 
 def v_vector(p, r: int, h: Handicap, P) -> dict:
@@ -146,6 +146,20 @@ class BasisLedger:
         return [row.gamma for st in self.steps if st.joint == p for row in st.rows]
 
 
+def default_cap(V, n: int) -> int:
+    """The highest step order a ledger of V walks by default: n * deg V."""
+    return n * max(1, V.degree)
+
+
+def step_order(h: Handicap, joints, cap: int) -> list:
+    """The steps (j, r), j in ``joints`` and 0 <= r <= cap, in priority
+    order: by level r - alpha_j, ties by preassigned position.  A ledger
+    walks them in this order, so it depends on the handicap only through
+    this list."""
+    steps = [(j, r) for j in joints for r in range(cap + 1)]
+    return sorted(steps, key=lambda step: _priority(step, h))
+
+
 def build_ledger(
     cfg,
     ref,
@@ -163,9 +177,8 @@ def build_ledger(
     F = cfg.field
     V = cfg.member(ref)
     on = cfg.joints_on(ref)
-    deg = max(1, V.degree)
     if cap is None:
-        cap = n * deg
+        cap = default_cap(V, n)
     if charts is None:
         charts = {}
     for j in on:
@@ -177,32 +190,17 @@ def build_ledger(
     target = dim_regular_functions(V, n, F)
     red = IncrementalRowReducer(F)
     steps, counts = [], {j: {} for j in on}
-    cap_hit = False
-    # walk levels l = r - alpha_p upward; within a level, preassigned order
-    if on:
-        lo = -max(h.of(j) for j in on)
-        hi = cap - min(h.of(j) for j in on)
-        level_joints = sorted(on, key=h.position)
-        done = False
-        for level in range(lo, hi + 1):
-            if done:
-                break
-            for j in level_joints:
-                r = level + h.of(j)
-                if r < 0 or r > cap:
-                    continue
-                picked = []
-                for row in functional_rows(charts[j], j, r, n):
-                    if red.insert(row.coeffs):
-                        picked.append(row)
-                if picked:
-                    counts[j][r] = len(picked)
-                    steps.append(LedgerStep(j, r, len(picked), picked))
-                if red.rank >= target:
-                    done = True
-                    break
-        if not done and red.rank < target:
-            cap_hit = True
+    for j, r in step_order(h, on, cap):
+        picked = []
+        for row in functional_rows(charts[j], j, r, n):
+            if red.insert(row.coeffs):
+                picked.append(row)
+        if picked:
+            counts[j][r] = len(picked)
+            steps.append(LedgerStep(j, r, len(picked), picked))
+        if red.rank >= target:
+            break
+    cap_hit = bool(on) and red.rank < target
     coords = {j: charts[j].coordinates() for j in on}
     return BasisLedger(ref, n, target, red.rank, steps, counts, cap, cap_hit, coords)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .balance import balance, build_all_ledgers, compute_W
+from .balance import balance, build_all_ledgers
 from .basis import Handicap, ledgers_summary, ledgers_to_csv
 from .config import JointsConfiguration, connected_components, generate
 from .errors import JointslabError, MalformedInput
@@ -53,8 +53,11 @@ def _field_from_args(args) -> FieldSpec:
     return FieldSpec("prime", DEFAULT_PRIME)
 
 
-def _default_n(d: int) -> int:
-    return 6 if d == 3 else 3
+def _degree_bound(args, cfg) -> int:
+    """--n, or by default 6 in ambient 3 and 3 otherwise."""
+    if args.n is not None:
+        return args.n
+    return 6 if cfg.ambient == 3 else 3
 
 
 def _out_dir(args) -> Path:
@@ -123,7 +126,7 @@ def cmd_generate(args) -> int:
 def cmd_pipeline(args) -> int:
     t0 = time.time()
     cfg = _load_config(args)
-    n = args.n or _default_n(cfg.ambient)
+    n = _degree_bound(args, cfg)
     out = _out_dir(args)
     comps = connected_components(cfg)
     all_pass = True
@@ -171,7 +174,7 @@ def cmd_pipeline(args) -> int:
 def cmd_balance(args) -> int:
     t0 = time.time()
     cfg = _load_config(args)
-    n = args.n or _default_n(cfg.ambient)
+    n = _degree_bound(args, cfg)
     out = _out_dir(args)
     tau = _parse("--tau", Fraction, args.tau) if args.tau else None
     st = balance(cfg, n, tau=tau, cap=args.cap)
@@ -198,13 +201,13 @@ def cmd_verify(args) -> int:
     result: dict
     if args.check == "sz":
         F = _field_from_args(args)
-        g = parse_poly(args.poly, F, args.d or 2)
+        g = parse_poly(args.poly, F, 2 if args.d is None else args.d)
         A = [_parse("--set", F.of, x) for x in args.set.split(",")]
         r = schwartz_zippel_mult(g, A)
         result = {"check": "sz", **r}
     else:
         cfg = _load_config(args)
-        n = args.n or _default_n(cfg.ambient)
+        n = _degree_bound(args, cfg)
         if args.check == "bound":
             br = bound_report(cfg)
             result = {"check": "bound", **br.to_json()}
@@ -307,9 +310,11 @@ def main(argv=None) -> int:
     if args.cmd == "verify" and args.check != "sz" and args.config is None:
         print("verify requires --config (except sz)", file=sys.stderr)
         return EXIT_USAGE
-    if args.n is not None and args.n < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
+    for flag in ("n", "d"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except JointslabError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
@@ -23,7 +23,6 @@ from .errors import (
     FieldTooSmall,
     MalformedInput,
     MissingCandidates,
-    NotAJoint,
     SingularPoint,
     UnsupportedKind,
 )
@@ -158,9 +157,13 @@ def detect_joints(
     points of admissible flat tuples are solved exactly.  Otherwise
     candidates must be supplied.  Each member through a candidate gets
     one chart there (truncation 1: the frame, hence the tangent space,
-    does not depend on it); a member singular at the point joins no
-    tuple, and every admissible tuple of the others is decided by
-    ``is_joint``.
+    does not depend on it) and its tangent rows are read once; a member
+    singular at the point joins no tuple.  Every member must live in
+    F^d with d = sum m_i k_i, else DimensionMismatch, which is what
+    ``is_joint`` raises on a tuple whose dimensions do not sum to its
+    ambient one.  The admissible tuples of the others are decided by
+    ``_qualifying``, which gives what ``is_joint`` gives on each of them,
+    in the same order.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:
@@ -168,6 +171,8 @@ def detect_joints(
             raise DimensionMismatch("family multiplicity exceeds member count")
         if any(V.dim != f.k for V in f.members):
             raise DimensionMismatch(f"a member's dimension differs from its family's k = {f.k}")
+        if any(V.ambient != d for V in f.members):
+            raise DimensionMismatch(f"a member's ambient dimension differs from sum m_i k_i = {d}")
     if candidates is None:
         if any(V.kind != "flat" for f in families for V in f.members):
             raise MissingCandidates(
@@ -182,31 +187,59 @@ def detect_joints(
             continue
         seen.add(p)
         through = []
-        charts = {}
-        per_family = []
+        tangents = {}
         for fi, f in enumerate(families):
-            regular = []
             for mi, V in enumerate(f.members):
                 if not contains_point(V, p, F):
                     continue
                 through.append((fi, mi))
                 try:
-                    charts[fi, mi] = make_chart(V, p, 1, F)
+                    tangents[fi, mi] = tangent_space(make_chart(V, p, 1, F))
                 except SingularPoint:
                     continue
-                regular.append(mi)
-            per_family.append(list(itertools.combinations(regular, f.m)))
-        qualifying = [
-            choice
-            for choice in itertools.product(*per_family)
-            if is_joint(p, [charts[ref] for ref in _flatten_choice(choice)])
-        ]
+        qualifying = _qualifying(F, families, tangents)
         if qualifying:
             joints.append(p)
             chosen.append(_flatten_choice(qualifying[0]))
             multiplicity.append(qualifying)
             incidence.append(frozenset(through))
     return JointsConfiguration(F, d, families, joints, chosen, multiplicity, incidence, seed)
+
+
+def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
+    """The admissible tuples whose tangent rows are independent, in the
+    order of ``itertools.product`` over each family's combinations.
+
+    ``tangents`` maps each regular member through the point to its tangent
+    rows.  A tuple has sum m_i k_i = d rows, so it is a joint exactly when
+    every row raises the rank.  The walk picks one slot at a time, family
+    by family and in increasing member order within a family, which is
+    that product order; each pick inserts its rows into a fork of its
+    prefix's reducer, and a prefix with a dependent row is not extended.
+    """
+    slots = [fi for fi, f in enumerate(families) for _ in range(f.m)]
+    regular = [[mi for f_i, mi in tangents if f_i == fi] for fi in range(len(families))]
+    out = []
+
+    def walk(red, picks, start):
+        depth = len(picks)
+        if depth == len(slots):
+            out.append(tuple(
+                tuple(mi for f_i, mi in picks if f_i == fi) for fi in range(len(families))
+            ))
+            return
+        fi = slots[depth]
+        if depth and slots[depth - 1] != fi:
+            start = 0
+        for pos in range(start, len(regular[fi])):
+            ref = (fi, regular[fi][pos])
+            child = red.fork()
+            if all(child.insert(row) for row in tangents[ref]):
+                walk(child, picks + [ref], pos + 1)
+
+    if slots:
+        walk(linalg.IncrementalRowReducer(F), [], 0)
+    return out
 
 
 def _flatten_choice(choice) -> tuple:

@@ -6,13 +6,15 @@ pivot store that maps each pivot column to its normalized, fully reduced
 row, so the store is the reduced row echelon form (RREF) of the rows seen
 so far.  ``rank``, ``solve``, ``inverse`` and ``nullspace`` read their
 answers off that store; since the RREF is unique, they do not depend on
-the order in which rows are inserted.  The loop has one row operation,
-row - f * pivot_row, specialised by field: ``(a - f*b) % p`` on ints over
-F_p and ``a - f*b`` on ``Fraction`` values over Q, leaving entries where
-the pivot row is zero as they are.  Field elements are canonical, so this
-gives exactly what ``FieldSpec.sub``/``FieldSpec.mul`` give, without a
-method call per entry.  The sizes that show up in practice (hundreds of
-rows, columns bounded by C(n+d, d)) keep this comfortably interactive.
+the order in which rows are inserted.  ``fork`` copies a reducer, so row
+sets that share a prefix reduce the prefix once and go on from a copy.
+The loop has one row operation, row - f * pivot_row, specialised by
+field: ``(a - f*b) % p`` on ints over F_p and ``a - f*b`` on ``Fraction``
+values over Q, leaving entries where the pivot row is zero as they are.
+Field elements are canonical, so this gives exactly what
+``FieldSpec.sub``/``FieldSpec.mul`` give, without a method call per
+entry.  The sizes that show up in practice (hundreds of rows, columns
+bounded by C(n+d, d)) keep this comfortably interactive.
 """
 
 from __future__ import annotations
@@ -131,6 +133,14 @@ class IncrementalRowReducer:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def fork(self) -> "IncrementalRowReducer":
+        """An independent reducer holding the same rows.  A shallow copy of
+        the store suffices: ``insert`` replaces pivot rows, never mutates
+        them, so inserts into either reducer leave the other alone."""
+        child = IncrementalRowReducer(self.F)
+        child.pivots = dict(self.pivots)
+        return child
 
     def _sub_multiple(self, row, f, prow):
         """row - f * prow as a new row; entries where prow is 0 are kept."""

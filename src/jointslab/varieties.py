@@ -143,11 +143,20 @@ class Chart:
     def coordinates(self) -> list:
         """x_i(phi(t)) for each ambient coordinate, as {beta: c} maps over
         the local variables: the chart's parametrization of V near the
-        center, exact up to the truncation degree."""
+        center, exact up to the truncation degree.
+
+        The inverse frame x = A'y + b' is affine, so x_i(phi(t)) is
+        b'_i + sum_j A'_ij img_j, with img_j = t_j for j < k and the
+        series h_j otherwise, each truncated; this equals
+        ``local_expansion`` of x_i without expanding a polynomial."""
         if self._coords is None:
-            F, d = self.field, self.owner.ambient
+            F, k, N = self.field, self.owner.dim, self.truncation
+            images = [Polynomial.variable(F, k, j) for j in range(k)] + list(self.series)
+            images = [g.truncate(N) for g in images]
+            inv = self.frame_inverse
             self._coords = [
-                self.local_expansion(Polynomial.variable(F, d, i)).terms for i in range(d)
+                sum((g.scale(a) for a, g in zip(row, images) if a), Polynomial.constant(F, k, b)).terms
+                for row, b in zip(inv.matrix, inv.translation)
             ]
         return self._coords
 

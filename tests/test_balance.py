@@ -17,7 +17,7 @@ from jointslab.balance import (
     integer_nth_root,
     root_gap_exceeds,
 )
-from jointslab.basis import Handicap, build_ledger, ledgers_to_csv
+from jointslab.basis import Handicap, default_cap, ledgers_to_csv, step_order
 from jointslab.config import Family, connected_components, detect_joints, generate, grid_line_composite
 from jointslab.errors import Disconnected
 from jointslab.field import DEFAULT_PRIME, FieldSpec
@@ -231,43 +231,70 @@ def parabola_circle_config():
                          candidates=[(0, 0), (1, 1), (-1, 1)])
 
 
-@pytest.mark.parametrize("make, kinds, n, tau, cap", [
-    (lambda: grid_line_composite(F, 3, seed=4), {"flat"}, 6, Fraction(3, 56), 10**4),
-    (parabola_circle_config, {"flat", "graph", "hypersurface"}, 4, Fraction(1, 1000), 12),
-], ids=["grid-line", "curved-q"])
-def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, cap):
-    # The descent builds each chart once and shares its rows across the
-    # handicaps it tries; at every one of them the ledger must equal a
-    # build_ledger call that starts from nothing.
+@pytest.mark.parametrize("make, kinds, n, tau, cap, reuses", [
+    (lambda: grid_line_composite(F, 3, seed=4), {"flat"}, 6, Fraction(3, 56), 10**4, False),
+    (lambda: grid_line_composite(F, 2, seed=4), {"flat"}, 8, Fraction(1, 224), 10**4, True),
+    (parabola_circle_config, {"flat", "graph", "hypersurface"}, 4, Fraction(1, 1000), 12, True),
+], ids=["grid-line", "grid-line-cap-hit", "curved-q"])
+def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, cap, reuses):
+    # The descent builds each chart once, shares its rows across the
+    # handicaps it tries, and builds a member's ledger once per step order.
+    # At every handicap compute_W sees, the ledgers must equal fresh
+    # builds, and the descent must take the steps it takes when every
+    # ledger is built afresh.
     import jointslab.balance as B
     import jointslab.basis as basis_module
 
     cfg = make()
-    built, charts_made = [], []
-    real_build, real_chart = B.build_ledger, basis_module.make_chart
+    members = list(cfg.all_members())
+    seen, built, charts_made = [], [], []
+    real_W, real_build, real_chart = B.compute_W, B.build_ledger, basis_module.make_chart
+
+    def recording_W(cfg_, h, n_, weights=None, ledgers=None):
+        seen.append((Handicap(dict(h.alpha), list(h.preassigned)), dict(ledgers)))
+        return real_W(cfg_, h, n_, weights, ledgers=ledgers)
 
     def recording_build(cfg_, ref, h, n_, charts=None, cap=None):
-        led = real_build(cfg_, ref, h, n_, charts=charts, cap=cap)
-        built.append((ref, Handicap(dict(h.alpha), list(h.preassigned)), led))
-        return led
+        order = step_order(h, cfg.joints_on(ref), default_cap(cfg.member(ref), n_))
+        built.append((ref, tuple(order)))
+        return real_build(cfg_, ref, h, n_, charts=charts, cap=cap)
 
     def counting_chart(*args, **kwargs):
         charts_made.append(args[1])
         return real_chart(*args, **kwargs)
 
+    monkeypatch.setattr(B, "compute_W", recording_W)
     monkeypatch.setattr(B, "build_ledger", recording_build)
     monkeypatch.setattr(basis_module, "make_chart", counting_chart)
     state = B.balance(cfg, n, tau=tau, cap=cap)
+    attempts, builds, charts = list(seen), list(built), list(charts_made)
+    # the same descent with no two step orders comparing equal, so that
+    # every ledger is built afresh
+    monkeypatch.setattr(B, "step_order", lambda *args: [object()])
+    reference = B.balance(cfg, n, tau=tau, cap=cap)
     monkeypatch.undo()
 
-    assert {cfg.member(ref).kind for ref in cfg.all_members()} == kinds
-    assert len({tuple(sorted(h.alpha.items())) for _, h, _ in built}) > 1
-    assert len(charts_made) == sum(len(cfg.joints_on(ref)) for ref in cfg.all_members())
-    for ref, h, led in built:
-        fresh = build_ledger(cfg, ref, h, n)
-        assert ledgers_to_csv([led]) == ledgers_to_csv([fresh])
-        assert [row.coeffs for st in led.steps for row in st.rows] == [
-            row.coeffs for st in fresh.steps for row in st.rows]
+    assert {cfg.member(ref).kind for ref in members} == kinds
+    assert len(seen) == 2 * len(attempts)  # the rebuild count counts attempts
+    assert (state.status, state.iteration, state.log, state.alpha, state.sortedW) == (
+        reference.status, reference.iteration, reference.log, reference.alpha,
+        reference.sortedW)
+    assert len({tuple(sorted(h.alpha.items())) for h, _ in attempts}) > 1
+    assert len(charts) == sum(len(cfg.joints_on(ref)) for ref in members)
+    # one build per distinct (member, step order) among the attempts
+    orders = {(ref, tuple(step_order(h, cfg.joints_on(ref), default_cap(cfg.member(ref), n))))
+              for h, _ in attempts for ref in members}
+    assert len(set(builds)) == len(builds) == len(orders) and set(builds) == orders
+    assert (len(builds) < len(attempts) * len(members)) == reuses
+    for h, ledgers in attempts:
+        fresh = build_all_ledgers(cfg, h, n)
+        for ref in members:
+            led, new = ledgers[ref], fresh[ref]
+            assert ledgers_to_csv([led]) == ledgers_to_csv([new])
+            assert [led.selected_gammas(j) for j in cfg.joints_on(ref)] == [
+                new.selected_gammas(j) for j in cfg.joints_on(ref)]
+            assert [row.coeffs for st in led.steps for row in st.rows] == [
+                row.coeffs for st in new.steps for row in st.rows]
     assert ledgers_to_csv(list(state.ledgers.values())) == ledgers_to_csv(
         list(build_all_ledgers(cfg, state.alpha, n).values()))
 

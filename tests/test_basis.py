@@ -15,6 +15,7 @@ from jointslab.basis import (
     ledgers_summary,
     ledgers_to_csv,
     priority_less,
+    step_order,
     v_vector,
 )
 from jointslab.config import generate, grid_line_composite
@@ -52,6 +53,20 @@ def test_priority_order_examples():
     assert priority_less((2, 0), (0, 1), h)  # level 0 before level 1
     assert not priority_less((0, 1), (2, 0), h)
     assert not priority_less((0, 0), (0, 0), h)
+
+
+def test_step_order_is_the_priority_order():
+    # every step once, each strictly before the next, with a tie order
+    # that is not the joint order
+    rng = random.Random(1)
+    ids = list(range(5))
+    for _ in range(20):
+        tie_order = rng.sample(ids, len(ids))
+        h = Handicap({p: rng.randint(-3, 3) for p in ids}, tie_order)
+        joints = sorted(rng.sample(ids, 3))
+        steps = step_order(h, joints, 4)
+        assert sorted(steps) == [(j, r) for j in joints for r in range(5)]
+        assert all(priority_less(a, b, h) for a, b in zip(steps, steps[1:]))
 
 
 def test_priority_is_total_order():

@@ -143,7 +143,16 @@ def _drop(key):
     return edit
 
 
-# argv with CFG standing for a generated config, and an edit of its text
+def _set_m(m):
+    def edit(text):
+        obj = json.loads(text)
+        obj["families"][0]["m"] = m
+        return json.dumps(obj)
+    return edit
+
+
+# argv with CFG standing for a generated config (lines in 3-space, m = 3),
+# and an edit of its text
 CFG = "<config>"
 MALFORMED = {
     "poly-juxtaposition": (["verify", "sz", "--poly", "2 x1"], None),
@@ -156,11 +165,18 @@ MALFORMED = {
     "config-without-families": (["pipeline", "--config", CFG], _drop("families")),
     "config-without-joints": (["pipeline", "--config", CFG], _drop("joints")),
     "config-not-json": (["pipeline", "--config", CFG], lambda text: text[:-3]),
+    "config-sum-below-ambient": (["pipeline", "--config", CFG], _set_m(2)),
+    "config-sum-above-ambient": (["pipeline", "--config", CFG], _set_m(4)),
     "witness-joint-out-of-range": (["verify", "witness", "--config", CFG, "--joint", "99",
                                     "--poly", "1 * x1"], None),
     "witness-joint-negative": (["verify", "witness", "--config", CFG, "--joint", "-1",
                                 "--poly", "1 * x1"], None),
     "n-negative": (["pipeline", "--config", CFG, "--n", "-1"], None),
+    "n-zero-pipeline": (["pipeline", "--config", CFG, "--n", "0"], None),
+    "n-zero-balance": (["balance", "--config", CFG, "--n", "0"], None),
+    "n-zero-verify": (["verify", "rank", "--config", CFG, "--n", "0"], None),
+    "d-zero-sz": (["verify", "sz", "--poly", "1", "--d", "0"], None),
+    "d-zero-generate": (["generate", "--kind", "line", "--d", "0"], None),
 }
 
 

@@ -19,6 +19,7 @@ from jointslab.errors import (
     DimensionMismatch,
     FieldTooSmall,
     MissingCandidates,
+    SingularPoint,
 )
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import rank
@@ -129,10 +130,113 @@ def test_detect_curved_joint_at_origin():
     assert cfg.joints_on((0, 3)) == [0]
 
 
+def detect_by_is_joint(F, families, candidates):
+    """Tuple-by-tuple detection, the oracle for ``detect_joints``: one
+    chart per regular member through a candidate, then ``is_joint`` on
+    every ``itertools.product`` tuple of each family's combinations."""
+    out, seen = [], set()
+    for raw in candidates:
+        p = tuple(F.of(x) for x in raw)
+        if p in seen:
+            continue
+        seen.add(p)
+        charts, per_family = {}, []
+        for fi, fam in enumerate(families):
+            regular = []
+            for mi, V in enumerate(fam.members):
+                if contains_point(V, p, F):
+                    try:
+                        charts[fi, mi] = make_chart(V, p, 1, F)
+                    except SingularPoint:
+                        continue
+                    regular.append(mi)
+            per_family.append(list(itertools.combinations(regular, fam.m)))
+        tried = list(itertools.product(*per_family))
+        qualifying = [
+            choice for choice in tried
+            if is_joint(p, [charts[fi, mi] for fi, picks in enumerate(choice) for mi in picks])
+        ]
+        out.append((p, qualifying, len(tried)))
+    return out
+
+
+def random_flats_through(rng, F, d, k, count, points):
+    """Flats through points of the pool, with 0/1 directions, so that
+    dependent tangent tuples (and pruned prefixes) are common."""
+    members = []
+    while len(members) < count:
+        dirs = [tuple(F.of(rng.randrange(2)) for _ in range(d)) for _ in range(k)]
+        if rank(F, [list(u) for u in dirs]) < k:
+            continue
+        members.append(VarietySpec(kind="flat", ambient=d, dim=k, degree=1,
+                                   point=rng.choice(points), directions=tuple(dirs)))
+    return members
+
+
+def assert_detection_matches_oracle(F, families, candidates):
+    cfg = detect_joints(F, families, candidates=candidates)
+    oracle = detect_by_is_joint(F, families, candidates)
+    expected = [(p, q) for p, q, _ in oracle if q]
+    assert cfg.joints == [p for p, _ in expected]
+    assert cfg.multiplicity == [q for _, q in expected]
+    assert cfg.chosen == [tuple((fi, mi) for fi, picks in enumerate(q[0]) for mi in picks)
+                          for _, q in expected]
+    return cfg, oracle
+
+
+FIELDS = {"F2": FieldSpec("prime", 2), "Fp": F, "Q": FQ}
+
+
+@pytest.mark.parametrize("shape", ["one-family", "two-families"])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_detection_matches_is_joint_on_every_tuple(field, shape):
+    Ff = FIELDS[field]
+    d = 4
+    tried = rejected = 0
+    multiple = False
+    for seed in range(4):
+        rng = random.Random(f"{field}:{shape}:{seed}")
+        points = [tuple(Ff.of(rng.randrange(2)) for _ in range(d)) for _ in range(2)]
+        if shape == "one-family":
+            families = [Family(k=1, m=4, members=random_flats_through(rng, Ff, d, 1, 9, points))]
+        else:
+            families = [
+                Family(k=1, m=2, members=random_flats_through(rng, Ff, d, 1, 5, points)),
+                Family(k=2, m=1, members=random_flats_through(rng, Ff, d, 2, 4, points)),
+            ]
+        candidates = points + [tuple(Ff.of(rng.randrange(3)) for _ in range(d)) for _ in range(3)]
+        cfg, oracle = assert_detection_matches_oracle(Ff, families, candidates)
+        for _, q, n_tried in oracle:
+            tried += n_tried
+            rejected += n_tried - len(q)
+        multiple = multiple or any(cfg.M(j) > 1 for j in range(len(cfg.joints)))
+    # the walk met both outcomes, and joints of multiplicity above 1
+    assert 0 < rejected < tried
+    assert multiple
+
+
+def test_detection_matches_is_joint_on_curved_config():
+    cfg = curved_plane_config()
+    again, _ = assert_detection_matches_oracle(FQ, cfg.families, [(0, 0), (0, 1), (1, 1)])
+    assert again.multiplicity == cfg.multiplicity == [[((0, 2),), ((1, 2),)], [((0, 2),)]]
+
+
 def test_detect_rejects_member_of_wrong_dimension():
     flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (2, 3)), coordinate_flat(6, (4,))]
     with pytest.raises(DimensionMismatch):
         detect_joints(FQ, [Family(k=2, m=3, members=flats)], candidates=[(0,) * 6])
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_detect_rejects_members_outside_F_d(m):
+    # d = m lines in F^3: below the ambient (m = 2) two lines through the
+    # origin would otherwise pass as a joint; above it (m = 4) no tuple could
+    lines = [coordinate_flat(3, (a,)) for a in range(3)] + [
+        VarietySpec(kind="flat", ambient=3, dim=1, degree=1,
+                    point=(0, 0, 0), directions=((1, 1, 1),))
+    ]
+    with pytest.raises(DimensionMismatch):
+        detect_joints(FQ, [Family(k=1, m=m, members=lines)], candidates=[(0, 0, 0)])
 
 
 def test_multiplicity_brute_force():

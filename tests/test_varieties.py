@@ -1,5 +1,6 @@
 """Charts, derivative operators, and regular-function dimensions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -37,6 +38,8 @@ from jointslab.varieties import (
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)
+FIELDS = {"F2": FieldSpec("prime", 2), "F3": FieldSpec("prime", 3),
+          "Fp": FieldSpec("prime", 2**31 - 1), "Q": FQ}
 
 
 def circle_through_origin(F=FQ):
@@ -180,6 +183,54 @@ def test_chart_consistency_samples():
         assert contains_point(V, (x, y), FQ)
         C = make_chart(V, (x, y), 4)
         _assert_chart_consistent(C)
+
+
+def off_origin_varieties(F):
+    """name -> (variety, a point on it away from the origin), each regular
+    at that point in characteristics 2 and 3 as well as over Q."""
+    out = {"flat": (VarietySpec(kind="flat", ambient=3, dim=2, degree=1, point=(1, 0, 1),
+                                directions=((1, 1, 0), (0, 1, 2))), (2, 1, 1))}
+    graphs = {
+        "graph-curve": (AffineMap(F, [[1, 1], [0, 1]], [0, 1]), "1 * x1^2 + 1 * x1^3", (2,)),
+        "graph-surface": (AffineMap(F, [[1, 0, 1], [0, 1, 0], [0, 0, 1]], [1, 0, 0]),
+                          "1 * x1 x2 + 2 * x2^2", (1, 1)),
+    }
+    for name, (frame, text, t0) in graphs.items():
+        f = parse_poly(text, F, len(t0))
+        V = VarietySpec(kind="graph", ambient=frame.dim, dim=len(t0), degree=int(f.degree),
+                        frame=frame, graph_polys=(f,))
+        out[name] = (V, tuple(frame.inverse().apply([*t0, f.evaluate(t0)])))
+    # z2^2 + z2 = z1^3 in the plane (1, 0, 1) + span((1, 1, 0), (0, 1, 2)),
+    # through z = (0, -1), where d/dz2 = 2 z2 + 1 = -1 in every characteristic
+    curve = VarietySpec(kind="hypersurface", ambient=3, dim=1, degree=3, point=(1, 0, 1),
+                        directions=((1, 1, 0), (0, 1, 2)),
+                        surface_poly=parse_poly("1 * x2^2 + 1 * x2 + -1 * x1^3", F, 2))
+    out["hypersurface"] = (curve, (1, -1, -1))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["flat", "graph-curve", "graph-surface", "hypersurface"])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_coordinates_match_local_expansion(field, kind):
+    # x_i(phi(t)) read off the frame equals the expansion of the polynomial x_i
+    F = FIELDS[field]
+    V, p = off_origin_varieties(F)[kind]
+    for N in range(1, 5):
+        C = make_chart(V, p, N, F)
+        assert any(F.of(x) for x in C.center)
+        expected = [C.local_expansion(Polynomial.variable(F, V.ambient, i)).terms
+                    for i in range(V.ambient)]
+        assert C.coordinates() == expected
+        assert C.coordinates() is C.coordinates()
+    if kind != "flat":
+        assert any(sum(e) >= 2 for x in expected for e in x)
+    # a chart whose series run past its truncation, down to truncation 0
+    long = make_chart(V, p, 4, F)
+    for N in range(4):
+        C = dataclasses.replace(long, truncation=N, _coords=None)
+        expected = [C.local_expansion(Polynomial.variable(F, V.ambient, i)).terms
+                    for i in range(V.ambient)]
+        assert C.coordinates() == expected
 
 
 def test_tangent_space_matches_directions():
