@@ -155,13 +155,14 @@ def detect_joints(
 
     For flat-only families the candidates may be omitted: intersection
     points of admissible flat tuples are solved exactly.  Otherwise
-    candidates must be supplied.  Each member through a candidate gets
-    one chart there (truncation 1: the frame, hence the tangent space,
-    does not depend on it) and its tangent rows are read once; a member
-    singular at the point joins no tuple.  Every member must live in
-    F^d with d = sum m_i k_i, else DimensionMismatch, which is what
-    ``is_joint`` raises on a tuple whose dimensions do not sum to its
-    ambient one.  The admissible tuples of the others are decided by
+    candidates must be supplied.  The tangent rows of each member through
+    a candidate are read once: a flat's are its directions, which equal
+    ``tangent_space`` of its chart there; any other member gets one chart
+    at the point (truncation 1: the frame, hence the tangent space, does
+    not depend on it), and a member singular at the point joins no
+    tuple.  Every member must live in F^d with d = sum m_i k_i, else
+    DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
+    dimensions do not sum to its ambient one.  The admissible tuples of the others are decided by
     ``_qualifying``, which gives what ``is_joint`` gives on each of them,
     in the same order.
     """
@@ -193,6 +194,10 @@ def detect_joints(
                 if not contains_point(V, p, F):
                     continue
                 through.append((fi, mi))
+                if V.kind == "flat":
+                    # the chart's tangent rows: complete_basis keeps the directions first
+                    tangents[fi, mi] = [[F.of(x) for x in u] for u in V.directions]
+                    continue
                 try:
                     tangents[fi, mi] = tangent_space(make_chart(V, p, 1, F))
                 except SingularPoint:

@@ -3,7 +3,10 @@
 A chart frames a regular point p of a k-dimensional variety V so that p
 sits at the origin with the tangent space along the first k coordinates;
 the remaining coordinates are graphs of truncated power series h_i with
-no constant or linear part.  ``Chart.coordinates`` is the resulting
+no constant or linear part.  A hypersurface's series solves its framed
+equation E(t, h(t)) = 0 one coefficient at a time, in graded order, each
+read off one ``poly.expansion_row`` row along (t, h) as built so far.
+``Chart.coordinates`` is the resulting
 parametrization phi of V near p, one power series per ambient
 coordinate.  The functional g -> D^gamma g(p) attached to a local
 exponent vector gamma is g -> [t^gamma] g(phi(t)); ledgers and the rank
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .errors import (
     DimensionMismatch,
+    MalformedInput,
     NotOnVariety,
     SingularPoint,
     TruncationTooLow,
@@ -288,7 +292,11 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 
 def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
     """Build the local chart of V at the regular point p, with the graph
-    series truncated at total degree N."""
+    series truncated at total degree N.
+
+    A graph's series is its Taylor shift to p.  A hypersurface's is solved
+    by ``_solve_series`` from its equation in the in-flat frame, tangent
+    directions first and the gradient direction last."""
     if V.kind == "raw":
         raise UnsupportedKind("charts for raw ideal slices must be user-supplied")
     if F is None:
@@ -352,18 +360,7 @@ def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
     B_cols = tangent_z + [[F.one if j == i0 else F.zero for j in range(m)]]
     B = [[B_cols[c][r] for c in range(m)] for r in range(m)]
     E2 = pullback(E1, AffineMap(F, B, [F.zero] * m, _trusted=True))
-    c = E2.coefficient(tuple(0 if i < k else 1 for i in range(m)))
-    # solve s = h(t) from E2(t, s) = 0 by the contraction w -> w - E2(t,w)/c
-    h = Polynomial.zero(F, k)
-    t_images = [Polynomial.variable(F, k, i) for i in range(k)]
-    for _ in range(N + 1):
-        val = E2.substitute(t_images + [h], truncation=N)
-        nxt = h - val.scale(F.inv(c))
-        if nxt == h:
-            break
-        h = nxt
-    if any(sum(e) < 2 for e in h.terms):
-        raise SingularPoint("series solve produced constant or linear terms")
+    h = _solve_series(F, E2, N)
     dirs = [_coerce_point(F, u) for u in V.directions]
     # ambient images of the in-flat basis vectors
     amb_tangent = [_flat_combo(F, dirs, v) for v in tangent_z]
@@ -372,6 +369,40 @@ def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
     frame = _frame_from_columns(F, basis, p)
     series = [h] + [Polynomial.zero(F, k) for _ in range(d - k - 1)]
     return Chart(V, tuple(p), frame, series, N)
+
+
+def _solve_series(F: FieldSpec, E: Polynomial, N: int) -> Polynomial:
+    """The series s = h(t), truncated at degree N, with E(t, h(t)) = 0 and
+    no constant or linear part, for E in (t_1..t_k, s) with E(0) = 0, no
+    linear t-terms and s-coefficient c != 0.
+
+    Coefficients are solved in graded order, |gamma| = 2..N.  The t^gamma
+    coefficient of E(t, h(t)) is sum_delta E_delta row[delta], with row
+    the expansion row of gamma along (t, h).  As h has no constant or
+    linear part, the only entry that reads h_gamma is that of delta = s,
+    which equals h_gamma; read while h_gamma is still missing, it is 0,
+    so h_gamma = -(sum_delta E_delta row[delta]) / c.  Storing h_gamma
+    leaves gamma's memo row stale, so the row is dropped before any
+    higher gamma reads it.
+    """
+    k = E.nvars - 1
+    n = int(E.degree)
+    index = {delta: i for i, delta in enumerate(monomials_upto(k + 1, n))}
+    support = [(index[delta], a) for delta, a in E.terms.items()]
+    minus_c_inv = F.neg(F.inv(E.coefficient((0,) * k + (1,))))
+    h: dict = {}
+    coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h]
+    memo: dict = {}
+    for r in range(2, N + 1):
+        for gamma in exponents_of_degree(k, r):
+            row = expansion_row(F, coords, n, gamma, memo)
+            acc = F.zero
+            for i, a in support:
+                acc = F.add(acc, F.mul(a, row[i]))
+            if acc:
+                h[gamma] = F.mul(acc, minus_c_inv)
+                del memo[gamma]
+    return Polynomial(F, k, h)
 
 
 def _flat_combo(F, dirs, coeffs):
@@ -546,6 +577,10 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     ambient = int(obj["ambient"])
     degree = int(obj.get("degree", 1))
     label = obj.get("label", "")
+    if kind in ("flat", "hypersurface"):
+        directions = tuple(tuple(F.of(x) for x in u) for u in obj["directions"])
+        if linalg.rank(F, directions) < len(directions):
+            raise MalformedInput(f"{kind} directions are dependent")
     if kind == "flat":
         return VarietySpec(
             kind="flat",
@@ -553,7 +588,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             dim=dim,
             degree=1,
             point=tuple(F.of(x) for x in obj["point"]),
-            directions=tuple(tuple(F.of(x) for x in u) for u in obj["directions"]),
+            directions=directions,
             label=label,
         )
     if kind == "graph":
@@ -572,8 +607,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
         return VarietySpec(
             kind="hypersurface", ambient=ambient, dim=dim, degree=int(poly.degree),
             point=tuple(F.of(x) for x in obj["point"]),
-            directions=tuple(tuple(F.of(x) for x in u) for u in obj["directions"]),
-            surface_poly=poly, label=label,
+            directions=directions, surface_poly=poly, label=label,
         )
     if kind == "raw":
         polys = tuple(parse_poly(s, F, ambient) for s in obj["equations"])

@@ -291,7 +291,9 @@ def bound_report(cfg) -> BoundReport:
     rhs_b = RootValue(Fraction(fact * deg_prod, denom_b), m)
     # part (a): |J|^m <= fact*deg_prod/denom_a, exact
     pass_a = Fraction(J) ** m <= rhs_a.Q
-    # part (b): sum_p M(p)^(1/m) <= rhs_b; bracket the sum, refine on demand
+    # part (b): sum_p M(p)^(1/m) <= rhs_b; bracket the sum, refine on demand.
+    # Brackets of unequal sides separate.  Past 768 bits the sides may be
+    # equal: decide that exactly, and otherwise refine on until they part.
     bits = 48
     while True:
         lo = Fraction(0)
@@ -307,24 +309,31 @@ def bound_report(cfg) -> BoundReport:
         if lo > rhi:
             pass_b = False
             break
-        if bits >= 768:
-            # boundary case: compare the exact sum when every term is rational
-            exact = _exact_sum(cfg, m)
-            if exact is not None and rhs_b.to_rational() is not None:
-                pass_b = exact <= rhs_b.to_rational()
-            else:
-                pass_b = hi <= rhi
-            break
+        if bits == 768:
+            ratio = _root_sum_ratio([cfg.M(j) for j in range(J)], rhs_b)
+            if ratio is not None:
+                pass_b = ratio <= 1
+                break
         bits *= 2
     return BoundReport(J, s, deg_prod, const_a, const_b, rhs_a, rhs_b,
                        (lo, hi), pass_a, pass_b, True)
 
 
-def _exact_sum(cfg, m):
-    total = Fraction(0)
-    for j in range(len(cfg.joints)):
-        v = RootValue(Fraction(cfg.M(j)), m).to_rational()
-        if v is None:
+def _root_sum_ratio(values, rhs: RootValue) -> Fraction | None:
+    """(sum_i v_i^(1/m)) / rhs, m = rhs.M, when it is rational, else None;
+    None means the sum differs from rhs.
+
+    Each term (v / rhs.Q)^(1/m) is a positive rational times the m-th root
+    of an m-th-power-free integer, which is 1 when the term is rational.
+    By Besicovitch's theorem, m-th roots of distinct m-th-power-free
+    integers are linearly independent over Q.  Grouped by that integer,
+    every group of the sum has a positive coefficient, so the sum is
+    rational, and can be 1, only when every term is rational.
+    """
+    ratio = Fraction(0)
+    for v in values:
+        r = RootValue(Fraction(v) / rhs.Q, rhs.M).to_rational()
+        if r is None:
             return None
-        total += v
-    return total
+        ratio += r
+    return ratio

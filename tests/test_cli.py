@@ -143,6 +143,12 @@ def _drop(key):
     return edit
 
 
+def _zero_direction(text):
+    obj = json.loads(text)
+    obj["families"][0]["members"][0]["directions"] = [["0", "0", "0"]]
+    return json.dumps(obj)
+
+
 def _set_m(m):
     def edit(text):
         obj = json.loads(text)
@@ -165,6 +171,7 @@ MALFORMED = {
     "config-without-families": (["pipeline", "--config", CFG], _drop("families")),
     "config-without-joints": (["pipeline", "--config", CFG], _drop("joints")),
     "config-not-json": (["pipeline", "--config", CFG], lambda text: text[:-3]),
+    "config-dependent-directions": (["pipeline", "--config", CFG], _zero_direction),
     "config-sum-below-ambient": (["pipeline", "--config", CFG], _set_m(2)),
     "config-sum-above-ambient": (["pipeline", "--config", CFG], _set_m(4)),
     "witness-joint-out-of-range": (["verify", "witness", "--config", CFG, "--joint", "99",

@@ -24,7 +24,7 @@ from jointslab.errors import (
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import rank
 from jointslab.poly import parse_poly
-from jointslab.varieties import VarietySpec, contains_point, make_chart
+from jointslab.varieties import VarietySpec, contains_point, make_chart, tangent_space
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -213,6 +213,18 @@ def test_detection_matches_is_joint_on_every_tuple(field, shape):
     # the walk met both outcomes, and joints of multiplicity above 1
     assert 0 < rejected < tried
     assert multiple
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_flat_directions_are_chart_tangent_rows(field):
+    # detection reads a flat's tangent rows off its directions
+    Ff = FIELDS[field]
+    rng = random.Random(field)
+    for k in (1, 2, 3):
+        points = [tuple(Ff.of(rng.randrange(1, 5)) for _ in range(4))]
+        for V in random_flats_through(rng, Ff, 4, k, 5, points):
+            C = make_chart(V, points[0], 1, Ff)
+            assert tangent_space(C) == [[Ff.of(x) for x in u] for u in V.directions]
 
 
 def test_detection_matches_is_joint_on_curved_config():

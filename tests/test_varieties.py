@@ -233,6 +233,81 @@ def test_coordinates_match_local_expansion(field, kind):
         assert C.coordinates() == expected
 
 
+def _contraction_series(E2, N):
+    """Reference solve of E2(t, h(t)) = 0 for the hypersurface series: the
+    fixed-point contraction w -> w - E2(t, w) / c, c the s-coefficient."""
+    F, k = E2.field, E2.nvars - 1
+    c = E2.coefficient((0,) * k + (1,))
+    t = [Polynomial.variable(F, k, i) for i in range(k)]
+    h = Polynomial.zero(F, k)
+    for _ in range(N + 1):
+        nxt = h - E2.substitute(t + [h], truncation=N).scale(F.inv(c))
+        if nxt == h:
+            break
+        h = nxt
+    return h
+
+
+def _contraction_chart(V, p, N, F):
+    """make_chart with the series solved by the contraction.  The frame is
+    that of the truncation-0 chart, which solves nothing; the framed
+    defining equation restricted to the carrier flat (the trailing
+    coordinates set to 0) is E2 in (t_1..t_k, s)."""
+    C0 = make_chart(V, p, 0, F)
+    k, d = V.dim, V.ambient
+    on_flat = [Polynomial.variable(F, k + 1, i) for i in range(k + 1)]
+    on_flat += [Polynomial.zero(F, k + 1)] * (d - k - 1)
+    E2 = C0.framed_equations()[0].substitute(on_flat)
+    series = [_contraction_series(E2, N)] + [Polynomial.zero(F, k)] * (d - k - 1)
+    return dataclasses.replace(C0, series=series, truncation=N)
+
+
+def random_hypersurface(F, rng, k, d, deg):
+    """A random degree-deg hypersurface of a random (k+1)-flat of F^d and a
+    regular point on it away from the origin."""
+    m = k + 1
+    draw = (lambda: rng.randrange(F.p)) if F.kind == "prime" else (lambda: rng.randint(-4, 4))
+    while True:
+        dirs = [[draw() for _ in range(d)] for _ in range(m)]
+        base = [draw() for _ in range(d)]
+        z0 = [F.of(draw()) for _ in range(m)]
+        terms = {e: F.of(draw()) for e in monomials_upto(m, deg) if sum(e)}
+        G = Polynomial(F, m, terms)
+        E = G - Polynomial.constant(F, m, G.evaluate(z0))
+        p = [F.add(F.of(b), sum((F.mul(z, F.of(u[i])) for z, u in zip(z0, dirs)), F.zero))
+             for i, b in enumerate(base)]
+        if rank(F, dirs) < m or E.degree != deg or not any(p):
+            continue
+        V = VarietySpec(kind="hypersurface", ambient=d, dim=k, degree=deg,
+                        point=tuple(base), directions=tuple(map(tuple, dirs)), surface_poly=E)
+        try:
+            make_chart(V, p, 0, F)
+        except SingularPoint:
+            continue
+        return V, tuple(p)
+
+
+@pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
+def test_series_solve_matches_contraction(field):
+    F = FIELDS[field]
+    rng = random.Random(7)
+    for k in (1, 2):
+        for d in (k + 1, k + 2):
+            for deg in (2, 3):
+                V, p = random_hypersurface(F, rng, k, d, deg)
+                for N in range(9):
+                    C = make_chart(V, p, N, F)
+                    ref = _contraction_chart(V, p, N, F)
+                    assert C.series == ref.series
+                    assert C.frame.matrix == ref.frame.matrix
+                    assert C.frame.translation == ref.frame.translation
+                    assert C.coordinates() == ref.coordinates()
+                    for e in ambient_equations(V):
+                        assert C.local_expansion(e).is_zero()
+                if deg == 3:
+                    assert any(sum(e) >= 3 for e in C.series[0].terms)
+
+
 def test_tangent_space_matches_directions():
     V = circle_through_origin()
     C = make_chart(V, (0, 0), 4)

@@ -5,6 +5,7 @@ import itertools
 import random
 from decimal import getcontext, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -347,3 +348,35 @@ def test_bound_report_leaves_decimal_context():
         ctx.prec = 28
         bound_report(cfg).to_json()
         assert getcontext().prec == 28
+
+
+def _duck_cfg(degrees, multiplicities):
+    """s = 3 lines in F^3 with the given degrees and M(p) values: m = 2 and
+    rhs_b = (sum of degrees)^3, read as a square root."""
+    family = SimpleNamespace(k=1, m=3, members=[SimpleNamespace(degree=g) for g in degrees])
+    return SimpleNamespace(s=3, ambient=3, families=[family], joints=[None] * len(multiplicities),
+                           M=lambda j: multiplicities[j])
+
+
+def test_bound_part_b_equal_sides_pass():
+    # 3 sqrt(3) = sqrt(27): the brackets never part, equality is decided exactly
+    rep = bound_report(_duck_cfg((1, 1, 1), (3, 3, 3)))
+    assert rep.rhs_b == RootValue(Fraction(27), 2)
+    assert rep.pass_b
+    # sqrt(12) + sqrt(3) = sqrt(27), and rationals: 4 + 4 = sqrt(4^3)
+    assert bound_report(_duck_cfg((1, 1, 1), (12, 3))).pass_b
+    assert bound_report(_duck_cfg((1, 1, 2), (16, 16))).pass_b
+    assert not bound_report(_duck_cfg((1, 1, 1), (3, 3, 4))).pass_b
+
+
+def test_bound_part_b_near_miss():
+    # sqrt(S^3 + 1) against sqrt(S^3) with S = 2^512: the sides differ by
+    # about 2^-769, so the 768-bit brackets do not part and the radicands
+    # differ; refining on shows the sum above the bound
+    S = 2**512
+    over = bound_report(_duck_cfg((S - 2, 1, 1), (S**3 + 1,)))
+    assert over.rhs_b == RootValue(Fraction(S**3), 2)
+    assert not over.pass_b
+    lo, hi = over.mult_sum_brackets
+    assert hi - lo < Fraction(1, 2**768)
+    assert bound_report(_duck_cfg((S - 2, 1, 1), (S**3 - 1,))).pass_b
