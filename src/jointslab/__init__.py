@@ -46,7 +46,6 @@ from .varieties import (
     Chart,
     VarietySpec,
     derivative_operator,
-    derivative_space,
     dim_regular_functions,
     make_chart,
     tangent_space,

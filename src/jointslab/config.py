@@ -162,9 +162,9 @@ def detect_joints(
     not depend on it), and a member singular at the point joins no
     tuple.  Every member must live in F^d with d = sum m_i k_i, else
     DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
-    dimensions do not sum to its ambient one.  The admissible tuples of the others are decided by
-    ``_qualifying``, which gives what ``is_joint`` gives on each of them,
-    in the same order.
+    dimensions do not sum to its ambient one.  ``_qualifying`` decides the
+    admissible tuples of the regular members through the point; on each
+    it gives what ``is_joint`` gives, in the same order.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:

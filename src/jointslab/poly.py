@@ -1,15 +1,17 @@
-"""Sparse multivariate polynomials with Hasse derivative calculus.
+"""Sparse multivariate polynomials, affine maps and expansion rows.
 
 Polynomials are maps from exponent vectors (tuples of d nonnegative
 ints) to nonzero field elements.  The canonical monomial enumeration is
 graded lexicographic with x1 > x2 > ... > xd, which fixes the row layout
 used by the vanishing-basis machinery.
 
-Hasse derivatives act by Hasse^w x^e = C(e, w) x^(e-w) with the binomial
-computed coordinatewise over Z and then reduced into the field; this is
-what keeps the calculus correct in small characteristic.
 ``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial
-for a parametrization phi; each vanishing-condition row is one.
+for a parametrization phi; every vanishing-condition row, ledger and
+rank rows and the witness alike, is one.  ``HasseOperator`` acts by
+Hasse^w x^e = C(e, w) x^(e-w), the binomial computed coordinatewise over
+Z and then reduced into the field, which keeps the calculus correct in
+small characteristic; it is library API and the test oracle for the
+rows, and no pipeline or verify path builds one.
 """
 
 from __future__ import annotations

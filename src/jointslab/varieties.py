@@ -1,4 +1,4 @@
-"""Variety kinds, local-coordinate charts, and derivative spaces.
+"""Variety kinds, local-coordinate charts, and derivative operators.
 
 A chart frames a regular point p of a k-dimensional variety V so that p
 sits at the origin with the tangent space along the first k coordinates;
@@ -6,14 +6,13 @@ the remaining coordinates are graphs of truncated power series h_i with
 no constant or linear part.  A hypersurface's series solves its framed
 equation E(t, h(t)) = 0 one coefficient at a time, in graded order, each
 read off one ``poly.expansion_row`` row along (t, h) as built so far.
-``Chart.coordinates`` is the resulting
-parametrization phi of V near p, one power series per ambient
-coordinate.  The functional g -> D^gamma g(p) attached to a local
-exponent vector gamma is g -> [t^gamma] g(phi(t)); ledgers and the rank
-check read it as ``poly.expansion_row`` rows.  The same functional as a
-linear combination of ambient Hasse derivatives (``derivative_operator``,
-``derivative_space``) serves the witness and is the test oracle for
-those rows.
+``Chart.coordinates`` is the resulting parametrization phi of V near p,
+one power series per ambient coordinate.  The functional
+g -> D^gamma g(p) attached to a local exponent vector gamma is
+g -> [t^gamma] g(phi(t)); ledgers, the rank check and the witness read
+it as ``poly.expansion_row`` rows.  ``derivative_operator`` writes the
+same functional as ambient Hasse derivatives: library API and the test
+oracle for those rows.
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ class Chart:
     series: list  # h_{k+1..d}, polynomials in the dim local variables
     truncation: int
     _frame_inv: AffineMap | None = dc_field(default=None, repr=False)
-    _framed_eqs: list | None = dc_field(default=None, repr=False)
     _coords: list | None = dc_field(default=None, repr=False)
     # basis.functional_rows results, keyed by (joint, order, degree bound),
     # and the expansion rows behind them, one gamma -> row memo per degree bound
@@ -125,13 +123,6 @@ class Chart:
         if self._frame_inv is None:
             self._frame_inv = self.frame.inverse()
         return self._frame_inv
-
-    def framed_equations(self) -> list:
-        """Defining equations rewritten in the chart coordinates."""
-        if self._framed_eqs is None:
-            eqs = ambient_equations(self.owner)
-            self._framed_eqs = [pullback(e, self.frame_inverse) for e in eqs]
-        return self._framed_eqs
 
     def local_expansion(self, g: Polynomial, truncation: int | None = None) -> Polynomial:
         """g as a truncated power series in the local coordinates:
@@ -425,7 +416,6 @@ def _frame_from_columns(F, basis_vectors, center):
 
 def tangent_space(C: Chart) -> list:
     """Images of the first k coordinate directions under the inverse frame."""
-    F = C.field
     k = C.owner.dim
     inv = C.frame_inverse
     return [[inv.matrix[i][j] for i in range(C.owner.ambient)] for j in range(k)]
@@ -464,7 +454,9 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
 
 
 def derivative_space(C: Chart, r: int) -> list:
-    """All D^gamma with |gamma| = r, in graded-lex gamma order."""
+    """All D^gamma with |gamma| = r, in graded-lex gamma order.
+
+    No library path calls it; the benchmark's per-layer trace counts it."""
     if r > C.truncation:
         raise TruncationTooLow(f"chart truncated at {C.truncation}, need {r}")
     return [derivative_operator(C, g) for g in exponents_of_degree(C.owner.dim, r)]

@@ -1,13 +1,13 @@
 """Executable checks behind the counting argument and the final bounds.
 
 The rank check stacks, at every joint, the products of one vanishing
-condition per designated variety, each product read as one Taylor
-coefficient along the sum of the varieties' parametrizations, and
-verifies that they annihilate no nonzero polynomial of degree at most n.
-The witness constructs, for a
-given polynomial and joint, per-variety operators whose product recovers
-the leading coefficient of the polynomial's local expansion.  The bound
-report evaluates both headline inequalities with exact cross-powered
+condition per designated variety and verifies that they annihilate no
+nonzero polynomial of degree at most n.  The witness shows, for a given
+polynomial and joint, per-variety orders whose product recovers the
+leading coefficient of the polynomial's local expansion.  Both read a
+product as one ``poly.expansion_row`` row along the joint coordinates
+p + sum_i (phi_i(t_i) - p) of the designated charts.  The bound report
+evaluates both headline inequalities with exact cross-powered
 comparisons; no floating point touches a pass/fail decision.
 """
 
@@ -18,22 +18,21 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import linalg
 from .balance import RootValue
-from .errors import LedgerMissing, NotAJoint, ZeroPolynomial
+from .config import is_joint
+from .errors import LedgerMissing, NotAJoint, TruncationTooLow, ZeroPolynomial
 from .field import binom
 from .linalg import IncrementalRowReducer
 from .poly import (
-    HasseOperator,
+    AffineMap,
     Polynomial,
-    conjugate_operator,
     expansion_row,
-    exponents_of_degree,
     grlex_key,
+    monomials_upto,
     pullback,
     vanishing_order,
 )
-from .varieties import derivative_space, tangent_space
+from .varieties import tangent_space
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +44,9 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     """Stack the product functionals D_1 ... D_s g(p) over all joints and
     check that they have full rank C(n+d, d) on F[x]_{<= n}.
 
-    With phi_i the designated charts' parametrizations at p, the product
-    row of a pick (gamma_1, ..., gamma_s) is the expansion row of
-    t_1^gamma_1 ... t_s^gamma_s along p + sum_i (phi_i(t_i) - p), one
-    variable block per chart.  Picks run over the product of the ledgers'
+    The product row of a pick (gamma_1, ..., gamma_s) is the expansion row
+    of t_1^gamma_1 ... t_s^gamma_s along the joint coordinates of the
+    designated charts.  Picks run over the product of the ledgers'
     selected gammas.
     """
     F = cfg.field
@@ -58,14 +56,7 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     rows_seen = 0
     for j, p in enumerate(cfg.joints):
         designated = [(cfg.member(ref).dim, _ledger(ledgers, ref)) for ref in cfg.chosen[j]]
-        total = sum(k for k, _ in designated)
-        coords = [{(0,) * total: p_i} for p_i in p]
-        before = 0
-        for k, led in designated:
-            pad = (0,) * before, (0,) * (total - before - k)
-            for terms, ci in zip(coords, led.coordinates[j]):
-                terms.update((pad[0] + beta + pad[1], c) for beta, c in ci.items() if any(beta))
-            before += k
+        coords = joint_coordinates(p, [(k, led.coordinates[j]) for k, led in designated])
         memo: dict = {}
         for pick in itertools.product(*(led.selected_gammas(j) for _, led in designated)):
             rows_seen += 1
@@ -73,6 +64,26 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
             if red.rank >= expected:
                 return {"rank": red.rank, "expected": expected, "rows": rows_seen, "pass": True}
     return {"rank": red.rank, "expected": expected, "rows": rows_seen, "pass": red.rank == expected}
+
+
+def joint_coordinates(p, blocks: list) -> list:
+    """p + sum_i (phi_i(t_i) - p) as {beta: c} maps, one per ambient
+    coordinate, for blocks [(k_i, phi_i)] with phi_i a chart's
+    ``coordinates()`` at p over its own k_i variables t_i.
+
+    By Hasse^a Hasse^b = C(a+b, a) Hasse^(a+b), the product D_1 ... D_s of
+    the charts' operators of orders gamma_1, ..., gamma_s takes g to the
+    t_1^gamma_1 ... t_s^gamma_s coefficient of g along these coordinates.
+    """
+    total = sum(k for k, _ in blocks)
+    coords = [{(0,) * total: p_i} for p_i in p]
+    before = 0
+    for k, phi in blocks:
+        pad = (0,) * before, (0,) * (total - before - k)
+        for terms, ci in zip(coords, phi):
+            terms.update((pad[0] + beta + pad[1], c) for beta, c in ci.items() if any(beta))
+        before += k
+    return coords
 
 
 def _ledger(ledgers: dict, ref):
@@ -101,90 +112,50 @@ def parameter_count_check(cfg, ledgers: dict, n: int) -> dict:
 
 
 def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
-    """Operators D_i along each chart with D_1 ... D_s g(p) != 0.
+    """Per-chart orders gamma_i with D_1 ... D_s g(p) != 0, D_i the chart's
+    operator of order gamma_i.
 
-    Frames the point so the tangent spaces occupy disjoint coordinate
-    blocks, reads off the graded-lex-first minimal-degree monomial
-    c x^gamma of the framed polynomial, splits gamma into per-chart
-    blocks of sizes r_i, and realizes each block's top derivative inside
-    the span of the chart's order-r_i operators.  The product evaluates
-    to exactly c, and sum r_i is the local vanishing order.
+    Frames g at p by the stacked tangent blocks, x = p + sum_i T_i y_i,
+    and reads off the graded-lex-first minimal-degree monomial c y^gamma
+    of the framed polynomial, split into per-chart blocks gamma_i.  The
+    product's value is the gamma coefficient of g along the joint
+    coordinates: one expansion row at degree deg g, summed against g's
+    coefficients.  Each phi_i - p is T_i t_i plus terms of degree >= 2, so
+    that coefficient is c, and sum |gamma_i| is the local vanishing order.
     """
     if g.is_zero():
         raise ZeroPolynomial("witness needs a nonzero polynomial")
-    F = charts[0].field
-    d = charts[0].owner.ambient
-    blocks = [c.owner.dim for c in charts]
-    if sum(blocks) != d:
-        raise NotAJoint("tangent dimensions do not sum to the ambient dimension")
-    point = [F.of(x) for x in p]
-    basis = []
-    for c in charts:
-        if tuple(c.center) != tuple(point):
-            raise NotAJoint("chart not centered at the point")
-        basis.extend(tangent_space(c))
-    if linalg.rank(F, basis) != d:
+    if not is_joint(p, charts):
         raise NotAJoint("tangent spaces do not span")
-    from .varieties import _frame_from_columns
-
-    phi = _frame_from_columns(F, basis, point)
-    phi_inv = phi.inverse()
-    framed = pullback(g, phi_inv)
+    F = charts[0].field
+    point = [F.of(x) for x in p]
+    columns = list(zip(*(v for C in charts for v in tangent_space(C))))
+    framed = pullback(g, AffineMap(F, columns, point, _trusted=True))
     r = min(sum(e) for e in framed.terms)
     gamma = min((e for e in framed.terms if sum(e) == r), key=grlex_key)
+    gammas, offset = [], 0
+    for C in charts:
+        block = gamma[offset : offset + C.owner.dim]
+        offset += len(block)
+        if sum(block) > C.truncation:
+            raise TruncationTooLow(f"chart truncated at {C.truncation}, need {sum(block)}")
+        gammas.append(block)
+    coords = joint_coordinates(point, [(C.owner.dim, C.coordinates()) for C in charts])
+    n = int(g.degree)
+    row = expansion_row(F, coords, n, gamma, {})
+    value = F.zero
+    for delta, entry in zip(monomials_upto(len(point), n), row):
+        if entry:
+            value = F.add(value, F.mul(g.coefficient(delta), entry))
     c_val = framed.terms[gamma]
-    # split gamma into per-chart coordinate blocks
-    orders, ops = [], []
-    offset = 0
-    for i, C in enumerate(charts):
-        k = blocks[i]
-        block = gamma[offset : offset + k]
-        offset += k
-        ri = sum(block)
-        orders.append(ri)
-        if ri == 0:
-            ops.append(HasseOperator.identity(F, d))
-            continue
-        delta = (0,) * (offset - k) + block + (0,) * (d - offset)
-        target = conjugate_operator(HasseOperator.single(F, d, delta), phi_inv)
-        ops.append(_in_chart_span(C, ri, target))
-    op = ops[0]
-    for other in ops[1:]:
-        op = op.compose(other)
-    value = op.evaluate(g, point)
     return {
-        "orders": orders,
-        "operators": ops,
+        "orders": [sum(b) for b in gammas],
+        "gammas": gammas,
         "value": value,
         "coefficient": c_val,
         "total_order": r,
-        "pass": bool(value) and value == c_val and sum(orders) == r,
+        "pass": value == c_val,
     }
-
-
-def _in_chart_span(C, r: int, target: HasseOperator) -> HasseOperator:
-    """Operator in the span of the chart's order-r operators whose top
-    part matches the target's top part."""
-    F = C.field
-    d = C.owner.ambient
-    space = derivative_space(C, r)
-    cols = exponents_of_degree(d, r)
-    idx = {e: i for i, e in enumerate(cols)}
-    A = [[F.zero] * len(space) for _ in cols]
-    for jcol, op in enumerate(space):
-        for w, c in op.top_part().combo.items():
-            A[idx[w]][jcol] = c
-    rhs = [F.zero] * len(cols)
-    for w, c in target.top_part().combo.items():
-        rhs[idx[w]] = c
-    lam = linalg.solve(F, A, rhs)
-    if lam is None:
-        raise NotAJoint("target derivative is not tangential to the chart")
-    out = HasseOperator(F, d)
-    for c, op in zip(lam, space):
-        if c:
-            out = out + op.scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

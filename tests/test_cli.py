@@ -89,6 +89,18 @@ def test_verify_witness(tmp_path):
     assert got["check"] == "witness"
 
 
+def test_witness_charts_follow_the_polynomial_degree(tmp_path):
+    out = tmp_path / "flats"
+    assert main(["generate", "--kind", "coordinate-flats", "--d", "6", "--k", "2",
+                 "--out-dir", str(out)]) == EXIT_OK
+    # deg g = 5 exceeds 2 * n = 4, the charts' former truncation
+    code = main(["verify", "witness", "--config", str(out / "config.json"),
+                 "--poly", "1 * x1^5", "--n", "2", "--out-dir", str(out)])
+    assert code == EXIT_OK
+    got = json.loads((out / "verify-witness.json").read_text())
+    assert got["orders"] == [5, 0, 0] and got["pass"] is True
+
+
 def test_verify_sz_without_config(tmp_path):
     out = tmp_path / "sz"
     code = main(["verify", "sz", "--poly", "1 * x1 x2", "--d", "2",
@@ -178,6 +190,12 @@ MALFORMED = {
                                     "--poly", "1 * x1"], None),
     "witness-joint-negative": (["verify", "witness", "--config", CFG, "--joint", "-1",
                                 "--poly", "1 * x1"], None),
+    "witness-zero-poly": (["verify", "witness", "--config", CFG, "--poly", "0"], None),
+    "sz-without-poly": (["verify", "sz"], None),
+    "witness-without-poly": (["verify", "witness", "--config", CFG], None),
+    "pipeline-without-config": (["pipeline"], None),
+    "balance-without-config": (["balance"], None),
+    "rank-without-config": (["verify", "rank"], None),
     "n-negative": (["pipeline", "--config", CFG, "--n", "-1"], None),
     "n-zero-pipeline": (["pipeline", "--config", CFG, "--n", "0"], None),
     "n-zero-balance": (["balance", "--config", CFG, "--n", "0"], None),

@@ -21,6 +21,7 @@ from jointslab.poly import (
     format_poly,
     monomials_upto,
     parse_poly,
+    pullback,
 )
 from jointslab.varieties import (
     VarietySpec,
@@ -154,9 +155,8 @@ def test_raw_chart_unsupported():
 def _assert_chart_consistent(C):
     """Substituting (t, h(t)) into the framed equations must vanish to the
     chart truncation."""
-    from jointslab.poly import pullback
-
-    for eq in C.framed_equations():
+    for e in ambient_equations(C.owner):
+        eq = pullback(e, C.frame_inverse)
         # framed equations live in chart coordinates; local_expansion takes
         # an ambient polynomial, so push back through the frame first
         assert C.local_expansion(pullback(eq, C.frame)).is_zero()
@@ -257,7 +257,7 @@ def _contraction_chart(V, p, N, F):
     k, d = V.dim, V.ambient
     on_flat = [Polynomial.variable(F, k + 1, i) for i in range(k + 1)]
     on_flat += [Polynomial.zero(F, k + 1)] * (d - k - 1)
-    E2 = C0.framed_equations()[0].substitute(on_flat)
+    E2 = pullback(ambient_equations(V)[0], C0.frame_inverse).substitute(on_flat)
     series = [_contraction_series(E2, N)] + [Polynomial.zero(F, k)] * (d - k - 1)
     return dataclasses.replace(C0, series=series, truncation=N)
 

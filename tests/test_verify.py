@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 from jointslab.balance import RootValue, build_all_ledgers
 from jointslab.basis import Handicap
 from jointslab.config import Family, detect_joints, generate
-from jointslab.errors import NotAJoint, ZeroPolynomial
+from jointslab.errors import JointslabError, NotAJoint, TruncationTooLow, ZeroPolynomial
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
-from jointslab.linalg import IncrementalRowReducer
+from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import (
+    AffineMap,
     Polynomial,
     monomials_upto,
     parse_poly,
+    pullback,
     taylor_shift,
 )
-from jointslab.varieties import VarietySpec, derivative_operator, make_chart
+from jointslab.varieties import VarietySpec, ambient_equations, derivative_operator, make_chart
 from jointslab.verify import (
     bound_report,
     decimal12,
@@ -247,6 +249,84 @@ def test_witness_guards():
            make_chart(coordinate_flat(6, (3, 4)), (0,) * 6, 3, FQ)]
     with pytest.raises(NotAJoint):
         hasse_vanishing_witness((0,) * 6, bad, parse_poly("1 * x1", FQ, 6))
+
+
+def test_witness_rejects_charts_that_are_not_a_joint_tuple():
+    charts = coordinate_split_charts(FQ)
+    g = parse_poly("1 * x1", FQ, 6)
+    elsewhere = (1, 0, 0, 0, 0, 0)
+    off_point = charts[:2] + [make_chart(coordinate_flat(6, (4, 5), elsewhere), elsewhere, 3, FQ)]
+    for charts_ in (off_point, charts[:2], charts + charts[:1], []):
+        with pytest.raises(JointslabError):
+            hasse_vanishing_witness((0,) * 6, charts_, g)
+    with pytest.raises(TruncationTooLow):
+        hasse_vanishing_witness((0,) * 6, coordinate_split_charts(FQ, trunc=1),
+                                parse_poly("1 * x1^2", FQ, 6))
+
+
+def skew_flats_at_a_point(rng):
+    """Three random 2-flats of F_p^6 through a random point, spanning
+    there, and the map from their stacked directions' coordinates to x."""
+    p = tuple(rng.randrange(F.p) for _ in range(6))
+    while True:
+        dirs = [tuple(rng.randrange(F.p) for _ in range(6)) for _ in range(6)]
+        if rank(F, dirs) == 6:
+            break
+    flats = [VarietySpec(kind="flat", ambient=6, dim=2, degree=1, point=p,
+                         directions=tuple(dirs[2 * i : 2 * i + 2])) for i in range(3)]
+    return p, flats, AffineMap(F, [list(col) for col in zip(*dirs)], p)
+
+
+def vanishing_at(rng, Ff, p, lo, hi, density):
+    """g(x) = G(x - p) for a random G with terms of degree lo..hi."""
+    terms = {}
+    for e in monomials_upto(len(p), hi):
+        if sum(e) >= lo and rng.random() < density:
+            terms[e] = Ff.of(rng.randrange(1, Ff.p) if Ff.kind == "prime" else rng.randint(1, 9))
+    return taylor_shift(Polynomial(Ff, len(p), terms), [Ff.neg(Ff.of(x)) for x in p])
+
+
+def composed_witness_value(p, charts, gammas, g):
+    """D_1 ... D_s g(p) by the operator path: the charts' derivative
+    operators of the witness's orders, composed and evaluated."""
+    op = derivative_operator(charts[0], gammas[0])
+    for C, gamma in zip(charts[1:], gammas[1:]):
+        op = op.compose(derivative_operator(C, gamma))
+    return op.evaluate(g, p)
+
+
+def test_witness_matches_composed_operators_off_origin():
+    rng = random.Random(3)
+    cases = []
+    for _ in range(3):
+        p, flats, unframe = skew_flats_at_a_point(rng)
+        charts = [make_chart(V, p, 4, F) for V in flats]
+        cases += [(p, charts, vanishing_at(rng, F, p, lo, 4, 0.04)) for lo in (0, 1, 2, 3, 3)]
+        # framed, y1 y3 y5^2 + y2^4: orders (1, 1, 2)
+        framed = parse_poly("1 * x1 x3 x5^2 + 1 * x2^4", F, 6)
+        cases.append((p, charts, pullback(framed, unframe.inverse())))
+    cfg = circle_and_lines()
+    j = cfg.joints.index((3, 4))
+    charts = cfg.designated_charts(j, 4)
+    circle_eq = ambient_equations(cfg.member(cfg.chosen[j][0]))[0]
+    cases.append(((3, 4), charts, circle_eq))
+    for lo in (0, 1, 2, 2, 3, 4):
+        cases.append(((3, 4), charts, vanishing_at(rng, FQ, (3, 4), lo, 4, 0.4)))
+        cases.append(((3, 4), charts, circle_eq * vanishing_at(rng, FQ, (3, 4), lo, 2, 0.5)))
+    orders = set()
+    for p, charts_, g in cases:
+        if g.is_zero():
+            continue
+        got = hasse_vanishing_witness(p, charts_, g)
+        assert got["pass"]
+        assert got["value"] == got["coefficient"] != 0
+        assert [sum(b) for b in got["gammas"]] == got["orders"]
+        assert sum(got["orders"]) == got["total_order"]
+        assert got["value"] == composed_witness_value(p, charts_, got["gammas"], g)
+        orders.add(tuple(got["orders"]))
+    # the cases reach positive orders on every chart, flats and circle alike
+    assert {(0, 1), (1, 0), (1, 1)} <= orders
+    assert (1, 1, 2) in orders
 
 
 # -- Schwartz-Zippel with multiplicities ------------------------------------
