@@ -18,7 +18,7 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .errors import ChartMissing, JointslabError, TruncationTooLow, UnknownJoint
+from .errors import ChartMissing, JointslabError, UnknownJoint
 from .linalg import IncrementalRowReducer
 from .poly import expansion_row, exponents_of_degree
 from .varieties import Chart, dim_regular_functions, make_chart
@@ -94,15 +94,14 @@ def functional_rows(C: Chart, p, r: int, n: int) -> list:
 
     D^gamma g(p) is the t^gamma coefficient of g along the chart's
     parametrization, so each row is the chart's ``expansion_row`` of
-    gamma.  The rows depend only on the chart, so they are built once and
-    kept on it; every later call returns the same list, which callers
-    share and must not modify.
+    gamma.  That row reads the coordinates through degree r only, so one
+    memo per degree bound serves the chart as its series grows.  The rows
+    are built once and kept on the chart; every later call returns the
+    same list, which callers share and must not modify.
     """
-    if r > C.truncation:
-        raise TruncationTooLow(f"chart truncated at {C.truncation}, need order {r}")
     rows = C.row_cache.get((p, r, n))
     if rows is None:
-        coords = C.coordinates()
+        coords = C.coordinates(r)
         memo = C.expansion_memos.setdefault(n, {})
         rows = [
             FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), p, r, gamma)
@@ -130,9 +129,8 @@ class BasisLedger:
     rank: int
     steps: list  # LedgerSteps with count > 0 only
     counts: dict  # joint -> {r: count}
-    cap: int
     cap_hit: bool
-    coordinates: dict  # joint -> its chart's coordinates(), read by the rank check
+    coordinates: dict  # joint -> chart coordinates through the top order walked
 
     def joint_total(self, p) -> int:
         return sum(self.counts.get(p, {}).values())
@@ -184,13 +182,15 @@ def build_ledger(
     for j in on:
         if j not in charts:
             try:
-                charts[j] = make_chart(V, cfg.joints[j], cap, F)
+                charts[j] = make_chart(V, cfg.joints[j], F)
             except JointslabError as exc:
                 raise ChartMissing(f"no chart at joint {j} on {ref}: {exc}") from exc
     target = dim_regular_functions(V, n, F)
     red = IncrementalRowReducer(F)
     steps, counts = [], {j: {} for j in on}
+    walked = {j: 0 for j in on}
     for j, r in step_order(h, on, cap):
+        walked[j] = r  # a joint's steps come in increasing order
         picked = []
         for row in functional_rows(charts[j], j, r, n):
             if red.insert(row.coeffs):
@@ -201,8 +201,8 @@ def build_ledger(
         if red.rank >= target:
             break
     cap_hit = bool(on) and red.rank < target
-    coords = {j: charts[j].coordinates() for j in on}
-    return BasisLedger(ref, n, target, red.rank, steps, counts, cap, cap_hit, coords)
+    coords = {j: charts[j].coordinates(r) for j, r in walked.items()}
+    return BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,7 @@ def cmd_pipeline(args) -> int:
     cap_hit = False
     reports = []
     for ci, comp in enumerate(comps):
-        tau = _parse("--tau", Fraction, args.tau) if args.tau else None
-        st = balance(comp, n, tau=tau, cap=args.cap)
+        st = balance(comp, n, tau=args.tau, cap=args.cap)
         if st.status != "balanced":
             cap_hit = True
         ledgers = st.ledgers
@@ -176,8 +175,7 @@ def cmd_balance(args) -> int:
     cfg = _load_config(args)
     n = _degree_bound(args, cfg)
     out = _out_dir(args)
-    tau = _parse("--tau", Fraction, args.tau) if args.tau else None
-    st = balance(cfg, n, tau=tau, cap=args.cap)
+    st = balance(cfg, n, tau=args.tau, cap=args.cap)
     lines = ["iteration,t,min_W,max_W,changed"]
     for row in st.log:
         lines.append(
@@ -203,6 +201,8 @@ def cmd_verify(args) -> int:
         F = _field_from_args(args)
         g = parse_poly(args.poly, F, 2 if args.d is None else args.d)
         A = [_parse("--set", F.of, x) for x in args.set.split(",")]
+        if len(set(A)) < len(A):
+            raise MalformedInput(f"--set {args.set!r}: values repeat in the field")
         r = schwartz_zippel_mult(g, A)
         result = {"check": "sz", **r}
     else:
@@ -215,8 +215,7 @@ def cmd_verify(args) -> int:
             if not 0 <= args.joint < len(cfg.joints):
                 raise MalformedInput(f"--joint {args.joint}: there are {len(cfg.joints)} joints")
             g = parse_poly(args.poly, cfg.field, cfg.ambient)
-            # no vanishing order at the joint exceeds deg g
-            charts = cfg.designated_charts(args.joint, max(g.degree, 0))
+            charts = cfg.designated_charts(args.joint)
             w = hasse_vanishing_witness(cfg.joints[args.joint], charts, g)
             result = {
                 "check": "witness",
@@ -294,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Raise MalformedInput for a missing required flag or a --n/--d below 1."""
+    """Raise MalformedInput for a missing required flag, a --n/--d below 1
+    or a --tau that is not a nonnegative rational; parse --tau in place."""
     command = args.cmd if args.cmd != "verify" else f"verify {args.check}"
     if args.cmd != "generate" and command != "verify sz" and args.config is None:
         raise MalformedInput(f"{command} requires --config")
@@ -304,6 +304,10 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise MalformedInput(f"--{flag} must be at least 1")
+    if args.tau is not None:
+        args.tau = _parse("--tau", Fraction, args.tau)
+        if args.tau < 0:
+            raise MalformedInput("--tau must not be negative")
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,7 @@ from .errors import (
     FieldTooSmall,
     MalformedInput,
     MissingCandidates,
+    NotAJoint,
     SingularPoint,
     UnsupportedKind,
 )
@@ -95,12 +96,9 @@ class JointsConfiguration:
         """Indices of joints lying on the given member (geometric)."""
         return [i for i, on in enumerate(self.incidence) if ref in on]
 
-    def designated_charts(self, joint_idx: int, truncation: int) -> list:
+    def designated_charts(self, joint_idx: int) -> list:
         p = self.joints[joint_idx]
-        return [
-            make_chart(self.member(ref), p, truncation, self.field)
-            for ref in self.chosen[joint_idx]
-        ]
+        return [make_chart(self.member(ref), p, self.field) for ref in self.chosen[joint_idx]]
 
     def to_json(self) -> dict:
         return {
@@ -128,7 +126,10 @@ class JointsConfiguration:
 
 
 def is_joint(p, charts: list) -> bool:
-    """True iff the charts' tangent spaces are independent and spanning."""
+    """True iff the charts' tangent spaces are independent and spanning.
+
+    Charts whose dimensions do not sum to the ambient one raise
+    DimensionMismatch; a chart centered off p raises NotAJoint."""
     if not charts:
         return False
     F = charts[0].field
@@ -140,7 +141,7 @@ def is_joint(p, charts: list) -> bool:
     rows = []
     for c in charts:
         if tuple(c.center) != center:
-            raise DimensionMismatch("chart not centered at the point")
+            raise NotAJoint("chart not centered at the point")
         rows.extend(tangent_space(c))
     return linalg.rank(F, rows) == d
 
@@ -158,9 +159,9 @@ def detect_joints(
     candidates must be supplied.  The tangent rows of each member through
     a candidate are read once: a flat's are its directions, which equal
     ``tangent_space`` of its chart there; any other member gets one chart
-    at the point (truncation 1: the frame, hence the tangent space, does
-    not depend on it), and a member singular at the point joins no
-    tuple.  Every member must live in F^d with d = sum m_i k_i, else
+    at the point, whose frame gives the tangent space without solving any
+    series term, and a member singular at the point joins no tuple.
+    Every member must live in F^d with d = sum m_i k_i, else
     DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
     dimensions do not sum to its ambient one.  ``_qualifying`` decides the
     admissible tuples of the regular members through the point; on each
@@ -199,7 +200,7 @@ def detect_joints(
                     tangents[fi, mi] = [[F.of(x) for x in u] for u in V.directions]
                     continue
                 try:
-                    tangents[fi, mi] = tangent_space(make_chart(V, p, 1, F))
+                    tangents[fi, mi] = tangent_space(make_chart(V, p, F))
                 except SingularPoint:
                     continue
         qualifying = _qualifying(F, families, tangents)

@@ -29,10 +29,6 @@ class UnsupportedKind(JointslabError):
     pass
 
 
-class TruncationTooLow(JointslabError):
-    pass
-
-
 class UnknownJoint(JointslabError):
     pass
 

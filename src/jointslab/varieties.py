@@ -2,21 +2,24 @@
 
 A chart frames a regular point p of a k-dimensional variety V so that p
 sits at the origin with the tangent space along the first k coordinates;
-the remaining coordinates are graphs of truncated power series h_i with
-no constant or linear part.  A hypersurface's series solves its framed
-equation E(t, h(t)) = 0 one coefficient at a time, in graded order, each
-read off one ``poly.expansion_row`` row along (t, h) as built so far.
-``Chart.coordinates`` is the resulting parametrization phi of V near p,
-one power series per ambient coordinate.  The functional
-g -> D^gamma g(p) attached to a local exponent vector gamma is
-g -> [t^gamma] g(phi(t)); ledgers, the rank check and the witness read
-it as ``poly.expansion_row`` rows.  ``derivative_operator`` writes the
-same functional as ambient Hasse derivatives: library API and the test
-oracle for those rows.
+the remaining coordinates are graphs of power series h_i with no
+constant or linear part: zero for a flat, a graph's Taylor shift, and
+for a hypersurface the solution of its framed equation E(t, h(t)) = 0,
+solved one coefficient at a time, in graded order, each read off one
+``poly.expansion_row`` row along (t, h), and only as far as a reader
+asks.  ``Chart.coordinates(r)`` is the resulting parametrization phi of
+V near p through degree r.  The functional g -> D^gamma g(p) attached to
+a local exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads
+phi through degree |gamma| only; ledgers, the rank check and the witness
+read it as ``poly.expansion_row`` rows.  ``derivative_operator`` writes
+the same functional as ambient Hasse derivatives: library API and the
+test oracle for those rows.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -26,7 +29,6 @@ from .errors import (
     MalformedInput,
     NotOnVariety,
     SingularPoint,
-    TruncationTooLow,
     UnsupportedKind,
 )
 from .field import FieldSpec, binom
@@ -100,15 +102,20 @@ class VarietySpec:
 
 @dataclass
 class Chart:
-    """Framed local presentation of a variety at a regular point."""
+    """Framed local presentation of a variety at a regular point.
+
+    Readers pass the order r they need and get series and coordinates
+    exact through degree r, possibly with higher terms: a hypersurface's
+    series grows by ``_solve_series`` steps, one degree each, on demand."""
 
     owner: VarietySpec
     center: tuple
     frame: AffineMap  # ambient -> local; center maps to the origin
-    series: list  # h_{k+1..d}, polynomials in the dim local variables
-    truncation: int
+    _series: list = dc_field(repr=False)  # h_{k+1..d} as {beta: c} maps
+    _solver: object = dc_field(default=None, repr=False, compare=False)  # None: exact
+    _solved: float = dc_field(default=math.inf, repr=False)  # exact through this degree
     _frame_inv: AffineMap | None = dc_field(default=None, repr=False)
-    _coords: list | None = dc_field(default=None, repr=False)
+    _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
     # basis.functional_rows results, keyed by (joint, order, degree bound),
     # and the expansion rows behind them, one gamma -> row memo per degree bound
     row_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -124,36 +131,36 @@ class Chart:
             self._frame_inv = self.frame.inverse()
         return self._frame_inv
 
-    def local_expansion(self, g: Polynomial, truncation: int | None = None) -> Polynomial:
-        """g as a truncated power series in the local coordinates:
-        substitute (x_1, ..., x_k, h_{k+1}, ..., h_d) into the framed g."""
-        N = self.truncation if truncation is None else truncation
+    def series(self, r: int) -> list:
+        """h_{k+1..d} as polynomials in the local variables, exact through
+        degree r."""
+        while self._solved < r:
+            self._solved = next(self._solver)
+        return [Polynomial(self.field, self.owner.dim, h) for h in self._series]
+
+    def local_expansion(self, g: Polynomial, N: int) -> Polynomial:
+        """g as a power series in the local coordinates, truncated at
+        degree N: (x_1, ..., x_k, h_{k+1}, ..., h_d) substituted into the
+        framed g."""
         k = self.owner.dim
-        F = self.field
-        framed = pullback(g, self.frame_inverse)
-        images = [Polynomial.variable(F, k, i) for i in range(k)]
-        images += [h.truncate(N) for h in self.series]
-        return framed.substitute(images, truncation=N)
+        images = [Polynomial.variable(self.field, k, i) for i in range(k)] + self.series(N)
+        return pullback(g, self.frame_inverse).substitute(images, truncation=N)
 
-    def coordinates(self) -> list:
+    def coordinates(self, r: int) -> list:
         """x_i(phi(t)) for each ambient coordinate, as {beta: c} maps over
-        the local variables: the chart's parametrization of V near the
-        center, exact up to the truncation degree.
-
-        The inverse frame x = A'y + b' is affine, so x_i(phi(t)) is
-        b'_i + sum_j A'_ij img_j, with img_j = t_j for j < k and the
-        series h_j otherwise, each truncated; this equals
-        ``local_expansion`` of x_i without expanding a polynomial."""
-        if self._coords is None:
-            F, k, N = self.field, self.owner.dim, self.truncation
-            images = [Polynomial.variable(F, k, j) for j in range(k)] + list(self.series)
-            images = [g.truncate(N) for g in images]
+        the local variables, exact through degree r: b'_i + sum_j A'_ij img_j
+        for the inverse frame x = A'y + b', with img_j = t_j for j < k and
+        the series h_j otherwise.  Through degree r it equals
+        ``local_expansion`` of x_i; it is rebuilt only when the series grows."""
+        if self._coords is None or self._coords[0] < r:
+            F, k = self.field, self.owner.dim
+            images = [Polynomial.variable(F, k, j) for j in range(k)] + self.series(r)
             inv = self.frame_inverse
-            self._coords = [
+            self._coords = self._solved, [
                 sum((g.scale(a) for a, g in zip(row, images) if a), Polynomial.constant(F, k, b)).terms
                 for row, b in zip(inv.matrix, inv.translation)
             ]
-        return self._coords
+        return self._coords[1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +288,13 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
-    """Build the local chart of V at the regular point p, with the graph
-    series truncated at total degree N.
+def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
+    """Build the local chart of V at the regular point p.
 
     A graph's series is its Taylor shift to p.  A hypersurface's is solved
     by ``_solve_series`` from its equation in the in-flat frame, tangent
-    directions first and the gradient direction last."""
+    directions first and the gradient direction last, as far as the
+    chart's readers ask."""
     if V.kind == "raw":
         raise UnsupportedKind("charts for raw ideal slices must be user-supplied")
     if F is None:
@@ -303,8 +310,7 @@ def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
         dirs = [_coerce_point(F, u) for u in V.directions]
         basis = linalg.complete_basis(F, dirs, d)
         frame = _frame_from_columns(F, basis, p)
-        series = [Polynomial.zero(F, k) for _ in range(d - k)]
-        return Chart(V, tuple(p), frame, series, N)
+        return Chart(V, tuple(p), frame, [{} for _ in range(d - k)])
 
     if V.kind == "graph":
         y0 = V.frame.apply(p)
@@ -318,8 +324,7 @@ def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
             g = taylor_shift(f, t0)
             lin = [g.coefficient(tuple(1 if i == a else 0 for a in range(k))) for i in range(k)]
             shear.append(lin)
-            terms = {e: c for e, c in g.terms.items() if sum(e) >= 2 and sum(e) <= N}
-            series.append(Polynomial(F, k, terms))
+            series.append({e: c for e, c in g.terms.items() if sum(e) >= 2})
         # shear so that the tangent space lands on the first k coordinates
         S = linalg.identity(F, d)
         for j in range(d - k):
@@ -327,7 +332,7 @@ def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
                 S[k + j][i] = F.neg(shear[j][i])
         shift = AffineMap.translation_map(F, [F.neg(v) for v in y0])
         frame = AffineMap(F, S, [F.zero] * d, _trusted=True).compose(shift.compose(V.frame))
-        return Chart(V, tuple(p), frame, series, N)
+        return Chart(V, tuple(p), frame, series)
 
     # hypersurface
     z0 = _flat_coordinates(V, p, F)
@@ -351,40 +356,40 @@ def make_chart(V: VarietySpec, p, N: int, F: FieldSpec | None = None) -> Chart:
     B_cols = tangent_z + [[F.one if j == i0 else F.zero for j in range(m)]]
     B = [[B_cols[c][r] for c in range(m)] for r in range(m)]
     E2 = pullback(E1, AffineMap(F, B, [F.zero] * m, _trusted=True))
-    h = _solve_series(F, E2, N)
     dirs = [_coerce_point(F, u) for u in V.directions]
     # ambient images of the in-flat basis vectors
     amb_tangent = [_flat_combo(F, dirs, v) for v in tangent_z]
     amb_normal = _flat_combo(F, dirs, [F.one if j == i0 else F.zero for j in range(m)])
     basis = linalg.complete_basis(F, amb_tangent + [amb_normal], d)
     frame = _frame_from_columns(F, basis, p)
-    series = [h] + [Polynomial.zero(F, k) for _ in range(d - k - 1)]
-    return Chart(V, tuple(p), frame, series, N)
+    h: dict = {}
+    return Chart(V, tuple(p), frame, [h] + [{} for _ in range(d - k - 1)],
+                 _solver=_solve_series(F, E2, h), _solved=1)
 
 
-def _solve_series(F: FieldSpec, E: Polynomial, N: int) -> Polynomial:
-    """The series s = h(t), truncated at degree N, with E(t, h(t)) = 0 and
-    no constant or linear part, for E in (t_1..t_k, s) with E(0) = 0, no
-    linear t-terms and s-coefficient c != 0.
+def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
+    """Solve into the {gamma: c} map h the series s = h(t) with
+    E(t, h(t)) = 0 and no constant or linear part, for E in (t_1..t_k, s)
+    with E(0) = 0, no linear t-terms and s-coefficient c != 0.  A
+    generator: step r = 2, 3, ... stores the coefficients of degree r and
+    yields r, so a chart solves only the degrees its readers reach.
 
-    Coefficients are solved in graded order, |gamma| = 2..N.  The t^gamma
-    coefficient of E(t, h(t)) is sum_delta E_delta row[delta], with row
-    the expansion row of gamma along (t, h).  As h has no constant or
-    linear part, the only entry that reads h_gamma is that of delta = s,
-    which equals h_gamma; read while h_gamma is still missing, it is 0,
-    so h_gamma = -(sum_delta E_delta row[delta]) / c.  Storing h_gamma
-    leaves gamma's memo row stale, so the row is dropped before any
-    higher gamma reads it.
+    Coefficients are solved in graded order.  The t^gamma coefficient of
+    E(t, h(t)) is sum_delta E_delta row[delta], with row the expansion row
+    of gamma along (t, h).  As h has no constant or linear part, the only
+    entry that reads h_gamma is that of delta = s, which equals h_gamma;
+    read while h_gamma is still missing, it is 0, so h_gamma =
+    -(sum_delta E_delta row[delta]) / c.  Storing h_gamma leaves gamma's
+    memo row stale, so the row is dropped before any higher gamma reads it.
     """
     k = E.nvars - 1
     n = int(E.degree)
     index = {delta: i for i, delta in enumerate(monomials_upto(k + 1, n))}
     support = [(index[delta], a) for delta, a in E.terms.items()]
     minus_c_inv = F.neg(F.inv(E.coefficient((0,) * k + (1,))))
-    h: dict = {}
     coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h]
     memo: dict = {}
-    for r in range(2, N + 1):
+    for r in itertools.count(2):
         for gamma in exponents_of_degree(k, r):
             row = expansion_row(F, coords, n, gamma, memo)
             acc = F.zero
@@ -393,7 +398,7 @@ def _solve_series(F: FieldSpec, E: Polynomial, N: int) -> Polynomial:
             if acc:
                 h[gamma] = F.mul(acc, minus_c_inv)
                 del memo[gamma]
-    return Polynomial(F, k, h)
+        yield r
 
 
 def _flat_combo(F, dirs, coeffs):
@@ -443,9 +448,7 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
     if len(gamma) != k:
         raise DimensionMismatch("gamma must use the local variables")
     r = sum(gamma)
-    if r > C.truncation:
-        raise TruncationTooLow(f"chart truncated at {C.truncation}, need {r}")
-    framed_coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h.terms for h in C.series]
+    framed_coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h.terms for h in C.series(r)]
     row = expansion_row(F, framed_coords, r, gamma, {})
     framed = HasseOperator(F, d, dict(zip(monomials_upto(d, r), row)))
     if not ambient:
@@ -457,8 +460,6 @@ def derivative_space(C: Chart, r: int) -> list:
     """All D^gamma with |gamma| = r, in graded-lex gamma order.
 
     No library path calls it; the benchmark's per-layer trace counts it."""
-    if r > C.truncation:
-        raise TruncationTooLow(f"chart truncated at {C.truncation}, need {r}")
     return [derivative_operator(C, g) for g in exponents_of_degree(C.owner.dim, r)]
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .balance import RootValue
 from .config import is_joint
-from .errors import LedgerMissing, NotAJoint, TruncationTooLow, ZeroPolynomial
+from .errors import LedgerMissing, NotAJoint, ZeroPolynomial
 from .field import binom
 from .linalg import IncrementalRowReducer
 from .poly import (
@@ -69,7 +69,7 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
 def joint_coordinates(p, blocks: list) -> list:
     """p + sum_i (phi_i(t_i) - p) as {beta: c} maps, one per ambient
     coordinate, for blocks [(k_i, phi_i)] with phi_i a chart's
-    ``coordinates()`` at p over its own k_i variables t_i.
+    ``coordinates`` at p over its own k_i variables t_i.
 
     By Hasse^a Hasse^b = C(a+b, a) Hasse^(a+b), the product D_1 ... D_s of
     the charts' operators of orders gamma_1, ..., gamma_s takes g to the
@@ -133,14 +133,11 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
     framed = pullback(g, AffineMap(F, columns, point, _trusted=True))
     r = min(sum(e) for e in framed.terms)
     gamma = min((e for e in framed.terms if sum(e) == r), key=grlex_key)
-    gammas, offset = [], 0
-    for C in charts:
-        block = gamma[offset : offset + C.owner.dim]
-        offset += len(block)
-        if sum(block) > C.truncation:
-            raise TruncationTooLow(f"chart truncated at {C.truncation}, need {sum(block)}")
-        gammas.append(block)
-    coords = joint_coordinates(point, [(C.owner.dim, C.coordinates()) for C in charts])
+    ends = itertools.accumulate(C.owner.dim for C in charts)
+    gammas = [gamma[end - C.owner.dim : end] for C, end in zip(charts, ends)]
+    # the row of gamma reads chart i's coordinates through degree |gamma_i|
+    coords = joint_coordinates(point, [(C.owner.dim, C.coordinates(sum(block)))
+                                       for C, block in zip(charts, gammas)])
     n = int(g.degree)
     row = expansion_row(F, coords, n, gamma, {})
     value = F.zero

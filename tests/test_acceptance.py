@@ -69,13 +69,13 @@ def test_acceptance_01_circle_chart():
     # the circle through the origin is locally the graph of
     # h(x) = x^2 + x^4 + 2x^6 up to degree 6
     with budget(1):
-        C = make_chart(circle(), (0, 0), 6)
-        assert format_poly(C.series[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
+        C = make_chart(circle(), (0, 0))
+        assert format_poly(C.series(6)[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
 
 
 def test_acceptance_02_circle_operators():
     with budget(1):
-        C = make_chart(circle(), (0, 0), 6)
+        C = make_chart(circle(), (0, 0))
         one = FQ.one
         D = [derivative_operator(C, (r,), ambient=False) for r in range(5)]
         assert D[0].combo == {(0, 0): one}
@@ -215,8 +215,8 @@ def test_acceptance_07_grid_line_T_dimensions():
                             point=(0, 0),
                             directions=((1, 0), (0, 1)))
 
-        def charts(pts, trunc):
-            return [make_chart(plane, p, trunc, FQ) for p in pts]
+        def charts(pts):
+            return [make_chart(plane, p, FQ) for p in pts]
 
         # line: y^s vanishes to order exactly s at each point of y = 0,
         # so T(v = s, n) is nonempty whenever n >= s
@@ -226,7 +226,7 @@ def test_acceptance_07_grid_line_T_dimensions():
             for p in line_pts:
                 assert vanishing_order(g, list(p)) == s
             n = s
-            assert T_dimension(charts(line_pts, n), [s] * len(line_pts), n) >= 1
+            assert T_dimension(charts(line_pts), [s] * len(line_pts), n) >= 1
 
         # 3x3 grid: T(v = s, n) = 0 whenever s*t > n, and every value
         # matches the brute-force elimination oracle
@@ -234,7 +234,7 @@ def test_acceptance_07_grid_line_T_dimensions():
         grid_pts = [(a, b) for a in range(t) for b in range(t)]
         for s in (1, 2):
             for n in range(1, 7):
-                got = T_dimension(charts(grid_pts, max(s, 1)), [s] * 9, n)
+                got = T_dimension(charts(grid_pts), [s] * 9, n)
                 monos = monomials_upto(2, n)
                 red = IncrementalRowReducer(FQ)
                 for p in grid_pts:
@@ -310,7 +310,7 @@ def test_acceptance_11_witness_soundness():
             flats.append(VarietySpec(kind="flat", ambient=6, dim=2, degree=1,
                                      point=(0,) * 6, directions=tuple(dirs)))
         deg = 4
-        flat_charts = [make_chart(V, (0,) * 6, deg, F) for V in flats]
+        flat_charts = [make_chart(V, (0,) * 6, F) for V in flats]
         done = 0
         while done < 150:
             g = random_poly(rng, F, 6, deg, density=0.05)
@@ -325,8 +325,8 @@ def test_acceptance_11_witness_soundness():
         circ = circle()
         line = VarietySpec(kind="flat", ambient=2, dim=1, degree=1,
                            point=(0, 0), directions=((0, 1),))
-        charts = [make_chart(circ, (0, 0), deg + 1),
-                  make_chart(line, (0, 0), deg + 1, FQ)]
+        charts = [make_chart(circ, (0, 0)),
+                  make_chart(line, (0, 0), FQ)]
         done = 0
         while done < 50:
             g = random_poly(rng, FQ, 2, deg, density=0.4)

@@ -19,7 +19,7 @@ from jointslab.basis import (
     v_vector,
 )
 from jointslab.config import generate, grid_line_composite
-from jointslab.errors import ChartMissing, NotOnVariety, TruncationTooLow, UnknownJoint
+from jointslab.errors import ChartMissing, NotOnVariety, UnknownJoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer
 from jointslab.poly import AffineMap, Polynomial, monomials_upto, parse_poly, taylor_shift
@@ -37,9 +37,9 @@ def full_plane(Ff):
     )
 
 
-def plane_charts(Ff, points, trunc):
+def plane_charts(Ff, points):
     V = full_plane(Ff)
-    return [make_chart(V, p, trunc, Ff) for p in points]
+    return [make_chart(V, p, Ff) for p in points]
 
 
 # -- priority order ---------------------------------------------------------
@@ -111,7 +111,7 @@ def test_v_vector_example():
 
 
 def test_row_order_zero_is_evaluation():
-    C = plane_charts(FQ, [(2, 3)], 3)[0]
+    C = plane_charts(FQ, [(2, 3)])[0]
     rows = functional_rows(C, "p", 0, 2)
     assert len(rows) == 1
     monos = monomials_upto(2, 2)
@@ -120,7 +120,7 @@ def test_row_order_zero_is_evaluation():
 
 
 def test_flat_rows_order_one():
-    C = plane_charts(FQ, [(0, 0)], 3)[0]
+    C = plane_charts(FQ, [(0, 0)])[0]
     rows = functional_rows(C, "p", 1, 2)
     monos = monomials_upto(2, 2)
     got = {tuple(r.coeffs) for r in rows}
@@ -133,7 +133,7 @@ def test_circle_row_order_two():
     E = parse_poly("1 * x1^2 + 1 * x2^2 + -1 * x2", FQ, 2)
     V = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
                     point=(0, 0), directions=((1, 0), (0, 1)), surface_poly=E)
-    C = make_chart(V, (0, 0), 4)
+    C = make_chart(V, (0, 0))
     rows = functional_rows(C, "p", 2, 2)
     assert len(rows) == 1
     monos = monomials_upto(2, 2)
@@ -142,18 +142,12 @@ def test_circle_row_order_two():
     assert rows[0].coeffs == expected
 
 
-def test_rows_respect_truncation():
-    C = plane_charts(FQ, [(0, 0)], 1)[0]
-    with pytest.raises(TruncationTooLow):
-        functional_rows(C, "p", 2, 3)
-
-
 def test_rows_are_built_once_per_chart_and_not_mutated():
-    C = plane_charts(F, [(3, 5)], 4)[0]
+    C = plane_charts(F, [(3, 5)])[0]
     rows = functional_rows(C, "p", 2, 3)
     assert functional_rows(C, "p", 2, 3) is rows
     assert {len(row.coeffs) for row in functional_rows(C, "p", 2, 4)} == {binom(6, 2)}
-    fresh = functional_rows(plane_charts(F, [(3, 5)], 4)[0], "p", 2, 3)
+    fresh = functional_rows(plane_charts(F, [(3, 5)])[0], "p", 2, 3)
     assert [row.coeffs for row in rows] == [row.coeffs for row in fresh]
     # reduce them against a store that already holds other rows
     red = IncrementalRowReducer(F)
@@ -166,6 +160,30 @@ def test_rows_are_built_once_per_chart_and_not_mutated():
     assert [row.coeffs for row in rows] == before
 
 
+def test_rows_memoised_before_growth_match_a_fresh_chart():
+    # rows built while a hypersurface's series is solved through degree 2
+    # stay valid as it grows: every row equals that of a chart grown to
+    # degree 6 in one jump before any row was built
+    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2, point=(0, 0),
+                         directions=((1, 0), (0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", FQ, 2))
+    sphere = VarietySpec(kind="hypersurface", ambient=3, dim=2, degree=2, point=(0, 0, 0),
+                         directions=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + 1 * x3^2 + -9", FQ, 3))
+    for V, p, n in ((circle, (3, 4), 4), (sphere, (1, 2, 2), 3)):
+        C = make_chart(V, p, FQ)
+        early = [functional_rows(C, "p", r, n) for r in range(3)]
+        assert max(sum(beta) for x in C.coordinates(2) for beta in x) == 2
+        grown = early + [functional_rows(C, "p", r, n) for r in range(3, 7)]
+        assert max(sum(beta) for x in C.coordinates(6) for beta in x) == 6
+        fresh = make_chart(V, p, FQ)
+        fresh.coordinates(6)
+        expected = {r: functional_rows(fresh, "p", r, n) for r in reversed(range(7))}
+        for r, rows in enumerate(grown):
+            assert [row.coeffs for row in rows] == [row.coeffs for row in expected[r]]
+        assert [functional_rows(C, "p", r, n) for r in range(3)] == early
+
+
 def oracle_charts():
     """name -> (chart, degree bound), all away from the origin: a flat with
     a non-trivial frame in every characteristic tried, and curved charts."""
@@ -174,19 +192,19 @@ def oracle_charts():
                      ("Fp", F), ("Q", FQ)):
         plane = VarietySpec(kind="flat", ambient=3, dim=2, degree=1, point=(1, 0, 1),
                             directions=((1, 1, 0), (0, 1, 2)))
-        out[name] = (make_chart(plane, (2, 1, 1), 3, Ff), 3)
+        out[name] = (make_chart(plane, (2, 1, 1), Ff), 3)
     parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
                            frame=AffineMap(FQ, [[1, 1], [0, 1]], [0, 1]),
                            graph_polys=(parse_poly("1/2 * x1^2 + -1 * x1^3", FQ, 1),))
-    out["graph-curve"] = (make_chart(parabola, (9, -7), 4, FQ), 3)
+    out["graph-curve"] = (make_chart(parabola, (9, -7), FQ), 3)
     saddle = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
                          frame=AffineMap.identity(FQ, 3),
                          graph_polys=(parse_poly("1 * x1 x2 + -2 * x2^2", FQ, 2),))
-    out["graph-surface"] = (make_chart(saddle, (1, 2, -6), 3, FQ), 2)
+    out["graph-surface"] = (make_chart(saddle, (1, 2, -6), FQ), 2)
     circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
                          point=(0, 0), directions=((1, 0), (0, 1)),
                          surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", FQ, 2))
-    out["circle"] = (make_chart(circle, (3, 4), 5, FQ), 3)
+    out["circle"] = (make_chart(circle, (3, 4), FQ), 3)
     return out
 
 
@@ -197,8 +215,8 @@ def test_rows_match_operator_and_expansion_oracles(case):
     C, n = oracle_charts()[case]
     Ff, d = C.field, C.owner.ambient
     monos = monomials_upto(d, n)
-    expansions = [C.local_expansion(Polynomial.monomial(Ff, d, delta)) for delta in monos]
-    for r in range(C.truncation + 1):
+    expansions = [C.local_expansion(Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
+    for r in range(6):
         for row in functional_rows(C, "p", r, n):
             D = derivative_operator(C, row.gamma)
             assert row.coeffs == [D.monomial_functional(delta, C.center) for delta in monos]
@@ -292,7 +310,7 @@ def test_count_equals_T_codimension():
     h = Handicap({p: rng.randint(0, 1) for p in ids}, ids)
     n = 3
     led = build_ledger(cfg, (0, 0), h, n)
-    charts = plane_charts(F, cfg.joints, n)
+    charts = plane_charts(F, cfg.joints)
     for st in led.steps:
         v = v_vector(st.joint, st.order, h, ids)
         before = [v[p] for p in ids]
@@ -307,13 +325,13 @@ def test_count_equals_T_codimension():
 
 def test_T_dimension_oracles():
     # one point, full vanishing: order >= 3 kills all of F[x,y]_{<=2}
-    assert T_dimension(plane_charts(FQ, [(1, 2)], 3), [3], 2) == 0
+    assert T_dimension(plane_charts(FQ, [(1, 2)]), [3], 2) == 0
     # four collinear points, order >= 2 each, degree <= 2: only l^2 survives
     pts = [(i, i) for i in range(4)]
-    assert T_dimension(plane_charts(FQ, pts, 3), [2, 2, 2, 2], 2) == 1
+    assert T_dimension(plane_charts(FQ, pts), [2, 2, 2, 2], 2) == 1
     # 3x3 grid, order >= 2 each, degree <= 5: nothing survives
     grid = [(a, b) for a in range(3) for b in range(3)]
-    assert T_dimension(plane_charts(FQ, grid, 3), [2] * 9, 5) == 0
+    assert T_dimension(plane_charts(FQ, grid), [2] * 9, 5) == 0
 
 
 def test_T_dimension_matches_taylor_oracle():
@@ -331,17 +349,17 @@ def test_T_dimension_matches_taylor_oracle():
         for gamma in monomials_upto(2, vp - 1) if vp else ():
             red.insert([s.coefficient(gamma) for s in shifts])
     oracle = binom(n + 2, 2) - red.rank
-    assert T_dimension(plane_charts(FQ, pts, n), v, n) == oracle
+    assert T_dimension(plane_charts(FQ, pts), v, n) == oracle
 
 
 def test_b_p_oracles():
     # a line in the plane: first new vanishing condition has codimension 1
     line = VarietySpec(kind="flat", ambient=2, dim=1, degree=1,
                        point=(0, 0), directions=((1, 1),))
-    C = make_chart(line, (0, 0), 4, FQ)
+    C = make_chart(line, (0, 0), FQ)
     assert b_p([C], [0], 0, 3) == 1
     # the full plane: raising order 1 -> 2 adds the two first derivatives
-    assert b_p(plane_charts(FQ, [(0, 0)], 4), [1], 0, 3) == 2
+    assert b_p(plane_charts(FQ, [(0, 0)]), [1], 0, 3) == 2
 
 
 # -- dump formats -----------------------------------------------------------

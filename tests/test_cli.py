@@ -93,7 +93,6 @@ def test_witness_charts_follow_the_polynomial_degree(tmp_path):
     out = tmp_path / "flats"
     assert main(["generate", "--kind", "coordinate-flats", "--d", "6", "--k", "2",
                  "--out-dir", str(out)]) == EXIT_OK
-    # deg g = 5 exceeds 2 * n = 4, the charts' former truncation
     code = main(["verify", "witness", "--config", str(out / "config.json"),
                  "--poly", "1 * x1^5", "--n", "2", "--out-dir", str(out)])
     assert code == EXIT_OK
@@ -108,6 +107,15 @@ def test_verify_sz_without_config(tmp_path):
     assert code == EXIT_OK
     got = json.loads((out / "verify-sz.json").read_text())
     assert got["lhs"] == got["rhs"] == 6
+
+
+def test_verify_sz_distinct_set(tmp_path):
+    out = tmp_path / "sz"
+    code = main(["verify", "sz", "--poly", "1 * x1", "--d", "2", "--set", "0,1",
+                 "--out-dir", str(out)])
+    assert code == EXIT_OK
+    got = json.loads((out / "verify-sz.json").read_text())
+    assert got["lhs"] == got["rhs"] == 2
 
 
 def test_usage_errors(tmp_path):
@@ -161,6 +169,12 @@ def _zero_direction(text):
     return json.dumps(obj)
 
 
+def _no_joints(text):
+    obj = json.loads(text)
+    obj["joints"] = []
+    return json.dumps(obj)
+
+
 def _set_m(m):
     def edit(text):
         obj = json.loads(text)
@@ -179,6 +193,12 @@ MALFORMED = {
     "poly-negative-exponent": (["verify", "sz", "--poly", "1 * x1^-1"], None),
     "set-not-numbers": (["verify", "sz", "--poly", "1 * x1", "--set", "a,b"], None),
     "tau-not-a-number": (["pipeline", "--config", CFG, "--tau", "abc"], None),
+    "tau-not-a-number-no-joints": (["pipeline", "--config", CFG, "--tau", "abc"], _no_joints),
+    "tau-negative": (["pipeline", "--config", CFG, "--tau", "-1"], None),
+    "tau-negative-balance": (["balance", "--config", CFG, "--tau=-1/2"], None),
+    "set-repeats-a-value": (["verify", "sz", "--poly", "1 * x1", "--set", "0,0"], None),
+    "set-repeats-in-the-field": (["verify", "sz", "--poly", "1 * x1", "--set", "0,101",
+                                  "--field-p", "101"], None),
     "field-not-prime": (["verify", "sz", "--poly", "1 * x1", "--field-p", "4"], None),
     "config-without-families": (["pipeline", "--config", CFG], _drop("families")),
     "config-without-joints": (["pipeline", "--config", CFG], _drop("joints")),

@@ -48,27 +48,27 @@ def coordinate_flat(d, axes, point=None):
 def test_is_joint_coordinate_split():
     # three coordinate 2-flats splitting F^6: tangents span, joint
     flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (2, 3)), coordinate_flat(6, (4, 5))]
-    charts = [make_chart(V, (0,) * 6, 2, FQ) for V in flats]
+    charts = [make_chart(V, (0,) * 6, FQ) for V in flats]
     assert is_joint((0,) * 6, charts)
 
 
 def test_is_joint_degenerate_split():
     # overlap in the spanned directions: rank 5 < 6, not a joint
     flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (1, 2)), coordinate_flat(6, (3, 4))]
-    charts = [make_chart(V, (0,) * 6, 2, FQ) for V in flats]
+    charts = [make_chart(V, (0,) * 6, FQ) for V in flats]
     assert not is_joint((0,) * 6, charts)
 
 
 def test_is_joint_inside_hyperplane():
     # three 2-flats all inside the hyperplane x6 = 0 cannot form a joint
     flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (2, 3)), coordinate_flat(6, (3, 4))]
-    charts = [make_chart(V, (0,) * 6, 2, FQ) for V in flats]
+    charts = [make_chart(V, (0,) * 6, FQ) for V in flats]
     assert not is_joint((0,) * 6, charts)
 
 
 def test_is_joint_dimension_mismatch():
     flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (2, 3))]
-    charts = [make_chart(V, (0,) * 6, 2, FQ) for V in flats]
+    charts = [make_chart(V, (0,) * 6, FQ) for V in flats]
     with pytest.raises(DimensionMismatch):
         is_joint((0,) * 6, charts)
 
@@ -146,7 +146,7 @@ def detect_by_is_joint(F, families, candidates):
             for mi, V in enumerate(fam.members):
                 if contains_point(V, p, F):
                     try:
-                        charts[fi, mi] = make_chart(V, p, 1, F)
+                        charts[fi, mi] = make_chart(V, p, F)
                     except SingularPoint:
                         continue
                     regular.append(mi)
@@ -223,7 +223,7 @@ def test_flat_directions_are_chart_tangent_rows(field):
     for k in (1, 2, 3):
         points = [tuple(Ff.of(rng.randrange(1, 5)) for _ in range(4))]
         for V in random_flats_through(rng, Ff, 4, k, 5, points):
-            C = make_chart(V, points[0], 1, Ff)
+            C = make_chart(V, points[0], Ff)
             assert tangent_space(C) == [[Ff.of(x) for x in u] for u in V.directions]
 
 

@@ -1,6 +1,5 @@
 """Charts, derivative operators, and regular-function dimensions."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 from jointslab.errors import (
     NotOnVariety,
     SingularPoint,
-    TruncationTooLow,
     UnsupportedKind,
 )
 from jointslab.field import FieldSpec, binom
@@ -24,6 +22,7 @@ from jointslab.poly import (
     pullback,
 )
 from jointslab.varieties import (
+    Chart,
     VarietySpec,
     ambient_equations,
     contains_point,
@@ -67,7 +66,7 @@ def test_flat_membership_and_tangent():
     )
     assert contains_point(V, (2, 1, 5), FQ)
     assert not contains_point(V, (2, 2, 0), FQ)
-    assert_tangent_span(make_chart(V, (1, 0, 0), 1, FQ), [[1, 1, 0], [0, 0, 1]])
+    assert_tangent_span(make_chart(V, (1, 0, 0), FQ), [[1, 1, 0], [0, 0, 1]])
 
 
 def assert_tangent_span(C, expected):
@@ -95,7 +94,7 @@ def test_graph_kind():
     assert contains_point(V, (2, 3, 6), FQ)
     assert not contains_point(V, (2, 3, 5), FQ)
     # tangent at (2,3,6): e1 + 3 e3 and e2 + 2 e3
-    assert_tangent_span(make_chart(V, (2, 3, 6), 1, FQ), [[1, 0, 3], [0, 1, 2]])
+    assert_tangent_span(make_chart(V, (2, 3, 6), FQ), [[1, 0, 3], [0, 1, 2]])
 
 
 def test_graph_rejects_linear_terms():
@@ -110,17 +109,17 @@ def test_graph_rejects_linear_terms():
 
 def test_circle_chart_series():
     V = circle_through_origin()
-    C = make_chart(V, (0, 0), 6)
-    assert format_poly(C.series[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
+    C = make_chart(V, (0, 0))
+    assert format_poly(C.series(6)[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
     assert C.frame.apply([Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
 
 
 def test_circle_chart_other_point():
     V = circle_through_origin()
-    C = make_chart(V, (0, 1), 4)
+    C = make_chart(V, (0, 1))
     # at (0,1) the tangent is again horizontal; series solves
     # x^2 + (1+h)^2 = 1 + h  =>  h = -x^2 - 2x^4 - ...
-    h = C.series[0]
+    h = C.series(4)[0]
     assert h.coefficient((1,)) == 0
     assert not h.is_zero()
     _assert_chart_consistent(C)
@@ -129,7 +128,7 @@ def test_circle_chart_other_point():
 def test_chart_not_on_variety():
     V = circle_through_origin()
     with pytest.raises(NotOnVariety):
-        make_chart(V, (5, 5), 4)
+        make_chart(V, (5, 5))
 
 
 def test_chart_singular_point():
@@ -138,9 +137,9 @@ def test_chart_singular_point():
     V = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=3,
                     point=(0, 0), directions=((1, 0), (0, 1)), surface_poly=E)
     with pytest.raises(SingularPoint):
-        make_chart(V, (0, 0), 4)
+        make_chart(V, (0, 0))
     # away from the cusp the chart exists
-    C = make_chart(V, (1, 1), 4)
+    C = make_chart(V, (1, 1))
     _assert_chart_consistent(C)
 
 
@@ -149,17 +148,17 @@ def test_raw_chart_unsupported():
     V = VarietySpec(kind="raw", ambient=2, dim=1, degree=1,
                     slice_polys=(g,), slice_degree=1)
     with pytest.raises(UnsupportedKind):
-        make_chart(V, (0, 0), 3)
+        make_chart(V, (0, 0))
 
 
-def _assert_chart_consistent(C):
-    """Substituting (t, h(t)) into the framed equations must vanish to the
-    chart truncation."""
+def _assert_chart_consistent(C, N=4):
+    """Substituting (t, h(t)) into the framed equations must vanish
+    through degree N."""
     for e in ambient_equations(C.owner):
         eq = pullback(e, C.frame_inverse)
         # framed equations live in chart coordinates; local_expansion takes
         # an ambient polynomial, so push back through the frame first
-        assert C.local_expansion(pullback(eq, C.frame)).is_zero()
+        assert C.local_expansion(pullback(eq, C.frame), N).is_zero()
 
 
 def test_chart_consistency_samples():
@@ -171,7 +170,7 @@ def test_chart_consistency_samples():
     for _ in range(5):
         t = [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))]
         p = (t[0], t[1], f.evaluate(t))
-        C = make_chart(V, p, 4)
+        C = make_chart(V, p)
         _assert_chart_consistent(C)
     # hypersurface chart at points of the circle (rational points via
     # the parametrization through t)
@@ -181,7 +180,7 @@ def test_chart_consistency_samples():
         x = t / (1 + t * t)
         y = t * t / (1 + t * t)
         assert contains_point(V, (x, y), FQ)
-        C = make_chart(V, (x, y), 4)
+        C = make_chart(V, (x, y))
         _assert_chart_consistent(C)
 
 
@@ -209,28 +208,30 @@ def off_origin_varieties(F):
     return out
 
 
+def _through(coords, N):
+    """Coordinates as {beta: c} maps cut to the terms of degree <= N."""
+    return [{beta: c for beta, c in x.items() if sum(beta) <= N} for x in coords]
+
+
 @pytest.mark.parametrize("kind", ["flat", "graph-curve", "graph-surface", "hypersurface"])
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_coordinates_match_local_expansion(field, kind):
-    # x_i(phi(t)) read off the frame equals the expansion of the polynomial x_i
+    # x_i(phi(t)) read off the frame equals the expansion of the polynomial
+    # x_i through degree N, on fresh charts and on one grown past N first
     F = FIELDS[field]
     V, p = off_origin_varieties(F)[kind]
-    for N in range(1, 5):
-        C = make_chart(V, p, N, F)
+    grown = make_chart(V, p, F)
+    grown.coordinates(6)
+    for N in range(5):
+        C = make_chart(V, p, F)
         assert any(F.of(x) for x in C.center)
-        expected = [C.local_expansion(Polynomial.variable(F, V.ambient, i)).terms
+        expected = [C.local_expansion(Polynomial.variable(F, V.ambient, i), N).terms
                     for i in range(V.ambient)]
-        assert C.coordinates() == expected
-        assert C.coordinates() is C.coordinates()
+        assert _through(C.coordinates(N), N) == expected
+        assert C.coordinates(N) is C.coordinates(N)
+        assert _through(grown.coordinates(N), N) == expected
     if kind != "flat":
         assert any(sum(e) >= 2 for x in expected for e in x)
-    # a chart whose series run past its truncation, down to truncation 0
-    long = make_chart(V, p, 4, F)
-    for N in range(4):
-        C = dataclasses.replace(long, truncation=N, _coords=None)
-        expected = [C.local_expansion(Polynomial.variable(F, V.ambient, i)).terms
-                    for i in range(V.ambient)]
-        assert C.coordinates() == expected
 
 
 def _contraction_series(E2, N):
@@ -249,17 +250,18 @@ def _contraction_series(E2, N):
 
 
 def _contraction_chart(V, p, N, F):
-    """make_chart with the series solved by the contraction.  The frame is
-    that of the truncation-0 chart, which solves nothing; the framed
-    defining equation restricted to the carrier flat (the trailing
-    coordinates set to 0) is E2 in (t_1..t_k, s)."""
-    C0 = make_chart(V, p, 0, F)
+    """A chart with the series solved through degree N by the contraction
+    and held as exact.  The frame is that of a fresh chart, which solves
+    no series term to build it; the framed defining equation restricted
+    to the carrier flat (the trailing coordinates set to 0) is E2 in
+    (t_1..t_k, s)."""
+    C0 = make_chart(V, p, F)
     k, d = V.dim, V.ambient
     on_flat = [Polynomial.variable(F, k + 1, i) for i in range(k + 1)]
     on_flat += [Polynomial.zero(F, k + 1)] * (d - k - 1)
     E2 = pullback(ambient_equations(V)[0], C0.frame_inverse).substitute(on_flat)
-    series = [_contraction_series(E2, N)] + [Polynomial.zero(F, k)] * (d - k - 1)
-    return dataclasses.replace(C0, series=series, truncation=N)
+    series = [_contraction_series(E2, N).terms] + [{} for _ in range(d - k - 1)]
+    return Chart(V, C0.center, C0.frame, series)
 
 
 def random_hypersurface(F, rng, k, d, deg):
@@ -281,7 +283,7 @@ def random_hypersurface(F, rng, k, d, deg):
         V = VarietySpec(kind="hypersurface", ambient=d, dim=k, degree=deg,
                         point=tuple(base), directions=tuple(map(tuple, dirs)), surface_poly=E)
         try:
-            make_chart(V, p, 0, F)
+            make_chart(V, p, F)
         except SingularPoint:
             continue
         return V, tuple(p)
@@ -289,28 +291,31 @@ def random_hypersurface(F, rng, k, d, deg):
 
 @pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
 def test_series_solve_matches_contraction(field):
+    # a chart grown one degree at a time and a fresh chart grown in one
+    # jump to N both equal the contraction through degree N
     F = FIELDS[field]
     rng = random.Random(7)
     for k in (1, 2):
         for d in (k + 1, k + 2):
             for deg in (2, 3):
                 V, p = random_hypersurface(F, rng, k, d, deg)
+                stepped = make_chart(V, p, F)
                 for N in range(9):
-                    C = make_chart(V, p, N, F)
                     ref = _contraction_chart(V, p, N, F)
-                    assert C.series == ref.series
-                    assert C.frame.matrix == ref.frame.matrix
-                    assert C.frame.translation == ref.frame.translation
-                    assert C.coordinates() == ref.coordinates()
-                    for e in ambient_equations(V):
-                        assert C.local_expansion(e).is_zero()
+                    for C in (stepped, make_chart(V, p, F)):
+                        assert [h.truncate(N) for h in C.series(N)] == ref.series(N)
+                        assert C.frame.matrix == ref.frame.matrix
+                        assert C.frame.translation == ref.frame.translation
+                        assert _through(C.coordinates(N), N) == _through(ref.coordinates(N), N)
+                        for e in ambient_equations(V):
+                            assert C.local_expansion(e, N).is_zero()
                 if deg == 3:
-                    assert any(sum(e) >= 3 for e in C.series[0].terms)
+                    assert any(sum(e) >= 3 for e in stepped.series(8)[0].terms)
 
 
 def test_tangent_space_matches_directions():
     V = circle_through_origin()
-    C = make_chart(V, (0, 0), 4)
+    C = make_chart(V, (0, 0))
     assert tangent_space(C) == [[Fraction(1), Fraction(0)]]
 
 
@@ -319,7 +324,7 @@ def test_tangent_space_matches_directions():
 
 def test_circle_operators():
     V = circle_through_origin()
-    C = make_chart(V, (0, 0), 6)
+    C = make_chart(V, (0, 0))
     D0 = derivative_operator(C, (0,), ambient=False)
     D1 = derivative_operator(C, (1,), ambient=False)
     D2 = derivative_operator(C, (2,), ambient=False)
@@ -336,7 +341,7 @@ def test_operator_top_part_is_hasse():
     f = parse_poly("3 * x1^2 + 1 * x1 x2 + -2 * x2^2", FQ, 2)
     V = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
                     frame=AffineMap.identity(FQ, 3), graph_polys=(f,))
-    C = make_chart(V, (0, 0, 0), 5)
+    C = make_chart(V, (0, 0, 0))
     for gamma in ((2, 0), (1, 1), (0, 3), (2, 2)):
         D = derivative_operator(C, gamma, ambient=False)
         assert D.top_part().combo == {gamma + (0,): FQ.one}
@@ -345,34 +350,27 @@ def test_operator_top_part_is_hasse():
 def test_flat_operators_are_plain_hasse():
     V = VarietySpec(kind="flat", ambient=3, dim=2, degree=1,
                     point=(0, 0, 0), directions=((1, 0, 0), (0, 1, 0)))
-    C = make_chart(V, (0, 0, 0), 4, FQ)
+    C = make_chart(V, (0, 0, 0), FQ)
     D = derivative_operator(C, (1, 2))
     assert D.combo == {(1, 2, 0): FQ.one}
 
 
 def test_derivative_space_size():
     V = circle_through_origin()
-    C = make_chart(V, (0, 0), 5)
+    C = make_chart(V, (0, 0))
     for r in range(4):
         assert len(derivative_space(C, r)) == binom(r + 0, 0)  # one gamma in 1 variable
     f = parse_poly("1 * x1^2", FQ, 2)
     V2 = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
                      frame=AffineMap.identity(FQ, 3), graph_polys=(f,))
-    C2 = make_chart(V2, (0, 0, 0), 4)
+    C2 = make_chart(V2, (0, 0, 0))
     assert len(derivative_space(C2, 3)) == 4  # C(3+1, 1)
-
-
-def test_truncation_guard():
-    V = circle_through_origin()
-    C = make_chart(V, (0, 0), 2)
-    with pytest.raises(TruncationTooLow):
-        derivative_operator(C, (3,))
 
 
 def test_well_defined_on_random_charts():
     rng = random.Random(1)
     V = circle_through_origin(FP)
-    C = make_chart(V, (0, 0), 6)
+    C = make_chart(V, (0, 0))
     for r in range(5):
         D = derivative_operator(C, (r,))
         assert well_defined_check(C, D, trials=8, seed=rng.randint(0, 99))["pass"]
@@ -381,7 +379,7 @@ def test_well_defined_on_random_charts():
                      frame=AffineMap(FP, [[1, 1, 0], [0, 1, 0], [1, 0, 1]], [2, 0, 1]),
                      graph_polys=(f,))
     p = Vg.frame.inverse().apply([1, 2, 2])
-    Cg = make_chart(Vg, p, 4)
+    Cg = make_chart(Vg, p)
     for gamma in ((1, 0), (1, 1), (2, 1)):
         D = derivative_operator(Cg, gamma)
         assert well_defined_check(Cg, D, trials=6, seed=3)["pass"]
@@ -390,7 +388,7 @@ def test_well_defined_on_random_charts():
 def test_ambient_operator_evaluates_local_coefficient():
     # D^gamma g(center) equals the x^gamma coefficient of the local expansion
     V = circle_through_origin()
-    C = make_chart(V, (0, 0), 6)
+    C = make_chart(V, (0, 0))
     rng = random.Random(2)
     for _ in range(5):
         terms = {}
@@ -399,7 +397,7 @@ def test_ambient_operator_evaluates_local_coefficient():
             if c:
                 terms[e] = FQ.of(c)
         g = Polynomial(FQ, 2, terms)
-        local = C.local_expansion(g)
+        local = C.local_expansion(g, 4)
         for r in range(5):
             D = derivative_operator(C, (r,))
             assert D.evaluate(g, C.center) == local.coefficient((r,))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jointslab.balance import RootValue, build_all_ledgers
 from jointslab.basis import Handicap
 from jointslab.config import Family, detect_joints, generate
-from jointslab.errors import JointslabError, NotAJoint, TruncationTooLow, ZeroPolynomial
+from jointslab.errors import DimensionMismatch, NotAJoint, ZeroPolynomial
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import (
@@ -96,7 +96,7 @@ def composed_operator_rows(cfg, ledgers, n):
     for j, p in enumerate(cfg.joints):
         per_member = []
         for ref in cfg.chosen[j]:
-            C = make_chart(cfg.member(ref), p, ledgers[ref].cap, cfg.field)
+            C = make_chart(cfg.member(ref), p, cfg.field)
             steps = sorted((st for st in ledgers[ref].steps if st.joint == j),
                            key=lambda st: st.order)
             per_member.append([derivative_operator(C, row.gamma)
@@ -181,10 +181,10 @@ def test_rank_pass_implies_count_pass(seed):
 # -- witnesses --------------------------------------------------------------
 
 
-def coordinate_split_charts(Ff, trunc=3):
+def coordinate_split_charts(Ff):
     flats = [coordinate_flat(6, (0, 1)), coordinate_flat(6, (2, 3)),
              coordinate_flat(6, (4, 5))]
-    return [make_chart(V, (0,) * 6, trunc, Ff) for V in flats]
+    return [make_chart(V, (0,) * 6, Ff) for V in flats]
 
 
 def test_witness_monomial_across_blocks():
@@ -213,7 +213,7 @@ def test_witness_circle_and_transversal():
                          surface_poly=E)
     line = VarietySpec(kind="flat", ambient=2, dim=1, degree=1,
                        point=(0, 0), directions=((0, 1),))
-    charts = [make_chart(circle, (0, 0), 5), make_chart(line, (0, 0), 5, FQ)]
+    charts = [make_chart(circle, (0, 0)), make_chart(line, (0, 0), FQ)]
     # g vanishes identically on the circle but is transverse to the line
     g = parse_poly("1 * x2 + -1 * x1^2 + -1 * x2^2", FQ, 2)
     got = hasse_vanishing_witness((0, 0), charts, g)
@@ -244,9 +244,9 @@ def test_witness_guards():
     charts = coordinate_split_charts(FQ)
     with pytest.raises(ZeroPolynomial):
         hasse_vanishing_witness((0,) * 6, charts, Polynomial.zero(FQ, 6))
-    bad = [make_chart(coordinate_flat(6, (0, 1)), (0,) * 6, 3, FQ),
-           make_chart(coordinate_flat(6, (1, 2)), (0,) * 6, 3, FQ),
-           make_chart(coordinate_flat(6, (3, 4)), (0,) * 6, 3, FQ)]
+    bad = [make_chart(coordinate_flat(6, (0, 1)), (0,) * 6, FQ),
+           make_chart(coordinate_flat(6, (1, 2)), (0,) * 6, FQ),
+           make_chart(coordinate_flat(6, (3, 4)), (0,) * 6, FQ)]
     with pytest.raises(NotAJoint):
         hasse_vanishing_witness((0,) * 6, bad, parse_poly("1 * x1", FQ, 6))
 
@@ -255,13 +255,12 @@ def test_witness_rejects_charts_that_are_not_a_joint_tuple():
     charts = coordinate_split_charts(FQ)
     g = parse_poly("1 * x1", FQ, 6)
     elsewhere = (1, 0, 0, 0, 0, 0)
-    off_point = charts[:2] + [make_chart(coordinate_flat(6, (4, 5), elsewhere), elsewhere, 3, FQ)]
-    for charts_ in (off_point, charts[:2], charts + charts[:1], []):
-        with pytest.raises(JointslabError):
+    off_point = charts[:2] + [make_chart(coordinate_flat(6, (4, 5), elsewhere), elsewhere, FQ)]
+    cases = [(off_point, NotAJoint), (charts[:2], DimensionMismatch),
+             (charts + charts[:1], DimensionMismatch), ([], NotAJoint)]
+    for charts_, error in cases:
+        with pytest.raises(error):
             hasse_vanishing_witness((0,) * 6, charts_, g)
-    with pytest.raises(TruncationTooLow):
-        hasse_vanishing_witness((0,) * 6, coordinate_split_charts(FQ, trunc=1),
-                                parse_poly("1 * x1^2", FQ, 6))
 
 
 def skew_flats_at_a_point(rng):
@@ -300,14 +299,14 @@ def test_witness_matches_composed_operators_off_origin():
     cases = []
     for _ in range(3):
         p, flats, unframe = skew_flats_at_a_point(rng)
-        charts = [make_chart(V, p, 4, F) for V in flats]
+        charts = [make_chart(V, p, F) for V in flats]
         cases += [(p, charts, vanishing_at(rng, F, p, lo, 4, 0.04)) for lo in (0, 1, 2, 3, 3)]
         # framed, y1 y3 y5^2 + y2^4: orders (1, 1, 2)
         framed = parse_poly("1 * x1 x3 x5^2 + 1 * x2^4", F, 6)
         cases.append((p, charts, pullback(framed, unframe.inverse())))
     cfg = circle_and_lines()
     j = cfg.joints.index((3, 4))
-    charts = cfg.designated_charts(j, 4)
+    charts = cfg.designated_charts(j)
     circle_eq = ambient_equations(cfg.member(cfg.chosen[j][0]))[0]
     cases.append(((3, 4), charts, circle_eq))
     for lo in (0, 1, 2, 2, 3, 4):
