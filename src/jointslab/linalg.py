@@ -1,23 +1,33 @@
 """Exact dense linear algebra over a FieldSpec.
 
 Matrices are lists of row lists of canonical field elements.  There is
-one elimination loop, ``IncrementalRowReducer``: it streams rows into a
-pivot store that maps each pivot column to its normalized, fully reduced
-row, so the store is the reduced row echelon form (RREF) of the rows seen
-so far.  ``rank``, ``solve``, ``inverse`` and ``nullspace`` read their
-answers off that store; since the RREF is unique, they do not depend on
-the order in which rows are inserted.  ``fork`` copies a reducer, so row
-sets that share a prefix reduce the prefix once and go on from a copy.
-The loop has one row operation, row - f * pivot_row, specialised by
-field: ``(a - f*b) % p`` on ints over F_p and ``a - f*b`` on ``Fraction``
-values over Q, leaving entries where the pivot row is zero as they are.
-Field elements are canonical, so this gives exactly what
-``FieldSpec.sub``/``FieldSpec.mul`` give, without a method call per
-entry.  The sizes that show up in practice (hundreds of rows, columns
-bounded by C(n+d, d)) keep this comfortably interactive.
+one elimination loop, ``IncrementalRowReducer.insert``: it streams rows
+into an echelon store that keeps, for each pivot column, the row that
+first led there, from that column on.  A row is reduced against the
+store in increasing column order and raises the rank at its first
+nonzero entry in a column without a pivot.  Most callers (ledgers, joint
+detection, the rank check, ``T_dimension``) ask only that, so nothing is
+back-substituted while rows stream in.  ``rref()`` back-substitutes
+once, for ``solve``, ``inverse`` and ``nullspace``; the reduced row
+echelon form is unique, so their answers do not depend on the order in
+which rows are inserted.  ``fork`` copies a reducer, so row sets that
+share a prefix reduce the prefix once and go on from a copy.
+
+The row step is specialised by field, with no method call per entry.
+Over F_p a pivot row is normalized to lead 1 and the step is
+``(a - f*b) % p`` on ints.  Over Q a row enters as a primitive integer
+vector (denominators cleared by their lcm, then divided by the content);
+the step is the fraction-free ``b*row - a*pivot_row``, with a, b divided
+by their gcd, followed by division by the new content.  So no
+``Fraction`` is built while rows stream in.  The sizes that show up in
+practice (thousands of rows, columns bounded by C(n+d, d)) keep this
+comfortably interactive.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .field import FieldSpec
 
@@ -60,10 +70,10 @@ def _reduced(F: FieldSpec, rows) -> "IncrementalRowReducer":
 def inverse(F: FieldSpec, A):
     """Inverse of a square matrix, or None if singular."""
     n = len(A)
-    red = _reduced(F, (list(row) + e for row, e in zip(A, identity(F, n))))
-    if any(c >= n for c in red.pivots):
+    pivots = _reduced(F, (list(row) + e for row, e in zip(A, identity(F, n)))).rref()
+    if any(c >= n for c in pivots):
         return None
-    return [red.pivots[i][n:] for i in range(n)]
+    return [pivots[i][n:] for i in range(n)]
 
 
 def solve(F: FieldSpec, A, b):
@@ -72,11 +82,11 @@ def solve(F: FieldSpec, A, b):
     Free variables are set to zero, which keeps the output deterministic.
     """
     n = len(A[0]) if A else 0
-    red = _reduced(F, (list(row) + [bv] for row, bv in zip(A, b)))
-    if n in red.pivots:
+    pivots = _reduced(F, (list(row) + [bv] for row, bv in zip(A, b))).rref()
+    if n in pivots:
         return None
     x = [F.zero] * n
-    for c, row in red.pivots.items():
+    for c, row in pivots.items():
         x[c] = row[n]
     return x
 
@@ -85,7 +95,7 @@ def nullspace(F: FieldSpec, A):
     """Basis of the right nullspace of A (deterministic): one vector per
     free column, in column order."""
     n = len(A[0]) if A else 0
-    pivots = _reduced(F, A).pivots
+    pivots = _reduced(F, A).rref()
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -117,69 +127,104 @@ def complete_basis(F: FieldSpec, vectors, n: int):
 
 
 class IncrementalRowReducer:
-    """Reduced row echelon pivot store supporting streaming inserts.
+    """Echelon pivot store supporting streaming inserts.
 
-    Each stored pivot row is normalized to a leading 1 and is zero in
-    every other pivot column; inserted rows are reduced against all
-    existing pivots before deciding independence.  Input rows are never
-    modified.
+    The store maps each pivot column c to the entries, from column c on,
+    of the reduced row that raised the rank there: residues with lead 1
+    over F_p, a primitive integer vector over Q.  Input rows are never
+    modified and stored rows are never mutated.
     """
 
     def __init__(self, F: FieldSpec):
         self.F = F
-        self.pivots: dict[int, list] = {}  # pivot column -> normalized row
+        self._rows: dict[int, list] = {}  # pivot column -> row from there on
         self._p = F.p if F.kind == "prime" else None
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._rows)
 
     def fork(self) -> "IncrementalRowReducer":
         """An independent reducer holding the same rows.  A shallow copy of
-        the store suffices: ``insert`` replaces pivot rows, never mutates
-        them, so inserts into either reducer leave the other alone."""
+        the store suffices, since stored rows are never mutated."""
         child = IncrementalRowReducer(self.F)
-        child.pivots = dict(self.pivots)
+        child._rows = dict(self._rows)
         return child
-
-    def _sub_multiple(self, row, f, prow):
-        """row - f * prow as a new row; entries where prow is 0 are kept."""
-        p = self._p
-        if p is None:
-            return [a - f * b if b else a for a, b in zip(row, prow)]
-        return [(a - f * b) % p if b else a for a, b in zip(row, prow)]
-
-    def reduce(self, row):
-        """Return row reduced against the current pivots (copy)."""
-        # Pivot row c is zero in every other pivot column, so subtracting
-        # it leaves those entries alone and the order of pivots is moot.
-        row = list(row)
-        for c, prow in self.pivots.items():
-            f = row[c]
-            if f:
-                row = self._sub_multiple(row, f, prow)
-        return row
 
     def insert(self, row) -> bool:
         """Insert a row; True iff it increased the rank."""
-        row = self.reduce(row)
-        lead = next((c for c, a in enumerate(row) if a), None)
-        if lead is None:
-            return False
-        inv = self.F.inv(row[lead])
-        p = self._p
+        rows, p = self._rows, self._p
         if p is None:
-            row = [a * inv if a else a for a in row]
-        else:
-            row = [a * inv % p if a else a for a in row]
-        # Keep the store fully reduced: clear the new pivot column from
-        # every existing pivot row so that sequential reduction is exact.
-        for c, prow in self.pivots.items():
-            f = prow[lead]
-            if f:
-                self.pivots[c] = self._sub_multiple(prow, f, row)
-        self.pivots[lead] = row
-        return True
+            row = _primitive(row)
+            if row is None:
+                return False
+        start = 0  # row holds the entries from column start on
+        while True:
+            for i, f in enumerate(row):
+                if f:
+                    break
+            else:
+                return False
+            c = start + i
+            prow = rows.get(c)
+            if prow is None:
+                if p is None:
+                    rows[c] = row[i:]
+                else:
+                    inv = pow(f, -1, p)
+                    rows[c] = [a * inv % p for a in row[i:]]
+                return True
+            start = c + 1
+            if p is None:
+                b = prow[0]
+                g = gcd(f, b)
+                f, b = f // g, b // g
+                row = [b * x - f * y for x, y in zip(row[i + 1:], prow[1:])]
+                g = gcd(*row)
+                if not g:
+                    return False
+                if g > 1:
+                    row = [x // g for x in row]
+            else:
+                row = [(x - f * y) % p if y else x for x, y in zip(row[i + 1:], prow[1:])]
 
     def in_span(self, row) -> bool:
-        return all(not a for a in self.reduce(row))
+        return not self.fork().insert(row)
+
+    def rref(self) -> dict:
+        """The reduced row echelon form of the rows inserted so far, as
+        {pivot column: full row} in canonical field elements, in column
+        order: each row has lead 1 and is zero in every other pivot
+        column.  One back-substitution pass over the store."""
+        F, p = self.F, self._p
+        done: dict[int, list] = {}
+        for c in sorted(self._rows, reverse=True):
+            tail = self._rows[c]
+            if p is None:
+                row = [F.zero] * c + [Fraction(x, tail[0]) for x in tail]
+            else:
+                row = [0] * c + tail
+            # rows in done are already zero in every other pivot column,
+            # so the order in which they are subtracted is moot
+            for pc, prow in done.items():
+                f = row[pc]
+                if f:
+                    if p is None:
+                        row = [a - f * b if b else a for a, b in zip(row, prow)]
+                    else:
+                        row = [(a - f * b) % p if b else a for a, b in zip(row, prow)]
+            done[c] = row
+        return dict(sorted(done.items()))
+
+
+def _primitive(row) -> list | None:
+    """A rational row as a primitive integer vector with the same span
+    (denominators cleared by their lcm, then divided by the content), or
+    None for a zero row."""
+    dens = [x.denominator for x in row if x]
+    if not dens:
+        return None
+    m = lcm(*dens)
+    row = [x.numerator * (m // x.denominator) for x in row]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row

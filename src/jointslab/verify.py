@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .balance import RootValue
 from .config import is_joint
-from .errors import LedgerMissing, NotAJoint, ZeroPolynomial
+from .errors import LedgerMissing, MalformedInput, NotAJoint, ZeroPolynomial
 from .field import binom
 from .linalg import IncrementalRowReducer
 from .poly import (
@@ -120,8 +120,12 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
     of the framed polynomial, split into per-chart blocks gamma_i.  The
     product's value is the gamma coefficient of g along the joint
     coordinates: one expansion row at degree deg g, summed against g's
-    coefficients.  Each phi_i - p is T_i t_i plus terms of degree >= 2, so
-    that coefficient is c, and sum |gamma_i| is the local vanishing order.
+    coefficients.  Each phi_i - p is L_i t_i plus terms of degree >= 2,
+    and those terms cannot reach the t^gamma coefficient, since every
+    term of the framed g has degree >= |gamma|.  So each chart is read
+    through degree 1 only, and ``pass`` checks that the ``tangent_space``
+    framing T_i agrees with the charts' linear terms L_i.  sum |gamma_i|
+    is the local vanishing order.
     """
     if g.is_zero():
         raise ZeroPolynomial("witness needs a nonzero polynomial")
@@ -135,9 +139,7 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
     gamma = min((e for e in framed.terms if sum(e) == r), key=grlex_key)
     ends = itertools.accumulate(C.owner.dim for C in charts)
     gammas = [gamma[end - C.owner.dim : end] for C, end in zip(charts, ends)]
-    # the row of gamma reads chart i's coordinates through degree |gamma_i|
-    coords = joint_coordinates(point, [(C.owner.dim, C.coordinates(sum(block)))
-                                       for C, block in zip(charts, gammas)])
+    coords = joint_coordinates(point, [(C.owner.dim, C.coordinates(1)) for C in charts])
     n = int(g.degree)
     row = expansion_row(F, coords, n, gamma, {})
     value = F.zero
@@ -162,11 +164,15 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
 
 def schwartz_zippel_mult(g: Polynomial, A: list) -> dict:
     """Sum of vanishing orders of g over the grid A^nvars vs the bound
-    |A|^(nvars-1) * deg g."""
+    |A|^(nvars-1) * deg g.  The lemma is stated for a set A, so values
+    of A that coincide in g's field are an input error."""
     if g.is_zero():
         raise ZeroPolynomial("vanishing orders of the zero polynomial are infinite")
     F = g.field
-    pts = [tuple(q) for q in itertools.product([F.of(a) for a in A], repeat=g.nvars)]
+    values = [F.of(a) for a in A]
+    if len(set(values)) < len(values):
+        raise MalformedInput("values of A repeat in the field: " + ", ".join(map(str, A)))
+    pts = [tuple(q) for q in itertools.product(values, repeat=g.nvars)]
     lhs = sum(vanishing_order(g, q) for q in pts)
     rhs = len(A) ** (g.nvars - 1) * int(g.degree)
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs}

@@ -98,13 +98,13 @@ def test_incremental_reducer_streaming():
     rows = random_matrix(rng, FP, 8, 5)
     seen = []
     for row in rows:
+        before = red.fork()
         grew = red.insert(row)
         seen.append(row)
         assert red.rank == rank(FP, seen)
         assert red.in_span(row)
-        if not grew:
-            # a dependent row reduces to zero
-            assert all(not a for a in red.reduce(row))
+        # a row is dependent exactly when the rows before it span it
+        assert before.in_span(row) == (not grew)
     combo = [FP.zero] * 5
     for row in rows[:3]:
         c = FP.of(rng.randrange(FP.p))
@@ -113,13 +113,19 @@ def test_incremental_reducer_streaming():
 
 
 class ReferenceReducer:
-    """The elimination loop with one ``FieldSpec`` call per entry: the
-    slow path that ``IncrementalRowReducer``'s field-specialised row
-    operation must reproduce exactly."""
+    """The RREF elimination loop with one ``FieldSpec`` call per entry:
+    after every insert its ``pivots`` map each pivot column to the
+    normalized, fully reduced row, which is what
+    ``IncrementalRowReducer.rref()`` must reproduce exactly."""
 
     def __init__(self, F):
         self.F = F
         self.pivots = {}
+
+    def fork(self):
+        child = ReferenceReducer(self.F)
+        child.pivots = dict(self.pivots)
+        return child
 
     def reduce(self, row):
         F = self.F
@@ -167,23 +173,113 @@ def sparse_rows(rng, F, m, n):
     return rows
 
 
-@pytest.mark.parametrize("F", [
-    FieldSpec("prime", 2), FieldSpec("prime", 3), FieldSpec("prime", DEFAULT_PRIME), FQ,
-], ids=["F2", "F3", "Fp", "Q"])
+FIELDS = [FieldSpec("prime", 2), FieldSpec("prime", 3), FieldSpec("prime", DEFAULT_PRIME), FQ]
+
+
+def assert_canonical(F, store):
+    for prow in store.values():
+        if F.kind == "prime":
+            assert all(type(a) is int and 0 <= a < F.p for a in prow)
+        else:
+            assert all(type(a) is Fraction for a in prow)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["F2", "F3", "Fp", "Q"])
 def test_reducer_matches_reference_loop(F):
     rng = random.Random(F.p or 0)
     for _ in range(40):
         m, n = rng.randint(1, 9), rng.randint(1, 7)
         red, ref = IncrementalRowReducer(F), ReferenceReducer(F)
         for row in sparse_rows(rng, F, m, n):
-            assert red.reduce(row) == ref.reduce(row)
             assert red.insert(row) == ref.insert(row)
-            assert red.pivots == ref.pivots
-        for prow in red.pivots.values():
-            if F.kind == "prime":
-                assert all(type(a) is int and 0 <= a < F.p for a in prow)
-            else:
-                assert all(type(a) is Fraction for a in prow)
+            assert red.rref() == ref.pivots
+        assert_canonical(F, red.rref())
+
+
+def field_entries(F):
+    """Canonical elements, zero half the time; over Q they include
+    numerators and denominators of up to 40 digits."""
+    if F.kind == "prime":
+        nonzero = st.integers(1, F.p - 1)
+    else:
+        big = 10**40
+        nonzero = st.one_of(
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+            st.builds(Fraction, st.integers(-big, big), st.integers(1, big)),
+        ).filter(bool)
+    return st.one_of(st.just(F.zero), nonzero)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_reducer_streams_with_forks_match_reference(data):
+    """Random row streams into a growing family of forked reducers: every
+    insert verdict, rank, in_span and rref() equal the reference loop's,
+    and solve, inverse and nullspace agree with answers read off the
+    reference store."""
+    F = data.draw(st.sampled_from(FIELDS), label="field")
+    n = data.draw(st.integers(1, 7), label="columns")
+    entry = field_entries(F)
+    # each line: an IncrementalRowReducer, its reference, the rows inserted
+    lines = [(IncrementalRowReducer(F), ReferenceReducer(F), [])]
+    for _ in range(data.draw(st.integers(1, 14), label="steps")):
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        red, ref, rows = lines[k]
+        if data.draw(st.integers(0, 4), label="op") == 0:
+            lines.append((red.fork(), ref.fork(), list(rows)))
+            continue
+        if rows and data.draw(st.booleans(), label="combination"):
+            row = [F.zero] * n
+            for other in rows:
+                c = data.draw(entry, label="coefficient")
+                row = [F.add(a, F.mul(c, b)) for a, b in zip(row, other)]
+        else:
+            row = data.draw(st.lists(entry, min_size=n, max_size=n), label="row")
+        probe = data.draw(st.lists(entry, min_size=n, max_size=n), label="probe")
+        assert red.in_span(probe) == (not ref.fork().insert(probe))
+        assert red.insert(row) == ref.insert(row)
+        rows.append(row)
+        assert red.rank == len(ref.pivots)
+        assert red.in_span(row)
+    for red, ref, rows in lines:
+        assert red.rref() == ref.pivots
+        assert_canonical(F, red.rref())
+        if rows:
+            check_solvers_against_reference(F, rows)
+
+
+def reference_store(F, rows):
+    ref = ReferenceReducer(F)
+    for row in rows:
+        ref.insert(row)
+    return ref.pivots
+
+
+def check_solvers_against_reference(F, rows):
+    n = len(rows[0])
+    store = reference_store(F, rows)
+    expected = []
+    for fc in (c for c in range(n) if c not in store):
+        v = [F.zero] * n
+        v[fc] = F.one
+        for pc, prow in store.items():
+            v[pc] = F.neg(prow[fc])
+        expected.append(v)
+    assert nullspace(F, rows) == expected
+    # the last column as right-hand side
+    if n > 1:
+        A, b = [row[:-1] for row in rows], [row[-1] for row in rows]
+        x = None
+        if n - 1 not in store:
+            x = [F.zero] * (n - 1)
+            for c, prow in store.items():
+                x[c] = prow[n - 1]
+        assert solve(F, A, b) == x
+    m = min(len(rows), n)
+    A = [row[:m] for row in rows[:m]]
+    store = reference_store(F, [row + e for row, e in zip(A, identity(F, m))])
+    inv = None if any(c >= m for c in store) else [store[i][m:] for i in range(m)]
+    assert inverse(F, A) == inv
 
 
 def test_insert_leaves_input_rows_alone():
@@ -193,5 +289,5 @@ def test_insert_leaves_input_rows_alone():
         for row in random_matrix(rng, F, 6, 4) * 2:
             before = list(row)
             red.insert(row)
-            red.reduce(row)
+            red.in_span(row)
             assert row == before

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jointslab.balance import RootValue, build_all_ledgers
 from jointslab.basis import Handicap
 from jointslab.config import Family, detect_joints, generate
-from jointslab.errors import DimensionMismatch, NotAJoint, ZeroPolynomial
+from jointslab.errors import DimensionMismatch, MalformedInput, NotAJoint, ZeroPolynomial
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import (
@@ -223,6 +223,22 @@ def test_witness_circle_and_transversal():
     assert got["value"] == got["coefficient"]
 
 
+def test_witness_reads_charts_through_degree_one():
+    # a fresh hypersurface chart is solved through degree 1; an order-2
+    # block on the circle must not grow its series
+    E = parse_poly("1 * x1^2 + 1 * x2^2 + -1 * x2", FQ, 2)
+    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
+                         point=(0, 0), directions=((1, 0), (0, 1)),
+                         surface_poly=E)
+    line = VarietySpec(kind="flat", ambient=2, dim=1, degree=1,
+                       point=(0, 0), directions=((0, 1),))
+    charts = [make_chart(circle, (0, 0)), make_chart(line, (0, 0), FQ)]
+    solved = charts[0]._solved
+    got = hasse_vanishing_witness((0, 0), charts, parse_poly("1 * x1^2 x2 + 3 * x1^3", FQ, 2))
+    assert got["pass"] and got["orders"] == [3, 0]
+    assert charts[0]._solved == solved == 1
+
+
 def test_witness_random_polynomials():
     rng = random.Random(0)
     charts = coordinate_split_charts(F)
@@ -369,6 +385,17 @@ def test_sz_bound_holds(seed):
 def test_sz_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
         schwartz_zippel_mult(Polynomial.zero(FQ, 2), [0, 1])
+
+
+def test_sz_rejects_values_that_coincide_in_the_field():
+    # A is a set: 0, 0 and 0, 101 over F_101 would count the grid points
+    # of a repeated value twice (lhs 4 against rhs 2 for x1)
+    with pytest.raises(MalformedInput):
+        schwartz_zippel_mult(parse_poly("1 * x1", FQ, 2), [0, 0])
+    F101 = FieldSpec("prime", 101)
+    with pytest.raises(MalformedInput):
+        schwartz_zippel_mult(parse_poly("1 * x1", F101, 2), [0, 101])
+    assert schwartz_zippel_mult(parse_poly("1 * x1", F101, 2), [0, 100])["pass"]
 
 
 # -- bound reports ----------------------------------------------------------
