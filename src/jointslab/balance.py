@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .basis import Handicap, build_ledger, default_cap, step_order
+from .basis import Handicap, build_ledger
 from .errors import Disconnected, LedgerMissing
 from .field import binom
 
@@ -55,9 +56,13 @@ class RootValue:
         return self.Q == 0
 
     def cmp(self, other: "RootValue") -> int:
-        """-1 / 0 / 1 comparison of the real values, exact."""
-        a = self.Q ** other.M
-        b = other.Q ** self.M
+        """-1 / 0 / 1 comparison of the real values, exact: Q1^(1/M1)
+        against Q2^(1/M2) is Q1^(M2/g) against Q2^(M1/g), g = gcd(M1, M2)."""
+        if self.M == other.M:
+            a, b = self.Q, other.Q
+        else:
+            g = gcd(self.M, other.M)
+            a, b = self.Q ** (other.M // g), other.Q ** (self.M // g)
         return (a > b) - (a < b)
 
     def __lt__(self, other):
@@ -211,12 +216,15 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     no gap exceeds tau or the rebuild cap is hit.  The returned state
     carries the ledgers built at its final handicaps.  The handicap only
     orders the steps, so every chart and functional row is built once per
-    call and shared by the ledgers of every handicap tried, and a member's
-    ledger is built once per distinct step order (``basis.step_order``)
-    and reused whenever a later handicap gives the same order.  The rebuild
-    count and ``cap`` still count attempts, reused ledgers included, so
-    ``status``, ``alpha``, ``log`` and the iteration count are what building
-    every ledger afresh would give.
+    call and shared by the ledgers of every handicap tried.  Each member
+    keeps the walks of its ledger builds (``basis.build_ledger``): a
+    ledger whose walked steps begin a later step order is reused as it
+    is, and any other build resumes after the longest step-order prefix
+    it shares with a stored walk.  An attempt whose ledgers are the very
+    ledgers of the attempt before reuses that attempt's W.  The rebuild
+    count and ``cap`` still count attempts, reused ones included, so
+    ``status``, ``alpha``, ``log`` and the iteration count are what
+    building every ledger and W afresh would give.
     """
     from .config import connected_components
 
@@ -229,24 +237,21 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     h = Handicap.zero(joints)
     rebuilds = 0
     log = []
-    members = [(ref, cfg.joints_on(ref), default_cap(cfg.member(ref), n))
-               for ref in cfg.all_members()]
-    charts: dict = {}  # member ref -> joint id -> Chart
-    built: dict = {}  # (member ref, step order) -> BasisLedger
+    charts = {ref: {} for ref in cfg.all_members()}  # member ref -> joint id -> Chart
+    walks = {ref: [] for ref in charts}  # member ref -> its basis.Walks
+    last = None  # (ledgers, W, sorted W) of the latest attempt
 
-    def ledgers_at(h: Handicap) -> dict:
-        out = {}
-        for ref, on, max_r in members:
-            key = (ref, tuple(step_order(h, on, max_r)))
-            if key not in built:
-                built[key] = build_ledger(cfg, ref, h, n, charts=charts.setdefault(ref, {}))
-            out[ref] = built[key]
-        return out
+    def attempt(h: Handicap) -> tuple:
+        nonlocal last
+        ledgers = {ref: build_ledger(cfg, ref, h, n, charts=charts[ref], walks=walks[ref])
+                   for ref in charts}
+        if last is None or any(ledgers[ref] is not last[0][ref] for ref in ledgers):
+            W = compute_W(cfg, h, n, weights, ledgers=ledgers)
+            last = (ledgers, W, _sorted_desc(W))
+        return last
 
-    ledgers = ledgers_at(h)
-    W = compute_W(cfg, h, n, weights, ledgers=ledgers)
+    ledgers, W, sw = attempt(h)
     rebuilds += 1
-    sw = _sorted_desc(W)
     iteration = 0
     status = "balanced"
     move_cap = 4 * n * max(1, len(joints))  # largest decrement tried per move
@@ -270,10 +275,8 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
                 for j in top:
                     alpha2[j] -= step
                 h2 = Handicap(alpha2, list(h.preassigned))
-                ledgers2 = ledgers_at(h2)
-                W2 = compute_W(cfg, h2, n, weights, ledgers=ledgers2)
+                ledgers2, W2, sw2 = attempt(h2)
                 rebuilds += 1
-                sw2 = _sorted_desc(W2)
                 # accept only strictly lex-decreasing multisets; a changed
                 # but larger multiset means the step is not yet big enough
                 # to push the top block below the rest, so keep doubling

@@ -154,8 +154,28 @@ def step_order(h: Handicap, joints, cap: int) -> list:
     order: by level r - alpha_j, ties by preassigned position.  A ledger
     walks them in this order, so it depends on the handicap only through
     this list."""
+    alpha = {j: h.of(j) for j in joints}
+    pos = {j: h.position(j) for j in joints}
     steps = [(j, r) for j in joints for r in range(cap + 1)]
-    return sorted(steps, key=lambda step: _priority(step, h))
+    return sorted(steps, key=lambda step: (step[1] - alpha[step[0]], pos[step[0]]))
+
+
+@dataclass
+class Walk:
+    """One ledger build: the steps it walked, the rows it picked at each
+    of them, its reducer at the end and the ledger it gave."""
+
+    order: list  # the steps walked, a prefix of the build's step order
+    picks: list  # per walked step, the FunctionalRows it picked
+    red: IncrementalRowReducer
+    ledger: BasisLedger
+
+
+def _shared_prefix(a: list, b: list) -> int:
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return k
+    return min(len(a), len(b))
 
 
 def build_ledger(
@@ -165,18 +185,35 @@ def build_ledger(
     n: int,
     charts: dict | None = None,
     cap: int | None = None,
+    walks: list | None = None,
 ) -> BasisLedger:
     """Build the ledger slice of one member variety.
 
     ``ref`` is the (family, member) reference; ``charts`` optionally maps
     joint id -> Chart (required for raw-slice members, built otherwise).
     Joint ids are the configuration's joint indices.
+
+    ``walks`` optionally is a list of ``Walk``s shared by builds of this
+    member at the same n, cap and charts; the build is appended to it.  A
+    ledger depends only on the steps it walks, so when a stored walk's
+    steps begin the new step order, its ledger is returned as it is.
+    Otherwise the build resumes after the longest prefix it shares with a
+    stored walk, from that walk's reducer cut back to the rank the prefix
+    reached (``IncrementalRowReducer.fork``).
     """
     F = cfg.field
     V = cfg.member(ref)
     on = cfg.joints_on(ref)
     if cap is None:
         cap = default_cap(V, n)
+    order = step_order(h, on, cap)
+    shared, base = 0, None
+    for walk in walks or ():
+        k = _shared_prefix(walk.order, order)
+        if k == len(walk.order):
+            return walk.ledger
+        if k > shared:
+            shared, base = k, walk
     if charts is None:
         charts = {}
     for j in on:
@@ -186,23 +223,29 @@ def build_ledger(
             except JointslabError as exc:
                 raise ChartMissing(f"no chart at joint {j} on {ref}: {exc}") from exc
     target = dim_regular_functions(V, n, F)
-    red = IncrementalRowReducer(F)
+    if base is None:
+        picks, red = [], IncrementalRowReducer(F)
+    else:
+        # the base walk went on past the prefix, so it is below target there
+        picks = base.picks[:shared]
+        red = base.red.fork(sum(map(len, picks)))
+    for j, r in order[shared:]:
+        picks.append([row for row in functional_rows(charts[j], j, r, n) if red.insert(row.coeffs)])
+        if red.rank >= target:
+            break
     steps, counts = [], {j: {} for j in on}
     walked = {j: 0 for j in on}
-    for j, r in step_order(h, on, cap):
+    for (j, r), picked in zip(order, picks):
         walked[j] = r  # a joint's steps come in increasing order
-        picked = []
-        for row in functional_rows(charts[j], j, r, n):
-            if red.insert(row.coeffs):
-                picked.append(row)
         if picked:
             counts[j][r] = len(picked)
             steps.append(LedgerStep(j, r, len(picked), picked))
-        if red.rank >= target:
-            break
     cap_hit = bool(on) and red.rank < target
     coords = {j: charts[j].coordinates(r) for j, r in walked.items()}
-    return BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit, coords)
+    ledger = BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit, coords)
+    if walks is not None:
+        walks.append(Walk(order[:len(picks)], picks, red, ledger))
+    return ledger
 
 
 # ---------------------------------------------------------------------------

@@ -291,14 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Raise MalformedInput for a missing required flag, a --n/--d below 1
-    or a --tau that is not a nonnegative rational; parse --tau in place."""
+    """Raise MalformedInput for a missing required flag, a --n/--d/--cap
+    below 1 or a --tau that is not a nonnegative rational; parse --tau in
+    place."""
     command = args.cmd if args.cmd != "verify" else f"verify {args.check}"
     if args.cmd != "generate" and command != "verify sz" and args.config is None:
         raise MalformedInput(f"{command} requires --config")
     if command in ("verify sz", "verify witness") and args.poly is None:
         raise MalformedInput(f"{command} requires --poly")
-    for flag in ("n", "d"):
+    for flag in ("n", "d", "cap"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise MalformedInput(f"--{flag} must be at least 1")

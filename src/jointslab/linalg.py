@@ -10,8 +10,9 @@ detection, the rank check, ``T_dimension``) ask only that, so nothing is
 back-substituted while rows stream in.  ``rref()`` back-substitutes
 once, for ``solve``, ``inverse`` and ``nullspace``; the reduced row
 echelon form is unique, so their answers do not depend on the order in
-which rows are inserted.  ``fork`` copies a reducer, so row sets that
-share a prefix reduce the prefix once and go on from a copy.
+which rows are inserted.  ``fork`` copies a reducer, whole or as it was
+at a lower rank, so row sets that share a prefix reduce the prefix once
+and go on from a copy.
 
 The row step is specialised by field, with no method call per entry.
 Over F_p a pivot row is normalized to lead 1 and the step is
@@ -27,6 +28,7 @@ comfortably interactive.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .field import FieldSpec
@@ -144,11 +146,15 @@ class IncrementalRowReducer:
     def rank(self) -> int:
         return len(self._rows)
 
-    def fork(self) -> "IncrementalRowReducer":
-        """An independent reducer holding the same rows.  A shallow copy of
-        the store suffices, since stored rows are never mutated."""
+    def fork(self, rank: int | None = None) -> "IncrementalRowReducer":
+        """An independent reducer holding the same rows, or with ``rank``
+        the first ``rank`` of them: the reducer as it was when its rank
+        was ``rank``, since the store only grows and keeps its pivots in
+        insertion order.  A shallow copy of the store suffices, since
+        stored rows are never mutated."""
         child = IncrementalRowReducer(self.F)
-        child._rows = dict(self._rows)
+        rows = self._rows
+        child._rows = dict(rows) if rank is None else dict(islice(rows.items(), rank))
         return child
 
     def insert(self, row) -> bool:

@@ -1,5 +1,6 @@
 """Exact root arithmetic and handicap-balancing descent."""
 
+import functools
 import inspect
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from jointslab.balance import (
     integer_nth_root,
     root_gap_exceeds,
 )
-from jointslab.basis import Handicap, default_cap, ledgers_to_csv, step_order
+from jointslab.basis import Handicap, build_ledger, ledgers_to_csv
 from jointslab.config import Family, connected_components, detect_joints, generate, grid_line_composite
 from jointslab.errors import Disconnected
 from jointslab.field import DEFAULT_PRIME, FieldSpec
@@ -50,6 +51,22 @@ def test_root_value_comparisons():
     assert len({RootValue(Fraction(0), 3), RootValue(Fraction(0))}) == 1
     with pytest.raises(ValueError):
         RootValue(Fraction(-1))
+
+
+radicands = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6))
+
+
+@given(a=radicands, b=radicands, m1=st.integers(1, 6), m2=st.integers(1, 6),
+       k=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_root_value_cmp_matches_cross_powers(a, b, m1, m2, k):
+    # the plain cross-power comparison Q1**M2 against Q2**M1, on mixed
+    # root indices and on values written with a common factor k in both
+    for x, y in ((RootValue(a, m1), RootValue(b, m2)),
+                 (RootValue(a, m1), RootValue(a ** k, m1 * k)),
+                 (RootValue(a ** m2, m1 * m2), RootValue(b ** m1, m1 * m2))):
+        u, v = x.Q ** y.M, y.Q ** x.M
+        assert x.cmp(y) == (u > v) - (u < v) == -y.cmp(x)
 
 
 def test_root_value_rational_and_brackets():
@@ -231,61 +248,78 @@ def parabola_circle_config():
                          candidates=[(0, 0), (1, 1), (-1, 1)])
 
 
-@pytest.mark.parametrize("make, kinds, n, tau, cap, reuses", [
+@pytest.mark.parametrize("make, kinds, n, tau, cap, saves", [
     (lambda: grid_line_composite(F, 3, seed=4), {"flat"}, 6, Fraction(3, 56), 10**4, False),
     (lambda: grid_line_composite(F, 2, seed=4), {"flat"}, 8, Fraction(1, 224), 10**4, True),
     (parabola_circle_config, {"flat", "graph", "hypersurface"}, 4, Fraction(1, 1000), 12, True),
 ], ids=["grid-line", "grid-line-cap-hit", "curved-q"])
-def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, cap, reuses):
+def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, cap, saves):
     # The descent builds each chart once, shares its rows across the
-    # handicaps it tries, and builds a member's ledger once per step order.
-    # At every handicap compute_W sees, the ledgers must equal fresh
-    # builds, and the descent must take the steps it takes when every
-    # ledger is built afresh.
+    # handicaps it tries, and keeps each member's ledger walks, which later
+    # builds reuse or resume.  At every handicap it tries, the ledgers must
+    # equal fresh builds, and the descent must take the steps it takes when
+    # every ledger and W is built afresh.
     import jointslab.balance as B
     import jointslab.basis as basis_module
+    from jointslab.linalg import IncrementalRowReducer
 
     cfg = make()
     members = list(cfg.all_members())
-    seen, built, charts_made = [], [], []
+    built, charts_made, W_calls, inserts = [], [], [], [0]
     real_W, real_build, real_chart = B.compute_W, B.build_ledger, basis_module.make_chart
+    real_insert = IncrementalRowReducer.insert
 
     def recording_W(cfg_, h, n_, weights=None, ledgers=None):
-        seen.append((Handicap(dict(h.alpha), list(h.preassigned)), dict(ledgers)))
+        W_calls.append(dict(ledgers))
         return real_W(cfg_, h, n_, weights, ledgers=ledgers)
 
-    def recording_build(cfg_, ref, h, n_, charts=None, cap=None):
-        order = step_order(h, cfg.joints_on(ref), default_cap(cfg.member(ref), n_))
-        built.append((ref, tuple(order)))
-        return real_build(cfg_, ref, h, n_, charts=charts, cap=cap)
+    def recording_build(cfg_, ref, h, n_, charts=None, cap=None, walks=None):
+        led = real_build(cfg_, ref, h, n_, charts=charts, cap=cap, walks=walks)
+        built.append((ref, Handicap(dict(h.alpha), list(h.preassigned)), led))
+        return led
 
     def counting_chart(*args, **kwargs):
         charts_made.append(args[1])
         return real_chart(*args, **kwargs)
 
+    def counting_insert(self, row):
+        inserts[0] += 1
+        return real_insert(self, row)
+
     monkeypatch.setattr(B, "compute_W", recording_W)
     monkeypatch.setattr(B, "build_ledger", recording_build)
     monkeypatch.setattr(basis_module, "make_chart", counting_chart)
+    monkeypatch.setattr(IncrementalRowReducer, "insert", counting_insert)
     state = B.balance(cfg, n, tau=tau, cap=cap)
-    attempts, builds, charts = list(seen), list(built), list(charts_made)
-    # the same descent with no two step orders comparing equal, so that
-    # every ledger is built afresh
-    monkeypatch.setattr(B, "step_order", lambda *args: [object()])
+    builds, W_seen, charts, stored_inserts = list(built), list(W_calls), list(charts_made), inserts[0]
+    # the same descent with no walk store, so that every ledger and every
+    # W is built afresh
+    built.clear()
+    W_calls.clear()
+    inserts[0] = 0
+    monkeypatch.setattr(B, "build_ledger", lambda *args, walks=None, **kwargs: recording_build(
+        *args, walks=None, **kwargs))
     reference = B.balance(cfg, n, tau=tau, cap=cap)
+    fresh_builds, fresh_W, fresh_inserts = list(built), list(W_calls), inserts[0]
     monkeypatch.undo()
 
     assert {cfg.member(ref).kind for ref in members} == kinds
-    assert len(seen) == 2 * len(attempts)  # the rebuild count counts attempts
+    # the rebuild count counts attempts, reused ones included
+    assert len(builds) == len(fresh_builds) == len(fresh_W) * len(members)
     assert (state.status, state.iteration, state.log, state.alpha, state.sortedW) == (
         reference.status, reference.iteration, reference.log, reference.alpha,
         reference.sortedW)
+    attempts = [(builds[i][1], {ref: led for ref, _, led in builds[i:i + len(members)]})
+                for i in range(0, len(builds), len(members))]
     assert len({tuple(sorted(h.alpha.items())) for h, _ in attempts}) > 1
     assert len(charts) == sum(len(cfg.joints_on(ref)) for ref in members)
-    # one build per distinct (member, step order) among the attempts
-    orders = {(ref, tuple(step_order(h, cfg.joints_on(ref), default_cap(cfg.member(ref), n))))
-              for h, _ in attempts for ref in members}
-    assert len(set(builds)) == len(builds) == len(orders) and set(builds) == orders
-    assert (len(builds) < len(attempts) * len(members)) == reuses
+    # W is computed again exactly when some ledger is not the one before
+    changed = [ledgers for i, (_, ledgers) in enumerate(attempts)
+               if i == 0 or any(ledgers[ref] is not attempts[i - 1][1][ref] for ref in members)]
+    assert len(W_seen) == len(changed)
+    assert all(seen[ref] is ledgers[ref] for seen, ledgers in zip(W_seen, changed) for ref in members)
+    assert (stored_inserts < fresh_inserts) == saves
+    assert stored_inserts <= fresh_inserts
     for h, ledgers in attempts:
         fresh = build_all_ledgers(cfg, h, n)
         for ref in members:
@@ -297,6 +331,94 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
                 row.coeffs for st in new.steps for row in st.rows]
     assert ledgers_to_csv(list(state.ledgers.values())) == ledgers_to_csv(
         list(build_all_ledgers(cfg, state.alpha, n).values()))
+
+
+# -- ledger walk store -------------------------------------------------------
+
+
+WALK_CONFIGS = {  # name -> (config maker, n)
+    "grid-line": (lambda: grid_line_composite(F, 3, seed=4), 6),
+    "grid-line-cap-hit": (lambda: grid_line_composite(F, 2), 8),
+    "curved-q": (parabola_circle_config, 4),
+}
+
+
+@functools.cache
+def walk_config(name):
+    make, n = WALK_CONFIGS[name]
+    return make(), n
+
+
+def build_with_walk_store(cfg, n, handicaps, cap=None) -> list:
+    """Build every member's ledger at each handicap in turn, sharing one
+    walk store and one chart dict per member, and check each ledger
+    against a fresh build.  Returns how each build went: "reuse" (a stored
+    ledger), "resume" (a stored walk's prefix) or "fresh"."""
+    charts = {ref: {} for ref in cfg.all_members()}
+    walks = {ref: [] for ref in charts}
+    kinds = []
+    for h in handicaps:
+        for ref in charts:
+            before = list(walks[ref])
+            led = build_ledger(cfg, ref, h, n, charts=charts[ref], cap=cap, walks=walks[ref])
+            if len(walks[ref]) == len(before):
+                assert any(led is walk.ledger for walk in before)
+                kinds.append("reuse")
+            else:
+                walk = walks[ref][-1]
+                assert walk.ledger is led and len(walks[ref]) == len(before) + 1
+                resumed = walk.picks and any(
+                    old.picks and walk.picks[0] is old.picks[0] for old in before)
+                kinds.append("resume" if resumed else "fresh")
+            new = build_ledger(cfg, ref, h, n, cap=cap, walks=None)
+            on = cfg.joints_on(ref)
+            assert ledgers_to_csv([led]) == ledgers_to_csv([new])
+            assert [led.selected_gammas(j) for j in on] == [new.selected_gammas(j) for j in on]
+            assert [row.coeffs for st in led.steps for row in st.rows] == [
+                row.coeffs for st in new.steps for row in st.rows]
+            assert (led.rank, led.cap_hit) == (new.rank, new.cap_hit)
+            for j in on:
+                # coordinates are exact through the top order walked; a
+                # fresh chart is grown only that far, a shared one may have
+                # been grown further by other builds
+                top = max((sum(beta) for x in new.coordinates[j] for beta in x), default=0)
+                assert [{beta: c for beta, c in x.items() if sum(beta) <= top}
+                        for x in led.coordinates[j]] == new.coordinates[j]
+    return kinds
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_walk_store_ledgers_match_fresh_builds(data):
+    # handicap sequences shaped like a descent's attempts: each handicap
+    # is an earlier one with a block of joints lowered by a step (an
+    # empty block repeats it), under one preassigned order
+    cfg, n = walk_config(data.draw(st.sampled_from(sorted(WALK_CONFIGS)), label="config"))
+    cap = data.draw(st.sampled_from([None, 1, 3]), label="cap")
+    ids = list(range(len(cfg.joints)))
+    order = data.draw(st.permutations(ids), label="preassigned")
+    handicaps = [Handicap({j: data.draw(st.integers(-2, 2)) for j in ids}, list(order))]
+    for _ in range(data.draw(st.integers(1, 6), label="attempts")):
+        base = data.draw(st.sampled_from(handicaps), label="base")
+        block = data.draw(st.sets(st.sampled_from(ids)), label="block")
+        step = data.draw(st.sampled_from([1, 2, 4, 16]), label="step")
+        handicaps.append(Handicap(
+            {j: a - step * (j in block) for j, a in base.alpha.items()}, list(order)))
+    build_with_walk_store(cfg, n, handicaps, cap)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+def test_walk_store_reuses_and_resumes(name):
+    # lowering the last joint's handicap moves its steps (last, r) later,
+    # so the build at the lowered handicap resumes a walk at the zero
+    # handicap, and repeating either handicap reuses a stored ledger
+    cfg, n = walk_config(name)
+    ids = list(range(len(cfg.joints)))
+    zero = Handicap.zero(ids)
+    lowered = Handicap({j: -(j == ids[-1]) for j in ids}, ids)
+    kinds = build_with_walk_store(cfg, n, [zero, lowered, zero, lowered])
+    assert {"reuse", "resume"} <= set(kinds)
+    assert set(kinds[len(kinds) // 2:]) == {"reuse"}
 
 
 def test_default_tau_value():

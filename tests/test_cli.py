@@ -220,6 +220,8 @@ MALFORMED = {
     "n-zero-pipeline": (["pipeline", "--config", CFG, "--n", "0"], None),
     "n-zero-balance": (["balance", "--config", CFG, "--n", "0"], None),
     "n-zero-verify": (["verify", "rank", "--config", CFG, "--n", "0"], None),
+    "cap-negative-balance": (["balance", "--config", CFG, "--cap", "-3"], None),
+    "cap-zero-pipeline": (["pipeline", "--config", CFG, "--cap", "0"], None),
     "d-zero-sz": (["verify", "sz", "--poly", "1", "--d", "0"], None),
     "d-zero-generate": (["generate", "--kind", "line", "--d", "0"], None),
 }

@@ -216,17 +216,26 @@ def test_reducer_streams_with_forks_match_reference(data):
     """Random row streams into a growing family of forked reducers: every
     insert verdict, rank, in_span and rref() equal the reference loop's,
     and solve, inverse and nullspace agree with answers read off the
-    reference store."""
+    reference store.  ``fork(rank)`` matches a reference fed the first
+    ``rank`` rows that raised the rank."""
     F = data.draw(st.sampled_from(FIELDS), label="field")
     n = data.draw(st.integers(1, 7), label="columns")
     entry = field_entries(F)
-    # each line: an IncrementalRowReducer, its reference, the rows inserted
-    lines = [(IncrementalRowReducer(F), ReferenceReducer(F), [])]
+    # each line: an IncrementalRowReducer, its reference, the rows
+    # inserted, the rows among them that raised the rank
+    lines = [(IncrementalRowReducer(F), ReferenceReducer(F), [], [])]
     for _ in range(data.draw(st.integers(1, 14), label="steps")):
         k = data.draw(st.integers(0, len(lines) - 1), label="line")
-        red, ref, rows = lines[k]
-        if data.draw(st.integers(0, 4), label="op") == 0:
-            lines.append((red.fork(), ref.fork(), list(rows)))
+        red, ref, rows, raised = lines[k]
+        op = data.draw(st.integers(0, 5), label="op")
+        if op == 0:
+            lines.append((red.fork(), ref.fork(), list(rows), list(raised)))
+            continue
+        if op == 1:
+            rank = data.draw(st.integers(0, red.rank), label="rank")
+            child, child_ref = red.fork(rank), reference_reducer(F, raised[:rank])
+            assert child.rank == rank and child.rref() == child_ref.pivots
+            lines.append((child, child_ref, raised[:rank], raised[:rank]))
             continue
         if rows and data.draw(st.booleans(), label="combination"):
             row = [F.zero] * n
@@ -237,22 +246,29 @@ def test_reducer_streams_with_forks_match_reference(data):
             row = data.draw(st.lists(entry, min_size=n, max_size=n), label="row")
         probe = data.draw(st.lists(entry, min_size=n, max_size=n), label="probe")
         assert red.in_span(probe) == (not ref.fork().insert(probe))
-        assert red.insert(row) == ref.insert(row)
+        grew = red.insert(row)
+        assert grew == ref.insert(row)
         rows.append(row)
+        if grew:
+            raised.append(row)
         assert red.rank == len(ref.pivots)
         assert red.in_span(row)
-    for red, ref, rows in lines:
+    for red, ref, rows, _ in lines:
         assert red.rref() == ref.pivots
         assert_canonical(F, red.rref())
         if rows:
             check_solvers_against_reference(F, rows)
 
 
-def reference_store(F, rows):
+def reference_reducer(F, rows):
     ref = ReferenceReducer(F)
     for row in rows:
         ref.insert(row)
-    return ref.pivots
+    return ref
+
+
+def reference_store(F, rows):
+    return reference_reducer(F, rows).pivots
 
 
 def check_solvers_against_reference(F, rows):
