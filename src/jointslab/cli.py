@@ -46,7 +46,7 @@ def _parse(flag: str, parse, text):
 
 
 def _field_from_args(args) -> FieldSpec:
-    if getattr(args, "field_p", None):
+    if args.field_p:
         if args.field_p == "rational":
             return FieldSpec("rational")
         return _parse("--field-p", lambda s: FieldSpec("prime", int(s)), args.field_p)
@@ -254,12 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", default=None, help="balance gap threshold (rational)")
         p.add_argument("--cap", type=int, default=10**4, help="balance rebuild cap")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--field-p", default=None,
-                       help="prime modulus, or 'rational'")
         p.add_argument("--out-dir", default=".")
+
+    def field_flag(p):
+        p.add_argument("--field-p", default=None,
+                       help="prime modulus, or 'rational' (generate, verify sz)")
 
     g = sub.add_parser("generate", help="write an example configuration")
     common(g)
+    field_flag(g)
     g.add_argument("--kind", required=True,
                    choices=["generic-hyperplanes", "coordinate-flats", "grid",
                             "line", "random-flats"])
@@ -281,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run one verification check")
     common(v)
+    field_flag(v)
     v.add_argument("check", choices=["rank", "count", "witness", "sz", "bound"])
     v.add_argument("--poly", default=None, help="polynomial text (witness, sz)")
     v.add_argument("--set", default="0,1", help="comma-separated sample set (sz)")
@@ -291,12 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Raise MalformedInput for a missing required flag, a --n/--d/--cap
-    below 1 or a --tau that is not a nonnegative rational; parse --tau in
-    place."""
+    """Raise MalformedInput for a missing required flag, a --field-p on a
+    check that reads the field from its config, a --n/--d/--cap below 1 or
+    a --tau that is not a nonnegative rational; parse --tau in place."""
     command = args.cmd if args.cmd != "verify" else f"verify {args.check}"
     if args.cmd != "generate" and command != "verify sz" and args.config is None:
         raise MalformedInput(f"{command} requires --config")
+    if args.cmd == "verify" and args.check != "sz" and args.field_p is not None:
+        raise MalformedInput(f"{command} takes its field from --config, not --field-p")
     if command in ("verify sz", "verify witness") and args.poly is None:
         raise MalformedInput(f"{command} requires --poly")
     for flag in ("n", "d", "cap"):
@@ -312,10 +318,12 @@ def _check_flags(args) -> None:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, unknown = ap.parse_known_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
+        if unknown:
+            raise MalformedInput(f"unrecognized arguments: {' '.join(unknown)}")
         _check_flags(args)
         return args.func(args)
     except JointslabError as exc:

@@ -71,7 +71,17 @@ class FieldSpec:
     # -- element construction ------------------------------------------
 
     def of(self, x) -> FieldElement:
-        """Coerce an int, Fraction, or 'a/b' string into canonical form."""
+        """Coerce an int, Fraction, or 'a/b' string into canonical form.
+
+        An int in a prime field and a Fraction in the rationals, the
+        values the library itself passes, take an exact-type fast path:
+        ``isinstance(x, Fraction)`` goes through the ABC machinery."""
+        cls = type(x)
+        if self.kind == "prime":
+            if cls is int:
+                return x % self.p
+        elif cls is Fraction:
+            return x
         if isinstance(x, str):
             x = Fraction(x)
         if self.kind == "prime":

@@ -466,16 +466,24 @@ class HasseOperator:
 
 
 class AffineMap:
-    """x -> A x + b with A square and invertible (checked at construction)."""
+    """x -> A x + b with A square and invertible.
+
+    A map built from outside values coerces every entry into the field
+    and checks the shape and the rank.  ``_trusted=True`` is for the
+    library's own maps: it keeps the rows and the translation it is given
+    as they are, so the caller passes freshly built rows of canonical
+    field elements, of a square invertible matrix, that nothing else
+    holds or mutates."""
 
     __slots__ = ("field", "matrix", "translation")
 
     def __init__(self, field: FieldSpec, matrix, translation, _trusted=False):
         self.field = field
+        if _trusted:
+            self.matrix, self.translation = matrix, translation
+            return
         self.matrix = [[field.of(a) for a in row] for row in matrix]
         self.translation = [field.of(t) for t in translation]
-        if _trusted:
-            return
         d = len(self.translation)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise DimensionMismatch(f"affine map needs a {d}x{d} matrix")
@@ -489,7 +497,7 @@ class AffineMap:
     @classmethod
     def translation_map(cls, field, b):
         d = len(b)
-        return cls(field, linalg.identity(field, d), list(b), _trusted=True)
+        return cls(field, linalg.identity(field, d), [field.of(x) for x in b], _trusted=True)
 
     @property
     def dim(self):
@@ -545,7 +553,7 @@ def taylor_shift(g: Polynomial, a) -> Polynomial:
     """h with h(y) = g(a + y); the y^w coefficient is (Hasse^w g)(a)."""
     if len(a) != g.nvars:
         raise DimensionMismatch("point dimension mismatch")
-    return pullback(g, AffineMap.translation_map(g.field, [g.field.of(x) for x in a]))
+    return pullback(g, AffineMap.translation_map(g.field, a))
 
 
 def vanishing_order(g: Polynomial, point):

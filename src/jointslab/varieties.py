@@ -78,12 +78,17 @@ class VarietySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedKind(f"unknown variety kind {self.kind!r}")
+        if self.kind in ("flat", "hypersurface"):
+            if len(self.point) != self.ambient or any(len(u) != self.ambient for u in self.directions):
+                raise DimensionMismatch(f"{self.kind} point and directions need {self.ambient} entries")
         if self.kind == "flat":
             if len(self.directions) != self.dim:
                 raise DimensionMismatch("flat needs dim direction vectors")
             if self.degree != 1:
                 raise ValueError("flats have degree 1")
         if self.kind == "graph":
+            if self.frame is None or self.frame.dim != self.ambient:
+                raise DimensionMismatch(f"graph frame must act on {self.ambient} coordinates")
             if len(self.graph_polys) != self.ambient - self.dim:
                 raise DimensionMismatch("graph needs ambient-dim defining polynomials")
             for f in self.graph_polys:
@@ -104,17 +109,23 @@ class VarietySpec:
 class Chart:
     """Framed local presentation of a variety at a regular point.
 
+    The chart is its parametrization: ``frame_inverse`` is the affine map
+    x = A'y + b' from framed coordinates y to ambient ones, b' the center
+    and the first k columns of A' spanning the tangent space, and the
+    series give the framed coordinates y_{k+1..d} = h(y_1..y_k) of V near
+    the center.  No forward frame is kept; a reader that needs one
+    inverts ``frame_inverse``.
+
     Readers pass the order r they need and get series and coordinates
     exact through degree r, possibly with higher terms: a hypersurface's
     series grows by ``_solve_series`` steps, one degree each, on demand."""
 
     owner: VarietySpec
     center: tuple
-    frame: AffineMap  # ambient -> local; center maps to the origin
+    frame_inverse: AffineMap  # local -> ambient; the origin maps to the center
     _series: list = dc_field(repr=False)  # h_{k+1..d} as {beta: c} maps
     _solver: object = dc_field(default=None, repr=False, compare=False)  # None: exact
     _solved: float = dc_field(default=math.inf, repr=False)  # exact through this degree
-    _frame_inv: AffineMap | None = dc_field(default=None, repr=False)
     _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
     # basis.functional_rows results, keyed by (joint, order, degree bound),
     # and the expansion rows behind them, one gamma -> row memo per degree bound
@@ -123,19 +134,16 @@ class Chart:
 
     @property
     def field(self) -> FieldSpec:
-        return self.frame.field
+        return self.frame_inverse.field
 
-    @property
-    def frame_inverse(self) -> AffineMap:
-        if self._frame_inv is None:
-            self._frame_inv = self.frame.inverse()
-        return self._frame_inv
+    def _grow(self, r: int) -> None:
+        while self._solved < r:
+            self._solved = next(self._solver)
 
     def series(self, r: int) -> list:
         """h_{k+1..d} as polynomials in the local variables, exact through
         degree r."""
-        while self._solved < r:
-            self._solved = next(self._solver)
+        self._grow(r)
         return [Polynomial(self.field, self.owner.dim, h) for h in self._series]
 
     def local_expansion(self, g: Polynomial, N: int) -> Polynomial:
@@ -151,15 +159,30 @@ class Chart:
         the local variables, exact through degree r: b'_i + sum_j A'_ij img_j
         for the inverse frame x = A'y + b', with img_j = t_j for j < k and
         the series h_j otherwise.  Through degree r it equals
-        ``local_expansion`` of x_i; it is rebuilt only when the series grows."""
+        ``local_expansion`` of x_i; it is rebuilt only when the series grows.
+        Each map is read off the row of A' and the series maps: the series
+        have no constant or linear part, so only their terms can collide."""
         if self._coords is None or self._coords[0] < r:
-            F, k = self.field, self.owner.dim
-            images = [Polynomial.variable(F, k, j) for j in range(k)] + self.series(r)
+            self._grow(r)
+            k, p = self.owner.dim, self.field.p
+            zero, units = (0,) * k, exponents_of_degree(k, 1)
             inv = self.frame_inverse
-            self._coords = self._solved, [
-                sum((g.scale(a) for a, g in zip(row, images) if a), Polynomial.constant(F, k, b)).terms
-                for row, b in zip(inv.matrix, inv.translation)
-            ]
+            coords = []
+            for row, b in zip(inv.matrix, inv.translation):
+                x = {zero: b} if b else {}
+                x.update((e, a) for e, a in zip(units, row) if a)
+                for a, h in zip(row[k:], self._series):
+                    if a:
+                        for beta, c in h.items():
+                            v = x.get(beta, 0) + a * c
+                            if p:
+                                v %= p
+                            if v:
+                                x[beta] = v
+                            else:  # a * c != 0, so x held beta and it cancelled
+                                del x[beta]
+                coords.append(x)
+            self._coords = self._solved, coords
         return self._coords[1]
 
 
@@ -309,8 +332,7 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
             raise NotOnVariety("point is not on the flat")
         dirs = [_coerce_point(F, u) for u in V.directions]
         basis = linalg.complete_basis(F, dirs, d)
-        frame = _frame_from_columns(F, basis, p)
-        return Chart(V, tuple(p), frame, [{} for _ in range(d - k)])
+        return Chart(V, tuple(p), _parametrization(F, basis, p), [{} for _ in range(d - k)])
 
     if V.kind == "graph":
         y0 = V.frame.apply(p)
@@ -325,14 +347,14 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
             lin = [g.coefficient(tuple(1 if i == a else 0 for a in range(k))) for i in range(k)]
             shear.append(lin)
             series.append({e: c for e, c in g.terms.items() if sum(e) >= 2})
-        # shear so that the tangent space lands on the first k coordinates
+        # x = frame^-1(y0 + S y), the shear S lifting the first k axes onto
+        # the tangent space; frame^-1(y0) is p
         S = linalg.identity(F, d)
         for j in range(d - k):
             for i in range(k):
-                S[k + j][i] = F.neg(shear[j][i])
-        shift = AffineMap.translation_map(F, [F.neg(v) for v in y0])
-        frame = AffineMap(F, S, [F.zero] * d, _trusted=True).compose(shift.compose(V.frame))
-        return Chart(V, tuple(p), frame, series)
+                S[k + j][i] = shear[j][i]
+        A = linalg.mat_mul(F, linalg.inverse(F, V.frame.matrix), S)
+        return Chart(V, tuple(p), AffineMap(F, A, p, _trusted=True), series)
 
     # hypersurface
     z0 = _flat_coordinates(V, p, F)
@@ -361,9 +383,8 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     amb_tangent = [_flat_combo(F, dirs, v) for v in tangent_z]
     amb_normal = _flat_combo(F, dirs, [F.one if j == i0 else F.zero for j in range(m)])
     basis = linalg.complete_basis(F, amb_tangent + [amb_normal], d)
-    frame = _frame_from_columns(F, basis, p)
     h: dict = {}
-    return Chart(V, tuple(p), frame, [h] + [{} for _ in range(d - k - 1)],
+    return Chart(V, tuple(p), _parametrization(F, basis, p), [h] + [{} for _ in range(d - k - 1)],
                  _solver=_solve_series(F, E2, h), _solved=1)
 
 
@@ -410,17 +431,16 @@ def _flat_combo(F, dirs, coeffs):
     return out
 
 
-def _frame_from_columns(F, basis_vectors, center):
-    """AffineMap sending center to 0 and basis vector i to e_i."""
+def _parametrization(F: FieldSpec, basis_vectors, center: list) -> AffineMap:
+    """The chart parametrization y -> center + sum_i y_i basis_vectors[i],
+    read off the vectors with no inverse taken."""
     d = len(center)
-    M = [[basis_vectors[j][i] for j in range(d)] for i in range(d)]  # columns = vectors
-    A = linalg.inverse(F, M)
-    b = [F.neg(v) for v in linalg.mat_vec(F, A, center)]
-    return AffineMap(F, A, b, _trusted=True)
+    return AffineMap(F, [[v[i] for v in basis_vectors] for i in range(d)], center, _trusted=True)
 
 
 def tangent_space(C: Chart) -> list:
-    """Images of the first k coordinate directions under the inverse frame."""
+    """The tangent directions: the first k columns of the parametrization's
+    matrix A'."""
     k = C.owner.dim
     inv = C.frame_inverse
     return [[inv.matrix[i][j] for i in range(C.owner.ambient)] for j in range(k)]

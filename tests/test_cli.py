@@ -183,6 +183,40 @@ def _set_m(m):
     return edit
 
 
+def _resize_member(key, size):
+    """Member 0's point, or its first direction, cut or padded with zeros
+    to size entries."""
+    def edit(text):
+        obj = json.loads(text)
+        member = obj["families"][0]["members"][0]
+        vec = member["point"] if key == "point" else member["directions"][0]
+        vec[:] = (vec + ["0"] * size)[:size]
+        return json.dumps(obj)
+    return edit
+
+
+def _plane_curve(**fields):
+    """A config over Q in the plane: one family of two curves through the
+    origin, the circle x1^2 + x2^2 = x2 (or a parabola x2 = x1^2 as a
+    graph) and the line x1 = 0, with the curve's fields overridden."""
+    curves = {
+        "hypersurface": {"kind": "hypersurface", "dim": 1, "ambient": 2, "degree": 2,
+                         "point": ["0", "0"], "directions": [["1", "0"], ["0", "1"]],
+                         "equations": ["1 * x1^2 + 1 * x2^2 + -1 * x2"]},
+        "graph": {"kind": "graph", "dim": 1, "ambient": 2, "degree": 2,
+                  "frame_matrix": [["1", "0"], ["0", "1"]], "frame_translation": ["0", "0"],
+                  "equations": ["1 * x1^2"]},
+    }
+    line = {"kind": "flat", "dim": 1, "ambient": 2, "degree": 1,
+            "point": ["0", "0"], "directions": [["0", "1"]]}
+    curve = {**curves[fields.pop("kind")], **fields}
+
+    def edit(text):
+        return json.dumps({"field": {"kind": "rational"}, "seed": 0, "joints": [["0", "0"]],
+                           "families": [{"k": 1, "m": 2, "members": [curve, line]}]})
+    return edit
+
+
 # argv with CFG standing for a generated config (lines in 3-space, m = 3),
 # and an edit of its text
 CFG = "<config>"
@@ -206,6 +240,23 @@ MALFORMED = {
     "config-dependent-directions": (["pipeline", "--config", CFG], _zero_direction),
     "config-sum-below-ambient": (["pipeline", "--config", CFG], _set_m(2)),
     "config-sum-above-ambient": (["pipeline", "--config", CFG], _set_m(4)),
+    "flat-point-short": (["pipeline", "--config", CFG], _resize_member("point", 2)),
+    "flat-point-long": (["pipeline", "--config", CFG], _resize_member("point", 5)),
+    "flat-direction-short": (["pipeline", "--config", CFG], _resize_member("direction", 2)),
+    "flat-direction-long": (["pipeline", "--config", CFG], _resize_member("direction", 4)),
+    "hypersurface-point-long": (["pipeline", "--config", CFG],
+                                _plane_curve(kind="hypersurface", point=["0", "0", "0"])),
+    "hypersurface-direction-long": (["pipeline", "--config", CFG],
+                                    _plane_curve(kind="hypersurface",
+                                                 directions=[["1", "0", "0"], ["0", "1", "0"]])),
+    "graph-frame-3x3-in-plane": (["pipeline", "--config", CFG],
+                                 _plane_curve(kind="graph",
+                                              frame_matrix=[["1", "0", "0"], ["0", "1", "0"],
+                                                            ["0", "0", "1"]],
+                                              frame_translation=["0", "0", "0"])),
+    "field-p-pipeline": (["pipeline", "--config", CFG, "--field-p", "9"], None),
+    "field-p-balance": (["balance", "--config", CFG, "--field-p", "101"], None),
+    "field-p-verify-rank": (["verify", "rank", "--config", CFG, "--field-p", "101"], None),
     "witness-joint-out-of-range": (["verify", "witness", "--config", CFG, "--joint", "99",
                                     "--poly", "1 * x1"], None),
     "witness-joint-negative": (["verify", "witness", "--config", CFG, "--joint", "-1",

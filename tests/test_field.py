@@ -48,6 +48,35 @@ def test_coercion_canonical():
     assert FQ.of(5) == Fraction(5)
 
 
+def _of_reference(F, x):
+    """FieldSpec.of without its exact-type fast paths."""
+    if isinstance(x, str):
+        x = Fraction(x)
+    if F.kind == "prime":
+        if isinstance(x, Fraction):
+            return F.div(x.numerator % F.p, x.denominator % F.p)
+        return int(x) % F.p
+    return Fraction(x)
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except DivisionByZero:
+        return "DivisionByZero"
+    return value, type(value)
+
+
+@given(F=st.sampled_from([FieldSpec("prime", 3), FP, FieldSpec("prime", DEFAULT_PRIME), FQ]),
+       x=st.one_of(st.integers(), st.integers(-1000, 1000), st.booleans(),
+                   st.fractions(), st.fractions().map(str)))
+@settings(max_examples=400, deadline=None)
+def test_of_matches_reference(F, x):
+    # ints (negative, >= p, bool), Fractions and strings in both field
+    # kinds: equal value and type, or the same error
+    assert _outcome(F.of, x) == _outcome(_of_reference, F, x)
+
+
 @given(a=st.integers(-500, 500), b=st.integers(-500, 500), c=st.integers(-500, 500))
 @settings(max_examples=200, deadline=None)
 def test_field_axioms(a, b, c):

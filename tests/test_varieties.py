@@ -10,6 +10,7 @@ from jointslab.errors import (
     SingularPoint,
     UnsupportedKind,
 )
+from jointslab import linalg
 from jointslab.field import FieldSpec, binom
 from jointslab.linalg import rank
 from jointslab.poly import (
@@ -20,10 +21,13 @@ from jointslab.poly import (
     monomials_upto,
     parse_poly,
     pullback,
+    taylor_shift,
 )
 from jointslab.varieties import (
     Chart,
     VarietySpec,
+    _flat_combo,
+    _flat_coordinates,
     ambient_equations,
     contains_point,
     derivative_operator,
@@ -111,7 +115,7 @@ def test_circle_chart_series():
     V = circle_through_origin()
     C = make_chart(V, (0, 0))
     assert format_poly(C.series(6)[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
-    assert C.frame.apply([Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
+    assert C.frame_inverse.inverse().apply([Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
 
 
 def test_circle_chart_other_point():
@@ -158,7 +162,7 @@ def _assert_chart_consistent(C, N=4):
         eq = pullback(e, C.frame_inverse)
         # framed equations live in chart coordinates; local_expansion takes
         # an ambient polynomial, so push back through the frame first
-        assert C.local_expansion(pullback(eq, C.frame), N).is_zero()
+        assert C.local_expansion(pullback(eq, C.frame_inverse.inverse()), N).is_zero()
 
 
 def test_chart_consistency_samples():
@@ -189,16 +193,21 @@ def off_origin_varieties(F):
     at that point in characteristics 2 and 3 as well as over Q."""
     out = {"flat": (VarietySpec(kind="flat", ambient=3, dim=2, degree=1, point=(1, 0, 1),
                                 directions=((1, 1, 0), (0, 1, 2))), (2, 1, 1))}
+    # in the space curve, x3 = y3 - y2 with y2 and y3 the same graph of y1,
+    # so the series terms of x3 cancel
+    cubic = "1 * x1^2 + 1 * x1^3"
     graphs = {
-        "graph-curve": (AffineMap(F, [[1, 1], [0, 1]], [0, 1]), "1 * x1^2 + 1 * x1^3", (2,)),
+        "graph-curve": (AffineMap(F, [[1, 1], [0, 1]], [0, 1]), (cubic,), (2,)),
         "graph-surface": (AffineMap(F, [[1, 0, 1], [0, 1, 0], [0, 0, 1]], [1, 0, 0]),
-                          "1 * x1 x2 + 2 * x2^2", (1, 1)),
+                          ("1 * x1 x2 + 2 * x2^2",), (1, 1)),
+        "graph-space-curve": (AffineMap(F, [[1, 0, 0], [0, 1, 0], [0, 1, 1]], [0, 1, 0]),
+                              (cubic, cubic), (2,)),
     }
-    for name, (frame, text, t0) in graphs.items():
-        f = parse_poly(text, F, len(t0))
-        V = VarietySpec(kind="graph", ambient=frame.dim, dim=len(t0), degree=int(f.degree),
-                        frame=frame, graph_polys=(f,))
-        out[name] = (V, tuple(frame.inverse().apply([*t0, f.evaluate(t0)])))
+    for name, (frame, texts, t0) in graphs.items():
+        fs = tuple(parse_poly(text, F, len(t0)) for text in texts)
+        V = VarietySpec(kind="graph", ambient=frame.dim, dim=len(t0), degree=int(fs[0].degree),
+                        frame=frame, graph_polys=fs)
+        out[name] = (V, tuple(frame.inverse().apply([*t0, *(f.evaluate(t0) for f in fs)])))
     # z2^2 + z2 = z1^3 in the plane (1, 0, 1) + span((1, 1, 0), (0, 1, 2)),
     # through z = (0, -1), where d/dz2 = 2 z2 + 1 = -1 in every characteristic
     curve = VarietySpec(kind="hypersurface", ambient=3, dim=1, degree=3, point=(1, 0, 1),
@@ -213,7 +222,8 @@ def _through(coords, N):
     return [{beta: c for beta, c in x.items() if sum(beta) <= N} for x in coords]
 
 
-@pytest.mark.parametrize("kind", ["flat", "graph-curve", "graph-surface", "hypersurface"])
+@pytest.mark.parametrize("kind", ["flat", "graph-curve", "graph-surface", "graph-space-curve",
+                                  "hypersurface"])
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_coordinates_match_local_expansion(field, kind):
     # x_i(phi(t)) read off the frame equals the expansion of the polynomial
@@ -261,7 +271,7 @@ def _contraction_chart(V, p, N, F):
     on_flat += [Polynomial.zero(F, k + 1)] * (d - k - 1)
     E2 = pullback(ambient_equations(V)[0], C0.frame_inverse).substitute(on_flat)
     series = [_contraction_series(E2, N).terms] + [{} for _ in range(d - k - 1)]
-    return Chart(V, C0.center, C0.frame, series)
+    return Chart(V, C0.center, C0.frame_inverse, series)
 
 
 def random_hypersurface(F, rng, k, d, deg):
@@ -304,13 +314,77 @@ def test_series_solve_matches_contraction(field):
                     ref = _contraction_chart(V, p, N, F)
                     for C in (stepped, make_chart(V, p, F)):
                         assert [h.truncate(N) for h in C.series(N)] == ref.series(N)
-                        assert C.frame.matrix == ref.frame.matrix
-                        assert C.frame.translation == ref.frame.translation
+                        assert C.frame_inverse.matrix == ref.frame_inverse.matrix
+                        assert C.frame_inverse.translation == ref.frame_inverse.translation
                         assert _through(C.coordinates(N), N) == _through(ref.coordinates(N), N)
                         for e in ambient_equations(V):
                             assert C.local_expansion(e, N).is_zero()
                 if deg == 3:
                     assert any(sum(e) >= 3 for e in stepped.series(8)[0].terms)
+
+
+def _frame_from_columns(F, basis_vectors, center):
+    """AffineMap sending center to 0 and basis vector i to e_i, by one
+    matrix inverse."""
+    d = len(center)
+    M = [[basis_vectors[j][i] for j in range(d)] for i in range(d)]  # columns = vectors
+    A = linalg.inverse(F, M)
+    b = [F.neg(v) for v in linalg.mat_vec(F, A, center)]
+    return AffineMap(F, A, b, _trusted=True)
+
+
+def _forward_frame(V, p, F):
+    """Reference frame of the chart of V at p, ambient -> local, built
+    forwards: from the basis columns by ``_frame_from_columns`` for a flat
+    (directions first) and a hypersurface (in-flat tangent vectors, then
+    the gradient direction), and for a graph as the shear after the shift
+    by y0 = frame(p) after the variety's frame."""
+    p = [F.of(x) for x in p]
+    d, k = V.ambient, V.dim
+    if V.kind == "graph":
+        y0 = V.frame.apply(p)
+        S = linalg.identity(F, d)
+        for j, f in enumerate(V.graph_polys):
+            g = taylor_shift(f, y0[:k])
+            for i in range(k):
+                S[k + j][i] = F.neg(g.coefficient(tuple(int(a == i) for a in range(k))))
+        shift = AffineMap.translation_map(F, [F.neg(v) for v in y0])
+        return AffineMap(F, S, [0] * d).compose(shift.compose(V.frame))
+    dirs = [[F.of(x) for x in u] for u in V.directions]
+    if V.kind == "flat":
+        return _frame_from_columns(F, linalg.complete_basis(F, dirs, d), p)
+    m = k + 1
+    E1 = taylor_shift(V.surface_poly, _flat_coordinates(V, p, F))
+    grad = [E1.coefficient(tuple(int(j == i) for j in range(m))) for i in range(m)]
+    i0 = next(i for i, a in enumerate(grad) if a)
+    cols = []
+    for i in range(m):
+        if i != i0:
+            v = [F.zero] * m
+            v[i], v[i0] = F.one, F.neg(F.div(grad[i], grad[i0]))
+            cols.append(v)
+    cols.append([F.one if j == i0 else F.zero for j in range(m)])
+    basis = linalg.complete_basis(F, [_flat_combo(F, dirs, v) for v in cols], d)
+    return _frame_from_columns(F, basis, p)
+
+
+@pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
+def test_parametrization_is_the_inverted_frame(field):
+    # frame_inverse, read off the basis columns (one inverse for a graph),
+    # equals the inverse of the forward frame entry for entry, in value
+    # and in type
+    F = FIELDS[field]
+    rng = random.Random(11)
+    cases = list(off_origin_varieties(F).values())
+    cases += [random_hypersurface(F, rng, k, d, deg)
+              for k in (1, 2) for d in (k + 1, k + 2) for deg in (2, 3)]
+    for V, p in cases:
+        got = make_chart(V, p, F).frame_inverse
+        want = _forward_frame(V, p, F).inverse()
+        for a, b in ((got.matrix, want.matrix), ([got.translation], [want.translation])):
+            assert [list(row) for row in a] == b
+            assert [[type(x) for x in row] for row in a] == [[type(x) for x in row] for row in b]
+        assert got.translation == [F.of(x) for x in p]
 
 
 def test_tangent_space_matches_directions():
