@@ -46,7 +46,7 @@ def _parse(flag: str, parse, text):
 
 
 def _field_from_args(args) -> FieldSpec:
-    if args.field_p:
+    if args.field_p is not None:
         if args.field_p == "rational":
             return FieldSpec("rational")
         return _parse("--field-p", lambda s: FieldSpec("prime", int(s)), args.field_p)

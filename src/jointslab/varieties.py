@@ -79,8 +79,9 @@ class VarietySpec:
         if self.kind not in KINDS:
             raise UnsupportedKind(f"unknown variety kind {self.kind!r}")
         if self.kind in ("flat", "hypersurface"):
-            if len(self.point) != self.ambient or any(len(u) != self.ambient for u in self.directions):
-                raise DimensionMismatch(f"{self.kind} point and directions need {self.ambient} entries")
+            d = self.ambient
+            if len(self.point) != d or any(len(u) != d for u in self.directions):
+                raise DimensionMismatch(f"{self.kind} point and directions need {d} entries")
         if self.kind == "flat":
             if len(self.directions) != self.dim:
                 raise DimensionMismatch("flat needs dim direction vectors")

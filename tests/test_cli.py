@@ -234,6 +234,7 @@ MALFORMED = {
     "set-repeats-in-the-field": (["verify", "sz", "--poly", "1 * x1", "--set", "0,101",
                                   "--field-p", "101"], None),
     "field-not-prime": (["verify", "sz", "--poly", "1 * x1", "--field-p", "4"], None),
+    "field-p-empty": (["verify", "sz", "--poly", "1 * x1", "--field-p", ""], None),
     "config-without-families": (["pipeline", "--config", CFG], _drop("families")),
     "config-without-joints": (["pipeline", "--config", CFG], _drop("joints")),
     "config-not-json": (["pipeline", "--config", CFG], lambda text: text[:-3]),

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from jointslab import linalg
 from jointslab.errors import (
     NotOnVariety,
     SingularPoint,
     UnsupportedKind,
 )
-from jointslab import linalg
 from jointslab.field import FieldSpec, binom
 from jointslab.linalg import rank
 from jointslab.poly import (
