@@ -215,8 +215,9 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     step size until the W multiset changes), and rebuilds.  Stops when
     no gap exceeds tau or the rebuild cap is hit.  The returned state
     carries the ledgers built at its final handicaps.  The handicap only
-    orders the steps, so every chart and functional row is built once per
-    call and shared by the ledgers of every handicap tried.  Each member
+    orders the steps, and every ledger reads the configuration's charts,
+    so each chart and functional row is built once per configuration and
+    shared by the ledgers of every handicap tried.  Each member
     keeps the walks of its ledger builds (``basis.build_ledger``): a
     ledger whose walked steps begin a later step order is reused as it
     is, and any other build resumes after the longest step-order prefix
@@ -237,14 +238,12 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
     h = Handicap.zero(joints)
     rebuilds = 0
     log = []
-    charts = {ref: {} for ref in cfg.all_members()}  # member ref -> joint id -> Chart
-    walks = {ref: [] for ref in charts}  # member ref -> its basis.Walks
+    walks = {ref: [] for ref in cfg.all_members()}  # member ref -> its basis.Walks
     last = None  # (ledgers, W, sorted W) of the latest attempt
 
     def attempt(h: Handicap) -> tuple:
         nonlocal last
-        ledgers = {ref: build_ledger(cfg, ref, h, n, charts=charts[ref], walks=walks[ref])
-                   for ref in charts}
+        ledgers = {ref: build_ledger(cfg, ref, h, n, walks=walks[ref]) for ref in walks}
         if last is None or any(ledgers[ref] is not last[0][ref] for ref in ledgers):
             W = compute_W(cfg, h, n, weights, ledgers=ledgers)
             last = (ledgers, W, _sorted_desc(W))

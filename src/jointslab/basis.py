@@ -8,8 +8,9 @@ t^gamma Taylor coefficient along the chart's parametrization
 (``poly.expansion_row``); a greedy maximal independent subset is kept.
 The walk stops when the selected rows span the dual of R_{V, <= n},
 giving the counts |B^r_{p,V}| whose per-joint totals drive the counting
-argument.  A ledger keeps the selected gammas and each joint's chart
-coordinates, which is all the rank check reads.
+argument.  Each row is read in the chart the configuration built for
+(V, p) at detection; a ledger keeps the selected gammas, which together
+with those charts is all the rank check reads.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .errors import ChartMissing, JointslabError, UnknownJoint
+from .errors import ChartMissing, UnknownJoint
 from .linalg import IncrementalRowReducer
 from .poly import expansion_row, exponents_of_degree
-from .varieties import Chart, dim_regular_functions, make_chart
+from .varieties import Chart, dim_regular_functions
 
 
 @dataclass
@@ -81,16 +82,16 @@ def v_vector(p, r: int, h: Handicap, P) -> dict:
 
 @dataclass
 class FunctionalRow:
-    """Coefficient vector of g -> D^gamma g(p) over the monomial basis."""
+    """Coefficient vector of g -> D^gamma g(p) over the monomial basis,
+    p the center of the chart it was read in."""
 
     coeffs: list
-    joint: object
-    order: int
     gamma: tuple
 
 
-def functional_rows(C: Chart, p, r: int, n: int) -> list:
-    """One row per local gamma with |gamma| = r, over F[x]_{<= n}.
+def functional_rows(C: Chart, r: int, n: int) -> list:
+    """One row per local gamma with |gamma| = r, over F[x]_{<= n}, at the
+    chart's center.
 
     D^gamma g(p) is the t^gamma coefficient of g along the chart's
     parametrization, so each row is the chart's ``expansion_row`` of
@@ -99,15 +100,15 @@ def functional_rows(C: Chart, p, r: int, n: int) -> list:
     are built once and kept on the chart; every later call returns the
     same list, which callers share and must not modify.
     """
-    rows = C.row_cache.get((p, r, n))
+    rows = C.row_cache.get((r, n))
     if rows is None:
         coords = C.coordinates(r)
         memo = C.expansion_memos.setdefault(n, {})
         rows = [
-            FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), p, r, gamma)
+            FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), gamma)
             for gamma in exponents_of_degree(C.owner.dim, r)
         ]
-        C.row_cache[p, r, n] = rows
+        C.row_cache[r, n] = rows
     return rows
 
 
@@ -130,7 +131,6 @@ class BasisLedger:
     steps: list  # LedgerSteps with count > 0 only
     counts: dict  # joint -> {r: count}
     cap_hit: bool
-    coordinates: dict  # joint -> chart coordinates through the top order walked
 
     def joint_total(self, p) -> int:
         return sum(self.counts.get(p, {}).values())
@@ -183,23 +183,23 @@ def build_ledger(
     ref,
     h: Handicap,
     n: int,
-    charts: dict | None = None,
     cap: int | None = None,
     walks: list | None = None,
 ) -> BasisLedger:
     """Build the ledger slice of one member variety.
 
-    ``ref`` is the (family, member) reference; ``charts`` optionally maps
-    joint id -> Chart (required for raw-slice members, built otherwise).
-    Joint ids are the configuration's joint indices.
+    ``ref`` is the (family, member) reference.  Joint ids are the
+    configuration's joint indices, and the rows at joint j are read in
+    ``cfg.charts[j][ref]``; a member singular at one of its joints has
+    no chart there, which is ChartMissing.
 
     ``walks`` optionally is a list of ``Walk``s shared by builds of this
-    member at the same n, cap and charts; the build is appended to it.  A
-    ledger depends only on the steps it walks, so when a stored walk's
-    steps begin the new step order, its ledger is returned as it is.
-    Otherwise the build resumes after the longest prefix it shares with a
-    stored walk, from that walk's reducer cut back to the rank the prefix
-    reached (``IncrementalRowReducer.fork``).
+    member on this configuration at the same n and cap; the build is
+    appended to it.  A ledger depends only on the steps it walks, so when
+    a stored walk's steps begin the new step order, its ledger is
+    returned as it is.  Otherwise the build resumes after the longest
+    prefix it shares with a stored walk, from that walk's reducer cut
+    back to the rank the prefix reached (``IncrementalRowReducer.fork``).
     """
     F = cfg.field
     V = cfg.member(ref)
@@ -214,14 +214,10 @@ def build_ledger(
             return walk.ledger
         if k > shared:
             shared, base = k, walk
-    if charts is None:
-        charts = {}
-    for j in on:
-        if j not in charts:
-            try:
-                charts[j] = make_chart(V, cfg.joints[j], F)
-            except JointslabError as exc:
-                raise ChartMissing(f"no chart at joint {j} on {ref}: {exc}") from exc
+    charts = {j: cfg.charts[j][ref] for j in on}
+    for j, C in charts.items():
+        if C is None:
+            raise ChartMissing(f"no chart at joint {j} on {ref}: the member is singular there")
     target = dim_regular_functions(V, n, F)
     if base is None:
         picks, red = [], IncrementalRowReducer(F)
@@ -230,19 +226,16 @@ def build_ledger(
         picks = base.picks[:shared]
         red = base.red.fork(sum(map(len, picks)))
     for j, r in order[shared:]:
-        picks.append([row for row in functional_rows(charts[j], j, r, n) if red.insert(row.coeffs)])
+        picks.append([row for row in functional_rows(charts[j], r, n) if red.insert(row.coeffs)])
         if red.rank >= target:
             break
     steps, counts = [], {j: {} for j in on}
-    walked = {j: 0 for j in on}
     for (j, r), picked in zip(order, picks):
-        walked[j] = r  # a joint's steps come in increasing order
         if picked:
             counts[j][r] = len(picked)
             steps.append(LedgerStep(j, r, len(picked), picked))
     cap_hit = bool(on) and red.rank < target
-    coords = {j: charts[j].coordinates(r) for j, r in walked.items()}
-    ledger = BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit, coords)
+    ledger = BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit)
     if walks is not None:
         walks.append(Walk(order[:len(picks)], picks, red, ledger))
     return ledger
@@ -268,7 +261,7 @@ def T_dimension(charts: list, v, n: int) -> int:
     red = IncrementalRowReducer(F)
     for C, vp in zip(charts, v):
         for r in range(vp):
-            for row in functional_rows(C, None, r, n):
+            for row in functional_rows(C, r, n):
                 red.insert(row.coeffs)
     return dim_R - red.rank
 

@@ -7,15 +7,16 @@ varieties -- m_i members from family i -- passes through it with
 tangent spaces that are independent and span the ambient space.  Each
 joint records one designated tuple (the lexicographically first
 qualifying one), the multiset of all qualifying tuples, whose size is
-the joint's multiplicity, and the set of members passing through it,
-which is the incidence every later step reads.
+the joint's multiplicity, and the chart of every member passing through
+it, built once at detection; every later step reads incidence and charts
+from there.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import (
@@ -24,14 +25,13 @@ from .errors import (
     MalformedInput,
     MissingCandidates,
     NotAJoint,
+    NotOnVariety,
     SingularPoint,
     UnsupportedKind,
 )
 from .field import DEFAULT_PRIME, FieldSpec
 from .varieties import (
     VarietySpec,
-    _flat_equations,
-    contains_point,
     make_chart,
     tangent_space,
     variety_from_json,
@@ -73,7 +73,9 @@ class JointsConfiguration:
     joints: list  # points, preassigned order = list order
     chosen: list  # per joint: tuple of (family_idx, member_idx), length s
     multiplicity: list  # per joint: list of qualifying tuple choices
-    incidence: list  # per joint: frozenset of the member refs through it
+    # per joint: member ref -> Chart for every member through it, None
+    # where the member is singular there
+    charts: list = dc_field(repr=False, compare=False)
     seed: int = 0
 
     @property
@@ -94,11 +96,11 @@ class JointsConfiguration:
 
     def joints_on(self, ref) -> list:
         """Indices of joints lying on the given member (geometric)."""
-        return [i for i, on in enumerate(self.incidence) if ref in on]
+        return [i for i, on in enumerate(self.charts) if ref in on]
 
     def designated_charts(self, joint_idx: int) -> list:
-        p = self.joints[joint_idx]
-        return [make_chart(self.member(ref), p, self.field) for ref in self.chosen[joint_idx]]
+        on = self.charts[joint_idx]
+        return [on[ref] for ref in self.chosen[joint_idx]]
 
     def to_json(self) -> dict:
         return {
@@ -156,11 +158,11 @@ def detect_joints(
 
     For flat-only families the candidates may be omitted: intersection
     points of admissible flat tuples are solved exactly.  Otherwise
-    candidates must be supplied.  The tangent rows of each member through
-    a candidate are read once: a flat's are its directions, which equal
-    ``tangent_space`` of its chart there; any other member gets one chart
-    at the point, whose frame gives the tangent space without solving any
-    series term, and a member singular at the point joins no tuple.
+    candidates must be supplied.  Membership and the chart are settled
+    in one ``make_chart`` per member and candidate: ``NotOnVariety``
+    means the member misses the point, ``SingularPoint`` that it passes
+    through with no chart (its chart is None, and it joins no tuple).  A
+    chart's frame gives the tangent rows without solving any series term.
     Every member must live in F^d with d = sum m_i k_i, else
     DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
     dimensions do not sum to its ambient one.  ``_qualifying`` decides the
@@ -182,34 +184,29 @@ def detect_joints(
             )
         candidates = _flat_tuple_intersections(F, families, d)
     seen = set()
-    joints, chosen, multiplicity, incidence = [], [], [], []
+    joints, chosen, multiplicity, charts = [], [], [], []
     for raw_p in candidates:
         p = tuple(F.of(x) for x in raw_p)
         if p in seen:
             continue
         seen.add(p)
-        through = []
-        tangents = {}
+        on = {}
         for fi, f in enumerate(families):
             for mi, V in enumerate(f.members):
-                if not contains_point(V, p, F):
-                    continue
-                through.append((fi, mi))
-                if V.kind == "flat":
-                    # the chart's tangent rows: complete_basis keeps the directions first
-                    tangents[fi, mi] = [[F.of(x) for x in u] for u in V.directions]
-                    continue
                 try:
-                    tangents[fi, mi] = tangent_space(make_chart(V, p, F))
-                except SingularPoint:
+                    on[fi, mi] = make_chart(V, p, F)
+                except NotOnVariety:
                     continue
+                except SingularPoint:
+                    on[fi, mi] = None
+        tangents = {ref: tangent_space(C) for ref, C in on.items() if C is not None}
         qualifying = _qualifying(F, families, tangents)
         if qualifying:
             joints.append(p)
             chosen.append(_flatten_choice(qualifying[0]))
             multiplicity.append(qualifying)
-            incidence.append(frozenset(through))
-    return JointsConfiguration(F, d, families, joints, chosen, multiplicity, incidence, seed)
+            charts.append(on)
+    return JointsConfiguration(F, d, families, joints, chosen, multiplicity, charts, seed)
 
 
 def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
@@ -254,7 +251,9 @@ def _flatten_choice(choice) -> tuple:
 
 def _flat_tuple_intersections(F: FieldSpec, families, d: int) -> list:
     """Unique solutions of the stacked linear systems of admissible flat
-    tuples; used when candidates are not supplied."""
+    tuples; used when candidates are not supplied.  A flat through q with
+    directions U is a.x = a.q for the normals a spanning U's annihilator
+    (every a for a point)."""
     out = []
     per_family = [list(itertools.combinations(range(len(f.members)), f.m)) for f in families]
     for choice in itertools.product(*per_family):
@@ -262,13 +261,10 @@ def _flat_tuple_intersections(F: FieldSpec, families, d: int) -> list:
         for fi, picks in enumerate(choice):
             for mi in picks:
                 V = families[fi].members[mi]
-                for eq in _flat_equations(F, d, V.point, V.directions):
-                    row = [F.zero] * d
-                    for e, c in eq.terms.items():
-                        if sum(e) == 1:
-                            row[e.index(1)] = c
-                    rows.append(row)
-                    rhs.append(F.neg(eq.coefficient((0,) * d)))
+                dirs = [[F.of(x) for x in u] for u in V.directions]
+                normals = linalg.nullspace(F, dirs) if dirs else linalg.identity(F, d)
+                rows += normals
+                rhs += linalg.mat_vec(F, normals, [F.of(x) for x in V.point])
         if linalg.rank(F, rows) != d:
             continue
         sol = linalg.solve(F, rows, rhs)
@@ -286,7 +282,7 @@ def connected_components(cfg: JointsConfiguration) -> list:
     """Split along the graph joining joints that share a member variety."""
     n = len(cfg.joints)
     joints_of = {}
-    for j, on in enumerate(cfg.incidence):
+    for j, on in enumerate(cfg.charts):
         for ref in on:
             joints_of.setdefault(ref, set()).add(j)
     adj = [set() for _ in range(n)]
@@ -317,7 +313,7 @@ def connected_components(cfg: JointsConfiguration) -> list:
             [cfg.joints[i] for i in comp],
             [cfg.chosen[i] for i in comp],
             [cfg.multiplicity[i] for i in comp],
-            [cfg.incidence[i] for i in comp],
+            [cfg.charts[i] for i in comp],
             cfg.seed,
         )
         for comp in comps

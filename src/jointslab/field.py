@@ -8,6 +8,7 @@ carries the arithmetic; it is immutable and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -75,13 +76,16 @@ class FieldSpec:
 
         An int in a prime field and a Fraction in the rationals, the
         values the library itself passes, take an exact-type fast path:
-        ``isinstance(x, Fraction)`` goes through the ABC machinery."""
+        ``isinstance(x, Fraction)`` goes through the ABC machinery.  A
+        float is no exact value and raises ValueError."""
         cls = type(x)
         if self.kind == "prime":
             if cls is int:
                 return x % self.p
         elif cls is Fraction:
             return x
+        if isinstance(x, float):
+            raise ValueError(f"{x!r} is a float; give an exact value, such as '1/4'")
         if isinstance(x, str):
             x = Fraction(x)
         if self.kind == "prime":
@@ -140,17 +144,20 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        if obj.get("kind") == "prime":
+        """The field ``to_json`` wrote; anything but an object with a known
+        kind, or a modulus on the rationals, raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a field is an object with a kind, not {obj!r}")
+        kind = obj.get("kind")
+        if kind == "prime":
             return FieldSpec("prime", int(obj["p"]))
-        return FieldSpec("rational")
+        return FieldSpec(kind, obj.get("p"))
 
 
 def binom(n: int, k: int) -> int:
     """Integer binomial coefficient, 0 when k < 0 or k > n."""
     if k < 0 or k > n or n < 0:
         return 0
-    import math
-
     return math.comb(n, k)
 
 

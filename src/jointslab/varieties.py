@@ -128,7 +128,7 @@ class Chart:
     _solver: object = dc_field(default=None, repr=False, compare=False)  # None: exact
     _solved: float = dc_field(default=math.inf, repr=False)  # exact through this degree
     _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
-    # basis.functional_rows results, keyed by (joint, order, degree bound),
+    # basis.functional_rows results, keyed by (order, degree bound),
     # and the expansion rows behind them, one gamma -> row memo per degree bound
     row_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -318,15 +318,19 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     A graph's series is its Taylor shift to p.  A hypersurface's is solved
     by ``_solve_series`` from its equation in the in-flat frame, tangent
     directions first and the gradient direction last, as far as the
-    chart's readers ask."""
-    if V.kind == "raw":
-        raise UnsupportedKind("charts for raw ideal slices must be user-supplied")
+    chart's readers ask.  A raw ideal slice has no chart: at a point on
+    it, UnsupportedKind."""
     if F is None:
         F = _spec_field(V)
     p = _coerce_point(F, p)
     d, k = V.ambient, V.dim
     if len(p) != d:
         raise DimensionMismatch("point dimension mismatch")
+
+    if V.kind == "raw":
+        if not contains_point(V, p, F):
+            raise NotOnVariety("point is not on the raw slice")
+        raise UnsupportedKind("raw ideal slices have no charts")
 
     if V.kind == "flat":
         if not contains_point(V, p, F):

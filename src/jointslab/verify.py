@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import factorial
 
 from .balance import RootValue
 from .config import is_joint
@@ -47,7 +48,9 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     The product row of a pick (gamma_1, ..., gamma_s) is the expansion row
     of t_1^gamma_1 ... t_s^gamma_s along the joint coordinates of the
     designated charts.  Picks run over the product of the ledgers'
-    selected gammas.
+    selected gammas.  That row reads each chart's coordinates at exponents
+    beta <= gamma_i only, so each chart is read through the highest order
+    its ledger selected at the joint.
     """
     F = cfg.field
     d = cfg.ambient
@@ -55,10 +58,13 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     red = IncrementalRowReducer(F)
     rows_seen = 0
     for j, p in enumerate(cfg.joints):
-        designated = [(cfg.member(ref).dim, _ledger(ledgers, ref)) for ref in cfg.chosen[j]]
-        coords = joint_coordinates(p, [(k, led.coordinates[j]) for k, led in designated])
+        gammas = [_ledger(ledgers, ref).selected_gammas(j) for ref in cfg.chosen[j]]
+        coords = joint_coordinates(p, [
+            (C.owner.dim, C.coordinates(max((sum(g) for g in gs), default=0)))
+            for C, gs in zip(cfg.designated_charts(j), gammas)
+        ])
         memo: dict = {}
-        for pick in itertools.product(*(led.selected_gammas(j) for _, led in designated)):
+        for pick in itertools.product(*gammas):
             rows_seen += 1
             red.insert(expansion_row(F, coords, n, sum(pick, ()), memo))
             if red.rank >= expected:
@@ -244,19 +250,11 @@ def bound_report(cfg) -> BoundReport:
     d = cfg.ambient
     m = s - 1
     denom_a, denom_b, deg_prod = 1, 1, 1
-    fact = 1
-    for i in range(2, d + 1):
-        fact *= i
+    fact = factorial(d)
     for fam in cfg.families:
         kf, mf = fam.k, fam.m
-        kfact = 1
-        for i in range(2, kf + 1):
-            kfact *= i
-        mfact = 1
-        for i in range(2, mf + 1):
-            mfact *= i
-        denom_a *= kfact**mf * mf**mf
-        denom_b *= kfact**mf * mfact
+        denom_a *= factorial(kf)**mf * mf**mf
+        denom_b *= factorial(kf)**mf * factorial(mf)
         deg_fam = sum(max(1, V.degree) for V in fam.members)
         deg_prod *= deg_fam**mf
     const_a = RootValue(Fraction(fact, denom_a), m)

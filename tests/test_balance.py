@@ -254,27 +254,29 @@ def parabola_circle_config():
     (parabola_circle_config, {"flat", "graph", "hypersurface"}, 4, Fraction(1, 1000), 12, True),
 ], ids=["grid-line", "grid-line-cap-hit", "curved-q"])
 def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, cap, saves):
-    # The descent builds each chart once, shares its rows across the
-    # handicaps it tries, and keeps each member's ledger walks, which later
-    # builds reuse or resume.  At every handicap it tries, the ledgers must
-    # equal fresh builds, and the descent must take the steps it takes when
-    # every ledger and W is built afresh.
+    # The descent builds no chart: its ledgers read the configuration's,
+    # share their rows across the handicaps it tries, and keep each
+    # member's ledger walks, which later builds reuse or resume.  At every
+    # handicap it tries, the ledgers must equal fresh builds, and the
+    # descent must take the steps it takes when every ledger and W is built
+    # afresh.
     import jointslab.balance as B
-    import jointslab.basis as basis_module
+    import jointslab.config as config_module
+    import jointslab.varieties as varieties_module
     from jointslab.linalg import IncrementalRowReducer
 
     cfg = make()
     members = list(cfg.all_members())
     built, charts_made, W_calls, inserts = [], [], [], [0]
-    real_W, real_build, real_chart = B.compute_W, B.build_ledger, basis_module.make_chart
+    real_W, real_build, real_chart = B.compute_W, B.build_ledger, varieties_module.make_chart
     real_insert = IncrementalRowReducer.insert
 
     def recording_W(cfg_, h, n_, weights=None, ledgers=None):
         W_calls.append(dict(ledgers))
         return real_W(cfg_, h, n_, weights, ledgers=ledgers)
 
-    def recording_build(cfg_, ref, h, n_, charts=None, cap=None, walks=None):
-        led = real_build(cfg_, ref, h, n_, charts=charts, cap=cap, walks=walks)
+    def recording_build(cfg_, ref, h, n_, cap=None, walks=None):
+        led = real_build(cfg_, ref, h, n_, cap=cap, walks=walks)
         built.append((ref, Handicap(dict(h.alpha), list(h.preassigned)), led))
         return led
 
@@ -288,7 +290,8 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
 
     monkeypatch.setattr(B, "compute_W", recording_W)
     monkeypatch.setattr(B, "build_ledger", recording_build)
-    monkeypatch.setattr(basis_module, "make_chart", counting_chart)
+    for module in (config_module, varieties_module):
+        monkeypatch.setattr(module, "make_chart", counting_chart)
     monkeypatch.setattr(IncrementalRowReducer, "insert", counting_insert)
     state = B.balance(cfg, n, tau=tau, cap=cap)
     builds, W_seen, charts, stored_inserts = list(built), list(W_calls), list(charts_made), inserts[0]
@@ -312,7 +315,7 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
     attempts = [(builds[i][1], {ref: led for ref, _, led in builds[i:i + len(members)]})
                 for i in range(0, len(builds), len(members))]
     assert len({tuple(sorted(h.alpha.items())) for h, _ in attempts}) > 1
-    assert len(charts) == sum(len(cfg.joints_on(ref)) for ref in members)
+    assert charts == []
     # W is computed again exactly when some ledger is not the one before
     changed = [ledgers for i, (_, ledgers) in enumerate(attempts)
                if i == 0 or any(ledgers[ref] is not attempts[i - 1][1][ref] for ref in members)]
@@ -351,16 +354,15 @@ def walk_config(name):
 
 def build_with_walk_store(cfg, n, handicaps, cap=None) -> list:
     """Build every member's ledger at each handicap in turn, sharing one
-    walk store and one chart dict per member, and check each ledger
-    against a fresh build.  Returns how each build went: "reuse" (a stored
-    ledger), "resume" (a stored walk's prefix) or "fresh"."""
-    charts = {ref: {} for ref in cfg.all_members()}
-    walks = {ref: [] for ref in charts}
+    walk store per member, and check each ledger against a fresh build.
+    Returns how each build went: "reuse" (a stored ledger), "resume" (a
+    stored walk's prefix) or "fresh"."""
+    walks = {ref: [] for ref in cfg.all_members()}
     kinds = []
     for h in handicaps:
-        for ref in charts:
+        for ref in walks:
             before = list(walks[ref])
-            led = build_ledger(cfg, ref, h, n, charts=charts[ref], cap=cap, walks=walks[ref])
+            led = build_ledger(cfg, ref, h, n, cap=cap, walks=walks[ref])
             if len(walks[ref]) == len(before):
                 assert any(led is walk.ledger for walk in before)
                 kinds.append("reuse")
@@ -377,13 +379,6 @@ def build_with_walk_store(cfg, n, handicaps, cap=None) -> list:
             assert [row.coeffs for st in led.steps for row in st.rows] == [
                 row.coeffs for st in new.steps for row in st.rows]
             assert (led.rank, led.cap_hit) == (new.rank, new.cap_hit)
-            for j in on:
-                # coordinates are exact through the top order walked; a
-                # fresh chart is grown only that far, a shared one may have
-                # been grown further by other builds
-                top = max((sum(beta) for x in new.coordinates[j] for beta in x), default=0)
-                assert [{beta: c for beta, c in x.items() if sum(beta) <= top}
-                        for x in led.coordinates[j]] == new.coordinates[j]
     return kinds
 
 

@@ -18,8 +18,8 @@ from jointslab.basis import (
     step_order,
     v_vector,
 )
-from jointslab.config import generate, grid_line_composite
-from jointslab.errors import ChartMissing, NotOnVariety, UnknownJoint
+from jointslab.config import Family, detect_joints, generate, grid_line_composite
+from jointslab.errors import ChartMissing, UnknownJoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer
 from jointslab.poly import AffineMap, Polynomial, monomials_upto, parse_poly, taylor_shift
@@ -112,7 +112,7 @@ def test_v_vector_example():
 
 def test_row_order_zero_is_evaluation():
     C = plane_charts(FQ, [(2, 3)])[0]
-    rows = functional_rows(C, "p", 0, 2)
+    rows = functional_rows(C, 0, 2)
     assert len(rows) == 1
     monos = monomials_upto(2, 2)
     expected = [Polynomial.monomial(FQ, 2, e).evaluate([2, 3]) for e in monos]
@@ -121,7 +121,7 @@ def test_row_order_zero_is_evaluation():
 
 def test_flat_rows_order_one():
     C = plane_charts(FQ, [(0, 0)])[0]
-    rows = functional_rows(C, "p", 1, 2)
+    rows = functional_rows(C, 1, 2)
     monos = monomials_upto(2, 2)
     got = {tuple(r.coeffs) for r in rows}
     ex1 = tuple(FQ.one if e == (1, 0) else FQ.zero for e in monos)
@@ -134,7 +134,7 @@ def test_circle_row_order_two():
     V = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
                     point=(0, 0), directions=((1, 0), (0, 1)), surface_poly=E)
     C = make_chart(V, (0, 0))
-    rows = functional_rows(C, "p", 2, 2)
+    rows = functional_rows(C, 2, 2)
     assert len(rows) == 1
     monos = monomials_upto(2, 2)
     # D^2 = Hasse^(2,0) + Hasse^(0,1): hits the x1^2 and x2 coefficients
@@ -144,15 +144,15 @@ def test_circle_row_order_two():
 
 def test_rows_are_built_once_per_chart_and_not_mutated():
     C = plane_charts(F, [(3, 5)])[0]
-    rows = functional_rows(C, "p", 2, 3)
-    assert functional_rows(C, "p", 2, 3) is rows
-    assert {len(row.coeffs) for row in functional_rows(C, "p", 2, 4)} == {binom(6, 2)}
-    fresh = functional_rows(plane_charts(F, [(3, 5)])[0], "p", 2, 3)
+    rows = functional_rows(C, 2, 3)
+    assert functional_rows(C, 2, 3) is rows
+    assert {len(row.coeffs) for row in functional_rows(C, 2, 4)} == {binom(6, 2)}
+    fresh = functional_rows(plane_charts(F, [(3, 5)])[0], 2, 3)
     assert [row.coeffs for row in rows] == [row.coeffs for row in fresh]
     # reduce them against a store that already holds other rows
     red = IncrementalRowReducer(F)
     for r in (0, 1):
-        for row in functional_rows(C, "p", r, 3):
+        for row in functional_rows(C, r, 3):
             red.insert(row.coeffs)
     before = [list(row.coeffs) for row in rows]
     for row in rows:
@@ -172,16 +172,16 @@ def test_rows_memoised_before_growth_match_a_fresh_chart():
                          surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + 1 * x3^2 + -9", FQ, 3))
     for V, p, n in ((circle, (3, 4), 4), (sphere, (1, 2, 2), 3)):
         C = make_chart(V, p, FQ)
-        early = [functional_rows(C, "p", r, n) for r in range(3)]
+        early = [functional_rows(C, r, n) for r in range(3)]
         assert max(sum(beta) for x in C.coordinates(2) for beta in x) == 2
-        grown = early + [functional_rows(C, "p", r, n) for r in range(3, 7)]
+        grown = early + [functional_rows(C, r, n) for r in range(3, 7)]
         assert max(sum(beta) for x in C.coordinates(6) for beta in x) == 6
         fresh = make_chart(V, p, FQ)
         fresh.coordinates(6)
-        expected = {r: functional_rows(fresh, "p", r, n) for r in reversed(range(7))}
+        expected = {r: functional_rows(fresh, r, n) for r in reversed(range(7))}
         for r, rows in enumerate(grown):
             assert [row.coeffs for row in rows] == [row.coeffs for row in expected[r]]
-        assert [functional_rows(C, "p", r, n) for r in range(3)] == early
+        assert [functional_rows(C, r, n) for r in range(3)] == early
 
 
 def oracle_charts():
@@ -217,7 +217,7 @@ def test_rows_match_operator_and_expansion_oracles(case):
     monos = monomials_upto(d, n)
     expansions = [C.local_expansion(Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
     for r in range(6):
-        for row in functional_rows(C, "p", r, n):
+        for row in functional_rows(C, r, n):
             D = derivative_operator(C, row.gamma)
             assert row.coeffs == [D.monomial_functional(delta, C.center) for delta in monos]
             assert row.coeffs == [x.coefficient(row.gamma) for x in expansions]
@@ -227,22 +227,30 @@ def test_rows_match_operator_and_expansion_oracles(case):
 
 
 def test_build_ledger_wraps_only_library_errors(monkeypatch):
-    import jointslab.basis as basis_module
+    # the two axes meet at the origin, where the cusp x2^2 = x1^3 passes
+    # through with no chart: its ledger is ChartMissing, while a bug in
+    # chart building surfaces from detection as it is
+    import jointslab.config as config_module
 
-    cfg = generate("grid", field=F, seed=0, t=1)
+    axes = [VarietySpec(kind="flat", ambient=2, dim=1, degree=1, point=(0, 0), directions=(u,))
+            for u in ((1, 0), (0, 1))]
+    cusp = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=3,
+                       point=(0, 0), directions=((1, 0), (0, 1)),
+                       surface_poly=parse_poly("1 * x2^2 + -1 * x1^3", FQ, 2))
+    families = [Family(k=1, m=2, members=[*axes, cusp])]
+    cfg = detect_joints(FQ, families, candidates=[(0, 0)])
+    assert cfg.joints_on((0, 2)) == [0] and cfg.charts[0][0, 2] is None
     h = Handicap.zero(range(len(cfg.joints)))
-
-    def raising(exc):
-        def make_chart(*args, **kwargs):
-            raise exc
-        return make_chart
-
-    monkeypatch.setattr(basis_module, "make_chart", raising(NotOnVariety("off the flat")))
+    assert build_ledger(cfg, (0, 0), h, 2).rank == 3
     with pytest.raises(ChartMissing):
-        build_ledger(cfg, (0, 0), h, 2)
-    monkeypatch.setattr(basis_module, "make_chart", raising(TypeError("a bug")))
+        build_ledger(cfg, (0, 2), h, 2)
+
+    def make_chart(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(config_module, "make_chart", make_chart)
     with pytest.raises(TypeError):
-        build_ledger(cfg, (0, 0), h, 2)
+        detect_joints(FQ, families, candidates=[(0, 0)])
 
 
 def test_single_point_ledger():

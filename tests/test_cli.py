@@ -195,6 +195,25 @@ def _resize_member(key, size):
     return edit
 
 
+def _set_field(field):
+    def edit(text):
+        obj = json.loads(text)
+        obj["field"] = field
+        return json.dumps(obj)
+    return edit
+
+
+def _float_entry(key, value):
+    """Joint 0's first coordinate, or member 0's first point entry, as a
+    JSON float."""
+    def edit(text):
+        obj = json.loads(text)
+        vec = obj["joints"][0] if key == "joint" else obj["families"][0]["members"][0]["point"]
+        vec[0] = value
+        return json.dumps(obj)
+    return edit
+
+
 def _plane_curve(**fields):
     """A config over Q in the plane: one family of two curves through the
     origin, the circle x1^2 + x2^2 = x2 (or a parabola x2 = x1^2 as a
@@ -241,6 +260,13 @@ MALFORMED = {
     "config-dependent-directions": (["pipeline", "--config", CFG], _zero_direction),
     "config-sum-below-ambient": (["pipeline", "--config", CFG], _set_m(2)),
     "config-sum-above-ambient": (["pipeline", "--config", CFG], _set_m(4)),
+    "field-kind-unknown": (["pipeline", "--config", CFG], _set_field({"kind": "prme", "p": 7})),
+    "field-kind-missing": (["pipeline", "--config", CFG], _set_field({"p": 7})),
+    "field-rational-with-modulus": (["pipeline", "--config", CFG],
+                                    _set_field({"kind": "rational", "p": 7})),
+    "field-not-an-object": (["pipeline", "--config", CFG], _set_field("rational")),
+    "joint-float": (["pipeline", "--config", CFG], _float_entry("joint", 0.25)),
+    "flat-point-float": (["pipeline", "--config", CFG], _float_entry("point", 0.5)),
     "flat-point-short": (["pipeline", "--config", CFG], _resize_member("point", 2)),
     "flat-point-long": (["pipeline", "--config", CFG], _resize_member("point", 5)),
     "flat-direction-short": (["pipeline", "--config", CFG], _resize_member("direction", 2)),

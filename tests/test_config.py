@@ -217,7 +217,7 @@ def test_detection_matches_is_joint_on_every_tuple(field, shape):
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_flat_directions_are_chart_tangent_rows(field):
-    # detection reads a flat's tangent rows off its directions
+    # a flat chart's tangent rows are its directions: complete_basis keeps them first
     Ff = FIELDS[field]
     rng = random.Random(field)
     for k in (1, 2, 3):

@@ -77,6 +77,20 @@ def test_of_matches_reference(F, x):
     assert _outcome(F.of, x) == _outcome(_of_reference, F, x)
 
 
+def test_of_rejects_floats():
+    # a float is a binary approximation, not an exact field value
+    for F in (FP, FQ):
+        for x in (0.25, 0.5, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                F.of(x)
+
+
+def test_from_json_rejects_unknown_kinds_and_stray_moduli():
+    for obj in ({"kind": "prme", "p": 7}, {"p": 7}, {}, {"kind": "rational", "p": 7}, "rational"):
+        with pytest.raises(ValueError):
+            FieldSpec.from_json(obj)
+
+
 @given(a=st.integers(-500, 500), b=st.integers(-500, 500), c=st.integers(-500, 500))
 @settings(max_examples=200, deadline=None)
 def test_field_axioms(a, b, c):

@@ -5,18 +5,23 @@ workload and checks each outcome (exit code, verdict projection of
 ``pipeline.json``, ledger sha256, rank == C(n+d, d)) against
 ``bench/golden.json``, by the benchmark's own ``verdicts.problems``.
 The bench modules are loaded without writing bytecode under ``bench/``.
-On pool config 0 it also counts the matrix inverses a pipeline op takes.
+On pool config 0 it also counts the matrix inverses, chart builds and
+membership tests a pipeline op takes, and checks that every chart a
+ledger or a check reads is one the configuration built at detection.
 """
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from jointslab import basis, config, linalg, varieties
-from jointslab.cli import main
+from jointslab import config, linalg, varieties, verify
+from jointslab.balance import balance
+from jointslab.cli import EXIT_OK, EXIT_USAGE, main
+from jointslab.config import JointsConfiguration
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -63,19 +68,97 @@ def _counting(calls, key, fn):
     return wrapper
 
 
+# per workload: successful make_chart builds and contains_point calls of one
+# pipeline op on pool config 0
+CHART_COUNTS = {
+    "rank-heavy": (15, 15),
+    "descent-heavy": (32, 32),
+    "curved-q": (44, 60),
+    "detect-heavy": (105, 245),
+}
+
+
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
 def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
     # a chart reads its parametrization off its basis columns; only a graph
-    # chart takes an inverse, of its variety's frame, once per chart
-    calls = Counter()
+    # chart takes an inverse, of its variety's frame, once per chart.
+    # Detection settles membership and the chart in one make_chart per
+    # member and candidate, and no later step builds a chart, so each
+    # build is a distinct (member, point)
+    calls, built = Counter(), []
+    real_chart = varieties.make_chart
+
+    def chart(V, p, F=None):
+        C = real_chart(V, p, F)
+        calls[f"{V.kind} chart"] += 1
+        built.append((id(V), C.center))
+        return C
+
     monkeypatch.setattr(linalg, "inverse", _counting(calls, lambda *a: "inverse", linalg.inverse))
-    chart = _counting(calls, lambda V, *a: f"{V.kind} chart", varieties.make_chart)
-    for module in (varieties, config, basis):
+    monkeypatch.setattr(varieties, "contains_point",
+                        _counting(calls, lambda *a: "contains_point", varieties.contains_point))
+    for module in (varieties, config):
         monkeypatch.setattr(module, "make_chart", chart)
     workload = verdicts.WORKLOADS[name]
     path = tmp_path / "config.json"
     path.write_text(verdicts.config_text(workload.config(0)))
-    verdicts.pipeline(main, path, tmp_path / "out", workload.args)
-    assert sum(n for key, n in calls.items() if key.endswith("chart")) > 0
+    assert verdicts.pipeline(main, path, tmp_path / "out", workload.args) == workload.exit_code
     assert calls["inverse"] == calls["graph chart"]
     assert (calls["graph chart"] > 0) == (name == "curved-q")
+    assert len(set(built)) == len(built)
+    assert (len(built), calls["contains_point"]) == CHART_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
+def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
+    workload = verdicts.WORKLOADS[name]
+    cfg = JointsConfiguration.from_json(workload.config(0))
+    n = int(workload.args[workload.args.index("--n") + 1])
+    own = {id(C) for on in cfg.charts for C in on.values() if C is not None}
+    state = balance(cfg, n, cap=3)
+    for ref, led in state.ledgers.items():
+        for st in led.steps:
+            cached = cfg.charts[st.joint][ref].row_cache[st.order, n]
+            assert all(any(row is c for c in cached) for row in st.rows)
+    for j, chosen in enumerate(cfg.chosen):
+        assert all(C is cfg.charts[j][ref] for C, ref in zip(cfg.designated_charts(j), chosen))
+    read = []
+    real_coordinates = varieties.Chart.coordinates
+
+    def coordinates(C, r):
+        read.append(id(C))
+        return real_coordinates(C, r)
+
+    monkeypatch.setattr(varieties.Chart, "coordinates", coordinates)
+    verify.vanishing_rank_check(cfg, state.ledgers, n)
+    assert read and set(read) <= own
+
+
+def _raw_config(through: bool) -> dict:
+    """The two axes of Q^2 meeting at the origin, and a raw curve x1 = c
+    that passes through the origin exactly when c = 0."""
+    def axis(u):
+        return {"kind": "flat", "dim": 1, "ambient": 2, "degree": 1,
+                "point": ["0", "0"], "directions": [u]}
+
+    raw = {"kind": "raw", "dim": 1, "ambient": 2, "degree": 1, "slice_degree": 1,
+           "equations": ["1 * x1" if through else "1 * x1 + -5"]}
+    return {"field": {"kind": "rational"}, "seed": 0, "joints": [["0", "0"]],
+            "families": [{"k": 1, "m": 2, "members": [axis(["1", "0"]), axis(["0", "1"]), raw]}]}
+
+
+def test_raw_members_have_no_charts(tmp_path):
+    # a raw member through a candidate is an input error at load; one
+    # through none loads, and its ledger is empty
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_raw_config(through=True)))
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "a")]) == EXIT_USAGE
+    obj = _raw_config(through=False)
+    cfg = JointsConfiguration.from_json(obj)
+    assert cfg.joints == [(0, 0)] and cfg.joints_on((0, 2)) == []
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "b"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == EXIT_OK
+    rows = (out / "ledger-0.csv").read_text().splitlines()
+    assert rows[0] == "variety,joint,r,count" and not any(r.startswith("0-2,") for r in rows)
+    assert json.loads((out / "ledger-0.json").read_text())["0-2"] == {}

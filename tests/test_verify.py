@@ -150,6 +150,11 @@ def test_rank_rows_match_composed_operators(monkeypatch, make):
         got = vanishing_rank_check(cfg, L, n)
         assert got["pass"] and got["rows"] == len(inserted)
         assert inserted == composed_operator_rows(cfg, L, n)[: len(inserted)]
+        # no ledger walked a fresh detection's charts: the check itself
+        # reads each through the highest order its ledger selected
+        rows = list(inserted)
+        inserted.clear()
+        assert vanishing_rank_check(make(), L, n) == got and inserted == rows
 
 
 def test_rank_drops_when_a_joint_is_silenced():
