@@ -135,8 +135,8 @@ def root_gap_exceeds(a: RootValue, b: RootValue, tau: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def build_all_ledgers(cfg, h: Handicap, n: int, cap: int | None = None) -> dict:
-    return {ref: build_ledger(cfg, ref, h, n, cap=cap) for ref in cfg.all_members()}
+def build_all_ledgers(cfg, h: Handicap, n: int) -> dict:
+    return {ref: build_ledger(cfg, ref, h, n) for ref in cfg.all_members()}
 
 
 def compute_W(cfg, h: Handicap, n: int, weights=None, ledgers=None) -> dict:
@@ -207,7 +207,7 @@ def default_tau(cfg, n: int) -> Fraction:
     return Fraction(8 * s * maxdeg**s, n)
 
 
-def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceState:
+def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
     """Lexicographic descent on the sorted W values.
 
     Repeatedly finds the least t whose consecutive sorted gap exceeds
@@ -245,7 +245,7 @@ def balance(cfg, n: int, weights=None, tau=None, cap: int = 10**4) -> BalanceSta
         nonlocal last
         ledgers = {ref: build_ledger(cfg, ref, h, n, walks=walks[ref]) for ref in walks}
         if last is None or any(ledgers[ref] is not last[0][ref] for ref in ledgers):
-            W = compute_W(cfg, h, n, weights, ledgers=ledgers)
+            W = compute_W(cfg, h, n, ledgers=ledgers)
             last = (ledgers, W, _sorted_desc(W))
         return last
 

@@ -9,8 +9,9 @@ t^gamma Taylor coefficient along the chart's parametrization
 The walk stops when the selected rows span the dual of R_{V, <= n},
 giving the counts |B^r_{p,V}| whose per-joint totals drive the counting
 argument.  Each row is read in the chart the configuration built for
-(V, p) at detection; a ledger keeps the selected gammas, which together
-with those charts is all the rank check reads.
+(V, p) at detection, and a joint where V is singular, with no chart,
+adds no step; a ledger keeps the selected gammas, which together with
+those charts is all the rank check reads.
 """
 
 from __future__ import annotations
@@ -190,8 +191,10 @@ def build_ledger(
 
     ``ref`` is the (family, member) reference.  Joint ids are the
     configuration's joint indices, and the rows at joint j are read in
-    ``cfg.charts[j][ref]``; a member singular at one of its joints has
-    no chart there, which is ChartMissing.
+    ``cfg.charts[j][ref]``.  A member imposes conditions only where it
+    has a chart: the ledger walks the joints on it where it is regular,
+    so a member singular at every joint it passes through has an empty
+    ledger, as one through no joint has.
 
     ``walks`` optionally is a list of ``Walk``s shared by builds of this
     member on this configuration at the same n and cap; the build is
@@ -203,7 +206,8 @@ def build_ledger(
     """
     F = cfg.field
     V = cfg.member(ref)
-    on = cfg.joints_on(ref)
+    charts = {j: cfg.charts[j][ref] for j in cfg.joints_on(ref)}
+    on = [j for j, C in charts.items() if C is not None]
     if cap is None:
         cap = default_cap(V, n)
     order = step_order(h, on, cap)
@@ -214,10 +218,6 @@ def build_ledger(
             return walk.ledger
         if k > shared:
             shared, base = k, walk
-    charts = {j: cfg.charts[j][ref] for j in on}
-    for j, C in charts.items():
-        if C is None:
-            raise ChartMissing(f"no chart at joint {j} on {ref}: the member is singular there")
     target = dim_regular_functions(V, n, F)
     if base is None:
         picks, red = [], IncrementalRowReducer(F)

@@ -108,7 +108,6 @@ def cmd_generate(args) -> int:
         t=args.t,
         d=args.d,
         k=args.k,
-        m=args.m,
         count=args.count,
     )
     out = _out_dir(args)
@@ -248,21 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="configuration JSON path")
-        p.add_argument("--n", type=int, default=None, help="degree bound")
-        p.add_argument("--tau", default=None, help="balance gap threshold (rational)")
-        p.add_argument("--cap", type=int, default=10**4, help="balance rebuild cap")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", default=".")
+    shared = {
+        "--config": {"help": "configuration JSON path"},
+        "--n": {"type": int, "default": None, "help": "degree bound"},
+        "--tau": {"default": None, "help": "balance gap threshold (rational)"},
+        "--cap": {"type": int, "default": 10**4, "help": "balance rebuild cap"},
+        "--seed": {"type": int, "default": 0},
+        "--out-dir": {"default": "."},
+        "--field-p": {"default": None,
+                      "help": "prime modulus, or 'rational' (generate, verify sz)"},
+    }
 
-    def field_flag(p):
-        p.add_argument("--field-p", default=None,
-                       help="prime modulus, or 'rational' (generate, verify sz)")
+    def add_shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     g = sub.add_parser("generate", help="write an example configuration")
-    common(g)
-    field_flag(g)
+    add_shared(g, "--seed", "--out-dir", "--field-p")
     g.add_argument("--kind", required=True,
                    choices=["generic-hyperplanes", "coordinate-flats", "grid",
                             "line", "random-flats"])
@@ -270,22 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--h", type=int, default=5)
     g.add_argument("--t", type=int, default=3)
     g.add_argument("--k", type=int, default=2)
-    g.add_argument("--m", type=int, default=3)
     g.add_argument("--count", type=int, default=4)
     g.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("pipeline", help="decompose, balance, verify, bound")
-    common(p)
+    add_shared(p, "--config", "--n", "--tau", "--cap", "--out-dir")
     p.set_defaults(func=cmd_pipeline)
 
     b = sub.add_parser("balance", help="run the handicap balancer")
-    common(b)
+    add_shared(b, "--config", "--n", "--tau", "--cap", "--out-dir")
     b.set_defaults(func=cmd_balance)
 
     v = sub.add_parser("verify", help="run one verification check")
-    common(v)
-    field_flag(v)
     v.add_argument("check", choices=["rank", "count", "witness", "sz", "bound"])
+    add_shared(v, "--config", "--n", "--out-dir", "--field-p")
     v.add_argument("--poly", default=None, help="polynomial text (witness, sz)")
     v.add_argument("--set", default="0,1", help="comma-separated sample set (sz)")
     v.add_argument("--d", dest="d", type=int, default=None, help="variable count (sz)")
@@ -309,7 +308,7 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise MalformedInput(f"--{flag} must be at least 1")
-    if args.tau is not None:
+    if getattr(args, "tau", None) is not None:
         args.tau = _parse("--tau", Fraction, args.tau)
         if args.tau < 0:
             raise MalformedInput("--tau must not be negative")

@@ -185,8 +185,8 @@ def detect_joints(
         candidates = _flat_tuple_intersections(F, families, d)
     seen = set()
     joints, chosen, multiplicity, charts = [], [], [], []
-    for raw_p in candidates:
-        p = tuple(F.of(x) for x in raw_p)
+    for q in candidates:
+        p = tuple(F.of(x) for x in q)
         if p in seen:
             continue
         seen.add(p)
@@ -382,7 +382,6 @@ def generate(
     t: int = 3,
     d: int | None = None,
     k: int = 2,
-    m: int = 3,
     count: int = 4,
     through_origin: bool = False,
 ) -> JointsConfiguration:

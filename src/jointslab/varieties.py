@@ -46,7 +46,7 @@ from .poly import (
     taylor_shift,
 )
 
-KINDS = ("flat", "graph", "hypersurface", "raw")
+KINDS = ("flat", "graph", "hypersurface")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,6 @@ class VarietySpec:
                    k tangent variables, each with no constant/linear part
     hypersurface:  a (k+1)-flat (point + directions) plus one defining
                    polynomial in the flat's internal coordinates
-    raw:           a spanning list for I(V) cap F[x]_{<=n} at a declared
-                   working degree, plus declared dim and degree
     """
 
     kind: str
@@ -71,8 +69,6 @@ class VarietySpec:
     frame: AffineMap | None = None
     graph_polys: tuple = ()
     surface_poly: Polynomial | None = None
-    slice_polys: tuple = ()
-    slice_degree: int = 0
     label: str = ""
 
     def __post_init__(self):
@@ -210,13 +206,11 @@ def contains_point(V: VarietySpec, p, F: FieldSpec) -> bool:
         k = V.dim
         t = y[:k]
         return all(f.evaluate(t) == y[k + j] for j, f in enumerate(V.graph_polys))
-    if V.kind == "hypersurface":
-        z = _flat_coordinates(V, p, F)
-        if z is None:
-            return False
-        return not V.surface_poly.evaluate(z)
-    # raw: membership at the slice degree only
-    return all(not g.evaluate(p) for g in V.slice_polys)
+    # hypersurface
+    z = _flat_coordinates(V, p, F)
+    if z is None:
+        return False
+    return not V.surface_poly.evaluate(z)
 
 
 def _flat_coordinates(V: VarietySpec, p, F: FieldSpec):
@@ -243,32 +237,31 @@ def ambient_equations(V: VarietySpec) -> list:
             q = Polynomial.variable(F, d, k + j) - _embed(f, d)
             out.append(pullback(q, V.frame))
         return out
-    if V.kind == "hypersurface":
-        m = V.dim + 1
-        base = _coerce_point(F, V.point)
-        dirs = [_coerce_point(F, u) for u in V.directions]
-        cols = [[u[i] for u in dirs] for i in range(d)]
-        basis = linalg.complete_basis(F, [list(c) for c in zip(*cols)], d)
-        M = [[basis[j][i] for j in range(d)] for i in range(d)]  # columns = basis vectors
-        Minv = linalg.inverse(F, M)
-        coord_polys = []
-        for i in range(m):
-            terms = {}
-            const = F.zero
-            for j in range(d):
-                a = Minv[i][j]
-                if a:
-                    e = [0] * d
-                    e[j] = 1
-                    terms[tuple(e)] = a
-                    const = F.sub(const, F.mul(a, base[j]))
-            if const:
-                terms[(0,) * d] = const
-            coord_polys.append(Polynomial(F, d, terms))
-        eqs = [V.surface_poly.substitute(coord_polys)]
-        eqs += _flat_equations(F, d, V.point, V.directions)
-        return eqs
-    return list(V.slice_polys)
+    # hypersurface
+    m = V.dim + 1
+    base = _coerce_point(F, V.point)
+    dirs = [_coerce_point(F, u) for u in V.directions]
+    cols = [[u[i] for u in dirs] for i in range(d)]
+    basis = linalg.complete_basis(F, [list(c) for c in zip(*cols)], d)
+    M = [[basis[j][i] for j in range(d)] for i in range(d)]  # columns = basis vectors
+    Minv = linalg.inverse(F, M)
+    coord_polys = []
+    for i in range(m):
+        terms = {}
+        const = F.zero
+        for j in range(d):
+            a = Minv[i][j]
+            if a:
+                e = [0] * d
+                e[j] = 1
+                terms[tuple(e)] = a
+                const = F.sub(const, F.mul(a, base[j]))
+        if const:
+            terms[(0,) * d] = const
+        coord_polys.append(Polynomial(F, d, terms))
+    eqs = [V.surface_poly.substitute(coord_polys)]
+    eqs += _flat_equations(F, d, V.point, V.directions)
+    return eqs
 
 
 def _spec_field(V: VarietySpec) -> FieldSpec:
@@ -276,8 +269,6 @@ def _spec_field(V: VarietySpec) -> FieldSpec:
         return V.frame.field
     if V.kind == "hypersurface":
         return V.surface_poly.field
-    if V.kind == "raw":
-        return V.slice_polys[0].field
     raise UnsupportedKind("flats carry no field; pass one explicitly")
 
 
@@ -318,19 +309,13 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     A graph's series is its Taylor shift to p.  A hypersurface's is solved
     by ``_solve_series`` from its equation in the in-flat frame, tangent
     directions first and the gradient direction last, as far as the
-    chart's readers ask.  A raw ideal slice has no chart: at a point on
-    it, UnsupportedKind."""
+    chart's readers ask."""
     if F is None:
         F = _spec_field(V)
     p = _coerce_point(F, p)
     d, k = V.ambient, V.dim
     if len(p) != d:
         raise DimensionMismatch("point dimension mismatch")
-
-    if V.kind == "raw":
-        if not contains_point(V, p, F):
-            raise NotOnVariety("point is not on the raw slice")
-        raise UnsupportedKind("raw ideal slices have no charts")
 
     if V.kind == "flat":
         if not contains_point(V, p, F):
@@ -548,19 +533,9 @@ def dim_regular_functions(V: VarietySpec, n: int, F: FieldSpec | None = None) ->
                 row[index[e]] = c
             red.insert(row)
         return red.rank
-    if V.kind == "hypersurface":
-        e = V.degree
-        return binom(n + k + 1, k + 1) - binom(n - e + k + 1, k + 1)
-    # raw ideal slice
-    monos = monomials_upto(V.ambient, n)
-    index = {m: i for i, m in enumerate(monos)}
-    red = linalg.IncrementalRowReducer(F)
-    for g in V.slice_polys:
-        row = [F.zero] * len(monos)
-        for exp, c in g.terms.items():
-            row[index[exp]] = c
-        red.insert(row)
-    return binom(n + V.ambient, V.ambient) - red.rank
+    # hypersurface
+    e = V.degree
+    return binom(n + k + 1, k + 1) - binom(n - e + k + 1, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +554,10 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
         obj["frame_matrix"] = [[str(x) for x in row] for row in V.frame.matrix]
         obj["frame_translation"] = [str(x) for x in V.frame.translation]
         obj["equations"] = [format_poly(f) for f in V.graph_polys]
-    elif V.kind == "hypersurface":
+    else:
         obj["point"] = [str(x) for x in V.point]
         obj["directions"] = [[str(x) for x in u] for u in V.directions]
         obj["equations"] = [format_poly(V.surface_poly)]
-    else:
-        obj["equations"] = [format_poly(g) for g in V.slice_polys]
-        obj["slice_degree"] = V.slice_degree
     return obj
 
 
@@ -626,11 +598,5 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             kind="hypersurface", ambient=ambient, dim=dim, degree=int(poly.degree),
             point=tuple(F.of(x) for x in obj["point"]),
             directions=directions, surface_poly=poly, label=label,
-        )
-    if kind == "raw":
-        polys = tuple(parse_poly(s, F, ambient) for s in obj["equations"])
-        return VarietySpec(
-            kind="raw", ambient=ambient, dim=dim, degree=degree,
-            slice_polys=polys, slice_degree=int(obj.get("slice_degree", 0)), label=label,
         )
     raise UnsupportedKind(f"unknown variety kind {kind!r}")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, manifests, determinism."""
 
+import argparse
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from jointslab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -302,6 +304,12 @@ MALFORMED = {
     "cap-zero-pipeline": (["pipeline", "--config", CFG, "--cap", "0"], None),
     "d-zero-sz": (["verify", "sz", "--poly", "1", "--d", "0"], None),
     "d-zero-generate": (["generate", "--kind", "line", "--d", "0"], None),
+    "seed-pipeline": (["pipeline", "--config", CFG, "--seed", "1"], None),
+    "seed-balance": (["balance", "--config", CFG, "--seed", "1"], None),
+    "cap-verify-rank": (["verify", "rank", "--config", CFG, "--cap", "3"], None),
+    "tau-verify-bound": (["verify", "bound", "--config", CFG, "--tau", "1"], None),
+    "m-generate": (["generate", "--kind", "grid", "--m", "3"], None),
+    "n-generate": (["generate", "--kind", "grid", "--n", "3"], None),
 }
 
 
@@ -318,3 +326,23 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+# the options each subcommand reads; a flag no command reads is dead
+FLAGS = {
+    "generate": ["--seed", "--out-dir", "--field-p", "--kind", "--d", "--h", "--t", "--k",
+                 "--count"],
+    "pipeline": ["--config", "--n", "--tau", "--cap", "--out-dir"],
+    "balance": ["--config", "--n", "--tau", "--cap", "--out-dir"],
+    "verify": ["--config", "--n", "--out-dir", "--field-p", "--poly", "--set", "--d", "--joint"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: sorted(flag for a in p._actions for flag in a.option_strings
+                     if flag not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: sorted(flags) for name, flags in FLAGS.items()}

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from jointslab.balance import balance
+from jointslab.basis import Handicap, build_ledger
 from jointslab.config import (
     Family,
     JointsConfiguration,
@@ -128,6 +130,20 @@ def test_detect_curved_joint_at_origin():
     assert cfg.chosen[0] == ((0, 0), (0, 2))
     assert cfg.chosen[1] == ((0, 0), (0, 2))
     assert cfg.joints_on((0, 3)) == [0]
+
+
+def test_singular_member_imposes_no_condition():
+    # the cusp passes through joint 0 with no chart there: its ledger is
+    # empty and not cap-hit, and the regular members' ledgers still span
+    cfg = curved_plane_config()
+    assert cfg.charts[0][0, 3] is None
+    h = Handicap.zero(range(len(cfg.joints)))
+    cusp = build_ledger(cfg, (0, 3), h, 2)
+    assert (cusp.rank, cusp.steps, cusp.counts, cusp.cap_hit) == (0, [], {}, False)
+    for ref in [(0, 0), (0, 1), (0, 2)]:
+        led = build_ledger(cfg, ref, h, 2)
+        assert led.rank == led.target and not led.cap_hit
+    assert balance(cfg, 2).status == "balanced"
 
 
 def detect_by_is_joint(F, families, candidates):

@@ -134,31 +134,43 @@ def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
     assert read and set(read) <= own
 
 
-def _raw_config(through: bool) -> dict:
-    """The two axes of Q^2 meeting at the origin, and a raw curve x1 = c
-    that passes through the origin exactly when c = 0."""
+def _axes_config(third: dict) -> dict:
+    """The two axes of Q^2 meeting at the origin, the only candidate, and
+    a third member."""
     def axis(u):
         return {"kind": "flat", "dim": 1, "ambient": 2, "degree": 1,
                 "point": ["0", "0"], "directions": [u]}
 
-    raw = {"kind": "raw", "dim": 1, "ambient": 2, "degree": 1, "slice_degree": 1,
-           "equations": ["1 * x1" if through else "1 * x1 + -5"]}
     return {"field": {"kind": "rational"}, "seed": 0, "joints": [["0", "0"]],
-            "families": [{"k": 1, "m": 2, "members": [axis(["1", "0"]), axis(["0", "1"]), raw]}]}
+            "families": [{"k": 1, "m": 2,
+                          "members": [axis(["1", "0"]), axis(["0", "1"]), third]}]}
 
 
-def test_raw_members_have_no_charts(tmp_path):
-    # a raw member through a candidate is an input error at load; one
-    # through none loads, and its ledger is empty
+def test_raw_members_have_no_charts(tmp_path, capsys):
+    # raw is not a variety kind: a raw curve x1 = c is an input error at
+    # load whether it passes through the candidate (c = 0) or not
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_raw_config(through=True)))
-    assert main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "a")]) == EXIT_USAGE
-    obj = _raw_config(through=False)
-    cfg = JointsConfiguration.from_json(obj)
-    assert cfg.joints == [(0, 0)] and cfg.joints_on((0, 2)) == []
-    path.write_text(json.dumps(obj))
-    out = tmp_path / "b"
-    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == EXIT_OK
+    for equation in ("1 * x1", "1 * x1 + -5"):
+        raw = {"kind": "raw", "dim": 1, "ambient": 2, "degree": 1, "slice_degree": 1,
+               "equations": [equation]}
+        path.write_text(json.dumps(_axes_config(raw)))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == EXIT_USAGE
+        assert "unknown variety kind 'raw'" in capsys.readouterr().err
+
+
+def test_member_singular_at_the_joint_imposes_no_condition(tmp_path):
+    # the cusp x2^2 = x1^3 passes through the origin with no chart: the
+    # axes alone span, and the cusp's ledger is empty
+    cusp = {"kind": "hypersurface", "dim": 1, "ambient": 2, "degree": 3,
+            "point": ["0", "0"], "directions": [["1", "0"], ["0", "1"]],
+            "equations": ["1 * x2^2 + -1 * x1^3"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_axes_config(cusp)))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--n", "2", "--out-dir", str(out)]) == EXIT_OK
+    (component,) = json.loads((out / "pipeline.json").read_text())["components"]
+    assert component["rank"]["rank"] == component["rank"]["expected"] == 6
     rows = (out / "ledger-0.csv").read_text().splitlines()
     assert rows[0] == "variety,joint,r,count" and not any(r.startswith("0-2,") for r in rows)
     assert json.loads((out / "ledger-0.json").read_text())["0-2"] == {}

@@ -148,11 +148,9 @@ def test_chart_singular_point():
 
 
 def test_raw_chart_unsupported():
-    g = parse_poly("1 * x1", FQ, 2)
-    V = VarietySpec(kind="raw", ambient=2, dim=1, degree=1,
-                    slice_polys=(g,), slice_degree=1)
+    # raw ideal slices have no chart anywhere, so they are no variety kind
     with pytest.raises(UnsupportedKind):
-        make_chart(V, (0, 0))
+        VarietySpec(kind="raw", ambient=2, dim=1, degree=1)
 
 
 def _assert_chart_consistent(C, N=4):
@@ -495,8 +493,8 @@ def test_dim_regular_functions_hypersurface():
         assert dim_regular_functions(V, n, FQ) == binom(n + 2, 2) - binom(n, 2)
 
 
-def test_dim_regular_functions_graph_matches_raw():
-    # parabola x2 = x1^2 as graph vs as raw slice
+def test_dim_regular_functions_graph():
+    # parabola x2 = x1^2 as a graph
     f = parse_poly("1 * x1^2", FQ, 1)
     Vg = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
                      frame=AffineMap.identity(FQ, 2), graph_polys=(f,))
@@ -504,13 +502,6 @@ def test_dim_regular_functions_graph_matches_raw():
         # the parabola is a degree-2 rational curve: restriction of
         # F[x,y]_{<=n} has dimension 2n+1
         assert dim_regular_functions(Vg, n, FQ) == 2 * n + 1
-    eq = parse_poly("1 * x2 + -1 * x1^2", FQ, 2)
-    slice_polys = []
-    for mono in monomials_upto(2, 1):
-        slice_polys.append(eq * Polynomial.monomial(FQ, 2, mono))
-    Vr = VarietySpec(kind="raw", ambient=2, dim=1, degree=2,
-                     slice_polys=tuple(slice_polys), slice_degree=3)
-    assert dim_regular_functions(Vr, 3, FQ) == 2 * 3 + 1
 
 
 def test_ambient_equations_vanish_on_variety():
@@ -537,9 +528,6 @@ def test_variety_json_roundtrip():
         VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
                     frame=AffineMap.identity(FQ, 3),
                     graph_polys=(parse_poly("1 * x1 x2", FQ, 2),)),
-        VarietySpec(kind="raw", ambient=2, dim=1, degree=1,
-                    slice_polys=(parse_poly("1 * x1 + -1 * x2", FQ, 2),),
-                    slice_degree=1),
     ]
     for V in specs:
         back = variety_from_json(variety_to_json(V, FQ), FQ)
