@@ -84,7 +84,9 @@ def v_vector(p, r: int, h: Handicap, P) -> dict:
 @dataclass
 class FunctionalRow:
     """Coefficient vector of g -> D^gamma g(p) over the monomial basis,
-    p the center of the chart it was read in."""
+    p the center of the chart it was read in, up to the row scalar
+    lambda^|gamma| of that chart's ``scale``: over Q the entries are ints
+    wherever they are integral, and over F_p the scalar is 1."""
 
     coeffs: list
     gamma: tuple
@@ -95,15 +97,18 @@ def functional_rows(C: Chart, r: int, n: int) -> list:
     chart's center.
 
     D^gamma g(p) is the t^gamma coefficient of g along the chart's
-    parametrization, so each row is the chart's ``expansion_row`` of
-    gamma.  That row reads the coordinates through degree r only, so one
-    memo per degree bound serves the chart as its series grows.  The rows
-    are built once and kept on the chart; every later call returns the
-    same list, which callers share and must not modify.
+    parametrization phi.  Each row is the ``expansion_row`` of gamma along
+    the chart's ``scaled_coordinates`` x(phi(lambda t)), which is that
+    coefficient times lambda^|gamma|: a row scalar, so the rows impose the
+    same conditions, and over Q they are built in ints.  That row reads
+    the coordinates through degree r only, and lambda is fixed with the
+    chart, so one memo per degree bound serves the chart as its series
+    grows.  The rows are built once and kept on the chart; every later
+    call returns the same list, which callers share and must not modify.
     """
     rows = C.row_cache.get((r, n))
     if rows is None:
-        coords = C.coordinates(r)
+        coords = C.scaled_coordinates(r)
         memo = C.expansion_memos.setdefault(n, {})
         rows = [
             FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), gamma)

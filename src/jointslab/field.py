@@ -154,6 +154,13 @@ class FieldSpec:
         return FieldSpec(kind, obj.get("p"))
 
 
+def as_int(x) -> FieldElement:
+    """x as an ``int`` when it is integral, else as it is: a rational row
+    or coordinate held in ints stays in ints through ``+`` and ``*``,
+    where one integral ``Fraction`` would turn every result into one."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def binom(n: int, k: int) -> int:
     """Integer binomial coefficient, 0 when k < 0 or k > n."""
     if k < 0 or k > n or n < 0:

@@ -17,10 +17,11 @@ and go on from a copy.
 The row step is specialised by field, with no method call per entry.
 Over F_p a pivot row is normalized to lead 1 and the step is
 ``(a - f*b) % p`` on ints.  Over Q a row enters as a primitive integer
-vector (denominators cleared by their lcm, then divided by the content);
-the step is the fraction-free ``b*row - a*pivot_row``, with a, b divided
-by their gcd, followed by division by the new content.  So no
-``Fraction`` is built while rows stream in.  The sizes that show up in
+vector (denominators cleared by their lcm, then divided by the content;
+a row of ints, as the ledgers and the rank check build, is only divided
+by its content); the step is the fraction-free ``b*row - a*pivot_row``,
+with a, b divided by their gcd, followed by division by the new content.
+So no ``Fraction`` is built while rows stream in.  The sizes that show up in
 practice (thousands of rows, columns bounded by C(n+d, d)) keep this
 comfortably interactive.
 """
@@ -226,11 +227,14 @@ class IncrementalRowReducer:
 def _primitive(row) -> list | None:
     """A rational row as a primitive integer vector with the same span
     (denominators cleared by their lcm, then divided by the content), or
-    None for a zero row."""
-    dens = [x.denominator for x in row if x]
-    if not dens:
+    None for a zero row.  A row of ints skips the denominators: ``gcd``
+    takes no ``Fraction``, and one raises on the first."""
+    try:
+        g = gcd(*row)
+    except TypeError:
+        m = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (m // x.denominator) for x in row]
+        g = gcd(*row)
+    if not g:
         return None
-    m = lcm(*dens)
-    row = [x.numerator * (m // x.denominator) for x in row]
-    g = gcd(*row)
     return [x // g for x in row] if g > 1 else row

@@ -586,14 +586,16 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
     on F[x]_{<= n}.  By x^delta = x^(delta - e_i) * x_i, each entry is
         sum over beta <= gamma of c_{i,beta} [t^(gamma - beta)] x^(delta - e_i),
     where beta = 0 reads the row being built and every other beta a row
-    below gamma.  ``memo`` maps gamma to its row for one (coords, n) pair;
-    callers share its rows and must not modify them.
+    below gamma.  The row is seeded with the ints 1 and 0, so over Q it
+    is built in ints when the coordinates are.  ``memo`` maps gamma to
+    its row for one (coords, n) pair; callers share its rows and must not
+    modify them.
     """
     row = memo.get(gamma)
     if row is not None:
         return row
     zero = (0,) * len(gamma)
-    const = [ci.get(zero, F.zero) for ci in coords]
+    const = [ci.get(zero, 0) for ci in coords]
     lower = [
         [
             (c, expansion_row(F, coords, n, tuple(g - b for g, b in zip(gamma, beta)), memo))
@@ -603,7 +605,7 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
         for ci in coords
     ]
     p = F.p
-    row = [F.one if gamma == zero else F.zero]
+    row = [1 if gamma == zero else 0]
     for i, k in _expansion_steps(len(coords), n):
         acc = const[i] * row[k]
         for c, below in lower[i]:

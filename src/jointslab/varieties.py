@@ -11,9 +11,13 @@ asks.  ``Chart.coordinates(r)`` is the resulting parametrization phi of
 V near p through degree r.  The functional g -> D^gamma g(p) attached to
 a local exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads
 phi through degree |gamma| only; ledgers, the rank check and the witness
-read it as ``poly.expansion_row`` rows.  ``derivative_operator`` writes
-the same functional as ambient Hasse derivatives: library API and the
-test oracle for those rows.
+read it as ``poly.expansion_row`` rows.  Ledgers and the rank check read
+them along ``Chart.scaled_coordinates``, x(phi(lambda t)) for the chart's
+fixed ``scale`` lambda, whose coefficients over Q are ints in every
+degree >= 1: each row is then lambda^|gamma| times the exact one and is
+built in ints.  ``derivative_operator`` writes the same functional as
+ambient Hasse derivatives: library API and the test oracle for those
+rows.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     SingularPoint,
     UnsupportedKind,
 )
-from .field import FieldSpec, binom
+from .field import FieldSpec, as_int, binom
 from .poly import (
     AffineMap,
     HasseOperator,
@@ -115,7 +119,13 @@ class Chart:
 
     Readers pass the order r they need and get series and coordinates
     exact through degree r, possibly with higher terms: a hypersurface's
-    series grows by ``_solve_series`` steps, one degree each, on demand."""
+    series grows by ``_solve_series`` steps, one degree each, on demand.
+
+    ``scale`` is a positive integer lambda, fixed when the chart is made,
+    such that the coordinates x(phi(lambda t)) have integral coefficients
+    in every degree >= 1 (1 over F_p).  Rows read along them are rows read
+    along x(phi(t)) times lambda^|gamma|, so they span the same conditions
+    and can be built in ints; ``scaled_coordinates`` holds them."""
 
     owner: VarietySpec
     center: tuple
@@ -123,7 +133,10 @@ class Chart:
     _series: list = dc_field(repr=False)  # h_{k+1..d} as {beta: c} maps
     _solver: object = dc_field(default=None, repr=False, compare=False)  # None: exact
     _solved: float = dc_field(default=math.inf, repr=False)  # exact through this degree
+    scale: int = 1
     _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
+    # (coordinates, scaled_coordinates of them)
+    _scaled_coords: tuple = dc_field(default=(None, None), repr=False, compare=False)
     # basis.functional_rows results, keyed by (order, degree bound),
     # and the expansion rows behind them, one gamma -> row memo per degree bound
     row_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -182,6 +195,19 @@ class Chart:
             self._coords = self._solved, coords
         return self._coords[1]
 
+    def scaled_coordinates(self, r: int) -> list:
+        """x_i(phi(lambda t)), lambda = ``scale``: the ``coordinates``
+        with the t^beta coefficient times lambda^|beta|, exact through
+        degree r.  Over Q every value is held as an ``int`` where it is
+        integral (all but non-integral constant terms); over F_p they are
+        the ``coordinates`` themselves.  Rebuilt only when those are."""
+        coords = self.coordinates(r)
+        if self.field.p:
+            return coords
+        if self._scaled_coords[0] is not coords:
+            self._scaled_coords = coords, _scaled(coords, self.scale)
+        return self._scaled_coords[1]
+
 
 # ---------------------------------------------------------------------------
 # Point membership and defining equations
@@ -223,10 +249,12 @@ def _flat_coordinates(V: VarietySpec, p, F: FieldSpec):
     return linalg.solve(F, cols, rhs)
 
 
-def ambient_equations(V: VarietySpec) -> list:
+def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
     """Generators (for the supported kinds) of polynomials vanishing on V,
-    as ambient polynomials."""
-    F = _spec_field(V)
+    as ambient polynomials over F; a flat carries no field, so F is
+    required for one."""
+    if F is None:
+        F = _spec_field(V)
     d = V.ambient
     if V.kind == "flat":
         return _flat_equations(F, d, V.point, V.directions)
@@ -321,8 +349,9 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
         if not contains_point(V, p, F):
             raise NotOnVariety("point is not on the flat")
         dirs = [_coerce_point(F, u) for u in V.directions]
-        basis = linalg.complete_basis(F, dirs, d)
-        return Chart(V, tuple(p), _parametrization(F, basis, p), [{} for _ in range(d - k)])
+        inv = _parametrization(F, linalg.complete_basis(F, dirs, d), p)
+        return Chart(V, tuple(p), inv, [{} for _ in range(d - k)],
+                     scale=_denominator_lcm(F, itertools.chain(*inv.matrix)))
 
     if V.kind == "graph":
         y0 = V.frame.apply(p)
@@ -344,7 +373,8 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
             for i in range(k):
                 S[k + j][i] = shear[j][i]
         A = linalg.mat_mul(F, linalg.inverse(F, V.frame.matrix), S)
-        return Chart(V, tuple(p), AffineMap(F, A, p, _trusted=True), series)
+        scale = _denominator_lcm(F, itertools.chain(*A, *(h.values() for h in series)))
+        return Chart(V, tuple(p), AffineMap(F, A, p, _trusted=True), series, scale=scale)
 
     # hypersurface
     z0 = _flat_coordinates(V, p, F)
@@ -372,10 +402,41 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     # ambient images of the in-flat basis vectors
     amb_tangent = [_flat_combo(F, dirs, v) for v in tangent_z]
     amb_normal = _flat_combo(F, dirs, [F.one if j == i0 else F.zero for j in range(m)])
-    basis = linalg.complete_basis(F, amb_tangent + [amb_normal], d)
+    inv = _parametrization(F, linalg.complete_basis(F, amb_tangent + [amb_normal], d), p)
     h: dict = {}
-    return Chart(V, tuple(p), _parametrization(F, basis, p), [h] + [{} for _ in range(d - k - 1)],
-                 _solver=_solve_series(F, E2, h), _solved=1)
+    return Chart(V, tuple(p), inv, [h] + [{} for _ in range(d - k - 1)],
+                 _solver=_solve_series(F, E2, h), _solved=1,
+                 scale=_denominator_lcm(F, itertools.chain(*inv.matrix)) * _series_scale(F, E2))
+
+
+def _denominator_lcm(F: FieldSpec, values) -> int:
+    """The lcm of the denominators of the values over Q; 1 over F_p."""
+    return 1 if F.p else math.lcm(*(x.denominator for x in values))
+
+
+def _series_scale(F: FieldSpec, E: Polynomial) -> int:
+    """A positive integer c such that s(c tau) has integral coefficients,
+    for the series s = h(t) that ``_solve_series`` solves from E; 1 over F_p.
+
+    Scaled to primitive integer coefficients, E is c s + Q(t, s) with Q
+    integral of order >= 2 (no constant or linear t-terms), so s = -Q(t, s)
+    / c.  Then sigma(tau) = s(c tau) / c solves sigma = -sum_j c^(j-2)
+    Q_j(tau, sigma) over the homogeneous parts Q_j, j >= 2, of Q, which
+    has integral coefficients degree by degree.  This is the case A = 1,
+    B = c of Eisenstein's theorem (Dwork and van der Poorten, "The
+    Eisenstein constant", Duke Math. J. 65, 1992)."""
+    if F.p:
+        return 1
+    m = _denominator_lcm(F, E.terms.values())
+    content = math.gcd(*(a.numerator * (m // a.denominator) for a in E.terms.values()))
+    c = E.coefficient((0,) * (E.nvars - 1) + (1,))
+    return abs(c.numerator) * (m // c.denominator) // content
+
+
+def _scaled(coords, scale: int) -> list:
+    """{beta: c} maps times scale^|beta| per term, each value an ``int``
+    where it is integral."""
+    return [{beta: as_int(c * scale ** sum(beta)) for beta, c in x.items()} for x in coords]
 
 
 def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
@@ -479,7 +540,7 @@ def well_defined_check(C: Chart, D: HasseOperator, trials: int = 20, seed: int =
     F = C.field
     d = C.owner.ambient
     rng = random.Random(seed)
-    eqs = ambient_equations(C.owner)
+    eqs = ambient_equations(C.owner, F)
     max_deg = max(2, int(D.order if D.combo else 0))
     monos = monomials_upto(d, max_deg)
     for t in range(trials):
@@ -519,19 +580,20 @@ def dim_regular_functions(V: VarietySpec, n: int, F: FieldSpec | None = None) ->
     if V.kind == "flat":
         return binom(n + k, k)
     if V.kind == "graph":
-        # rank of the substitution map F[y]_{<=n} -> F[t_1..t_k]
+        # the rank of restricting F[y]_{<=n} to y = (t, f(t)), read off its
+        # transpose: the expansion rows of every t^gamma, |gamma| <= n deg f,
+        # along (t, f(t)).  Over Q they are read along (lambda t, f(lambda t)),
+        # lambda clearing the denominators of f, in ints: each row is the
+        # same row times lambda^|gamma|.
         maxdeg = max([1] + [int(f.degree) for f in V.graph_polys if not f.is_zero()])
-        target = monomials_upto(k, n * maxdeg)
-        index = {e: i for i, e in enumerate(target)}
+        coords = [{e: 1} for e in exponents_of_degree(k, 1)] + [f.terms for f in V.graph_polys]
+        if not F.p:
+            scale = _denominator_lcm(F, (c for f in V.graph_polys for c in f.terms.values()))
+            coords = _scaled(coords, scale)
         red = linalg.IncrementalRowReducer(F)
-        t_vars = [Polynomial.variable(F, k, i) for i in range(k)]
-        images = t_vars + list(V.graph_polys)
-        for mono in monomials_upto(V.ambient, n):
-            restricted = Polynomial.monomial(F, V.ambient, mono).substitute(images)
-            row = [F.zero] * len(target)
-            for e, c in restricted.terms.items():
-                row[index[e]] = c
-            red.insert(row)
+        memo: dict = {}
+        for gamma in monomials_upto(k, n * maxdeg):
+            red.insert(expansion_row(F, coords, n, gamma, memo))
         return red.rank
     # hypersurface
     e = V.degree

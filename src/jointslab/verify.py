@@ -22,7 +22,7 @@ from math import factorial
 from .balance import RootValue
 from .config import is_joint
 from .errors import LedgerMissing, MalformedInput, NotAJoint, ZeroPolynomial
-from .field import binom
+from .field import as_int, binom
 from .linalg import IncrementalRowReducer
 from .poly import (
     AffineMap,
@@ -47,10 +47,13 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
 
     The product row of a pick (gamma_1, ..., gamma_s) is the expansion row
     of t_1^gamma_1 ... t_s^gamma_s along the joint coordinates of the
-    designated charts.  Picks run over the product of the ledgers'
-    selected gammas.  That row reads each chart's coordinates at exponents
-    beta <= gamma_i only, so each chart is read through the highest order
-    its ledger selected at the joint.
+    designated charts.  Each chart is read along its ``scaled_coordinates``,
+    so the row is the product row times prod_i lambda_i^|gamma_i|, with
+    lambda_i the chart's ``scale``: a row scalar, which leaves the rank as
+    it is and over Q lets the row be built in ints.  Picks run over the
+    product of the ledgers' selected gammas.  That row reads each chart's
+    coordinates at exponents beta <= gamma_i only, so each chart is read
+    through the highest order its ledger selected at the joint.
     """
     F = cfg.field
     d = cfg.ambient
@@ -59,8 +62,8 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     rows_seen = 0
     for j, p in enumerate(cfg.joints):
         gammas = [_ledger(ledgers, ref).selected_gammas(j) for ref in cfg.chosen[j]]
-        coords = joint_coordinates(p, [
-            (C.owner.dim, C.coordinates(max((sum(g) for g in gs), default=0)))
+        coords = joint_coordinates([as_int(x) for x in p], [
+            (C.owner.dim, C.scaled_coordinates(max((sum(g) for g in gs), default=0)))
             for C, gs in zip(cfg.designated_charts(j), gammas)
         ])
         memo: dict = {}

@@ -211,16 +211,23 @@ def oracle_charts():
 @pytest.mark.parametrize("case", ["F2", "F3", "Fp", "Q", "graph-curve", "graph-surface",
                                   "circle"])
 def test_rows_match_operator_and_expansion_oracles(case):
-    # row entry for x^delta = D^gamma x^delta (center) = [t^gamma] x^delta(phi(t))
+    # row entry for x^delta = lambda^|gamma| D^gamma x^delta (center)
+    # = lambda^|gamma| [t^gamma] x^delta(phi(t)), lambda the chart's scale
     C, n = oracle_charts()[case]
     Ff, d = C.field, C.owner.ambient
+    # the parabola's Taylor shift has x1^2 coefficient 1/2; the circle's
+    # tangent (-4/3, 1) gives 3, and its in-flat equation in integers,
+    # 9 s^2 - 24 t s + 25 t^2 + 54 s, the s-coefficient 54
+    assert C.scale == (1 if Ff.p else {"graph-curve": 2, "circle": 3 * 54}.get(case, 1))
     monos = monomials_upto(d, n)
     expansions = [C.local_expansion(Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
     for r in range(6):
         for row in functional_rows(C, r, n):
             D = derivative_operator(C, row.gamma)
-            assert row.coeffs == [D.monomial_functional(delta, C.center) for delta in monos]
-            assert row.coeffs == [x.coefficient(row.gamma) for x in expansions]
+            scalar = Ff.of(C.scale ** r)
+            operator = [D.monomial_functional(delta, C.center) for delta in monos]
+            assert row.coeffs == [Ff.mul(scalar, c) for c in operator]
+            assert row.coeffs == [Ff.mul(scalar, x.coefficient(row.gamma)) for x in expansions]
 
 
 # -- ledgers ----------------------------------------------------------------

@@ -8,12 +8,15 @@ The bench modules are loaded without writing bytecode under ``bench/``.
 On pool config 0 it also counts the matrix inverses, chart builds and
 membership tests a pipeline op takes, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
+Curved-q pool configs 0-3 moved off the integer grid give the same
+reports and ledgers as where they are.
 """
 
 import importlib.util
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -132,6 +135,44 @@ def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
     monkeypatch.setattr(varieties.Chart, "coordinates", coordinates)
     verify.vanishing_rank_check(cfg, state.ledgers, n)
     assert read and set(read) <= own
+
+
+def _translated(cfg: dict, v) -> dict:
+    """The configuration moved by the vector v: every flat's and
+    hypersurface's point, every graph's frame translation b - M v and
+    every candidate joint."""
+    def shift(point):
+        return [str(Fraction(x) + a) for x, a in zip(point, v)]
+
+    out = json.loads(json.dumps(cfg))
+    for family in out["families"]:
+        for V in family["members"]:
+            if V["kind"] == "graph":
+                M = [[Fraction(x) for x in row] for row in V["frame_matrix"]]
+                V["frame_translation"] = [str(Fraction(b) - sum(m * a for m, a in zip(row, v)))
+                                          for b, row in zip(V["frame_translation"], M)]
+            else:
+                V["point"] = shift(V["point"])
+    out["joints"] = [shift(p) for p in out["joints"]]
+    return out
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_non_integral_centers_give_the_same_outputs(tmp_path, index):
+    # moved by (1/2, -1/3), every chart center is non-integral, so rows
+    # over Q carry Fractions through their constant terms; the reports
+    # and ledgers are those of the unmoved configuration
+    workload = verdicts.WORKLOADS["curved-q"]
+    cfg = workload.config(index)
+    moved = _translated(cfg, (Fraction(1, 2), Fraction(-1, 3)))
+    outputs = []
+    for name, case in (("here", cfg), ("moved", moved)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(verdicts.config_text(case))
+        out = tmp_path / name
+        assert verdicts.pipeline(main, path, out, workload.args) == workload.exit_code
+        outputs.append([(out / f).read_bytes() for f in ("pipeline.json", "ledger-0.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def _axes_config(third: dict) -> dict:

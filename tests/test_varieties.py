@@ -1,22 +1,30 @@
 """Charts, derivative operators, and regular-function dimensions."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointslab import linalg
+from jointslab import linalg, verify
+from jointslab.balance import build_all_ledgers
+from jointslab.basis import Handicap
+from jointslab.config import Family, detect_joints
 from jointslab.errors import (
     NotOnVariety,
     SingularPoint,
     UnsupportedKind,
 )
 from jointslab.field import FieldSpec, binom
-from jointslab.linalg import rank
+from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    expansion_row,
     format_poly,
     monomials_upto,
     parse_poly,
@@ -457,6 +465,23 @@ def test_well_defined_on_random_charts():
         assert well_defined_check(Cg, D, trials=6, seed=3)["pass"]
 
 
+def test_well_defined_on_flats():
+    # a flat carries no field, so the check takes its chart's: the chart's
+    # own operators kill the flat's equations, and a Hasse derivative along
+    # a direction off the flat does not
+    axis = VarietySpec(kind="flat", ambient=2, dim=1, degree=1, point=(0, 0),
+                       directions=((1, 0),))
+    plane, _ = off_origin_varieties(FIELDS["F3"])["flat"]
+    cases = ((axis, (0, 0), FQ, (0, 1)), (plane, (2, 1, 1), FIELDS["F3"], (0, 0, 1)))
+    for V, p, F, normal in cases:
+        C = make_chart(V, p, F)
+        for gamma in monomials_upto(V.dim, 3):
+            assert well_defined_check(C, derivative_operator(C, gamma), trials=6)["pass"]
+        off = well_defined_check(C, HasseOperator.single(F, V.ambient, normal), trials=6)
+        assert not off["pass"] and off["trial"] == 0
+        assert all(e.evaluate(p) == 0 for e in ambient_equations(V, F))
+
+
 def test_ambient_operator_evaluates_local_coefficient():
     # D^gamma g(center) equals the x^gamma coefficient of the local expansion
     V = circle_through_origin()
@@ -504,6 +529,54 @@ def test_dim_regular_functions_graph():
         assert dim_regular_functions(Vg, n, FQ) == 2 * n + 1
 
 
+def _substitution_dim(V, n, F):
+    """dim R_{V, <= n} of a graph by substitution: the rank of the map
+    F[y]_{<=n} -> F[t], y -> (t, f(t)), one row per monomial of degree at
+    most n, over the monomials of t up to degree n deg f."""
+    k = V.dim
+    maxdeg = max([1] + [int(f.degree) for f in V.graph_polys if not f.is_zero()])
+    index = {e: i for i, e in enumerate(monomials_upto(k, n * maxdeg))}
+    images = [Polynomial.variable(F, k, i) for i in range(k)] + list(V.graph_polys)
+    rows = []
+    for mono in monomials_upto(V.ambient, n):
+        restricted = Polynomial.monomial(F, V.ambient, mono).substitute(images)
+        row = [F.zero] * len(index)
+        for e, c in restricted.terms.items():
+            row[index[e]] = c
+        rows.append(row)
+    return rank(F, rows)
+
+
+def _random_graph_polys(F, rng, k, count, deg):
+    """count polynomials in k variables with no constant or linear part,
+    the first of degree deg; over Q with rational coefficients."""
+    if F.p:
+        draw = lambda: F.of(rng.randrange(F.p))  # noqa: E731
+    else:
+        draw = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 6))  # noqa: E731
+    polys = []
+    for i in range(count):
+        terms = {e: draw() for e in monomials_upto(k, deg) if sum(e) >= 2}
+        if i == 0:
+            terms[(deg,) + (0,) * (k - 1)] = F.one
+        polys.append(Polynomial(F, k, terms))
+    return tuple(polys)
+
+
+@pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
+def test_dim_regular_functions_graph_matches_substitution(field):
+    F = FIELDS[field]
+    rng = random.Random(5)
+    for k in (1, 2):
+        for d in (k + 1, k + 2):
+            for deg in (2, 3):
+                fs = _random_graph_polys(F, rng, k, d - k, deg)
+                V = VarietySpec(kind="graph", ambient=d, dim=k, degree=deg,
+                                frame=AffineMap.identity(F, d), graph_polys=fs)
+                for n in range(1, 4 if k == 1 else 3):
+                    assert dim_regular_functions(V, n, F) == _substitution_dim(V, n, F)
+
+
 def test_ambient_equations_vanish_on_variety():
     V = circle_through_origin()
     for eq in ambient_equations(V):
@@ -514,6 +587,110 @@ def test_ambient_equations_vanish_on_variety():
                      frame=AffineMap.identity(FQ, 3), graph_polys=(f,))
     for eq in ambient_equations(Vg):
         assert eq.evaluate([2, 3, 6]) == 0
+
+
+# -- integer rows over Q ----------------------------------------------------
+
+
+def _rational(rng, top=4, den=6):
+    return Fraction(rng.randint(-top, top), rng.randint(1, den))
+
+
+def _rational_flat(rng, k, d):
+    """A k-flat of Q^d with a rational point and directions, and a point
+    on it away from the origin."""
+    while True:
+        dirs = [[_rational(rng) for _ in range(d)] for _ in range(k)]
+        base = [_rational(rng) for _ in range(d)]
+        a = [rng.randint(-2, 2) for _ in range(k)]
+        p = tuple(b + sum(ai * u[i] for ai, u in zip(a, dirs)) for i, b in enumerate(base))
+        if rank(FQ, dirs) == k and any(p):
+            return VarietySpec(kind="flat", ambient=d, dim=k, degree=1, point=tuple(base),
+                               directions=tuple(map(tuple, dirs))), p
+
+
+def _rational_graph(rng, k, d):
+    """A graph with rational coefficients over a rational frame of Q^d, and
+    a point on it away from the origin."""
+    while True:
+        M = [[_rational(rng, 3, 4) for _ in range(d)] for _ in range(d)]
+        if rank(FQ, M) < d:
+            continue
+        frame = AffineMap(FQ, M, [_rational(rng, 3, 4) for _ in range(d)])
+        deg = rng.choice((2, 3))
+        fs = _random_graph_polys(FQ, rng, k, d - k, deg)
+        t0 = [_rational(rng, 3, 3) for _ in range(k)]
+        p = tuple(frame.inverse().apply([*t0, *(f.evaluate(t0) for f in fs)]))
+        if any(p):
+            return VarietySpec(kind="graph", ambient=d, dim=k, degree=deg, frame=frame,
+                               graph_polys=fs), p
+
+
+def _joint_config(V, p):
+    """V and a flat through p along rational multiples of the standard
+    vectors that complete V's tangent space there: one joint, at p."""
+    k, d = V.dim, V.ambient
+    extra = linalg.complete_basis(FQ, tangent_space(make_chart(V, p, FQ)), d)[k:]
+    dirs = tuple(tuple(Fraction(x, j + 2) for x in u) for j, u in enumerate(extra))
+    flat = VarietySpec(kind="flat", ambient=d, dim=d - k, degree=1, point=p, directions=dirs)
+    if d == 2 * k:
+        families = [Family(k, 2, [V, flat])]
+    else:
+        families = [Family(k, 1, [V]), Family(d - k, 1, [flat])]
+    cfg = detect_joints(FQ, families, candidates=[p])
+    assert len(cfg.joints) == 1
+    return cfg
+
+
+@given(kind=st.sampled_from(["flat", "graph", "hypersurface"]), k=st.integers(1, 2),
+       extra=st.integers(1, 2), seed=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(kind, k, extra, seed):
+    # over Q each chart's coordinates read at lambda t, lambda its scale,
+    # are ints in every degree >= 1; every ledger row and rank-check row
+    # is lambda^|gamma| (prod_i lambda_i^|gamma_i|) times the row read
+    # along the exact coordinates
+    rng = random.Random(seed)
+    d, n, N = k + extra, 2, 10
+    if kind == "flat":
+        V, p = _rational_flat(rng, k, d)
+    elif kind == "graph":
+        V, p = _rational_graph(rng, k, d)
+    else:
+        V, p = random_hypersurface(FQ, rng, k, d, rng.choice((2, 3)))
+    cfg = _joint_config(V, p)
+    ledgers = build_all_ledgers(cfg, Handicap.zero([0]), n)
+    for C in cfg.charts[0].values():
+        lam = C.scale
+        assert type(lam) is int and lam >= 1
+        for x, y in zip(C.coordinates(N), C.scaled_coordinates(N)):
+            assert x.keys() == y.keys()
+            for beta, c in x.items():
+                assert y[beta] == c * lam ** sum(beta)
+                assert type(y[beta]) is int or not any(beta)
+        for (r, m), rows in C.row_cache.items():
+            for row in rows:
+                exact = expansion_row(FQ, C.coordinates(r), m, row.gamma, {})
+                assert row.coeffs == [lam ** r * c for c in exact]
+    inserted = []
+
+    class Recording(IncrementalRowReducer):
+        def insert(self, row):
+            inserted.append(list(row))
+            return super().insert(row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "IncrementalRowReducer", Recording)
+        assert verify.vanishing_rank_check(cfg, ledgers, n)["rows"] == len(inserted) > 0
+    charts = cfg.designated_charts(0)
+    gammas = [ledgers[ref].selected_gammas(0) for ref in cfg.chosen[0]]
+    coords = verify.joint_coordinates(cfg.joints[0],
+                                      [(C.owner.dim, C.coordinates(N)) for C in charts])
+    exact = []
+    for pick in itertools.product(*gammas):
+        scalar = prod(C.scale ** sum(g) for C, g in zip(charts, pick))
+        exact.append([scalar * c for c in expansion_row(FQ, coords, n, sum(pick, ()), {})])
+    assert inserted == exact[:len(inserted)]
 
 
 # -- serialization ----------------------------------------------------------

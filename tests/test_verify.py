@@ -90,22 +90,24 @@ def composed_operator_rows(cfg, ledgers, n):
     """The product rows by the operator path: per joint, compose one
     derivative operator per designated member over the product of the
     rows its ledger selected there (by order, then row order), and
-    evaluate the product on each monomial."""
+    evaluate the product on each monomial, times the row scalar
+    prod_i lambda_i^|gamma_i| of the charts' scales."""
+    F = cfg.field
     monos = monomials_upto(cfg.ambient, n)
     rows = []
     for j, p in enumerate(cfg.joints):
         per_member = []
         for ref in cfg.chosen[j]:
-            C = make_chart(cfg.member(ref), p, cfg.field)
+            C = make_chart(cfg.member(ref), p, F)
             steps = sorted((st for st in ledgers[ref].steps if st.joint == j),
                            key=lambda st: st.order)
-            per_member.append([derivative_operator(C, row.gamma)
+            per_member.append([(derivative_operator(C, row.gamma), C.scale ** st.order)
                                for st in steps for row in st.rows])
         for pick in itertools.product(*per_member):
-            op = pick[0]
-            for other in pick[1:]:
-                op = op.compose(other)
-            rows.append([op.monomial_functional(delta, p) for delta in monos])
+            op, scalar = pick[0]
+            for other, s in pick[1:]:
+                op, scalar = op.compose(other), scalar * s
+            rows.append([F.mul(F.of(scalar), op.monomial_functional(delta, p)) for delta in monos])
     return rows
 
 
@@ -134,6 +136,9 @@ def test_rank_rows_match_composed_operators(monkeypatch, make):
 
     cfg = make()
     assert all(any(p) for p in cfg.joints)
+    # the circle's rows are read at a scale above 1, the lines' at 1
+    scales = {C.scale for on in cfg.charts for C in on.values()}
+    assert (max(scales) > 1) == (make is circle_and_lines)
     inserted = []
 
     class Recording(IncrementalRowReducer):
