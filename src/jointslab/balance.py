@@ -139,13 +139,11 @@ def build_all_ledgers(cfg, h: Handicap, n: int) -> dict:
     return {ref: build_ledger(cfg, ref, h, n) for ref in cfg.all_members()}
 
 
-def compute_W(cfg, h: Handicap, n: int, weights=None, ledgers=None) -> dict:
+def compute_W(cfg, h: Handicap, n: int, ledgers=None) -> dict:
     """Exact W_p for every joint.
 
-    W_p = (1/w_p) * [ prod over qualifying tuples, over varieties V in
-    the tuple, of |D_{p,V}| / C(n + dim V, dim V) ] ** (1/M(p)); the
-    weight is folded into the radicand so a single RootValue carries the
-    whole expression.
+    W_p = [ prod over qualifying tuples, over varieties V in the tuple,
+    of |D_{p,V}| / C(n + dim V, dim V) ] ** (1/M(p)), one RootValue.
     """
     if ledgers is None:
         ledgers = build_all_ledgers(cfg, h, n)
@@ -165,8 +163,7 @@ def compute_W(cfg, h: Handicap, n: int, weights=None, ledgers=None) -> dict:
                     if led is None:
                         raise LedgerMissing(f"no ledger for member {(fi, mi)}")
                     Q *= Fraction(led.joint_total(j), norm)
-        w = Fraction(weights[j]) if weights is not None else Fraction(1)
-        out[j] = RootValue(Q / w**M, M)
+        out[j] = RootValue(Q, M)
     return out
 
 

@@ -383,7 +383,6 @@ def generate(
     d: int | None = None,
     k: int = 2,
     count: int = 4,
-    through_origin: bool = False,
 ) -> JointsConfiguration:
     """Seeded construction of the standard example configurations."""
     F = field or FieldSpec("prime", DEFAULT_PRIME)
@@ -456,15 +455,15 @@ def generate(
         if (d % k) or count < d // k:
             raise DimensionMismatch("need count >= d/k random flats of dimension k")
         _genericity_guard(F, count)
-        members = [_random_flat(rng, F, d, k) for _ in range(count)]
-        if through_origin:
-            members = [
-                VarietySpec(
-                    kind="flat", ambient=d, dim=k, degree=1,
-                    point=(F.zero,) * d, directions=V.directions,
-                )
-                for V in members
-            ]
+        # every member passes through the origin: with random base points,
+        # d/k >= 3 generic k-flats in F^d share no point
+        members = [
+            VarietySpec(
+                kind="flat", ambient=d, dim=k, degree=1,
+                point=(F.zero,) * d, directions=_random_flat(rng, F, d, k).directions,
+            )
+            for _ in range(count)
+        ]
         fam = Family(k=k, m=d // k, members=members)
         return detect_joints(F, [fam], seed=seed)
     raise UnsupportedKind(f"unknown generator kind {kind!r}")

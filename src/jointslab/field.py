@@ -166,12 +166,3 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return math.comb(n, k)
-
-
-def binom_in_field(n: int, k: int, spec: FieldSpec) -> FieldElement:
-    """C(n, k) as an exact integer, reduced into the field.
-
-    Computed over Z first; reducing factorials separately would be wrong
-    in small characteristic.
-    """
-    return spec.of(binom(n, k))

@@ -195,9 +195,6 @@ class IncrementalRowReducer:
             else:
                 row = [(x - f * y) % p if y else x for x, y in zip(row[i + 1:], prow[1:])]
 
-    def in_span(self, row) -> bool:
-        return not self.fork().insert(row)
-
     def rref(self) -> dict:
         """The reduced row echelon form of the rows inserted so far, as
         {pivot column: full row} in canonical field elements, in column

@@ -7,11 +7,14 @@ used by the vanishing-basis machinery.
 
 ``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial
 for a parametrization phi; every vanishing-condition row, ledger and
-rank rows and the witness alike, is one.  ``HasseOperator`` acts by
+rank rows and the witness alike, is one, and so is the coefficient list
+of every derivative operator.  ``HasseOperator`` acts by
 Hasse^w x^e = C(e, w) x^(e-w), the binomial computed coordinatewise over
 Z and then reduced into the field, which keeps the calculus correct in
 small characteristic; it is library API and the test oracle for the
-rows, and no pipeline or verify path builds one.
+rows, and no pipeline or verify path builds one.  ``conjugate_operator``
+is the operator's change of frame, kept as the oracle of
+``varieties.derivative_operator``.
 """
 
 from __future__ import annotations
@@ -169,18 +172,6 @@ class Polynomial:
         F = self.field
         c = F.of(c)
         return Polynomial(F, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.field, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def truncate(self, n: int) -> "Polynomial":
         """Drop all terms of total degree > n."""
@@ -350,10 +341,6 @@ class HasseOperator:
         self.combo = {w: c for w, c in (combo or {}).items() if c}
 
     @classmethod
-    def identity(cls, field, nvars):
-        return cls(field, nvars, {(0,) * nvars: field.one})
-
-    @classmethod
     def single(cls, field, nvars, omega, c=None):
         c = field.one if c is None else field.of(c)
         return cls(field, nvars, {tuple(omega): c})
@@ -367,13 +354,6 @@ class HasseOperator:
             return NEG_INF
         return max(sum(w) for w in self.combo)
 
-    def top_part(self) -> "HasseOperator":
-        """The homogeneous part of maximal order."""
-        r = self.order
-        return HasseOperator(
-            self.field, self.nvars, {w: c for w, c in self.combo.items() if sum(w) == r}
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, HasseOperator)
@@ -384,22 +364,6 @@ class HasseOperator:
 
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.combo.items())))
-
-    def __add__(self, other):
-        F = self.field
-        combo = dict(self.combo)
-        for w, c in other.combo.items():
-            s = F.add(combo.get(w, F.zero), c)
-            if s:
-                combo[w] = s
-            else:
-                combo.pop(w, None)
-        return HasseOperator(F, self.nvars, combo)
-
-    def scale(self, c):
-        F = self.field
-        c = F.of(c)
-        return HasseOperator(F, self.nvars, {w: F.mul(c, v) for w, v in self.combo.items()})
 
     def compose(self, other: "HasseOperator") -> "HasseOperator":
         """Operator product; Hasse derivatives commute, so the order of
@@ -617,6 +581,12 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
 
 def conjugate_operator(D: HasseOperator, T: AffineMap) -> HasseOperator:
     """The operator D' with D' g = (D (g o T)) o T^{-1}.
+
+    No library path calls it: conjugating a chart's framed operator with
+    the chart's parametrization gives its ambient one, which
+    ``varieties.derivative_operator`` reads off one expansion row, and the
+    tests check the two against each other; the benchmark's per-layer
+    trace counts it.
 
     For an affine T: x -> Ax + b one has
         Hasse^w (g o T) = sum_delta m_{w,delta} (Hasse^delta g) o T,

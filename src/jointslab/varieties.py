@@ -16,8 +16,9 @@ them along ``Chart.scaled_coordinates``, x(phi(lambda t)) for the chart's
 fixed ``scale`` lambda, whose coefficients over Q are ints in every
 degree >= 1: each row is then lambda^|gamma| times the exact one and is
 built in ints.  ``derivative_operator`` writes the same functional as
-ambient Hasse derivatives: library API and the test oracle for those
-rows.
+ambient Hasse derivatives, its coefficients one expansion row along the
+centered coordinates phi(t) - p: library API and the test oracle for
+those rows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
-    conjugate_operator,
     expansion_row,
     exponents_of_degree,
     format_poly,
@@ -503,15 +503,14 @@ def tangent_space(C: Chart) -> list:
 
 
 def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
-    """The operator attached to the local exponent vector gamma.
+    """The operator sum_w c_w Hasse^w with D g(center) = [t^gamma] g(phi(t)).
 
-    In the framed coordinates it is sum_w c_w Hasse^w where c_w is the
-    x^gamma coefficient of x_1^{w_1}...x_k^{w_k} h_{k+1}^{w_{k+1}}...
-    h_d^{w_d}, read off the expansion row of gamma along (x, h(x)); the
-    support is restricted to |w| <= |gamma|, whose sufficiency follows
-    from the series having no constant or linear terms.  With
-    ambient=True the operator is conjugated with the frame so that it
-    acts in ambient coordinates and evaluates at the center.
+    By Taylor's formula g(center + u) = sum_w (Hasse^w g)(center) u^w, so
+    c_w is [t^gamma] u(t)^w for u(t) = phi(t) - center: the expansion row
+    of gamma along the centered chart coordinates.  As u has no constant
+    term, |w| <= |gamma| suffices.  With ambient=False the operator acts
+    in the framed coordinates, where the center is the origin and
+    u(t) = (t, h(t)).
     """
     F = C.field
     d, k = C.owner.ambient, C.owner.dim
@@ -519,12 +518,13 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
     if len(gamma) != k:
         raise DimensionMismatch("gamma must use the local variables")
     r = sum(gamma)
-    framed_coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h.terms for h in C.series(r)]
-    row = expansion_row(F, framed_coords, r, gamma, {})
-    framed = HasseOperator(F, d, dict(zip(monomials_upto(d, r), row)))
-    if not ambient:
-        return framed
-    return conjugate_operator(framed, C.frame_inverse)
+    if ambient:
+        zero = (0,) * k
+        coords = [{b: c for b, c in x.items() if b != zero} for x in C.coordinates(r)]
+    else:
+        coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h.terms for h in C.series(r)]
+    row = expansion_row(F, coords, r, gamma, {})
+    return HasseOperator(F, d, {w: F.of(c) for w, c in zip(monomials_upto(d, r), row)})
 
 
 def derivative_space(C: Chart, r: int) -> list:

@@ -266,9 +266,10 @@ def bound_report(cfg) -> BoundReport:
     rhs_b = RootValue(Fraction(fact * deg_prod, denom_b), m)
     # part (a): |J|^m <= fact*deg_prod/denom_a, exact
     pass_a = Fraction(J) ** m <= rhs_a.Q
-    # part (b): sum_p M(p)^(1/m) <= rhs_b; bracket the sum, refine on demand.
-    # Brackets of unequal sides separate.  Past 768 bits the sides may be
-    # equal: decide that exactly, and otherwise refine on until they part.
+    # part (b): sum_p M(p)^(1/m) <= rhs_b.  Equal sides are decided
+    # exactly first; brackets of unequal sides separate, so otherwise
+    # refine them until they part.
+    equal = _root_sum_ratio([cfg.M(j) for j in range(J)], rhs_b) == 1
     bits = 48
     while True:
         lo = Fraction(0)
@@ -278,18 +279,10 @@ def bound_report(cfg) -> BoundReport:
             lo += l
             hi += hgh
         rlo, rhi = rhs_b.brackets(bits)
-        if hi <= rlo:
-            pass_b = True
+        if equal or hi <= rlo or lo > rhi:
             break
-        if lo > rhi:
-            pass_b = False
-            break
-        if bits == 768:
-            ratio = _root_sum_ratio([cfg.M(j) for j in range(J)], rhs_b)
-            if ratio is not None:
-                pass_b = ratio <= 1
-                break
         bits *= 2
+    pass_b = equal or hi <= rlo
     return BoundReport(J, s, deg_prod, const_a, const_b, rhs_a, rhs_b,
                        (lo, hi), pass_a, pass_b, True)
 

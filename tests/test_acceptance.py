@@ -119,7 +119,7 @@ def test_acceptance_04_ledger_totals_partition():
         cases = []
         for seed in range(30):
             cases.append((generate("random-flats", field=F, seed=seed, d=6,
-                                   k=2, count=4, through_origin=True),
+                                   k=2, count=4),
                           rng.randint(1, 3)))
         for seed in range(19):
             cases.append((generate("generic-hyperplanes", field=F, seed=seed,

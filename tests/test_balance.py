@@ -112,13 +112,6 @@ def test_W_coordinate_flats_is_one():
     assert W[0] == RootValue(Fraction(1))
 
 
-def test_W_weights_divide():
-    cfg = generate("coordinate-flats", field=F, d=6, k=2)
-    h = Handicap.zero(range(1))
-    W = compute_W(cfg, h, 2, weights=[2])
-    assert W[0] == RootValue(Fraction(1, 2))
-
-
 def test_W_zero_when_no_rows_remain():
     # a huge handicap on the single joint pushes all its steps past the
     # cap on other joints... with one joint, drive its own count to zero
@@ -271,9 +264,9 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
     real_W, real_build, real_chart = B.compute_W, B.build_ledger, varieties_module.make_chart
     real_insert = IncrementalRowReducer.insert
 
-    def recording_W(cfg_, h, n_, weights=None, ledgers=None):
+    def recording_W(cfg_, h, n_, ledgers=None):
         W_calls.append(dict(ledgers))
-        return real_W(cfg_, h, n_, weights, ledgers=ledgers)
+        return real_W(cfg_, h, n_, ledgers=ledgers)
 
     def recording_build(cfg_, ref, h, n_, cap=None, walks=None):
         led = real_build(cfg_, ref, h, n_, cap=cap, walks=walks)

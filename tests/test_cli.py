@@ -13,6 +13,7 @@ from jointslab.cli import (
     build_parser,
     main,
 )
+from jointslab.config import JointsConfiguration
 
 
 def run(argv, capsys=None):
@@ -41,6 +42,17 @@ def test_generate_deterministic_bytes(tmp_path):
     a = gen(tmp_path, "a").read_bytes()
     b = gen(tmp_path, "b").read_bytes()
     assert a == b
+
+
+def test_generate_random_flats_meet_at_the_origin(tmp_path, capsys):
+    # four random 2-flats through the origin of F^6: one joint, where every
+    # triple of them spans, so M = C(4, 3) = 4
+    out = tmp_path / "flats"
+    assert main(["generate", "--kind", "random-flats", "--seed", "0",
+                 "--out-dir", str(out)]) == EXIT_OK
+    assert "1 joints, 4 member varieties" in capsys.readouterr().out
+    cfg = JointsConfiguration.from_json(json.loads((out / "config.json").read_text()))
+    assert cfg.joints == [(0,) * 6] and cfg.M(0) == 4
 
 
 def test_pipeline_passes(tmp_path):

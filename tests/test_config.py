@@ -269,8 +269,7 @@ def test_detect_rejects_members_outside_F_d(m):
 
 def test_multiplicity_brute_force():
     # M(p) counts qualifying tuples; cross-check by explicit enumeration
-    cfg = generate("random-flats", field=F, seed=3, d=6, k=2, count=5,
-                   through_origin=True)
+    cfg = generate("random-flats", field=F, seed=3, d=6, k=2, count=5)
     p = (0,) * 6
     assert p in cfg.joints
     i = cfg.joints.index(p)
@@ -287,8 +286,7 @@ def test_multiplicity_brute_force():
 def test_generic_flats_through_origin_multiplicity():
     # 4 generic 2-flats through the origin in F^6: every triple spans,
     # M = C(4,3) = 4
-    cfg = generate("random-flats", field=F, seed=1, d=6, k=2, count=4,
-                   through_origin=True)
+    cfg = generate("random-flats", field=F, seed=1, d=6, k=2, count=4)
     assert cfg.joints == [(0,) * 6]
     assert cfg.M(0) == binom(4, 3)
 
@@ -356,7 +354,7 @@ def test_generate_determinism():
         ("generic-hyperplanes", {"h": 5, "d": 3}),
         ("grid", {"t": 3}),
         ("line", {"t": 2}),
-        ("random-flats", {"d": 6, "k": 2, "count": 4, "through_origin": True}),
+        ("random-flats", {"d": 6, "k": 2, "count": 4}),
     ):
         a = generate(kind, field=F, seed=7, **kw)
         b = generate(kind, field=F, seed=7, **kw)
@@ -364,10 +362,9 @@ def test_generate_determinism():
             b.to_json(), sort_keys=True
         )
         c = generate(kind, field=F, seed=8, **kw)
-        if kind != "random-flats":  # through-origin rebase erases the sample point
-            assert json.dumps(a.to_json(), sort_keys=True) != json.dumps(
-                c.to_json(), sort_keys=True
-            )
+        assert json.dumps(a.to_json(), sort_keys=True) != json.dumps(
+            c.to_json(), sort_keys=True
+        )
 
 
 def test_json_roundtrip_redetects():

@@ -11,7 +11,6 @@ from jointslab.field import (
     DEFAULT_PRIME,
     FieldSpec,
     binom,
-    binom_in_field,
     is_prime,
 )
 
@@ -146,9 +145,9 @@ def test_binomial_in_small_characteristic():
     # C(5, k) = 0 mod 5 for 0 < k < 5; computing factorials mod p first
     # would divide by zero instead
     for k in range(1, 5):
-        assert binom_in_field(5, k, F5) == 0
-    assert binom_in_field(5, 0, F5) == 1
-    assert binom_in_field(6, 3, F5) == 20 % 5
+        assert F5.of(binom(5, k)) == 0
+    assert F5.of(binom(5, 0)) == 1
+    assert F5.of(binom(6, 3)) == 20 % 5
 
 
 def test_json_roundtrip():

@@ -102,14 +102,14 @@ def test_incremental_reducer_streaming():
         grew = red.insert(row)
         seen.append(row)
         assert red.rank == rank(FP, seen)
-        assert red.in_span(row)
+        assert not red.fork().insert(row)
         # a row is dependent exactly when the rows before it span it
-        assert before.in_span(row) == (not grew)
+        assert before.fork().insert(row) == grew
     combo = [FP.zero] * 5
     for row in rows[:3]:
         c = FP.of(rng.randrange(FP.p))
         combo = [FP.add(a, FP.mul(c, b)) for a, b in zip(combo, row)]
-    assert red.in_span(combo)
+    assert not red.fork().insert(combo)
 
 
 class ReferenceReducer:
@@ -214,7 +214,7 @@ def field_entries(F):
 @settings(max_examples=120, deadline=None)
 def test_reducer_streams_with_forks_match_reference(data):
     """Random row streams into a growing family of forked reducers: every
-    insert verdict, rank, in_span and rref() equal the reference loop's,
+    insert verdict, rank, forked insert and rref() equal the reference loop's,
     and solve, inverse and nullspace agree with answers read off the
     reference store.  ``fork(rank)`` matches a reference fed the first
     ``rank`` rows that raised the rank."""
@@ -245,14 +245,14 @@ def test_reducer_streams_with_forks_match_reference(data):
         else:
             row = data.draw(st.lists(entry, min_size=n, max_size=n), label="row")
         probe = data.draw(st.lists(entry, min_size=n, max_size=n), label="probe")
-        assert red.in_span(probe) == (not ref.fork().insert(probe))
+        assert red.fork().insert(probe) == ref.fork().insert(probe)
         grew = red.insert(row)
         assert grew == ref.insert(row)
         rows.append(row)
         if grew:
             raised.append(row)
         assert red.rank == len(ref.pivots)
-        assert red.in_span(row)
+        assert not red.fork().insert(row)
     for red, ref, rows, _ in lines:
         assert red.rref() == ref.pivots
         assert_canonical(F, red.rref())
@@ -305,5 +305,5 @@ def test_insert_leaves_input_rows_alone():
         for row in random_matrix(rng, F, 6, 4) * 2:
             before = list(row)
             red.insert(row)
-            red.in_span(row)
+            red.fork().insert(row)
             assert row == before

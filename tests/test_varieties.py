@@ -24,6 +24,7 @@ from jointslab.poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    conjugate_operator,
     expansion_row,
     format_poly,
     monomials_upto,
@@ -416,7 +417,20 @@ def test_circle_operators():
     assert D3.combo == {(3, 0): one, (1, 1): one}
 
 
-def test_operator_top_part_is_hasse():
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_derivative_operator_is_the_conjugated_framed_operator(field):
+    # the ambient operator, one expansion row along the centered chart
+    # coordinates, equals the framed operator conjugated with the chart's
+    # parametrization, on every off-origin chart and every |gamma| <= 5
+    F = FIELDS[field]
+    for V, p in off_origin_varieties(F).values():
+        C = make_chart(V, p, F)
+        for gamma in monomials_upto(V.dim, 5):
+            framed = derivative_operator(C, gamma, ambient=False)
+            assert derivative_operator(C, gamma) == conjugate_operator(framed, C.frame_inverse)
+
+
+def test_operator_leading_part_is_hasse():
     # the top-order part of the framed operator is exactly Hasse^gamma
     f = parse_poly("3 * x1^2 + 1 * x1 x2 + -2 * x2^2", FQ, 2)
     V = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
@@ -424,7 +438,7 @@ def test_operator_top_part_is_hasse():
     C = make_chart(V, (0, 0, 0))
     for gamma in ((2, 0), (1, 1), (0, 3), (2, 2)):
         D = derivative_operator(C, gamma, ambient=False)
-        assert D.top_part().combo == {gamma + (0,): FQ.one}
+        assert {w: c for w, c in D.combo.items() if sum(w) == D.order} == {gamma + (0,): FQ.one}
 
 
 def test_flat_operators_are_plain_hasse():
