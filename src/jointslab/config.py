@@ -29,7 +29,7 @@ from .errors import (
     SingularPoint,
     UnsupportedKind,
 )
-from .field import DEFAULT_PRIME, FieldSpec
+from .field import DEFAULT_PRIME, FieldSpec, json_int
 from .varieties import (
     VarietySpec,
     make_chart,
@@ -57,8 +57,8 @@ class Family:
     @staticmethod
     def from_json(obj: dict, F: FieldSpec) -> "Family":
         return Family(
-            k=int(obj["k"]),
-            m=int(obj["m"]),
+            k=json_int(obj["k"], "family k"),
+            m=json_int(obj["m"], "family m"),
             members=[variety_from_json(v, F) for v in obj["members"]],
         )
 
@@ -116,7 +116,7 @@ class JointsConfiguration:
             F = FieldSpec.from_json(obj["field"])
             families = [Family.from_json(f, F) for f in obj["families"]]
             joints = [tuple(F.of(x) for x in p) for p in obj["joints"]]
-            seed = int(obj.get("seed", 0))
+            seed = json_int(obj.get("seed", 0), "seed")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"malformed configuration: {exc!r}") from exc
         return detect_joints(F, families, candidates=joints, seed=seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, MalformedInput
 
 FieldElement = Union[int, Fraction]
 
@@ -150,8 +150,16 @@ class FieldSpec:
             raise ValueError(f"a field is an object with a kind, not {obj!r}")
         kind = obj.get("kind")
         if kind == "prime":
-            return FieldSpec("prime", int(obj["p"]))
+            return FieldSpec("prime", json_int(obj["p"], "field p"))
         return FieldSpec(kind, obj.get("p"))
+
+
+def json_int(x, name: str) -> int:
+    """x when it is a JSON integer, an ``int`` that is not a ``bool``;
+    anything else, such as 2.7, is malformed."""
+    if type(x) is not int:
+        raise MalformedInput(f"{name} must be an integer, not {x!r}")
+    return x
 
 
 def as_int(x) -> FieldElement:

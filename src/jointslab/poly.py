@@ -7,14 +7,20 @@ used by the vanishing-basis machinery.
 
 ``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial
 for a parametrization phi; every vanishing-condition row, ledger and
-rank rows and the witness alike, is one, and so is the coefficient list
-of every derivative operator.  ``HasseOperator`` acts by
-Hasse^w x^e = C(e, w) x^(e-w), the binomial computed coordinatewise over
-Z and then reduced into the field, which keeps the calculus correct in
-small characteristic; it is library API and the test oracle for the
-rows, and no pipeline or verify path builds one.  ``conjugate_operator``
-is the operator's change of frame, kept as the oracle of
-``varieties.derivative_operator``.
+rank rows alike, is one, and so is the coefficient list of every
+derivative operator.  ``coefficient_along`` is the one reader of
+[t^gamma] g(phi(t)) for a given g, g's coefficients summed against that
+row: ``Polynomial.substitute`` (and through it ``pullback`` and
+``taylor_shift``), ``Polynomial.evaluate``, ``lowest_term`` (and through
+it ``vanishing_order`` and the witness's framing),
+``HasseOperator.evaluate`` and the hypersurface series solve all call
+it, and so does the witness's value.
+``HasseOperator`` acts by Hasse^w x^e = C(e, w) x^(e-w), the binomial
+computed coordinatewise over Z and then reduced into the field, which
+keeps the calculus correct in small characteristic; it is library API
+and the test oracle for the rows, and no pipeline or verify path builds
+one.  ``conjugate_operator`` is the operator's change of frame, kept as
+the oracle of ``varieties.derivative_operator``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import DimensionMismatch, MalformedInput, SingularMap
-from .field import FieldElement, FieldSpec, binom
+from .field import FieldElement, FieldSpec, as_int, binom
 
 ExponentVector = tuple
 
@@ -173,57 +179,30 @@ class Polynomial:
         c = F.of(c)
         return Polynomial(F, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()})
 
-    def truncate(self, n: int) -> "Polynomial":
-        """Drop all terms of total degree > n."""
-        return Polynomial(
-            self.field, self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= n}
-        )
-
     def evaluate(self, point) -> FieldElement:
-        if len(point) != self.nvars:
-            raise DimensionMismatch("point dimension mismatch")
-        F = self.field
-        point = [F.of(x) for x in point]
-        acc = F.zero
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = F.mul(v, F.pow(x, k))
-            acc = F.add(acc, v)
-        return acc
+        """g(point), the t^0 coefficient of g along the constant
+        coordinates point, which ``coefficient_along`` reads."""
+        return coefficient_along(self, [{(): as_int(self.field.of(x))} for x in point], (), {})
 
     def substitute(self, images: list, truncation: int | None = None) -> "Polynomial":
         """Substitute variable i -> images[i] (polynomials over the same
-        field, all in a common ring).  Optionally truncate the running
-        total degree, which keeps power-series work bounded."""
-        if len(images) != self.nvars:
-            raise DimensionMismatch("one image per variable required")
-        F = self.field
+        field, all in a common ring).  ``coefficient_along`` reads the
+        t^gamma coefficient for every gamma up to the degree bound:
+        ``truncation`` when given, else deg g times the top degree of the
+        images."""
         nv = images[0].nvars if images else 0
-        pows: list[dict[int, Polynomial]] = [dict() for _ in images]
-
-        def power(i, k):
-            if k not in pows[i]:
-                if k == 0:
-                    pows[i][k] = Polynomial.constant(F, nv, 1)
-                else:
-                    p = power(i, k - 1) * images[i]
-                    if truncation is not None:
-                        p = p.truncate(truncation)
-                    pows[i][k] = p
-            return pows[i][k]
-
-        acc = Polynomial.zero(F, nv)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(F, nv, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-                    if truncation is not None:
-                        term = term.truncate(truncation)
-            acc = acc + term
-        return acc
+        if any(h.nvars != nv or h.field != self.field for h in images):
+            raise DimensionMismatch("images must lie in one ring over the polynomial's field")
+        # integral values as ints: over Q the rows are then built in ints
+        coords = [{e: as_int(c) for e, c in h.terms.items()} for h in images]
+        if truncation is None:
+            top = max((sum(e) for h in coords for e in h), default=0)
+            truncation = max(map(sum, self.terms), default=0) * top
+        memo: dict = {}
+        return Polynomial(self.field, nv, {
+            gamma: coefficient_along(self, coords, gamma, memo)
+            for gamma in monomials_upto(nv, truncation)
+        })
 
     # -- text form -----------------------------------------------------
 
@@ -392,30 +371,19 @@ class HasseOperator:
         return acc
 
     def evaluate(self, g: Polynomial, point) -> FieldElement:
-        """(D g)(point) without materializing D g."""
+        """(D g)(point) without materializing D g.  By Taylor's formula
+        (Hasse^w g)(point) is [y^w] g(point + y), which
+        ``coefficient_along`` reads."""
         F = self.field
-        point = [F.of(x) for x in point]
+        coords, memo = _coordinates(AffineMap.translation_map(F, point)), {}
         acc = F.zero
-        for e, c in g.terms.items():
-            acc = F.add(acc, F.mul(c, self.monomial_functional(e, point)))
+        for w, c in self.combo.items():
+            acc = F.add(acc, F.mul(c, coefficient_along(g, coords, w, memo)))
         return acc
 
     def monomial_functional(self, delta, point) -> FieldElement:
         """(D x^delta)(point): one entry of the functional row g -> Dg(p)."""
-        F = self.field
-        acc = F.zero
-        for w, cw in self.combo.items():
-            if any(d < wi for d, wi in zip(delta, w)):
-                continue
-            b = F.of(binom_vec(delta, w))
-            if not b:
-                continue
-            v = F.mul(cw, b)
-            for x, k in zip(point, (d - wi for d, wi in zip(delta, w))):
-                if k:
-                    v = F.mul(v, F.pow(F.of(x), k))
-            acc = F.add(acc, v)
-        return acc
+        return self.evaluate(Polynomial.monomial(self.field, self.nvars, delta), point)
 
     def __repr__(self):
         parts = [
@@ -498,19 +466,13 @@ def pullback(g: Polynomial, T: AffineMap) -> Polynomial:
     """g composed with T, i.e. substitute x -> Ax + b and expand."""
     if T.dim != g.nvars:
         raise DimensionMismatch("map/ring dimension mismatch")
-    F = g.field
-    images = []
-    for i in range(g.nvars):
-        terms: dict = {}
-        for j, a in enumerate(T.matrix[i]):
-            if a:
-                e = [0] * g.nvars
-                e[j] = 1
-                terms[tuple(e)] = a
-        if T.translation[i]:
-            terms[(0,) * g.nvars] = T.translation[i]
-        images.append(Polynomial(F, g.nvars, terms))
-    return g.substitute(images)
+    return g.substitute([affine_form(g.field, row, b) for row, b in zip(T.matrix, T.translation)])
+
+
+def affine_form(F: FieldSpec, coeffs, const) -> Polynomial:
+    """The polynomial sum_j coeffs[j] x_j + const."""
+    d = len(coeffs)
+    return Polynomial(F, d, dict(zip((*exponents_of_degree(d, 1), (0,) * d), [*coeffs, const])))
 
 
 def taylor_shift(g: Polynomial, a) -> Polynomial:
@@ -525,18 +487,38 @@ def vanishing_order(g: Polynomial, point):
     +inf for the zero polynomial."""
     if g.is_zero():
         return math.inf
-    shifted = taylor_shift(g, point)
-    return min(sum(e) for e in shifted.terms)
+    return sum(lowest_term(g, AffineMap.translation_map(g.field, point))[0])
+
+
+def lowest_term(g: Polynomial, T: AffineMap) -> tuple:
+    """(gamma, c) for the graded-lex-first term c y^gamma of least degree
+    of g o T, g nonzero.  The coefficients of g o T are read by
+    ``coefficient_along`` in graded order up to the first nonzero one, so
+    when g does not vanish at T(0) this costs one expansion row."""
+    coords, memo = _coordinates(T), {}
+    return next((w, c) for r in range(int(g.degree) + 1) for w in exponents_of_degree(g.nvars, r)
+                if (c := coefficient_along(g, coords, w, memo)))
+
+
+def _coordinates(T: AffineMap) -> list:
+    """x = A y + b as {beta: c} maps, one per x_i, integral values as ints."""
+    return [{e: as_int(c) for e, c in affine_form(T.field, row, b).terms.items()}
+            for row, b in zip(T.matrix, T.translation)]
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(d: int, n: int) -> dict:
+    """Position of each x^delta in monomials_upto(d, n)."""
+    return {e: k for k, e in enumerate(monomials_upto(d, n))}
 
 
 @lru_cache(maxsize=None)
 def _expansion_steps(d: int, n: int) -> tuple:
     """Per monomial x^delta after the first in monomials_upto(d, n): (i, k)
     with x_i the first variable of x^delta and k the index of x^(delta - e_i)."""
-    monos = monomials_upto(d, n)
-    index = {e: k for k, e in enumerate(monos)}
+    index = _monomial_index(d, n)
     out = []
-    for delta in monos[1:]:
+    for delta in monomials_upto(d, n)[1:]:
         i = next(i for i, e in enumerate(delta) if e)
         out.append((i, index[delta[:i] + (delta[i] - 1,) + delta[i + 1 :]]))
     return tuple(out)
@@ -577,6 +559,19 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
         row.append(acc % p if p else acc)
     memo[gamma] = row
     return row
+
+
+def coefficient_along(g: Polynomial, coords, gamma, memo: dict) -> FieldElement:
+    """[t^gamma] g(phi(t)) for ``coords[i]`` = x_i(phi(t)) as {beta: c}
+    maps: g's coefficients summed against the ``expansion_row`` of gamma
+    at degree deg g.  ``memo`` is that row memo, so it serves one
+    (coords, deg g) pair."""
+    if len(coords) != g.nvars:
+        raise DimensionMismatch("one coordinate per variable required")
+    n = max(map(sum, g.terms), default=0)
+    row = expansion_row(g.field, coords, n, gamma, memo)
+    index = _monomial_index(g.nvars, n)
+    return g.field.of(sum(c * row[index[e]] for e, c in g.terms.items()))
 
 
 def conjugate_operator(D: HasseOperator, T: AffineMap) -> HasseOperator:

@@ -36,11 +36,13 @@ from .errors import (
     SingularPoint,
     UnsupportedKind,
 )
-from .field import FieldSpec, as_int, binom
+from .field import FieldSpec, as_int, binom, json_int
 from .poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    affine_form,
+    coefficient_along,
     expansion_row,
     exponents_of_degree,
     format_poly,
@@ -272,21 +274,9 @@ def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
     cols = [[u[i] for u in dirs] for i in range(d)]
     basis = linalg.complete_basis(F, [list(c) for c in zip(*cols)], d)
     M = [[basis[j][i] for j in range(d)] for i in range(d)]  # columns = basis vectors
-    Minv = linalg.inverse(F, M)
-    coord_polys = []
-    for i in range(m):
-        terms = {}
-        const = F.zero
-        for j in range(d):
-            a = Minv[i][j]
-            if a:
-                e = [0] * d
-                e[j] = 1
-                terms[tuple(e)] = a
-                const = F.sub(const, F.mul(a, base[j]))
-        if const:
-            terms[(0,) * d] = const
-        coord_polys.append(Polynomial(F, d, terms))
+    Minv = linalg.inverse(F, M)[:m]
+    shift = linalg.mat_vec(F, Minv, base)
+    coord_polys = [affine_form(F, row, F.neg(c)) for row, c in zip(Minv, shift)]
     eqs = [V.surface_poly.substitute(coord_polys)]
     eqs += _flat_equations(F, d, V.point, V.directions)
     return eqs
@@ -304,20 +294,7 @@ def _flat_equations(F, d, point, directions):
     dirs = [[F.of(x) for x in u] for u in directions]
     base = [F.of(x) for x in point]
     normals = linalg.nullspace(F, dirs) if dirs else linalg.identity(F, d)
-    out = []
-    for a in normals:
-        terms = {}
-        const = F.zero
-        for j, c in enumerate(a):
-            if c:
-                e = [0] * d
-                e[j] = 1
-                terms[tuple(e)] = c
-                const = F.sub(const, F.mul(c, base[j]))
-        if const:
-            terms[(0,) * d] = const
-        out.append(Polynomial(F, d, terms))
-    return out
+    return [affine_form(F, a, F.neg(c)) for a, c in zip(normals, linalg.mat_vec(F, normals, base))]
 
 
 def _embed(f: Polynomial, d: int) -> Polynomial:
@@ -447,26 +424,20 @@ def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
     yields r, so a chart solves only the degrees its readers reach.
 
     Coefficients are solved in graded order.  The t^gamma coefficient of
-    E(t, h(t)) is sum_delta E_delta row[delta], with row the expansion row
-    of gamma along (t, h).  As h has no constant or linear part, the only
-    entry that reads h_gamma is that of delta = s, which equals h_gamma;
-    read while h_gamma is still missing, it is 0, so h_gamma =
-    -(sum_delta E_delta row[delta]) / c.  Storing h_gamma leaves gamma's
+    E(t, h(t)) is ``coefficient_along`` (t, h): E's coefficients summed
+    against the expansion row of gamma.  As h has no constant or linear
+    part, the only entry that reads h_gamma is that of the monomial s,
+    which equals h_gamma; read while h_gamma is still missing, it is 0, so
+    h_gamma = -[t^gamma] E(t, h(t)) / c.  Storing h_gamma leaves gamma's
     memo row stale, so the row is dropped before any higher gamma reads it.
     """
     k = E.nvars - 1
-    n = int(E.degree)
-    index = {delta: i for i, delta in enumerate(monomials_upto(k + 1, n))}
-    support = [(index[delta], a) for delta, a in E.terms.items()]
     minus_c_inv = F.neg(F.inv(E.coefficient((0,) * k + (1,))))
     coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h]
     memo: dict = {}
     for r in itertools.count(2):
         for gamma in exponents_of_degree(k, r):
-            row = expansion_row(F, coords, n, gamma, memo)
-            acc = F.zero
-            for i, a in support:
-                acc = F.add(acc, F.mul(a, row[i]))
+            acc = coefficient_along(E, coords, gamma, memo)
             if acc:
                 h[gamma] = F.mul(acc, minus_c_inv)
                 del memo[gamma]
@@ -625,9 +596,9 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     kind = obj["kind"]
-    dim = int(obj["dim"])
-    ambient = int(obj["ambient"])
-    degree = int(obj.get("degree", 1))
+    dim = json_int(obj["dim"], "member dim")
+    ambient = json_int(obj["ambient"], "member ambient")
+    degree = json_int(obj.get("degree", 1), "member degree")
     label = obj.get("label", "")
     if kind in ("flat", "hypersurface"):
         directions = tuple(tuple(F.of(x) for x in u) for u in obj["directions"])
@@ -655,6 +626,8 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             frame=frame, graph_polys=polys, label=label,
         )
     if kind == "hypersurface":
+        if len(obj["equations"]) != 1:
+            raise MalformedInput(f"a hypersurface has one equation, not {len(obj['equations'])}")
         poly = parse_poly(obj["equations"][0], F, dim + 1)
         return VarietySpec(
             kind="hypersurface", ambient=ambient, dim=dim, degree=int(poly.degree),

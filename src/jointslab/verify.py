@@ -27,10 +27,9 @@ from .linalg import IncrementalRowReducer
 from .poly import (
     AffineMap,
     Polynomial,
+    coefficient_along,
     expansion_row,
-    grlex_key,
-    monomials_upto,
-    pullback,
+    lowest_term,
     vanishing_order,
 )
 from .varieties import tangent_space
@@ -125,16 +124,16 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
     operator of order gamma_i.
 
     Frames g at p by the stacked tangent blocks, x = p + sum_i T_i y_i,
-    and reads off the graded-lex-first minimal-degree monomial c y^gamma
-    of the framed polynomial, split into per-chart blocks gamma_i.  The
-    product's value is the gamma coefficient of g along the joint
-    coordinates: one expansion row at degree deg g, summed against g's
-    coefficients.  Each phi_i - p is L_i t_i plus terms of degree >= 2,
-    and those terms cannot reach the t^gamma coefficient, since every
-    term of the framed g has degree >= |gamma|.  So each chart is read
-    through degree 1 only, and ``pass`` checks that the ``tangent_space``
-    framing T_i agrees with the charts' linear terms L_i.  sum |gamma_i|
-    is the local vanishing order.
+    and reads off the ``lowest_term`` c y^gamma of the framed polynomial,
+    split into per-chart blocks gamma_i.  The
+    product's ``value`` is the gamma coefficient of g along the joint
+    coordinates, read by ``coefficient_along``, and ``coefficient`` is c.
+    Each phi_i - p is L_i t_i plus terms of degree >= 2, and those terms
+    cannot reach the t^gamma coefficient, since every term of the framed
+    g has degree >= |gamma|.  So each chart is read through degree 1
+    only, and ``pass``, value == coefficient, checks that the
+    ``tangent_space`` framing T_i agrees with the charts' linear terms
+    L_i.  sum |gamma_i| is the local vanishing order.
     """
     if g.is_zero():
         raise ZeroPolynomial("witness needs a nonzero polynomial")
@@ -143,25 +142,17 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
     F = charts[0].field
     point = [F.of(x) for x in p]
     columns = list(zip(*(v for C in charts for v in tangent_space(C))))
-    framed = pullback(g, AffineMap(F, columns, point, _trusted=True))
-    r = min(sum(e) for e in framed.terms)
-    gamma = min((e for e in framed.terms if sum(e) == r), key=grlex_key)
+    gamma, c_val = lowest_term(g, AffineMap(F, columns, point, _trusted=True))
     ends = itertools.accumulate(C.owner.dim for C in charts)
     gammas = [gamma[end - C.owner.dim : end] for C, end in zip(charts, ends)]
     coords = joint_coordinates(point, [(C.owner.dim, C.coordinates(1)) for C in charts])
-    n = int(g.degree)
-    row = expansion_row(F, coords, n, gamma, {})
-    value = F.zero
-    for delta, entry in zip(monomials_upto(len(point), n), row):
-        if entry:
-            value = F.add(value, F.mul(g.coefficient(delta), entry))
-    c_val = framed.terms[gamma]
+    value = coefficient_along(g, coords, gamma, {})
     return {
         "orders": [sum(b) for b in gammas],
         "gammas": gammas,
         "value": value,
         "coefficient": c_val,
-        "total_order": r,
+        "total_order": sum(gamma),
         "pass": value == c_val,
     }
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointslab.balance import (
-    BalanceState,
     RootValue,
     balance,
     build_all_ledgers,

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from jointslab.basis import (
-    BasisLedger,
     Handicap,
     T_dimension,
     b_p,

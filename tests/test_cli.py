@@ -217,6 +217,17 @@ def _set_field(field):
     return edit
 
 
+def _set_key(where, key, value):
+    """key of the config itself, of family 0 or of its member 0 set to
+    value."""
+    def edit(text):
+        obj = json.loads(text)
+        family = obj["families"][0]
+        {"config": obj, "family": family, "member": family["members"][0]}[where][key] = value
+        return json.dumps(obj)
+    return edit
+
+
 def _float_entry(key, value):
     """Joint 0's first coordinate, or member 0's first point entry, as a
     JSON float."""
@@ -290,6 +301,20 @@ MALFORMED = {
     "hypersurface-direction-long": (["pipeline", "--config", CFG],
                                     _plane_curve(kind="hypersurface",
                                                  directions=[["1", "0", "0"], ["0", "1", "0"]])),
+    "hypersurface-no-equation": (["pipeline", "--config", CFG],
+                                 _plane_curve(kind="hypersurface", equations=[])),
+    "hypersurface-two-equations": (["pipeline", "--config", CFG],
+                                   _plane_curve(kind="hypersurface",
+                                                equations=["1 * x1^2 + 1 * x2^2 + -1 * x2",
+                                                           "1 * x1"])),
+    "field-p-float": (["pipeline", "--config", CFG], _set_field({"kind": "prime", "p": 101.9})),
+    "family-k-float": (["pipeline", "--config", CFG], _set_key("family", "k", 1.5)),
+    "family-m-float": (["pipeline", "--config", CFG], _set_m(3.0)),
+    "member-dim-float": (["pipeline", "--config", CFG], _set_key("member", "dim", 1.2)),
+    "member-ambient-float": (["pipeline", "--config", CFG], _set_key("member", "ambient", 3.0)),
+    "member-degree-float": (["pipeline", "--config", CFG], _set_key("member", "degree", 1.0)),
+    "seed-float": (["pipeline", "--config", CFG], _set_key("config", "seed", 0.5)),
+    "seed-bool": (["pipeline", "--config", CFG], _set_key("config", "seed", True)),
     "graph-frame-3x3-in-plane": (["pipeline", "--config", CFG],
                                  _plane_curve(kind="graph",
                                               frame_matrix=[["1", "0", "0"], ["0", "1", "0"],

@@ -1,7 +1,8 @@
-"""Every top-level import of a library module is used in that module.
+"""Every top-level import of a library or test module is used in that module.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
-with ``ast``.  ``__init__.py`` is skipped: its imports are the public API.
+with ``ast``.  The library's ``__init__.py`` is skipped: its imports are
+the public API.
 """
 
 import ast
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jointslab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "jointslab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointslab.errors import MalformedInput
+from jointslab.errors import MalformedInput, SingularMap
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.poly import (
     AffineMap,
@@ -20,6 +20,7 @@ from jointslab.poly import (
     format_poly,
     grlex_key,
     hasse_apply,
+    lowest_term,
     monomials_upto,
     parse_poly,
     pullback,
@@ -29,6 +30,8 @@ from jointslab.poly import (
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)
+F2 = FieldSpec("prime", 2)
+F3 = FieldSpec("prime", 3)
 
 
 def random_poly(rng, F, nvars, deg, terms=6):
@@ -87,8 +90,6 @@ def test_arithmetic_matches_sympy():
 def test_degree_truncate_evaluate():
     g = parse_poly("2 * x1^3 + -1 * x1 x2 + 5", FQ, 2)
     assert g.degree == 3
-    assert g.truncate(2).degree == 2
-    assert g.truncate(0) == Polynomial.constant(FQ, 2, 5)
     assert g.evaluate([1, 2]) == Fraction(2 - 2 + 5)
     assert Polynomial.zero(FQ, 2).degree == float("-inf")
 
@@ -100,9 +101,53 @@ def test_substitute_with_truncation():
     for _ in range(10):
         g = random_poly(rng, FQ, 2, 3)
         h = random_poly(rng, FQ, 1, 4)
-        full = g.substitute([t, h]).truncate(5)
+        full = g.substitute([t, h])
+        full = Polynomial(FQ, 1, {e: c for e, c in full.terms.items() if sum(e) <= 5})
         lazy = g.substitute([t, h], truncation=5)
         assert full == lazy
+
+
+def from_sympy(expr, F, ys):
+    """The sympy polynomial expr in ys over F, each coefficient reduced
+    into F."""
+    terms = sympy.Poly(expr, *ys).terms()
+    return Polynomial(F, len(ys), {e: F.of(Fraction(int(c.p), int(c.q))) for e, c in terms})
+
+
+@pytest.mark.parametrize("F", [F2, F3, FieldSpec("prime", 2**31 - 1), FQ],
+                         ids=["F2", "F3", "F2^31-1", "Q"])
+def test_substitution_matches_sympy(F):
+    # substitute with and without truncation, pullback, lowest_term,
+    # taylor_shift and evaluate against sympy's expansion over Z or Q,
+    # reduced into F
+    rng = random.Random(11)
+    for _ in range(8):
+        d, m = rng.randint(1, 3), rng.randint(1, 2)
+        xs, ts = sympy.symbols(f"x1:{d + 1}"), sympy.symbols(f"t1:{m + 1}")
+        g = random_poly(rng, F, d, 4)
+        images = [random_poly(rng, F, m, 3, terms=3) for _ in range(d)]
+        full = from_sympy(to_sympy(g, xs).subs(
+            {x: to_sympy(h, ts) for x, h in zip(xs, images)}, simultaneous=True).expand(), F, ts)
+        assert g.substitute(images) == full
+        N = rng.randint(0, 6)
+        truncated = Polynomial(F, m, {e: c for e, c in full.terms.items() if sum(e) <= N})
+        assert g.substitute(images, truncation=N) == truncated
+        a = [rng.randint(-3, 3) for _ in range(d)]
+        shifted = {x: x + ai for x, ai in zip(xs, a)}
+        assert taylor_shift(g, a) == from_sympy(
+            to_sympy(g, xs).subs(shifted, simultaneous=True).expand(), F, xs)
+        assert g.evaluate(a) == F.of(Fraction(str(to_sympy(g, xs).subs(dict(zip(xs, a))))))
+        try:
+            T = AffineMap(F, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)], a)
+        except SingularMap:
+            continue
+        moved = {x: sum(int(c) * y for c, y in zip(row, xs)) + int(b)
+                 for x, row, b in zip(xs, T.matrix, T.translation)}
+        moved_g = from_sympy(to_sympy(g, xs).subs(moved, simultaneous=True).expand(), F, xs)
+        assert pullback(g, T) == moved_g
+        if not g.is_zero():
+            gamma = min(moved_g.terms, key=grlex_key)
+            assert lowest_term(g, T) == (gamma, moved_g.terms[gamma])
 
 
 # -- text form --------------------------------------------------------------
@@ -225,17 +270,21 @@ def test_operator_compose_commutes_and_matches_apply():
 
 
 def test_operator_evaluate_and_functional():
+    # D.apply goes through hasse_apply's binomials, a path apart from the
+    # expansion rows behind D.evaluate; over F_2 and F_3 exponents up to 5
+    # meet orders up to 3, where C(e, w) vanishes mod p
     rng = random.Random(5)
-    D = HasseOperator(FQ, 2, {(1, 0): FQ.of(2), (0, 1): FQ.of(-1), (0, 0): FQ.of(3)})
-    for _ in range(10):
-        g = random_poly(rng, FQ, 2, 4)
-        pt = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-        assert D.evaluate(g, pt) == D.apply(g).evaluate(pt)
-    for delta in monomials_upto(2, 3):
-        mono = Polynomial.monomial(FQ, 2, delta)
-        assert D.monomial_functional(delta, [Fraction(2), Fraction(3)]) == D.evaluate(
-            mono, [2, 3]
-        )
+    for F in (FQ, F2, F3):
+        combo = {(1, 0): 2, (0, 1): -1, (0, 0): 3, (2, 0): 1, (2, 1): -1, (0, 3): 1}
+        D = HasseOperator(F, 2, {w: F.of(c) for w, c in combo.items()})
+        for _ in range(10):
+            g = random_poly(rng, F, 2, 5)
+            pt = [F.of(rng.randint(-3, 3)) for _ in range(2)]
+            assert D.evaluate(g, pt) == D.apply(g).evaluate(pt)
+        for delta in monomials_upto(2, 5):
+            mono = Polynomial.monomial(F, 2, delta)
+            value = D.monomial_functional(delta, [F.of(2), F.of(3)])
+            assert value == D.evaluate(mono, [2, 3]) == D.apply(mono).evaluate([2, 3])
 
 
 def test_leading_part_and_order():

@@ -320,7 +320,8 @@ def test_series_solve_matches_contraction(field):
                 for N in range(9):
                     ref = _contraction_chart(V, p, N, F)
                     for C in (stepped, make_chart(V, p, F)):
-                        assert [h.truncate(N) for h in C.series(N)] == ref.series(N)
+                        assert [Polynomial(F, k, {e: c for e, c in h.terms.items() if sum(e) <= N})
+                                for h in C.series(N)] == ref.series(N)
                         assert C.frame_inverse.matrix == ref.frame_inverse.matrix
                         assert C.frame_inverse.translation == ref.frame_inverse.translation
                         assert _through(C.coordinates(N), N) == _through(ref.coordinates(N), N)
