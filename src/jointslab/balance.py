@@ -6,13 +6,18 @@ space on V; the M(p)-th root is carried exactly as a (radicand, root
 index) pair and compared by cross-powering.  The descent repeatedly
 decrements the handicaps of the currently largest W values until no
 consecutive gap in the sorted list exceeds the threshold tau.
+
+``exceeds`` decides every comparison of sums of such roots with a
+rational, the descent's gap tests and the bound report's part (b): an
+exact zero test on the terms grouped by rational ratio, then brackets
+refined until they part; it returns the bits that decided it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .basis import Handicap, build_ledger
 from .errors import Disconnected, LedgerMissing
@@ -104,29 +109,43 @@ class RootValue:
         return float((lo + hi) / 2)
 
 
-def root_gap_exceeds(a: RootValue, b: RootValue, tau: Fraction) -> bool:
-    """Exact verdict on a - b > tau for nonnegative root values.
+def exceeds(pos: list, neg: list, tau=Fraction(0)) -> tuple:
+    """Exact verdict on sum(pos) - sum(neg) > tau for lists of root values
+    and a rational tau, with the bracket bits that decided it.
 
-    Equal values are decided by ``cmp``, two rationals directly.
-    Otherwise a - b != tau, so refining the brackets always ends.  For if
-    a = b + tau with b irrational, b has a conjugate b*zeta != b (zeta a
-    root of unity), and b*zeta + tau is then a conjugate of a, so
-    |b*zeta + tau| = a = b + tau, which forces tau = 0 and a = b.  If b
-    is rational, a = b + tau would be rational too.
+    The nonzero terms are grouped by rational ratio, tau in the group of
+    1: a / b is rational iff (a.Q^(L/a.M) / b.Q^(L/b.M))^(1/L) is, for
+    L = lcm(a.M, b.M).  By Mordell's theorem (Pacific J. Math. 3, 1953),
+    positive reals that have a rational power, no two in a rational
+    ratio, are linearly independent over Q.  So the difference equals tau
+    iff every group's rational coefficient is 0, and then the verdict is
+    False at 48 bits.  Otherwise the brackets, refined from 48 bits by
+    doubling, part from tau at some width.
     """
-    if a.cmp(b) == 0:
-        return 0 > tau
-    ra, rb = a.to_rational(), b.to_rational()
-    if ra is not None and rb is not None:
-        return ra - rb > tau
+    groups = [[RootValue(Fraction(1)), -Fraction(tau)]]  # [representative, coefficient]
+    for sign, terms in ((1, pos), (-1, neg)):
+        for x in terms:
+            if x.is_zero():
+                continue
+            for group in groups:
+                b = group[0]
+                L = lcm(x.M, b.M)
+                r = RootValue(x.Q ** (L // x.M) / b.Q ** (L // b.M), L).to_rational()
+                if r is not None:
+                    group[1] += sign * r
+                    break
+            else:
+                groups.append([x, Fraction(sign)])
     bits = 48
+    if not any(c for _, c in groups):
+        return False, bits
     while True:
-        alo, ahi = a.brackets(bits)
-        blo, bhi = b.brackets(bits)
-        if alo - bhi > tau:
-            return True
-        if ahi - blo <= tau:
-            return False
+        p = [x.brackets(bits) for x in pos]
+        n = [x.brackets(bits) for x in neg]
+        if sum(lo for lo, _ in p) - sum(hi for _, hi in n) > tau:
+            return True, bits
+        if sum(hi for _, hi in p) - sum(lo for lo, _ in n) <= tau:
+            return False, bits
         bits *= 2
 
 
@@ -255,7 +274,7 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
         gaps = [
             i + 1
             for i in range(len(sw) - 1)
-            if root_gap_exceeds(sw[i][1], sw[i + 1][1], tau)
+            if exceeds([sw[i][1]], [sw[i + 1][1]], tau)[0]
         ]
         if not gaps:
             break

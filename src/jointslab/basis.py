@@ -103,19 +103,16 @@ def functional_rows(C: Chart, r: int, n: int) -> list:
     same conditions, and over Q they are built in ints.  That row reads
     the coordinates through degree r only, and lambda is fixed with the
     chart, so one memo per degree bound serves the chart as its series
-    grows.  The rows are built once and kept on the chart; every later
-    call returns the same list, which callers share and must not modify.
+    grows.  The memo is the chart's ``expansion_memos`` entry, so each row
+    is built once per chart; callers share the rows and must not modify
+    them.
     """
-    rows = C.row_cache.get((r, n))
-    if rows is None:
-        coords = C.scaled_coordinates(r)
-        memo = C.expansion_memos.setdefault(n, {})
-        rows = [
-            FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), gamma)
-            for gamma in exponents_of_degree(C.owner.dim, r)
-        ]
-        C.row_cache[r, n] = rows
-    return rows
+    coords = C.scaled_coordinates(r)
+    memo = C.expansion_memos.setdefault(n, {})
+    return [
+        FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), gamma)
+        for gamma in exponents_of_degree(C.owner.dim, r)
+    ]
 
 
 @dataclass

@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Raise MalformedInput for a missing required flag, a --field-p on a
-    check that reads the field from its config, a --n/--d/--cap below 1 or
-    a --tau that is not a nonnegative rational; parse --tau in place."""
+    check that reads the field from its config, a --n, --d, --cap, --k,
+    --h, --t or --count below 1, or a --tau that is not a nonnegative
+    rational; parse --tau in place."""
     command = args.cmd if args.cmd != "verify" else f"verify {args.check}"
     if args.cmd != "generate" and command != "verify sz" and args.config is None:
         raise MalformedInput(f"{command} requires --config")
@@ -304,7 +305,7 @@ def _check_flags(args) -> None:
         raise MalformedInput(f"{command} takes its field from --config, not --field-p")
     if command in ("verify sz", "verify witness") and args.poly is None:
         raise MalformedInput(f"{command} requires --poly")
-    for flag in ("n", "d", "cap"):
+    for flag in ("n", "d", "cap", "k", "h", "t", "count"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise MalformedInput(f"--{flag} must be at least 1")

@@ -56,11 +56,10 @@ class Family:
 
     @staticmethod
     def from_json(obj: dict, F: FieldSpec) -> "Family":
-        return Family(
-            k=json_int(obj["k"], "family k"),
-            m=json_int(obj["m"], "family m"),
-            members=[variety_from_json(v, F) for v in obj["members"]],
-        )
+        k, m = json_int(obj["k"], "family k"), json_int(obj["m"], "family m")
+        if k < 1 or m < 1:
+            raise MalformedInput(f"family k and m must be at least 1, not {k} and {m}")
+        return Family(k=k, m=m, members=[variety_from_json(v, F) for v in obj["members"]])
 
 
 @dataclass

@@ -139,9 +139,8 @@ class Chart:
     _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
     # (coordinates, scaled_coordinates of them)
     _scaled_coords: tuple = dc_field(default=(None, None), repr=False, compare=False)
-    # basis.functional_rows results, keyed by (order, degree bound),
-    # and the expansion rows behind them, one gamma -> row memo per degree bound
-    row_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # the expansion rows that basis.functional_rows reads, one gamma -> row
+    # memo per degree bound
     expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -600,6 +599,10 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     ambient = json_int(obj["ambient"], "member ambient")
     degree = json_int(obj.get("degree", 1), "member degree")
     label = obj.get("label", "")
+    if kind in ("graph", "hypersurface"):
+        equations = obj["equations"]
+        if type(equations) is not list or not all(type(e) is str for e in equations):
+            raise MalformedInput(f"{kind} equations must be a list of strings, not {equations!r}")
     if kind in ("flat", "hypersurface"):
         directions = tuple(tuple(F.of(x) for x in u) for u in obj["directions"])
         if linalg.rank(F, directions) < len(directions):
@@ -620,15 +623,17 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             [[F.of(x) for x in row] for row in obj["frame_matrix"]],
             [F.of(x) for x in obj["frame_translation"]],
         )
-        polys = tuple(parse_poly(s, F, dim) for s in obj["equations"])
+        polys = tuple(parse_poly(s, F, dim) for s in equations)
         return VarietySpec(
             kind="graph", ambient=ambient, dim=dim, degree=degree,
             frame=frame, graph_polys=polys, label=label,
         )
     if kind == "hypersurface":
-        if len(obj["equations"]) != 1:
-            raise MalformedInput(f"a hypersurface has one equation, not {len(obj['equations'])}")
-        poly = parse_poly(obj["equations"][0], F, dim + 1)
+        if len(equations) != 1:
+            raise MalformedInput(f"a hypersurface has one equation, not {len(equations)}")
+        poly = parse_poly(equations[0], F, dim + 1)
+        if poly.degree < 1:
+            raise MalformedInput(f"a hypersurface equation of degree below 1: {equations[0]!r}")
         return VarietySpec(
             kind="hypersurface", ambient=ambient, dim=dim, degree=int(poly.degree),
             point=tuple(F.of(x) for x in obj["point"]),

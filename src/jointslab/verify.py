@@ -7,8 +7,9 @@ polynomial and joint, per-variety orders whose product recovers the
 leading coefficient of the polynomial's local expansion.  Both read a
 product as one ``poly.expansion_row`` row along the joint coordinates
 p + sum_i (phi_i(t_i) - p) of the designated charts.  The bound report
-evaluates both headline inequalities with exact cross-powered
-comparisons; no floating point touches a pass/fail decision.
+evaluates both headline inequalities exactly: part (a) by cross-powering,
+part (b) by ``balance.exceeds``; no floating point touches a pass/fail
+decision.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
-from .balance import RootValue
+from .balance import RootValue, exceeds
 from .config import is_joint
 from .errors import LedgerMissing, MalformedInput, NotAJoint, ZeroPolynomial
 from .field import as_int, binom
@@ -257,42 +258,12 @@ def bound_report(cfg) -> BoundReport:
     rhs_b = RootValue(Fraction(fact * deg_prod, denom_b), m)
     # part (a): |J|^m <= fact*deg_prod/denom_a, exact
     pass_a = Fraction(J) ** m <= rhs_a.Q
-    # part (b): sum_p M(p)^(1/m) <= rhs_b.  Equal sides are decided
-    # exactly first; brackets of unequal sides separate, so otherwise
-    # refine them until they part.
-    equal = _root_sum_ratio([cfg.M(j) for j in range(J)], rhs_b) == 1
-    bits = 48
-    while True:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for j in range(J):
-            l, hgh = RootValue(Fraction(cfg.M(j)), m).brackets(bits)
-            lo += l
-            hi += hgh
-        rlo, rhi = rhs_b.brackets(bits)
-        if equal or hi <= rlo or lo > rhi:
-            break
-        bits *= 2
-    pass_b = equal or hi <= rlo
+    # part (b): sum_p M(p)^(1/m) <= rhs_b, decided exactly by ``exceeds``;
+    # the brackets of the sum are those at the bits that decided it
+    roots = [RootValue(Fraction(cfg.M(j)), m) for j in range(J)]
+    over, bits = exceeds(roots, [rhs_b])
+    brackets = [x.brackets(bits) for x in roots]
+    mult_sum = (sum(lo for lo, _ in brackets), sum(hi for _, hi in brackets))
     return BoundReport(J, s, deg_prod, const_a, const_b, rhs_a, rhs_b,
-                       (lo, hi), pass_a, pass_b, True)
+                       mult_sum, pass_a, not over, True)
 
-
-def _root_sum_ratio(values, rhs: RootValue) -> Fraction | None:
-    """(sum_i v_i^(1/m)) / rhs, m = rhs.M, when it is rational, else None;
-    None means the sum differs from rhs.
-
-    Each term (v / rhs.Q)^(1/m) is a positive rational times the m-th root
-    of an m-th-power-free integer, which is 1 when the term is rational.
-    By Besicovitch's theorem, m-th roots of distinct m-th-power-free
-    integers are linearly independent over Q.  Grouped by that integer,
-    every group of the sum has a positive coefficient, so the sum is
-    rational, and can be 1, only when every term is rational.
-    """
-    ratio = Fraction(0)
-    for v in values:
-        r = RootValue(Fraction(v) / rhs.Q, rhs.M).to_rational()
-        if r is None:
-            return None
-        ratio += r
-    return ratio

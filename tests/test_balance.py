@@ -14,8 +14,8 @@ from jointslab.balance import (
     build_all_ledgers,
     compute_W,
     default_tau,
+    exceeds,
     integer_nth_root,
-    root_gap_exceeds,
 )
 from jointslab.basis import Handicap, build_ledger, ledgers_to_csv
 from jointslab.config import Family, connected_components, detect_joints, generate, grid_line_composite
@@ -81,12 +81,12 @@ def test_root_gap_exceeds():
     sqrt2 = RootValue(Fraction(2), 2)
     one = RootValue(Fraction(1))
     # sqrt(2) - 1 = 0.4142...
-    assert root_gap_exceeds(sqrt2, one, Fraction(2, 5))
-    assert not root_gap_exceeds(sqrt2, one, Fraction(1, 2))
+    assert exceeds([sqrt2], [one], Fraction(2, 5))[0]
+    assert not exceeds([sqrt2], [one], Fraction(1, 2))[0]
     # irrational-vs-irrational with a rational threshold
     sqrt8 = RootValue(Fraction(8), 2)
-    assert root_gap_exceeds(sqrt8, sqrt2, Fraction(7, 5))
-    assert not root_gap_exceeds(sqrt8, sqrt2, RootValue(Fraction(2), 2).brackets(8)[1])
+    assert exceeds([sqrt8], [sqrt2], Fraction(7, 5))[0]
+    assert not exceeds([sqrt8], [sqrt2], RootValue(Fraction(2), 2).brackets(8)[1])[0]
 
 
 def test_root_gap_exceeds_equal_irrationals():
@@ -94,9 +94,34 @@ def test_root_gap_exceeds_equal_irrationals():
     # width ever separates their difference from 0
     a, b = RootValue(Fraction(2), 2), RootValue(Fraction(8), 6)
     for x, y in ((a, b), (b, a)):
-        assert not root_gap_exceeds(x, y, Fraction(0))
-        assert not root_gap_exceeds(x, y, Fraction(1, 10))
-        assert root_gap_exceeds(x, y, Fraction(-1, 10))
+        assert exceeds([x], [y], Fraction(0)) == (False, 48)
+        assert not exceeds([x], [y], Fraction(1, 10))[0]
+        assert exceeds([x], [y], Fraction(-1, 10))[0]
+
+
+@given(c=st.integers(1, 30), M=st.integers(1, 4), a=st.integers(1, 5), b=st.integers(1, 5),
+       q=st.integers(2, 30), k1=st.integers(1, 3), k2=st.integers(1, 3),
+       t=st.fractions(min_value=0, max_value=10, max_denominator=50),
+       eps_bits=st.integers(1, 300), swap=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_exceeds_is_exact_at_planted_equalities(c, M, a, b, q, k1, k2, t, eps_bits, swap):
+    # (a^M c)^(1/M) + (b^M c)^(1/M) = ((a + b)^M c)^(1/M), as sqrt(12) +
+    # sqrt(3) = sqrt(27); q^(1/M) written as (q^k)^(1/(M k)) for two k;
+    # and a rational t on the left moved into tau
+    def root(Q, m):
+        return RootValue(Fraction(Q), m)
+
+    pos = [root(a**M * c, M), root(b**M * c, M), root(q**k1, M * k1), root(t, 1)]
+    neg = [root((a + b) ** M * c, M), root(q**k2, M * k2)]
+    tau = t
+    if swap:
+        pos, neg, tau = neg, pos, -tau
+    assert exceeds(pos, neg, tau) == (False, 48)
+    eps = Fraction(1, 2**eps_bits)
+    assert exceeds(pos, neg, tau - eps)[0]
+    assert not exceeds(pos, neg, tau + eps)[0]
+    assert exceeds(pos + [RootValue(eps)], neg, tau)[0]
+    assert not exceeds(pos, neg + [RootValue(eps)], tau)[0]
 
 
 # -- W products -------------------------------------------------------------
@@ -205,7 +230,7 @@ def test_balance_composite_moves_and_invariant():
     # final state: no consecutive sorted gap exceeds tau
     vals = [w for _, w in state.sortedW]
     for a, b in zip(vals, vals[1:]):
-        assert not root_gap_exceeds(a, b, tau)
+        assert not exceeds([a], [b], tau)[0]
     # every accepted iteration lowered the sorted multiset
     assert all(row["changed"] for row in state.log)
     assert all(row["min_W"] <= row["max_W"] for row in state.log)

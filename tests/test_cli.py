@@ -228,6 +228,15 @@ def _set_key(where, key, value):
     return edit
 
 
+def _empty_family(**fields):
+    """Family 0 with no members and its fields overridden."""
+    def edit(text):
+        obj = json.loads(text)
+        obj["families"][0].update(members=[], **fields)
+        return json.dumps(obj)
+    return edit
+
+
 def _float_entry(key, value):
     """Joint 0's first coordinate, or member 0's first point entry, as a
     JSON float."""
@@ -307,6 +316,20 @@ MALFORMED = {
                                    _plane_curve(kind="hypersurface",
                                                 equations=["1 * x1^2 + 1 * x2^2 + -1 * x2",
                                                            "1 * x1"])),
+    "hypersurface-equation-zero": (["pipeline", "--config", CFG],
+                                   _plane_curve(kind="hypersurface", equations=["0"])),
+    "hypersurface-equation-constant": (["pipeline", "--config", CFG],
+                                       _plane_curve(kind="hypersurface", equations=["3"])),
+    "hypersurface-equation-not-a-string": (["pipeline", "--config", CFG],
+                                           _plane_curve(kind="hypersurface", equations=[5])),
+    "graph-equation-not-a-string": (["pipeline", "--config", CFG],
+                                    _plane_curve(kind="graph", equations=[5])),
+    "graph-equations-not-a-list": (["pipeline", "--config", CFG],
+                                   _plane_curve(kind="graph", equations="1 * x1^2")),
+    "family-m-negative-no-members": (["pipeline", "--config", CFG, "--n", "2"],
+                                     _empty_family(m=-1)),
+    "family-m-zero-no-members": (["pipeline", "--config", CFG, "--n", "2"], _empty_family(m=0)),
+    "family-k-zero-no-members": (["pipeline", "--config", CFG, "--n", "2"], _empty_family(k=0)),
     "field-p-float": (["pipeline", "--config", CFG], _set_field({"kind": "prime", "p": 101.9})),
     "family-k-float": (["pipeline", "--config", CFG], _set_key("family", "k", 1.5)),
     "family-m-float": (["pipeline", "--config", CFG], _set_m(3.0)),
@@ -341,6 +364,11 @@ MALFORMED = {
     "cap-zero-pipeline": (["pipeline", "--config", CFG, "--cap", "0"], None),
     "d-zero-sz": (["verify", "sz", "--poly", "1", "--d", "0"], None),
     "d-zero-generate": (["generate", "--kind", "line", "--d", "0"], None),
+    "k-zero-generate": (["generate", "--kind", "coordinate-flats", "--k", "0"], None),
+    "k-negative-generate": (["generate", "--kind", "coordinate-flats", "--k", "-2"], None),
+    "t-negative-generate": (["generate", "--kind", "line", "--t", "-1"], None),
+    "h-zero-generate": (["generate", "--kind", "generic-hyperplanes", "--h", "0"], None),
+    "count-zero-generate": (["generate", "--kind", "random-flats", "--count", "0"], None),
     "seed-pipeline": (["pipeline", "--config", CFG, "--seed", "1"], None),
     "seed-balance": (["balance", "--config", CFG, "--seed", "1"], None),
     "cap-verify-rank": (["verify", "rank", "--config", CFG, "--cap", "3"], None),

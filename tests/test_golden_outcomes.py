@@ -121,8 +121,8 @@ def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
     state = balance(cfg, n, cap=3)
     for ref, led in state.ledgers.items():
         for st in led.steps:
-            cached = cfg.charts[st.joint][ref].row_cache[st.order, n]
-            assert all(any(row is c for c in cached) for row in st.rows)
+            memo = cfg.charts[st.joint][ref].expansion_memos[n]
+            assert all(row.coeffs is memo[row.gamma] for row in st.rows)
     for j, chosen in enumerate(cfg.chosen):
         assert all(C is cfg.charts[j][ref] for C, ref in zip(cfg.designated_charts(j), chosen))
     read = []

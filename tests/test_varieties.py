@@ -683,10 +683,10 @@ def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(kind, k, extra, seed)
             for beta, c in x.items():
                 assert y[beta] == c * lam ** sum(beta)
                 assert type(y[beta]) is int or not any(beta)
-        for (r, m), rows in C.row_cache.items():
-            for row in rows:
-                exact = expansion_row(FQ, C.coordinates(r), m, row.gamma, {})
-                assert row.coeffs == [lam ** r * c for c in exact]
+        for m, memo in C.expansion_memos.items():
+            for gamma, coeffs in memo.items():
+                exact = expansion_row(FQ, C.coordinates(sum(gamma)), m, gamma, {})
+                assert coeffs == [lam ** sum(gamma) * c for c in exact]
     inserted = []
 
     class Recording(IncrementalRowReducer):
