@@ -9,14 +9,16 @@ consecutive gap in the sorted list exceeds the threshold tau.
 
 ``exceeds`` decides every comparison of sums of such roots with a
 rational, the descent's gap tests and the bound report's part (b): an
-exact zero test on the terms grouped by rational ratio, then brackets
-refined until they part; it returns the bits that decided it.
+exact test on the terms grouped by rational ratio, which settles a
+difference of rational value, then brackets refined until they part; it
+returns the bits that decided it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 from .basis import Handicap, build_ledger
@@ -118,14 +120,19 @@ def exceeds(pos: list, neg: list, tau=Fraction(0)) -> tuple:
     L = lcm(a.M, b.M).  By Mordell's theorem (Pacific J. Math. 3, 1953),
     positive reals that have a rational power, no two in a rational
     ratio, are linearly independent over Q.  So the difference equals tau
-    iff every group's rational coefficient is 0, and then the verdict is
-    False at 48 bits.  Otherwise the brackets, refined from 48 bits by
-    doubling, part from tau at some width.
+    iff every group's rational coefficient is 0.  When every group but
+    tau's has coefficient 0 (all terms rational, say), sum(pos) - sum(neg)
+    - tau is tau's coefficient exactly, and its sign is the verdict, at 48
+    bits.  Otherwise the brackets, refined from 48 bits by doubling, part
+    from tau at some width.
     """
     groups = [[RootValue(Fraction(1)), -Fraction(tau)]]  # [representative, coefficient]
     for sign, terms in ((1, pos), (-1, neg)):
         for x in terms:
             if x.is_zero():
+                continue
+            if x.M == 1:  # rational: in tau's group, with ratio x.Q
+                groups[0][1] += sign * x.Q
                 continue
             for group in groups:
                 b = group[0]
@@ -137,8 +144,9 @@ def exceeds(pos: list, neg: list, tau=Fraction(0)) -> tuple:
             else:
                 groups.append([x, Fraction(sign)])
     bits = 48
-    if not any(c for _, c in groups):
-        return False, bits
+    if not any(c for _, c in groups[1:]):
+        # the difference is the rational coefficient of tau's group
+        return groups[0][1] > 0, bits
     while True:
         p = [x.brackets(bits) for x in pos]
         n = [x.brackets(bits) for x in neg]
@@ -203,8 +211,9 @@ class BalanceState:
 
 
 def _sorted_desc(W: dict) -> list:
-    order = sorted(W, key=lambda j: (W[j], -j))
-    order.reverse()
+    """(joint, W) pairs, W descending, ties by joint ascending: one exact
+    comparison per pair of joints compared."""
+    order = sorted(W, key=cmp_to_key(lambda i, j: W[j].cmp(W[i]) or i - j))
     return [(j, W[j]) for j in order]
 
 

@@ -5,25 +5,36 @@ one elimination loop, ``IncrementalRowReducer.insert``: it streams rows
 into an echelon store that keeps, for each pivot column, the row that
 first led there, from that column on.  A row is reduced against the
 store in increasing column order and raises the rank at its first
-nonzero entry in a column without a pivot.  Most callers (ledgers, joint
-detection, the rank check, ``T_dimension``) ask only that, so nothing is
-back-substituted while rows stream in.  ``rref()`` back-substitutes
-once, for ``solve``, ``inverse`` and ``nullspace``; the reduced row
-echelon form is unique, so their answers do not depend on the order in
-which rows are inserted.  ``fork`` copies a reducer, whole or as it was
+nonzero entry in a column without a pivot.  The first row fixes the
+row length: a row of another length raises ``ValueError``.  Most
+callers (ledgers, joint detection, the rank check, ``T_dimension``) ask
+only that, so nothing is back-substituted while rows stream in.
+``rref()`` back-substitutes once, for ``solve``, ``inverse`` and
+``nullspace``; the reduced row echelon form is unique, so their answers
+do not depend on the order in which rows are inserted.  ``fork`` copies a reducer, whole or as it was
 at a lower rank, so row sets that share a prefix reduce the prefix once
 and go on from a copy.
 
 The row step is specialised by field, with no method call per entry.
-Over F_p a pivot row is normalized to lead 1 and the step is
-``(a - f*b) % p`` on ints.  Over Q a row enters as a primitive integer
-vector (denominators cleared by their lcm, then divided by the content;
-a row of ints, as the ledgers and the rank check build, is only divided
-by its content); the step is the fraction-free ``b*row - a*pivot_row``,
-with a, b divided by their gcd, followed by division by the new content.
-So no ``Fraction`` is built while rows stream in.  The sizes that show up in
-practice (thousands of rows, columns bounded by C(n+d, d)) keep this
-comfortably interactive.
+Over F_p a row is one Python ``int``: its residues packed in fixed-width
+slots, slot j at bit j*w.  A pivot row is stored with lead 1, as the
+residues after its lead, negated mod p, so that reducing a row at a
+pivot is one big-int expression, ``R = (R >> w) + f * stored``, whatever
+the row length.  Only the lead slot is read mod p; every other slot
+starts below p and grows by less than p^2 per step, at most one step per
+pivot column, so w = bit_length((p-1) + ncols*(p-1)^2) bits keep the
+slots apart; the first row inserted fixes ncols, and with it w.
+``rref()`` unpacks each stored row to canonical residues before
+back-substituting.
+
+Over Q a row enters as a primitive integer vector (denominators cleared
+by their lcm, then divided by the content; a row of ints, as the ledgers
+and the rank check build, is only divided by its content); the step is
+the fraction-free ``b*row - a*pivot_row``, with a, b divided by their
+gcd, followed by division by the new content.  So no ``Fraction`` is
+built while rows stream in.  The sizes that show up in practice
+(thousands of rows, columns bounded by C(n+d, d)) keep this comfortably
+interactive.
 """
 
 from __future__ import annotations
@@ -132,16 +143,21 @@ def complete_basis(F: FieldSpec, vectors, n: int):
 class IncrementalRowReducer:
     """Echelon pivot store supporting streaming inserts.
 
-    The store maps each pivot column c to the entries, from column c on,
-    of the reduced row that raised the rank there: residues with lead 1
-    over F_p, a primitive integer vector over Q.  Input rows are never
-    modified and stored rows are never mutated.
+    The store maps each pivot column c to the reduced row that raised the
+    rank there: over Q its entries from column c on, a primitive integer
+    vector; over F_p, scaled to lead 1, its entries after column c negated
+    mod p and packed into one ``int``, slot j holding column c+1+j.  The
+    first insert fixes the row length (see the module docstring).  Input
+    rows are never modified and stored rows are never mutated.
     """
 
     def __init__(self, F: FieldSpec):
         self.F = F
-        self._rows: dict[int, list] = {}  # pivot column -> row from there on
+        self._rows: dict = {}  # pivot column -> row from there on, or its packed tail
         self._p = F.p if F.kind == "prime" else None
+        self._ncols = None  # row length, fixed by the first insert
+        self._w = 0  # F_p slot width in bits
+        self._shifts: list = []  # F_p slot j starts at bit _shifts[j] = j*w
 
     @property
     def rank(self) -> int:
@@ -156,15 +172,43 @@ class IncrementalRowReducer:
         child = IncrementalRowReducer(self.F)
         rows = self._rows
         child._rows = dict(rows) if rank is None else dict(islice(rows.items(), rank))
+        child._ncols, child._w, child._shifts = self._ncols, self._w, self._shifts
         return child
 
     def insert(self, row) -> bool:
         """Insert a row; True iff it increased the rank."""
-        rows, p = self._rows, self._p
-        if p is None:
-            row = _primitive(row)
-            if row is None:
-                return False
+        rows, p, n = self._rows, self._p, len(row)
+        if n != self._ncols:
+            if self._ncols is not None:
+                raise ValueError(f"a row of {n} entries for a reducer of {self._ncols} columns")
+            self._ncols = n
+            if p is not None:
+                self._w = w = ((p - 1) + n * (p - 1) ** 2).bit_length()
+                self._shifts = list(range(0, n * w, w))
+        if p is not None:
+            w, shifts = self._w, self._shifts
+            mask = (1 << w) - 1
+            R = sum([(x % p) << s for x, s in zip(row, shifts) if x])
+            start = 0  # R holds the entries from column start on, slot 0 first
+            while R:
+                i = ((R & -R).bit_length() - 1) // w  # the first nonzero slot
+                R >>= i * w
+                f = (R & mask) % p
+                R >>= w
+                c = start + i
+                start = c + 1
+                if not f:
+                    continue
+                prow = rows.get(c)
+                if prow is None:
+                    g = -pow(f, -1, p)  # store the tail scaled to lead 1, negated
+                    rows[c] = sum([((R >> s) & mask) * g % p << s for s in shifts[:n - start]])
+                    return True
+                R += f * prow
+            return False
+        row = _primitive(row)
+        if row is None:
+            return False
         start = 0  # row holds the entries from column start on
         while True:
             for i, f in enumerate(row):
@@ -175,25 +219,18 @@ class IncrementalRowReducer:
             c = start + i
             prow = rows.get(c)
             if prow is None:
-                if p is None:
-                    rows[c] = row[i:]
-                else:
-                    inv = pow(f, -1, p)
-                    rows[c] = [a * inv % p for a in row[i:]]
+                rows[c] = row[i:]
                 return True
             start = c + 1
-            if p is None:
-                b = prow[0]
-                g = gcd(f, b)
-                f, b = f // g, b // g
-                row = [b * x - f * y for x, y in zip(row[i + 1:], prow[1:])]
-                g = gcd(*row)
-                if not g:
-                    return False
-                if g > 1:
-                    row = [x // g for x in row]
-            else:
-                row = [(x - f * y) % p if y else x for x, y in zip(row[i + 1:], prow[1:])]
+            b = prow[0]
+            g = gcd(f, b)
+            f, b = f // g, b // g
+            row = [b * x - f * y for x, y in zip(row[i + 1:], prow[1:])]
+            g = gcd(*row)
+            if not g:
+                return False
+            if g > 1:
+                row = [x // g for x in row]
 
     def rref(self) -> dict:
         """The reduced row echelon form of the rows inserted so far, as
@@ -201,13 +238,15 @@ class IncrementalRowReducer:
         order: each row has lead 1 and is zero in every other pivot
         column.  One back-substitution pass over the store."""
         F, p = self.F, self._p
+        mask = (1 << self._w) - 1
         done: dict[int, list] = {}
         for c in sorted(self._rows, reverse=True):
             tail = self._rows[c]
             if p is None:
                 row = [F.zero] * c + [Fraction(x, tail[0]) for x in tail]
             else:
-                row = [0] * c + tail
+                row = [0] * c + [1] + [-((tail >> s) & mask) % p
+                                       for s in self._shifts[:self._ncols - c - 1]]
             # rows in done are already zero in every other pivot column,
             # so the order in which they are subtracted is moot
             for pc, prow in done.items():

@@ -99,6 +99,14 @@ class VarietySpec:
                     raise DimensionMismatch("graph polynomials live in the tangent variables")
                 if not f.is_zero() and min(sum(e) for e in f.terms) < 2:
                     raise ValueError("graph polynomials must have no constant or linear terms")
+            # over a generic line of t-space the graph is a curve of degree
+            # max(1, max_j deg f_j): the degree of a curve (k = 1), a lower
+            # bound on the degree for k >= 2
+            top = _graph_degree(self.graph_polys)
+            if self.degree < top or (self.dim == 1 and self.degree != top):
+                need = f"exactly {top}" if self.dim == 1 else f"at least {top}"
+                raise ValueError(f"a graph of dim {self.dim} with polynomials of degree up to "
+                                 f"{top} has degree {need}, not {self.degree}")
         if self.kind == "hypersurface":
             if len(self.directions) != self.dim + 1:
                 raise DimensionMismatch("hypersurface flat needs dim+1 directions")
@@ -106,6 +114,11 @@ class VarietySpec:
                 raise DimensionMismatch("defining polynomial must use the flat coordinates")
             if self.degree != self.surface_poly.degree:
                 raise ValueError("declared degree must match the defining polynomial")
+
+
+def _graph_degree(polys) -> int:
+    """max(1, max_j deg f_j) over a graph's polynomials f_j."""
+    return max([1] + [int(f.degree) for f in polys if not f.is_zero()])
 
 
 @dataclass
@@ -555,7 +568,7 @@ def dim_regular_functions(V: VarietySpec, n: int, F: FieldSpec | None = None) ->
         # along (t, f(t)).  Over Q they are read along (lambda t, f(lambda t)),
         # lambda clearing the denominators of f, in ints: each row is the
         # same row times lambda^|gamma|.
-        maxdeg = max([1] + [int(f.degree) for f in V.graph_polys if not f.is_zero()])
+        maxdeg = _graph_degree(V.graph_polys)
         coords = [{e: 1} for e in exponents_of_degree(k, 1)] + [f.terms for f in V.graph_polys]
         if not F.p:
             scale = _denominator_lcm(F, (c for f in V.graph_polys for c in f.terms.values()))

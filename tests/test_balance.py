@@ -102,26 +102,35 @@ def test_root_gap_exceeds_equal_irrationals():
 @given(c=st.integers(1, 30), M=st.integers(1, 4), a=st.integers(1, 5), b=st.integers(1, 5),
        q=st.integers(2, 30), k1=st.integers(1, 3), k2=st.integers(1, 3),
        t=st.fractions(min_value=0, max_value=10, max_denominator=50),
-       eps_bits=st.integers(1, 300), swap=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_exceeds_is_exact_at_planted_equalities(c, M, a, b, q, k1, k2, t, eps_bits, swap):
+       eps_bits=st.integers(1, 300), swap=st.booleans(), rational=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_exceeds_is_exact_at_planted_equalities(c, M, a, b, q, k1, k2, t, eps_bits, swap,
+                                                rational):
     # (a^M c)^(1/M) + (b^M c)^(1/M) = ((a + b)^M c)^(1/M), as sqrt(12) +
     # sqrt(3) = sqrt(27); q^(1/M) written as (q^k)^(1/(M k)) for two k;
-    # and a rational t on the left moved into tau
+    # and a rational t on the left moved into tau.  The rational case has
+    # only rational terms, one of them an M-th root of a perfect M-th
+    # power: a c + b/q + t on the left, (a c q + b)/q on the right.
     def root(Q, m):
         return RootValue(Fraction(Q), m)
 
-    pos = [root(a**M * c, M), root(b**M * c, M), root(q**k1, M * k1), root(t, 1)]
-    neg = [root((a + b) ** M * c, M), root(q**k2, M * k2)]
+    if rational:
+        pos = [root((a * c) ** M, M), root(Fraction(b, q), 1), root(t, 1)]
+        neg = [root(Fraction(a * c * q + b, q), 1)]
+    else:
+        pos = [root(a**M * c, M), root(b**M * c, M), root(q**k1, M * k1), root(t, 1)]
+        neg = [root((a + b) ** M * c, M), root(q**k2, M * k2)]
     tau = t
     if swap:
         pos, neg, tau = neg, pos, -tau
     assert exceeds(pos, neg, tau) == (False, 48)
+    # the difference is rational, so the zero test decides it however
+    # close it is to tau
     eps = Fraction(1, 2**eps_bits)
-    assert exceeds(pos, neg, tau - eps)[0]
-    assert not exceeds(pos, neg, tau + eps)[0]
-    assert exceeds(pos + [RootValue(eps)], neg, tau)[0]
-    assert not exceeds(pos, neg + [RootValue(eps)], tau)[0]
+    assert exceeds(pos, neg, tau - eps) == (True, 48)
+    assert exceeds(pos, neg, tau + eps) == (False, 48)
+    assert exceeds(pos + [RootValue(eps)], neg, tau) == (True, 48)
+    assert exceeds(pos, neg + [RootValue(eps)], tau) == (False, 48)
 
 
 # -- W products -------------------------------------------------------------

@@ -192,10 +192,10 @@ def oracle_charts():
         plane = VarietySpec(kind="flat", ambient=3, dim=2, degree=1, point=(1, 0, 1),
                             directions=((1, 1, 0), (0, 1, 2)))
         out[name] = (make_chart(plane, (2, 1, 1), Ff), 3)
-    parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
-                           frame=AffineMap(FQ, [[1, 1], [0, 1]], [0, 1]),
-                           graph_polys=(parse_poly("1/2 * x1^2 + -1 * x1^3", FQ, 1),))
-    out["graph-curve"] = (make_chart(parabola, (9, -7), FQ), 3)
+    cubic = VarietySpec(kind="graph", ambient=2, dim=1, degree=3,
+                        frame=AffineMap(FQ, [[1, 1], [0, 1]], [0, 1]),
+                        graph_polys=(parse_poly("1/2 * x1^2 + -1 * x1^3", FQ, 1),))
+    out["graph-curve"] = (make_chart(cubic, (9, -7), FQ), 3)
     saddle = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
                          frame=AffineMap.identity(FQ, 3),
                          graph_polys=(parse_poly("1 * x1 x2 + -2 * x2^2", FQ, 2),))
@@ -214,7 +214,7 @@ def test_rows_match_operator_and_expansion_oracles(case):
     # = lambda^|gamma| [t^gamma] x^delta(phi(t)), lambda the chart's scale
     C, n = oracle_charts()[case]
     Ff, d = C.field, C.owner.ambient
-    # the parabola's Taylor shift has x1^2 coefficient 1/2; the circle's
+    # the cubic's Taylor shift has x1^2 coefficient 1/2; the circle's
     # tangent (-4/3, 1) gives 3, and its in-flat equation in integers,
     # 9 s^2 - 24 t s + 25 t^2 + 54 s, the s-coefficient 54
     assert C.scale == (1 if Ff.p else {"graph-curve": 2, "circle": 3 * 54}.get(case, 1))

@@ -326,6 +326,14 @@ MALFORMED = {
                                     _plane_curve(kind="graph", equations=[5])),
     "graph-equations-not-a-list": (["pipeline", "--config", CFG],
                                    _plane_curve(kind="graph", equations="1 * x1^2")),
+    "graph-parabola-degree-0": (["pipeline", "--config", CFG],
+                                _plane_curve(kind="graph", degree=0)),
+    "graph-parabola-degree-minus-3": (["pipeline", "--config", CFG],
+                                      _plane_curve(kind="graph", degree=-3)),
+    "graph-parabola-degree-1": (["pipeline", "--config", CFG],
+                                _plane_curve(kind="graph", degree=1)),
+    "graph-parabola-degree-3": (["pipeline", "--config", CFG],
+                                _plane_curve(kind="graph", degree=3)),
     "family-m-negative-no-members": (["pipeline", "--config", CFG, "--n", "2"],
                                      _empty_family(m=-1)),
     "family-m-zero-no-members": (["pipeline", "--config", CFG, "--n", "2"], _empty_family(m=0)),

@@ -173,7 +173,9 @@ def sparse_rows(rng, F, m, n):
     return rows
 
 
-FIELDS = [FieldSpec("prime", 2), FieldSpec("prime", 3), FieldSpec("prime", DEFAULT_PRIME), FQ]
+P62 = FieldSpec("prime", 2**62 - 57)  # the largest prime below 2^62
+FIELDS = [FieldSpec("prime", 2), FieldSpec("prime", 3), FieldSpec("prime", DEFAULT_PRIME), P62,
+          FQ]
 
 
 def assert_canonical(F, store):
@@ -184,7 +186,7 @@ def assert_canonical(F, store):
             assert all(type(a) is Fraction for a in prow)
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=["F2", "F3", "Fp", "Q"])
+@pytest.mark.parametrize("F", FIELDS, ids=["F2", "F3", "Fp", "P62", "Q"])
 def test_reducer_matches_reference_loop(F):
     rng = random.Random(F.p or 0)
     for _ in range(40):
@@ -307,3 +309,77 @@ def test_insert_leaves_input_rows_alone():
             red.insert(row)
             red.fork().insert(row)
             assert row == before
+
+
+def bound_rows(F, n):
+    """n - 1 rows whose tails after the lead, scaled to lead 1, are all
+    ones, then the row that reduces to zero against them with factor -1
+    at every pivot: its last entry grows by (p - 1)^2 at each of the n - 1
+    steps, the most a packed slot can grow."""
+    p = F.p
+    rows = [[0] * c + [1] * (n - c) for c in range(n - 1)]
+    return rows + [[(-1 - c) % p for c in range(n - 1)] + [(1 - n) % p]]
+
+
+def chain_rows(rng, F, n, m):
+    """m dense rows, each after the first a random combination of all the
+    rows before it, plus a dense random row every third time, so that
+    every insert takes a step at nearly every pivot."""
+    rows = [[rng.randrange(F.p) for _ in range(n)]]
+    while len(rows) < m:
+        row = [0] * n
+        for other in rows:
+            c = rng.randrange(1, F.p)
+            row = [(a + c * b) % F.p for a, b in zip(row, other)]
+        if len(rows) % 3 == 0:
+            row = [(a + rng.randrange(F.p)) % F.p for a in row]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", [30, 67, 120])
+@pytest.mark.parametrize("F", [FieldSpec("prime", DEFAULT_PRIME), P62], ids=["Fp", "P62"])
+def test_packed_rows_match_reference_at_the_slot_bound(F, n):
+    # long rows over F_p with slot growth at its bound; forks cut back to
+    # every rank the stream reached match a reference fed the rows that
+    # raised the rank
+    rng = random.Random(n)
+    for rows in (bound_rows(F, n), chain_rows(rng, F, n, n)):
+        red, ref, raised = IncrementalRowReducer(F), ReferenceReducer(F), []
+        for row in rows:
+            grew = red.insert(row)
+            assert grew == ref.insert(row)
+            if grew:
+                raised.append(row)
+        assert red.rref() == ref.pivots
+        assert_canonical(F, red.rref())
+        for rank in sorted({0, 1, len(raised) // 2, len(raised) - 1, len(raised)}):
+            assert red.fork(rank).rref() == reference_reducer(F, raised[:rank]).pivots
+
+
+@pytest.mark.parametrize("F", FIELDS[:-1], ids=["F2", "F3", "Fp", "P62"])
+def test_rows_of_non_canonical_ints_reduce_as_their_residues(F):
+    # entries shifted by multiples of p, negative and >= p, some nonzero
+    # but 0 mod p, give the verdicts and the store of their residues
+    rng = random.Random(F.p)
+    p = F.p
+    for _ in range(20):
+        n = rng.randint(1, 9)
+        red, shifted = IncrementalRowReducer(F), IncrementalRowReducer(F)
+        for row in sparse_rows(rng, F, rng.randint(1, 9), n):
+            moved = [a + rng.randint(-3, 3) * p for a in row]
+            assert shifted.fork().insert(moved) == red.fork().insert(row)
+            assert shifted.insert(moved) == red.insert(row)
+        assert shifted.rref() == red.rref()
+
+
+@pytest.mark.parametrize("F", [FP, P62, FQ], ids=["F101", "P62", "Q"])
+def test_rows_of_another_length_are_refused(F):
+    red = IncrementalRowReducer(F)
+    red.insert([F.one, F.zero, F.one])
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            red.insert([F.zero] * n)
+        with pytest.raises(ValueError):
+            red.fork().insert([F.one] * n)
+    assert red.rank == 1 and not red.insert([F.zero] * 3)

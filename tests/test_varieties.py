@@ -117,6 +117,23 @@ def test_graph_rejects_linear_terms():
                     frame=AffineMap.identity(FQ, 3), graph_polys=(f,))
 
 
+def test_graph_degree_is_checked():
+    # a curve's degree is max(1, max_j deg f_j); for k >= 2 that is a lower
+    # bound on it
+    def graph(text, d, degree):
+        return VarietySpec(kind="graph", ambient=d, dim=d - 1, degree=degree,
+                           frame=AffineMap.identity(FQ, d),
+                           graph_polys=(parse_poly(text, FQ, d - 1),))
+
+    for text, d, ok, bad in (("1 * x1^2", 2, (2,), (-3, 0, 1, 3)),
+                             ("1 * x1 x2", 3, (2, 4), (-3, 0, 1))):
+        for degree in ok:
+            assert graph(text, d, degree).degree == degree
+        for degree in bad:
+            with pytest.raises(ValueError, match="has degree"):
+                graph(text, d, degree)
+
+
 # -- charts -----------------------------------------------------------------
 
 
