@@ -17,7 +17,6 @@ from .basis import (
     b_p,
     build_ledger,
     functional_rows,
-    priority_less,
     v_vector,
 )
 from .config import (

@@ -57,17 +57,6 @@ class Handicap:
         return Handicap({p: 0 for p in ids}, ids)
 
 
-def _priority(step, h: Handicap) -> tuple:
-    """Sort key of a step (joint, order): level r - alpha_p, then position."""
-    p, r = step
-    return (r - h.of(p), h.position(p))
-
-
-def priority_less(a, b, h: Handicap) -> bool:
-    """Strict priority order on steps (joint, order)."""
-    return _priority(a, h) < _priority(b, h)
-
-
 def v_vector(p, r: int, h: Handicap, P) -> dict:
     """Vanishing orders forced at each point of P by the time step (p, r)
     is reached: the smallest order whose step has not yet been processed."""

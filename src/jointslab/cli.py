@@ -131,6 +131,7 @@ def cmd_pipeline(args) -> int:
     all_pass = True
     cap_hit = False
     reports = []
+    outputs = []
     for ci, comp in enumerate(comps):
         st = balance(comp, n, tau=args.tau, cap=args.cap)
         if st.status != "balanced":
@@ -155,13 +156,15 @@ def cmd_pipeline(args) -> int:
                 "pass": ok,
             }
         )
-        (out / f"ledger-{ci}.csv").write_text(ledgers_to_csv(list(ledgers.values())))
-        _write_json(out / f"ledger-{ci}.json", ledgers_summary(list(ledgers.values())))
+        csv_path, summary_path = out / f"ledger-{ci}.csv", out / f"ledger-{ci}.json"
+        csv_path.write_text(ledgers_to_csv(list(ledgers.values())))
+        _write_json(summary_path, ledgers_summary(list(ledgers.values())))
+        outputs += [str(csv_path), str(summary_path)]
     rep_path = out / "pipeline.json"
     _write_json(rep_path, {"n": n, "components": reports, "pass": all_pass})
     _write_json(
         out / "manifest.json",
-        _manifest(args, "pipeline", {"components": len(comps)}, [str(rep_path)], t0),
+        _manifest(args, "pipeline", {"components": len(comps)}, [str(rep_path), *outputs], t0),
     )
     print(f"pipeline: {len(comps)} component(s), pass={all_pass}")
     if cap_hit:
@@ -180,13 +183,14 @@ def cmd_balance(args) -> int:
         lines.append(
             f"{row['iteration']},{row['t']},{row['min_W']},{row['max_W']},{int(row['changed'])}"
         )
-    (out / "balance.csv").write_text("\n".join(lines) + "\n")
+    csv_path = out / "balance.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
     alpha_path = out / "alpha.json"
     _write_json(alpha_path, {"status": st.status, "iterations": st.iteration,
                              "alpha": {str(j): st.alpha.of(j) for j in st.alpha.preassigned}})
     _write_json(
         out / "manifest.json",
-        _manifest(args, "balance", {"status": st.status}, [str(alpha_path)], t0),
+        _manifest(args, "balance", {"status": st.status}, [str(alpha_path), str(csv_path)], t0),
     )
     print(f"balance: {st.status} after {st.iteration} iteration(s)")
     return EXIT_OK if st.status == "balanced" else EXIT_CAP_HIT

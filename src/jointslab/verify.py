@@ -2,7 +2,10 @@
 
 The rank check stacks, at every joint, the products of one vanishing
 condition per designated variety and verifies that they annihilate no
-nonzero polynomial of degree at most n.  The witness shows, for a given
+nonzero polynomial of degree at most n.  A product whose total order
+|gamma| exceeds n*D, D the highest t-degree of any term of the joint
+coordinates it is read along, is zero on F[x]_{<= n}: it is counted in
+``rows`` but neither built nor inserted.  The witness shows, for a given
 polynomial and joint, per-variety orders whose product recovers the
 leading coefficient of the polynomial's local expansion.  Both read a
 product as one ``poly.expansion_row`` row along the joint coordinates
@@ -54,6 +57,13 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
     product of the ledgers' selected gammas.  That row reads each chart's
     coordinates at exponents beta <= gamma_i only, so each chart is read
     through the highest order its ledger selected at the joint.
+
+    Let D be the highest total t-degree of any term of the joint's
+    coordinates so read.  Every x^delta with |delta| <= n then has no
+    t^gamma term with |gamma| > n*D, so such a pick's row is zero, on flat
+    (D = 1) and curved charts alike.  Its row is neither built nor
+    inserted, but the pick is still counted in ``rows``, the number of
+    picks visited up to the one whose row brings the rank to C(n+d, d).
     """
     F = cfg.field
     d = cfg.ambient
@@ -66,10 +76,14 @@ def vanishing_rank_check(cfg, ledgers: dict, n: int) -> dict:
             (C.owner.dim, C.scaled_coordinates(max((sum(g) for g in gs), default=0)))
             for C, gs in zip(cfg.designated_charts(j), gammas)
         ])
+        top = n * max(sum(beta) for ci in coords for beta in ci)
         memo: dict = {}
         for pick in itertools.product(*gammas):
             rows_seen += 1
-            red.insert(expansion_row(F, coords, n, sum(pick, ()), memo))
+            gamma = sum(pick, ())
+            if sum(gamma) > top:
+                continue
+            red.insert(expansion_row(F, coords, n, gamma, memo))
             if red.rank >= expected:
                 return {"rank": red.rank, "expected": expected, "rows": rows_seen, "pass": True}
     return {"rank": red.rank, "expected": expected, "rows": rows_seen, "pass": red.rank == expected}

@@ -13,7 +13,6 @@ from jointslab.basis import (
     functional_rows,
     ledgers_summary,
     ledgers_to_csv,
-    priority_less,
     step_order,
     v_vector,
 )
@@ -42,6 +41,14 @@ def plane_charts(Ff, points):
 
 
 # -- priority order ---------------------------------------------------------
+
+
+def priority_less(a, b, h: Handicap) -> bool:
+    """The priority order on steps (joint, order), strict: by level
+    r - alpha_p, then by preassigned position.  The oracle of
+    ``step_order``."""
+    (p, r), (q, t) = a, b
+    return (r - h.of(p), h.position(p)) < (t - h.of(q), h.position(q))
 
 
 def test_priority_order_examples():

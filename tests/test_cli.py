@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,9 @@ from jointslab.cli import (
     build_parser,
     main,
 )
-from jointslab.config import JointsConfiguration
+from jointslab.config import Family, JointsConfiguration, detect_joints
+from jointslab.field import FieldSpec
+from jointslab.varieties import VarietySpec
 
 
 def run(argv, capsys=None):
@@ -78,6 +81,33 @@ def test_balance_outputs(tmp_path):
     assert set(alpha) == {"status", "iterations", "alpha"}
     lines = (out / "balance.csv").read_text().splitlines()
     assert lines[0] == "iteration,t,min_W,max_W,changed"
+
+
+def test_manifests_list_every_output_file(tmp_path):
+    def outputs(command, cfg_path):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--n", "2",
+                     "--out-dir", str(out)]) == EXIT_OK
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = {str(f) for f in out.iterdir() if f.name != "manifest.json"}
+        assert len(listed) == len(written) and set(listed) == written
+        return [Path(f).name for f in listed]
+
+    # two coordinate-split triples of 2-flats at far-apart centers of Q^6:
+    # two components, so `pipeline` writes two pairs of ledger files
+    def flat(axes, point):
+        dirs = tuple(tuple(int(i == a) for i in range(6)) for a in axes)
+        return VarietySpec(kind="flat", ambient=6, dim=2, degree=1, point=point, directions=dirs)
+
+    centers = [(0,) * 6, (100,) * 6]
+    members = [flat(axes, q) for q in centers for axes in ((0, 1), (2, 3), (4, 5))]
+    cfg = detect_joints(FieldSpec("rational"), [Family(k=2, m=3, members=members)],
+                        candidates=centers)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    assert outputs("pipeline", cfg_path) == [
+        "pipeline.json", "ledger-0.csv", "ledger-0.json", "ledger-1.csv", "ledger-1.json"]
+    assert outputs("balance", gen(tmp_path, "a")) == ["alpha.json", "balance.csv"]
 
 
 def test_verify_rank_and_count(tmp_path):

@@ -19,7 +19,7 @@ from jointslab.errors import (
     UnsupportedKind,
 )
 from jointslab.field import FieldSpec, binom
-from jointslab.linalg import IncrementalRowReducer, rank
+from jointslab.linalg import rank
 from jointslab.poly import (
     AffineMap,
     HasseOperator,
@@ -677,7 +677,8 @@ def _joint_config(V, p):
 @given(kind=st.sampled_from(["flat", "graph", "hypersurface"]), k=st.integers(1, 2),
        extra=st.integers(1, 2), seed=st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
-def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(kind, k, extra, seed):
+def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(recorded_inserts, kind, k, extra,
+                                                            seed):
     # over Q each chart's coordinates read at lambda t, lambda its scale,
     # are ints in every degree >= 1; every ledger row and rank-check row
     # is lambda^|gamma| (prod_i lambda_i^|gamma_i|) times the row read
@@ -704,25 +705,31 @@ def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(kind, k, extra, seed)
             for gamma, coeffs in memo.items():
                 exact = expansion_row(FQ, C.coordinates(sum(gamma)), m, gamma, {})
                 assert coeffs == [lam ** sum(gamma) * c for c in exact]
-    inserted = []
-
-    class Recording(IncrementalRowReducer):
-        def insert(self, row):
-            inserted.append(list(row))
-            return super().insert(row)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "IncrementalRowReducer", Recording)
-        assert verify.vanishing_rank_check(cfg, ledgers, n)["rows"] == len(inserted) > 0
+    with recorded_inserts() as inserted:
+        got = verify.vanishing_rank_check(cfg, ledgers, n)
     charts = cfg.designated_charts(0)
     gammas = [ledgers[ref].selected_gammas(0) for ref in cfg.chosen[0]]
     coords = verify.joint_coordinates(cfg.joints[0],
                                       [(C.owner.dim, C.coordinates(N)) for C in charts])
-    exact = []
+    # D, the highest t-degree of the joint coordinates the check read
+    read = verify.joint_coordinates(cfg.joints[0], [
+        (C.owner.dim, C.scaled_coordinates(max(map(sum, gs)))) for C, gs in zip(charts, gammas)
+    ])
+    top = n * max(sum(beta) for x in read for beta in x)
+    exact, built = [], []
     for pick in itertools.product(*gammas):
         scalar = prod(C.scale ** sum(g) for C, g in zip(charts, pick))
         exact.append([scalar * c for c in expansion_row(FQ, coords, n, sum(pick, ()), {})])
-    assert inserted == exact[:len(inserted)]
+        built.append(sum(map(sum, pick)) <= top)
+    # the reducer receives the exact rows of the picks built, in order,
+    # and every pick skipped has a zero exact row
+    rows = got["rows"]
+    assert inserted == [row for row, b in zip(exact[:rows], built) if b]
+    assert inserted and not any(any(row) for row, b in zip(exact, built) if not b)
+    # rows counts every pick visited, skipped or not: the check stops at
+    # the first pick whose row brings the rank to C(n+d, d)
+    assert rank(FQ, exact[:rows]) == got["rank"]
+    assert rows == len(exact) or rank(FQ, exact[:rows - 1]) < got["expected"] == got["rank"]
 
 
 # -- serialization ----------------------------------------------------------

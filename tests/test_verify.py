@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+from dataclasses import replace
 from decimal import getcontext, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,12 +15,19 @@ from hypothesis import strategies as st
 from jointslab.balance import RootValue, build_all_ledgers
 from jointslab.basis import Handicap
 from jointslab.config import Family, detect_joints, generate
-from jointslab.errors import DimensionMismatch, MalformedInput, NotAJoint, ZeroPolynomial
-from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
+from jointslab.errors import (
+    DimensionMismatch,
+    MalformedInput,
+    NotAJoint,
+    SingularPoint,
+    ZeroPolynomial,
+)
+from jointslab.field import DEFAULT_PRIME, FieldSpec, as_int, binom
 from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import (
     AffineMap,
     Polynomial,
+    expansion_row,
     monomials_upto,
     parse_poly,
     pullback,
@@ -30,6 +38,7 @@ from jointslab.verify import (
     bound_report,
     decimal12,
     hasse_vanishing_witness,
+    joint_coordinates,
     parameter_count_check,
     schwartz_zippel_mult,
     vanishing_rank_check,
@@ -116,50 +125,129 @@ def line(point, direction):
                        directions=(direction,))
 
 
-def circle_and_lines():
+def circle_and_lines(Ff=FQ):
     circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
                          point=(0, 0), directions=((1, 0), (0, 1)),
-                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", FQ, 2))
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", Ff, 2))
     members = [circle, line((3, 0), (0, 1)), line((0, 4), (1, 0))]
-    return detect_joints(FQ, [Family(1, 2, members)], candidates=[(3, 4), (3, -4), (-3, 4)])
+    return detect_joints(Ff, [Family(1, 2, members)], candidates=[(3, 4), (3, -4), (-3, 4)])
 
 
-def lines_off_origin():
+def lines_off_origin(Ff=F):
     members = [line((2, 0), (0, 1)), line((0, 3), (1, 0)), line((5, 0), (-1, 1)),
                line((0, 0), (1, 0))]
-    return detect_joints(F, [Family(1, 2, members)])
+    return detect_joints(Ff, [Family(1, 2, members)])
+
+
+def parabola_and_circle(Ff):
+    """The parabola x2 = x1^2 (a graph) and the circle x1^2 + x2^2 = 2 x2
+    (a hypersurface) meet transversally at (1, 1) and (-1, 1); the line
+    x1 = 0 meets both at (0, 0)."""
+    parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
+                           frame=AffineMap.identity(Ff, 2),
+                           graph_polys=(parse_poly("1 * x1^2", Ff, 1),))
+    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
+                         point=(0, 0), directions=((1, 0), (0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -2 * x2", Ff, 2))
+    members = [parabola, circle, line((0, 0), (0, 1))]
+    return detect_joints(Ff, [Family(1, 2, members)], candidates=[(0, 0), (1, 1), (-1, 1)])
+
+
+def visited_picks(cfg, ledgers, n):
+    """(row, built) for every pick, in the rank check's order: the pick's
+    expansion row along the joint coordinates the check reads, and
+    whether |gamma| <= n*D, D the highest t-degree of any of their terms."""
+    for j, p in enumerate(cfg.joints):
+        gammas = [ledgers[ref].selected_gammas(j) for ref in cfg.chosen[j]]
+        coords = joint_coordinates([as_int(x) for x in p], [
+            (C.owner.dim, C.scaled_coordinates(max((sum(g) for g in gs), default=0)))
+            for C, gs in zip(cfg.designated_charts(j), gammas)
+        ])
+        D = max(sum(beta) for ci in coords for beta in ci)
+        memo = {}
+        for pick in itertools.product(*gammas):
+            gamma = sum(pick, ())
+            yield expansion_row(cfg.field, coords, n, gamma, memo), sum(gamma) <= n * D
+
+
+def check_inserting_every_row(cfg, n, rows):
+    """The rank check's result when each of ``rows`` is inserted, in order,
+    until the rank reaches C(n+d, d)."""
+    expected = binom(n + cfg.ambient, cfg.ambient)
+    red = IncrementalRowReducer(cfg.field)
+    seen = 0
+    for row in rows:
+        seen += 1
+        red.insert(row)
+        if red.rank >= expected:
+            break
+    return {"rank": red.rank, "expected": expected, "rows": seen, "pass": red.rank == expected}
 
 
 @pytest.mark.parametrize("make", [lines_off_origin, circle_and_lines])
-def test_rank_rows_match_composed_operators(monkeypatch, make):
-    import jointslab.verify as verify_module
-
+def test_rank_rows_match_composed_operators(recorded_inserts, make):
     cfg = make()
     assert all(any(p) for p in cfg.joints)
     # the circle's rows are read at a scale above 1, the lines' at 1
     scales = {C.scale for on in cfg.charts for C in on.values()}
     assert (max(scales) > 1) == (make is circle_and_lines)
-    inserted = []
+    with recorded_inserts() as inserted:
+        for n in (1, 2, 3):
+            L = build_all_ledgers(cfg, zero_handicap(cfg), n)
+            assert any((0,) in L[ref].selected_gammas(j)
+                       for j in range(len(cfg.joints)) for ref in cfg.chosen[j])
+            inserted.clear()
+            got = vanishing_rank_check(cfg, L, n)
+            oracle = composed_operator_rows(cfg, L, n)
+            assert got["pass"] and got == check_inserting_every_row(cfg, n, oracle)
+            # the reducer receives the oracle rows of the picks built, in
+            # order; every pick skipped has a zero oracle row
+            built = [b for _, b in visited_picks(cfg, L, n)]
+            assert inserted == [r for r, b in zip(oracle[: got["rows"]], built) if b]
+            assert not any(any(r) for r, b in zip(oracle, built) if not b)
+            # no ledger walked a fresh detection's charts: the check itself
+            # reads each through the highest order its ledger selected
+            rows = list(inserted)
+            inserted.clear()
+            assert vanishing_rank_check(make(), L, n) == got and inserted == rows
 
-    class Recording(IncrementalRowReducer):
-        def insert(self, row):
-            inserted.append(list(row))
-            return super().insert(row)
 
-    monkeypatch.setattr(verify_module, "IncrementalRowReducer", Recording)
-    for n in (1, 2, 3):
+def generic_hyperplanes(Ff):
+    return generate("generic-hyperplanes", field=Ff, d=6, h=6)
+
+
+@pytest.mark.parametrize("make, Ff, degrees", [
+    (lines_off_origin, F, (2, 3, 4)),
+    (lines_off_origin, FQ, (2, 3, 4)),
+    (generic_hyperplanes, F, (2, 3, 4)),
+    # over Q, building every pick's row at n = 4 takes about 12 s (2-core VM)
+    (generic_hyperplanes, FQ, (2, 3)),
+    (circle_and_lines, F, (2, 3, 4)),
+    (circle_and_lines, FQ, (2, 3, 4)),
+    (parabola_and_circle, F, (2, 3, 4)),
+    (parabola_and_circle, FQ, (2, 3, 4)),
+], ids=["lines-Fp", "lines-Q", "hyperplanes-Fp", "hyperplanes-Q", "circle-Fp", "circle-Q",
+        "parabola-circle-Fp", "parabola-circle-Q"])
+def test_rank_check_builds_only_picks_within_the_degree_bound(recorded_inserts, make, Ff,
+                                                              degrees):
+    # a pick with |gamma| > n*D is counted but not built: rank, rows and
+    # pass are those of the check that inserts every pick, the reducer
+    # receives the rows of the other picks visited, in order, and every
+    # skipped pick's row is zero
+    cfg = make(Ff)
+    curved = any(V.kind != "flat" for fam in cfg.families for V in fam.members)
+    skipped = 0
+    for n in degrees:
         L = build_all_ledgers(cfg, zero_handicap(cfg), n)
-        assert any((0,) in L[ref].selected_gammas(j)
-                   for j in range(len(cfg.joints)) for ref in cfg.chosen[j])
-        inserted.clear()
-        got = vanishing_rank_check(cfg, L, n)
-        assert got["pass"] and got["rows"] == len(inserted)
-        assert inserted == composed_operator_rows(cfg, L, n)[: len(inserted)]
-        # no ledger walked a fresh detection's charts: the check itself
-        # reads each through the highest order its ledger selected
-        rows = list(inserted)
-        inserted.clear()
-        assert vanishing_rank_check(make(), L, n) == got and inserted == rows
+        with recorded_inserts() as inserted:
+            got = vanishing_rank_check(cfg, L, n)
+        picks = list(visited_picks(cfg, L, n))
+        assert got == check_inserting_every_row(cfg, n, (r for r, _ in picks))
+        assert inserted == [r for r, b in picks[: got["rows"]] if b]
+        assert not any(any(r) for r, b in picks if not b)
+        skipped += got["rows"] - len(inserted)
+    # flat charts have D = 1, so |gamma| > n is skipped there
+    assert skipped > 0 or curved
 
 
 def test_rank_drops_when_a_joint_is_silenced():
@@ -433,6 +521,24 @@ def test_bound_planes_constant():
     # part b constant: 6! / (2!^3 * 3!) = 15 under the square root
     assert rep.constant_b == RootValue(Fraction(15), 2)
     assert rep.applicable and rep.pass_a and rep.pass_b
+
+
+def test_bound_reads_the_declared_degree_of_a_repeated_factor():
+    # a known limit: (x1 - x2^2)^2 in the plane must be declared at degree
+    # 4, its polynomial's degree, though its curve has degree 2; every
+    # point of it is singular, so it is a member at no joint, yet the
+    # bound reads 4 + 1 + 1 for the family, not 2 + 1 + 1
+    square = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=4,
+                         point=(0, 0), directions=((1, 0), (0, 1)),
+                         surface_poly=parse_poly("1 * x1^2 + -2 * x1 x2^2 + 1 * x2^4", FQ, 2))
+    with pytest.raises(ValueError, match="declared degree"):
+        replace(square, degree=2)
+    members = [square, line((1, 0), (0, 1)), line((0, 1), (1, 0))]
+    cfg = detect_joints(FQ, [Family(1, 2, members)], candidates=[(1, 1)])
+    assert cfg.joints == [(1, 1)] and cfg.chosen[0] == ((0, 1), (0, 2)) and cfg.M(0) == 1
+    with pytest.raises(SingularPoint):
+        make_chart(square, (1, 1), FQ)
+    assert bound_report(cfg).degree_product == (4 + 1 + 1) ** 2
 
 
 def test_bound_empty_configuration():
