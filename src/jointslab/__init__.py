@@ -14,10 +14,8 @@ from .basis import (
     FunctionalRow,
     Handicap,
     T_dimension,
-    b_p,
     build_ledger,
     functional_rows,
-    v_vector,
 )
 from .config import (
     Family,

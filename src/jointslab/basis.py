@@ -48,26 +48,10 @@ class Handicap:
             raise UnknownJoint(f"joint {p!r} has no handicap")
         return self.alpha[p]
 
-    def shifted(self, delta: int) -> "Handicap":
-        return Handicap({p: a + delta for p, a in self.alpha.items()}, list(self.preassigned))
-
     @staticmethod
     def zero(joint_ids) -> "Handicap":
         ids = list(joint_ids)
         return Handicap({p: 0 for p in ids}, ids)
-
-
-def v_vector(p, r: int, h: Handicap, P) -> dict:
-    """Vanishing orders forced at each point of P by the time step (p, r)
-    is reached: the smallest order whose step has not yet been processed."""
-    if p not in set(P):
-        raise UnknownJoint(f"joint {p!r} not among the points")
-    out = {}
-    for q in P:
-        bump = 1 if h.position(q) < h.position(p) else 0
-        val = r - h.of(p) + h.of(q) + bump if q != p else r
-        out[q] = max(val, 0)
-    return out
 
 
 @dataclass
@@ -233,7 +217,7 @@ def build_ledger(
 
 
 # ---------------------------------------------------------------------------
-# Vanishing spaces T(v, n) and codimension counters
+# Vanishing spaces T(v, n)
 # ---------------------------------------------------------------------------
 
 
@@ -255,14 +239,6 @@ def T_dimension(charts: list, v, n: int) -> int:
             for row in functional_rows(C, r, n):
                 red.insert(row.coeffs)
     return dim_R - red.rank
-
-
-def b_p(charts: list, v, idx: int, n: int) -> int:
-    """Codimension of T(v + e_idx, n) inside T(v, n)."""
-    v = list(v)
-    bumped = list(v)
-    bumped[idx] += 1
-    return T_dimension(charts, v, n) - T_dimension(charts, bumped, n)
 
 
 # ---------------------------------------------------------------------------

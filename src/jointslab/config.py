@@ -2,14 +2,15 @@
 
 A configuration holds families of varieties (dimension k_i appearing
 with multiplicity m_i, so that d = sum m_i k_i) together with the joints
-they form.  A point is a joint when some admissible tuple of member
-varieties -- m_i members from family i -- passes through it with
-tangent spaces that are independent and span the ambient space.  Each
-joint records one designated tuple (the lexicographically first
-qualifying one), the multiset of all qualifying tuples, whose size is
-the joint's multiplicity, and the chart of every member passing through
-it, built once at detection; every later step reads incidence and charts
-from there.
+they form.  Joints are given, as candidate points that detection checks:
+a candidate is a joint when some admissible tuple of member varieties --
+m_i members from family i -- passes through it with tangent spaces that
+are independent and span the ambient space.  Each joint records one
+designated tuple (the lexicographically first qualifying one), the
+multiset of all qualifying tuples, whose size is the joint's
+multiplicity, and the chart of every member passing through it, built
+once at detection; every later step reads incidence and charts from
+there.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     FieldTooSmall,
     MalformedInput,
-    MissingCandidates,
     NotAJoint,
     NotOnVariety,
     SingularPoint,
@@ -150,15 +150,15 @@ def is_joint(p, charts: list) -> bool:
 def detect_joints(
     F: FieldSpec,
     families: list,
-    candidates: list | None = None,
+    candidates: list,
     seed: int = 0,
 ) -> JointsConfiguration:
     """Build the configuration from families plus candidate points.
 
-    For flat-only families the candidates may be omitted: intersection
-    points of admissible flat tuples are solved exactly.  Otherwise
-    candidates must be supplied.  Membership and the chart are settled
-    in one ``make_chart`` per member and candidate: ``NotOnVariety``
+    The joints are the candidate points, each taken once in its first
+    position, at which some admissible tuple qualifies; no joint is found
+    anywhere else.  Membership and the chart are settled in one
+    ``make_chart`` per member and candidate: ``NotOnVariety``
     means the member misses the point, ``SingularPoint`` that it passes
     through with no chart (its chart is None, and it joins no tuple).  A
     chart's frame gives the tangent rows without solving any series term.
@@ -176,12 +176,6 @@ def detect_joints(
             raise DimensionMismatch(f"a member's dimension differs from its family's k = {f.k}")
         if any(V.ambient != d for V in f.members):
             raise DimensionMismatch(f"a member's ambient dimension differs from sum m_i k_i = {d}")
-    if candidates is None:
-        if any(V.kind != "flat" for f in families for V in f.members):
-            raise MissingCandidates(
-                "candidate points are required when non-flat members are present"
-            )
-        candidates = _flat_tuple_intersections(F, families, d)
     seen = set()
     joints, chosen, multiplicity, charts = [], [], [], []
     for q in candidates:
@@ -246,30 +240,6 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
 
 def _flatten_choice(choice) -> tuple:
     return tuple((fi, mi) for fi, picks in enumerate(choice) for mi in picks)
-
-
-def _flat_tuple_intersections(F: FieldSpec, families, d: int) -> list:
-    """Unique solutions of the stacked linear systems of admissible flat
-    tuples; used when candidates are not supplied.  A flat through q with
-    directions U is a.x = a.q for the normals a spanning U's annihilator
-    (every a for a point)."""
-    out = []
-    per_family = [list(itertools.combinations(range(len(f.members)), f.m)) for f in families]
-    for choice in itertools.product(*per_family):
-        rows, rhs = [], []
-        for fi, picks in enumerate(choice):
-            for mi in picks:
-                V = families[fi].members[mi]
-                dirs = [[F.of(x) for x in u] for u in V.directions]
-                normals = linalg.nullspace(F, dirs) if dirs else linalg.identity(F, d)
-                rows += normals
-                rhs += linalg.mat_vec(F, normals, [F.of(x) for x in V.point])
-        if linalg.rank(F, rows) != d:
-            continue
-        sol = linalg.solve(F, rows, rhs)
-        if sol is not None:
-            out.append(tuple(sol))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +401,7 @@ def generate(
                 )
             )
         fam = Family(k=k, m=d // k, members=members)
-        return detect_joints(F, [fam], seed=seed)
+        return detect_joints(F, [fam], candidates=[(F.zero,) * d], seed=seed)
     if kind == "grid":
         _genericity_guard(F, t)
         A = _distinct_scalars(rng, F, t)
@@ -464,7 +434,7 @@ def generate(
             for _ in range(count)
         ]
         fam = Family(k=k, m=d // k, members=members)
-        return detect_joints(F, [fam], seed=seed)
+        return detect_joints(F, [fam], candidates=[(F.zero,) * d], seed=seed)
     raise UnsupportedKind(f"unknown generator kind {kind!r}")
 
 

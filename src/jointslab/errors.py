@@ -41,10 +41,6 @@ class LedgerMissing(JointslabError):
     pass
 
 
-class MissingCandidates(JointslabError):
-    pass
-
-
 class FieldTooSmall(JointslabError):
     pass
 

@@ -77,13 +77,16 @@ class FieldSpec:
         An int in a prime field and a Fraction in the rationals, the
         values the library itself passes, take an exact-type fast path:
         ``isinstance(x, Fraction)`` goes through the ABC machinery.  A
-        float is no exact value and raises ValueError."""
+        float is no exact value and a bool, JSON's true or false, is no
+        number: both raise ValueError."""
         cls = type(x)
         if self.kind == "prime":
             if cls is int:
                 return x % self.p
         elif cls is Fraction:
             return x
+        if cls is bool:
+            raise ValueError(f"{x!r} is a boolean, not a field element")
         if isinstance(x, float):
             raise ValueError(f"{x!r} is a float; give an exact value, such as '1/4'")
         if isinstance(x, str):

@@ -146,11 +146,7 @@ class Polynomial:
         F = self.field
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = F.add(terms.get(e, F.zero), c)
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            _accumulate(F, terms, e, c)
         return Polynomial(F, self.nvars, terms)
 
     def __neg__(self):
@@ -166,12 +162,7 @@ class Polynomial:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = F.add(terms.get(e, F.zero), F.mul(c1, c2))
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+                _accumulate(F, terms, tuple(a + b for a, b in zip(e1, e2)), F.mul(c1, c2))
         return Polynomial(F, self.nvars, terms)
 
     def scale(self, c):
@@ -184,24 +175,22 @@ class Polynomial:
         coordinates point, which ``coefficient_along`` reads."""
         return coefficient_along(self, [{(): as_int(self.field.of(x))} for x in point], (), {})
 
-    def substitute(self, images: list, truncation: int | None = None) -> "Polynomial":
+    def substitute(self, images: list) -> "Polynomial":
         """Substitute variable i -> images[i] (polynomials over the same
         field, all in a common ring).  ``coefficient_along`` reads the
-        t^gamma coefficient for every gamma up to the degree bound:
-        ``truncation`` when given, else deg g times the top degree of the
-        images."""
+        t^gamma coefficient for every gamma up to deg g times the top
+        degree of the images."""
         nv = images[0].nvars if images else 0
         if any(h.nvars != nv or h.field != self.field for h in images):
             raise DimensionMismatch("images must lie in one ring over the polynomial's field")
         # integral values as ints: over Q the rows are then built in ints
         coords = [{e: as_int(c) for e, c in h.terms.items()} for h in images]
-        if truncation is None:
-            top = max((sum(e) for h in coords for e in h), default=0)
-            truncation = max(map(sum, self.terms), default=0) * top
+        top = max((sum(e) for h in coords for e in h), default=0)
+        bound = max(map(sum, self.terms), default=0) * top
         memo: dict = {}
         return Polynomial(self.field, nv, {
             gamma: coefficient_along(self, coords, gamma, memo)
-            for gamma in monomials_upto(nv, truncation)
+            for gamma in monomials_upto(nv, bound)
         })
 
     # -- text form -----------------------------------------------------
@@ -234,6 +223,16 @@ def format_poly(g: Polynomial) -> str:
     return " + ".join(parts)
 
 
+def _accumulate(F: FieldSpec, terms: dict, e, c) -> None:
+    """terms[e] += c in a sparse {exponent: coefficient} map, the term
+    dropped when the sum is zero."""
+    s = F.add(terms.get(e, F.zero), c)
+    if s:
+        terms[e] = s
+    else:
+        terms.pop(e, None)
+
+
 _COEFF = re.compile(r"-?\d+(?:/\d*[1-9]\d*)?")
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
 
@@ -264,12 +263,7 @@ def parse_poly(text: str, field: FieldSpec, nvars: int) -> Polynomial:
             if not m or not 1 <= int(m[1]) <= nvars or (m[2] and int(m[2]) < 1):
                 raise MalformedInput(f"malformed factor {factor!r} in a ring of {nvars} variables")
             exps[int(m[1]) - 1] += int(m[2] or 1)
-        e = tuple(exps)
-        s = F.add(terms.get(e, F.zero), F.of(Fraction(coeff_s)))
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
+        _accumulate(F, terms, tuple(exps), F.of(Fraction(coeff_s)))
     return Polynomial(field, nvars, terms)
 
 
@@ -300,12 +294,7 @@ def hasse_apply(omega, g: Polynomial) -> Polynomial:
         b = F.of(binom_vec(e, omega))
         if not b:
             continue
-        ne = tuple(ei - wi for ei, wi in zip(e, omega))
-        s = F.add(terms.get(ne, F.zero), F.mul(b, c))
-        if s:
-            terms[ne] = s
-        else:
-            terms.pop(ne, None)
+        _accumulate(F, terms, tuple(ei - wi for ei, wi in zip(e, omega)), F.mul(b, c))
     return Polynomial(F, g.nvars, terms)
 
 
@@ -318,11 +307,6 @@ class HasseOperator:
         self.field = field
         self.nvars = nvars
         self.combo = {w: c for w, c in (combo or {}).items() if c}
-
-    @classmethod
-    def single(cls, field, nvars, omega, c=None):
-        c = field.one if c is None else field.of(c)
-        return cls(field, nvars, {tuple(omega): c})
 
     def is_zero(self):
         return not self.combo
@@ -357,11 +341,7 @@ class HasseOperator:
                 m = F.of(binom_vec(w, a))
                 if not m:
                     continue
-                s = F.add(combo.get(w, F.zero), F.mul(F.mul(ca, cb), m))
-                if s:
-                    combo[w] = s
-                else:
-                    combo.pop(w, None)
+                _accumulate(F, combo, w, F.mul(F.mul(ca, cb), m))
         return HasseOperator(F, self.nvars, combo)
 
     def apply(self, g: Polynomial) -> Polynomial:
@@ -423,10 +403,6 @@ class AffineMap:
             raise SingularMap("affine map matrix is singular")
 
     @classmethod
-    def identity(cls, field, d):
-        return cls(field, linalg.identity(field, d), [field.zero] * d, _trusted=True)
-
-    @classmethod
     def translation_map(cls, field, b):
         d = len(b)
         return cls(field, linalg.identity(field, d), [field.of(x) for x in b], _trusted=True)
@@ -442,24 +418,6 @@ class AffineMap:
             F.add(sum_row, t)
             for sum_row, t in zip(linalg.mat_vec(F, self.matrix, point), self.translation)
         ]
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x -> self(other(x))."""
-        F = self.field
-        A = linalg.mat_mul(F, self.matrix, other.matrix)
-        b = [
-            F.add(v, t)
-            for v, t in zip(linalg.mat_vec(F, self.matrix, other.translation), self.translation)
-        ]
-        return AffineMap(F, A, b, _trusted=True)
-
-    def inverse(self) -> "AffineMap":
-        F = self.field
-        Ainv = linalg.inverse(F, self.matrix)
-        if Ainv is None:
-            raise SingularMap("affine map matrix is singular")
-        b = [F.neg(v) for v in linalg.mat_vec(F, Ainv, self.translation)]
-        return AffineMap(F, Ainv, b, _trusted=True)
 
 
 def pullback(g: Polynomial, T: AffineMap) -> Polynomial:

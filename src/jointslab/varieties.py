@@ -170,20 +170,11 @@ class Chart:
         self._grow(r)
         return [Polynomial(self.field, self.owner.dim, h) for h in self._series]
 
-    def local_expansion(self, g: Polynomial, N: int) -> Polynomial:
-        """g as a power series in the local coordinates, truncated at
-        degree N: (x_1, ..., x_k, h_{k+1}, ..., h_d) substituted into the
-        framed g."""
-        k = self.owner.dim
-        images = [Polynomial.variable(self.field, k, i) for i in range(k)] + self.series(N)
-        return pullback(g, self.frame_inverse).substitute(images, truncation=N)
-
     def coordinates(self, r: int) -> list:
         """x_i(phi(t)) for each ambient coordinate, as {beta: c} maps over
         the local variables, exact through degree r: b'_i + sum_j A'_ij img_j
         for the inverse frame x = A'y + b', with img_j = t_j for j < k and
-        the series h_j otherwise.  Through degree r it equals
-        ``local_expansion`` of x_i; it is rebuilt only when the series grows.
+        the series h_j otherwise.  It is rebuilt only when the series grows.
         Each map is read off the row of A' and the series maps: the series
         have no constant or linear part, so only their terms can collide."""
         if self._coords is None or self._coords[0] < r:
@@ -607,10 +598,17 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 
 
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
+    """The member an object of a JSON config describes.  A declared
+    ``degree`` is passed to ``VarietySpec``, which checks it; a missing
+    one is the kind's own: 1 for a flat or a graph, the equation's degree
+    for a hypersurface."""
+
+    def degree(derived: int) -> int:
+        return json_int(obj.get("degree", derived), "member degree")
+
     kind = obj["kind"]
     dim = json_int(obj["dim"], "member dim")
     ambient = json_int(obj["ambient"], "member ambient")
-    degree = json_int(obj.get("degree", 1), "member degree")
     label = obj.get("label", "")
     if kind in ("graph", "hypersurface"):
         equations = obj["equations"]
@@ -625,7 +623,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             kind="flat",
             ambient=ambient,
             dim=dim,
-            degree=1,
+            degree=degree(1),
             point=tuple(F.of(x) for x in obj["point"]),
             directions=directions,
             label=label,
@@ -638,7 +636,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
         )
         polys = tuple(parse_poly(s, F, dim) for s in equations)
         return VarietySpec(
-            kind="graph", ambient=ambient, dim=dim, degree=degree,
+            kind="graph", ambient=ambient, dim=dim, degree=degree(1),
             frame=frame, graph_polys=polys, label=label,
         )
     if kind == "hypersurface":
@@ -648,7 +646,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
         if poly.degree < 1:
             raise MalformedInput(f"a hypersurface equation of degree below 1: {equations[0]!r}")
         return VarietySpec(
-            kind="hypersurface", ambient=ambient, dim=dim, degree=int(poly.degree),
+            kind="hypersurface", ambient=ambient, dim=dim, degree=degree(int(poly.degree)),
             point=tuple(F.of(x) for x in obj["point"]),
             directions=directions, surface_poly=poly, label=label,
         )

@@ -8,13 +8,11 @@ import pytest
 from jointslab.basis import (
     Handicap,
     T_dimension,
-    b_p,
     build_ledger,
     functional_rows,
     ledgers_summary,
     ledgers_to_csv,
     step_order,
-    v_vector,
 )
 from jointslab.config import Family, detect_joints, generate, grid_line_composite
 from jointslab.errors import UnknownJoint
@@ -22,6 +20,8 @@ from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer
 from jointslab.poly import AffineMap, Polynomial, monomials_upto, parse_poly, taylor_shift
 from jointslab.varieties import VarietySpec, derivative_operator, make_chart
+
+from oracles import identity_map, local_expansion, v_vector
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -95,22 +95,6 @@ def test_handicap_guards():
         h.position(7)
     with pytest.raises(UnknownJoint):
         Handicap({0: 0}, [0, 1])
-
-
-# -- v-vector ---------------------------------------------------------------
-
-
-def test_v_vector_example():
-    h = Handicap({0: 0, 1: 1, 2: 0}, [0, 1, 2])
-    # at step (1, 2): level 1; joint 0 is strictly earlier (same level
-    # steps already processed), joint 2 is not
-    assert v_vector(1, 2, h, [0, 1, 2]) == {0: 2, 1: 2, 2: 1}
-    # negative values clamp to zero
-    h2 = Handicap({0: 0, 1: 5}, [0, 1])
-    assert v_vector(0, 0, h2, [0, 1]) == {0: 0, 1: 5}
-    assert v_vector(1, 0, h2, [0, 1]) == {0: 0, 1: 0}
-    with pytest.raises(UnknownJoint):
-        v_vector(9, 0, h, [0, 1, 2])
 
 
 # -- functional rows --------------------------------------------------------
@@ -204,7 +188,7 @@ def oracle_charts():
                         graph_polys=(parse_poly("1/2 * x1^2 + -1 * x1^3", FQ, 1),))
     out["graph-curve"] = (make_chart(cubic, (9, -7), FQ), 3)
     saddle = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
-                         frame=AffineMap.identity(FQ, 3),
+                         frame=identity_map(FQ, 3),
                          graph_polys=(parse_poly("1 * x1 x2 + -2 * x2^2", FQ, 2),))
     out["graph-surface"] = (make_chart(saddle, (1, 2, -6), FQ), 2)
     circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
@@ -226,7 +210,7 @@ def test_rows_match_operator_and_expansion_oracles(case):
     # 9 s^2 - 24 t s + 25 t^2 + 54 s, the s-coefficient 54
     assert C.scale == (1 if Ff.p else {"graph-curve": 2, "circle": 3 * 54}.get(case, 1))
     monos = monomials_upto(d, n)
-    expansions = [C.local_expansion(Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
+    expansions = [local_expansion(C, Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
     for r in range(6):
         for row in functional_rows(C, r, n):
             D = derivative_operator(C, row.gamma)
@@ -308,7 +292,7 @@ def test_ledger_shift_invariance():
     ids = list(range(len(cfg.joints)))
     h = Handicap({0: 0, 1: -1, 2: 1, 3: 0}, ids)
     a = build_ledger(cfg, (0, 0), h, 2)
-    b = build_ledger(cfg, (0, 0), h.shifted(7), 2)
+    b = build_ledger(cfg, (0, 0), Handicap({p: a + 7 for p, a in h.alpha.items()}, ids), 2)
     assert a.counts == b.counts
     assert [(s.joint, s.order, s.count) for s in a.steps] == [
         (s.joint, s.order, s.count) for s in b.steps
@@ -342,7 +326,7 @@ def test_count_equals_T_codimension():
         assert st.count == drop
 
 
-# -- T dimensions and b_p ---------------------------------------------------
+# -- T dimensions ------------------------------------------------------------
 
 
 def test_T_dimension_oracles():
@@ -372,16 +356,6 @@ def test_T_dimension_matches_taylor_oracle():
             red.insert([s.coefficient(gamma) for s in shifts])
     oracle = binom(n + 2, 2) - red.rank
     assert T_dimension(plane_charts(FQ, pts), v, n) == oracle
-
-
-def test_b_p_oracles():
-    # a line in the plane: first new vanishing condition has codimension 1
-    line = VarietySpec(kind="flat", ambient=2, dim=1, degree=1,
-                       point=(0, 0), directions=((1, 1),))
-    C = make_chart(line, (0, 0), FQ)
-    assert b_p([C], [0], 0, 3) == 1
-    # the full plane: raising order 1 -> 2 adds the two first derivatives
-    assert b_p(plane_charts(FQ, [(0, 0)]), [1], 0, 3) == 2
 
 
 # -- dump formats -----------------------------------------------------------

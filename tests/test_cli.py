@@ -267,12 +267,14 @@ def _empty_family(**fields):
     return edit
 
 
-def _float_entry(key, value):
-    """Joint 0's first coordinate, or member 0's first point entry, as a
-    JSON float."""
+def _json_entry(key, value):
+    """The first entry of joint 0, of member 0's point or of its first
+    direction set to a JSON value that is not a string."""
     def edit(text):
         obj = json.loads(text)
-        vec = obj["joints"][0] if key == "joint" else obj["families"][0]["members"][0]["point"]
+        member = obj["families"][0]["members"][0]
+        vec = {"joint": obj["joints"][0], "point": member["point"],
+               "direction": member["directions"][0]}[key]
         vec[0] = value
         return json.dumps(obj)
     return edit
@@ -329,8 +331,13 @@ MALFORMED = {
     "field-rational-with-modulus": (["pipeline", "--config", CFG],
                                     _set_field({"kind": "rational", "p": 7})),
     "field-not-an-object": (["pipeline", "--config", CFG], _set_field("rational")),
-    "joint-float": (["pipeline", "--config", CFG], _float_entry("joint", 0.25)),
-    "flat-point-float": (["pipeline", "--config", CFG], _float_entry("point", 0.5)),
+    "joint-float": (["pipeline", "--config", CFG], _json_entry("joint", 0.25)),
+    "flat-point-float": (["pipeline", "--config", CFG], _json_entry("point", 0.5)),
+    "joint-bool": (["pipeline", "--config", CFG], _json_entry("joint", False)),
+    "flat-point-bool": (["pipeline", "--config", CFG], _json_entry("point", True)),
+    "flat-direction-bool": (["verify", "bound", "--config", CFG], _json_entry("direction", True)),
+    "flat-degree-0": (["verify", "bound", "--config", CFG], _set_key("member", "degree", 0)),
+    "flat-degree-4": (["verify", "bound", "--config", CFG], _set_key("member", "degree", 4)),
     "flat-point-short": (["pipeline", "--config", CFG], _resize_member("point", 2)),
     "flat-point-long": (["pipeline", "--config", CFG], _resize_member("point", 5)),
     "flat-direction-short": (["pipeline", "--config", CFG], _resize_member("direction", 2)),
@@ -356,6 +363,10 @@ MALFORMED = {
                                     _plane_curve(kind="graph", equations=[5])),
     "graph-equations-not-a-list": (["pipeline", "--config", CFG],
                                    _plane_curve(kind="graph", equations="1 * x1^2")),
+    "hypersurface-circle-degree-0": (["verify", "bound", "--config", CFG],
+                                     _plane_curve(kind="hypersurface", degree=0)),
+    "hypersurface-circle-degree-5": (["verify", "bound", "--config", CFG],
+                                     _plane_curve(kind="hypersurface", degree=5)),
     "graph-parabola-degree-0": (["pipeline", "--config", CFG],
                                 _plane_curve(kind="graph", degree=0)),
     "graph-parabola-degree-minus-3": (["pipeline", "--config", CFG],
@@ -449,3 +460,14 @@ def test_each_command_takes_only_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert got == {name: sorted(flags) for name, flags in FLAGS.items()}
+
+
+def test_a_missing_degree_is_the_members_own():
+    # the circle's is its equation's degree, the line's 1
+    obj = json.loads(_plane_curve(kind="hypersurface")(""))
+    declared = JointsConfiguration.from_json(obj)
+    for member in obj["families"][0]["members"]:
+        del member["degree"]
+    derived = JointsConfiguration.from_json(obj)
+    assert [V.degree for V in derived.families[0].members] == [2, 1]
+    assert derived.families[0].members == declared.families[0].members

@@ -49,6 +49,8 @@ def test_coercion_canonical():
 
 def _of_reference(F, x):
     """FieldSpec.of without its exact-type fast paths."""
+    if isinstance(x, bool):
+        raise ValueError("a boolean is not a field element")
     if isinstance(x, str):
         x = Fraction(x)
     if F.kind == "prime":
@@ -61,8 +63,8 @@ def _of_reference(F, x):
 def _outcome(f, *args):
     try:
         value = f(*args)
-    except DivisionByZero:
-        return "DivisionByZero"
+    except (DivisionByZero, ValueError) as exc:
+        return type(exc).__name__
     return value, type(value)
 
 
@@ -71,7 +73,7 @@ def _outcome(f, *args):
                    st.fractions(), st.fractions().map(str)))
 @settings(max_examples=400, deadline=None)
 def test_of_matches_reference(F, x):
-    # ints (negative, >= p, bool), Fractions and strings in both field
+    # ints (negative, >= p), bools, Fractions and strings in both field
     # kinds: equal value and type, or the same error
     assert _outcome(F.of, x) == _outcome(_of_reference, F, x)
 
@@ -80,6 +82,14 @@ def test_of_rejects_floats():
     # a float is a binary approximation, not an exact field value
     for F in (FP, FQ):
         for x in (0.25, 0.5, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                F.of(x)
+
+
+def test_of_rejects_booleans():
+    # JSON's true and false are no numbers, though Python's bools are ints
+    for F in (FP, FQ):
+        for x in (True, False):
             with pytest.raises(ValueError):
                 F.of(x)
 

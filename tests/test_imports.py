@@ -1,5 +1,7 @@
 """Every top-level import of a library or test module is used in that
-module, and every private top-level name of the library is used.
+module, every private top-level name of the library is used, and every
+public top-level function or class of the library is read by something
+other than the unit tests.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
 with ``ast``.  The library's ``__init__.py`` is skipped by the import
@@ -7,6 +9,7 @@ check: its imports are the public API.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,56 @@ def test_dead_code_detector_finds_unread_private_names():
 def test_every_private_library_name_is_referenced():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+BENCH_TRACING = TESTS.parent / "bench" / "tracing.py"
+ACCEPTANCE = TESTS / "test_acceptance.py"
+
+
+def _traced_names() -> set:
+    """Every name in a qualified name that ``bench/tracing.py`` wraps.  The
+    file is read and run, not imported, as ``test_bench_names`` does."""
+    tracing = {}
+    exec(compile(BENCH_TRACING.read_text(), str(BENCH_TRACING), "exec"), tracing)
+    entries = [*tracing["SPANS"], *tracing["COUNTED"], *tracing["FIELD_COUNTED"]]
+    return {part for _, _, qualname in entries for part in qualname.split(".")}
+
+
+def _entry_points() -> set:
+    """The functions ``[project.scripts]`` in pyproject.toml names."""
+    scripts = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]["scripts"]
+    return {target.rpartition(":")[2] for target in scripts.values()}
+
+
+def unread_public_names(library: dict, readers: list, named: set) -> list:
+    """(module, name) for each public top-level function or class of the
+    ``library`` modules that no other top-level statement of the library
+    reads, that no ``readers`` source reads and that ``named`` leaves out."""
+    statements = [(mod, node) for mod, src in library.items() for node in ast.parse(src).body]
+    read = set(named).union(*(_referenced(ast.parse(src)) for src in readers))
+    return sorted(
+        (mod, node.name)
+        for mod, node in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+        and not any(node.name in _referenced(other) for _, other in statements if other is not node)
+    )
+
+
+def test_public_name_detector_finds_test_only_names():
+    library = {
+        "a": "def used():\n    pass\ndef traced():\n    pass\nclass Alone:\n    x = Alone\n"
+             "def checked():\n    pass\ndef main():\n    pass\n",
+        "b": "from a import used\n",
+    }
+    readers = ["from a import checked\n"]
+    assert unread_public_names(library, readers, {"traced", "main"}) == [("a", "Alone")]
+
+
+def test_every_public_library_name_is_read_outside_tests():
+    """A public function or class is read by other library code, by an
+    acceptance test, by the benchmark's trace or as the CLI entry point.
+    The package ``__init__`` re-exports are not readers."""
+    library = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
+    named = _traced_names() | _entry_points()
+    assert unread_public_names(library, [ACCEPTANCE.read_text()], named) == []

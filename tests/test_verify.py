@@ -44,6 +44,8 @@ from jointslab.verify import (
     vanishing_rank_check,
 )
 
+from oracles import identity_map, inverse
+
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
 
@@ -136,7 +138,7 @@ def circle_and_lines(Ff=FQ):
 def lines_off_origin(Ff=F):
     members = [line((2, 0), (0, 1)), line((0, 3), (1, 0)), line((5, 0), (-1, 1)),
                line((0, 0), (1, 0))]
-    return detect_joints(Ff, [Family(1, 2, members)])
+    return detect_joints(Ff, [Family(1, 2, members)], candidates=[(2, 3), (2, 0), (5, 0)])
 
 
 def parabola_and_circle(Ff):
@@ -144,7 +146,7 @@ def parabola_and_circle(Ff):
     (a hypersurface) meet transversally at (1, 1) and (-1, 1); the line
     x1 = 0 meets both at (0, 0)."""
     parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
-                           frame=AffineMap.identity(Ff, 2),
+                           frame=identity_map(Ff, 2),
                            graph_polys=(parse_poly("1 * x1^2", Ff, 1),))
     circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
                          point=(0, 0), directions=((1, 0), (0, 1)),
@@ -417,7 +419,7 @@ def test_witness_matches_composed_operators_off_origin():
         cases += [(p, charts, vanishing_at(rng, F, p, lo, 4, 0.04)) for lo in (0, 1, 2, 3, 3)]
         # framed, y1 y3 y5^2 + y2^4: orders (1, 1, 2)
         framed = parse_poly("1 * x1 x3 x5^2 + 1 * x2^4", F, 6)
-        cases.append((p, charts, pullback(framed, unframe.inverse())))
+        cases.append((p, charts, pullback(framed, inverse(unframe))))
     cfg = circle_and_lines()
     j = cfg.joints.index((3, 4))
     charts = cfg.designated_charts(j)
