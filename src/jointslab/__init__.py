@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .balance import BalanceState, RootValue, compute_W
 from .basis import (
     BasisLedger,
-    FunctionalRow,
     Handicap,
     T_dimension,
     build_ledger,

@@ -166,31 +166,25 @@ def build_all_ledgers(cfg, h: Handicap, n: int) -> dict:
     return {ref: build_ledger(cfg, ref, h, n) for ref in cfg.all_members()}
 
 
-def compute_W(cfg, h: Handicap, n: int, ledgers=None) -> dict:
-    """Exact W_p for every joint.
+def compute_W(cfg, ledgers: dict, n: int) -> dict:
+    """Exact W_p for every joint, from the ledgers of every member.
 
     W_p = [ prod over qualifying tuples, over varieties V in the tuple,
     of |D_{p,V}| / C(n + dim V, dim V) ] ** (1/M(p)), one RootValue.
     """
-    if ledgers is None:
-        ledgers = build_all_ledgers(cfg, h, n)
     out = {}
-    for j in range(len(cfg.joints)):
-        tuples = cfg.multiplicity[j]
-        M = len(tuples)
-        if M == 0:
+    for j, tuples in enumerate(cfg.multiplicity):
+        if not tuples:
             raise LedgerMissing(f"joint {j} has no qualifying tuples")
         Q = Fraction(1)
         for choice in tuples:
-            for fi, picks in enumerate(choice):
-                k = cfg.families[fi].k
-                norm = binom(n + k, k)
-                for mi in picks:
-                    led = ledgers.get((fi, mi))
-                    if led is None:
-                        raise LedgerMissing(f"no ledger for member {(fi, mi)}")
-                    Q *= Fraction(led.joint_total(j), norm)
-        out[j] = RootValue(Q, M)
+            for ref in choice:
+                led = ledgers.get(ref)
+                if led is None:
+                    raise LedgerMissing(f"no ledger for member {ref}")
+                k = cfg.families[ref[0]].k
+                Q *= Fraction(led.joint_total(j), binom(n + k, k))
+        out[j] = RootValue(Q, len(tuples))
     return out
 
 
@@ -202,12 +196,14 @@ def compute_W(cfg, h: Handicap, n: int, ledgers=None) -> dict:
 @dataclass
 class BalanceState:
     alpha: Handicap
-    W: dict
     sortedW: list  # (joint, RootValue) descending
-    iteration: int
     status: str  # "balanced" | "cap-hit"
     log: list  # per-iteration dicts
     ledgers: dict  # member ref -> BasisLedger at alpha
+
+    @property
+    def iteration(self) -> int:
+        return len(self.log)
 
 
 def _sorted_desc(W: dict) -> list:
@@ -249,8 +245,8 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
     it shares with a stored walk.  An attempt whose ledgers are the very
     ledgers of the attempt before reuses that attempt's W.  The rebuild
     count and ``cap`` still count attempts, reused ones included, so
-    ``status``, ``alpha``, ``log`` and the iteration count are what
-    building every ledger and W afresh would give.
+    ``status``, ``alpha`` and ``log`` are what building every ledger and
+    W afresh would give.
     """
     from .config import connected_components
 
@@ -264,19 +260,17 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
     rebuilds = 0
     log = []
     walks = {ref: [] for ref in cfg.all_members()}  # member ref -> its basis.Walks
-    last = None  # (ledgers, W, sorted W) of the latest attempt
+    last = None  # (ledgers, sorted W) of the latest attempt
 
     def attempt(h: Handicap) -> tuple:
-        nonlocal last
+        nonlocal last, rebuilds
+        rebuilds += 1
         ledgers = {ref: build_ledger(cfg, ref, h, n, walks=walks[ref]) for ref in walks}
         if last is None or any(ledgers[ref] is not last[0][ref] for ref in ledgers):
-            W = compute_W(cfg, h, n, ledgers=ledgers)
-            last = (ledgers, W, _sorted_desc(W))
+            last = (ledgers, _sorted_desc(compute_W(cfg, ledgers, n)))
         return last
 
-    ledgers, W, sw = attempt(h)
-    rebuilds += 1
-    iteration = 0
+    ledgers, sw = attempt(h)
     status = "balanced"
     move_cap = 4 * n * max(1, len(joints))  # largest decrement tried per move
     while True:
@@ -299,24 +293,22 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
                 for j in top:
                     alpha2[j] -= step
                 h2 = Handicap(alpha2, list(h.preassigned))
-                ledgers2, W2, sw2 = attempt(h2)
-                rebuilds += 1
+                ledgers2, sw2 = attempt(h2)
                 # accept only strictly lex-decreasing multisets; a changed
                 # but larger multiset means the step is not yet big enough
                 # to push the top block below the rest, so keep doubling
                 if _lex_cmp(sw2, sw) < 0:
-                    h, W, sw, ledgers = h2, W2, sw2, ledgers2
+                    h, sw, ledgers = h2, sw2, ledgers2
                     moved = True
                     used_t = t
                     break
                 step *= 2
             if moved or rebuilds >= cap:
                 break
-        iteration += 1
         lo, hi = sw[-1][1], sw[0][1]
         log.append(
             {
-                "iteration": iteration,
+                "iteration": len(log) + 1,
                 "t": used_t,
                 "min_W": lo.approx(),
                 "max_W": hi.approx(),
@@ -326,4 +318,4 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
         if not moved or rebuilds >= cap:
             status = "cap-hit"
             break
-    return BalanceState(h, W, sw, iteration, status, log, ledgers)
+    return BalanceState(h, sw, status, log, ledgers)

@@ -9,9 +9,9 @@ t^gamma Taylor coefficient along the chart's parametrization
 The walk stops when the selected rows span the dual of R_{V, <= n},
 giving the counts |B^r_{p,V}| whose per-joint totals drive the counting
 argument.  Each row is read in the chart the configuration built for
-(V, p) at detection, and a joint where V is singular, with no chart,
-adds no step; a ledger keeps the selected gammas, which together with
-those charts is all the rank check reads.
+(V, p) at detection and memoised there by gamma; a joint where V is
+singular, with no chart, adds no step.  A ledger keeps the selected
+gammas only: with those charts, they are all the rank check reads.
 """
 
 from __future__ import annotations
@@ -54,20 +54,12 @@ class Handicap:
         return Handicap({p: 0 for p in ids}, ids)
 
 
-@dataclass
-class FunctionalRow:
-    """Coefficient vector of g -> D^gamma g(p) over the monomial basis,
-    p the center of the chart it was read in, up to the row scalar
-    lambda^|gamma| of that chart's ``scale``: over Q the entries are ints
-    wherever they are integral, and over F_p the scalar is 1."""
-
-    coeffs: list
-    gamma: tuple
-
-
-def functional_rows(C: Chart, r: int, n: int) -> list:
-    """One row per local gamma with |gamma| = r, over F[x]_{<= n}, at the
-    chart's center.
+def functional_rows(C: Chart, r: int, n: int) -> dict:
+    """{gamma: row} for the local gammas with |gamma| = r, in graded-lex
+    order: the row is the coefficient vector of g -> D^gamma g(p) over the
+    monomial basis of F[x]_{<= n}, p the chart's center, up to the row
+    scalar lambda^|gamma| of the chart's ``scale``.  Over Q its entries
+    are ints wherever they are integral, and over F_p the scalar is 1.
 
     D^gamma g(p) is the t^gamma coefficient of g along the chart's
     parametrization phi.  Each row is the ``expansion_row`` of gamma along
@@ -82,18 +74,17 @@ def functional_rows(C: Chart, r: int, n: int) -> list:
     """
     coords = C.scaled_coordinates(r)
     memo = C.expansion_memos.setdefault(n, {})
-    return [
-        FunctionalRow(expansion_row(C.field, coords, n, gamma, memo), gamma)
+    return {
+        gamma: expansion_row(C.field, coords, n, gamma, memo)
         for gamma in exponents_of_degree(C.owner.dim, r)
-    ]
+    }
 
 
 @dataclass
 class LedgerStep:
     joint: object
     order: int
-    count: int
-    rows: list  # selected FunctionalRows
+    gammas: list  # the selected gammas, which key the chart's memo rows
 
 
 @dataclass
@@ -104,7 +95,7 @@ class BasisLedger:
     n: int
     target: int  # dim R_{V, <= n}
     rank: int
-    steps: list  # LedgerSteps with count > 0 only
+    steps: list  # LedgerSteps with a selected gamma only
     counts: dict  # joint -> {r: count}
     cap_hit: bool
 
@@ -117,12 +108,12 @@ class BasisLedger:
     def selected_gammas(self, p) -> list:
         """The gammas selected at joint p, in step order (increasing r),
         then in row order."""
-        return [row.gamma for st in self.steps if st.joint == p for row in st.rows]
+        return [gamma for st in self.steps if st.joint == p for gamma in st.gammas]
 
 
 def default_cap(V, n: int) -> int:
     """The highest step order a ledger of V walks by default: n * deg V."""
-    return n * max(1, V.degree)
+    return n * V.degree
 
 
 def step_order(h: Handicap, joints, cap: int) -> list:
@@ -138,11 +129,11 @@ def step_order(h: Handicap, joints, cap: int) -> list:
 
 @dataclass
 class Walk:
-    """One ledger build: the steps it walked, the rows it picked at each
-    of them, its reducer at the end and the ledger it gave."""
+    """One ledger build: the steps it walked, the gammas it picked at
+    each of them, its reducer at the end and the ledger it gave."""
 
     order: list  # the steps walked, a prefix of the build's step order
-    picks: list  # per walked step, the FunctionalRows it picked
+    picks: list  # per walked step, the gammas it picked
     red: IncrementalRowReducer
     ledger: BasisLedger
 
@@ -201,14 +192,14 @@ def build_ledger(
         picks = base.picks[:shared]
         red = base.red.fork(sum(map(len, picks)))
     for j, r in order[shared:]:
-        picks.append([row for row in functional_rows(charts[j], r, n) if red.insert(row.coeffs)])
+        picks.append([g for g, row in functional_rows(charts[j], r, n).items() if red.insert(row)])
         if red.rank >= target:
             break
     steps, counts = [], {j: {} for j in on}
     for (j, r), picked in zip(order, picks):
         if picked:
             counts[j][r] = len(picked)
-            steps.append(LedgerStep(j, r, len(picked), picked))
+            steps.append(LedgerStep(j, r, picked))
     cap_hit = bool(on) and red.rank < target
     ledger = BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit)
     if walks is not None:
@@ -236,8 +227,8 @@ def T_dimension(charts: list, v, n: int) -> int:
     red = IncrementalRowReducer(F)
     for C, vp in zip(charts, v):
         for r in range(vp):
-            for row in functional_rows(C, r, n):
-                red.insert(row.coeffs)
+            for row in functional_rows(C, r, n).values():
+                red.insert(row)
     return dim_R - red.rank
 
 
@@ -253,7 +244,7 @@ def ledgers_to_csv(ledgers: list) -> str:
     for led in ledgers:
         vid = "-".join(str(x) for x in led.variety_id)
         for st in led.steps:
-            w.writerow([vid, st.joint, st.order, st.count])
+            w.writerow([vid, st.joint, st.order, len(st.gammas)])
     return buf.getvalue()
 
 

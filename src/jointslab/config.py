@@ -5,12 +5,13 @@ with multiplicity m_i, so that d = sum m_i k_i) together with the joints
 they form.  Joints are given, as candidate points that detection checks:
 a candidate is a joint when some admissible tuple of member varieties --
 m_i members from family i -- passes through it with tangent spaces that
-are independent and span the ambient space.  Each joint records one
-designated tuple (the lexicographically first qualifying one), the
-multiset of all qualifying tuples, whose size is the joint's
-multiplicity, and the chart of every member passing through it, built
-once at detection; every later step reads incidence and charts from
-there.
+are independent and span the ambient space.  A tuple is the flat tuple
+of its (family, member) refs, family by family and in increasing member
+order within a family.  Each joint records the list of all qualifying
+tuples, in lexicographic order, whose length is the joint's
+multiplicity and whose first entry is its designated tuple, and the
+chart of every member passing through it, built once at detection;
+every later step reads incidence and charts from there.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ class JointsConfiguration:
     """Families, joints, designated tuples, and multiplicity index."""
 
     field: FieldSpec
-    ambient: int
     families: list
     joints: list  # points, preassigned order = list order
-    chosen: list  # per joint: tuple of (family_idx, member_idx), length s
-    multiplicity: list  # per joint: list of qualifying tuple choices
+    # per joint: the qualifying tuples, each a tuple of s (family, member) refs
+    multiplicity: list
     # per joint: member ref -> Chart for every member through it, None
     # where the member is singular there
     charts: list = dc_field(repr=False, compare=False)
@@ -80,6 +80,15 @@ class JointsConfiguration:
     @property
     def s(self) -> int:
         return sum(f.m for f in self.families)
+
+    @property
+    def ambient(self) -> int:
+        return sum(f.m * f.k for f in self.families)
+
+    @property
+    def chosen(self) -> list:
+        """Each joint's designated tuple: its first qualifying one."""
+        return [tuples[0] for tuples in self.multiplicity]
 
     def member(self, ref) -> VarietySpec:
         fi, mi = ref
@@ -177,7 +186,7 @@ def detect_joints(
         if any(V.ambient != d for V in f.members):
             raise DimensionMismatch(f"a member's ambient dimension differs from sum m_i k_i = {d}")
     seen = set()
-    joints, chosen, multiplicity, charts = [], [], [], []
+    joints, multiplicity, charts = [], [], []
     for q in candidates:
         p = tuple(F.of(x) for x in q)
         if p in seen:
@@ -196,15 +205,15 @@ def detect_joints(
         qualifying = _qualifying(F, families, tangents)
         if qualifying:
             joints.append(p)
-            chosen.append(_flatten_choice(qualifying[0]))
             multiplicity.append(qualifying)
             charts.append(on)
-    return JointsConfiguration(F, d, families, joints, chosen, multiplicity, charts, seed)
+    return JointsConfiguration(F, families, joints, multiplicity, charts, seed)
 
 
 def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
-    """The admissible tuples whose tangent rows are independent, in the
-    order of ``itertools.product`` over each family's combinations.
+    """The admissible tuples whose tangent rows are independent, as flat
+    tuples of refs, in the order of ``itertools.product`` over each
+    family's combinations.
 
     ``tangents`` maps each regular member through the point to its tangent
     rows.  A tuple has sum m_i k_i = d rows, so it is a joint exactly when
@@ -220,9 +229,7 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
     def walk(red, picks, start):
         depth = len(picks)
         if depth == len(slots):
-            out.append(tuple(
-                tuple(mi for f_i, mi in picks if f_i == fi) for fi in range(len(families))
-            ))
+            out.append(tuple(picks))
             return
         fi = slots[depth]
         if depth and slots[depth - 1] != fi:
@@ -236,10 +243,6 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
     if slots:
         walk(linalg.IncrementalRowReducer(F), [], 0)
     return out
-
-
-def _flatten_choice(choice) -> tuple:
-    return tuple((fi, mi) for fi, picks in enumerate(choice) for mi in picks)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +280,8 @@ def connected_components(cfg: JointsConfiguration) -> list:
     return [
         JointsConfiguration(
             cfg.field,
-            cfg.ambient,
             cfg.families,
             [cfg.joints[i] for i in comp],
-            [cfg.chosen[i] for i in comp],
             [cfg.multiplicity[i] for i in comp],
             [cfg.charts[i] for i in comp],
             cfg.seed,

@@ -112,6 +112,8 @@ class VarietySpec:
                 raise DimensionMismatch("hypersurface flat needs dim+1 directions")
             if self.surface_poly is None or self.surface_poly.nvars != self.dim + 1:
                 raise DimensionMismatch("defining polynomial must use the flat coordinates")
+            if self.surface_poly.degree < 1:
+                raise ValueError("a hypersurface equation has degree at least 1")
             if self.degree != self.surface_poly.degree:
                 raise ValueError("declared degree must match the defining polynomial")
 
@@ -379,10 +381,10 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     B = [[B_cols[c][r] for c in range(m)] for r in range(m)]
     E2 = pullback(E1, AffineMap(F, B, [F.zero] * m, _trusted=True))
     dirs = [_coerce_point(F, u) for u in V.directions]
+    cols = [[u[i] for u in dirs] for i in range(d)]  # ambient x (k+1)
     # ambient images of the in-flat basis vectors
-    amb_tangent = [_flat_combo(F, dirs, v) for v in tangent_z]
-    amb_normal = _flat_combo(F, dirs, [F.one if j == i0 else F.zero for j in range(m)])
-    inv = _parametrization(F, linalg.complete_basis(F, amb_tangent + [amb_normal], d), p)
+    amb = [linalg.mat_vec(F, cols, v) for v in B_cols]
+    inv = _parametrization(F, linalg.complete_basis(F, amb, d), p)
     h: dict = {}
     return Chart(V, tuple(p), inv, [h] + [{} for _ in range(d - k - 1)],
                  _solver=_solve_series(F, E2, h), _solved=1,
@@ -445,15 +447,6 @@ def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
                 h[gamma] = F.mul(acc, minus_c_inv)
                 del memo[gamma]
         yield r
-
-
-def _flat_combo(F, dirs, coeffs):
-    d = len(dirs[0])
-    out = [F.zero] * d
-    for c, u in zip(coeffs, dirs):
-        if c:
-            out = [F.add(a, F.mul(c, b)) for a, b in zip(out, u)]
-    return out
 
 
 def _parametrization(F: FieldSpec, basis_vectors, center: list) -> AffineMap:
@@ -600,11 +593,13 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     """The member an object of a JSON config describes.  A declared
     ``degree`` is passed to ``VarietySpec``, which checks it; a missing
-    one is the kind's own: 1 for a flat or a graph, the equation's degree
-    for a hypersurface."""
+    one is the member's own: 1 for a flat, the equation's degree for a
+    hypersurface, and max(1, max_j deg f_j) for a graph of dimension 1 or
+    with every f_j zero.  A graph of higher dimension with a nonzero f_j
+    has only that lower bound, so it must declare its degree."""
 
-    def degree(derived: int) -> int:
-        return json_int(obj.get("degree", derived), "member degree")
+    def degree(derived) -> int:
+        return json_int(obj["degree"], "member degree") if "degree" in obj else derived
 
     kind = obj["kind"]
     dim = json_int(obj["dim"], "member dim")
@@ -635,18 +630,19 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             [F.of(x) for x in obj["frame_translation"]],
         )
         polys = tuple(parse_poly(s, F, dim) for s in equations)
+        top = _graph_degree(polys)
+        if "degree" not in obj and dim > 1 and top > 1:
+            raise MalformedInput(f"a graph of dim {dim} needs its degree, at least {top}")
         return VarietySpec(
-            kind="graph", ambient=ambient, dim=dim, degree=degree(1),
+            kind="graph", ambient=ambient, dim=dim, degree=degree(top),
             frame=frame, graph_polys=polys, label=label,
         )
     if kind == "hypersurface":
         if len(equations) != 1:
             raise MalformedInput(f"a hypersurface has one equation, not {len(equations)}")
         poly = parse_poly(equations[0], F, dim + 1)
-        if poly.degree < 1:
-            raise MalformedInput(f"a hypersurface equation of degree below 1: {equations[0]!r}")
         return VarietySpec(
-            kind="hypersurface", ambient=ambient, dim=dim, degree=degree(int(poly.degree)),
+            kind="hypersurface", ambient=ambient, dim=dim, degree=degree(poly.degree),
             point=tuple(F.of(x) for x in obj["point"]),
             directions=directions, surface_poly=poly, label=label,
         )

@@ -264,7 +264,7 @@ def bound_report(cfg) -> BoundReport:
         kf, mf = fam.k, fam.m
         denom_a *= factorial(kf)**mf * mf**mf
         denom_b *= factorial(kf)**mf * factorial(mf)
-        deg_fam = sum(max(1, V.degree) for V in fam.members)
+        deg_fam = sum(V.degree for V in fam.members)
         deg_prod *= deg_fam**mf
     const_a = RootValue(Fraction(fact, denom_a), m)
     const_b = RootValue(Fraction(fact, denom_b), m)

@@ -103,17 +103,17 @@ def test_handicap_guards():
 def test_row_order_zero_is_evaluation():
     C = plane_charts(FQ, [(2, 3)])[0]
     rows = functional_rows(C, 0, 2)
-    assert len(rows) == 1
     monos = monomials_upto(2, 2)
     expected = [Polynomial.monomial(FQ, 2, e).evaluate([2, 3]) for e in monos]
-    assert rows[0].coeffs == expected
+    assert rows == {(0, 0): expected}
 
 
 def test_flat_rows_order_one():
     C = plane_charts(FQ, [(0, 0)])[0]
     rows = functional_rows(C, 1, 2)
+    assert list(rows) == [(1, 0), (0, 1)]
     monos = monomials_upto(2, 2)
-    got = {tuple(r.coeffs) for r in rows}
+    got = {tuple(r) for r in rows.values()}
     ex1 = tuple(FQ.one if e == (1, 0) else FQ.zero for e in monos)
     ex2 = tuple(FQ.one if e == (0, 1) else FQ.zero for e in monos)
     assert got == {ex1, ex2}
@@ -125,29 +125,29 @@ def test_circle_row_order_two():
                     point=(0, 0), directions=((1, 0), (0, 1)), surface_poly=E)
     C = make_chart(V, (0, 0))
     rows = functional_rows(C, 2, 2)
-    assert len(rows) == 1
     monos = monomials_upto(2, 2)
     # D^2 = Hasse^(2,0) + Hasse^(0,1): hits the x1^2 and x2 coefficients
     expected = [FQ.one if e in ((2, 0), (0, 1)) else FQ.zero for e in monos]
-    assert rows[0].coeffs == expected
+    assert rows == {(2,): expected}
 
 
 def test_rows_are_built_once_per_chart_and_not_mutated():
     C = plane_charts(F, [(3, 5)])[0]
     rows = functional_rows(C, 2, 3)
-    assert all(a.coeffs is b.coeffs for a, b in zip(functional_rows(C, 2, 3), rows, strict=True))
-    assert {len(row.coeffs) for row in functional_rows(C, 2, 4)} == {binom(6, 2)}
-    fresh = functional_rows(plane_charts(F, [(3, 5)])[0], 2, 3)
-    assert [row.coeffs for row in rows] == [row.coeffs for row in fresh]
+    again = functional_rows(C, 2, 3)
+    assert list(again) == list(rows)
+    assert all(again[gamma] is row for gamma, row in rows.items())
+    assert {len(row) for row in functional_rows(C, 2, 4).values()} == {binom(6, 2)}
+    assert rows == functional_rows(plane_charts(F, [(3, 5)])[0], 2, 3)
     # reduce them against a store that already holds other rows
     red = IncrementalRowReducer(F)
     for r in (0, 1):
-        for row in functional_rows(C, r, 3):
-            red.insert(row.coeffs)
-    before = [list(row.coeffs) for row in rows]
-    for row in rows:
-        red.insert(row.coeffs)
-    assert [row.coeffs for row in rows] == before
+        for row in functional_rows(C, r, 3).values():
+            red.insert(row)
+    before = [list(row) for row in rows.values()]
+    for row in rows.values():
+        red.insert(row)
+    assert list(rows.values()) == before
 
 
 def test_rows_memoised_before_growth_match_a_fresh_chart():
@@ -170,7 +170,7 @@ def test_rows_memoised_before_growth_match_a_fresh_chart():
         fresh.coordinates(6)
         expected = {r: functional_rows(fresh, r, n) for r in reversed(range(7))}
         for r, rows in enumerate(grown):
-            assert [row.coeffs for row in rows] == [row.coeffs for row in expected[r]]
+            assert rows == expected[r]
         assert [functional_rows(C, r, n) for r in range(3)] == early
 
 
@@ -212,12 +212,12 @@ def test_rows_match_operator_and_expansion_oracles(case):
     monos = monomials_upto(d, n)
     expansions = [local_expansion(C, Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
     for r in range(6):
-        for row in functional_rows(C, r, n):
-            D = derivative_operator(C, row.gamma)
+        for gamma, row in functional_rows(C, r, n).items():
+            D = derivative_operator(C, gamma)
             scalar = Ff.of(C.scale ** r)
             operator = [D.monomial_functional(delta, C.center) for delta in monos]
-            assert row.coeffs == [Ff.mul(scalar, c) for c in operator]
-            assert row.coeffs == [Ff.mul(scalar, x.coefficient(row.gamma)) for x in expansions]
+            assert row == [Ff.mul(scalar, c) for c in operator]
+            assert row == [Ff.mul(scalar, x.coefficient(gamma)) for x in expansions]
 
 
 # -- ledgers ----------------------------------------------------------------
@@ -294,8 +294,8 @@ def test_ledger_shift_invariance():
     a = build_ledger(cfg, (0, 0), h, 2)
     b = build_ledger(cfg, (0, 0), Handicap({p: a + 7 for p, a in h.alpha.items()}, ids), 2)
     assert a.counts == b.counts
-    assert [(s.joint, s.order, s.count) for s in a.steps] == [
-        (s.joint, s.order, s.count) for s in b.steps
+    assert [(s.joint, s.order, len(s.gammas)) for s in a.steps] == [
+        (s.joint, s.order, len(s.gammas)) for s in b.steps
     ]
 
 
@@ -323,7 +323,7 @@ def test_count_equals_T_codimension():
         after = list(before)
         after[st.joint] = st.order + 1
         drop = T_dimension(charts, before, n) - T_dimension(charts, after, n)
-        assert st.count == drop
+        assert len(st.gammas) == drop
 
 
 # -- T dimensions ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import argparse
 import json
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -302,6 +303,26 @@ def _plane_curve(**fields):
     return edit
 
 
+def _paraboloid(declared=True):
+    """A config over Q in 3-space: the surface x3 = x1^2 + x2^2, a graph
+    of degree 2 over the plane x3 = 0, and the line x1 = x2 = 0, which meet
+    at a joint at the origin; with the surface's ``degree`` declared or
+    left out."""
+    surface = {"kind": "graph", "dim": 2, "ambient": 3, "degree": 2,
+               "frame_matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               "frame_translation": ["0", "0", "0"], "equations": ["1 * x1^2 + 1 * x2^2"]}
+    if not declared:
+        del surface["degree"]
+    line = {"kind": "flat", "dim": 1, "ambient": 3, "degree": 1,
+            "point": ["0", "0", "0"], "directions": [["0", "0", "1"]]}
+
+    def edit(text):
+        return json.dumps({"field": {"kind": "rational"}, "seed": 0, "joints": [["0", "0", "0"]],
+                           "families": [{"k": 2, "m": 1, "members": [surface]},
+                                        {"k": 1, "m": 1, "members": [line]}]})
+    return edit
+
+
 # argv with CFG standing for a generated config (lines in 3-space, m = 3),
 # and an edit of its text
 CFG = "<config>"
@@ -375,6 +396,8 @@ MALFORMED = {
                                 _plane_curve(kind="graph", degree=1)),
     "graph-parabola-degree-3": (["pipeline", "--config", CFG],
                                 _plane_curve(kind="graph", degree=3)),
+    "graph-surface-degree-missing": (["verify", "bound", "--config", CFG],
+                                     _paraboloid(declared=False)),
     "family-m-negative-no-members": (["pipeline", "--config", CFG, "--n", "2"],
                                      _empty_family(m=-1)),
     "family-m-zero-no-members": (["pipeline", "--config", CFG, "--n", "2"], _empty_family(m=0)),
@@ -471,3 +494,27 @@ def test_a_missing_degree_is_the_members_own():
     derived = JointsConfiguration.from_json(obj)
     assert [V.degree for V in derived.families[0].members] == [2, 1]
     assert derived.families[0].members == declared.families[0].members
+
+
+def _bound_of(tmp_path, name, obj):
+    """(exit code, verify-bound.json) of ``verify bound`` on a config."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", "bound", "--config", str(path), "--out-dir", str(tmp_path / name)])
+    return code, json.loads((tmp_path / name / "verify-bound.json").read_text())
+
+
+def test_a_missing_curve_degree_is_the_graphs_own(tmp_path):
+    # a graph of dim 1 has degree max(1, max_j deg f_j): the parabola's is 2
+    obj = json.loads(_plane_curve(kind="graph")(""))
+    code, declared = _bound_of(tmp_path, "declared", obj)
+    del obj["families"][0]["members"][0]["degree"]
+    assert _bound_of(tmp_path, "derived", obj) == (code, {**declared, "elapsed_s": ANY})
+    assert code == EXIT_OK and declared["degree_product"] == (2 + 1) ** 2
+
+
+def test_a_surface_graph_declares_its_degree(tmp_path):
+    # for dim >= 2 the polynomials give only a lower bound on the degree;
+    # declared, the same config is well formed
+    code, report = _bound_of(tmp_path, "declared", json.loads(_paraboloid()("")))
+    assert code == EXIT_OK and report["degree_product"] == 2 * 1

@@ -123,7 +123,7 @@ def test_detect_curved_joint_at_origin():
     # at the origin only the pairs with the line x1 = 0 are transversal:
     # circle and x2 = 0 share a tangent, and the cusp is singular
     assert cfg.M(0) == 2
-    assert cfg.multiplicity[0] == [((0, 2),), ((1, 2),)]
+    assert cfg.multiplicity[0] == [((0, 0), (0, 2)), ((0, 1), (0, 2))]
     assert cfg.chosen[0] == ((0, 0), (0, 2))
     assert cfg.chosen[1] == ((0, 0), (0, 2))
     assert cfg.joints_on((0, 3)) == [0]
@@ -146,7 +146,8 @@ def test_singular_member_imposes_no_condition():
 def detect_by_is_joint(F, families, candidates):
     """Tuple-by-tuple detection, the oracle for ``detect_joints``: one
     chart per regular member through a candidate, then ``is_joint`` on
-    every ``itertools.product`` tuple of each family's combinations."""
+    every ``itertools.product`` tuple of each family's combinations, each
+    flattened to its (family, member) refs."""
     out, seen = [], set()
     for raw in candidates:
         p = tuple(F.of(x) for x in raw)
@@ -164,11 +165,9 @@ def detect_by_is_joint(F, families, candidates):
                         continue
                     regular.append(mi)
             per_family.append(list(itertools.combinations(regular, fam.m)))
-        tried = list(itertools.product(*per_family))
-        qualifying = [
-            choice for choice in tried
-            if is_joint(p, [charts[fi, mi] for fi, picks in enumerate(choice) for mi in picks])
-        ]
+        tried = [tuple((fi, mi) for fi, picks in enumerate(choice) for mi in picks)
+                 for choice in itertools.product(*per_family)]
+        qualifying = [refs for refs in tried if is_joint(p, [charts[ref] for ref in refs])]
         out.append((p, qualifying, len(tried)))
     return out
 
@@ -192,8 +191,7 @@ def assert_detection_matches_oracle(F, families, candidates):
     expected = [(p, q) for p, q, _ in oracle if q]
     assert cfg.joints == [p for p, _ in expected]
     assert cfg.multiplicity == [q for _, q in expected]
-    assert cfg.chosen == [tuple((fi, mi) for fi, picks in enumerate(q[0]) for mi in picks)
-                          for _, q in expected]
+    assert cfg.chosen == [q[0] for _, q in expected]
     return cfg, oracle
 
 
@@ -243,7 +241,8 @@ def test_flat_directions_are_chart_tangent_rows(field):
 def test_detection_matches_is_joint_on_curved_config():
     cfg = curved_plane_config()
     again, _ = assert_detection_matches_oracle(FQ, cfg.families, [(0, 0), (0, 1), (1, 1)])
-    assert again.multiplicity == cfg.multiplicity == [[((0, 2),), ((1, 2),)], [((0, 2),)]]
+    assert again.multiplicity == cfg.multiplicity == [
+        [((0, 0), (0, 2)), ((0, 1), (0, 2))], [((0, 0), (0, 2))]]
 
 
 def test_detect_rejects_member_of_wrong_dimension():

@@ -23,8 +23,10 @@ import pytest
 
 from jointslab import config, linalg, varieties, verify
 from jointslab.balance import balance
+from jointslab.basis import functional_rows
 from jointslab.cli import EXIT_OK, EXIT_USAGE, main
 from jointslab.config import JointsConfiguration
+from jointslab.field import DEFAULT_PRIME
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -112,6 +114,30 @@ def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
     assert (len(built), calls["contains_point"]) == CHART_COUNTS[name]
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_reduction_mod_a_large_prime_is_the_oracle_of_the_Q_path(tmp_path, index):
+    # The Q path has arithmetic of its own: lambda-scaled integer rows,
+    # series solved in Fractions and fraction-free elimination.  Over F_p
+    # rows are residues with lead 1 and lambda is 1.  A config with
+    # integral data, reduced mod a prime that divides none of its
+    # incidence, tangency and ledger minors, gives the same joints,
+    # ledgers and verdicts, so the output bytes agree.
+    workload = verdicts.WORKLOADS["curved-q"]
+    obj = workload.config(index)
+    assert obj["field"] == {"kind": "rational"}
+    got = {}
+    for p in (None, 2**31 - 1, DEFAULT_PRIME):
+        obj["field"] = {"kind": "rational"} if p is None else {"kind": "prime", "p": p}
+        path, out = tmp_path / f"config-{p}.json", tmp_path / f"out-{p}"
+        path.write_text(verdicts.config_text(obj))
+        code = verdicts.pipeline(main, path, out, workload.args)
+        got[p] = code, [(out / f).read_bytes() for f in ("pipeline.json", "ledger-0.csv",
+                                                          "ledger-0.json")]
+    assert got[None][0] == workload.exit_code
+    assert got[2**31 - 1] == got[None]
+    assert got[DEFAULT_PRIME] == got[None]
+
+
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
 def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
     workload = verdicts.WORKLOADS[name]
@@ -121,8 +147,9 @@ def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
     state = balance(cfg, n, cap=3)
     for ref, led in state.ledgers.items():
         for st in led.steps:
-            memo = cfg.charts[st.joint][ref].expansion_memos[n]
-            assert all(row.coeffs is memo[row.gamma] for row in st.rows)
+            C = cfg.charts[st.joint][ref]
+            memo, rows = C.expansion_memos[n], functional_rows(C, st.order, n)
+            assert all(rows[gamma] is memo[gamma] for gamma in st.gammas)
     for j, chosen in enumerate(cfg.chosen):
         assert all(C is cfg.charts[j][ref] for C, ref in zip(cfg.designated_charts(j), chosen))
     read = []

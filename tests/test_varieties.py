@@ -35,7 +35,6 @@ from jointslab.poly import (
 from jointslab.varieties import (
     Chart,
     VarietySpec,
-    _flat_combo,
     _flat_coordinates,
     ambient_equations,
     contains_point,
@@ -134,6 +133,17 @@ def test_graph_degree_is_checked():
         for degree in bad:
             with pytest.raises(ValueError, match="has degree"):
                 graph(text, d, degree)
+
+
+@pytest.mark.parametrize("text", ["1", "-3", "0"])
+def test_hypersurface_equation_has_degree_at_least_one(text):
+    # every member has degree >= 1: a constant equation defines no
+    # hypersurface, whatever degree it declares
+    E = parse_poly(text, FQ, 2)
+    for degree in (0, 1, E.degree):
+        with pytest.raises(ValueError):
+            VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=degree,
+                        point=(0, 0), directions=((1, 0), (0, 1)), surface_poly=E)
 
 
 # -- charts -----------------------------------------------------------------
@@ -391,7 +401,14 @@ def _forward_frame(V, p, F):
             v[i], v[i0] = F.one, F.neg(F.div(grad[i], grad[i0]))
             cols.append(v)
     cols.append([F.one if j == i0 else F.zero for j in range(m)])
-    basis = linalg.complete_basis(F, [_flat_combo(F, dirs, v) for v in cols], d)
+    # the ambient image sum_j v_j dirs_j of each in-flat vector v
+    amb = []
+    for v in cols:
+        x = [F.zero] * d
+        for c, u in zip(v, dirs):
+            x = [F.add(a, F.mul(c, b)) for a, b in zip(x, u)]
+        amb.append(x)
+    basis = linalg.complete_basis(F, amb, d)
     return _frame_from_columns(F, basis, p)
 
 

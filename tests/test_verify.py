@@ -112,8 +112,8 @@ def composed_operator_rows(cfg, ledgers, n):
             C = make_chart(cfg.member(ref), p, F)
             steps = sorted((st for st in ledgers[ref].steps if st.joint == j),
                            key=lambda st: st.order)
-            per_member.append([(derivative_operator(C, row.gamma), C.scale ** st.order)
-                               for st in steps for row in st.rows])
+            per_member.append([(derivative_operator(C, gamma), C.scale ** st.order)
+                               for st in steps for gamma in st.gammas])
         for pick in itertools.product(*per_member):
             op, scalar = pick[0]
             for other, s in pick[1:]:
