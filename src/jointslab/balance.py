@@ -171,20 +171,27 @@ def compute_W(cfg, ledgers: dict, n: int) -> dict:
 
     W_p = [ prod over qualifying tuples, over varieties V in the tuple,
     of |D_{p,V}| / C(n + dim V, dim V) ] ** (1/M(p)), one RootValue.
+    The radicand is taken as prod_V |D_{p,V}|^c_V / prod_V C(n + dim V,
+    dim V)^c_V, c_V the number of the joint's qualifying tuples that
+    contain V: one integer power per member and one Fraction per joint.
     """
     out = {}
     for j, tuples in enumerate(cfg.multiplicity):
         if not tuples:
             raise LedgerMissing(f"joint {j} has no qualifying tuples")
-        Q = Fraction(1)
+        counts: dict = {}
         for choice in tuples:
             for ref in choice:
-                led = ledgers.get(ref)
-                if led is None:
-                    raise LedgerMissing(f"no ledger for member {ref}")
-                k = cfg.families[ref[0]].k
-                Q *= Fraction(led.joint_total(j), binom(n + k, k))
-        out[j] = RootValue(Q, len(tuples))
+                counts[ref] = counts.get(ref, 0) + 1
+        num = den = 1
+        for ref, c in counts.items():
+            led = ledgers.get(ref)
+            if led is None:
+                raise LedgerMissing(f"no ledger for member {ref}")
+            k = cfg.families[ref[0]].k
+            num *= led.joint_total(j) ** c
+            den *= binom(n + k, k) ** c
+        out[j] = RootValue(Fraction(num, den), len(tuples))
     return out
 
 

@@ -12,6 +12,11 @@ tuples, in lexicographic order, whose length is the joint's
 multiplicity and whose first entry is its designated tuple, and the
 chart of every member passing through it, built once at detection;
 every later step reads incidence and charts from there.
+
+What a member's incidence needs that does not depend on the point is
+worked out once per member and field (``varieties``); at each joint a
+pair of members is reduced once, a tuple with a dependent pair is never
+tried, and every other tuple takes the full rank test.
 """
 
 from __future__ import annotations
@@ -171,11 +176,14 @@ def detect_joints(
     means the member misses the point, ``SingularPoint`` that it passes
     through with no chart (its chart is None, and it joins no tuple).  A
     chart's frame gives the tangent rows without solving any series term.
-    Every member must live in F^d with d = sum m_i k_i, else
+    A flat's membership test and chart read its equations and completed
+    basis, worked out on its first candidate and kept on the member for
+    the rest.  Every member must live in F^d with d = sum m_i k_i, else
     DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
     dimensions do not sum to its ambient one.  ``_qualifying`` decides the
-    admissible tuples of the regular members through the point; on each
-    it gives what ``is_joint`` gives, in the same order.
+    admissible tuples of the regular members through the point, pruning
+    those with a dependent pair; on each it gives what ``is_joint``
+    gives, in the same order.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:
@@ -219,12 +227,39 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
     rows.  A tuple has sum m_i k_i = d rows, so it is a joint exactly when
     every row raises the rank.  The walk picks one slot at a time, family
     by family and in increasing member order within a family, which is
-    that product order; each pick inserts its rows into a fork of its
-    prefix's reducer, and a prefix with a dependent row is not extended.
+    that product order, and only members that leave enough of their
+    family for the slots after them.  A tuple can be independent only if
+    every pair in it is, so a member that forms a dependent pair with one
+    already picked is skipped.  Each pair is reduced once, when the walk
+    first meets it: its reducer is the node of a two-member prefix, and a
+    longer prefix forks its parent's reducer and inserts the new rows, so
+    every tuple that survives the pairs still takes the full rank test.
     """
     slots = [fi for fi, f in enumerate(families) for _ in range(f.m)]
-    regular = [[mi for f_i, mi in tangents if f_i == fi] for fi in range(len(families))]
+    regular = [[ref for ref in tangents if ref[0] == fi] for fi in range(len(families))]
+    if not slots or any(len(regular[fi]) < f.m for fi, f in enumerate(families)):
+        return []
+    # per slot: how many slots of its family come after it
+    later = [slots[depth + 1:].count(fi) for depth, fi in enumerate(slots)]
+    # ref -> its rows reduced, and (a, b) -> a's rows then b's; None if dependent
+    singles: dict = {}
+    pairs: dict = {}
     out = []
+
+    def extended(red, ref):
+        red = red.fork() if red is not None else linalg.IncrementalRowReducer(F)
+        return red if all(red.insert(row) for row in tangents[ref]) else None
+
+    def single(a):
+        if a not in singles:
+            singles[a] = extended(None, a)
+        return singles[a]
+
+    def pair(a, b):
+        if (a, b) not in pairs:
+            red = single(a)
+            pairs[a, b] = None if red is None else extended(red, b)
+        return pairs[a, b]
 
     def walk(red, picks, start):
         depth = len(picks)
@@ -234,14 +269,20 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
         fi = slots[depth]
         if depth and slots[depth - 1] != fi:
             start = 0
-        for pos in range(start, len(regular[fi])):
-            ref = (fi, regular[fi][pos])
-            child = red.fork()
-            if all(child.insert(row) for row in tangents[ref]):
+        for pos in range(start, len(regular[fi]) - later[depth]):
+            ref = regular[fi][pos]
+            if depth == 0:
+                child = single(ref)
+            elif depth == 1:
+                child = pair(picks[0], ref)
+            elif all(pair(a, ref) is not None for a in picks):
+                child = extended(red, ref)
+            else:
+                continue
+            if child is not None:
                 walk(child, picks + [ref], pos + 1)
 
-    if slots:
-        walk(linalg.IncrementalRowReducer(F), [], 0)
+    walk(None, [], 0)
     return out
 
 

@@ -27,6 +27,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -76,6 +77,9 @@ class VarietySpec:
     graph_polys: tuple = ()
     surface_poly: Polynomial | None = None
     label: str = ""
+    # field -> _Carrier of a flat or of a hypersurface's carrier flat,
+    # filled on first use; no part of the value, its equality or its hash
+    _carriers: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -230,10 +234,7 @@ def contains_point(V: VarietySpec, p, F: FieldSpec) -> bool:
     if len(p) != V.ambient:
         raise DimensionMismatch("point dimension mismatch")
     if V.kind == "flat":
-        dirs = [_coerce_point(F, u) for u in V.directions]
-        base = _coerce_point(F, V.point)
-        diff = [F.sub(a, b) for a, b in zip(p, base)]
-        return linalg.rank(F, dirs + [diff]) == V.dim
+        return _carrier(V, F).holds(p)
     if V.kind == "graph":
         y = V.frame.apply(p)
         k = V.dim
@@ -246,14 +247,70 @@ def contains_point(V: VarietySpec, p, F: FieldSpec) -> bool:
     return not V.surface_poly.evaluate(z)
 
 
+class _Carrier:
+    """A flat, or the flat that carries a hypersurface, over one field:
+    what its incidence and charts read at every point, worked out once
+    per (member, field) by ``_carrier``.
+
+    ``normals`` and ``offsets`` are its equations a.x = c, the ones
+    ``_flat_equations`` builds; ``holds`` evaluates them.  ``completion``
+    is the standard basis vectors that ``complete_basis`` appends to the
+    directions, which depend only on their span, and ``scale`` the lcm
+    of the denominators of that basis (a flat chart's).  A hypersurface's
+    carrier also keeps ``coordinate_rows``: the rows W with z = W v for
+    every v = sum_i z_i dirs_i along the flat, read off the reduced row
+    echelon form of the rows (dirs_i | e_i)."""
+
+    __slots__ = ("field", "base", "dirs", "normals", "offsets", "completion", "scale",
+                 "coordinate_rows")
+
+    def __init__(self, V: VarietySpec, F: FieldSpec):
+        d = V.ambient
+        self.field = F
+        self.base = _coerce_point(F, V.point)
+        self.dirs = dirs = [_coerce_point(F, u) for u in V.directions]
+        self.normals = linalg.nullspace(F, dirs) if dirs else linalg.identity(F, d)
+        self.offsets = linalg.mat_vec(F, self.normals, self.base)
+        self.completion = linalg.complete_basis(F, dirs, d)[len(dirs):]
+        self.scale = _denominator_lcm(F, itertools.chain(*dirs))
+        self.coordinate_rows = None
+        if V.kind == "hypersurface":
+            m = len(dirs)
+            red = linalg.IncrementalRowReducer(F)
+            for i, u in enumerate(dirs):
+                red.insert(u + [F.one if j == i else F.zero for j in range(m)])
+            W = [[F.zero] * d for _ in range(m)]
+            for c, row in red.rref().items():
+                for j in range(m):
+                    W[j][c] = row[d + j]
+            self.coordinate_rows = W
+
+    def holds(self, p) -> bool:
+        """Whether the point p, in canonical field elements, is on the flat."""
+        q = self.field.p
+        for a, c in zip(self.normals, self.offsets):
+            v = sum(map(mul, a, p))
+            if (v % q if q else v) != c:
+                return False
+        return True
+
+
+def _carrier(V: VarietySpec, F: FieldSpec) -> _Carrier:
+    """The flat V's, or the hypersurface V's carrier flat's, ``_Carrier``
+    over F, built on the first call and kept on V."""
+    got = V._carriers.get(F)
+    if got is None:
+        got = V._carriers[F] = _Carrier(V, F)
+    return got
+
+
 def _flat_coordinates(V: VarietySpec, p, F: FieldSpec):
     """Internal coordinates of p in the hypersurface's carrier flat, or
     None if p is off the flat."""
-    base = _coerce_point(F, V.point)
-    dirs = [_coerce_point(F, u) for u in V.directions]
-    cols = [[u[i] for u in dirs] for i in range(V.ambient)]  # ambient x (k+1)
-    rhs = [F.sub(a, b) for a, b in zip(p, base)]
-    return linalg.solve(F, cols, rhs)
+    car = _carrier(V, F)
+    if not car.holds(p):
+        return None
+    return linalg.mat_vec(F, car.coordinate_rows, [F.sub(a, b) for a, b in zip(p, car.base)])
 
 
 def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
@@ -264,7 +321,7 @@ def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
         F = _spec_field(V)
     d = V.ambient
     if V.kind == "flat":
-        return _flat_equations(F, d, V.point, V.directions)
+        return _flat_equations(F, _carrier(V, F))
     if V.kind == "graph":
         k = V.dim
         out = []
@@ -274,17 +331,13 @@ def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
         return out
     # hypersurface
     m = V.dim + 1
-    base = _coerce_point(F, V.point)
-    dirs = [_coerce_point(F, u) for u in V.directions]
-    cols = [[u[i] for u in dirs] for i in range(d)]
-    basis = linalg.complete_basis(F, [list(c) for c in zip(*cols)], d)
+    car = _carrier(V, F)
+    basis = car.dirs + car.completion
     M = [[basis[j][i] for j in range(d)] for i in range(d)]  # columns = basis vectors
     Minv = linalg.inverse(F, M)[:m]
-    shift = linalg.mat_vec(F, Minv, base)
+    shift = linalg.mat_vec(F, Minv, car.base)
     coord_polys = [affine_form(F, row, F.neg(c)) for row, c in zip(Minv, shift)]
-    eqs = [V.surface_poly.substitute(coord_polys)]
-    eqs += _flat_equations(F, d, V.point, V.directions)
-    return eqs
+    return [V.surface_poly.substitute(coord_polys)] + _flat_equations(F, car)
 
 
 def _spec_field(V: VarietySpec) -> FieldSpec:
@@ -295,11 +348,9 @@ def _spec_field(V: VarietySpec) -> FieldSpec:
     raise UnsupportedKind("flats carry no field; pass one explicitly")
 
 
-def _flat_equations(F, d, point, directions):
-    dirs = [[F.of(x) for x in u] for u in directions]
-    base = [F.of(x) for x in point]
-    normals = linalg.nullspace(F, dirs) if dirs else linalg.identity(F, d)
-    return [affine_form(F, a, F.neg(c)) for a, c in zip(normals, linalg.mat_vec(F, normals, base))]
+def _flat_equations(F: FieldSpec, car: _Carrier) -> list:
+    """The flat's equations a.x - c = 0, one per normal a of its directions."""
+    return [affine_form(F, a, F.neg(c)) for a, c in zip(car.normals, car.offsets)]
 
 
 def _embed(f: Polynomial, d: int) -> Polynomial:
@@ -330,10 +381,9 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     if V.kind == "flat":
         if not contains_point(V, p, F):
             raise NotOnVariety("point is not on the flat")
-        dirs = [_coerce_point(F, u) for u in V.directions]
-        inv = _parametrization(F, linalg.complete_basis(F, dirs, d), p)
-        return Chart(V, tuple(p), inv, [{} for _ in range(d - k)],
-                     scale=_denominator_lcm(F, itertools.chain(*inv.matrix)))
+        car = _carrier(V, F)
+        inv = _parametrization(F, car.dirs + car.completion, p)
+        return Chart(V, tuple(p), inv, [{} for _ in range(d - k)], scale=car.scale)
 
     if V.kind == "graph":
         y0 = V.frame.apply(p)
@@ -380,11 +430,12 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     B_cols = tangent_z + [[F.one if j == i0 else F.zero for j in range(m)]]
     B = [[B_cols[c][r] for c in range(m)] for r in range(m)]
     E2 = pullback(E1, AffineMap(F, B, [F.zero] * m, _trusted=True))
-    dirs = [_coerce_point(F, u) for u in V.directions]
-    cols = [[u[i] for u in dirs] for i in range(d)]  # ambient x (k+1)
-    # ambient images of the in-flat basis vectors
+    car = _carrier(V, F)
+    cols = [[u[i] for u in car.dirs] for i in range(d)]  # ambient x (k+1)
+    # ambient images of the in-flat basis vectors, which span the carrier
+    # flat's directions, so complete_basis would append its completion
     amb = [linalg.mat_vec(F, cols, v) for v in B_cols]
-    inv = _parametrization(F, linalg.complete_basis(F, amb, d), p)
+    inv = _parametrization(F, amb + car.completion, p)
     h: dict = {}
     return Chart(V, tuple(p), inv, [h] + [{} for _ in range(d - k - 1)],
                  _solver=_solve_series(F, E2, h), _solved=1,
@@ -451,7 +502,8 @@ def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
 
 def _parametrization(F: FieldSpec, basis_vectors, center: list) -> AffineMap:
     """The chart parametrization y -> center + sum_i y_i basis_vectors[i],
-    read off the vectors with no inverse taken."""
+    read off the vectors with no inverse taken, into rows of its own: the
+    vectors may be a carrier's, shared by every chart of its member."""
     d = len(center)
     return AffineMap(F, [[v[i] for v in basis_vectors] for i in range(d)], center, _trusted=True)
 

@@ -1,8 +1,14 @@
 """Oracles that the tests build from the library's public pieces: the
-algebra of affine maps, and a polynomial's expansion in a chart's local
-coordinates, read coefficient by coefficient."""
+algebra of affine maps, a polynomial's expansion in a chart's local
+coordinates, read coefficient by coefficient, a flat's incidence and
+chart worked out at each point, and W_p multiplied tuple by tuple."""
+
+import math
+from fractions import Fraction
 
 from jointslab import linalg
+from jointslab.balance import RootValue
+from jointslab.field import binom
 from jointslab.poly import AffineMap, Polynomial, coefficient_along, monomials_upto, pullback
 
 
@@ -53,4 +59,47 @@ def v_vector(p, r: int, h, P) -> dict:
     for q in P:
         bump = 1 if h.position(q) < h.position(p) else 0
         out[q] = max(r - h.of(p) + h.of(q) + bump if q != p else r, 0)
+    return out
+
+
+def flat_contains(V, p, F) -> bool:
+    """p is on the flat V iff p - base adds nothing to the span of its
+    directions."""
+    dirs = [[F.of(x) for x in u] for u in V.directions]
+    diff = [F.sub(F.of(a), F.of(b)) for a, b in zip(p, V.point)]
+    return linalg.rank(F, dirs + [diff]) == V.dim
+
+
+def flat_chart_parts(V, p, F) -> tuple:
+    """(center, frame_inverse matrix, translation, scale, tangent rows) of
+    the flat V's chart at p, from its directions completed by
+    ``complete_basis`` at the point: the matrix's columns are that basis,
+    and the scale the lcm of its denominators over Q."""
+    p = [F.of(x) for x in p]
+    dirs = [[F.of(x) for x in u] for u in V.directions]
+    basis = linalg.complete_basis(F, dirs, V.ambient)
+    matrix = [[v[i] for v in basis] for i in range(V.ambient)]
+    scale = 1 if F.p else math.lcm(*(x.denominator for row in matrix for x in row))
+    return tuple(p), matrix, p, scale, dirs
+
+
+def carrier_coordinates(V, p, F):
+    """The coordinates z of p - base in the directions of the hypersurface
+    V's carrier flat, by one solve, or None if p is off that flat."""
+    dirs = [[F.of(x) for x in u] for u in V.directions]
+    cols = [[u[i] for u in dirs] for i in range(V.ambient)]
+    return linalg.solve(F, cols, [F.sub(F.of(a), F.of(b)) for a, b in zip(p, V.point)])
+
+
+def W_by_tuples(cfg, ledgers, n) -> dict:
+    """W_p with one factor |D_{p,V}| / C(n + dim V, dim V) per (qualifying
+    tuple, member V of it), and root index M(p)."""
+    out = {}
+    for j, tuples in enumerate(cfg.multiplicity):
+        Q = Fraction(1)
+        for choice in tuples:
+            for ref in choice:
+                k = cfg.families[ref[0]].k
+                Q *= Fraction(ledgers[ref].joint_total(j), binom(n + k, k))
+        out[j] = RootValue(Q, len(tuples))
     return out

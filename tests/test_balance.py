@@ -24,7 +24,7 @@ from jointslab.field import DEFAULT_PRIME, FieldSpec
 from jointslab.poly import parse_poly
 from jointslab.varieties import VarietySpec
 
-from oracles import identity_map
+from oracles import W_by_tuples, identity_map
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -145,6 +145,20 @@ def test_W_coordinate_flats_is_one():
     h = Handicap.zero(range(1))
     W = compute_W(cfg, build_all_ledgers(cfg, h, 2), 2)
     assert W[0] == RootValue(Fraction(1))
+
+
+def test_W_from_member_counts_is_the_tuple_product():
+    # compute_W takes one power per member, to the number of the joint's
+    # tuples through it; the oracle multiplies one factor per (tuple,
+    # member).  Radicands and root indices are equal as Fractions and ints
+    cfg = generate("generic-hyperplanes", field=F, d=6, h=7)
+    ids = list(range(len(cfg.joints)))
+    assert [cfg.M(j) for j in ids] == [15] * 7
+    for h in (Handicap.zero(ids), Handicap({j: (-1) ** j * j for j in ids}, ids)):
+        ledgers = build_all_ledgers(cfg, h, 2)
+        got, want = compute_W(cfg, ledgers, 2), W_by_tuples(cfg, ledgers, 2)
+        assert [(j, w.Q, w.M) for j, w in got.items()] == [(j, w.Q, w.M) for j, w in want.items()]
+        assert len({w.Q for w in got.values()}) > 1
 
 
 def test_W_zero_when_no_rows_remain():

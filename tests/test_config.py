@@ -27,6 +27,8 @@ from jointslab.linalg import rank
 from jointslab.poly import parse_poly
 from jointslab.varieties import VarietySpec, contains_point, make_chart, tangent_space
 
+from curved import curved_plane_config
+
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
 
@@ -95,25 +97,6 @@ def test_detect_requires_candidates_for_nonflat():
     cfg = detect_joints(FQ, [fam], candidates=[(0, 0), (5, 5)])
     assert cfg.joints == [(0, 0)]
     assert cfg.chosen[0] == ((0, 0), (0, 1))
-
-
-def curved_plane_config():
-    """Four curves through the origin of Q^2: the circle x1^2 + x2^2 = x2
-    and the line x2 = 0 (both tangent to the x1-axis), the line x1 = 0,
-    and the cusp x2^2 = x1^3, singular at the origin."""
-    def curve(text, degree):
-        return VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=degree,
-                           point=(0, 0), directions=((1, 0), (0, 1)),
-                           surface_poly=parse_poly(text, FQ, 2))
-
-    members = [
-        curve("1 * x1^2 + 1 * x2^2 + -1 * x2", 2),
-        coordinate_flat(2, (0,)),
-        coordinate_flat(2, (1,)),
-        curve("1 * x2^2 + -1 * x1^3", 3),
-    ]
-    return detect_joints(FQ, [Family(k=1, m=2, members=members)],
-                         candidates=[(0, 0), (0, 1), (1, 1)])
 
 
 def test_detect_curved_joint_at_origin():
@@ -224,6 +207,31 @@ def test_detection_matches_is_joint_on_every_tuple(field, shape):
     # the walk met both outcomes, and joints of multiplicity above 1
     assert 0 < rejected < tried
     assert multiple
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_pairwise_independence_never_stands_in_for_the_full_test(field):
+    # through p: A = p + span(e1, e2), B = p + span(e3, e4) and
+    # C = p + span(e1 + e3, e5) are pairwise independent, yet all three
+    # lie in the hyperplane x6 = p6, so (A, B, C) is no joint, while
+    # (A, B, D), D = p + span(e5, e6), is; C and D share e5, so every
+    # other triple has a dependent pair
+    Ff = FIELDS[field]
+    p = (1, 0, 1, 1, 0, 1)
+
+    def flat(*dirs):
+        rows = tuple(tuple(int(i in axes) for i in range(6)) for axes in dirs)
+        return VarietySpec(kind="flat", ambient=6, dim=2, degree=1, point=p, directions=rows)
+
+    A, B, C, D = flat({0}, {1}), flat({2}, {3}), flat({0, 2}, {4}), flat({4}, {5})
+    tangents = {V: [list(u) for u in V.directions] for V in (A, B, C, D)}
+    for U, V in itertools.combinations((A, B, C), 2):
+        assert rank(Ff, tangents[U] + tangents[V]) == 4
+    assert rank(Ff, tangents[A] + tangents[B] + tangents[C]) == 5
+    cfg, _ = assert_detection_matches_oracle(Ff, [Family(k=2, m=3, members=[A, B, C, D])],
+                                             [p, (0,) * 6])
+    assert cfg.joints == [tuple(Ff.of(x) for x in p)]
+    assert cfg.multiplicity == [[((0, 0), (0, 1), (0, 3))]]
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

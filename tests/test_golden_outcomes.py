@@ -9,7 +9,9 @@ On pool config 0 it also counts the matrix inverses, chart builds and
 membership tests a pipeline op takes, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
 Curved-q pool configs 0-3 moved off the integer grid give the same
-reports and ledgers as where they are.
+reports and ledgers as where they are.  Those configs, and the curved
+configs the tests build over Q, give the same outputs read mod a large
+prime.
 """
 
 import importlib.util
@@ -26,7 +28,9 @@ from jointslab.balance import balance
 from jointslab.basis import functional_rows
 from jointslab.cli import EXIT_OK, EXIT_USAGE, main
 from jointslab.config import JointsConfiguration
-from jointslab.field import DEFAULT_PRIME
+from jointslab.field import DEFAULT_PRIME, FieldSpec
+
+from curved import FQ, circle_and_lines, curved_plane_config, parabola_and_circle
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -136,6 +140,31 @@ def test_reduction_mod_a_large_prime_is_the_oracle_of_the_Q_path(tmp_path, index
     assert got[None][0] == workload.exit_code
     assert got[2**31 - 1] == got[None]
     assert got[DEFAULT_PRIME] == got[None]
+
+
+@pytest.mark.parametrize("make", [circle_and_lines, parabola_and_circle, curved_plane_config],
+                         ids=["circle-and-lines", "parabola-and-circle", "curved-plane-cusp"])
+def test_reduction_mod_a_large_prime_is_the_oracle_of_the_curved_test_configs(tmp_path, make):
+    # The curved configs the tests build over Q, read mod each prime: the
+    # same joints (reduced), qualifying tuples and members through each
+    # joint, with a chart or singular there (the cusp at the origin), and
+    # the same exit code and pipeline.json bytes
+    obj = make(FQ).to_json()
+    got = {}
+    for p in (None, 2**31 - 1, DEFAULT_PRIME):
+        obj["field"] = {"kind": "rational"} if p is None else {"kind": "prime", "p": p}
+        cfg = JointsConfiguration.from_json(obj)
+        incidence = [{ref: C is None for ref, C in on.items()} for on in cfg.charts]
+        path, out = tmp_path / f"config-{p}.json", tmp_path / f"out-{p}"
+        path.write_text(json.dumps(obj))
+        code = verdicts.pipeline(main, path, out, ("--n", "3"))
+        got[p] = (cfg.joints, cfg.multiplicity, incidence, code,
+                  (out / "pipeline.json").read_bytes())
+    joints, *rest = got[None]
+    assert joints and rest[2] == EXIT_OK
+    for p in (2**31 - 1, DEFAULT_PRIME):
+        Fp = FieldSpec("prime", p)
+        assert got[p] == ([tuple(Fp.of(x) for x in q) for q in joints], *rest)
 
 
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))

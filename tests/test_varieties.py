@@ -48,7 +48,16 @@ from jointslab.varieties import (
     well_defined_check,
 )
 
-from oracles import compose, identity_map, inverse, local_expansion, substitute_through
+from oracles import (
+    carrier_coordinates,
+    compose,
+    flat_chart_parts,
+    flat_contains,
+    identity_map,
+    inverse,
+    local_expansion,
+    substitute_through,
+)
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)
@@ -391,7 +400,7 @@ def _forward_frame(V, p, F):
     if V.kind == "flat":
         return _frame_from_columns(F, linalg.complete_basis(F, dirs, d), p)
     m = k + 1
-    E1 = taylor_shift(V.surface_poly, _flat_coordinates(V, p, F))
+    E1 = taylor_shift(V.surface_poly, carrier_coordinates(V, p, F))
     grad = [E1.coefficient(tuple(int(j == i) for j in range(m))) for i in range(m)]
     i0 = next(i for i, a in enumerate(grad) if a)
     cols = []
@@ -429,6 +438,98 @@ def test_parametrization_is_the_inverted_frame(field):
             assert [list(row) for row in a] == b
             assert [[type(x) for x in row] for row in a] == [[type(x) for x in row] for row in b]
         assert got.translation == [F.of(x) for x in p]
+
+
+def _flat_cases(F, rng):
+    """(flat, points) pairs: k-flats of F^4 with 0/1 and with small integer
+    directions, each with points on it and drawn at random, and over Q a
+    flat with a non-integral point and directions."""
+    cases = []
+    for k in (1, 2, 3):
+        for top in (1, 3):
+            while True:
+                dirs = [[rng.randint(-top + 1, top) for _ in range(4)] for _ in range(k)]
+                if rank(F, dirs) == k:
+                    break
+            base = [rng.randint(-top + 1, top) for _ in range(4)]
+            on = [[b + sum(rng.randint(-2, 2) * u[i] for u in dirs) for i, b in enumerate(base)]
+                  for _ in range(3)]
+            drawn = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+            V = VarietySpec(kind="flat", ambient=4, dim=k, degree=1, point=tuple(base),
+                            directions=tuple(map(tuple, dirs)))
+            cases.append((V, on + drawn))
+    if not F.p:
+        V, p = _rational_flat(rng, 2, 4)
+        while all(x.denominator == 1 for x in V.point):
+            V, p = _rational_flat(rng, 2, 4)
+        cases.append((V, [p, tuple(x + 1 for x in p)]))
+    return cases
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_flat_incidence_worked_out_once_matches_the_per_point_oracles(field):
+    # contains_point evaluates the flat's equations, kept per (member,
+    # field), and make_chart reads the basis completed once: both agree
+    # with the per-point rank test and complete_basis chart, in value and
+    # type.  A spec with integer data is also read over Q, so it keeps one
+    # entry per field; no two charts share a row; and the filled memo is
+    # no part of the spec's value or hash
+    F = FIELDS[field]
+    rng = random.Random(f"incidence:{field}")
+    met = set()
+    for V, points in _flat_cases(F, rng):
+        fields = [F] if not F.p or any(type(x) is Fraction for x in V.point) else [F, FQ]
+        rows = []
+        for Ff in fields:
+            for q in points:
+                on = flat_contains(V, q, Ff)
+                met.add(on)
+                assert contains_point(V, q, Ff) == on
+                if not on:
+                    with pytest.raises(NotOnVariety):
+                        make_chart(V, q, Ff)
+                    continue
+                C = make_chart(V, q, Ff)
+                inv = C.frame_inverse
+                got = (C.center, inv.matrix, inv.translation, C.scale, tangent_space(C))
+                want = flat_chart_parts(V, q, Ff)
+                assert got == want
+                assert [type(x) for row in inv.matrix for x in row] == [
+                    type(x) for row in want[1] for x in row]
+                rows += inv.matrix
+        assert len({id(row) for row in rows}) == len(rows)
+        assert set(V._carriers) == set(fields)
+        fresh = VarietySpec(kind="flat", ambient=V.ambient, dim=V.dim, degree=1,
+                            point=V.point, directions=V.directions)
+        assert not fresh._carriers
+        assert V == fresh and hash(V) == hash(fresh)
+    assert met == {True, False}
+
+
+@pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
+def test_hypersurface_incidence_reads_its_carrier_flat(field):
+    # membership in a hypersurface's carrier flat and the coordinates in
+    # its directions, kept per (member, field), agree with one solve per
+    # point, on the flat and off it
+    F = FIELDS[field]
+    rng = random.Random(f"carrier:{field}")
+    met = set()
+    for k in (1, 2):
+        for d in (k + 1, k + 2):
+            V, p = random_hypersurface(F, rng, k, d, 2)
+            dirs = [[F.of(x) for x in u] for u in V.directions]
+            along = [[F.add(a, F.mul(F.of(c), u[i])) for i, a in enumerate(p)]
+                     for c, u in zip(range(1, k + 2), dirs)]
+            drawn = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(3)]
+            for q in [p] + along + drawn:
+                z = carrier_coordinates(V, q, F)
+                met.add(z is None)
+                assert _flat_coordinates(V, q, F) == z
+                assert contains_point(V, q, F) == (z is not None
+                                                   and not V.surface_poly.evaluate(z))
+            assert make_chart(V, p, F).center == tuple(F.of(x) for x in p)
+            assert set(V._carriers) == {F}
+    assert met == {True, False}
 
 
 def test_tangent_space_matches_directions():

@@ -44,7 +44,8 @@ from jointslab.verify import (
     vanishing_rank_check,
 )
 
-from oracles import identity_map, inverse
+from curved import circle_and_lines, line, parabola_and_circle
+from oracles import inverse
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -122,37 +123,10 @@ def composed_operator_rows(cfg, ledgers, n):
     return rows
 
 
-def line(point, direction):
-    return VarietySpec(kind="flat", ambient=2, dim=1, degree=1, point=point,
-                       directions=(direction,))
-
-
-def circle_and_lines(Ff=FQ):
-    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
-                         point=(0, 0), directions=((1, 0), (0, 1)),
-                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", Ff, 2))
-    members = [circle, line((3, 0), (0, 1)), line((0, 4), (1, 0))]
-    return detect_joints(Ff, [Family(1, 2, members)], candidates=[(3, 4), (3, -4), (-3, 4)])
-
-
 def lines_off_origin(Ff=F):
     members = [line((2, 0), (0, 1)), line((0, 3), (1, 0)), line((5, 0), (-1, 1)),
                line((0, 0), (1, 0))]
     return detect_joints(Ff, [Family(1, 2, members)], candidates=[(2, 3), (2, 0), (5, 0)])
-
-
-def parabola_and_circle(Ff):
-    """The parabola x2 = x1^2 (a graph) and the circle x1^2 + x2^2 = 2 x2
-    (a hypersurface) meet transversally at (1, 1) and (-1, 1); the line
-    x1 = 0 meets both at (0, 0)."""
-    parabola = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
-                           frame=identity_map(Ff, 2),
-                           graph_polys=(parse_poly("1 * x1^2", Ff, 1),))
-    circle = VarietySpec(kind="hypersurface", ambient=2, dim=1, degree=2,
-                         point=(0, 0), directions=((1, 0), (0, 1)),
-                         surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -2 * x2", Ff, 2))
-    members = [parabola, circle, line((0, 0), (0, 1))]
-    return detect_joints(Ff, [Family(1, 2, members)], candidates=[(0, 0), (1, 1), (-1, 1)])
 
 
 def visited_picks(cfg, ledgers, n):
