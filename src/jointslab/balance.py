@@ -107,8 +107,18 @@ class RootValue:
         return Fraction(k, N), Fraction(k + 1, N)
 
     def approx(self) -> float:
-        lo, hi = self.brackets(48)
-        return float((lo + hi) / 2)
+        """The value correctly rounded to a float: the rational value's
+        when there is one, else brackets refined until both ends round to
+        the same float, which every value between them then rounds to."""
+        q = self.to_rational()
+        if q is not None:
+            return float(q)
+        bits = 64
+        while True:
+            lo, hi = self.brackets(bits)
+            if float(lo) == float(hi):
+                return float(lo)
+            bits *= 2
 
 
 def exceeds(pos: list, neg: list, tau=Fraction(0)) -> tuple:

@@ -8,10 +8,15 @@ t^gamma Taylor coefficient along the chart's parametrization
 (``poly.expansion_row``); a greedy maximal independent subset is kept.
 The walk stops when the selected rows span the dual of R_{V, <= n},
 giving the counts |B^r_{p,V}| whose per-joint totals drive the counting
-argument.  Each row is read in the chart the configuration built for
-(V, p) at detection and memoised there by gamma; a joint where V is
-singular, with no chart, adds no step.  A ledger keeps the selected
-gammas only: with those charts, they are all the rank check reads.
+argument.  A flat's rows are functionals on F[u]_{<= n}, u its own
+coordinates, which restriction g -> g(base + D u) maps F[x]_{<= n} onto:
+so a set of them is independent exactly when the ambient functionals
+are, and a walk picks the same gammas on C(n+k, k) columns instead of
+C(n+d, d).  Other kinds' rows are ambient.  Each row is read in the
+chart the configuration built for (V, p) at detection and memoised
+there by gamma; a joint where V is singular, with no chart, adds no
+step.  A ledger keeps the selected gammas only: with those charts, they
+are all the rank check reads.
 """
 
 from __future__ import annotations
@@ -56,23 +61,30 @@ class Handicap:
 
 def functional_rows(C: Chart, r: int, n: int) -> dict:
     """{gamma: row} for the local gammas with |gamma| = r, in graded-lex
-    order: the row is the coefficient vector of g -> D^gamma g(p) over the
-    monomial basis of F[x]_{<= n}, p the chart's center, up to the row
-    scalar lambda^|gamma| of the chart's ``scale``.  Over Q its entries
-    are ints wherever they are integral, and over F_p the scalar is 1.
+    order: the row of g -> D^gamma g(p), p the chart's center, the t^gamma
+    coefficient of g along the chart's parametrization phi.  Each is the
+    ``expansion_row`` of gamma along the chart's ``row_coordinates``.
 
-    D^gamma g(p) is the t^gamma coefficient of g along the chart's
-    parametrization phi.  Each row is the ``expansion_row`` of gamma along
-    the chart's ``scaled_coordinates`` x(phi(lambda t)), which is that
-    coefficient times lambda^|gamma|: a row scalar, so the rows impose the
-    same conditions, and over Q they are built in ints.  That row reads
-    the coordinates through degree r only, and lambda is fixed with the
-    chart, so one memo per degree bound serves the chart as its series
-    grows.  The memo is the chart's ``expansion_memos`` entry, so each row
-    is built once per chart; callers share the rows and must not modify
-    them.
+    For a flat, phi(t) = base + D (u_p + t), so D^gamma g(p) is
+    [t^gamma] G(u_p + t) for G(u) = g(base + D u) in F[u]_{<= n}, and
+    the row runs over the monomials u^epsilon of ``monomials_upto(k, n)``.
+    Times the restriction matrix, whose row epsilon is the expansion row
+    of u^epsilon along base + D u, it is the ambient row; that matrix has
+    independent rows, since restriction is onto, so both sets of rows have
+    the same independent subsets.  Over Q a non-integral u_p gives
+    ``Fraction`` entries.  For any other kind the row runs over the
+    monomials x^delta of ``monomials_upto(d, n)`` along the chart's
+    ``scaled_coordinates`` x(phi(lambda t)), lambda its ``scale``: the
+    ambient row times lambda^|gamma|, a row scalar, so the rows impose the
+    same conditions, and over Q they are built in ints.
+
+    Either row reads the coordinates through degree r only, and lambda is
+    fixed with the chart, so one memo per degree bound serves the chart as
+    its series grows.  The memo is the chart's ``expansion_memos`` entry,
+    so each row is built once per chart; callers share the rows and must
+    not modify them.
     """
-    coords = C.scaled_coordinates(r)
+    coords = C.row_coordinates(r)
     memo = C.expansion_memos.setdefault(n, {})
     return {
         gamma: expansion_row(C.field, coords, n, gamma, memo)
@@ -217,7 +229,9 @@ def T_dimension(charts: list, v, n: int) -> int:
 
     ``charts`` holds one chart per point (all on the same variety, which
     may be the full ambient space presented as a flat); v is the
-    corresponding list of required orders.
+    corresponding list of required orders.  It is dim R_{V,<=n} less the
+    rank of the ``functional_rows`` of orders below v_p: over F[u]_{<= n}
+    for a flat, whose restriction is onto it, ambient otherwise.
     """
     if not charts:
         raise ChartMissing("at least one chart is required")

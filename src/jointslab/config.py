@@ -177,8 +177,8 @@ def detect_joints(
     through with no chart (its chart is None, and it joins no tuple).  A
     chart's frame gives the tangent rows without solving any series term.
     A flat's membership test and chart read its equations and completed
-    basis, worked out on its first candidate and kept on the member for
-    the rest.  Every member must live in F^d with d = sum m_i k_i, else
+    basis, worked out once per member (when a config is loaded, else on
+    its first candidate) and kept on it.  Every member must live in F^d with d = sum m_i k_i, else
     DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
     dimensions do not sum to its ambient one.  ``_qualifying`` decides the
     admissible tuples of the regular members through the point, pruning

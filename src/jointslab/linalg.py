@@ -10,10 +10,11 @@ row length: a row of another length raises ``ValueError``.  Most
 callers (ledgers, joint detection, the rank check, ``T_dimension``) ask
 only that, so nothing is back-substituted while rows stream in.
 ``rref()`` back-substitutes once, for ``solve``, ``inverse`` and
-``nullspace``; the reduced row echelon form is unique, so their answers
-do not depend on the order in which rows are inserted.  ``fork`` copies a reducer, whole or as it was
-at a lower rank, so row sets that share a prefix reduce the prefix once
-and go on from a copy.
+``nullspace`` (``rref_nullspace`` reads one off a given form); the
+reduced row echelon form is unique, so their answers do not depend on
+the order in which rows are inserted.  ``fork`` copies a reducer, whole
+or as it was at a lower rank, so row sets that share a prefix reduce the
+prefix once and go on from a copy.
 
 The row step is specialised by field, with no method call per entry.
 Over F_p a row is one Python ``int``: its residues packed in fixed-width
@@ -108,8 +109,14 @@ def solve(F: FieldSpec, A, b):
 def nullspace(F: FieldSpec, A):
     """Basis of the right nullspace of A (deterministic): one vector per
     free column, in column order."""
-    n = len(A[0]) if A else 0
-    pivots = _reduced(F, A).rref()
+    return rref_nullspace(F, _reduced(F, A).rref(), len(A[0]) if A else 0)
+
+
+def rref_nullspace(F: FieldSpec, pivots: dict, n: int):
+    """The right nullspace of the first n columns of a reduced row echelon
+    form, {pivot column: row} as ``rref()`` gives it, whose pivots all lie
+    in those columns: one vector per free column, in column order.  Its
+    rows may run on past column n; those entries are not read."""
     basis = []
     for fc in range(n):
         if fc in pivots:

@@ -11,14 +11,18 @@ asks.  ``Chart.coordinates(r)`` is the resulting parametrization phi of
 V near p through degree r.  The functional g -> D^gamma g(p) attached to
 a local exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads
 phi through degree |gamma| only; ledgers, the rank check and the witness
-read it as ``poly.expansion_row`` rows.  Ledgers and the rank check read
-them along ``Chart.scaled_coordinates``, x(phi(lambda t)) for the chart's
-fixed ``scale`` lambda, whose coefficients over Q are ints in every
-degree >= 1: each row is then lambda^|gamma| times the exact one and is
-built in ints.  ``derivative_operator`` writes the same functional as
-ambient Hasse derivatives, its coefficients one expansion row along the
-centered coordinates phi(t) - p: library API and the test oracle for
-those rows.
+read it as ``poly.expansion_row`` rows.  The rank check, and the ledgers
+of graphs and hypersurfaces, read them along ``Chart.scaled_coordinates``,
+x(phi(lambda t)) for the chart's fixed ``scale`` lambda, whose
+coefficients over Q are ints in every degree >= 1: each row is then
+lambda^|gamma| times the exact one and is built in ints.  A flat's
+ledger rows are read in its own coordinates u (``Chart.row_coordinates``,
+u_p + t), as functionals on F[u]_{<= n}, onto which restriction to the
+flat maps F[x]_{<= n}: C(n+k, k) columns instead of C(n+d, d), with the
+same independent subsets.  ``derivative_operator`` writes the same
+functional as ambient Hasse derivatives, its coefficients one expansion
+row along the centered coordinates phi(t) - p: library API and the test
+oracle for those rows.
 """
 
 from __future__ import annotations
@@ -104,11 +108,14 @@ class VarietySpec:
                 if not f.is_zero() and min(sum(e) for e in f.terms) < 2:
                     raise ValueError("graph polynomials must have no constant or linear terms")
             # over a generic line of t-space the graph is a curve of degree
-            # max(1, max_j deg f_j): the degree of a curve (k = 1), a lower
-            # bound on the degree for k >= 2
+            # e = max(1, max_j deg f_j), so the degree is at least e; a
+            # generic codimension-k linear section is k equations of degree
+            # at most e in the k unknowns t, with no points at infinity, so
+            # by Bezout it is at most e^k.  For a curve (k = 1) both are e.
             top = _graph_degree(self.graph_polys)
-            if self.degree < top or (self.dim == 1 and self.degree != top):
-                need = f"exactly {top}" if self.dim == 1 else f"at least {top}"
+            most = top ** self.dim
+            if not top <= self.degree <= most:
+                need = f"exactly {top}" if most == top else f"from {top} to {most}"
                 raise ValueError(f"a graph of dim {self.dim} with polynomials of degree up to "
                                  f"{top} has degree {need}, not {self.degree}")
         if self.kind == "hypersurface":
@@ -146,7 +153,8 @@ class Chart:
     such that the coordinates x(phi(lambda t)) have integral coefficients
     in every degree >= 1 (1 over F_p).  Rows read along them are rows read
     along x(phi(t)) times lambda^|gamma|, so they span the same conditions
-    and can be built in ints; ``scaled_coordinates`` holds them."""
+    and can be built in ints; ``scaled_coordinates`` holds them.  A flat's
+    ledger rows are read in its own coordinates, ``row_coordinates``."""
 
     owner: VarietySpec
     center: tuple
@@ -158,6 +166,8 @@ class Chart:
     _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
     # (coordinates, scaled_coordinates of them)
     _scaled_coords: tuple = dc_field(default=(None, None), repr=False, compare=False)
+    # a flat's row_coordinates, built on first use
+    _local: list | None = dc_field(default=None, repr=False, compare=False)
     # the expansion rows that basis.functional_rows reads, one gamma -> row
     # memo per degree bound
     expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -219,6 +229,25 @@ class Chart:
             self._scaled_coords = coords, _scaled(coords, self.scale)
         return self._scaled_coords[1]
 
+    def row_coordinates(self, r: int) -> list:
+        """The coordinates that ledger rows are read along, exact through
+        degree r.  A flat's are its own: it is base + D u in the
+        coordinates u along its directions D, and phi(t) = base +
+        D (u_p + t), u_p the center's coordinates (the carrier's
+        ``coordinates``), so g(phi(t)) is G(u_p + t) for the restriction
+        G(u) = g(base + D u).  These are the k maps u_p + t, each value an
+        ``int`` where it is integral.  Every other chart's are its
+        ``scaled_coordinates``."""
+        if self.owner.kind != "flat":
+            return self.scaled_coordinates(r)
+        if self._local is None:
+            k = self.owner.dim
+            zero = (0,) * k
+            u = _carrier(self.owner, self.field).coordinates(self.center)
+            self._local = [{zero: as_int(c), e: 1} if c else {e: 1}
+                           for c, e in zip(u, exponents_of_degree(k, 1))]
+        return self._local
+
 
 # ---------------------------------------------------------------------------
 # Point membership and defining equations
@@ -253,37 +282,40 @@ class _Carrier:
     per (member, field) by ``_carrier``.
 
     ``normals`` and ``offsets`` are its equations a.x = c, the ones
-    ``_flat_equations`` builds; ``holds`` evaluates them.  ``completion``
-    is the standard basis vectors that ``complete_basis`` appends to the
-    directions, which depend only on their span, and ``scale`` the lcm
-    of the denominators of that basis (a flat chart's).  A hypersurface's
-    carrier also keeps ``coordinate_rows``: the rows W with z = W v for
-    every v = sum_i z_i dirs_i along the flat, read off the reduced row
-    echelon form of the rows (dirs_i | e_i)."""
+    ``_flat_equations`` builds; ``holds`` evaluates them.
+    ``coordinate_rows`` are the rows W with z = W v for every
+    v = sum_i z_i dirs_i along the flat: the coordinates of a point p on
+    it are W (p - base).  Both are read off one reduced row echelon form
+    of the rows (dirs_i | e_i): with the directions independent, its first
+    d columns are the reduced form of the directions, whose nullspace the
+    normals are, and its last columns hold W; directions that are not
+    independent raise ``MalformedInput``.  ``completion`` is the standard
+    basis vectors that ``complete_basis`` appends to the directions, which
+    depend only on their span, and ``scale`` the lcm of the denominators
+    of that basis (a flat chart's)."""
 
     __slots__ = ("field", "base", "dirs", "normals", "offsets", "completion", "scale",
                  "coordinate_rows")
 
     def __init__(self, V: VarietySpec, F: FieldSpec):
-        d = V.ambient
+        d, k = V.ambient, len(V.directions)
         self.field = F
         self.base = _coerce_point(F, V.point)
         self.dirs = dirs = [_coerce_point(F, u) for u in V.directions]
-        self.normals = linalg.nullspace(F, dirs) if dirs else linalg.identity(F, d)
+        red = linalg.IncrementalRowReducer(F)
+        for i, u in enumerate(dirs):
+            red.insert(u + [F.one if j == i else F.zero for j in range(k)])
+        pivots = red.rref()
+        if any(c >= d for c in pivots):
+            raise MalformedInput(f"{V.kind} directions are dependent")
+        self.normals = linalg.rref_nullspace(F, pivots, d)
         self.offsets = linalg.mat_vec(F, self.normals, self.base)
-        self.completion = linalg.complete_basis(F, dirs, d)[len(dirs):]
+        self.coordinate_rows = W = [[F.zero] * d for _ in range(k)]
+        for c, row in pivots.items():
+            for j in range(k):
+                W[j][c] = row[d + j]
+        self.completion = linalg.complete_basis(F, dirs, d)[k:]
         self.scale = _denominator_lcm(F, itertools.chain(*dirs))
-        self.coordinate_rows = None
-        if V.kind == "hypersurface":
-            m = len(dirs)
-            red = linalg.IncrementalRowReducer(F)
-            for i, u in enumerate(dirs):
-                red.insert(u + [F.one if j == i else F.zero for j in range(m)])
-            W = [[F.zero] * d for _ in range(m)]
-            for c, row in red.rref().items():
-                for j in range(m):
-                    W[j][c] = row[d + j]
-            self.coordinate_rows = W
 
     def holds(self, p) -> bool:
         """Whether the point p, in canonical field elements, is on the flat."""
@@ -293,6 +325,12 @@ class _Carrier:
             if (v % q if q else v) != c:
                 return False
         return True
+
+    def coordinates(self, p) -> list:
+        """W (p - base): the coordinates along the directions of a point p
+        on the flat, in canonical field elements."""
+        F = self.field
+        return linalg.mat_vec(F, self.coordinate_rows, [F.sub(a, b) for a, b in zip(p, self.base)])
 
 
 def _carrier(V: VarietySpec, F: FieldSpec) -> _Carrier:
@@ -308,9 +346,7 @@ def _flat_coordinates(V: VarietySpec, p, F: FieldSpec):
     """Internal coordinates of p in the hypersurface's carrier flat, or
     None if p is off the flat."""
     car = _carrier(V, F)
-    if not car.holds(p):
-        return None
-    return linalg.mat_vec(F, car.coordinate_rows, [F.sub(a, b) for a, b in zip(p, car.base)])
+    return car.coordinates(p) if car.holds(p) else None
 
 
 def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
@@ -643,12 +679,14 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 
 
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
-    """The member an object of a JSON config describes.  A declared
-    ``degree`` is passed to ``VarietySpec``, which checks it; a missing
-    one is the member's own: 1 for a flat, the equation's degree for a
-    hypersurface, and max(1, max_j deg f_j) for a graph of dimension 1 or
-    with every f_j zero.  A graph of higher dimension with a nonzero f_j
-    has only that lower bound, so it must declare its degree."""
+    """The member an object of a JSON config describes.  A flat or a
+    hypersurface builds its ``_carrier`` here, which refuses dependent
+    directions.  A declared ``degree`` is passed to ``VarietySpec``, which
+    checks it; a missing one is the member's own: 1 for a flat, the
+    equation's degree for a hypersurface, and e = max(1, max_j deg f_j)
+    for a graph of dimension 1 or with every f_j zero.  A graph of higher
+    dimension k with a nonzero f_j has only the bounds e <= degree <= e^k,
+    so it must declare its degree."""
 
     def degree(derived) -> int:
         return json_int(obj["degree"], "member degree") if "degree" in obj else derived
@@ -663,10 +701,8 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             raise MalformedInput(f"{kind} equations must be a list of strings, not {equations!r}")
     if kind in ("flat", "hypersurface"):
         directions = tuple(tuple(F.of(x) for x in u) for u in obj["directions"])
-        if linalg.rank(F, directions) < len(directions):
-            raise MalformedInput(f"{kind} directions are dependent")
     if kind == "flat":
-        return VarietySpec(
+        V = VarietySpec(
             kind="flat",
             ambient=ambient,
             dim=dim,
@@ -675,6 +711,8 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             directions=directions,
             label=label,
         )
+        _carrier(V, F)
+        return V
     if kind == "graph":
         frame = AffineMap(
             F,
@@ -693,9 +731,11 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
         if len(equations) != 1:
             raise MalformedInput(f"a hypersurface has one equation, not {len(equations)}")
         poly = parse_poly(equations[0], F, dim + 1)
-        return VarietySpec(
+        V = VarietySpec(
             kind="hypersurface", ambient=ambient, dim=dim, degree=degree(poly.degree),
             point=tuple(F.of(x) for x in obj["point"]),
             directions=directions, surface_poly=poly, label=label,
         )
+        _carrier(V, F)
+        return V
     raise UnsupportedKind(f"unknown variety kind {kind!r}")

@@ -1,15 +1,26 @@
 """Oracles that the tests build from the library's public pieces: the
 algebra of affine maps, a polynomial's expansion in a chart's local
 coordinates, read coefficient by coefficient, a flat's incidence and
-chart worked out at each point, and W_p multiplied tuple by tuple."""
+chart worked out at each point, its restriction to its own coordinates,
+a ledger walked on ambient rows, and W_p multiplied tuple by tuple."""
 
 import math
 from fractions import Fraction
 
 from jointslab import linalg
 from jointslab.balance import RootValue
+from jointslab.basis import BasisLedger, LedgerStep, default_cap, step_order
 from jointslab.field import binom
-from jointslab.poly import AffineMap, Polynomial, coefficient_along, monomials_upto, pullback
+from jointslab.poly import (
+    AffineMap,
+    Polynomial,
+    coefficient_along,
+    expansion_row,
+    exponents_of_degree,
+    monomials_upto,
+    pullback,
+)
+from jointslab.varieties import dim_regular_functions
 
 
 # The maps below are built as the library builds its own, ``_trusted``:
@@ -84,11 +95,61 @@ def flat_chart_parts(V, p, F) -> tuple:
 
 
 def carrier_coordinates(V, p, F):
-    """The coordinates z of p - base in the directions of the hypersurface
-    V's carrier flat, by one solve, or None if p is off that flat."""
+    """The coordinates z of p - base in the directions of the flat V or of
+    the hypersurface V's carrier flat, by one solve, or None if p is off
+    that flat."""
     dirs = [[F.of(x) for x in u] for u in V.directions]
     cols = [[u[i] for u in dirs] for i in range(V.ambient)]
     return linalg.solve(F, cols, [F.sub(F.of(a), F.of(b)) for a, b in zip(p, V.point)])
+
+
+def restriction_matrix(V, F, n) -> list:
+    """The matrix of g -> g(base + D u) from F[x]_{<= n} onto F[u]_{<= n},
+    for the flat V = base + D u: row epsilon is the expansion row of
+    u^epsilon along base + D u, over ``monomials_upto(d, n)``.  A row over
+    ``monomials_upto(k, n)`` times it is the ambient row of the same
+    functional."""
+    k, units = V.dim, exponents_of_degree(V.dim, 1)
+    coords = []
+    for i, b in enumerate(V.point):
+        x = {e: F.of(u[i]) for e, u in zip(units, V.directions) if F.of(u[i])}
+        if F.of(b):
+            x[(0,) * k] = F.of(b)
+        coords.append(x)
+    memo: dict = {}
+    return [expansion_row(F, coords, n, eps, memo) for eps in monomials_upto(k, n)]
+
+
+def restricted(F, row, R) -> list:
+    """row times the matrix R, in canonical field elements."""
+    return [F.of(sum(a * b for a, b in zip(row, col))) for col in zip(*R)]
+
+
+def ambient_ledger(cfg, ref, h, n, cap=None) -> tuple:
+    """(ledger, rows) of ``build_ledger``'s walk with every row ambient:
+    the expansion row of gamma along the chart's ``scaled_coordinates``
+    over ``monomials_upto(d, n)``, built afresh, with no walk store.
+    ``rows`` maps (joint, gamma) to the row of each selected gamma."""
+    F, V = cfg.field, cfg.member(ref)
+    charts = {j: cfg.charts[j][ref] for j in cfg.joints_on(ref)}
+    on = [j for j, C in charts.items() if C is not None]
+    target = dim_regular_functions(V, n, F)
+    red = linalg.IncrementalRowReducer(F)
+    steps, counts, rows = [], {j: {} for j in on}, {}
+    for j, r in step_order(h, on, default_cap(V, n) if cap is None else cap):
+        if red.rank >= target:
+            break
+        coords, memo, picked = charts[j].scaled_coordinates(r), {}, []
+        for gamma in exponents_of_degree(V.dim, r):
+            row = expansion_row(F, coords, n, gamma, memo)
+            if red.insert(row):
+                picked.append(gamma)
+                rows[j, gamma] = row
+        if picked:
+            counts[j][r] = len(picked)
+            steps.append(LedgerStep(j, r, picked))
+    cap_hit = bool(on) and red.rank < target
+    return BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit), rows
 
 
 def W_by_tuples(cfg, ledgers, n) -> dict:

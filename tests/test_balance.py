@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,10 @@ def test_root_value_rational_and_brackets():
     lo, hi = RootValue(Fraction(2), 2).brackets(64)
     assert lo <= hi and hi - lo <= Fraction(1, 2**64)
     assert lo * lo <= 2 <= hi * hi
-    assert abs(RootValue(Fraction(2), 2).approx() - 2**0.5) < 1e-12
+    # approx is correctly rounded, exact where the value is rational
+    assert RootValue(Fraction(2), 2).approx() == math.sqrt(2)
+    assert RootValue(Fraction(1, 15) ** 3, 3).approx() == 1 / 15
+    assert RootValue(Fraction(0), 5).approx() == 0.0
 
 
 def test_root_gap_exceeds():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,11 +18,19 @@ from jointslab.basis import (
 from jointslab.config import Family, detect_joints, generate, grid_line_composite
 from jointslab.errors import UnknownJoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
-from jointslab.linalg import IncrementalRowReducer
+from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import AffineMap, Polynomial, monomials_upto, parse_poly, taylor_shift
 from jointslab.varieties import VarietySpec, derivative_operator, make_chart
 
-from oracles import identity_map, local_expansion, v_vector
+from oracles import (
+    ambient_ledger,
+    carrier_coordinates,
+    identity_map,
+    local_expansion,
+    restricted,
+    restriction_matrix,
+    v_vector,
+)
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -201,23 +210,126 @@ def oracle_charts():
 @pytest.mark.parametrize("case", ["F2", "F3", "Fp", "Q", "graph-curve", "graph-surface",
                                   "circle"])
 def test_rows_match_operator_and_expansion_oracles(case):
-    # row entry for x^delta = lambda^|gamma| D^gamma x^delta (center)
-    # = lambda^|gamma| [t^gamma] x^delta(phi(t)), lambda the chart's scale
+    # ambient row entry for x^delta = D^gamma x^delta (center)
+    # = [t^gamma] x^delta(phi(t)).  A curved chart's row is it times
+    # lambda^|gamma|, lambda the chart's scale; a flat's row, over the
+    # monomials of its own coordinates u, is it once multiplied by the
+    # matrix of the restriction g -> g(base + D u)
     C, n = oracle_charts()[case]
-    Ff, d = C.field, C.owner.ambient
+    Ff, V = C.field, C.owner
     # the cubic's Taylor shift has x1^2 coefficient 1/2; the circle's
     # tangent (-4/3, 1) gives 3, and its in-flat equation in integers,
     # 9 s^2 - 24 t s + 25 t^2 + 54 s, the s-coefficient 54
     assert C.scale == (1 if Ff.p else {"graph-curve": 2, "circle": 3 * 54}.get(case, 1))
-    monos = monomials_upto(d, n)
-    expansions = [local_expansion(C, Polynomial.monomial(Ff, d, delta), 5) for delta in monos]
+    monos = monomials_upto(V.ambient, n)
+    expansions = [local_expansion(C, Polynomial.monomial(Ff, V.ambient, delta), 5)
+                  for delta in monos]
+    flat = V.kind == "flat"
+    R = restriction_matrix(V, Ff, n) if flat else None
     for r in range(6):
         for gamma, row in functional_rows(C, r, n).items():
+            if flat:
+                assert len(row) == binom(n + V.dim, V.dim)
+                row = restricted(Ff, row, R)
+            scalar = Ff.of(1 if flat else C.scale ** r)
             D = derivative_operator(C, gamma)
-            scalar = Ff.of(C.scale ** r)
             operator = [D.monomial_functional(delta, C.center) for delta in monos]
             assert row == [Ff.mul(scalar, c) for c in operator]
             assert row == [Ff.mul(scalar, x.coefficient(gamma)) for x in expansions]
+
+
+def flats_through(Ff, rng, points, k, count, shift):
+    """count k-flats of F^d, each through k + 1 of the points with
+    independent differences, based off the first one along its
+    directions by coefficients that ``shift`` draws."""
+    out = []
+    while len(out) < count:
+        through = rng.sample(points, k + 1)
+        dirs = [tuple(Ff.sub(Ff.of(a), Ff.of(b)) for a, b in zip(q, through[0]))
+                for q in through[1:]]
+        if rank(Ff, dirs) < k:
+            continue
+        c = [shift(rng) for _ in range(k)]
+        base = tuple(Ff.add(Ff.of(x), sum((Ff.mul(ci, u[i]) for ci, u in zip(c, dirs)), Ff.zero))
+                     for i, x in enumerate(through[0]))
+        out.append(VarietySpec(kind="flat", ambient=len(base), dim=k, degree=1, point=base,
+                               directions=tuple(dirs)))
+    return out
+
+
+def ledger_oracle_configs():
+    """name -> (config, n): planes and lines of F^3 through four points
+    that span it (k < d) and the plane F^2 with a sheared frame (k = d),
+    over F_2, F_3, F_p and Q.  Over Q the flats' bases sit half a
+    direction off the points, so some joint's u_p is not integral."""
+    out = {}
+    for name, Ff in (("F2", FieldSpec("prime", 2)), ("F3", FieldSpec("prime", 3)),
+                     ("Fp", F), ("Q", FQ)):
+        rng = random.Random(name)
+        shift = ((lambda g: FQ.of(f"{g.randint(-3, 3)}/2")) if name == "Q"
+                 else (lambda g: Ff.of(g.randrange(7))))
+        size = 2 if Ff.p == 2 else 3
+        pts = list(itertools.product(range(size), repeat=3))
+        joints = rng.sample(pts, 4)
+        while rank(Ff, [[Ff.of(a - b) for a, b in zip(q, joints[0])] for q in joints[1:]]) < 3:
+            joints = rng.sample(pts, 4)  # affinely independent, so lines cross planes
+        families = [Family(k=2, m=1, members=flats_through(Ff, rng, joints, 2, 3, shift)),
+                    Family(k=1, m=1, members=flats_through(Ff, rng, joints, 1, 4, shift))]
+        out[f"{name}-k<d"] = (detect_joints(Ff, families, candidates=pts), 3)
+        plane = VarietySpec(kind="flat", ambient=2, dim=2, degree=1, point=(1, 2),
+                            directions=((1, 1), (2, 1)))
+        grid = list(itertools.product(range(size), repeat=2))
+        out[f"{name}-k=d"] = (detect_joints(Ff, [Family(k=2, m=1, members=[plane])],
+                                            candidates=grid), 3)
+    return out
+
+
+@pytest.mark.parametrize("case", [f"{f}-{k}" for f in ("F2", "F3", "Fp", "Q")
+                                  for k in ("k<d", "k=d")])
+def test_flat_ledgers_match_the_ambient_row_oracle(case):
+    # a flat's ledger reads rows over F[u]_{<= n}; walking the same steps
+    # on ambient rows picks the same gammas, under two handicaps and a cap
+    # of 1, and every row picked, times the restriction matrix, is the
+    # ambient row up to lambda^|gamma|
+    cfg, n = ledger_oracle_configs()[case]
+    Ff, ids = cfg.field, list(range(len(cfg.joints)))
+    assert len(ids) >= 2
+    rng = random.Random(case)
+    order = rng.sample(ids, len(ids))
+    handicaps = [Handicap.zero(ids), Handicap({j: rng.randint(-2, 2) for j in ids}, order)]
+    capped = 0
+    if case == "Q-k<d":
+        # a joint whose position along one of its flats is not integral
+        assert any(type(z) is Fraction
+                   for j, p in enumerate(cfg.joints) for ref in cfg.charts[j]
+                   for z in carrier_coordinates(cfg.member(ref), p, Ff))
+    for f, fam in enumerate(cfg.families):
+        for m, V in enumerate(fam.members):
+            ref, walks = (f, m), {None: [], 1: []}
+            on = cfg.joints_on(ref)
+            if len(on) > 1:
+                # the handicap reorders this member's steps
+                assert step_order(handicaps[0], on, 2) != step_order(handicaps[1], on, 2)
+            R = restriction_matrix(V, Ff, n)
+            for h, cap in ((handicaps[0], None), (handicaps[1], None), (handicaps[1], 1)):
+                led = build_ledger(cfg, ref, h, n, cap, walks[cap])
+                oracle, rows = ambient_ledger(cfg, ref, h, n, cap)
+                capped += led.cap_hit
+                assert [(st.joint, st.order, st.gammas) for st in led.steps] == [
+                    (st.joint, st.order, st.gammas) for st in oracle.steps]
+                assert (led.counts, led.rank, led.cap_hit, led.target) == (
+                    oracle.counts, oracle.rank, oracle.cap_hit, oracle.target)
+                for st in led.steps:
+                    C = cfg.charts[st.joint][ref]
+                    memo = C.expansion_memos[n]
+                    for gamma in st.gammas:
+                        assert len(memo[gamma]) == binom(n + V.dim, V.dim)
+                        scalar = Ff.of(C.scale ** sum(gamma))
+                        assert [Ff.mul(scalar, c) for c in restricted(Ff, memo[gamma], R)] == [
+                            Ff.of(c) for c in rows[st.joint, gamma]]
+    # a plane of F^3 through at most three joints has at most 9 rows of
+    # order <= 1, short of C(3 + 2, 2) = 10
+    assert capped or case.endswith("k=d")
 
 
 # -- ledgers ----------------------------------------------------------------

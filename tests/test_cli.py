@@ -303,15 +303,15 @@ def _plane_curve(**fields):
     return edit
 
 
-def _paraboloid(declared=True):
+def _paraboloid(degree=2):
     """A config over Q in 3-space: the surface x3 = x1^2 + x2^2, a graph
     of degree 2 over the plane x3 = 0, and the line x1 = x2 = 0, which meet
-    at a joint at the origin; with the surface's ``degree`` declared or
-    left out."""
-    surface = {"kind": "graph", "dim": 2, "ambient": 3, "degree": 2,
+    at a joint at the origin; with the surface's ``degree`` declared as
+    given, or left out for None."""
+    surface = {"kind": "graph", "dim": 2, "ambient": 3, "degree": degree,
                "frame_matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
                "frame_translation": ["0", "0", "0"], "equations": ["1 * x1^2 + 1 * x2^2"]}
-    if not declared:
+    if degree is None:
         del surface["degree"]
     line = {"kind": "flat", "dim": 1, "ambient": 3, "degree": 1,
             "point": ["0", "0", "0"], "directions": [["0", "0", "1"]]}
@@ -397,7 +397,9 @@ MALFORMED = {
     "graph-parabola-degree-3": (["pipeline", "--config", CFG],
                                 _plane_curve(kind="graph", degree=3)),
     "graph-surface-degree-missing": (["verify", "bound", "--config", CFG],
-                                     _paraboloid(declared=False)),
+                                     _paraboloid(degree=None)),
+    # e = 2 and k = 2: the degree is at most e^k = 4
+    "graph-surface-degree-5": (["verify", "bound", "--config", CFG], _paraboloid(degree=5)),
     "family-m-negative-no-members": (["pipeline", "--config", CFG, "--n", "2"],
                                      _empty_family(m=-1)),
     "family-m-zero-no-members": (["pipeline", "--config", CFG, "--n", "2"], _empty_family(m=0)),

@@ -10,11 +10,15 @@ membership tests a pipeline op takes, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
 Curved-q pool configs 0-3 moved off the integer grid give the same
 reports and ledgers as where they are.  Those configs, and the curved
-configs the tests build over Q, give the same outputs read mod a large
-prime.
+configs the tests build over Q, give the same outputs and curved
+members' regular-function dimensions read mod a large prime.  The
+``balance`` command prints descent-heavy pool config 0's W values
+correctly rounded.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import sys
 from collections import Counter
@@ -28,7 +32,8 @@ from jointslab.balance import balance
 from jointslab.basis import functional_rows
 from jointslab.cli import EXIT_OK, EXIT_USAGE, main
 from jointslab.config import JointsConfiguration
-from jointslab.field import DEFAULT_PRIME, FieldSpec
+from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
+from jointslab.varieties import dim_regular_functions, variety_from_json
 
 from curved import FQ, circle_and_lines, curved_plane_config, parabola_and_circle
 
@@ -191,6 +196,52 @@ def test_ledgers_and_checks_read_the_configurations_charts(monkeypatch, name):
     monkeypatch.setattr(varieties.Chart, "coordinates", coordinates)
     verify.vanishing_rank_check(cfg, state.ledgers, n)
     assert read and set(read) <= own
+
+
+def _curved_members() -> dict:
+    """name -> JSON objects of the graph and hypersurface members of
+    curved-q pool configs 0-3 and of the curved test configs."""
+    configs = {f"curved-q-{i}": verdicts.WORKLOADS["curved-q"].config(i) for i in range(4)}
+    for make in (circle_and_lines, parabola_and_circle, curved_plane_config):
+        configs[make.__name__] = make(FQ).to_json()
+    return {name: [V for family in obj["families"] for V in family["members"]
+                   if V["kind"] != "flat"]
+            for name, obj in configs.items()}
+
+
+@pytest.mark.parametrize("name", list(_curved_members()))
+def test_regular_function_dimensions_agree_mod_a_large_prime(name):
+    # A graph's dim R_{V,<=n} is a rank of integer rows, so it can only
+    # drop mod a prime that divides a minor of them; a hypersurface's is
+    # read off its degree.  Every member here is a plane curve of degree
+    # e, whose dimension is C(n+2, 2) - C(n-e+2, 2) over any field, so no
+    # prime is bad for any case.
+    members = _curved_members()[name]
+    assert members
+    for obj in members:
+        got = {}
+        for p in (None, 2**31 - 1, DEFAULT_PRIME):
+            Ff = FQ if p is None else FieldSpec("prime", p)
+            V = variety_from_json(obj, Ff)
+            got[p] = [dim_regular_functions(V, n, Ff) for n in range(1, 7)]
+        e = V.degree
+        assert got[None] == [binom(n + 2, 2) - binom(n - e + 2, 2) for n in range(1, 7)]
+        assert got[2**31 - 1] == got[DEFAULT_PRIME] == got[None]
+
+
+def test_balance_prints_W_correctly_rounded(tmp_path):
+    # descent-heavy pool config 0 ends its descent at W = 0 and W = 1/15,
+    # once printed as the 48-bit bracket midpoints 1.7763568394002505e-15
+    # and 0.0666666666666682
+    workload = verdicts.WORKLOADS["descent-heavy"]
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(verdicts.config_text(workload.config(0)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["balance", "--config", str(path), "--out-dir", str(out), *workload.args])
+    assert code == workload.exit_code
+    lines = (out / "balance.csv").read_text().splitlines()
+    assert lines[0] == "iteration,t,min_W,max_W,changed"
+    assert [line.split(",")[2:4] for line in lines[1:]] == [["0.0", "0.06666666666666667"]] * 2
 
 
 def _translated(cfg: dict, v) -> dict:

@@ -56,6 +56,8 @@ from oracles import (
     identity_map,
     inverse,
     local_expansion,
+    restricted,
+    restriction_matrix,
     substitute_through,
 )
 
@@ -128,20 +130,24 @@ def test_graph_rejects_linear_terms():
 
 
 def test_graph_degree_is_checked():
-    # a curve's degree is max(1, max_j deg f_j); for k >= 2 that is a lower
-    # bound on it
-    def graph(text, d, degree):
-        return VarietySpec(kind="graph", ambient=d, dim=d - 1, degree=degree,
+    # a curve's degree is e = max(1, max_j deg f_j); for k >= 2 the degree
+    # lies in [e, e^k]
+    def graph(texts, k, degree):
+        d = k + len(texts)
+        return VarietySpec(kind="graph", ambient=d, dim=k, degree=degree,
                            frame=identity_map(FQ, d),
-                           graph_polys=(parse_poly(text, FQ, d - 1),))
+                           graph_polys=tuple(parse_poly(t, FQ, k) for t in texts))
 
-    for text, d, ok, bad in (("1 * x1^2", 2, (2,), (-3, 0, 1, 3)),
-                             ("1 * x1 x2", 3, (2, 4), (-3, 0, 1))):
+    for texts, k, ok, bad in ((["1 * x1^2"], 1, (2,), (-3, 0, 1, 3)),
+                              (["1 * x1 x2"], 2, (2, 3, 4), (-3, 0, 1, 5)),
+                              # (t1, t2, t1^2, t2^2) in F^4 has degree 4
+                              (["1 * x1^2", "1 * x2^2"], 2, (4,), (5,)),
+                              (["0", "0"], 2, (1,), (2,))):
         for degree in ok:
-            assert graph(text, d, degree).degree == degree
+            assert graph(texts, k, degree).degree == degree
         for degree in bad:
             with pytest.raises(ValueError, match="has degree"):
-                graph(text, d, degree)
+                graph(texts, k, degree)
 
 
 @pytest.mark.parametrize("text", ["1", "-3", "0"])
@@ -800,9 +806,11 @@ def _joint_config(V, p):
 def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(recorded_inserts, kind, k, extra,
                                                             seed):
     # over Q each chart's coordinates read at lambda t, lambda its scale,
-    # are ints in every degree >= 1; every ledger row and rank-check row
-    # is lambda^|gamma| (prod_i lambda_i^|gamma_i|) times the row read
-    # along the exact coordinates
+    # are ints in every degree >= 1; every curved ledger row and every
+    # rank-check row is lambda^|gamma| (prod_i lambda_i^|gamma_i|) times
+    # the row read along the exact coordinates, and a flat's ledger row,
+    # over its own coordinates u, times the restriction matrix is that
+    # exact row
     rng = random.Random(seed)
     d, n, N = k + extra, 2, 10
     if kind == "flat":
@@ -821,10 +829,15 @@ def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(recorded_inserts, kin
             for beta, c in x.items():
                 assert y[beta] == c * lam ** sum(beta)
                 assert type(y[beta]) is int or not any(beta)
+        flat = C.owner.kind == "flat"
         for m, memo in C.expansion_memos.items():
+            R = restriction_matrix(C.owner, FQ, m) if flat else None
             for gamma, coeffs in memo.items():
                 exact = expansion_row(FQ, C.coordinates(sum(gamma)), m, gamma, {})
-                assert coeffs == [lam ** sum(gamma) * c for c in exact]
+                if flat:
+                    assert restricted(FQ, coeffs, R) == exact
+                else:
+                    assert coeffs == [lam ** sum(gamma) * c for c in exact]
     with recorded_inserts() as inserted:
         got = verify.vanishing_rank_check(cfg, ledgers, n)
     charts = cfg.designated_charts(0)
