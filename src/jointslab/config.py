@@ -172,18 +172,19 @@ def detect_joints(
     The joints are the candidate points, each taken once in its first
     position, at which some admissible tuple qualifies; no joint is found
     anywhere else.  Membership and the chart are settled in one
-    ``make_chart`` per member and candidate: ``NotOnVariety``
-    means the member misses the point, ``SingularPoint`` that it passes
-    through with no chart (its chart is None, and it joins no tuple).  A
-    chart's frame gives the tangent rows without solving any series term.
-    A flat's membership test and chart read its equations and completed
-    basis, worked out once per member (when a config is loaded, else on
-    its first candidate) and kept on it.  Every member must live in F^d with d = sum m_i k_i, else
-    DimensionMismatch, which is what ``is_joint`` raises on a tuple whose
-    dimensions do not sum to its ambient one.  ``_qualifying`` decides the
-    admissible tuples of the regular members through the point, pruning
-    those with a dependent pair; on each it gives what ``is_joint``
-    gives, in the same order.
+    ``make_chart`` per member and candidate: ``NotOnVariety`` means the
+    member misses the point, ``SingularPoint`` that it passes through with
+    no chart (its chart is None, and it joins no tuple).  A chart's frame
+    gives the tangent rows without solving any series term.  Every
+    member's membership test and chart read its carrier, the affine space
+    it lives in with its equations, coordinates and basis completion,
+    worked out once per member (when a config is loaded, else on its
+    first candidate) and kept on it.  Every member must live in F^d with
+    d = sum m_i k_i, else DimensionMismatch, which is what ``is_joint``
+    raises on a tuple whose dimensions do not sum to its ambient one.
+    ``_qualifying`` decides the admissible tuples of the regular members
+    through the point, pruning those with a dependent pair; on each it
+    gives what ``is_joint`` gives, in the same order.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:

@@ -62,11 +62,6 @@ def _dot(F: FieldSpec, row, v):
     return acc
 
 
-def mat_mul(F: FieldSpec, A, B):
-    cols = list(zip(*B))
-    return [[_dot(F, row, col) for col in cols] for row in A]
-
-
 def identity(F: FieldSpec, n: int):
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
@@ -127,24 +122,6 @@ def rref_nullspace(F: FieldSpec, pivots: dict, n: int):
             v[pc] = F.neg(row[fc])
         basis.append(v)
     return basis
-
-
-def complete_basis(F: FieldSpec, vectors, n: int):
-    """Extend independent vectors to a basis of F^n with standard basis
-    vectors, chosen greedily in index order."""
-    red = IncrementalRowReducer(F)
-    out = [list(v) for v in vectors]
-    for v in out:
-        if not red.insert(v):
-            raise ValueError("input vectors are dependent")
-    for j in range(n):
-        e = [F.zero] * n
-        e[j] = F.one
-        if red.insert(e):
-            out.append(e)
-    if len(out) != n:
-        raise ValueError("could not complete basis")
-    return out
 
 
 class IncrementalRowReducer:

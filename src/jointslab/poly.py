@@ -344,12 +344,6 @@ class HasseOperator:
                 _accumulate(F, combo, w, F.mul(F.mul(ca, cb), m))
         return HasseOperator(F, self.nvars, combo)
 
-    def apply(self, g: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(g.field, g.nvars)
-        for w, c in self.combo.items():
-            acc = acc + hasse_apply(w, g).scale(c)
-        return acc
-
     def evaluate(self, g: Polynomial, point) -> FieldElement:
         """(D g)(point) without materializing D g.  By Taylor's formula
         (Hasse^w g)(point) is [y^w] g(point + y), which
@@ -410,14 +404,6 @@ class AffineMap:
     @property
     def dim(self):
         return len(self.translation)
-
-    def apply(self, point):
-        F = self.field
-        point = [F.of(x) for x in point]
-        return [
-            F.add(sum_row, t)
-            for sum_row, t in zip(linalg.mat_vec(F, self.matrix, point), self.translation)
-        ]
 
 
 def pullback(g: Polynomial, T: AffineMap) -> Polynomial:

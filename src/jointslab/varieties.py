@@ -1,5 +1,13 @@
 """Variety kinds, local-coordinate charts, and derivative operators.
 
+Every member lives in a carrier, an affine space base + span(dirs) with
+coordinates z = W (x - base), worked out once per (member, field) when a
+config is loaded (``_Carrier``): a flat is its own carrier, a
+hypersurface's is the (k+1)-flat of its equation, and a graph's is the
+whole space in its frame's coordinates.  Membership, charts and ambient
+equations each read the carrier first and then V's own equations in z:
+none for a flat, the graph equations, or the hypersurface's equation.
+
 A chart frames a regular point p of a k-dimensional variety V so that p
 sits at the origin with the tangent space along the first k coordinates;
 the remaining coordinates are graphs of power series h_i with no
@@ -81,8 +89,8 @@ class VarietySpec:
     graph_polys: tuple = ()
     surface_poly: Polynomial | None = None
     label: str = ""
-    # field -> _Carrier of a flat or of a hypersurface's carrier flat,
-    # filled on first use; no part of the value, its equality or its hash
+    # field -> the member's _Carrier, filled on first use; no part of the
+    # value, its equality or its hash
     _carriers: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,16 +249,20 @@ class Chart:
         if self.owner.kind != "flat":
             return self.scaled_coordinates(r)
         if self._local is None:
-            k = self.owner.dim
-            zero = (0,) * k
-            u = _carrier(self.owner, self.field).coordinates(self.center)
-            self._local = [{zero: as_int(c), e: 1} if c else {e: 1}
-                           for c, e in zip(u, exponents_of_degree(k, 1))]
+            self._local = _shifted(_carrier(self.owner, self.field).coordinates(self.center))
         return self._local
 
 
+def _shifted(z) -> list:
+    """The coordinate maps z + t, one {beta: c} map per entry of the point
+    z, each value an ``int`` where it is integral."""
+    zero = (0,) * len(z)
+    return [{zero: as_int(c), e: 1} if c else {e: 1}
+            for c, e in zip(z, exponents_of_degree(len(z), 1))]
+
+
 # ---------------------------------------------------------------------------
-# Point membership and defining equations
+# Carriers: point membership and defining equations
 # ---------------------------------------------------------------------------
 
 
@@ -259,66 +271,83 @@ def _coerce_point(F: FieldSpec, p):
 
 
 def contains_point(V: VarietySpec, p, F: FieldSpec) -> bool:
+    """Whether p is on V: on V's carrier, by the carrier's equations, and
+    then, in the carrier coordinates z = W (p - base), on V's equations
+    there: none for a flat, z_{k+j} = f_j(z_1..z_k) for a graph and
+    E(z) = 0 for a hypersurface."""
     p = _coerce_point(F, p)
     if len(p) != V.ambient:
         raise DimensionMismatch("point dimension mismatch")
-    if V.kind == "flat":
-        return _carrier(V, F).holds(p)
-    if V.kind == "graph":
-        y = V.frame.apply(p)
-        k = V.dim
-        t = y[:k]
-        return all(f.evaluate(t) == y[k + j] for j, f in enumerate(V.graph_polys))
-    # hypersurface
-    z = _flat_coordinates(V, p, F)
-    if z is None:
+    car = _carrier(V, F)
+    if not car.holds(p):
         return False
+    if V.kind == "flat":
+        return True
+    z = car.coordinates(p)
+    if V.kind == "graph":
+        k = V.dim
+        return all(f.evaluate(z[:k]) == z[k + j] for j, f in enumerate(V.graph_polys))
     return not V.surface_poly.evaluate(z)
 
 
 class _Carrier:
-    """A flat, or the flat that carries a hypersurface, over one field:
-    what its incidence and charts read at every point, worked out once
-    per (member, field) by ``_carrier``.
+    """The affine space base + span(dirs) that a member lives in, over one
+    field: what its incidence, charts and equations read at every point,
+    worked out once per (member, field) by ``_carrier``.  A flat is its
+    own carrier and a hypersurface's is the (k+1)-flat of its equation.  A
+    graph's is the whole space in its frame's coordinates y = A x + b:
+    base = A^-1 (-b) and dirs the columns of A^-1, one inverse per member.
 
-    ``normals`` and ``offsets`` are its equations a.x = c, the ones
-    ``_flat_equations`` builds; ``holds`` evaluates them.
     ``coordinate_rows`` are the rows W with z = W v for every
-    v = sum_i z_i dirs_i along the flat: the coordinates of a point p on
-    it are W (p - base).  Both are read off one reduced row echelon form
-    of the rows (dirs_i | e_i): with the directions independent, its first
-    d columns are the reduced form of the directions, whose nullspace the
-    normals are, and its last columns hold W; directions that are not
-    independent raise ``MalformedInput``.  ``completion`` is the standard
-    basis vectors that ``complete_basis`` appends to the directions, which
-    depend only on their span, and ``scale`` the lcm of the denominators
-    of that basis (a flat chart's)."""
+    v = sum_i z_i dirs_i, so the carrier coordinates of a point p on it
+    are W (p - base); a graph's W is A.  ``normals`` and ``offsets`` are
+    the carrier's equations a.x = c, which ``holds`` evaluates, and
+    ``completion`` the standard basis vectors that extend dirs to a basis
+    of F^d, the ones a greedy pass in index order appends; a graph has
+    neither.  A flat's are read off one reduced row echelon form, of the
+    rows (dirs_i | e_i) with the d direction columns in reverse order.
+    With the directions independent, its pivots are the trailing pivots
+    of their span: the columns j at which some vector of the span has its
+    last nonzero entry.  Those are exactly the e_j that the greedy pass
+    skips, so the completion is e_j for every other column j.  The
+    nullspace of its first d columns, read back in order, is the normals,
+    and its last columns hold W.  Directions that are not independent
+    raise ``MalformedInput``."""
 
-    __slots__ = ("field", "base", "dirs", "normals", "offsets", "completion", "scale",
-                 "coordinate_rows")
+    __slots__ = ("field", "base", "dirs", "normals", "offsets", "completion", "coordinate_rows")
 
     def __init__(self, V: VarietySpec, F: FieldSpec):
-        d, k = V.ambient, len(V.directions)
+        d = V.ambient
         self.field = F
+        if V.kind == "graph":
+            A = linalg.inverse(F, V.frame.matrix)
+            self.base = linalg.mat_vec(F, A, [F.neg(b) for b in V.frame.translation])
+            self.dirs = [list(u) for u in zip(*A)]
+            self.coordinate_rows = V.frame.matrix
+            self.normals, self.offsets, self.completion = [], [], []
+            return
         self.base = _coerce_point(F, V.point)
         self.dirs = dirs = [_coerce_point(F, u) for u in V.directions]
+        k = len(dirs)
         red = linalg.IncrementalRowReducer(F)
         for i, u in enumerate(dirs):
-            red.insert(u + [F.one if j == i else F.zero for j in range(k)])
+            red.insert(u[::-1] + [F.one if j == i else F.zero for j in range(k)])
         pivots = red.rref()
         if any(c >= d for c in pivots):
             raise MalformedInput(f"{V.kind} directions are dependent")
-        self.normals = linalg.rref_nullspace(F, pivots, d)
+        self.normals = [a[::-1] for a in linalg.rref_nullspace(F, pivots, d)]
         self.offsets = linalg.mat_vec(F, self.normals, self.base)
         self.coordinate_rows = W = [[F.zero] * d for _ in range(k)]
         for c, row in pivots.items():
             for j in range(k):
-                W[j][c] = row[d + j]
-        self.completion = linalg.complete_basis(F, dirs, d)[k:]
-        self.scale = _denominator_lcm(F, itertools.chain(*dirs))
+                W[j][d - 1 - c] = row[d + j]
+        ends = {d - 1 - c for c in pivots}
+        self.completion = [[F.one if i == j else F.zero for i in range(d)]
+                           for j in range(d) if j not in ends]
 
     def holds(self, p) -> bool:
-        """Whether the point p, in canonical field elements, is on the flat."""
+        """Whether the point p, in canonical field elements, is on the
+        carrier."""
         q = self.field.p
         for a, c in zip(self.normals, self.offsets):
             v = sum(map(mul, a, p))
@@ -327,53 +356,39 @@ class _Carrier:
         return True
 
     def coordinates(self, p) -> list:
-        """W (p - base): the coordinates along the directions of a point p
-        on the flat, in canonical field elements."""
+        """W (p - base): the carrier coordinates of a point p on the
+        carrier, in canonical field elements."""
         F = self.field
         return linalg.mat_vec(F, self.coordinate_rows, [F.sub(a, b) for a, b in zip(p, self.base)])
 
 
 def _carrier(V: VarietySpec, F: FieldSpec) -> _Carrier:
-    """The flat V's, or the hypersurface V's carrier flat's, ``_Carrier``
-    over F, built on the first call and kept on V."""
+    """V's ``_Carrier`` over F, built on the first call and kept on V."""
     got = V._carriers.get(F)
     if got is None:
         got = V._carriers[F] = _Carrier(V, F)
     return got
 
 
-def _flat_coordinates(V: VarietySpec, p, F: FieldSpec):
-    """Internal coordinates of p in the hypersurface's carrier flat, or
-    None if p is off the flat."""
-    car = _carrier(V, F)
-    return car.coordinates(p) if car.holds(p) else None
-
-
 def ambient_equations(V: VarietySpec, F: FieldSpec | None = None) -> list:
-    """Generators (for the supported kinds) of polynomials vanishing on V,
-    as ambient polynomials over F; a flat carries no field, so F is
-    required for one."""
+    """Generators of the polynomials vanishing on V, as ambient polynomials
+    over F: V's equations in its carrier coordinates (none for a flat,
+    y_{k+j} - f_j(y_1..y_k) for a graph, E for a hypersurface) with
+    z = W (x - base) substituted, then the carrier's equations a.x - c.  A
+    flat carries no field, so F is required for one."""
     if F is None:
         F = _spec_field(V)
-    d = V.ambient
-    if V.kind == "flat":
-        return _flat_equations(F, _carrier(V, F))
-    if V.kind == "graph":
-        k = V.dim
-        out = []
-        for j, f in enumerate(V.graph_polys):
-            q = Polynomial.variable(F, d, k + j) - _embed(f, d)
-            out.append(pullback(q, V.frame))
-        return out
-    # hypersurface
-    m = V.dim + 1
+    d, k = V.ambient, V.dim
     car = _carrier(V, F)
-    basis = car.dirs + car.completion
-    M = [[basis[j][i] for j in range(d)] for i in range(d)]  # columns = basis vectors
-    Minv = linalg.inverse(F, M)[:m]
-    shift = linalg.mat_vec(F, Minv, car.base)
-    coord_polys = [affine_form(F, row, F.neg(c)) for row, c in zip(Minv, shift)]
-    return [V.surface_poly.substitute(coord_polys)] + _flat_equations(F, car)
+    if V.kind == "graph":
+        inner = [Polynomial.variable(F, d, k + j) - _embed(f, d)
+                 for j, f in enumerate(V.graph_polys)]
+    else:
+        inner = [V.surface_poly] if V.kind == "hypersurface" else []
+    shift = linalg.mat_vec(F, car.coordinate_rows, car.base)
+    z = [affine_form(F, row, F.neg(c)) for row, c in zip(car.coordinate_rows, shift)]
+    return ([q.substitute(z) for q in inner]
+            + [affine_form(F, a, F.neg(c)) for a, c in zip(car.normals, car.offsets)])
 
 
 def _spec_field(V: VarietySpec) -> FieldSpec:
@@ -382,11 +397,6 @@ def _spec_field(V: VarietySpec) -> FieldSpec:
     if V.kind == "hypersurface":
         return V.surface_poly.field
     raise UnsupportedKind("flats carry no field; pass one explicitly")
-
-
-def _flat_equations(F: FieldSpec, car: _Carrier) -> list:
-    """The flat's equations a.x - c = 0, one per normal a of its directions."""
-    return [affine_form(F, a, F.neg(c)) for a, c in zip(car.normals, car.offsets)]
 
 
 def _embed(f: Polynomial, d: int) -> Polynomial:
@@ -403,79 +413,57 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     """Build the local chart of V at the regular point p.
 
-    A graph's series is its Taylor shift to p.  A hypersurface's is solved
-    by ``_solve_series`` from its equation in the in-flat frame, tangent
-    directions first and the gradient direction last, as far as the
+    One ``contains_point`` settles membership.  The frame is a basis of
+    the carrier in its coordinates, tangent directions first, mapped to
+    ambient vectors through the carrier's directions, then the carrier's
+    completion.  That basis is the directions themselves for a flat.  For
+    a graph it is the axes, the first k of them plus the linear parts of
+    the f_j Taylor-shifted to the point's carrier coordinates z, whose
+    higher parts are the series.  For a hypersurface it is the tangent
+    vectors, then the gradient direction, of E at z; its series is solved
+    by ``_solve_series`` from E framed once, E(z + B w), as far as the
     chart's readers ask."""
     if F is None:
         F = _spec_field(V)
     p = _coerce_point(F, p)
+    if not contains_point(V, p, F):
+        raise NotOnVariety(f"point is not on the {V.kind}")
     d, k = V.ambient, V.dim
-    if len(p) != d:
-        raise DimensionMismatch("point dimension mismatch")
-
-    if V.kind == "flat":
-        if not contains_point(V, p, F):
-            raise NotOnVariety("point is not on the flat")
-        car = _carrier(V, F)
-        inv = _parametrization(F, car.dirs + car.completion, p)
-        return Chart(V, tuple(p), inv, [{} for _ in range(d - k)], scale=car.scale)
-
-    if V.kind == "graph":
-        y0 = V.frame.apply(p)
-        t0 = y0[:k]
-        for j, f in enumerate(V.graph_polys):
-            if f.evaluate(t0) != y0[k + j]:
-                raise NotOnVariety("point does not satisfy the graph equations")
-        series = []
-        shear = []  # linear parts of the shifted graph polynomials
-        for j, f in enumerate(V.graph_polys):
-            g = taylor_shift(f, t0)
-            lin = [g.coefficient(tuple(1 if i == a else 0 for a in range(k))) for i in range(k)]
-            shear.append(lin)
-            series.append({e: c for e, c in g.terms.items() if sum(e) >= 2})
-        # x = frame^-1(y0 + S y), the shear S lifting the first k axes onto
-        # the tangent space; frame^-1(y0) is p
-        S = linalg.identity(F, d)
-        for j in range(d - k):
-            for i in range(k):
-                S[k + j][i] = shear[j][i]
-        A = linalg.mat_mul(F, linalg.inverse(F, V.frame.matrix), S)
-        scale = _denominator_lcm(F, itertools.chain(*A, *(h.values() for h in series)))
-        return Chart(V, tuple(p), AffineMap(F, A, p, _trusted=True), series, scale=scale)
-
-    # hypersurface
-    z0 = _flat_coordinates(V, p, F)
-    if z0 is None or V.surface_poly.evaluate(z0):
-        raise NotOnVariety("point is not on the hypersurface")
-    m = k + 1
-    E1 = taylor_shift(V.surface_poly, z0)
-    grad = [E1.coefficient(tuple(1 if j == i else 0 for j in range(m))) for i in range(m)]
-    i0 = next((i for i, l in enumerate(grad) if l), None)
-    if i0 is None:
-        raise SingularPoint("all first-order coefficients vanish at the point")
-    # in-flat change of basis: tangent vectors first, gradient direction last
-    tangent_z = []
-    for i in range(m):
-        if i == i0:
-            continue
-        v = [F.zero] * m
-        v[i] = F.one
-        v[i0] = F.neg(F.div(grad[i], grad[i0]))
-        tangent_z.append(v)
-    B_cols = tangent_z + [[F.one if j == i0 else F.zero for j in range(m)]]
-    B = [[B_cols[c][r] for c in range(m)] for r in range(m)]
-    E2 = pullback(E1, AffineMap(F, B, [F.zero] * m, _trusted=True))
     car = _carrier(V, F)
-    cols = [[u[i] for u in car.dirs] for i in range(d)]  # ambient x (k+1)
-    # ambient images of the in-flat basis vectors, which span the carrier
-    # flat's directions, so complete_basis would append its completion
-    amb = [linalg.mat_vec(F, cols, v) for v in B_cols]
-    inv = _parametrization(F, amb + car.completion, p)
-    h: dict = {}
-    return Chart(V, tuple(p), inv, [h] + [{} for _ in range(d - k - 1)],
-                 _solver=_solve_series(F, E2, h), _solved=1,
-                 scale=_denominator_lcm(F, itertools.chain(*inv.matrix)) * _series_scale(F, E2))
+    series, solving, lam = [{} for _ in range(d - k)], {}, 1
+    if V.kind == "flat":
+        basis = car.dirs
+    else:
+        z = car.coordinates(p)
+        if V.kind == "graph":
+            shifted = [taylor_shift(f, z[:k]) for f in V.graph_polys]
+            B = [[F.one if r == i else F.zero for r in range(d)] for i in range(d)]
+            for i, e in enumerate(exponents_of_degree(k, 1)):
+                B[i][k:] = [g.coefficient(e) for g in shifted]
+            series = [{e: c for e, c in g.terms.items() if sum(e) >= 2} for g in shifted]
+        else:
+            m, memo = k + 1, {}
+            grad = [coefficient_along(V.surface_poly, _shifted(z), e, memo)
+                    for e in exponents_of_degree(m, 1)]
+            i0 = next((i for i, a in enumerate(grad) if a), None)
+            if i0 is None:
+                raise SingularPoint("all first-order coefficients vanish at the point")
+            B = []
+            for i in range(m):
+                if i != i0:
+                    v = [F.zero] * m
+                    v[i], v[i0] = F.one, F.neg(F.div(grad[i], grad[i0]))
+                    B.append(v)
+            B.append([F.one if j == i0 else F.zero for j in range(m)])
+            frame = AffineMap(F, [list(r) for r in zip(*B)], z, _trusted=True)
+            E2 = pullback(V.surface_poly, frame)
+            solving = {"_solver": _solve_series(F, E2, series[0]), "_solved": 1}
+            lam = _series_scale(F, E2)
+        cols = list(zip(*car.dirs))
+        basis = [linalg.mat_vec(F, cols, v) for v in B]
+    inv = _parametrization(F, basis + car.completion, p)
+    scale = _denominator_lcm(F, itertools.chain(*inv.matrix, *(h.values() for h in series)))
+    return Chart(V, tuple(p), inv, series, scale=scale * lam, **solving)
 
 
 def _denominator_lcm(F: FieldSpec, values) -> int:
@@ -679,14 +667,14 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 
 
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
-    """The member an object of a JSON config describes.  A flat or a
-    hypersurface builds its ``_carrier`` here, which refuses dependent
-    directions.  A declared ``degree`` is passed to ``VarietySpec``, which
-    checks it; a missing one is the member's own: 1 for a flat, the
-    equation's degree for a hypersurface, and e = max(1, max_j deg f_j)
-    for a graph of dimension 1 or with every f_j zero.  A graph of higher
-    dimension k with a nonzero f_j has only the bounds e <= degree <= e^k,
-    so it must declare its degree."""
+    """The member an object of a JSON config describes, with its
+    ``_carrier`` over F built here: that refuses dependent directions.  A
+    declared ``degree`` is passed to ``VarietySpec``, which checks it; a
+    missing one is the member's own: 1 for a flat, the equation's degree
+    for a hypersurface, and e = max(1, max_j deg f_j) for a graph of
+    dimension 1 or with every f_j zero.  A graph of higher dimension k
+    with a nonzero f_j has only the bounds e <= degree <= e^k, so it must
+    declare its degree."""
 
     def degree(derived) -> int:
         return json_int(obj["degree"], "member degree") if "degree" in obj else derived
@@ -711,9 +699,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             directions=directions,
             label=label,
         )
-        _carrier(V, F)
-        return V
-    if kind == "graph":
+    elif kind == "graph":
         frame = AffineMap(
             F,
             [[F.of(x) for x in row] for row in obj["frame_matrix"]],
@@ -723,11 +709,11 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
         top = _graph_degree(polys)
         if "degree" not in obj and dim > 1 and top > 1:
             raise MalformedInput(f"a graph of dim {dim} needs its degree, at least {top}")
-        return VarietySpec(
+        V = VarietySpec(
             kind="graph", ambient=ambient, dim=dim, degree=degree(top),
             frame=frame, graph_polys=polys, label=label,
         )
-    if kind == "hypersurface":
+    elif kind == "hypersurface":
         if len(equations) != 1:
             raise MalformedInput(f"a hypersurface has one equation, not {len(equations)}")
         poly = parse_poly(equations[0], F, dim + 1)
@@ -736,6 +722,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             point=tuple(F.of(x) for x in obj["point"]),
             directions=directions, surface_poly=poly, label=label,
         )
-        _carrier(V, F)
-        return V
-    raise UnsupportedKind(f"unknown variety kind {kind!r}")
+    else:
+        raise UnsupportedKind(f"unknown variety kind {kind!r}")
+    _carrier(V, F)
+    return V

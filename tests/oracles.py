@@ -1,6 +1,7 @@
 """Oracles that the tests build from the library's public pieces: the
-algebra of affine maps, a polynomial's expansion in a chart's local
-coordinates, read coefficient by coefficient, a flat's incidence and
+algebra of matrices and affine maps, greedy basis completion, a Hasse
+operator applied to a polynomial, a polynomial's expansion in a chart's
+local coordinates, read coefficient by coefficient, a flat's incidence and
 chart worked out at each point, its restriction to its own coordinates,
 a ledger walked on ambient rows, and W_p multiplied tuple by tuple."""
 
@@ -13,10 +14,12 @@ from jointslab.basis import BasisLedger, LedgerStep, default_cap, step_order
 from jointslab.field import binom
 from jointslab.poly import (
     AffineMap,
+    HasseOperator,
     Polynomial,
     coefficient_along,
     expansion_row,
     exponents_of_degree,
+    hasse_apply,
     monomials_upto,
     pullback,
 )
@@ -27,6 +30,41 @@ from jointslab.varieties import dim_regular_functions
 # their entries are fresh rows of field elements, kept as they are.
 
 
+def mat_mul(F, A, B) -> list:
+    """The matrix product A B."""
+    cols = list(zip(*B))
+    return [linalg.mat_vec(F, cols, row) for row in A]
+
+
+def complete_basis(F, vectors, n: int) -> list:
+    """Independent vectors extended to a basis of F^n with standard basis
+    vectors, chosen greedily in index order."""
+    red = linalg.IncrementalRowReducer(F)
+    out = [list(v) for v in vectors]
+    if not all(red.insert(v) for v in out):
+        raise ValueError("input vectors are dependent")
+    for j in range(n):
+        e = [F.one if i == j else F.zero for i in range(n)]
+        if red.insert(e):
+            out.append(e)
+    return out
+
+
+def apply(T: AffineMap, point) -> list:
+    """T(point) = A point + b."""
+    F = T.field
+    point = [F.of(x) for x in point]
+    return [F.add(v, t) for v, t in zip(linalg.mat_vec(F, T.matrix, point), T.translation)]
+
+
+def apply_operator(D: HasseOperator, g: Polynomial) -> Polynomial:
+    """D g = sum_w c_w Hasse^w g, by ``hasse_apply``'s binomials."""
+    acc = Polynomial.zero(g.field, g.nvars)
+    for w, c in D.combo.items():
+        acc = acc + hasse_apply(w, g).scale(c)
+    return acc
+
+
 def identity_map(F, d) -> AffineMap:
     return AffineMap(F, linalg.identity(F, d), [F.zero] * d, _trusted=True)
 
@@ -35,7 +73,7 @@ def compose(S: AffineMap, T: AffineMap) -> AffineMap:
     """S after T: x -> S(T(x))."""
     F = S.field
     b = [F.add(v, t) for v, t in zip(linalg.mat_vec(F, S.matrix, T.translation), S.translation)]
-    return AffineMap(F, linalg.mat_mul(F, S.matrix, T.matrix), b, _trusted=True)
+    return AffineMap(F, mat_mul(F, S.matrix, T.matrix), b, _trusted=True)
 
 
 def inverse(T: AffineMap) -> AffineMap:
@@ -88,7 +126,7 @@ def flat_chart_parts(V, p, F) -> tuple:
     and the scale the lcm of its denominators over Q."""
     p = [F.of(x) for x in p]
     dirs = [[F.of(x) for x in u] for u in V.directions]
-    basis = linalg.complete_basis(F, dirs, V.ambient)
+    basis = complete_basis(F, dirs, V.ambient)
     matrix = [[v[i] for v in basis] for i in range(V.ambient)]
     scale = 1 if F.p else math.lcm(*(x.denominator for row in matrix for x in row))
     return tuple(p), matrix, p, scale, dirs

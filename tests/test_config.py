@@ -236,7 +236,7 @@ def test_pairwise_independence_never_stands_in_for_the_full_test(field):
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_flat_directions_are_chart_tangent_rows(field):
-    # a flat chart's tangent rows are its directions: complete_basis keeps them first
+    # a flat chart's tangent rows are its directions: its frame's basis puts them first
     Ff = FIELDS[field]
     rng = random.Random(field)
     for k in (1, 2, 3):

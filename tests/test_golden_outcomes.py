@@ -6,7 +6,7 @@ workload and checks each outcome (exit code, verdict projection of
 ``bench/golden.json``, by the benchmark's own ``verdicts.problems``.
 The bench modules are loaded without writing bytecode under ``bench/``.
 On pool config 0 it also counts the matrix inverses, chart builds and
-membership tests a pipeline op takes, and checks that every chart a
+membership tests a pipeline op takes, and where the inverses happen, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
 Curved-q pool configs 0-3 moved off the integer grid give the same
 reports and ledgers as where they are.  Those configs, and the curved
@@ -83,42 +83,59 @@ def _counting(calls, key, fn):
 
 
 # per workload: successful make_chart builds and contains_point calls of one
-# pipeline op on pool config 0
+# pipeline op on pool config 0.  make_chart tests membership by one
+# contains_point, so the second is the number of make_chart attempts
 CHART_COUNTS = {
     "rank-heavy": (15, 15),
     "descent-heavy": (32, 32),
-    "curved-q": (44, 60),
+    "curved-q": (44, 160),
     "detect-heavy": (105, 245),
 }
 
 
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
 def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
-    # a chart reads its parametrization off its basis columns; only a graph
-    # chart takes an inverse, of its variety's frame, once per chart.
-    # Detection settles membership and the chart in one make_chart per
-    # member and candidate, and no later step builds a chart, so each
-    # build is a distinct (member, point)
-    calls, built = Counter(), []
-    real_chart = varieties.make_chart
+    # a chart reads its parametrization off its basis columns and takes no
+    # inverse; a graph's carrier inverts its frame once per member, while
+    # the config loads.  Detection settles membership and the chart in one
+    # make_chart per member and candidate, and no later step builds a
+    # chart, so each build is a distinct (member, point)
+    calls, built, inside, inverted = Counter(), [], [], []
+    real_chart, real_load = varieties.make_chart, config.JointsConfiguration.from_json
+
+    def within(where, fn, *args):
+        inside.append(where)
+        try:
+            return fn(*args)
+        finally:
+            inside.pop()
 
     def chart(V, p, F=None):
-        C = real_chart(V, p, F)
+        C = within("chart", real_chart, V, p, F)
         calls[f"{V.kind} chart"] += 1
         built.append((id(V), C.center))
         return C
 
-    monkeypatch.setattr(linalg, "inverse", _counting(calls, lambda *a: "inverse", linalg.inverse))
+    def inverse(F, A):
+        inverted.append(tuple(inside))
+        return linalg_inverse(F, A)
+
+    linalg_inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", inverse)
+    monkeypatch.setattr(config.JointsConfiguration, "from_json",
+                        staticmethod(lambda obj: within("load", real_load, obj)))
     monkeypatch.setattr(varieties, "contains_point",
                         _counting(calls, lambda *a: "contains_point", varieties.contains_point))
     for module in (varieties, config):
         monkeypatch.setattr(module, "make_chart", chart)
     workload = verdicts.WORKLOADS[name]
+    obj = workload.config(0)
+    graphs = sum(V["kind"] == "graph" for f in obj["families"] for V in f["members"])
     path = tmp_path / "config.json"
-    path.write_text(verdicts.config_text(workload.config(0)))
+    path.write_text(verdicts.config_text(obj))
     assert verdicts.pipeline(main, path, tmp_path / "out", workload.args) == workload.exit_code
-    assert calls["inverse"] == calls["graph chart"]
-    assert (calls["graph chart"] > 0) == (name == "curved-q")
+    assert inverted == [("load",)] * graphs
+    assert (graphs > 0) == (calls["graph chart"] > 0) == (name == "curved-q")
     assert len(set(built)) == len(built)
     assert (len(built), calls["contains_point"]) == CHART_COUNTS[name]
 

@@ -1,7 +1,8 @@
 """Every top-level import of a library or test module is used in that
 module, every private top-level name of the library is used, and every
-public top-level function or class of the library is read by something
-other than the unit tests.
+public top-level function or class of the library, and every public
+method of a library class, is read by something other than the unit
+tests.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
 with ``ast``.  The library's ``__init__.py`` is skipped by the import
@@ -10,6 +11,7 @@ check: its imports are the public API.
 
 import ast
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -150,3 +152,48 @@ def test_every_public_library_name_is_read_outside_tests():
     library = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
     named = _traced_names() | _entry_points()
     assert unread_public_names(library, [ACCEPTANCE.read_text()], named) == []
+
+
+def _attribute_reads(node) -> Counter:
+    """How often each attribute name is read inside a node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store))
+
+
+def unread_public_methods(library: dict, readers: list, named: set) -> list:
+    """(module, class, method) for each public method of a top-level class
+    of the ``library`` modules whose name is read as an attribute nowhere
+    in the library outside its own definition, nor in any ``readers``
+    source, and that ``named`` leaves out."""
+    trees = {mod: ast.parse(src) for mod, src in library.items()}
+    total = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    read = set(named).union(*(_attribute_reads(ast.parse(src)) for src in readers))
+    return sorted(
+        (mod, cls.name, fn.name)
+        for mod, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_") and fn.name not in read
+        and total[fn.name] == _attribute_reads(fn)[fn.name]
+    )
+
+
+def test_public_method_detector_finds_test_only_methods():
+    library = {
+        "a": "class A:\n    def used(self):\n        return self.own()\n"
+             "    def own(self):\n        return self.own()\n"
+             "    def checked(self):\n        pass\n    def traced(self):\n        pass\n"
+             "    def _private(self):\n        pass\n    def stored(self):\n        pass\n",
+        "b": "from a import A\nA().used()\nA().stored = 1\n",
+    }
+    readers = ["from a import A\nA().checked()\n"]
+    assert unread_public_methods(library, readers, {"traced"}) == [("a", "A", "stored")]
+
+
+def test_every_public_library_method_is_read_outside_tests():
+    """A public method is read by attribute name in other library code, in
+    an acceptance test, by the benchmark's trace or as the CLI entry
+    point."""
+    library = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
+    named = _traced_names() | _entry_points()
+    assert unread_public_methods(library, [ACCEPTANCE.read_text()], named) == []

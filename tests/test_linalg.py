@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from jointslab.field import DEFAULT_PRIME, FieldSpec
 from jointslab.linalg import (
     IncrementalRowReducer,
-    complete_basis,
     identity,
     inverse,
-    mat_mul,
     mat_vec,
     nullspace,
     rank,
     solve,
 )
+
+from oracles import complete_basis, mat_mul
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)

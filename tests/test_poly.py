@@ -28,7 +28,7 @@ from jointslab.poly import (
     vanishing_order,
 )
 
-from oracles import compose, inverse, substitute_through
+from oracles import apply, apply_operator, compose, inverse, substitute_through
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)
@@ -269,11 +269,11 @@ def test_operator_compose_commutes_and_matches_apply():
         B = HasseOperator(FQ, 2, {(2, 0): FQ.of(3), (0, 0): FQ.of(rng.randint(-5, 5))})
         g = random_poly(rng, FQ, 2, 5)
         assert A.compose(B).combo == B.compose(A).combo
-        assert A.compose(B).apply(g) == A.apply(B.apply(g))
+        assert apply_operator(A.compose(B), g) == apply_operator(A, apply_operator(B, g))
 
 
 def test_operator_evaluate_and_functional():
-    # D.apply goes through hasse_apply's binomials, a path apart from the
+    # apply_operator goes through hasse_apply's binomials, a path apart from the
     # expansion rows behind D.evaluate; over F_2 and F_3 exponents up to 5
     # meet orders up to 3, where C(e, w) vanishes mod p
     rng = random.Random(5)
@@ -283,11 +283,11 @@ def test_operator_evaluate_and_functional():
         for _ in range(10):
             g = random_poly(rng, F, 2, 5)
             pt = [F.of(rng.randint(-3, 3)) for _ in range(2)]
-            assert D.evaluate(g, pt) == D.apply(g).evaluate(pt)
+            assert D.evaluate(g, pt) == apply_operator(D, g).evaluate(pt)
         for delta in monomials_upto(2, 5):
             mono = Polynomial.monomial(F, 2, delta)
             value = D.monomial_functional(delta, [F.of(2), F.of(3)])
-            assert value == D.evaluate(mono, [2, 3]) == D.apply(mono).evaluate([2, 3])
+            assert value == D.evaluate(mono, [2, 3]) == apply_operator(D, mono).evaluate([2, 3])
 
 
 def test_leading_part_and_order():
@@ -320,8 +320,8 @@ def test_affine_apply_compose_inverse():
     T = AffineMap(FQ, [[1, 2], [0, 1]], [3, -1])
     S = AffineMap(FQ, [[0, 1], [1, 0]], [1, 1])
     p = [Fraction(2), Fraction(5)]
-    assert compose(S, T).apply(p) == S.apply(T.apply(p))
-    assert inverse(T).apply(T.apply(p)) == p
+    assert apply(compose(S, T), p) == apply(S, apply(T, p))
+    assert apply(inverse(T), apply(T, p)) == p
 
 
 def test_pullback_is_composition():
@@ -330,7 +330,7 @@ def test_pullback_is_composition():
     for _ in range(10):
         g = random_poly(rng, FQ, 2, 4)
         p = [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))]
-        assert pullback(g, T).evaluate(p) == g.evaluate(T.apply(p))
+        assert pullback(g, T).evaluate(p) == g.evaluate(apply(T, p))
         assert pullback(g, T).degree == g.degree  # affine maps preserve degree
 
 
@@ -362,8 +362,8 @@ def test_conjugate_operator_definition():
     for _ in range(10):
         g = random_poly(rng, FQ, 2, 4)
         p = [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))]
-        lhs = Dp.apply(g).evaluate(p)
-        rhs = D.apply(pullback(g, T)).evaluate(inverse(T).apply(p))
+        lhs = apply_operator(Dp, g).evaluate(p)
+        rhs = apply_operator(D, pullback(g, T)).evaluate(apply(inverse(T), p))
         assert lhs == rhs
 
 
@@ -379,7 +379,7 @@ def test_conjugate_operator_definition_as_polynomials(F):
     Dp = conjugate_operator(D, T)
     for _ in range(10):
         g = random_poly(rng, F, 2, 5)
-        assert Dp.apply(g) == pullback(D.apply(pullback(g, T)), inverse(T))
+        assert apply_operator(Dp, g) == pullback(apply_operator(D, pullback(g, T)), inverse(T))
 
 
 def test_conjugate_operator_is_homomorphism():

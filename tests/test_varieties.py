@@ -24,6 +24,7 @@ from jointslab.poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    affine_form,
     conjugate_operator,
     expansion_row,
     format_poly,
@@ -35,7 +36,7 @@ from jointslab.poly import (
 from jointslab.varieties import (
     Chart,
     VarietySpec,
-    _flat_coordinates,
+    _carrier,
     ambient_equations,
     contains_point,
     derivative_operator,
@@ -49,7 +50,9 @@ from jointslab.varieties import (
 )
 
 from oracles import (
+    apply,
     carrier_coordinates,
+    complete_basis,
     compose,
     flat_chart_parts,
     flat_contains,
@@ -168,7 +171,7 @@ def test_circle_chart_series():
     V = circle_through_origin()
     C = make_chart(V, (0, 0))
     assert format_poly(C.series(6)[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
-    assert inverse(C.frame_inverse).apply([Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
+    assert apply(inverse(C.frame_inverse), [Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
 
 
 def test_circle_chart_other_point():
@@ -258,7 +261,7 @@ def off_origin_varieties(F):
         fs = tuple(parse_poly(text, F, len(t0)) for text in texts)
         V = VarietySpec(kind="graph", ambient=frame.dim, dim=len(t0), degree=int(fs[0].degree),
                         frame=frame, graph_polys=fs)
-        out[name] = (V, tuple(inverse(frame).apply([*t0, *(f.evaluate(t0) for f in fs)])))
+        out[name] = (V, tuple(apply(inverse(frame), [*t0, *(f.evaluate(t0) for f in fs)])))
     # z2^2 + z2 = z1^3 in the plane (1, 0, 1) + span((1, 1, 0), (0, 1, 2)),
     # through z = (0, -1), where d/dz2 = 2 z2 + 1 = -1 in every characteristic
     curve = VarietySpec(kind="hypersurface", ambient=3, dim=1, degree=3, point=(1, 0, 1),
@@ -394,7 +397,7 @@ def _forward_frame(V, p, F):
     p = [F.of(x) for x in p]
     d, k = V.ambient, V.dim
     if V.kind == "graph":
-        y0 = V.frame.apply(p)
+        y0 = apply(V.frame, p)
         S = linalg.identity(F, d)
         for j, f in enumerate(V.graph_polys):
             g = taylor_shift(f, y0[:k])
@@ -404,7 +407,7 @@ def _forward_frame(V, p, F):
         return compose(AffineMap(F, S, [0] * d), compose(shift, V.frame))
     dirs = [[F.of(x) for x in u] for u in V.directions]
     if V.kind == "flat":
-        return _frame_from_columns(F, linalg.complete_basis(F, dirs, d), p)
+        return _frame_from_columns(F, complete_basis(F, dirs, d), p)
     m = k + 1
     E1 = taylor_shift(V.surface_poly, carrier_coordinates(V, p, F))
     grad = [E1.coefficient(tuple(int(j == i) for j in range(m))) for i in range(m)]
@@ -423,7 +426,7 @@ def _forward_frame(V, p, F):
         for c, u in zip(v, dirs):
             x = [F.add(a, F.mul(c, b)) for a, b in zip(x, u)]
         amb.append(x)
-    basis = linalg.complete_basis(F, amb, d)
+    basis = complete_basis(F, amb, d)
     return _frame_from_columns(F, basis, p)
 
 
@@ -527,10 +530,12 @@ def test_hypersurface_incidence_reads_its_carrier_flat(field):
             along = [[F.add(a, F.mul(F.of(c), u[i])) for i, a in enumerate(p)]
                      for c, u in zip(range(1, k + 2), dirs)]
             drawn = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(3)]
+            car = _carrier(V, F)
             for q in [p] + along + drawn:
                 z = carrier_coordinates(V, q, F)
                 met.add(z is None)
-                assert _flat_coordinates(V, q, F) == z
+                q = [F.of(x) for x in q]
+                assert (car.coordinates(q) if car.holds(q) else None) == z
                 assert contains_point(V, q, F) == (z is not None
                                                    and not V.surface_poly.evaluate(z))
             assert make_chart(V, p, F).center == tuple(F.of(x) for x in p)
@@ -616,7 +621,7 @@ def test_well_defined_on_random_charts():
     Vg = VarietySpec(kind="graph", ambient=3, dim=2, degree=2,
                      frame=AffineMap(FP, [[1, 1, 0], [0, 1, 0], [1, 0, 1]], [2, 0, 1]),
                      graph_polys=(f,))
-    p = inverse(Vg.frame).apply([1, 2, 2])
+    p = apply(inverse(Vg.frame), [1, 2, 2])
     Cg = make_chart(Vg, p)
     for gamma in ((1, 0), (1, 1), (2, 1)):
         D = derivative_operator(Cg, gamma)
@@ -747,6 +752,33 @@ def test_ambient_equations_vanish_on_variety():
         assert eq.evaluate([2, 3, 6]) == 0
 
 
+@pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
+def test_ambient_equations_restrict_to_the_member(field):
+    # read along its carrier flat x = base + sum_i z_i dirs_i, a
+    # hypersurface's first ambient equation is its equation E(z) term for
+    # term and the flat's equations vanish; a graph's equations are
+    # y_{k+j} - f_j pulled back through its frame
+    F = FIELDS[field]
+    rng = random.Random(f"equations:{field}")
+    for k in (1, 2):
+        for d in (k + 1, k + 2):
+            V, _ = random_hypersurface(F, rng, k, d, rng.choice((2, 3)))
+            dirs = [[F.of(x) for x in u] for u in V.directions]
+            along = [affine_form(F, [u[i] for u in dirs], F.of(b)) for i, b in enumerate(V.point)]
+            first, *flat = ambient_equations(V)
+            assert first.substitute(along) == V.surface_poly
+            assert len(flat) == d - k - 1
+            assert all(e.substitute(along).is_zero() for e in flat)
+    for V, _ in off_origin_varieties(F).values():
+        if V.kind == "graph":
+            d, k = V.ambient, V.dim
+            lifted = [Polynomial(F, d, {e + (0,) * (d - k): c for e, c in f.terms.items()})
+                      for f in V.graph_polys]
+            want = [pullback(Polynomial.variable(F, d, k + j) - f, V.frame)
+                    for j, f in enumerate(lifted)]
+            assert ambient_equations(V) == want
+
+
 # -- integer rows over Q ----------------------------------------------------
 
 
@@ -778,7 +810,7 @@ def _rational_graph(rng, k, d):
         deg = rng.choice((2, 3))
         fs = _random_graph_polys(FQ, rng, k, d - k, deg)
         t0 = [_rational(rng, 3, 3) for _ in range(k)]
-        p = tuple(inverse(frame).apply([*t0, *(f.evaluate(t0) for f in fs)]))
+        p = tuple(apply(inverse(frame), [*t0, *(f.evaluate(t0) for f in fs)]))
         if any(p):
             return VarietySpec(kind="graph", ambient=d, dim=k, degree=deg, frame=frame,
                                graph_polys=fs), p
@@ -788,7 +820,7 @@ def _joint_config(V, p):
     """V and a flat through p along rational multiples of the standard
     vectors that complete V's tangent space there: one joint, at p."""
     k, d = V.dim, V.ambient
-    extra = linalg.complete_basis(FQ, tangent_space(make_chart(V, p, FQ)), d)[k:]
+    extra = complete_basis(FQ, tangent_space(make_chart(V, p, FQ)), d)[k:]
     dirs = tuple(tuple(Fraction(x, j + 2) for x in u) for j, u in enumerate(extra))
     flat = VarietySpec(kind="flat", ambient=d, dim=d - k, degree=1, point=p, directions=dirs)
     if d == 2 * k:
