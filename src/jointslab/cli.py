@@ -10,6 +10,7 @@ hit (balance or ledger saturation guard).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -319,10 +320,17 @@ def _check_flags(args) -> None:
             raise MalformedInput("--tau must not be negative")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call of the process and
+    reused: parsing keeps no state in it, and each call gets a fresh
+    namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args, unknown = ap.parse_known_args(argv)
+        args, unknown = _parser().parse_known_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

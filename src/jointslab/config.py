@@ -14,8 +14,10 @@ chart of every member passing through it, built once at detection;
 every later step reads incidence and charts from there.
 
 What a member's incidence needs that does not depend on the point is
-worked out once per member and field (``varieties``); at each joint a
-pair of members is reduced once, a tuple with a dependent pair is never
+worked out once per member and field (``varieties``), and a flat's
+reduced tangent rows once per config.  Two flats through two common
+candidates are a dependent pair with no reduction; at each candidate
+every other pair is reduced once, a tuple with a dependent pair is never
 tried, and every other tuple takes the full rank test.
 """
 
@@ -182,9 +184,19 @@ def detect_joints(
     first candidate) and kept on it.  Every member must live in F^d with
     d = sum m_i k_i, else DimensionMismatch, which is what ``is_joint``
     raises on a tuple whose dimensions do not sum to its ambient one.
-    ``_qualifying`` decides the admissible tuples of the regular members
-    through the point, pruning those with a dependent pair; on each it
-    gives what ``is_joint`` gives, in the same order.
+
+    Detection takes two passes over the candidates.  The first builds
+    every candidate's charts, which gives each flat member the set of
+    candidates it passes through.  The second runs ``_qualifying`` at
+    each candidate: it decides the admissible tuples of the regular
+    members through the point, pruning those with a dependent pair, and
+    on each it gives what ``is_joint`` gives, in the same order.  Two
+    rules hold there for flats only, since a flat's tangent space is the
+    same at every point and a curved member's moves.  Two flats through
+    two distinct candidates both hold the line between them, so they are
+    a dependent pair, decided with no elimination.  And a flat's own rows
+    are reduced once per config, into a reducer that every candidate
+    shares and that nothing inserts into.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:
@@ -194,8 +206,8 @@ def detect_joints(
             raise DimensionMismatch(f"a member's dimension differs from its family's k = {f.k}")
         if any(V.ambient != d for V in f.members):
             raise DimensionMismatch(f"a member's ambient dimension differs from sum m_i k_i = {d}")
-    seen = set()
-    joints, multiplicity, charts = [], [], []
+    seen, points, ons = set(), [], []
+    through: dict = {}  # flat member -> the indices of the candidates it passes through
     for q in candidates:
         p = tuple(F.of(x) for x in q)
         if p in seen:
@@ -210,8 +222,15 @@ def detect_joints(
                     continue
                 except SingularPoint:
                     on[fi, mi] = None
+                if V.kind == "flat":
+                    through.setdefault((fi, mi), set()).add(len(points))
+        points.append(p)
+        ons.append(on)
+    flat_singles: dict = {}
+    joints, multiplicity, charts = [], [], []
+    for p, on in zip(points, ons):
         tangents = {ref: tangent_space(C) for ref, C in on.items() if C is not None}
-        qualifying = _qualifying(F, families, tangents)
+        qualifying = _qualifying(F, families, tangents, through, flat_singles)
         if qualifying:
             joints.append(p)
             multiplicity.append(qualifying)
@@ -219,7 +238,7 @@ def detect_joints(
     return JointsConfiguration(F, families, joints, multiplicity, charts, seed)
 
 
-def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
+def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_singles: dict) -> list:
     """The admissible tuples whose tangent rows are independent, as flat
     tuples of refs, in the order of ``itertools.product`` over each
     family's combinations.
@@ -235,6 +254,18 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
     first meets it: its reducer is the node of a two-member prefix, and a
     longer prefix forks its parent's reducer and inserts the new rows, so
     every tuple that survives the pairs still takes the full rank test.
+
+    Two rules hold for flats only, whose tangent space is the same at
+    every point.  ``through`` maps each flat member to the candidates it
+    passes through: two flats through two distinct candidates both hold
+    the line between them, so their tangent spaces share its direction
+    and they form a dependent pair, with no reduction.  And a flat's own
+    rows reduce to the same reducer at every candidate, so it is built
+    once per config and kept in ``flat_singles``; nothing inserts into it,
+    since ``extended`` forks before inserting.  A curved member through
+    two common points need not share a tangent direction with the other,
+    and its tangent space moves, so its pairs and its own rows are reduced
+    at each point.
     """
     slots = [fi for fi, f in enumerate(families) for _ in range(f.m)]
     regular = [[ref for ref in tangents if ref[0] == fi] for fi in range(len(families))]
@@ -252,14 +283,18 @@ def _qualifying(F: FieldSpec, families, tangents: dict) -> list:
         return red if all(red.insert(row) for row in tangents[ref]) else None
 
     def single(a):
-        if a not in singles:
-            singles[a] = extended(None, a)
-        return singles[a]
+        memo = flat_singles if a in through else singles
+        if a not in memo:
+            memo[a] = extended(None, a)
+        return memo[a]
 
     def pair(a, b):
         if (a, b) not in pairs:
-            red = single(a)
-            pairs[a, b] = None if red is None else extended(red, b)
+            if a in through and b in through and len(through[a] & through[b]) > 1:
+                pairs[a, b] = None
+            else:
+                red = single(a)
+                pairs[a, b] = None if red is None else extended(red, b)
         return pairs[a, b]
 
     def walk(red, picks, start):

@@ -77,8 +77,12 @@ class FieldSpec:
         An int in a prime field and a Fraction in the rationals, the
         values the library itself passes, take an exact-type fast path:
         ``isinstance(x, Fraction)`` goes through the ABC machinery.  A
-        float is no exact value and a bool, JSON's true or false, is no
-        number: both raise ValueError."""
+        string of ASCII digits with at most a leading '-', as configs hold
+        them, is read by ``int()``, with no regex and, over F_p, no
+        inverse of a denominator; any other string goes through
+        ``Fraction``, which reads or refuses it.  A float is no exact
+        value and a bool, JSON's true or false, is no number: both raise
+        ValueError."""
         cls = type(x)
         if self.kind == "prime":
             if cls is int:
@@ -90,6 +94,10 @@ class FieldSpec:
         if isinstance(x, float):
             raise ValueError(f"{x!r} is a float; give an exact value, such as '1/4'")
         if isinstance(x, str):
+            digits = x[1:] if x[:1] == "-" else x
+            if digits.isascii() and digits.isdigit():
+                x = int(x)
+                return x % self.p if self.kind == "prime" else Fraction(x)
             x = Fraction(x)
         if self.kind == "prime":
             if isinstance(x, Fraction):

@@ -379,11 +379,13 @@ class AffineMap:
     library's own maps: it keeps the rows and the translation it is given
     as they are, so the caller passes freshly built rows of canonical
     field elements, of a square invertible matrix, that nothing else
-    holds or mutates."""
+    holds or mutates.  ``_ranked=False`` leaves the rank to a caller that
+    inverts the matrix anyway and raises ``SingularMap`` on a singular
+    one: the carrier of a graph member read from a config."""
 
     __slots__ = ("field", "matrix", "translation")
 
-    def __init__(self, field: FieldSpec, matrix, translation, _trusted=False):
+    def __init__(self, field: FieldSpec, matrix, translation, _trusted=False, _ranked=True):
         self.field = field
         if _trusted:
             self.matrix, self.translation = matrix, translation
@@ -393,7 +395,7 @@ class AffineMap:
         d = len(self.translation)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise DimensionMismatch(f"affine map needs a {d}x{d} matrix")
-        if linalg.rank(field, self.matrix) != d:
+        if _ranked and linalg.rank(field, self.matrix) != d:
             raise SingularMap("affine map matrix is singular")
 
     @classmethod

@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatch,
     MalformedInput,
     NotOnVariety,
+    SingularMap,
     SingularPoint,
     UnsupportedKind,
 )
@@ -270,11 +271,13 @@ def _coerce_point(F: FieldSpec, p):
     return [F.of(x) for x in p]
 
 
-def contains_point(V: VarietySpec, p, F: FieldSpec) -> bool:
+def contains_point(V: VarietySpec, p, F: FieldSpec, _z: list | None = None) -> bool:
     """Whether p is on V: on V's carrier, by the carrier's equations, and
     then, in the carrier coordinates z = W (p - base), on V's equations
     there: none for a flat, z_{k+j} = f_j(z_1..z_k) for a graph and
-    E(z) = 0 for a hypersurface."""
+    E(z) = 0 for a hypersurface.  ``make_chart`` passes an empty list as
+    ``_z``; a graph or hypersurface on its carrier puts z there, so that
+    a chart reads z once."""
     p = _coerce_point(F, p)
     if len(p) != V.ambient:
         raise DimensionMismatch("point dimension mismatch")
@@ -284,6 +287,8 @@ def contains_point(V: VarietySpec, p, F: FieldSpec) -> bool:
     if V.kind == "flat":
         return True
     z = car.coordinates(p)
+    if _z is not None:
+        _z.extend(z)
     if V.kind == "graph":
         k = V.dim
         return all(f.evaluate(z[:k]) == z[k + j] for j, f in enumerate(V.graph_polys))
@@ -296,7 +301,8 @@ class _Carrier:
     worked out once per (member, field) by ``_carrier``.  A flat is its
     own carrier and a hypersurface's is the (k+1)-flat of its equation.  A
     graph's is the whole space in its frame's coordinates y = A x + b:
-    base = A^-1 (-b) and dirs the columns of A^-1, one inverse per member.
+    base = A^-1 (-b) and dirs the columns of A^-1, one inverse per member,
+    which raises ``SingularMap`` for a singular A.
 
     ``coordinate_rows`` are the rows W with z = W v for every
     v = sum_i z_i dirs_i, so the carrier coordinates of a point p on it
@@ -321,6 +327,8 @@ class _Carrier:
         self.field = F
         if V.kind == "graph":
             A = linalg.inverse(F, V.frame.matrix)
+            if A is None:
+                raise SingularMap("affine map matrix is singular")
             self.base = linalg.mat_vec(F, A, [F.neg(b) for b in V.frame.translation])
             self.dirs = [list(u) for u in zip(*A)]
             self.coordinate_rows = V.frame.matrix
@@ -413,20 +421,21 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     """Build the local chart of V at the regular point p.
 
-    One ``contains_point`` settles membership.  The frame is a basis of
-    the carrier in its coordinates, tangent directions first, mapped to
-    ambient vectors through the carrier's directions, then the carrier's
-    completion.  That basis is the directions themselves for a flat.  For
-    a graph it is the axes, the first k of them plus the linear parts of
-    the f_j Taylor-shifted to the point's carrier coordinates z, whose
-    higher parts are the series.  For a hypersurface it is the tangent
+    One ``contains_point`` settles membership and, for a graph or a
+    hypersurface, gives the point's carrier coordinates z.  The frame is
+    a basis of the carrier in its coordinates, tangent directions first,
+    mapped to ambient vectors through the carrier's directions, then the
+    carrier's completion.  That basis is the directions themselves for a
+    flat.  For a graph it is the axes, the first k of them plus the
+    linear parts of the f_j Taylor-shifted to z, whose higher parts are
+    the series.  For a hypersurface it is the tangent
     vectors, then the gradient direction, of E at z; its series is solved
     by ``_solve_series`` from E framed once, E(z + B w), as far as the
     chart's readers ask."""
     if F is None:
         F = _spec_field(V)
-    p = _coerce_point(F, p)
-    if not contains_point(V, p, F):
+    p, z = _coerce_point(F, p), []
+    if not contains_point(V, p, F, z):
         raise NotOnVariety(f"point is not on the {V.kind}")
     d, k = V.ambient, V.dim
     car = _carrier(V, F)
@@ -434,7 +443,6 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     if V.kind == "flat":
         basis = car.dirs
     else:
-        z = car.coordinates(p)
         if V.kind == "graph":
             shifted = [taylor_shift(f, z[:k]) for f in V.graph_polys]
             B = [[F.one if r == i else F.zero for r in range(d)] for i in range(d)]
@@ -668,7 +676,8 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     """The member an object of a JSON config describes, with its
-    ``_carrier`` over F built here: that refuses dependent directions.  A
+    ``_carrier`` over F built here: that refuses dependent directions, and
+    a graph's inverts its frame, which refuses a singular one.  A
     declared ``degree`` is passed to ``VarietySpec``, which checks it; a
     missing one is the member's own: 1 for a flat, the equation's degree
     for a hypersurface, and e = max(1, max_j deg f_j) for a graph of
@@ -700,11 +709,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             label=label,
         )
     elif kind == "graph":
-        frame = AffineMap(
-            F,
-            [[F.of(x) for x in row] for row in obj["frame_matrix"]],
-            [F.of(x) for x in obj["frame_translation"]],
-        )
+        frame = AffineMap(F, obj["frame_matrix"], obj["frame_translation"], _ranked=False)
         polys = tuple(parse_poly(s, F, dim) for s in equations)
         top = _graph_degree(polys)
         if "degree" not in obj and dim > 1 and top > 1:

@@ -7,6 +7,7 @@ from unittest.mock import ANY
 
 import pytest
 
+from jointslab import cli
 from jointslab.cli import (
     EXIT_CAP_HIT,
     EXIT_CHECK_FAILED,
@@ -198,6 +199,54 @@ def test_non_square_frame_matrix_is_input_error(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     code = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "p")])
     assert code == EXIT_USAGE
+
+
+def test_singular_graph_frame_is_input_error(tmp_path, capsys):
+    # the graph's carrier inverts its frame while the config loads; that
+    # inverse, not a separate rank, refuses a singular frame
+    parabola = {"kind": "graph", "dim": 1, "ambient": 2, "degree": 2,
+                "frame_matrix": [["1", "2"], ["2", "4"]],
+                "frame_translation": ["0", "0"], "equations": ["1 * x1^2"]}
+    cfg = {"field": {"kind": "rational"}, "seed": 0, "joints": [["0", "0"]],
+           "families": [{"k": 1, "m": 1, "members": [parabola]}]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "p")])
+    assert code == EXIT_USAGE
+    assert "singular" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    # two successive calls with different flags give what two calls with
+    # a fresh parser each give: nothing of the first call's flags stays
+    cfg_path = gen(tmp_path, "a")
+    capsys.readouterr()
+    calls = [["pipeline", "--config", str(cfg_path), "--n", "2", "--tau", "1/2", "--cap", "2"],
+             ["pipeline", "--config", str(cfg_path)]]
+    real, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+
+    def results(fresh):
+        got = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli._parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}"
+            code = main([*argv, "--out-dir", str(out)])
+            got.append((code, capsys.readouterr().out, (out / "pipeline.json").read_text()))
+        return got
+
+    fresh = results(True)
+    built.clear()
+    cli._parser.cache_clear()
+    assert results(False) == fresh
+    assert len(built) == 1
+    assert fresh[0] != fresh[1]
 
 
 def _drop(key):

@@ -27,7 +27,7 @@ from jointslab.linalg import rank
 from jointslab.poly import parse_poly
 from jointslab.varieties import VarietySpec, contains_point, make_chart, tangent_space
 
-from curved import curved_plane_config
+from curved import curved_plane_config, line, plane_curve
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -232,6 +232,28 @@ def test_pairwise_independence_never_stands_in_for_the_full_test(field):
                                              [p, (0,) * 6])
     assert cfg.joints == [tuple(Ff.of(x) for x in p)]
     assert cfg.multiplicity == [[((0, 0), (0, 1), (0, 3))]]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_the_two_point_rule_and_shared_flat_reducers_hold_for_flats_only(field):
+    # P = (0, 0), Q = (-1, 0) and R = (-1, -1) lie on the circle
+    # x1^2 + x2^2 + x1 + x2 = 0 (over F_2 a smooth conic with tangent
+    # (1, 1) everywhere).  The line L = PQ, its duplicate L2 and the line
+    # M = QR each meet it in two candidates, transversally, so the circle
+    # pairs with every line at both points.  L and L2 share P and Q and
+    # are dependent; L and M meet at Q only.  The flat reducers of L and
+    # M serve two candidates each, and at each one a pair extends them
+    Ff = FIELDS[field]
+    members = [line((0, 0), (1, 0)), plane_curve(Ff, "1 * x1^2 + 1 * x2^2 + 1 * x1 + 1 * x2", 2),
+               line((-1, 0), (1, 0)), line((-1, 0), (0, 1))]
+    cfg, _ = assert_detection_matches_oracle(Ff, [Family(k=1, m=2, members=members)],
+                                             [(0, 0), (-1, 0), (-1, -1)])
+    L, C, L2, M = ((0, i) for i in range(4))
+    assert cfg.multiplicity == [
+        [(L, C), (C, L2)],
+        [(L, C), (L, M), (C, L2), (C, M), (L2, M)],
+        [(C, M)],
+    ]
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

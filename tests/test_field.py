@@ -78,6 +78,15 @@ def test_of_matches_reference(F, x):
     assert _outcome(F.of, x) == _outcome(_of_reference, F, x)
 
 
+@pytest.mark.parametrize("F", [FP, FQ], ids=["Fp", "Q"])
+@pytest.mark.parametrize("text", ["17", "-17", "007", "-0", " 7 ", "+7", "1_000", "1e3",
+                                  "3/6", "-", "--7", "\u00b2", "\u0661\u0662"])
+def test_integer_strings_read_as_the_fraction_path_reads_them(F, text):
+    # int() takes only ASCII -?[0-9]+; every other string, the superscript
+    # two and the Arabic-Indic twelve among them, goes through Fraction
+    assert _outcome(F.of, text) == _outcome(_of_reference, F, text)
+
+
 def test_of_rejects_floats():
     # a float is a binary approximation, not an exact field value
     for F in (FP, FQ):

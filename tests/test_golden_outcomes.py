@@ -92,6 +92,31 @@ CHART_COUNTS = {
     "detect-heavy": (105, 245),
 }
 
+# per workload: IncrementalRowReducer.insert calls while pool config 0
+# loads.  Each flat's own tangent rows are reduced once per config, two
+# flats through two common candidates are a dependent pair with no
+# reduction, and a graph's frame is eliminated once, by its inverse
+LOAD_INSERTS = {
+    "rank-heavy": 298,
+    "descent-heavy": 4,
+    "curved-q": 137,
+    "detect-heavy": 976,
+}
+
+
+@pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
+def test_load_time_row_inserts(monkeypatch, name):
+    real, calls = linalg.IncrementalRowReducer.insert, []
+
+    def insert(self, row):
+        calls.append(1)
+        return real(self, row)
+
+    monkeypatch.setattr(linalg.IncrementalRowReducer, "insert", insert)
+    obj = json.loads(verdicts.config_text(verdicts.WORKLOADS[name].config(0)))
+    JointsConfiguration.from_json(obj)
+    assert len(calls) == LOAD_INSERTS[name]
+
 
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
 def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):

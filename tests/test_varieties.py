@@ -543,6 +543,26 @@ def test_hypersurface_incidence_reads_its_carrier_flat(field):
     assert met == {True, False}
 
 
+def test_a_curved_chart_reads_its_carrier_coordinates_once(monkeypatch):
+    # the membership test and the chart of a graph or a hypersurface both
+    # read z = W (p - base); make_chart computes it once, a flat's never
+    cls = type(_carrier(plane_flat(), FQ))
+    real, calls = cls.coordinates, []
+
+    def coordinates(self, p):
+        calls.append(tuple(p))
+        return real(self, p)
+
+    monkeypatch.setattr(cls, "coordinates", coordinates)
+    graph = VarietySpec(kind="graph", ambient=3, dim=2, degree=2, frame=identity_map(FQ, 3),
+                        graph_polys=(parse_poly("1 * x1 x2", FQ, 2),))
+    for V, p, reads in [(graph, (2, 3, 6), 1), (circle_through_origin(), (0, 1), 1),
+                        (plane_flat(), (4, 5), 0)]:
+        calls.clear()
+        make_chart(V, p, FQ)
+        assert len(calls) == reads
+
+
 def test_tangent_space_matches_directions():
     V = circle_through_origin()
     C = make_chart(V, (0, 0))
