@@ -34,7 +34,6 @@ from .poly import (
     format_poly,
     hasse_apply,
     parse_poly,
-    pullback,
     taylor_shift,
     vanishing_order,
 )

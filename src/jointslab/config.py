@@ -411,14 +411,19 @@ def _random_hyperplanes(rng, F, d, h):
 
 def _intersect_hyperplanes(F, planes, d):
     """Point + direction basis of the intersection flat, or None if the
-    normals are dependent."""
-    rows = [a for a, _ in planes]
-    rhs = [b for _, b in planes]
-    if linalg.rank(F, rows) != len(planes):
+    normals are dependent.  Both are read off one reduced row echelon form
+    of (A | b): the point sets every free variable to zero, and the
+    directions are the nullspace of A."""
+    red = linalg.IncrementalRowReducer(F)
+    for a, b in planes:
+        red.insert([*a, b])
+    pivots = red.rref()
+    if len(pivots) != len(planes) or d in pivots:
         return None
-    sol = linalg.solve(F, rows, rhs)
-    dirs = linalg.nullspace(F, rows)
-    return sol, dirs
+    point = [F.zero] * d
+    for c, row in pivots.items():
+        point[c] = row[d]
+    return point, linalg.rref_nullspace(F, pivots, d)
 
 
 def generate(

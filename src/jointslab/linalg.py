@@ -9,8 +9,8 @@ nonzero entry in a column without a pivot.  The first row fixes the
 row length: a row of another length raises ``ValueError``.  Most
 callers (ledgers, joint detection, the rank check, ``T_dimension``) ask
 only that, so nothing is back-substituted while rows stream in.
-``rref()`` back-substitutes once, for ``solve``, ``inverse`` and
-``nullspace`` (``rref_nullspace`` reads one off a given form); the
+``rref()`` back-substitutes once, for ``inverse`` and for the readers
+that take a point or a nullspace (``rref_nullspace``) off one form; the
 reduced row echelon form is unique, so their answers do not depend on
 the order in which rows are inserted.  ``fork`` copies a reducer, whole
 or as it was at a lower rank, so row sets that share a prefix reduce the
@@ -84,27 +84,6 @@ def inverse(F: FieldSpec, A):
     if any(c >= n for c in pivots):
         return None
     return [pivots[i][n:] for i in range(n)]
-
-
-def solve(F: FieldSpec, A, b):
-    """One solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero, which keeps the output deterministic.
-    """
-    n = len(A[0]) if A else 0
-    pivots = _reduced(F, (list(row) + [bv] for row, bv in zip(A, b))).rref()
-    if n in pivots:
-        return None
-    x = [F.zero] * n
-    for c, row in pivots.items():
-        x[c] = row[n]
-    return x
-
-
-def nullspace(F: FieldSpec, A):
-    """Basis of the right nullspace of A (deterministic): one vector per
-    free column, in column order."""
-    return rref_nullspace(F, _reduced(F, A).rref(), len(A[0]) if A else 0)
 
 
 def rref_nullspace(F: FieldSpec, pivots: dict, n: int):

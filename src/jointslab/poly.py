@@ -1,20 +1,25 @@
-"""Sparse multivariate polynomials, affine maps and expansion rows.
+"""Sparse multivariate polynomials, coordinate maps and expansion rows.
 
 Polynomials are maps from exponent vectors (tuples of d nonnegative
 ints) to nonzero field elements.  The canonical monomial enumeration is
 graded lexicographic with x1 > x2 > ... > xd, which fixes the row layout
 used by the vanishing-basis machinery.
 
-``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial
-for a parametrization phi; every vanishing-condition row, ledger and
-rank rows alike, is one, and so is the coefficient list of every
-derivative operator.  ``coefficient_along`` is the one reader of
-[t^gamma] g(phi(t)) for a given g, g's coefficients summed against that
-row: ``Polynomial.substitute`` (and through it ``pullback`` and
-``taylor_shift``), ``Polynomial.evaluate``, ``lowest_term`` (and through
-it ``vanishing_order`` and the witness's framing),
-``HasseOperator.evaluate`` and the hypersurface series solve all call
-it, and so does the witness's value.
+A parametrization phi is read through its coordinate maps: x_i(phi(t))
+as a {beta: c} map over the t variables, one per x_i, each value an
+``int`` where it is integral.  ``affine_coordinates`` and
+``shifted_coordinates`` give those of x = A y + b and x = z + y.
+``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial;
+every vanishing-condition row, ledger and rank rows alike, is one, and
+so is the coefficient list of every derivative operator.
+``coefficient_along`` is the one reader of [t^gamma] g(phi(t)) for a
+given g, g's coefficients summed against that row: ``polynomial_along``
+(and through it ``Polynomial.substitute`` and ``taylor_shift``),
+``Polynomial.evaluate``, ``lowest_term`` (and through it
+``vanishing_order``), ``HasseOperator.evaluate``, the hypersurface
+framing and series solve, and the witness all call it.
+``AffineMap`` holds a map built from outside values, a graph member's
+frame or a test's map, with its inverse; no library code builds one.
 ``HasseOperator`` acts by Hasse^w x^e = C(e, w) x^(e-w), the binomial
 computed coordinatewise over Z and then reduced into the field, which
 keeps the calculus correct in small characteristic; it is library API
@@ -165,11 +170,6 @@ class Polynomial:
                 _accumulate(F, terms, tuple(a + b for a, b in zip(e1, e2)), F.mul(c1, c2))
         return Polynomial(F, self.nvars, terms)
 
-    def scale(self, c):
-        F = self.field
-        c = F.of(c)
-        return Polynomial(F, self.nvars, {e: F.mul(c, v) for e, v in self.terms.items()})
-
     def evaluate(self, point) -> FieldElement:
         """g(point), the t^0 coefficient of g along the constant
         coordinates point, which ``coefficient_along`` reads."""
@@ -177,21 +177,13 @@ class Polynomial:
 
     def substitute(self, images: list) -> "Polynomial":
         """Substitute variable i -> images[i] (polynomials over the same
-        field, all in a common ring).  ``coefficient_along`` reads the
-        t^gamma coefficient for every gamma up to deg g times the top
-        degree of the images."""
+        field, all in a common ring): ``polynomial_along`` their terms."""
         nv = images[0].nvars if images else 0
         if any(h.nvars != nv or h.field != self.field for h in images):
             raise DimensionMismatch("images must lie in one ring over the polynomial's field")
         # integral values as ints: over Q the rows are then built in ints
-        coords = [{e: as_int(c) for e, c in h.terms.items()} for h in images]
-        top = max((sum(e) for h in coords for e in h), default=0)
-        bound = max(map(sum, self.terms), default=0) * top
-        memo: dict = {}
-        return Polynomial(self.field, nv, {
-            gamma: coefficient_along(self, coords, gamma, memo)
-            for gamma in monomials_upto(nv, bound)
-        })
+        return polynomial_along(self, [{e: as_int(c) for e, c in h.terms.items()}
+                                       for h in images], nv)
 
     # -- text form -----------------------------------------------------
 
@@ -308,9 +300,6 @@ class HasseOperator:
         self.nvars = nvars
         self.combo = {w: c for w, c in (combo or {}).items() if c}
 
-    def is_zero(self):
-        return not self.combo
-
     @property
     def order(self):
         if not self.combo:
@@ -349,7 +338,7 @@ class HasseOperator:
         (Hasse^w g)(point) is [y^w] g(point + y), which
         ``coefficient_along`` reads."""
         F = self.field
-        coords, memo = _coordinates(AffineMap.translation_map(F, point)), {}
+        coords, memo = shifted_coordinates([F.of(x) for x in point]), {}
         acc = F.zero
         for w, c in self.combo.items():
             acc = F.add(acc, F.mul(c, coefficient_along(g, coords, w, memo)))
@@ -367,52 +356,33 @@ class HasseOperator:
 
 
 # ---------------------------------------------------------------------------
-# Affine maps and Taylor machinery
+# Affine maps and coordinate maps
 # ---------------------------------------------------------------------------
 
 
 class AffineMap:
-    """x -> A x + b with A square and invertible.
+    """x -> A x + b with A square and invertible, built from outside
+    values only: a graph member's frame, or a test's map.  The one
+    constructor coerces every entry into the field, checks the shape and
+    inverts A once, raising ``SingularMap`` when A is singular; ``inverse``
+    holds A^-1, which a graph's carrier reads."""
 
-    A map built from outside values coerces every entry into the field
-    and checks the shape and the rank.  ``_trusted=True`` is for the
-    library's own maps: it keeps the rows and the translation it is given
-    as they are, so the caller passes freshly built rows of canonical
-    field elements, of a square invertible matrix, that nothing else
-    holds or mutates.  ``_ranked=False`` leaves the rank to a caller that
-    inverts the matrix anyway and raises ``SingularMap`` on a singular
-    one: the carrier of a graph member read from a config."""
+    __slots__ = ("field", "matrix", "translation", "inverse")
 
-    __slots__ = ("field", "matrix", "translation")
-
-    def __init__(self, field: FieldSpec, matrix, translation, _trusted=False, _ranked=True):
+    def __init__(self, field: FieldSpec, matrix, translation):
         self.field = field
-        if _trusted:
-            self.matrix, self.translation = matrix, translation
-            return
         self.matrix = [[field.of(a) for a in row] for row in matrix]
         self.translation = [field.of(t) for t in translation]
         d = len(self.translation)
         if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             raise DimensionMismatch(f"affine map needs a {d}x{d} matrix")
-        if _ranked and linalg.rank(field, self.matrix) != d:
+        self.inverse = linalg.inverse(field, self.matrix)
+        if self.inverse is None:
             raise SingularMap("affine map matrix is singular")
-
-    @classmethod
-    def translation_map(cls, field, b):
-        d = len(b)
-        return cls(field, linalg.identity(field, d), [field.of(x) for x in b], _trusted=True)
 
     @property
     def dim(self):
         return len(self.translation)
-
-
-def pullback(g: Polynomial, T: AffineMap) -> Polynomial:
-    """g composed with T, i.e. substitute x -> Ax + b and expand."""
-    if T.dim != g.nvars:
-        raise DimensionMismatch("map/ring dimension mismatch")
-    return g.substitute([affine_form(g.field, row, b) for row, b in zip(T.matrix, T.translation)])
 
 
 def affine_form(F: FieldSpec, coeffs, const) -> Polynomial:
@@ -421,11 +391,46 @@ def affine_form(F: FieldSpec, coeffs, const) -> Polynomial:
     return Polynomial(F, d, dict(zip((*exponents_of_degree(d, 1), (0,) * d), [*coeffs, const])))
 
 
+def affine_coordinates(A, b) -> list:
+    """x = A y + b as {beta: c} maps over y, one per x_i, for a square A
+    given by its rows and b, both in canonical field elements; each value
+    an ``int`` where it is integral."""
+    zero, units = (0,) * len(b), exponents_of_degree(len(b), 1)
+    out = []
+    for row, c in zip(A, b):
+        x = {zero: as_int(c)} if c else {}
+        x.update((e, as_int(a)) for e, a in zip(units, row) if a)
+        out.append(x)
+    return out
+
+
+def shifted_coordinates(z) -> list:
+    """x = z + y as {beta: c} maps over y, one per entry of the point z in
+    canonical field elements; each value an ``int`` where it is integral."""
+    zero = (0,) * len(z)
+    return [{zero: as_int(c), e: 1} if c else {e: 1}
+            for c, e in zip(z, exponents_of_degree(len(z), 1))]
+
+
+def polynomial_along(g: Polynomial, coords, nvars: int) -> Polynomial:
+    """g(phi(t)) as a polynomial in ``nvars`` variables t, for
+    ``coords[i]`` = x_i(phi(t)) as {beta: c} maps: ``coefficient_along``
+    reads the t^gamma coefficient for every gamma up to deg g times the
+    top degree of the maps."""
+    top = max((sum(e) for x in coords for e in x), default=0)
+    bound = max(map(sum, g.terms), default=0) * top
+    memo: dict = {}
+    return Polynomial(g.field, nvars, {
+        gamma: coefficient_along(g, coords, gamma, memo) for gamma in monomials_upto(nvars, bound)
+    })
+
+
 def taylor_shift(g: Polynomial, a) -> Polynomial:
     """h with h(y) = g(a + y); the y^w coefficient is (Hasse^w g)(a)."""
     if len(a) != g.nvars:
         raise DimensionMismatch("point dimension mismatch")
-    return pullback(g, AffineMap.translation_map(g.field, a))
+    F = g.field
+    return polynomial_along(g, shifted_coordinates([F.of(x) for x in a]), g.nvars)
 
 
 def vanishing_order(g: Polynomial, point):
@@ -433,23 +438,20 @@ def vanishing_order(g: Polynomial, point):
     +inf for the zero polynomial."""
     if g.is_zero():
         return math.inf
-    return sum(lowest_term(g, AffineMap.translation_map(g.field, point))[0])
+    F = g.field
+    return sum(lowest_term(g, shifted_coordinates([F.of(x) for x in point]))[0])
 
 
-def lowest_term(g: Polynomial, T: AffineMap) -> tuple:
+def lowest_term(g: Polynomial, coords) -> tuple:
     """(gamma, c) for the graded-lex-first term c y^gamma of least degree
-    of g o T, g nonzero.  The coefficients of g o T are read by
-    ``coefficient_along`` in graded order up to the first nonzero one, so
-    when g does not vanish at T(0) this costs one expansion row."""
-    coords, memo = _coordinates(T), {}
+    of g(x(y)), g nonzero, for ``coords[i]`` = x_i(y) as {beta: c} maps
+    over as many variables y as g has, such as ``affine_coordinates``
+    give.  The coefficients are read by ``coefficient_along`` in graded
+    order up to the first nonzero one, so when g does not vanish at x(0)
+    this costs one expansion row."""
+    memo: dict = {}
     return next((w, c) for r in range(int(g.degree) + 1) for w in exponents_of_degree(g.nvars, r)
                 if (c := coefficient_along(g, coords, w, memo)))
-
-
-def _coordinates(T: AffineMap) -> list:
-    """x = A y + b as {beta: c} maps, one per x_i, integral values as ints."""
-    return [{e: as_int(c) for e, c in affine_form(T.field, row, b).terms.items()}
-            for row, b in zip(T.matrix, T.translation)]
 
 
 @lru_cache(maxsize=None)

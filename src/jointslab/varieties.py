@@ -7,6 +7,8 @@ hypersurface's is the (k+1)-flat of its equation, and a graph's is the
 whole space in its frame's coordinates.  Membership, charts and ambient
 equations each read the carrier first and then V's own equations in z:
 none for a flat, the graph equations, or the hypersurface's equation.
+``contains_point`` returns a point's z, or None off V, and the chart
+built there keeps it.
 
 A chart frames a regular point p of a k-dimensional variety V so that p
 sits at the origin with the tangent space along the first k coordinates;
@@ -15,7 +17,9 @@ constant or linear part: zero for a flat, a graph's Taylor shift, and
 for a hypersurface the solution of its framed equation E(t, h(t)) = 0,
 solved one coefficient at a time, in graded order, each read off one
 ``poly.expansion_row`` row along (t, h), and only as far as a reader
-asks.  ``Chart.coordinates(r)`` is the resulting parametrization phi of
+asks.  A chart holds its frame as plain rows, and every framing here is
+read as coordinate maps, with no ``AffineMap`` built.
+``Chart.coordinates(r)`` is the resulting parametrization phi of
 V near p through degree r.  The functional g -> D^gamma g(p) attached to
 a local exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads
 phi through degree |gamma| only; ledgers, the rank check and the witness
@@ -25,9 +29,10 @@ x(phi(lambda t)) for the chart's fixed ``scale`` lambda, whose
 coefficients over Q are ints in every degree >= 1: each row is then
 lambda^|gamma| times the exact one and is built in ints.  A flat's
 ledger rows are read in its own coordinates u (``Chart.row_coordinates``,
-u_p + t), as functionals on F[u]_{<= n}, onto which restriction to the
-flat maps F[x]_{<= n}: C(n+k, k) columns instead of C(n+d, d), with the
-same independent subsets.  ``derivative_operator`` writes the same
+u_p + t for the center's carrier coordinates u_p), as functionals on
+F[u]_{<= n}, onto which restriction to the flat maps F[x]_{<= n}:
+C(n+k, k) columns instead of C(n+d, d), with the same independent
+subsets.  ``derivative_operator`` writes the same
 functional as ambient Hasse derivatives, its coefficients one expansion
 row along the centered coordinates phi(t) - p: library API and the test
 oracle for those rows.
@@ -46,7 +51,6 @@ from .errors import (
     DimensionMismatch,
     MalformedInput,
     NotOnVariety,
-    SingularMap,
     SingularPoint,
     UnsupportedKind,
 )
@@ -55,6 +59,7 @@ from .poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    affine_coordinates,
     affine_form,
     coefficient_along,
     expansion_row,
@@ -62,7 +67,8 @@ from .poly import (
     format_poly,
     monomials_upto,
     parse_poly,
-    pullback,
+    polynomial_along,
+    shifted_coordinates,
     taylor_shift,
 )
 
@@ -147,16 +153,19 @@ def _graph_degree(polys) -> int:
 class Chart:
     """Framed local presentation of a variety at a regular point.
 
-    The chart is its parametrization: ``frame_inverse`` is the affine map
-    x = A'y + b' from framed coordinates y to ambient ones, b' the center
-    and the first k columns of A' spanning the tangent space, and the
-    series give the framed coordinates y_{k+1..d} = h(y_1..y_k) of V near
-    the center.  No forward frame is kept; a reader that needs one
-    inverts ``frame_inverse``.
+    The chart is its parametrization x = A' y + center, from framed
+    coordinates y to ambient ones.  ``frame`` holds the rows of A', whose
+    first k columns span the tangent space, next to the ``center`` and
+    the ``field``; the series ``h`` give the framed coordinates
+    y_{k+1..d} = h(y_1..y_k) of V near the center; and ``z`` holds the
+    center's carrier coordinates, which its one membership test read.  No
+    forward frame and no inverse is kept.
 
     Readers pass the order r they need and get series and coordinates
     exact through degree r, possibly with higher terms: a hypersurface's
-    series grows by ``_solve_series`` steps, one degree each, on demand.
+    ``solver``, the ``_solve_series`` generator (None for every other
+    chart, whose series are exact), grows its series one degree per step,
+    on demand.
 
     ``scale`` is a positive integer lambda, fixed when the chart is made,
     such that the coordinates x(phi(lambda t)) have integral coefficients
@@ -167,51 +176,54 @@ class Chart:
 
     owner: VarietySpec
     center: tuple
-    frame_inverse: AffineMap  # local -> ambient; the origin maps to the center
-    _series: list = dc_field(repr=False)  # h_{k+1..d} as {beta: c} maps
-    _solver: object = dc_field(default=None, repr=False, compare=False)  # None: exact
-    _solved: float = dc_field(default=math.inf, repr=False)  # exact through this degree
+    field: FieldSpec
+    frame: list = dc_field(repr=False)  # rows of A'; the origin maps to the center
+    z: list = dc_field(repr=False)  # the center's carrier coordinates
+    h: list = dc_field(repr=False)  # h_{k+1..d} as {beta: c} maps
     scale: int = 1
-    _coords: tuple | None = dc_field(default=None, repr=False)  # (exact through, coordinates)
+    solver: object = dc_field(default=None, repr=False, compare=False)
+    # the series are exact through this degree: every degree without a
+    # solver, else 1 until the solver steps
+    _solved: float = dc_field(init=False, repr=False)
+    # (exact through, coordinates)
+    _coords: tuple | None = dc_field(default=None, init=False, repr=False)
     # (coordinates, scaled_coordinates of them)
-    _scaled_coords: tuple = dc_field(default=(None, None), repr=False, compare=False)
+    _scaled_coords: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
     # a flat's row_coordinates, built on first use
-    _local: list | None = dc_field(default=None, repr=False, compare=False)
+    _local: list | None = dc_field(default=None, init=False, repr=False, compare=False)
     # the expansion rows that basis.functional_rows reads, one gamma -> row
     # memo per degree bound
     expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.frame_inverse.field
+    def __post_init__(self):
+        self._solved = math.inf if self.solver is None else 1
 
     def _grow(self, r: int) -> None:
         while self._solved < r:
-            self._solved = next(self._solver)
+            self._solved = next(self.solver)
 
     def series(self, r: int) -> list:
         """h_{k+1..d} as polynomials in the local variables, exact through
         degree r."""
         self._grow(r)
-        return [Polynomial(self.field, self.owner.dim, h) for h in self._series]
+        return [Polynomial(self.field, self.owner.dim, h) for h in self.h]
 
     def coordinates(self, r: int) -> list:
         """x_i(phi(t)) for each ambient coordinate, as {beta: c} maps over
-        the local variables, exact through degree r: b'_i + sum_j A'_ij img_j
-        for the inverse frame x = A'y + b', with img_j = t_j for j < k and
-        the series h_j otherwise.  It is rebuilt only when the series grows.
-        Each map is read off the row of A' and the series maps: the series
-        have no constant or linear part, so only their terms can collide."""
+        the local variables, exact through degree r: center_i + sum_j
+        A'_ij img_j, with img_j = t_j for j < k and the series h_j
+        otherwise.  It is rebuilt only when the series grows.  Each map is
+        read off the row of A' and the series maps: the series have no
+        constant or linear part, so only their terms can collide."""
         if self._coords is None or self._coords[0] < r:
             self._grow(r)
             k, p = self.owner.dim, self.field.p
             zero, units = (0,) * k, exponents_of_degree(k, 1)
-            inv = self.frame_inverse
             coords = []
-            for row, b in zip(inv.matrix, inv.translation):
+            for row, b in zip(self.frame, self.center):
                 x = {zero: b} if b else {}
                 x.update((e, a) for e, a in zip(units, row) if a)
-                for a, h in zip(row[k:], self._series):
+                for a, h in zip(row[k:], self.h):
                     if a:
                         for beta, c in h.items():
                             v = x.get(beta, 0) + a * c
@@ -242,24 +254,15 @@ class Chart:
         """The coordinates that ledger rows are read along, exact through
         degree r.  A flat's are its own: it is base + D u in the
         coordinates u along its directions D, and phi(t) = base +
-        D (u_p + t), u_p the center's coordinates (the carrier's
-        ``coordinates``), so g(phi(t)) is G(u_p + t) for the restriction
-        G(u) = g(base + D u).  These are the k maps u_p + t, each value an
-        ``int`` where it is integral.  Every other chart's are its
-        ``scaled_coordinates``."""
+        D (u_p + t), u_p the center's carrier coordinates ``z``, so
+        g(phi(t)) is G(u_p + t) for the restriction G(u) = g(base + D u).
+        These are the k maps u_p + t, each value an ``int`` where it is
+        integral.  Every other chart's are its ``scaled_coordinates``."""
         if self.owner.kind != "flat":
             return self.scaled_coordinates(r)
         if self._local is None:
-            self._local = _shifted(_carrier(self.owner, self.field).coordinates(self.center))
+            self._local = shifted_coordinates(self.z)
         return self._local
-
-
-def _shifted(z) -> list:
-    """The coordinate maps z + t, one {beta: c} map per entry of the point
-    z, each value an ``int`` where it is integral."""
-    zero = (0,) * len(z)
-    return [{zero: as_int(c), e: 1} if c else {e: 1}
-            for c, e in zip(z, exponents_of_degree(len(z), 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +274,26 @@ def _coerce_point(F: FieldSpec, p):
     return [F.of(x) for x in p]
 
 
-def contains_point(V: VarietySpec, p, F: FieldSpec, _z: list | None = None) -> bool:
-    """Whether p is on V: on V's carrier, by the carrier's equations, and
-    then, in the carrier coordinates z = W (p - base), on V's equations
-    there: none for a flat, z_{k+j} = f_j(z_1..z_k) for a graph and
-    E(z) = 0 for a hypersurface.  ``make_chart`` passes an empty list as
-    ``_z``; a graph or hypersurface on its carrier puts z there, so that
-    a chart reads z once."""
+def contains_point(V: VarietySpec, p, F: FieldSpec) -> list | None:
+    """p's carrier coordinates z = W (p - base) if p is on V, else None.
+
+    p is on V when it is on V's carrier, by the carrier's equations, and
+    z is on V's equations there: none for a flat, z_{k+j} = f_j(z_1..z_k)
+    for a graph and E(z) = 0 for a hypersurface.  ``make_chart`` keeps z
+    on its chart, so a chart reads it once."""
     p = _coerce_point(F, p)
     if len(p) != V.ambient:
         raise DimensionMismatch("point dimension mismatch")
     car = _carrier(V, F)
     if not car.holds(p):
-        return False
-    if V.kind == "flat":
-        return True
+        return None
     z = car.coordinates(p)
-    if _z is not None:
-        _z.extend(z)
     if V.kind == "graph":
         k = V.dim
-        return all(f.evaluate(z[:k]) == z[k + j] for j, f in enumerate(V.graph_polys))
-    return not V.surface_poly.evaluate(z)
+        on = all(f.evaluate(z[:k]) == z[k + j] for j, f in enumerate(V.graph_polys))
+    else:
+        on = V.kind == "flat" or not V.surface_poly.evaluate(z)
+    return z if on else None
 
 
 class _Carrier:
@@ -301,8 +302,8 @@ class _Carrier:
     worked out once per (member, field) by ``_carrier``.  A flat is its
     own carrier and a hypersurface's is the (k+1)-flat of its equation.  A
     graph's is the whole space in its frame's coordinates y = A x + b:
-    base = A^-1 (-b) and dirs the columns of A^-1, one inverse per member,
-    which raises ``SingularMap`` for a singular A.
+    base = A^-1 (-b) and dirs the columns of A^-1, the ``inverse`` that
+    the frame took once, when it was built.
 
     ``coordinate_rows`` are the rows W with z = W v for every
     v = sum_i z_i dirs_i, so the carrier coordinates of a point p on it
@@ -326,9 +327,7 @@ class _Carrier:
         d = V.ambient
         self.field = F
         if V.kind == "graph":
-            A = linalg.inverse(F, V.frame.matrix)
-            if A is None:
-                raise SingularMap("affine map matrix is singular")
+            A = V.frame.inverse
             self.base = linalg.mat_vec(F, A, [F.neg(b) for b in V.frame.translation])
             self.dirs = [list(u) for u in zip(*A)]
             self.coordinate_rows = V.frame.matrix
@@ -371,9 +370,13 @@ class _Carrier:
 
 
 def _carrier(V: VarietySpec, F: FieldSpec) -> _Carrier:
-    """V's ``_Carrier`` over F, built on the first call and kept on V."""
+    """V's ``_Carrier`` over F, built on the first call and kept on V.  A
+    graph's frame and a hypersurface's equation hold their own field, so
+    a curved member is read over that field only."""
     got = V._carriers.get(F)
     if got is None:
+        if V.kind != "flat" and _spec_field(V) != F:
+            raise DimensionMismatch(f"a {V.kind} over {_spec_field(V)} read over {F}")
         got = V._carriers[F] = _Carrier(V, F)
     return got
 
@@ -421,25 +424,27 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     """Build the local chart of V at the regular point p.
 
-    One ``contains_point`` settles membership and, for a graph or a
-    hypersurface, gives the point's carrier coordinates z.  The frame is
-    a basis of the carrier in its coordinates, tangent directions first,
-    mapped to ambient vectors through the carrier's directions, then the
-    carrier's completion.  That basis is the directions themselves for a
-    flat.  For a graph it is the axes, the first k of them plus the
-    linear parts of the f_j Taylor-shifted to z, whose higher parts are
-    the series.  For a hypersurface it is the tangent
-    vectors, then the gradient direction, of E at z; its series is solved
-    by ``_solve_series`` from E framed once, E(z + B w), as far as the
-    chart's readers ask."""
+    One ``contains_point`` settles membership and gives the point's
+    carrier coordinates z, which the chart keeps.  The frame is a basis
+    of the carrier in its coordinates, tangent directions first, mapped
+    to ambient vectors through the carrier's directions, then the
+    carrier's completion; its rows are read off those vectors, with no
+    inverse taken.  That basis is the directions themselves for a flat.
+    For a graph it is the axes, the first k of them plus the linear parts
+    of the f_j Taylor-shifted to z, whose higher parts are the series.
+    For a hypersurface it is the tangent vectors, then the gradient
+    direction, of E at z; E is framed once, E(z + B w), along the
+    ``affine_coordinates`` of that frame, and its series is solved by
+    ``_solve_series`` as far as the chart's readers ask."""
     if F is None:
         F = _spec_field(V)
-    p, z = _coerce_point(F, p), []
-    if not contains_point(V, p, F, z):
+    p = _coerce_point(F, p)
+    z = contains_point(V, p, F)
+    if z is None:
         raise NotOnVariety(f"point is not on the {V.kind}")
     d, k = V.ambient, V.dim
     car = _carrier(V, F)
-    series, solving, lam = [{} for _ in range(d - k)], {}, 1
+    series, solver, lam = [{} for _ in range(d - k)], None, 1
     if V.kind == "flat":
         basis = car.dirs
     else:
@@ -451,7 +456,7 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
             series = [{e: c for e, c in g.terms.items() if sum(e) >= 2} for g in shifted]
         else:
             m, memo = k + 1, {}
-            grad = [coefficient_along(V.surface_poly, _shifted(z), e, memo)
+            grad = [coefficient_along(V.surface_poly, shifted_coordinates(z), e, memo)
                     for e in exponents_of_degree(m, 1)]
             i0 = next((i for i, a in enumerate(grad) if a), None)
             if i0 is None:
@@ -463,15 +468,16 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
                     v[i], v[i0] = F.one, F.neg(F.div(grad[i], grad[i0]))
                     B.append(v)
             B.append([F.one if j == i0 else F.zero for j in range(m)])
-            frame = AffineMap(F, [list(r) for r in zip(*B)], z, _trusted=True)
-            E2 = pullback(V.surface_poly, frame)
-            solving = {"_solver": _solve_series(F, E2, series[0]), "_solved": 1}
+            E2 = polynomial_along(V.surface_poly, affine_coordinates(zip(*B), z), m)
+            solver = _solve_series(F, E2, series[0])
             lam = _series_scale(F, E2)
         cols = list(zip(*car.dirs))
         basis = [linalg.mat_vec(F, cols, v) for v in B]
-    inv = _parametrization(F, basis + car.completion, p)
-    scale = _denominator_lcm(F, itertools.chain(*inv.matrix, *(h.values() for h in series)))
-    return Chart(V, tuple(p), inv, series, scale=scale * lam, **solving)
+    # rows of the chart's own: the vectors may be a carrier's, shared by
+    # every chart of its member
+    frame = [list(row) for row in zip(*basis, *car.completion)]
+    scale = _denominator_lcm(F, itertools.chain(*frame, *(h.values() for h in series)))
+    return Chart(V, tuple(p), F, frame, z, series, scale=scale * lam, solver=solver)
 
 
 def _denominator_lcm(F: FieldSpec, values) -> int:
@@ -532,20 +538,10 @@ def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
         yield r
 
 
-def _parametrization(F: FieldSpec, basis_vectors, center: list) -> AffineMap:
-    """The chart parametrization y -> center + sum_i y_i basis_vectors[i],
-    read off the vectors with no inverse taken, into rows of its own: the
-    vectors may be a carrier's, shared by every chart of its member."""
-    d = len(center)
-    return AffineMap(F, [[v[i] for v in basis_vectors] for i in range(d)], center, _trusted=True)
-
-
 def tangent_space(C: Chart) -> list:
-    """The tangent directions: the first k columns of the parametrization's
-    matrix A'."""
-    k = C.owner.dim
-    inv = C.frame_inverse
-    return [[inv.matrix[i][j] for i in range(C.owner.ambient)] for j in range(k)]
+    """The tangent directions: the first k columns of the chart's
+    ``frame`` A'."""
+    return [[row[j] for row in C.frame] for j in range(C.owner.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +672,11 @@ def variety_to_json(V: VarietySpec, F: FieldSpec) -> dict:
 
 def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     """The member an object of a JSON config describes, with its
-    ``_carrier`` over F built here: that refuses dependent directions, and
-    a graph's inverts its frame, which refuses a singular one.  A
-    declared ``degree`` is passed to ``VarietySpec``, which checks it; a
-    missing one is the member's own: 1 for a flat, the equation's degree
-    for a hypersurface, and e = max(1, max_j deg f_j) for a graph of
+    ``_carrier`` over F built here, which refuses dependent directions; a
+    graph's frame is inverted as it is built, which refuses a singular
+    one.  A declared ``degree`` is passed to ``VarietySpec``, which checks
+    it; a missing one is the member's own: 1 for a flat, the equation's
+    degree for a hypersurface, and e = max(1, max_j deg f_j) for a graph of
     dimension 1 or with every f_j zero.  A graph of higher dimension k
     with a nonzero f_j has only the bounds e <= degree <= e^k, so it must
     declare its degree."""
@@ -709,7 +705,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
             label=label,
         )
     elif kind == "graph":
-        frame = AffineMap(F, obj["frame_matrix"], obj["frame_translation"], _ranked=False)
+        frame = AffineMap(F, obj["frame_matrix"], obj["frame_translation"])
         polys = tuple(parse_poly(s, F, dim) for s in equations)
         top = _graph_degree(polys)
         if "degree" not in obj and dim > 1 and top > 1:

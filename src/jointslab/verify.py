@@ -29,8 +29,8 @@ from .errors import LedgerMissing, MalformedInput, NotAJoint, ZeroPolynomial
 from .field import as_int, binom
 from .linalg import IncrementalRowReducer
 from .poly import (
-    AffineMap,
     Polynomial,
+    affine_coordinates,
     coefficient_along,
     expansion_row,
     lowest_term,
@@ -139,16 +139,16 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
     operator of order gamma_i.
 
     Frames g at p by the stacked tangent blocks, x = p + sum_i T_i y_i,
-    and reads off the ``lowest_term`` c y^gamma of the framed polynomial,
-    split into per-chart blocks gamma_i.  The
-    product's ``value`` is the gamma coefficient of g along the joint
-    coordinates, read by ``coefficient_along``, and ``coefficient`` is c.
-    Each phi_i - p is L_i t_i plus terms of degree >= 2, and those terms
-    cannot reach the t^gamma coefficient, since every term of the framed
-    g has degree >= |gamma|.  So each chart is read through degree 1
-    only, and ``pass``, value == coefficient, checks that the
-    ``tangent_space`` framing T_i agrees with the charts' linear terms
-    L_i.  sum |gamma_i| is the local vanishing order.
+    read as the ``affine_coordinates`` of that frame, and takes the
+    ``lowest_term`` c y^gamma of g along them, split into per-chart
+    blocks gamma_i.  The product's ``value`` is the gamma coefficient of
+    g along the joint coordinates, read by ``coefficient_along``, and
+    ``coefficient`` is c.  Each phi_i - p is L_i t_i plus terms of degree
+    >= 2, and those terms cannot reach the t^gamma coefficient, since
+    every term of the framed g has degree >= |gamma|.  So each chart is
+    read through degree 1 only, and ``pass``, value == coefficient,
+    checks that the ``tangent_space`` framing T_i agrees with the charts'
+    linear terms L_i.  sum |gamma_i| is the local vanishing order.
     """
     if g.is_zero():
         raise ZeroPolynomial("witness needs a nonzero polynomial")
@@ -156,8 +156,8 @@ def hasse_vanishing_witness(p, charts: list, g: Polynomial) -> dict:
         raise NotAJoint("tangent spaces do not span")
     F = charts[0].field
     point = [F.of(x) for x in p]
-    columns = list(zip(*(v for C in charts for v in tangent_space(C))))
-    gamma, c_val = lowest_term(g, AffineMap(F, columns, point, _trusted=True))
+    rows = zip(*(v for C in charts for v in tangent_space(C)))
+    gamma, c_val = lowest_term(g, affine_coordinates(rows, point))
     ends = itertools.accumulate(C.owner.dim for C in charts)
     gammas = [gamma[end - C.owner.dim : end] for C, end in zip(charts, ends)]
     coords = joint_coordinates(point, [(C.owner.dim, C.coordinates(1)) for C in charts])

@@ -1,9 +1,11 @@
 """Oracles that the tests build from the library's public pieces: the
-algebra of matrices and affine maps, greedy basis completion, a Hasse
-operator applied to a polynomial, a polynomial's expansion in a chart's
-local coordinates, read coefficient by coefficient, a flat's incidence and
-chart worked out at each point, its restriction to its own coordinates,
-a ledger walked on ambient rows, and W_p multiplied tuple by tuple."""
+algebra of matrices and affine maps, a solve and a nullspace, greedy
+basis completion, a polynomial scaled and pulled back along an affine
+map, a Hasse operator applied to a polynomial, a polynomial's expansion
+in a chart's local coordinates, read coefficient by coefficient, a
+flat's incidence and chart worked out at each point, its restriction to
+its own coordinates, a ledger walked on ambient rows, and W_p multiplied
+tuple by tuple."""
 
 import math
 from fractions import Fraction
@@ -11,29 +13,51 @@ from fractions import Fraction
 from jointslab import linalg
 from jointslab.balance import RootValue
 from jointslab.basis import BasisLedger, LedgerStep, default_cap, step_order
+from jointslab.errors import DimensionMismatch
 from jointslab.field import binom
 from jointslab.poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    affine_form,
     coefficient_along,
     expansion_row,
     exponents_of_degree,
     hasse_apply,
     monomials_upto,
-    pullback,
 )
 from jointslab.varieties import dim_regular_functions
-
-
-# The maps below are built as the library builds its own, ``_trusted``:
-# their entries are fresh rows of field elements, kept as they are.
 
 
 def mat_mul(F, A, B) -> list:
     """The matrix product A B."""
     cols = list(zip(*B))
     return [linalg.mat_vec(F, cols, row) for row in A]
+
+
+def solve(F, A, b):
+    """One solution of A x = b, free variables set to zero, or None if the
+    system is inconsistent."""
+    n = len(A[0]) if A else 0
+    red = linalg.IncrementalRowReducer(F)
+    for row, bv in zip(A, b):
+        red.insert([*row, bv])
+    pivots = red.rref()
+    if n in pivots:
+        return None
+    x = [F.zero] * n
+    for c, row in pivots.items():
+        x[c] = row[n]
+    return x
+
+
+def nullspace(F, A):
+    """Basis of the right nullspace of A: one vector per free column, in
+    column order."""
+    red = linalg.IncrementalRowReducer(F)
+    for row in A:
+        red.insert(row)
+    return linalg.rref_nullspace(F, red.rref(), len(A[0]) if A else 0)
 
 
 def complete_basis(F, vectors, n: int) -> list:
@@ -57,29 +81,42 @@ def apply(T: AffineMap, point) -> list:
     return [F.add(v, t) for v, t in zip(linalg.mat_vec(F, T.matrix, point), T.translation)]
 
 
+def scale(g: Polynomial, c) -> Polynomial:
+    """c g."""
+    F = g.field
+    c = F.of(c)
+    return Polynomial(F, g.nvars, {e: F.mul(c, v) for e, v in g.terms.items()})
+
+
 def apply_operator(D: HasseOperator, g: Polynomial) -> Polynomial:
     """D g = sum_w c_w Hasse^w g, by ``hasse_apply``'s binomials."""
     acc = Polynomial.zero(g.field, g.nvars)
     for w, c in D.combo.items():
-        acc = acc + hasse_apply(w, g).scale(c)
+        acc = acc + scale(hasse_apply(w, g), c)
     return acc
 
 
 def identity_map(F, d) -> AffineMap:
-    return AffineMap(F, linalg.identity(F, d), [F.zero] * d, _trusted=True)
+    return AffineMap(F, linalg.identity(F, d), [F.zero] * d)
 
 
 def compose(S: AffineMap, T: AffineMap) -> AffineMap:
     """S after T: x -> S(T(x))."""
     F = S.field
     b = [F.add(v, t) for v, t in zip(linalg.mat_vec(F, S.matrix, T.translation), S.translation)]
-    return AffineMap(F, mat_mul(F, S.matrix, T.matrix), b, _trusted=True)
+    return AffineMap(F, mat_mul(F, S.matrix, T.matrix), b)
 
 
 def inverse(T: AffineMap) -> AffineMap:
-    F = T.field
-    A = linalg.inverse(F, T.matrix)
-    return AffineMap(F, A, [F.neg(v) for v in linalg.mat_vec(F, A, T.translation)], _trusted=True)
+    F, A = T.field, T.inverse
+    return AffineMap(F, A, [F.neg(v) for v in linalg.mat_vec(F, A, T.translation)])
+
+
+def pullback(g: Polynomial, T: AffineMap) -> Polynomial:
+    """g composed with T, i.e. substitute x -> Ax + b and expand."""
+    if T.dim != g.nvars:
+        raise DimensionMismatch("map/ring dimension mismatch")
+    return g.substitute([affine_form(g.field, row, b) for row, b in zip(T.matrix, T.translation)])
 
 
 def substitute_through(g: Polynomial, images: list, N: int) -> Polynomial:
@@ -95,9 +132,10 @@ def substitute_through(g: Polynomial, images: list, N: int) -> Polynomial:
 def local_expansion(C, g: Polynomial, N: int) -> Polynomial:
     """g as a power series in the chart's local coordinates through degree
     N: (t_1, ..., t_k, h_{k+1}, ..., h_d) substituted into the framed g."""
-    k = C.owner.dim
-    images = [Polynomial.variable(C.field, k, i) for i in range(k)] + C.series(N)
-    return substitute_through(pullback(g, C.frame_inverse), images, N)
+    F, k = C.field, C.owner.dim
+    images = [Polynomial.variable(F, k, i) for i in range(k)] + C.series(N)
+    framed = g.substitute([affine_form(F, row, b) for row, b in zip(C.frame, C.center)])
+    return substitute_through(framed, images, N)
 
 
 def v_vector(p, r: int, h, P) -> dict:
@@ -120,16 +158,16 @@ def flat_contains(V, p, F) -> bool:
 
 
 def flat_chart_parts(V, p, F) -> tuple:
-    """(center, frame_inverse matrix, translation, scale, tangent rows) of
-    the flat V's chart at p, from its directions completed by
-    ``complete_basis`` at the point: the matrix's columns are that basis,
-    and the scale the lcm of its denominators over Q."""
+    """(center, frame rows, scale, tangent rows) of the flat V's chart at
+    p, from its directions completed by ``complete_basis`` at the point:
+    the frame's columns are that basis, and the scale the lcm of its
+    denominators over Q."""
     p = [F.of(x) for x in p]
     dirs = [[F.of(x) for x in u] for u in V.directions]
     basis = complete_basis(F, dirs, V.ambient)
     matrix = [[v[i] for v in basis] for i in range(V.ambient)]
     scale = 1 if F.p else math.lcm(*(x.denominator for row in matrix for x in row))
-    return tuple(p), matrix, p, scale, dirs
+    return tuple(p), matrix, scale, dirs
 
 
 def carrier_coordinates(V, p, F):
@@ -138,7 +176,7 @@ def carrier_coordinates(V, p, F):
     that flat."""
     dirs = [[F.of(x) for x in u] for u in V.directions]
     cols = [[u[i] for u in dirs] for i in range(V.ambient)]
-    return linalg.solve(F, cols, [F.sub(F.of(a), F.of(b)) for a, b in zip(p, V.point)])
+    return solve(F, cols, [F.sub(F.of(a), F.of(b)) for a, b in zip(p, V.point)])
 
 
 def restriction_matrix(V, F, n) -> list:

@@ -141,7 +141,7 @@ def detect_by_is_joint(F, families, candidates):
         for fi, fam in enumerate(families):
             regular = []
             for mi, V in enumerate(fam.members):
-                if contains_point(V, p, F):
+                if contains_point(V, p, F) is not None:
                     try:
                         charts[fi, mi] = make_chart(V, p, F)
                     except SingularPoint:
@@ -325,7 +325,7 @@ def test_generic_hyperplanes_d3():
     # each joint lies on exactly 3 of the lines
     for p in cfg.joints:
         on = sum(
-            1 for V in cfg.families[0].members if contains_point(V, p, F)
+            1 for V in cfg.families[0].members if contains_point(V, p, F) is not None
         )
         assert on == 3
     assert all(cfg.M(i) == 1 for i in range(10))
@@ -445,5 +445,6 @@ def test_joints_on_geometric():
             for ref in cfg.all_members():
                 V = cfg.member(ref)
                 assert cfg.joints_on(ref) == [
-                    i for i, p in enumerate(cfg.joints) if contains_point(V, p, cfg.field)
+                    i for i, p in enumerate(cfg.joints)
+                    if contains_point(V, p, cfg.field) is not None
                 ]

@@ -2,7 +2,8 @@
 module, every private top-level name of the library is used, and every
 public top-level function or class of the library, and every public
 method of a library class, is read by something other than the unit
-tests.
+tests.  No function of the library takes a parameter whose name starts
+with ``_``: a private flag is a second construction path for one value.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
 with ``ast``.  The library's ``__init__.py`` is skipped by the import
@@ -197,3 +198,43 @@ def test_every_public_library_method_is_read_outside_tests():
     library = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
     named = _traced_names() | _entry_points()
     assert unread_public_methods(library, [ACCEPTANCE.read_text()], named) == []
+
+
+def underscore_parameters(source: str) -> list:
+    """(qualified name, parameter) for each parameter of a ``def`` whose
+    name starts with ``_``, the function named through the classes and
+    functions that enclose it, in source order."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    params = (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                    out.extend((name, arg.arg) for arg in params
+                               if arg is not None and arg.arg.startswith("_"))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_underscore_parameter_detector_finds_private_flags():
+    source = ("class A:\n    def __init__(self, x, _trusted=False, *, _ranked=True):\n"
+              "        pass\n    def ok(self, y):\n        pass\n"
+              "def f(a, _z=None, *_rest, **_kw):\n    def g(_b, /):\n        pass\n"
+              "if True:\n    def h(__c):\n        pass\n")
+    assert underscore_parameters(source) == [
+        ("A.__init__", "_trusted"), ("A.__init__", "_ranked"), ("f", "_z"), ("f", "_rest"),
+        ("f", "_kw"), ("f.g", "_b"), ("h", "__c"),
+    ]
+
+
+def test_no_library_function_takes_an_underscore_parameter():
+    found = [(p.stem, *hit) for p in sorted(PACKAGE.glob("*.py"))
+             for hit in underscore_parameters(p.read_text())]
+    assert found == []

@@ -14,12 +14,10 @@ from jointslab.linalg import (
     identity,
     inverse,
     mat_vec,
-    nullspace,
     rank,
-    solve,
 )
 
-from oracles import complete_basis, mat_mul
+from oracles import complete_basis, mat_mul, nullspace, solve
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)

@@ -14,6 +14,7 @@ from jointslab.balance import build_all_ledgers
 from jointslab.basis import Handicap
 from jointslab.config import Family, detect_joints
 from jointslab.errors import (
+    DimensionMismatch,
     NotOnVariety,
     SingularPoint,
     UnsupportedKind,
@@ -30,7 +31,6 @@ from jointslab.poly import (
     format_poly,
     monomials_upto,
     parse_poly,
-    pullback,
     taylor_shift,
 )
 from jointslab.varieties import (
@@ -59,8 +59,10 @@ from oracles import (
     identity_map,
     inverse,
     local_expansion,
+    pullback,
     restricted,
     restriction_matrix,
+    scale,
     substitute_through,
 )
 
@@ -79,6 +81,11 @@ def circle_through_origin(F=FQ):
     )
 
 
+def parametrization(C) -> AffineMap:
+    """The chart's parametrization x = A' y + center as an AffineMap."""
+    return AffineMap(C.field, C.frame, C.center)
+
+
 def plane_flat(F=FQ, d=2):
     dirs = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
     return VarietySpec(kind="flat", ambient=d, dim=d, degree=1, point=(0,) * d, directions=dirs)
@@ -92,8 +99,8 @@ def test_flat_membership_and_tangent():
         kind="flat", ambient=3, dim=2, degree=1,
         point=(1, 0, 0), directions=((1, 1, 0), (0, 0, 1)),
     )
-    assert contains_point(V, (2, 1, 5), FQ)
-    assert not contains_point(V, (2, 2, 0), FQ)
+    assert contains_point(V, (2, 1, 5), FQ) == [1, 5]
+    assert contains_point(V, (2, 2, 0), FQ) is None
     assert_tangent_span(make_chart(V, (1, 0, 0), FQ), [[1, 1, 0], [0, 0, 1]])
 
 
@@ -107,9 +114,9 @@ def assert_tangent_span(C, expected):
 
 def test_circle_membership():
     V = circle_through_origin()
-    assert contains_point(V, (0, 0), FQ)
-    assert contains_point(V, (0, 1), FQ)
-    assert not contains_point(V, (1, 1), FQ)
+    assert contains_point(V, (0, 0), FQ) == [0, 0]
+    assert contains_point(V, (0, 1), FQ) == [0, 1]
+    assert contains_point(V, (1, 1), FQ) is None
 
 
 def test_graph_kind():
@@ -119,8 +126,8 @@ def test_graph_kind():
         kind="graph", ambient=3, dim=2, degree=2,
         frame=identity_map(FQ, 3), graph_polys=(f,),
     )
-    assert contains_point(V, (2, 3, 6), FQ)
-    assert not contains_point(V, (2, 3, 5), FQ)
+    assert contains_point(V, (2, 3, 6), FQ) == [2, 3, 6]
+    assert contains_point(V, (2, 3, 5), FQ) is None
     # tangent at (2,3,6): e1 + 3 e3 and e2 + 2 e3
     assert_tangent_span(make_chart(V, (2, 3, 6), FQ), [[1, 0, 3], [0, 1, 2]])
 
@@ -171,7 +178,8 @@ def test_circle_chart_series():
     V = circle_through_origin()
     C = make_chart(V, (0, 0))
     assert format_poly(C.series(6)[0]) == "1 * x1^2 + 1 * x1^4 + 2 * x1^6"
-    assert apply(inverse(C.frame_inverse), [Fraction(0), Fraction(0)]) == [Fraction(0), Fraction(0)]
+    origin = [Fraction(0), Fraction(0)]
+    assert apply(inverse(parametrization(C)), origin) == origin
 
 
 def test_circle_chart_other_point():
@@ -213,10 +221,10 @@ def _assert_chart_consistent(C, N=4):
     """Substituting (t, h(t)) into the framed equations must vanish
     through degree N."""
     for e in ambient_equations(C.owner):
-        eq = pullback(e, C.frame_inverse)
+        eq = pullback(e, parametrization(C))
         # framed equations live in chart coordinates; local_expansion takes
         # an ambient polynomial, so push back through the frame first
-        assert local_expansion(C, pullback(eq, inverse(C.frame_inverse)), N).is_zero()
+        assert local_expansion(C, pullback(eq, inverse(parametrization(C))), N).is_zero()
 
 
 def test_chart_consistency_samples():
@@ -237,7 +245,7 @@ def test_chart_consistency_samples():
         t = Fraction(num, den)
         x = t / (1 + t * t)
         y = t * t / (1 + t * t)
-        assert contains_point(V, (x, y), FQ)
+        assert contains_point(V, (x, y), FQ) == [x, y]
         C = make_chart(V, (x, y))
         _assert_chart_consistent(C)
 
@@ -306,7 +314,7 @@ def _contraction_series(E2, N):
     t = [Polynomial.variable(F, k, i) for i in range(k)]
     h = Polynomial.zero(F, k)
     for _ in range(N + 1):
-        nxt = h - substitute_through(E2, t + [h], N).scale(F.inv(c))
+        nxt = h - scale(substitute_through(E2, t + [h], N), F.inv(c))
         if nxt == h:
             break
         h = nxt
@@ -323,9 +331,9 @@ def _contraction_chart(V, p, N, F):
     k, d = V.dim, V.ambient
     on_flat = [Polynomial.variable(F, k + 1, i) for i in range(k + 1)]
     on_flat += [Polynomial.zero(F, k + 1)] * (d - k - 1)
-    E2 = pullback(ambient_equations(V)[0], C0.frame_inverse).substitute(on_flat)
+    E2 = pullback(ambient_equations(V)[0], parametrization(C0)).substitute(on_flat)
     series = [_contraction_series(E2, N).terms] + [{} for _ in range(d - k - 1)]
-    return Chart(V, C0.center, C0.frame_inverse, series)
+    return Chart(V, C0.center, C0.field, C0.frame, C0.z, series)
 
 
 def random_hypersurface(F, rng, k, d, deg):
@@ -369,8 +377,7 @@ def test_series_solve_matches_contraction(field):
                     for C in (stepped, make_chart(V, p, F)):
                         assert [Polynomial(F, k, {e: c for e, c in h.terms.items() if sum(e) <= N})
                                 for h in C.series(N)] == ref.series(N)
-                        assert C.frame_inverse.matrix == ref.frame_inverse.matrix
-                        assert C.frame_inverse.translation == ref.frame_inverse.translation
+                        assert C.frame == ref.frame and C.center == ref.center
                         assert _through(C.coordinates(N), N) == _through(ref.coordinates(N), N)
                         for e in ambient_equations(V):
                             assert local_expansion(C, e, N).is_zero()
@@ -385,7 +392,7 @@ def _frame_from_columns(F, basis_vectors, center):
     M = [[basis_vectors[j][i] for j in range(d)] for i in range(d)]  # columns = vectors
     A = linalg.inverse(F, M)
     b = [F.neg(v) for v in linalg.mat_vec(F, A, center)]
-    return AffineMap(F, A, b, _trusted=True)
+    return AffineMap(F, A, b)
 
 
 def _forward_frame(V, p, F):
@@ -403,7 +410,7 @@ def _forward_frame(V, p, F):
             g = taylor_shift(f, y0[:k])
             for i in range(k):
                 S[k + j][i] = F.neg(g.coefficient(tuple(int(a == i) for a in range(k))))
-        shift = AffineMap.translation_map(F, [F.neg(v) for v in y0])
+        shift = AffineMap(F, linalg.identity(F, d), [F.neg(v) for v in y0])
         return compose(AffineMap(F, S, [0] * d), compose(shift, V.frame))
     dirs = [[F.of(x) for x in u] for u in V.directions]
     if V.kind == "flat":
@@ -432,21 +439,21 @@ def _forward_frame(V, p, F):
 
 @pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
 def test_parametrization_is_the_inverted_frame(field):
-    # frame_inverse, read off the basis columns (one inverse for a graph),
-    # equals the inverse of the forward frame entry for entry, in value
-    # and in type
+    # the chart's frame rows and center, read off the basis columns, equal
+    # the inverse of the forward frame entry for entry, in value and in
+    # type
     F = FIELDS[field]
     rng = random.Random(11)
     cases = list(off_origin_varieties(F).values())
     cases += [random_hypersurface(F, rng, k, d, deg)
               for k in (1, 2) for d in (k + 1, k + 2) for deg in (2, 3)]
     for V, p in cases:
-        got = make_chart(V, p, F).frame_inverse
+        got = make_chart(V, p, F)
         want = inverse(_forward_frame(V, p, F))
-        for a, b in ((got.matrix, want.matrix), ([got.translation], [want.translation])):
+        for a, b in ((got.frame, want.matrix), ([got.center], [want.translation])):
             assert [list(row) for row in a] == b
             assert [[type(x) for x in row] for row in a] == [[type(x) for x in row] for row in b]
-        assert got.translation == [F.of(x) for x in p]
+        assert got.center == tuple(F.of(x) for x in p)
 
 
 def _flat_cases(F, rng):
@@ -493,19 +500,18 @@ def test_flat_incidence_worked_out_once_matches_the_per_point_oracles(field):
             for q in points:
                 on = flat_contains(V, q, Ff)
                 met.add(on)
-                assert contains_point(V, q, Ff) == on
+                assert (contains_point(V, q, Ff) is not None) == on
                 if not on:
                     with pytest.raises(NotOnVariety):
                         make_chart(V, q, Ff)
                     continue
                 C = make_chart(V, q, Ff)
-                inv = C.frame_inverse
-                got = (C.center, inv.matrix, inv.translation, C.scale, tangent_space(C))
+                got = (C.center, C.frame, C.scale, tangent_space(C))
                 want = flat_chart_parts(V, q, Ff)
                 assert got == want
-                assert [type(x) for row in inv.matrix for x in row] == [
+                assert [type(x) for row in C.frame for x in row] == [
                     type(x) for row in want[1] for x in row]
-                rows += inv.matrix
+                rows += C.frame
         assert len({id(row) for row in rows}) == len(rows)
         assert set(V._carriers) == set(fields)
         fresh = VarietySpec(kind="flat", ambient=V.ambient, dim=V.dim, degree=1,
@@ -536,16 +542,30 @@ def test_hypersurface_incidence_reads_its_carrier_flat(field):
                 met.add(z is None)
                 q = [F.of(x) for x in q]
                 assert (car.coordinates(q) if car.holds(q) else None) == z
-                assert contains_point(V, q, F) == (z is not None
-                                                   and not V.surface_poly.evaluate(z))
+                on = z is not None and not V.surface_poly.evaluate(z)
+                assert contains_point(V, q, F) == (z if on else None)
             assert make_chart(V, p, F).center == tuple(F.of(x) for x in p)
             assert set(V._carriers) == {F}
     assert met == {True, False}
 
 
+def test_curved_members_are_read_over_their_own_field_only():
+    # a graph's frame and its inverse, and a hypersurface's equation, hold
+    # their field: read over another, a carrier would mix elements of two
+    # fields, so it is refused
+    graph = VarietySpec(kind="graph", ambient=2, dim=1, degree=2,
+                        frame=AffineMap(FQ, [[1, 0], [0, 2]], [0, 0]),
+                        graph_polys=(parse_poly("1 * x1^2", FQ, 1),))
+    for V in (graph, circle_through_origin()):
+        with pytest.raises(DimensionMismatch):
+            contains_point(V, (0, 0), FP)
+        assert contains_point(V, (0, 0), FQ) == [0, 0]
+
+
 def test_a_curved_chart_reads_its_carrier_coordinates_once(monkeypatch):
-    # the membership test and the chart of a graph or a hypersurface both
-    # read z = W (p - base); make_chart computes it once, a flat's never
+    # the membership test and the chart both read z = W (p - base):
+    # make_chart computes it once, in its one contains_point, and keeps it,
+    # so a flat's ledger rows read the chart's z and not the carrier
     cls = type(_carrier(plane_flat(), FQ))
     real, calls = cls.coordinates, []
 
@@ -557,10 +577,13 @@ def test_a_curved_chart_reads_its_carrier_coordinates_once(monkeypatch):
     graph = VarietySpec(kind="graph", ambient=3, dim=2, degree=2, frame=identity_map(FQ, 3),
                         graph_polys=(parse_poly("1 * x1 x2", FQ, 2),))
     for V, p, reads in [(graph, (2, 3, 6), 1), (circle_through_origin(), (0, 1), 1),
-                        (plane_flat(), (4, 5), 0)]:
+                        (plane_flat(), (4, 5), 1)]:
         calls.clear()
-        make_chart(V, p, FQ)
+        C = make_chart(V, p, FQ)
         assert len(calls) == reads
+    calls.clear()
+    C.row_coordinates(2)
+    assert calls == []
 
 
 def test_tangent_space_matches_directions():
@@ -596,7 +619,7 @@ def test_derivative_operator_is_the_conjugated_framed_operator(field):
         C = make_chart(V, p, F)
         for gamma in monomials_upto(V.dim, 5):
             framed = derivative_operator(C, gamma, ambient=False)
-            assert derivative_operator(C, gamma) == conjugate_operator(framed, C.frame_inverse)
+            assert derivative_operator(C, gamma) == conjugate_operator(framed, parametrization(C))
 
 
 def test_operator_leading_part_is_hasse():

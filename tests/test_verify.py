@@ -30,7 +30,6 @@ from jointslab.poly import (
     expansion_row,
     monomials_upto,
     parse_poly,
-    pullback,
     taylor_shift,
 )
 from jointslab.varieties import VarietySpec, ambient_equations, derivative_operator, make_chart
@@ -45,7 +44,7 @@ from jointslab.verify import (
 )
 
 from curved import circle_and_lines, line, parabola_and_circle
-from oracles import inverse
+from oracles import inverse, pullback
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
