@@ -8,14 +8,14 @@ t^gamma Taylor coefficient along the chart's parametrization
 (``poly.expansion_row``); a greedy maximal independent subset is kept.
 The walk stops when the selected rows span the dual of R_{V, <= n},
 giving the counts |B^r_{p,V}| whose per-joint totals drive the counting
-argument.  A flat's rows are functionals on F[u]_{<= n}, u its own
-coordinates, which restriction g -> g(base + D u) maps F[x]_{<= n} onto:
-so a set of them is independent exactly when the ambient functionals
-are, and a walk picks the same gammas on C(n+k, k) columns instead of
-C(n+d, d).  Other kinds' rows are ambient.  Each row is read in the
-chart the configuration built for (V, p) at detection and memoised
-there by gamma; a joint where V is singular, with no chart, adds no
-step.  A ledger keeps the selected gammas only: with those charts, they
+argument.  Every row is a functional on F[u]_{<= n}, u the c coordinates
+of the space the chart reads its rows in (``Chart.row_coordinates``),
+which restriction g -> g(base + D u) maps F[x]_{<= n} onto: so a set of
+them is independent exactly when the ambient functionals are, and a walk
+picks the same gammas on C(n+c, c) columns instead of C(n+d, d).  Each
+row is read in the chart the configuration built for (V, p) at
+detection and memoised there by gamma; a joint where V is singular, with
+no chart, adds no step.  A ledger keeps the selected gammas only: with those charts, they
 are all the rank check reads.
 """
 
@@ -63,22 +63,19 @@ def functional_rows(C: Chart, r: int, n: int) -> dict:
     """{gamma: row} for the local gammas with |gamma| = r, in graded-lex
     order: the row of g -> D^gamma g(p), p the chart's center, the t^gamma
     coefficient of g along the chart's parametrization phi.  Each is the
-    ``expansion_row`` of gamma along the chart's ``row_coordinates``.
+    ``expansion_row`` of gamma along the chart's ``row_coordinates``,
+    z + B (lambda t, h(lambda t)) with lambda its ``row_scale``, in the
+    coordinates u of the space it reads rows in, for every kind: so
+    D^gamma g(p) is lambda^-|gamma| [t^gamma] G(u(t)) for the restriction
+    G(u) = g(base + D u), and the row runs over the monomials of
+    ``monomials_upto(c, n)``.  Times the restriction matrix, whose row
+    epsilon is the expansion row of u^epsilon along base + D u, it is
+    lambda^|gamma| times the ambient row; that matrix has independent
+    rows, since restriction is onto, so both sets of rows have the same
+    independent subsets.  Over Q the rows are built in ints, except where
+    a non-integral z puts a ``Fraction`` in them.
 
-    For a flat, phi(t) = base + D (u_p + t), so D^gamma g(p) is
-    [t^gamma] G(u_p + t) for G(u) = g(base + D u) in F[u]_{<= n}, and
-    the row runs over the monomials u^epsilon of ``monomials_upto(k, n)``.
-    Times the restriction matrix, whose row epsilon is the expansion row
-    of u^epsilon along base + D u, it is the ambient row; that matrix has
-    independent rows, since restriction is onto, so both sets of rows have
-    the same independent subsets.  Over Q a non-integral u_p gives
-    ``Fraction`` entries.  For any other kind the row runs over the
-    monomials x^delta of ``monomials_upto(d, n)`` along the chart's
-    ``scaled_coordinates`` x(phi(lambda t)), lambda its ``scale``: the
-    ambient row times lambda^|gamma|, a row scalar, so the rows impose the
-    same conditions, and over Q they are built in ints.
-
-    Either row reads the coordinates through degree r only, and lambda is
+    A row reads the coordinates through degree r only, and lambda is
     fixed with the chart, so one memo per degree bound serves the chart as
     its series grows.  The memo is the chart's ``expansion_memos`` entry,
     so each row is built once per chart; callers share the rows and must
@@ -230,8 +227,8 @@ def T_dimension(charts: list, v, n: int) -> int:
     ``charts`` holds one chart per point (all on the same variety, which
     may be the full ambient space presented as a flat); v is the
     corresponding list of required orders.  It is dim R_{V,<=n} less the
-    rank of the ``functional_rows`` of orders below v_p: over F[u]_{<= n}
-    for a flat, whose restriction is onto it, ambient otherwise.
+    rank of the ``functional_rows`` of orders below v_p, read in each
+    chart's row coordinates, onto which restriction is onto.
     """
     if not charts:
         raise ChartMissing("at least one chart is required")

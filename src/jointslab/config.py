@@ -179,9 +179,9 @@ def detect_joints(
     no chart (its chart is None, and it joins no tuple).  A chart's frame
     gives the tangent rows without solving any series term.  Every
     member's membership test and chart read its carrier, the affine space
-    it lives in with its equations, coordinates and basis completion,
-    worked out once per member (when a config is loaded, else on its
-    first candidate) and kept on it.  Every member must live in F^d with
+    it lives in with its equations and coordinates, worked out once per
+    member (when a config is loaded, else on its first candidate) and kept
+    on it.  Every member must live in F^d with
     d = sum m_i k_i, else DimensionMismatch, which is what ``is_joint``
     raises on a tuple whose dimensions do not sum to its ambient one.
 

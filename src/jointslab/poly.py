@@ -526,7 +526,8 @@ def conjugate_operator(D: HasseOperator, T: AffineMap) -> HasseOperator:
     """The operator D' with D' g = (D (g o T)) o T^{-1}.
 
     No library path calls it: conjugating a chart's framed operator with
-    the chart's parametrization gives its ambient one, which
+    the chart's parametrization, its frame completed to a square one,
+    gives its ambient one, which
     ``varieties.derivative_operator`` reads off one expansion row, and the
     tests check the two against each other; the benchmark's per-layer
     trace counts it.

@@ -10,29 +10,28 @@ none for a flat, the graph equations, or the hypersurface's equation.
 ``contains_point`` returns a point's z, or None off V, and the chart
 built there keeps it.
 
-A chart frames a regular point p of a k-dimensional variety V so that p
-sits at the origin with the tangent space along the first k coordinates;
-the remaining coordinates are graphs of power series h_i with no
-constant or linear part: zero for a flat, a graph's Taylor shift, and
+A chart frames a regular point p of a k-dimensional variety V in c
+coordinates w, c the carrier's dimension, with p at w = 0, the tangent
+space along the first k and the others power series h_i(t) with no
+constant or linear part: none for a flat, a graph's Taylor shift, and
 for a hypersurface the solution of its framed equation E(t, h(t)) = 0,
 solved one coefficient at a time, in graded order, each read off one
 ``poly.expansion_row`` row along (t, h), and only as far as a reader
-asks.  A chart holds its frame as plain rows, and every framing here is
-read as coordinate maps, with no ``AffineMap`` built.
-``Chart.coordinates(r)`` is the resulting parametrization phi of
-V near p through degree r.  The functional g -> D^gamma g(p) attached to
-a local exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads
-phi through degree |gamma| only; ledgers, the rank check and the witness
-read it as ``poly.expansion_row`` rows.  The rank check, and the ledgers
-of graphs and hypersurfaces, read them along ``Chart.scaled_coordinates``,
-x(phi(lambda t)) for the chart's fixed ``scale`` lambda, whose
-coefficients over Q are ints in every degree >= 1: each row is then
-lambda^|gamma| times the exact one and is built in ints.  A flat's
-ledger rows are read in its own coordinates u (``Chart.row_coordinates``,
-u_p + t for the center's carrier coordinates u_p), as functionals on
-F[u]_{<= n}, onto which restriction to the flat maps F[x]_{<= n}:
-C(n+k, k) columns instead of C(n+d, d), with the same independent
-subsets.  ``derivative_operator`` writes the same
+asks.  A chart holds its frames as plain rows, with no ``AffineMap``
+built.  ``Chart.coordinates(r)`` is the parametrization phi of V near p
+through degree r.  The functional g -> D^gamma g(p) attached to a local
+exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads phi
+through degree |gamma| only; ledgers, the rank check and the witness
+read it as ``poly.expansion_row`` rows.  The rank check reads them along
+``Chart.scaled_coordinates``, x(phi(lambda t)), and every ledger along
+``Chart.row_coordinates``, z + B (lambda t, h(lambda t)) in the space
+the chart reads its rows in: a flat's own, a hypersurface's carrier
+flat, a graph's ambient space.  Restriction takes F[x]_{<= n} onto
+F[u]_{<= n} on that space, so its rows have the same independent
+subsets as ambient ones, on C(n+c, c) columns instead of C(n+d, d).
+Each lambda is fixed with the chart, and its coordinates over Q are
+ints in every degree >= 1, so each row is lambda^|gamma| times the exact
+one and is built in ints.  ``derivative_operator`` writes the same
 functional as ambient Hasse derivatives, its coefficients one expansion
 row along the centered coordinates phi(t) - p: library API and the test
 oracle for those rows.
@@ -153,44 +152,52 @@ def _graph_degree(polys) -> int:
 class Chart:
     """Framed local presentation of a variety at a regular point.
 
-    The chart is its parametrization x = A' y + center, from framed
-    coordinates y to ambient ones.  ``frame`` holds the rows of A', whose
-    first k columns span the tangent space, next to the ``center`` and
-    the ``field``; the series ``h`` give the framed coordinates
-    y_{k+1..d} = h(y_1..y_k) of V near the center; and ``z`` holds the
-    center's carrier coordinates, which its one membership test read.  No
-    forward frame and no inverse is kept.
+    The series ``h`` give V near the center as w = (t, h(t)), t the k
+    local variables and h_{k+1..c} power series with no constant or
+    linear part, c - k of them: none for a flat, one for a hypersurface,
+    d - k for a graph.  The chart holds w in two coordinate systems, each
+    an affine map q + M w read as plain rows.  ``center`` and ``frame``
+    (d x c, whose first k columns span the tangent space) give ambient
+    ones, x = center + A' w; no forward frame and no inverse is kept.
+    ``z`` and ``basis`` (c x c) give those its ledger rows are read in,
+    z + B w, onto which restriction from F[x]_{<= n} is onto: a flat's own
+    coordinates u, with z = u_p and B = I; a hypersurface's carrier flat,
+    with z the coordinates its membership test read; and for a graph the
+    ambient ones, z = center and B = A'.
 
     Readers pass the order r they need and get series and coordinates
     exact through degree r, possibly with higher terms: a hypersurface's
     ``solver``, the ``_solve_series`` generator (None for every other
-    chart, whose series are exact), grows its series one degree per step,
-    on demand.
+    chart), grows its series one degree per step, on demand.
 
-    ``scale`` is a positive integer lambda, fixed when the chart is made,
-    such that the coordinates x(phi(lambda t)) have integral coefficients
-    in every degree >= 1 (1 over F_p).  Rows read along them are rows read
-    along x(phi(t)) times lambda^|gamma|, so they span the same conditions
-    and can be built in ints; ``scaled_coordinates`` holds them.  A flat's
-    ledger rows are read in its own coordinates, ``row_coordinates``."""
+    Each reader has a positive integer scale lambda, fixed when the chart
+    is made (1 over F_p), such that its coordinates at lambda t have
+    integral coefficients in every degree >= 1.  Rows read along them are
+    rows read along the exact ones times lambda^|gamma|, so they span the
+    same conditions and can be built in ints.  ``scale`` serves the
+    ambient ``scaled_coordinates`` that the rank check reads, so it clears
+    the denominators of A', that is of the carrier's directions as well;
+    ``row_scale`` serves ``row_coordinates`` and clears only those of B
+    and the series."""
 
     owner: VarietySpec
     center: tuple
     field: FieldSpec
-    frame: list = dc_field(repr=False)  # rows of A'; the origin maps to the center
-    z: list = dc_field(repr=False)  # the center's carrier coordinates
-    h: list = dc_field(repr=False)  # h_{k+1..d} as {beta: c} maps
+    frame: list = dc_field(repr=False)  # rows of A' (d x c); w = 0 maps to the center
+    z: list = dc_field(repr=False)  # the center in the row coordinates
+    basis: list = dc_field(repr=False)  # rows of B (c x c)
+    h: list = dc_field(repr=False)  # h_{k+1..c} as {beta: c} maps
     scale: int = 1
+    row_scale: int = 1
     solver: object = dc_field(default=None, repr=False, compare=False)
     # the series are exact through this degree: every degree without a
     # solver, else 1 until the solver steps
     _solved: float = dc_field(init=False, repr=False)
-    # (exact through, coordinates)
+    # (exact through, coordinates), one per coordinate system
     _coords: tuple | None = dc_field(default=None, init=False, repr=False)
+    _rows: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
     # (coordinates, scaled_coordinates of them)
     _scaled_coords: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
-    # a flat's row_coordinates, built on first use
-    _local: list | None = dc_field(default=None, init=False, repr=False, compare=False)
     # the expansion rows that basis.functional_rows reads, one gamma -> row
     # memo per degree bound
     expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -203,38 +210,40 @@ class Chart:
             self._solved = next(self.solver)
 
     def series(self, r: int) -> list:
-        """h_{k+1..d} as polynomials in the local variables, exact through
-        degree r."""
+        """h_{k+1..c} as polynomials in t, exact through degree r."""
         self._grow(r)
         return [Polynomial(self.field, self.owner.dim, h) for h in self.h]
 
-    def coordinates(self, r: int) -> list:
-        """x_i(phi(t)) for each ambient coordinate, as {beta: c} maps over
-        the local variables, exact through degree r: center_i + sum_j
-        A'_ij img_j, with img_j = t_j for j < k and the series h_j
-        otherwise.  It is rebuilt only when the series grows.  Each map is
-        read off the row of A' and the series maps: the series have no
+    def _along(self, q, rows) -> list:
+        """q_i + sum_j M_ij w_j for each row of M, as {beta: c} maps over
+        the local variables, with w_j = t_j for j < k and the series h_j
+        otherwise.  Each map is read off the row: the series have no
         constant or linear part, so only their terms can collide."""
+        k, p = self.owner.dim, self.field.p
+        zero, units = (0,) * k, exponents_of_degree(k, 1)
+        coords = []
+        for row, b in zip(rows, q):
+            x = {zero: b} if b else {}
+            x.update((e, a) for e, a in zip(units, row) if a)
+            for a, h in zip(row[k:], self.h):
+                if a:
+                    for beta, c in h.items():
+                        v = x.get(beta, 0) + a * c
+                        if p:
+                            v %= p
+                        if v:
+                            x[beta] = v
+                        else:  # a * c != 0, so x held beta and it cancelled
+                            del x[beta]
+            coords.append(x)
+        return coords
+
+    def coordinates(self, r: int) -> list:
+        """x(phi(t)) = center + A' (t, h(t)), exact through degree r, rebuilt
+        only when the series grows."""
         if self._coords is None or self._coords[0] < r:
             self._grow(r)
-            k, p = self.owner.dim, self.field.p
-            zero, units = (0,) * k, exponents_of_degree(k, 1)
-            coords = []
-            for row, b in zip(self.frame, self.center):
-                x = {zero: b} if b else {}
-                x.update((e, a) for e, a in zip(units, row) if a)
-                for a, h in zip(row[k:], self.h):
-                    if a:
-                        for beta, c in h.items():
-                            v = x.get(beta, 0) + a * c
-                            if p:
-                                v %= p
-                            if v:
-                                x[beta] = v
-                            else:  # a * c != 0, so x held beta and it cancelled
-                                del x[beta]
-                coords.append(x)
-            self._coords = self._solved, coords
+            self._coords = self._solved, self._along(self.center, self.frame)
         return self._coords[1]
 
     def scaled_coordinates(self, r: int) -> list:
@@ -251,18 +260,14 @@ class Chart:
         return self._scaled_coords[1]
 
     def row_coordinates(self, r: int) -> list:
-        """The coordinates that ledger rows are read along, exact through
-        degree r.  A flat's are its own: it is base + D u in the
-        coordinates u along its directions D, and phi(t) = base +
-        D (u_p + t), u_p the center's carrier coordinates ``z``, so
-        g(phi(t)) is G(u_p + t) for the restriction G(u) = g(base + D u).
-        These are the k maps u_p + t, each value an ``int`` where it is
-        integral.  Every other chart's are its ``scaled_coordinates``."""
-        if self.owner.kind != "flat":
-            return self.scaled_coordinates(r)
-        if self._local is None:
-            self._local = shifted_coordinates(self.z)
-        return self._local
+        """z + B (lambda t, h(lambda t)), lambda = ``row_scale``, what ledger
+        rows are read along, exact through degree r, each value an ``int``
+        where it is integral over Q; rebuilt only when the series grows."""
+        if self._rows is None or self._rows[0] < r:
+            self._grow(r)
+            coords = self._along(self.z, self.basis)
+            self._rows = self._solved, coords if self.field.p else _scaled(coords, self.row_scale)
+        return self._rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +284,10 @@ def contains_point(V: VarietySpec, p, F: FieldSpec) -> list | None:
 
     p is on V when it is on V's carrier, by the carrier's equations, and
     z is on V's equations there: none for a flat, z_{k+j} = f_j(z_1..z_k)
-    for a graph and E(z) = 0 for a hypersurface.  ``make_chart`` keeps z
-    on its chart, so a chart reads it once."""
-    p = _coerce_point(F, p)
+    for a graph and E(z) = 0 for a hypersurface.  The point is read in
+    canonical field elements, or in ints, as ``make_chart`` and detection
+    pass it, so it is coerced once per chart attempt, by its caller.
+    ``make_chart`` keeps z on its chart, so a chart reads it once."""
     if len(p) != V.ambient:
         raise DimensionMismatch("point dimension mismatch")
     car = _carrier(V, F)
@@ -308,20 +314,14 @@ class _Carrier:
     ``coordinate_rows`` are the rows W with z = W v for every
     v = sum_i z_i dirs_i, so the carrier coordinates of a point p on it
     are W (p - base); a graph's W is A.  ``normals`` and ``offsets`` are
-    the carrier's equations a.x = c, which ``holds`` evaluates, and
-    ``completion`` the standard basis vectors that extend dirs to a basis
-    of F^d, the ones a greedy pass in index order appends; a graph has
-    neither.  A flat's are read off one reduced row echelon form, of the
-    rows (dirs_i | e_i) with the d direction columns in reverse order.
-    With the directions independent, its pivots are the trailing pivots
-    of their span: the columns j at which some vector of the span has its
-    last nonzero entry.  Those are exactly the e_j that the greedy pass
-    skips, so the completion is e_j for every other column j.  The
+    the carrier's equations a.x = c, which ``holds`` evaluates; a graph
+    has none.  A flat's are read off one reduced row echelon form, of the
+    rows (dirs_i | e_i) with the d direction columns in reverse order: the
     nullspace of its first d columns, read back in order, is the normals,
     and its last columns hold W.  Directions that are not independent
     raise ``MalformedInput``."""
 
-    __slots__ = ("field", "base", "dirs", "normals", "offsets", "completion", "coordinate_rows")
+    __slots__ = ("field", "base", "dirs", "normals", "offsets", "coordinate_rows")
 
     def __init__(self, V: VarietySpec, F: FieldSpec):
         d = V.ambient
@@ -331,7 +331,7 @@ class _Carrier:
             self.base = linalg.mat_vec(F, A, [F.neg(b) for b in V.frame.translation])
             self.dirs = [list(u) for u in zip(*A)]
             self.coordinate_rows = V.frame.matrix
-            self.normals, self.offsets, self.completion = [], [], []
+            self.normals, self.offsets = [], []
             return
         self.base = _coerce_point(F, V.point)
         self.dirs = dirs = [_coerce_point(F, u) for u in V.directions]
@@ -348,9 +348,6 @@ class _Carrier:
         for c, row in pivots.items():
             for j in range(k):
                 W[j][d - 1 - c] = row[d + j]
-        ends = {d - 1 - c for c in pivots}
-        self.completion = [[F.one if i == j else F.zero for i in range(d)]
-                           for j in range(d) if j not in ends]
 
     def holds(self, p) -> bool:
         """Whether the point p, in canonical field elements, is on the
@@ -424,18 +421,19 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
     """Build the local chart of V at the regular point p.
 
-    One ``contains_point`` settles membership and gives the point's
-    carrier coordinates z, which the chart keeps.  The frame is a basis
-    of the carrier in its coordinates, tangent directions first, mapped
-    to ambient vectors through the carrier's directions, then the
-    carrier's completion; its rows are read off those vectors, with no
-    inverse taken.  That basis is the directions themselves for a flat.
-    For a graph it is the axes, the first k of them plus the linear parts
-    of the f_j Taylor-shifted to z, whose higher parts are the series.
-    For a hypersurface it is the tangent vectors, then the gradient
-    direction, of E at z; E is framed once, E(z + B w), along the
-    ``affine_coordinates`` of that frame, and its series is solved by
-    ``_solve_series`` as far as the chart's readers ask."""
+    The point is coerced once, and one ``contains_point`` settles
+    membership and gives its carrier coordinates z.  Each kind gives a
+    basis of its carrier in z's coordinates, tangent vectors first, and
+    its series: for a flat the axes and no series; for a graph the axes,
+    the first k of them plus the linear parts of the f_j Taylor-shifted
+    to z, whose higher parts are the series; for a hypersurface the
+    tangent vectors, then the gradient direction, of E at z, and one
+    series, of E framed once, E(z + B w), along the ``affine_coordinates``
+    of that frame, solved by ``_solve_series`` as far as readers ask.  The
+    frame's columns are that basis mapped through the carrier's
+    directions, with no inverse taken.  Rows are read at z along that
+    basis, but a graph's along its frame, at its center: its frame
+    coordinates would put ``Fraction`` centers in its rows."""
     if F is None:
         F = _spec_field(V)
     p = _coerce_point(F, p)
@@ -444,40 +442,42 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
         raise NotOnVariety(f"point is not on the {V.kind}")
     d, k = V.ambient, V.dim
     car = _carrier(V, F)
-    series, solver, lam = [{} for _ in range(d - k)], None, 1
+    series, solver, lam = [], None, 1
+    cols = list(zip(*car.dirs))
     if V.kind == "flat":
-        basis = car.dirs
+        rows, frame = linalg.identity(F, k), [list(row) for row in cols]
+    elif V.kind == "graph":
+        shifted = [taylor_shift(f, z[:k]) for f in V.graph_polys]
+        B = linalg.identity(F, d)
+        for i, e in enumerate(exponents_of_degree(k, 1)):
+            B[i][k:] = [g.coefficient(e) for g in shifted]
+        series = [{e: c for e, c in g.terms.items() if sum(e) >= 2} for g in shifted]
+        frame = [list(row) for row in zip(*(linalg.mat_vec(F, cols, v) for v in B))]
+        z, rows = p, frame
     else:
-        if V.kind == "graph":
-            shifted = [taylor_shift(f, z[:k]) for f in V.graph_polys]
-            B = [[F.one if r == i else F.zero for r in range(d)] for i in range(d)]
-            for i, e in enumerate(exponents_of_degree(k, 1)):
-                B[i][k:] = [g.coefficient(e) for g in shifted]
-            series = [{e: c for e, c in g.terms.items() if sum(e) >= 2} for g in shifted]
-        else:
-            m, memo = k + 1, {}
-            grad = [coefficient_along(V.surface_poly, shifted_coordinates(z), e, memo)
-                    for e in exponents_of_degree(m, 1)]
-            i0 = next((i for i, a in enumerate(grad) if a), None)
-            if i0 is None:
-                raise SingularPoint("all first-order coefficients vanish at the point")
-            B = []
-            for i in range(m):
-                if i != i0:
-                    v = [F.zero] * m
-                    v[i], v[i0] = F.one, F.neg(F.div(grad[i], grad[i0]))
-                    B.append(v)
-            B.append([F.one if j == i0 else F.zero for j in range(m)])
-            E2 = polynomial_along(V.surface_poly, affine_coordinates(zip(*B), z), m)
-            solver = _solve_series(F, E2, series[0])
-            lam = _series_scale(F, E2)
-        cols = list(zip(*car.dirs))
-        basis = [linalg.mat_vec(F, cols, v) for v in B]
-    # rows of the chart's own: the vectors may be a carrier's, shared by
-    # every chart of its member
-    frame = [list(row) for row in zip(*basis, *car.completion)]
-    scale = _denominator_lcm(F, itertools.chain(*frame, *(h.values() for h in series)))
-    return Chart(V, tuple(p), F, frame, z, series, scale=scale * lam, solver=solver)
+        m, memo = k + 1, {}
+        grad = [coefficient_along(V.surface_poly, shifted_coordinates(z), e, memo)
+                for e in exponents_of_degree(m, 1)]
+        i0 = next((i for i, a in enumerate(grad) if a), None)
+        if i0 is None:
+            raise SingularPoint("all first-order coefficients vanish at the point")
+        B = []
+        for i in range(m):
+            if i != i0:
+                v = [F.zero] * m
+                v[i], v[i0] = F.one, F.neg(F.div(grad[i], grad[i0]))
+                B.append(v)
+        B.append([F.one if j == i0 else F.zero for j in range(m)])
+        rows = [list(row) for row in zip(*B)]
+        E2 = polynomial_along(V.surface_poly, affine_coordinates(rows, z), m)
+        series = [{}]
+        solver = _solve_series(F, E2, series[0])
+        lam = _series_scale(F, E2)
+        frame = [list(row) for row in zip(*(linalg.mat_vec(F, cols, v) for v in B))]
+    values = [h.values() for h in series]
+    scale = _denominator_lcm(F, itertools.chain(*frame, *values)) * lam
+    row_scale = _denominator_lcm(F, itertools.chain(*rows, *values)) * lam
+    return Chart(V, tuple(p), F, frame, z, rows, series, scale, row_scale, solver)
 
 
 def _denominator_lcm(F: FieldSpec, values) -> int:
@@ -556,11 +556,11 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
     c_w is [t^gamma] u(t)^w for u(t) = phi(t) - center: the expansion row
     of gamma along the centered chart coordinates.  As u has no constant
     term, |w| <= |gamma| suffices.  With ambient=False the operator acts
-    in the framed coordinates, where the center is the origin and
-    u(t) = (t, h(t)).
+    in the chart's c framed coordinates w, where the center is the origin
+    and u(t) = (t, h(t)).
     """
     F = C.field
-    d, k = C.owner.ambient, C.owner.dim
+    k = C.owner.dim
     gamma = tuple(gamma)
     if len(gamma) != k:
         raise DimensionMismatch("gamma must use the local variables")
@@ -571,7 +571,8 @@ def derivative_operator(C: Chart, gamma, ambient: bool = True) -> HasseOperator:
     else:
         coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h.terms for h in C.series(r)]
     row = expansion_row(F, coords, r, gamma, {})
-    return HasseOperator(F, d, {w: F.of(c) for w, c in zip(monomials_upto(d, r), row)})
+    nvars = len(coords)
+    return HasseOperator(F, nvars, {w: F.of(c) for w, c in zip(monomials_upto(nvars, r), row)})
 
 
 def derivative_space(C: Chart, r: int) -> list:

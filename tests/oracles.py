@@ -131,7 +131,8 @@ def substitute_through(g: Polynomial, images: list, N: int) -> Polynomial:
 
 def local_expansion(C, g: Polynomial, N: int) -> Polynomial:
     """g as a power series in the chart's local coordinates through degree
-    N: (t_1, ..., t_k, h_{k+1}, ..., h_d) substituted into the framed g."""
+    N: (t_1, ..., t_k, h_{k+1}, ..., h_c) substituted into g framed by the
+    chart's d x c frame."""
     F, k = C.field, C.owner.dim
     images = [Polynomial.variable(F, k, i) for i in range(k)] + C.series(N)
     framed = g.substitute([affine_form(F, row, b) for row, b in zip(C.frame, C.center)])
@@ -159,13 +160,11 @@ def flat_contains(V, p, F) -> bool:
 
 def flat_chart_parts(V, p, F) -> tuple:
     """(center, frame rows, scale, tangent rows) of the flat V's chart at
-    p, from its directions completed by ``complete_basis`` at the point:
-    the frame's columns are that basis, and the scale the lcm of its
-    denominators over Q."""
+    p: the frame's k columns are its directions, and the scale the lcm of
+    their denominators over Q."""
     p = [F.of(x) for x in p]
     dirs = [[F.of(x) for x in u] for u in V.directions]
-    basis = complete_basis(F, dirs, V.ambient)
-    matrix = [[v[i] for v in basis] for i in range(V.ambient)]
+    matrix = [[u[i] for u in dirs] for i in range(V.ambient)]
     scale = 1 if F.p else math.lcm(*(x.denominator for row in matrix for x in row))
     return tuple(p), matrix, scale, dirs
 
@@ -181,19 +180,28 @@ def carrier_coordinates(V, p, F):
 
 def restriction_matrix(V, F, n) -> list:
     """The matrix of g -> g(base + D u) from F[x]_{<= n} onto F[u]_{<= n},
-    for the flat V = base + D u: row epsilon is the expansion row of
-    u^epsilon along base + D u, over ``monomials_upto(d, n)``.  A row over
-    ``monomials_upto(k, n)`` times it is the ambient row of the same
-    functional."""
-    k, units = V.dim, exponents_of_degree(V.dim, 1)
+    for the space base + D u, u in c coordinates, that a chart of V reads
+    its ledger rows in: a flat itself, a hypersurface's carrier flat
+    (c = len(V.directions)), and for a graph the whole space (base 0 and
+    D = I, so the matrix is the identity).  Row epsilon is the expansion
+    row of u^epsilon along base + D u, over ``monomials_upto(d, n)``.  A
+    row over ``monomials_upto(c, n)`` times it is the ambient row of the
+    same functional."""
+    d = V.ambient
+    if V.kind == "graph":
+        base, dirs = (0,) * d, [[int(i == j) for j in range(d)] for i in range(d)]
+    else:
+        base, dirs = V.point, V.directions
+    c = len(dirs)
+    units = exponents_of_degree(c, 1)
     coords = []
-    for i, b in enumerate(V.point):
-        x = {e: F.of(u[i]) for e, u in zip(units, V.directions) if F.of(u[i])}
+    for i, b in enumerate(base):
+        x = {e: F.of(u[i]) for e, u in zip(units, dirs) if F.of(u[i])}
         if F.of(b):
-            x[(0,) * k] = F.of(b)
+            x[(0,) * c] = F.of(b)
         coords.append(x)
     memo: dict = {}
-    return [expansion_row(F, coords, n, eps, memo) for eps in monomials_upto(k, n)]
+    return [expansion_row(F, coords, n, eps, memo) for eps in monomials_upto(c, n)]
 
 
 def restricted(F, row, R) -> list:

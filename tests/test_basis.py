@@ -27,6 +27,7 @@ from oracles import (
     carrier_coordinates,
     identity_map,
     local_expansion,
+    nullspace,
     restricted,
     restriction_matrix,
     v_vector,
@@ -204,34 +205,39 @@ def oracle_charts():
                          point=(0, 0), directions=((1, 0), (0, 1)),
                          surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", FQ, 2))
     out["circle"] = (make_chart(circle, (3, 4), FQ), 3)
+    # the same circle in a plane of F^3: its rows read the plane's two
+    # coordinates, C(3 + 2, 2) columns instead of C(3 + 3, 3)
+    conic = VarietySpec(kind="hypersurface", ambient=3, dim=1, degree=2,
+                        point=(1, 0, 1), directions=((1, 1, 0), (0, 1, 2)),
+                        surface_poly=circle.surface_poly)
+    out["plane-conic"] = (make_chart(conic, (4, 7, 9), FQ), 3)
     return out
 
 
 @pytest.mark.parametrize("case", ["F2", "F3", "Fp", "Q", "graph-curve", "graph-surface",
-                                  "circle"])
+                                  "circle", "plane-conic"])
 def test_rows_match_operator_and_expansion_oracles(case):
     # ambient row entry for x^delta = D^gamma x^delta (center)
-    # = [t^gamma] x^delta(phi(t)).  A curved chart's row is it times
-    # lambda^|gamma|, lambda the chart's scale; a flat's row, over the
-    # monomials of its own coordinates u, is it once multiplied by the
-    # matrix of the restriction g -> g(base + D u)
+    # = [t^gamma] x^delta(phi(t)).  A chart's row, over the monomials of
+    # the coordinates u of the space it reads rows in, once multiplied by
+    # the matrix of the restriction g -> g(base + D u), is it times
+    # lambda^|gamma|, lambda the chart's row scale: 1 for a flat
     C, n = oracle_charts()[case]
     Ff, V = C.field, C.owner
     # the cubic's Taylor shift has x1^2 coefficient 1/2; the circle's
     # tangent (-4/3, 1) gives 3, and its in-flat equation in integers,
     # 9 s^2 - 24 t s + 25 t^2 + 54 s, the s-coefficient 54
-    assert C.scale == (1 if Ff.p else {"graph-curve": 2, "circle": 3 * 54}.get(case, 1))
+    assert C.scale == (1 if Ff.p else {"graph-curve": 2, "circle": 3 * 54,
+                                       "plane-conic": 3 * 54}.get(case, 1))
     monos = monomials_upto(V.ambient, n)
     expansions = [local_expansion(C, Polynomial.monomial(Ff, V.ambient, delta), 5)
                   for delta in monos]
-    flat = V.kind == "flat"
-    R = restriction_matrix(V, Ff, n) if flat else None
+    R = restriction_matrix(V, Ff, n)
     for r in range(6):
         for gamma, row in functional_rows(C, r, n).items():
-            if flat:
-                assert len(row) == binom(n + V.dim, V.dim)
-                row = restricted(Ff, row, R)
-            scalar = Ff.of(1 if flat else C.scale ** r)
+            assert len(row) == len(R)
+            row = restricted(Ff, row, R)
+            scalar = Ff.of(C.row_scale ** r)
             D = derivative_operator(C, gamma)
             operator = [D.monomial_functional(delta, C.center) for delta in monos]
             assert row == [Ff.mul(scalar, c) for c in operator]
@@ -330,6 +336,61 @@ def test_flat_ledgers_match_the_ambient_row_oracle(case):
     # a plane of F^3 through at most three joints has at most 9 rows of
     # order <= 1, short of C(3 + 2, 2) = 10
     assert capped or case.endswith("k=d")
+
+
+def conic_in_a_plane_of_F4(Ff):
+    """The circle z1^2 + z2^2 = 25 in the plane (1, 0, 2, 1) + span(u1, u2)
+    of F^4, through four of its points, each a joint with one hyperplane
+    through it whose normal does not kill the circle's tangent there."""
+    base, u1, u2 = (1, 0, 2, 1), (1, 1, 0, 0), (0, 1, 1, 2)
+    conic = VarietySpec(kind="hypersurface", ambient=4, dim=1, degree=2, point=base,
+                        directions=(u1, u2),
+                        surface_poly=parse_poly("1 * x1^2 + 1 * x2^2 + -25", Ff, 2))
+    normals = [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1)]
+    points, hyperplanes = [], []
+    for z1, z2 in ((3, 4), (4, 3), (0, 5), (5, 0)):
+        p = tuple(Ff.of(b + z1 * a + z2 * c) for b, a, c in zip(base, u1, u2))
+        T = [Ff.of(-z2 * a + z1 * c) for a, c in zip(u1, u2)]
+        nu = next(nu for nu in normals if Ff.of(sum(x * t for x, t in zip(nu, T))))
+        dirs = nullspace(Ff, [[Ff.of(x) for x in nu]])
+        hyperplanes.append(VarietySpec(kind="flat", ambient=4, dim=3, degree=1, point=p,
+                                       directions=tuple(map(tuple, dirs))))
+        points.append(p)
+    return detect_joints(Ff, [Family(k=1, m=1, members=[conic]),
+                              Family(k=3, m=1, members=hyperplanes)], candidates=points)
+
+
+@pytest.mark.parametrize("name", ["F3", "Fp", "Q"])
+def test_conic_in_a_plane_of_F4_ledgers_match_the_ambient_row_oracle(name):
+    # the conic's rows are read in its carrier plane, C(n + 2, 2) columns
+    # instead of C(n + 4, 4); walking the same steps on ambient rows picks
+    # the same gammas and gives the same totals, under two handicaps and
+    # a cap of 1, and every row picked, times the restriction matrix, is
+    # the ambient row up to a row scalar
+    Ff = {"F3": FieldSpec("prime", 3), "Fp": F, "Q": FQ}[name]
+    cfg, n, ref = conic_in_a_plane_of_F4(Ff), 3, (0, 0)
+    ids = list(range(len(cfg.joints)))
+    assert len(ids) == 4 and cfg.joints_on(ref) == ids
+    rng = random.Random(name)
+    handicaps = [Handicap.zero(ids), Handicap({j: rng.randint(-2, 2) for j in ids},
+                                              rng.sample(ids, len(ids)))]
+    R = restriction_matrix(cfg.member(ref), Ff, n)
+    assert (len(R), len(R[0])) == (binom(n + 2, 2), binom(n + 4, 4))
+    for h, cap in ((handicaps[0], None), (handicaps[1], None), (handicaps[1], 1)):
+        led = build_ledger(cfg, ref, h, n, cap)
+        oracle, rows = ambient_ledger(cfg, ref, h, n, cap)
+        assert led.totals() == oracle.totals()
+        assert [(st.joint, st.order, st.gammas) for st in led.steps] == [
+            (st.joint, st.order, st.gammas) for st in oracle.steps]
+        assert (led.rank, led.cap_hit, led.target) == (oracle.rank, oracle.cap_hit, oracle.target)
+        assert led.rank == led.target == 2 * n + 1
+        for st in led.steps:
+            C = cfg.charts[st.joint][ref]
+            for gamma in st.gammas:
+                row = restricted(Ff, C.expansion_memos[n][gamma], R)
+                ratio = Ff.div(Ff.of(C.scale), Ff.of(C.row_scale))
+                assert [Ff.mul(Ff.pow(ratio, st.order), c) for c in row] == [
+                    Ff.of(c) for c in rows[st.joint, gamma]]
 
 
 # -- ledgers ----------------------------------------------------------------

@@ -4,7 +4,6 @@ Runs ``jointslab pipeline`` on pool configs 0 and 1 of every benchmark
 workload and checks each outcome (exit code, verdict projection of
 ``pipeline.json``, ledger sha256, rank == C(n+d, d)) against
 ``bench/golden.json``, by the benchmark's own ``verdicts.problems``.
-The bench modules are loaded without writing bytecode under ``bench/``.
 On pool config 0 it also counts the matrix inverses, chart builds and
 membership tests a pipeline op takes, and where the inverses happen, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
@@ -18,14 +17,11 @@ correctly rounded.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -44,28 +40,9 @@ from jointslab.varieties import (
 )
 from jointslab.verify import hasse_vanishing_witness
 
+from bench_loader import verdicts
 from curved import FQ, circle_and_lines, curved_plane_config, parabola_and_circle
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def load_verdicts():
-    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
-    had_workloads = "workloads" in sys.modules
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location("bench_verdicts", BENCH / "verdicts.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = saved_flag
-        if not had_workloads:
-            sys.modules.pop("workloads", None)
-    return module
-
-
-verdicts = load_verdicts()
 GOLDEN = verdicts.load_golden()
 CASES = [(name, index) for name in verdicts.WORKLOADS for index in (0, 1)]
 
@@ -339,83 +316,6 @@ def test_witness_agrees_mod_a_large_prime(name):
         Fq = FieldSpec("prime", q)
         assert got[q] == (tuple(Fq.of(x) for x in p), chosen,
                           [(*r[:3], Fq.of(r[3])) for r in results])
-
-
-def _curved_members() -> dict:
-    """name -> JSON objects of the graph and hypersurface members of
-    curved-q pool configs 0-3 and of the curved test configs."""
-    return {name: [V for family in obj["families"] for V in family["members"]
-                   if V["kind"] != "flat"]
-            for name, obj in _curved_configs().items()}
-
-
-@pytest.mark.parametrize("name", list(_curved_members()))
-def test_regular_function_dimensions_agree_mod_a_large_prime(name):
-    # A graph's dim R_{V,<=n} is a rank of integer rows, so it can only
-    # drop mod a prime that divides a minor of them; a hypersurface's is
-    # read off its degree.  Every member here is a plane curve of degree
-    # e, whose dimension is C(n+2, 2) - C(n-e+2, 2) over any field, so no
-    # prime is bad for any case.
-    members = _curved_members()[name]
-    assert members
-    for obj in members:
-        got = {}
-        for p in (None, 2**31 - 1, DEFAULT_PRIME):
-            Ff = FQ if p is None else FieldSpec("prime", p)
-            V = variety_from_json(obj, Ff)
-            got[p] = [dim_regular_functions(V, n, Ff) for n in range(1, 7)]
-        e = V.degree
-        assert got[None] == [binom(n + 2, 2) - binom(n - e + 2, 2) for n in range(1, 7)]
-        assert got[2**31 - 1] == got[DEFAULT_PRIME] == got[None]
-
-
-def _determinant(rows) -> Fraction:
-    """The determinant of a square matrix of rationals, by expansion along
-    the first row."""
-    if not rows:
-        return Fraction(1)
-    return sum((-1) ** j * a * _determinant([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j, a in enumerate(rows[0]) if a)
-
-
-# G, a fixed integer polynomial with no term of degree below 3; the
-# witness reads it at a joint p as g(x) = G(x - p), so it vanishes there
-# to order 3 and the orders are split across the charts
-WITNESS_G = "2 * x1^3 + -1 * x1^2 x2 + 3 * x1 x2^2 + 1 * x2^3 + 5 * x1^2 x2^2"
-
-
-@pytest.mark.parametrize("name", list(_curved_configs()))
-def test_witness_agrees_mod_a_large_prime(name):
-    # The witness at the first joint frames g by the designated charts'
-    # tangent rows and reads its value along their coordinates.  Read over
-    # F_q it gives the Q orders, total order, pass and value (reduced mod
-    # q) unless q divides one of the integers below; no prime here does,
-    # and a bad one fails the case with the quantity it divides
-    obj = _curved_configs()[name]
-    got = {}
-    for q in (None, 2**31 - 1, DEFAULT_PRIME):
-        obj["field"] = {"kind": "rational"} if q is None else {"kind": "prime", "p": q}
-        cfg = JointsConfiguration.from_json(obj)
-        Ff, p, charts = cfg.field, cfg.joints[0], cfg.designated_charts(0)
-        g = taylor_shift(parse_poly(WITNESS_G, Ff, cfg.ambient), [Ff.neg(x) for x in p])
-        w = hasse_vanishing_witness(p, charts, g)
-        got[q] = (p, cfg.chosen[0], w["orders"], w["total_order"], w["pass"], w["value"])
-        if q is None:
-            values = [*p, *(c for C in charts for x in C.coordinates(1) for c in x.values())]
-            quantities = {
-                "lcm of the denominators of the joint and the charts' coordinates":
-                    math.lcm(*(Fraction(x).denominator for x in values)),
-                "numerator of the tangent determinant":
-                    _determinant([v for C in charts for v in tangent_space(C)]).numerator,
-                "numerator of the witness value": w["value"].numerator,
-            }
-    p, chosen, orders, total, passed, value = got[None]
-    assert passed and total == 3 == sum(orders) and value
-    for q in (2**31 - 1, DEFAULT_PRIME):
-        divided = [what for what, v in quantities.items() if v % q == 0]
-        assert not divided, f"{q} divides the {' and the '.join(divided)}"
-        Fq = FieldSpec("prime", q)
-        assert got[q] == (tuple(Fq.of(x) for x in p), chosen, orders, total, passed, Fq.of(value))
 
 
 def test_balance_prints_W_correctly_rounded(tmp_path):

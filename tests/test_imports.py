@@ -4,6 +4,9 @@ public top-level function or class of the library, and every public
 method of a library class, is read by something other than the unit
 tests.  No function of the library takes a parameter whose name starts
 with ``_``: a private flag is a second construction path for one value.
+No module of the library, the tests or the benchmark defines a top-level
+name twice: the later definition replaces the earlier one, so a test
+defined twice runs only in its second form.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
 with ``ast``.  The library's ``__init__.py`` is skipped by the import
@@ -238,3 +241,31 @@ def test_no_library_function_takes_an_underscore_parameter():
     found = [(p.stem, *hit) for p in sorted(PACKAGE.glob("*.py"))
              for hit in underscore_parameters(p.read_text())]
     assert found == []
+
+
+def redefined_names(source: str) -> list:
+    """(line, name) for each top-level name that a module defines again,
+    at the line of each later definition.  The benchmark's modules are
+    read the same way, as text, never imported."""
+    seen, out = set(), []
+    for node in ast.parse(source).body:
+        for name in _defined(node):
+            if name in seen:
+                out.append((node.lineno, name))
+            seen.add(name)
+    return out
+
+
+def test_redefinition_detector_finds_shadowed_names():
+    source = ("def test_a():\n    pass\nX = 1\nclass C:\n    def test_a(self):\n        pass\n"
+              "def test_a():\n    pass\nX: int = 2\n_y = X\nif X:\n    _y = 3\n")
+    assert redefined_names(source) == [(7, "test_a"), (9, "X")]
+
+
+ALL_MODULES = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"),
+                      *(TESTS.parent / "bench").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[f"{p.parent.name}/{p.stem}" for p in ALL_MODULES])
+def test_no_top_level_name_is_defined_twice(path):
+    assert redefined_names(path.read_text()) == []

@@ -82,8 +82,11 @@ def circle_through_origin(F=FQ):
 
 
 def parametrization(C) -> AffineMap:
-    """The chart's parametrization x = A' y + center as an AffineMap."""
-    return AffineMap(C.field, C.frame, C.center)
+    """The chart's parametrization x = A' y + center as an AffineMap, its
+    d x c frame completed to a square one by ``complete_basis``: the
+    coordinates past c are 0 on V."""
+    basis = complete_basis(C.field, [list(col) for col in zip(*C.frame)], C.owner.ambient)
+    return AffineMap(C.field, [list(row) for row in zip(*basis)], C.center)
 
 
 def plane_flat(F=FQ, d=2):
@@ -332,8 +335,8 @@ def _contraction_chart(V, p, N, F):
     on_flat = [Polynomial.variable(F, k + 1, i) for i in range(k + 1)]
     on_flat += [Polynomial.zero(F, k + 1)] * (d - k - 1)
     E2 = pullback(ambient_equations(V)[0], parametrization(C0)).substitute(on_flat)
-    series = [_contraction_series(E2, N).terms] + [{} for _ in range(d - k - 1)]
-    return Chart(V, C0.center, C0.field, C0.frame, C0.z, series)
+    return Chart(V, C0.center, C0.field, C0.frame, C0.z, C0.basis,
+                 [_contraction_series(E2, N).terms])
 
 
 def random_hypersurface(F, rng, k, d, deg):
@@ -450,7 +453,8 @@ def test_parametrization_is_the_inverted_frame(field):
     for V, p in cases:
         got = make_chart(V, p, F)
         want = inverse(_forward_frame(V, p, F))
-        for a, b in ((got.frame, want.matrix), ([got.center], [want.translation])):
+        ours = parametrization(got)
+        for a, b in ((ours.matrix, want.matrix), ([got.center], [want.translation])):
             assert [list(row) for row in a] == b
             assert [[type(x) for x in row] for row in a] == [[type(x) for x in row] for row in b]
         assert got.center == tuple(F.of(x) for x in p)
@@ -619,7 +623,11 @@ def test_derivative_operator_is_the_conjugated_framed_operator(field):
         C = make_chart(V, p, F)
         for gamma in monomials_upto(V.dim, 5):
             framed = derivative_operator(C, gamma, ambient=False)
-            assert derivative_operator(C, gamma) == conjugate_operator(framed, parametrization(C))
+            assert framed.nvars == len(C.frame[0])
+            # the coordinates past c are 0 on V, so no operator reads them
+            pad = (0,) * (V.ambient - framed.nvars)
+            square = HasseOperator(F, V.ambient, {w + pad: c for w, c in framed.combo.items()})
+            assert derivative_operator(C, gamma) == conjugate_operator(square, parametrization(C))
 
 
 def test_operator_leading_part_is_hasse():
@@ -881,11 +889,12 @@ def _joint_config(V, p):
 def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(recorded_inserts, kind, k, extra,
                                                             seed):
     # over Q each chart's coordinates read at lambda t, lambda its scale,
-    # are ints in every degree >= 1; every curved ledger row and every
-    # rank-check row is lambda^|gamma| (prod_i lambda_i^|gamma_i|) times
-    # the row read along the exact coordinates, and a flat's ledger row,
-    # over its own coordinates u, times the restriction matrix is that
-    # exact row
+    # are ints in every degree >= 1, and so are its row coordinates at its
+    # row scale; every ledger row, over the coordinates u of the space the
+    # chart reads its rows in, times the restriction matrix is
+    # lambda^|gamma| times the row read along the exact coordinates, with
+    # lambda the row scale, and every rank-check row is prod_i
+    # lambda_i^|gamma_i| times that exact row, with lambda_i the scales
     rng = random.Random(seed)
     d, n, N = k + extra, 2, 10
     if kind == "flat":
@@ -899,20 +908,20 @@ def test_scaled_rows_are_the_exact_rows_times_a_row_scalar(recorded_inserts, kin
     for C in cfg.charts[0].values():
         lam = C.scale
         assert type(lam) is int and lam >= 1
+        assert type(C.row_scale) is int and C.row_scale >= 1
         for x, y in zip(C.coordinates(N), C.scaled_coordinates(N)):
             assert x.keys() == y.keys()
             for beta, c in x.items():
                 assert y[beta] == c * lam ** sum(beta)
                 assert type(y[beta]) is int or not any(beta)
-        flat = C.owner.kind == "flat"
+        assert all(type(c) is int or not any(beta)
+                   for x in C.row_coordinates(N) for beta, c in x.items())
         for m, memo in C.expansion_memos.items():
-            R = restriction_matrix(C.owner, FQ, m) if flat else None
+            R = restriction_matrix(C.owner, FQ, m)
             for gamma, coeffs in memo.items():
+                assert len(coeffs) == len(R)
                 exact = expansion_row(FQ, C.coordinates(sum(gamma)), m, gamma, {})
-                if flat:
-                    assert restricted(FQ, coeffs, R) == exact
-                else:
-                    assert coeffs == [lam ** sum(gamma) * c for c in exact]
+                assert restricted(FQ, coeffs, R) == [C.row_scale ** sum(gamma) * c for c in exact]
     with recorded_inserts() as inserted:
         got = verify.vanishing_rank_check(cfg, ledgers, n)
     charts = cfg.designated_charts(0)
