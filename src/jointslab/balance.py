@@ -183,25 +183,20 @@ def compute_W(cfg, ledgers: dict, n: int) -> dict:
     of |D_{p,V}| / C(n + dim V, dim V) ] ** (1/M(p)), one RootValue.
     The radicand is taken as prod_V |D_{p,V}|^c_V / prod_V C(n + dim V,
     dim V)^c_V, c_V the number of the joint's qualifying tuples that
-    contain V: one integer power per member and one Fraction per joint.
+    contain V, which the configuration keeps (``cfg.uses``): one integer
+    power per member and one Fraction per joint.
     """
     out = {}
-    for j, tuples in enumerate(cfg.multiplicity):
-        if not tuples:
-            raise LedgerMissing(f"joint {j} has no qualifying tuples")
-        counts: dict = {}
-        for choice in tuples:
-            for ref in choice:
-                counts[ref] = counts.get(ref, 0) + 1
+    for j, uses in enumerate(cfg.uses):
         num = den = 1
-        for ref, c in counts.items():
+        for ref, c in uses.items():
             led = ledgers.get(ref)
             if led is None:
                 raise LedgerMissing(f"no ledger for member {ref}")
             k = cfg.families[ref[0]].k
             num *= led.joint_total(j) ** c
             den *= binom(n + k, k) ** c
-        out[j] = RootValue(Fraction(num, den), len(tuples))
+        out[j] = RootValue(Fraction(num, den), cfg.M(j))
     return out
 
 
@@ -213,7 +208,6 @@ def compute_W(cfg, ledgers: dict, n: int) -> dict:
 @dataclass
 class BalanceState:
     alpha: Handicap
-    sortedW: list  # (joint, RootValue) descending
     status: str  # "balanced" | "cap-hit"
     log: list  # per-iteration dicts
     ledgers: dict  # member ref -> BasisLedger at alpha
@@ -335,4 +329,4 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
         if not moved or rebuilds >= cap:
             status = "cap-hit"
             break
-    return BalanceState(h, sw, status, log, ledgers)
+    return BalanceState(h, status, log, ledgers)

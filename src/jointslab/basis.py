@@ -102,7 +102,6 @@ class BasisLedger:
 
     variety_id: object
     n: int
-    target: int  # dim R_{V, <= n}
     rank: int
     steps: list  # LedgerSteps with a selected gamma only
     counts: dict  # joint -> {r: count}
@@ -210,7 +209,7 @@ def build_ledger(
             counts[j][r] = len(picked)
             steps.append(LedgerStep(j, r, picked))
     cap_hit = bool(on) and red.rank < target
-    ledger = BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit)
+    ledger = BasisLedger(ref, n, red.rank, steps, counts, cap_hit)
     if walks is not None:
         walks.append(Walk(order[:len(picks)], picks, red, ledger))
     return ledger

@@ -7,11 +7,12 @@ a candidate is a joint when some admissible tuple of member varieties --
 m_i members from family i -- passes through it with tangent spaces that
 are independent and span the ambient space.  A tuple is the flat tuple
 of its (family, member) refs, family by family and in increasing member
-order within a family.  Each joint records the list of all qualifying
-tuples, in lexicographic order, whose length is the joint's
-multiplicity and whose first entry is its designated tuple, and the
-chart of every member passing through it, built once at detection;
-every later step reads incidence and charts from there.
+order within a family.  Each joint records its designated tuple, the
+first qualifying one in lexicographic order, the counts c_V of the
+qualifying tuples through each member V, whose sum is s times the
+joint's multiplicity M(p), and the chart of every member passing
+through it, built once at detection; every later step reads incidence
+and charts from there.
 
 What a member's incidence needs that does not depend on the point is
 worked out once per member and field (``varieties``), and a flat's
@@ -37,7 +38,7 @@ from .errors import (
     SingularPoint,
     UnsupportedKind,
 )
-from .field import DEFAULT_PRIME, FieldSpec, json_int
+from .field import DEFAULT_PRIME, FieldSpec, json_typed
 from .varieties import (
     VarietySpec,
     make_chart,
@@ -64,21 +65,23 @@ class Family:
 
     @staticmethod
     def from_json(obj: dict, F: FieldSpec) -> "Family":
-        k, m = json_int(obj["k"], "family k"), json_int(obj["m"], "family m")
+        k, m = json_typed(obj["k"], int, "family k"), json_typed(obj["m"], int, "family m")
         if k < 1 or m < 1:
             raise MalformedInput(f"family k and m must be at least 1, not {k} and {m}")
-        return Family(k=k, m=m, members=[variety_from_json(v, F) for v in obj["members"]])
+        members = json_typed(obj["members"], list, "family members")
+        return Family(k=k, m=m, members=[variety_from_json(v, F) for v in members])
 
 
 @dataclass
 class JointsConfiguration:
-    """Families, joints, designated tuples, and multiplicity index."""
+    """Families, joints, designated tuples, and per-member tuple counts."""
 
     field: FieldSpec
     families: list
     joints: list  # points, preassigned order = list order
-    # per joint: the qualifying tuples, each a tuple of s (family, member) refs
-    multiplicity: list
+    chosen: list  # per joint: its first qualifying tuple, of s (family, member) refs
+    # per joint: member ref -> the number of qualifying tuples through it
+    uses: list
     # per joint: member ref -> Chart for every member through it, None
     # where the member is singular there
     charts: list = dc_field(repr=False, compare=False)
@@ -92,11 +95,6 @@ class JointsConfiguration:
     def ambient(self) -> int:
         return sum(f.m * f.k for f in self.families)
 
-    @property
-    def chosen(self) -> list:
-        """Each joint's designated tuple: its first qualifying one."""
-        return [tuples[0] for tuples in self.multiplicity]
-
     def member(self, ref) -> VarietySpec:
         fi, mi = ref
         return self.families[fi].members[mi]
@@ -107,7 +105,7 @@ class JointsConfiguration:
                 yield (fi, mi)
 
     def M(self, joint_idx: int) -> int:
-        return len(self.multiplicity[joint_idx])
+        return sum(self.uses[joint_idx].values()) // self.s
 
     def joints_on(self, ref) -> list:
         """Indices of joints lying on the given member (geometric)."""
@@ -129,9 +127,11 @@ class JointsConfiguration:
     def from_json(obj: dict) -> "JointsConfiguration":
         try:
             F = FieldSpec.from_json(obj["field"])
-            families = [Family.from_json(f, F) for f in obj["families"]]
-            joints = [tuple(F.of(x) for x in p) for p in obj["joints"]]
-            seed = json_int(obj.get("seed", 0), "seed")
+            families = [Family.from_json(f, F)
+                        for f in json_typed(obj["families"], list, "families")]
+            joints = [tuple(F.of(x) for x in json_typed(p, list, "joint"))
+                      for p in json_typed(obj["joints"], list, "joints")]
+            seed = json_typed(obj.get("seed", 0), int, "seed")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"malformed configuration: {exc!r}") from exc
         return detect_joints(F, families, candidates=joints, seed=seed)
@@ -227,21 +227,24 @@ def detect_joints(
         points.append(p)
         ons.append(on)
     flat_singles: dict = {}
-    joints, multiplicity, charts = [], [], []
+    joints, chosen, uses, charts = [], [], [], []
     for p, on in zip(points, ons):
         tangents = {ref: tangent_space(C) for ref, C in on.items() if C is not None}
-        qualifying = _qualifying(F, families, tangents, through, flat_singles)
-        if qualifying:
+        first, counts = _qualifying(F, families, tangents, through, flat_singles)
+        if counts:
             joints.append(p)
-            multiplicity.append(qualifying)
+            chosen.append(first)
+            uses.append(counts)
             charts.append(on)
-    return JointsConfiguration(F, families, joints, multiplicity, charts, seed)
+    return JointsConfiguration(F, families, joints, chosen, uses, charts, seed)
 
 
-def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_singles: dict) -> list:
-    """The admissible tuples whose tangent rows are independent, as flat
-    tuples of refs, in the order of ``itertools.product`` over each
-    family's combinations.
+def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_singles: dict) -> tuple:
+    """(first, uses) of the admissible tuples whose tangent rows are
+    independent, each the flat tuple of its refs, in the order of
+    ``itertools.product`` over each family's combinations: the first, or
+    None, and member ref -> the number through it, which each subtree of
+    the walk returns and its member adds up, with no list of tuples.
 
     ``tangents`` maps each regular member through the point to its tangent
     rows.  A tuple has sum m_i k_i = d rows, so it is a joint exactly when
@@ -270,13 +273,13 @@ def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_sing
     slots = [fi for fi, f in enumerate(families) for _ in range(f.m)]
     regular = [[ref for ref in tangents if ref[0] == fi] for fi in range(len(families))]
     if not slots or any(len(regular[fi]) < f.m for fi, f in enumerate(families)):
-        return []
+        return None, {}
     # per slot: how many slots of its family come after it
     later = [slots[depth + 1:].count(fi) for depth, fi in enumerate(slots)]
     # ref -> its rows reduced, and (a, b) -> a's rows then b's; None if dependent
     singles: dict = {}
     pairs: dict = {}
-    out = []
+    first, uses = None, {}
 
     def extended(red, ref):
         red = red.fork() if red is not None else linalg.IncrementalRowReducer(F)
@@ -297,14 +300,16 @@ def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_sing
                 pairs[a, b] = None if red is None else extended(red, b)
         return pairs[a, b]
 
-    def walk(red, picks, start):
+    def walk(red, picks, start) -> int:
+        nonlocal first
         depth = len(picks)
         if depth == len(slots):
-            out.append(tuple(picks))
-            return
+            first = first or tuple(picks)
+            return 1
         fi = slots[depth]
         if depth and slots[depth - 1] != fi:
             start = 0
+        found = 0
         for pos in range(start, len(regular[fi]) - later[depth]):
             ref = regular[fi][pos]
             if depth == 0:
@@ -316,10 +321,14 @@ def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_sing
             else:
                 continue
             if child is not None:
-                walk(child, picks + [ref], pos + 1)
+                below = walk(child, picks + [ref], pos + 1)
+                if below:
+                    uses[ref] = uses.get(ref, 0) + below
+                    found += below
+        return found
 
     walk(None, [], 0)
-    return out
+    return first, uses
 
 
 # ---------------------------------------------------------------------------
@@ -328,43 +337,29 @@ def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_sing
 
 
 def connected_components(cfg: JointsConfiguration) -> list:
-    """Split along the graph joining joints that share a member variety."""
-    n = len(cfg.joints)
-    joints_of = {}
+    """Split along the graph joining joints that share a member variety, by
+    one union-find pass over the incidence that joins each joint to the
+    first joint of every member through it; components and their joints
+    come in joint order."""
+    parent = list(range(len(cfg.joints)))
+
+    def root(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    first: dict = {}
     for j, on in enumerate(cfg.charts):
         for ref in on:
-            joints_of.setdefault(ref, set()).add(j)
-    adj = [set() for _ in range(n)]
-    for js in joints_of.values():
-        for a in js:
-            adj[a] |= js
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return [
-        JointsConfiguration(
-            cfg.field,
-            cfg.families,
-            [cfg.joints[i] for i in comp],
-            [cfg.multiplicity[i] for i in comp],
-            [cfg.charts[i] for i in comp],
-            cfg.seed,
-        )
-        for comp in comps
-    ]
+            parent[root(j)] = root(first.setdefault(ref, j))
+    comps: dict = {}
+    for j in range(len(parent)):
+        comps.setdefault(root(j), []).append(j)
+    per_joint = (cfg.joints, cfg.chosen, cfg.uses, cfg.charts)
+    return [JointsConfiguration(cfg.field, cfg.families,
+                                *([rows[i] for i in comp] for rows in per_joint), cfg.seed)
+            for comp in comps.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -161,15 +161,20 @@ class FieldSpec:
             raise ValueError(f"a field is an object with a kind, not {obj!r}")
         kind = obj.get("kind")
         if kind == "prime":
-            return FieldSpec("prime", json_int(obj["p"], "field p"))
+            return FieldSpec("prime", json_typed(obj["p"], int, "field p"))
         return FieldSpec(kind, obj.get("p"))
 
 
-def json_int(x, name: str) -> int:
-    """x when it is a JSON integer, an ``int`` that is not a ``bool``;
-    anything else, such as 2.7, is malformed."""
-    if type(x) is not int:
-        raise MalformedInput(f"{name} must be an integer, not {x!r}")
+_JSON_TYPES = {int: "an integer", list: "an array", str: "a string"}
+
+
+def json_typed(x, kind: type, name: str):
+    """x when its type is exactly ``kind``: ``int`` for a JSON integer, not
+    a ``bool`` or 2.7; ``list`` for an array, not an object, whose keys a
+    loop would read, nor a string, whose characters it would; ``str`` for
+    a string.  Anything else is malformed."""
+    if type(x) is not kind:
+        raise MalformedInput(f"{name} must be {_JSON_TYPES[kind]}, not {x!r}")
     return x
 
 

@@ -53,7 +53,7 @@ from .errors import (
     SingularPoint,
     UnsupportedKind,
 )
-from .field import FieldSpec, as_int, binom, json_int
+from .field import FieldSpec, as_int, binom, json_typed
 from .poly import (
     AffineMap,
     HasseOperator,
@@ -680,33 +680,38 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
     degree for a hypersurface, and e = max(1, max_j deg f_j) for a graph of
     dimension 1 or with every f_j zero.  A graph of higher dimension k
     with a nonzero f_j has only the bounds e <= degree <= e^k, so it must
-    declare its degree."""
+    declare its degree.  Lists and vectors must be JSON arrays and a label
+    a string (``json_typed``)."""
 
     def degree(derived) -> int:
-        return json_int(obj["degree"], "member degree") if "degree" in obj else derived
+        return json_typed(obj["degree"], int, "member degree") if "degree" in obj else derived
 
     kind = obj["kind"]
-    dim = json_int(obj["dim"], "member dim")
-    ambient = json_int(obj["ambient"], "member ambient")
-    label = obj.get("label", "")
+    dim = json_typed(obj["dim"], int, "member dim")
+    ambient = json_typed(obj["ambient"], int, "member ambient")
+    label = json_typed(obj.get("label", ""), str, "member label")
     if kind in ("graph", "hypersurface"):
-        equations = obj["equations"]
-        if type(equations) is not list or not all(type(e) is str for e in equations):
-            raise MalformedInput(f"{kind} equations must be a list of strings, not {equations!r}")
+        equations = [json_typed(e, str, f"a {kind} equation")
+                     for e in json_typed(obj["equations"], list, f"{kind} equations")]
     if kind in ("flat", "hypersurface"):
-        directions = tuple(tuple(F.of(x) for x in u) for u in obj["directions"])
+        point = tuple(F.of(x) for x in json_typed(obj["point"], list, "member point"))
+        directions = tuple(tuple(F.of(x) for x in json_typed(u, list, "member direction"))
+                           for u in json_typed(obj["directions"], list, "member directions"))
     if kind == "flat":
         V = VarietySpec(
             kind="flat",
             ambient=ambient,
             dim=dim,
             degree=degree(1),
-            point=tuple(F.of(x) for x in obj["point"]),
+            point=point,
             directions=directions,
             label=label,
         )
     elif kind == "graph":
-        frame = AffineMap(F, obj["frame_matrix"], obj["frame_translation"])
+        matrix = [json_typed(row, list, "frame_matrix row")
+                  for row in json_typed(obj["frame_matrix"], list, "frame_matrix")]
+        translation = json_typed(obj["frame_translation"], list, "frame_translation")
+        frame = AffineMap(F, matrix, translation)
         polys = tuple(parse_poly(s, F, dim) for s in equations)
         top = _graph_degree(polys)
         if "degree" not in obj and dim > 1 and top > 1:
@@ -721,8 +726,7 @@ def variety_from_json(obj: dict, F: FieldSpec) -> VarietySpec:
         poly = parse_poly(equations[0], F, dim + 1)
         V = VarietySpec(
             kind="hypersurface", ambient=ambient, dim=dim, degree=degree(poly.degree),
-            point=tuple(F.of(x) for x in obj["point"]),
-            directions=directions, surface_poly=poly, label=label,
+            point=point, directions=directions, surface_poly=poly, label=label,
         )
     else:
         raise UnsupportedKind(f"unknown variety kind {kind!r}")

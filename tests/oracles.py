@@ -4,16 +4,20 @@ basis completion, a polynomial scaled and pulled back along an affine
 map, a Hasse operator applied to a polynomial, a polynomial's expansion
 in a chart's local coordinates, read coefficient by coefficient, a
 flat's incidence and chart worked out at each point, its restriction to
-its own coordinates, a ledger walked on ambient rows, and W_p multiplied
-tuple by tuple."""
+its own coordinates, a ledger walked on ambient rows, detection by
+``is_joint`` on every tuple with the records read off its tuple lists,
+and W_p multiplied tuple by tuple."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from jointslab import linalg
 from jointslab.balance import RootValue
 from jointslab.basis import BasisLedger, LedgerStep, default_cap, step_order
-from jointslab.errors import DimensionMismatch
+from jointslab.config import is_joint
+from jointslab.errors import DimensionMismatch, SingularPoint
 from jointslab.field import binom
 from jointslab.poly import (
     AffineMap,
@@ -26,7 +30,7 @@ from jointslab.poly import (
     hasse_apply,
     monomials_upto,
 )
-from jointslab.varieties import dim_regular_functions
+from jointslab.varieties import contains_point, dim_regular_functions, make_chart
 
 
 def mat_mul(F, A, B) -> list:
@@ -233,18 +237,69 @@ def ambient_ledger(cfg, ref, h, n, cap=None) -> tuple:
             counts[j][r] = len(picked)
             steps.append(LedgerStep(j, r, picked))
     cap_hit = bool(on) and red.rank < target
-    return BasisLedger(ref, n, target, red.rank, steps, counts, cap_hit), rows
+    return BasisLedger(ref, n, red.rank, steps, counts, cap_hit), rows
 
 
-def W_by_tuples(cfg, ledgers, n) -> dict:
+def detect_by_is_joint(F, families, candidates) -> list:
+    """Tuple-by-tuple detection, the oracle for ``detect_joints``: one
+    chart per regular member through a candidate, then ``is_joint`` on
+    every ``itertools.product`` tuple of each family's combinations, each
+    flattened to its (family, member) refs.  Per distinct candidate:
+    (point, qualifying tuples in that order, number of tuples tried)."""
+    out, seen = [], set()
+    for raw in candidates:
+        p = tuple(F.of(x) for x in raw)
+        if p in seen:
+            continue
+        seen.add(p)
+        charts, per_family = {}, []
+        for fi, fam in enumerate(families):
+            regular = []
+            for mi, V in enumerate(fam.members):
+                if contains_point(V, p, F) is not None:
+                    try:
+                        charts[fi, mi] = make_chart(V, p, F)
+                    except SingularPoint:
+                        continue
+                    regular.append(mi)
+            per_family.append(list(itertools.combinations(regular, fam.m)))
+        tried = [tuple((fi, mi) for fi, picks in enumerate(choice) for mi in picks)
+                 for choice in itertools.product(*per_family)]
+        qualifying = [refs for refs in tried if is_joint(p, [charts[ref] for ref in refs])]
+        out.append((p, qualifying, len(tried)))
+    return out
+
+
+def tuple_counts(tuples) -> dict:
+    """member ref -> the number of the tuples that hold it."""
+    return dict(Counter(ref for refs in tuples for ref in refs))
+
+
+def joint_records(cfg) -> tuple:
+    """(joints, chosen, uses, M) of a configuration."""
+    return cfg.joints, cfg.chosen, cfg.uses, [cfg.M(j) for j in range(len(cfg.joints))]
+
+
+def records_of_tuples(oracle) -> tuple:
+    """The (joints, chosen, uses, M) that detection must give, read off
+    the tuple lists of ``detect_by_is_joint``'s output: the candidates
+    with a qualifying tuple, each one's first tuple, the number of its
+    tuples through each member, and how many tuples it has."""
+    found = [(p, q) for p, q, _ in oracle if q]
+    return ([p for p, _ in found], [q[0] for _, q in found],
+            [tuple_counts(q) for _, q in found], [len(q) for _, q in found])
+
+
+def W_by_tuples(cfg, tuples, ledgers, n) -> dict:
     """W_p with one factor |D_{p,V}| / C(n + dim V, dim V) per (qualifying
-    tuple, member V of it), and root index M(p)."""
+    tuple, member V of it), and root index M(p), from ``tuples``, each
+    joint's list of qualifying tuples."""
     out = {}
-    for j, tuples in enumerate(cfg.multiplicity):
+    for j, choices in enumerate(tuples):
         Q = Fraction(1)
-        for choice in tuples:
+        for choice in choices:
             for ref in choice:
                 k = cfg.families[ref[0]].k
                 Q *= Fraction(ledgers[ref].joint_total(j), binom(n + k, k))
-        out[j] = RootValue(Q, len(tuples))
+        out[j] = RootValue(Q, len(choices))
     return out

@@ -25,7 +25,7 @@ from jointslab.field import DEFAULT_PRIME, FieldSpec
 from jointslab.poly import parse_poly
 from jointslab.varieties import VarietySpec
 
-from oracles import W_by_tuples, identity_map
+from oracles import W_by_tuples, detect_by_is_joint, identity_map
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -154,13 +154,15 @@ def test_W_coordinate_flats_is_one():
 def test_W_from_member_counts_is_the_tuple_product():
     # compute_W takes one power per member, to the number of the joint's
     # tuples through it; the oracle multiplies one factor per (tuple,
-    # member).  Radicands and root indices are equal as Fractions and ints
+    # member), over the tuples that ``is_joint`` finds tuple by tuple.
+    # Radicands and root indices are equal as Fractions and ints
     cfg = generate("generic-hyperplanes", field=F, d=6, h=7)
     ids = list(range(len(cfg.joints)))
-    assert [cfg.M(j) for j in ids] == [15] * 7
+    tuples = [q for _, q, _ in detect_by_is_joint(F, cfg.families, cfg.joints)]
+    assert [cfg.M(j) for j in ids] == [len(q) for q in tuples] == [15] * 7
     for h in (Handicap.zero(ids), Handicap({j: (-1) ** j * j for j in ids}, ids)):
         ledgers = build_all_ledgers(cfg, h, 2)
-        got, want = compute_W(cfg, ledgers, 2), W_by_tuples(cfg, ledgers, 2)
+        got, want = compute_W(cfg, ledgers, 2), W_by_tuples(cfg, tuples, ledgers, 2)
         assert [(j, w.Q, w.M) for j, w in got.items()] == [(j, w.Q, w.M) for j, w in want.items()]
         assert len({w.Q for w in got.values()}) > 1
 
@@ -206,7 +208,8 @@ def test_balance_grid_wide_tau_no_moves():
     assert state.status == "balanced"
     assert state.iteration == 0
     assert set(state.alpha.alpha.values()) == {0}
-    assert [w.Q for _, w in state.sortedW] == [
+    W = compute_W(cfg, state.ledgers, 2)
+    assert sorted((w.Q for w in W.values()), reverse=True) == [
         Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)]
 
 
@@ -258,7 +261,7 @@ def test_balance_composite_moves_and_invariant():
     mean = lambda ids: Fraction(sum(state.alpha.of(j) for j in ids), len(ids))
     assert mean(line_ids) > mean(grid_ids)
     # final state: no consecutive sorted gap exceeds tau
-    vals = [w for _, w in state.sortedW]
+    vals = sorted(compute_W(cfg, state.ledgers, n).values(), reverse=True)
     for a, b in zip(vals, vals[1:]):
         assert not exceeds([a], [b], tau)[0]
     # every accepted iteration lowered the sorted multiset
@@ -356,9 +359,9 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
     assert {cfg.member(ref).kind for ref in members} == kinds
     # the rebuild count counts attempts, reused ones included
     assert len(builds) == len(fresh_builds) == len(fresh_W) * len(members)
-    assert (state.status, state.iteration, state.log, state.alpha, state.sortedW) == (
-        reference.status, reference.iteration, reference.log, reference.alpha,
-        reference.sortedW)
+    assert (state.status, state.iteration, state.log, state.alpha) == (
+        reference.status, reference.iteration, reference.log, reference.alpha)
+    assert compute_W(cfg, state.ledgers, n) == compute_W(cfg, reference.ledgers, n)
     attempts = [(builds[i][1], {ref: led for ref, _, led in builds[i:i + len(members)]})
                 for i in range(0, len(builds), len(members))]
     assert len({tuple(sorted(h.alpha.items())) for h, _ in attempts}) > 1

@@ -20,7 +20,12 @@ from jointslab.errors import UnknownJoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import IncrementalRowReducer, rank
 from jointslab.poly import AffineMap, Polynomial, monomials_upto, parse_poly, taylor_shift
-from jointslab.varieties import VarietySpec, derivative_operator, make_chart
+from jointslab.varieties import (
+    VarietySpec,
+    derivative_operator,
+    dim_regular_functions,
+    make_chart,
+)
 
 from oracles import (
     ambient_ledger,
@@ -323,8 +328,8 @@ def test_flat_ledgers_match_the_ambient_row_oracle(case):
                 capped += led.cap_hit
                 assert [(st.joint, st.order, st.gammas) for st in led.steps] == [
                     (st.joint, st.order, st.gammas) for st in oracle.steps]
-                assert (led.counts, led.rank, led.cap_hit, led.target) == (
-                    oracle.counts, oracle.rank, oracle.cap_hit, oracle.target)
+                assert (led.counts, led.rank, led.cap_hit) == (
+                    oracle.counts, oracle.rank, oracle.cap_hit)
                 for st in led.steps:
                     C = cfg.charts[st.joint][ref]
                     memo = C.expansion_memos[n]
@@ -382,8 +387,8 @@ def test_conic_in_a_plane_of_F4_ledgers_match_the_ambient_row_oracle(name):
         assert led.totals() == oracle.totals()
         assert [(st.joint, st.order, st.gammas) for st in led.steps] == [
             (st.joint, st.order, st.gammas) for st in oracle.steps]
-        assert (led.rank, led.cap_hit, led.target) == (oracle.rank, oracle.cap_hit, oracle.target)
-        assert led.rank == led.target == 2 * n + 1
+        assert (led.rank, led.cap_hit) == (oracle.rank, oracle.cap_hit)
+        assert led.rank == dim_regular_functions(cfg.member(ref), n, Ff) == 2 * n + 1
         for st in led.steps:
             C = cfg.charts[st.joint][ref]
             for gamma in st.gammas:
@@ -428,7 +433,7 @@ def test_single_point_ledger():
     cfg = generate("grid", field=F, seed=0, t=1)
     h = Handicap.zero(range(len(cfg.joints)))
     led = build_ledger(cfg, (0, 0), h, 2)
-    assert led.target == binom(4, 2) == 6
+    assert dim_regular_functions(cfg.member((0, 0)), 2, F) == binom(4, 2) == 6
     assert led.rank == 6 and not led.cap_hit
     assert led.counts[0] == {0: 1, 1: 2, 2: 3}
     assert led.joint_total(0) == 6
@@ -442,11 +447,12 @@ def test_ledger_totals_sum_to_target():
     ):
         h = Handicap.zero(range(len(cfg.joints)))
         led = build_ledger(cfg, (0, 0), h, n)
+        target = dim_regular_functions(cfg.member((0, 0)), n, F)
         assert not led.cap_hit
-        assert led.rank == led.target
-        assert sum(led.totals().values()) == led.target
+        assert led.rank == target
+        assert sum(led.totals().values()) == target
         assert all(v >= 0 for tbl in led.counts.values() for v in tbl.values())
-        assert all(led.joint_total(p) <= led.target for p in led.counts)
+        assert all(led.joint_total(p) <= target for p in led.counts)
 
 
 def test_ledger_steps_follow_priority_order():

@@ -330,6 +330,22 @@ def _json_entry(key, value):
     return edit
 
 
+def _retype(*path, make=lambda v: {str(i): x for i, x in reversed(list(enumerate(v)))}):
+    """The value at ``path`` (keys and indices from the config's root)
+    replaced by ``make`` of it: by default an object keyed by its indices
+    in reverse order, so that a loop over its keys reads [1, 0] for
+    {"1": a, "0": b}."""
+    def edit(text):
+        obj = json.loads(text)
+        *head, last = path
+        at = obj
+        for key in head:
+            at = at[key]
+        at[last] = make(at[last])
+        return json.dumps(obj)
+    return edit
+
+
 def _plane_curve(**fields):
     """A config over Q in the plane: one family of two curves through the
     origin, the circle x1^2 + x2^2 = x2 (or a parabola x2 = x1^2 as a
@@ -375,6 +391,7 @@ def _paraboloid(degree=2):
 # argv with CFG standing for a generated config (lines in 3-space, m = 3),
 # and an edit of its text
 CFG = "<config>"
+MEMBER = ("families", 0, "members", 0)
 MALFORMED = {
     "poly-juxtaposition": (["verify", "sz", "--poly", "2 x1"], None),
     "poly-minus-operator": (["verify", "sz", "--poly", "1 * x1 - 1"], None),
@@ -401,6 +418,27 @@ MALFORMED = {
     "field-rational-with-modulus": (["pipeline", "--config", CFG],
                                     _set_field({"kind": "rational", "p": 7})),
     "field-not-an-object": (["pipeline", "--config", CFG], _set_field("rational")),
+    "families-object": (["pipeline", "--config", CFG], _retype("families", make=lambda v: {})),
+    "members-object": (["pipeline", "--config", CFG], _retype("families", 0, "members")),
+    "joints-object": (["pipeline", "--config", CFG], _retype("joints")),
+    "joint-object": (["pipeline", "--config", CFG], _retype("joints", 0)),
+    "joint-string": (["pipeline", "--config", CFG], _retype("joints", 0, make=lambda v: "000")),
+    "flat-point-object": (["pipeline", "--config", CFG], _retype(*MEMBER, "point")),
+    "flat-directions-object": (["pipeline", "--config", CFG], _retype(*MEMBER, "directions")),
+    "flat-direction-object": (["pipeline", "--config", CFG], _retype(*MEMBER, "directions", 0)),
+    "flat-direction-string": (["pipeline", "--config", CFG],
+                              _retype(*MEMBER, "directions", 0, make=lambda v: "100")),
+    "member-label-array": (["pipeline", "--config", CFG],
+                           _retype(*MEMBER, "label", make=lambda v: [1, 2])),
+    "graph-frame-matrix-object": (["pipeline", "--config", CFG],
+                                  _plane_curve(kind="graph",
+                                               frame_matrix={"0": ["1", "0"], "1": ["0", "1"]})),
+    "graph-frame-row-object": (["pipeline", "--config", CFG],
+                               _plane_curve(kind="graph",
+                                            frame_matrix=[{"1": "0", "0": "1"}, ["0", "1"]])),
+    "graph-frame-translation-object": (["pipeline", "--config", CFG],
+                                       _plane_curve(kind="graph",
+                                                    frame_translation={"0": "0", "1": "0"})),
     "joint-float": (["pipeline", "--config", CFG], _json_entry("joint", 0.25)),
     "flat-point-float": (["pipeline", "--config", CFG], _json_entry("point", 0.5)),
     "joint-bool": (["pipeline", "--config", CFG], _json_entry("joint", False)),

@@ -17,17 +17,20 @@ from jointslab.config import (
     grid_line_composite,
     is_joint,
 )
-from jointslab.errors import (
-    DimensionMismatch,
-    FieldTooSmall,
-    SingularPoint,
-)
+from jointslab.errors import DimensionMismatch, FieldTooSmall
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.linalg import rank
 from jointslab.poly import parse_poly
-from jointslab.varieties import VarietySpec, contains_point, make_chart, tangent_space
+from jointslab.varieties import (
+    VarietySpec,
+    contains_point,
+    dim_regular_functions,
+    make_chart,
+    tangent_space,
+)
 
 from curved import curved_plane_config, line, plane_curve
+from oracles import detect_by_is_joint, joint_records, records_of_tuples
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -106,7 +109,8 @@ def test_detect_curved_joint_at_origin():
     # at the origin only the pairs with the line x1 = 0 are transversal:
     # circle and x2 = 0 share a tangent, and the cusp is singular
     assert cfg.M(0) == 2
-    assert cfg.multiplicity[0] == [((0, 0), (0, 2)), ((0, 1), (0, 2))]
+    # the qualifying pairs ((0, 0), (0, 2)) and ((0, 1), (0, 2))
+    assert cfg.uses[0] == {(0, 0): 1, (0, 1): 1, (0, 2): 2}
     assert cfg.chosen[0] == ((0, 0), (0, 2))
     assert cfg.chosen[1] == ((0, 0), (0, 2))
     assert cfg.joints_on((0, 3)) == [0]
@@ -122,37 +126,8 @@ def test_singular_member_imposes_no_condition():
     assert (cusp.rank, cusp.steps, cusp.counts, cusp.cap_hit) == (0, [], {}, False)
     for ref in [(0, 0), (0, 1), (0, 2)]:
         led = build_ledger(cfg, ref, h, 2)
-        assert led.rank == led.target and not led.cap_hit
+        assert led.rank == dim_regular_functions(cfg.member(ref), 2, FQ) and not led.cap_hit
     assert balance(cfg, 2).status == "balanced"
-
-
-def detect_by_is_joint(F, families, candidates):
-    """Tuple-by-tuple detection, the oracle for ``detect_joints``: one
-    chart per regular member through a candidate, then ``is_joint`` on
-    every ``itertools.product`` tuple of each family's combinations, each
-    flattened to its (family, member) refs."""
-    out, seen = [], set()
-    for raw in candidates:
-        p = tuple(F.of(x) for x in raw)
-        if p in seen:
-            continue
-        seen.add(p)
-        charts, per_family = {}, []
-        for fi, fam in enumerate(families):
-            regular = []
-            for mi, V in enumerate(fam.members):
-                if contains_point(V, p, F) is not None:
-                    try:
-                        charts[fi, mi] = make_chart(V, p, F)
-                    except SingularPoint:
-                        continue
-                    regular.append(mi)
-            per_family.append(list(itertools.combinations(regular, fam.m)))
-        tried = [tuple((fi, mi) for fi, picks in enumerate(choice) for mi in picks)
-                 for choice in itertools.product(*per_family)]
-        qualifying = [refs for refs in tried if is_joint(p, [charts[ref] for ref in refs])]
-        out.append((p, qualifying, len(tried)))
-    return out
 
 
 def random_flats_through(rng, F, d, k, count, points):
@@ -169,12 +144,11 @@ def random_flats_through(rng, F, d, k, count, points):
 
 
 def assert_detection_matches_oracle(F, families, candidates):
+    # joints, designated tuples, every count c_V and M(p), each read off
+    # the oracle's tuple lists
     cfg = detect_joints(F, families, candidates=candidates)
     oracle = detect_by_is_joint(F, families, candidates)
-    expected = [(p, q) for p, q, _ in oracle if q]
-    assert cfg.joints == [p for p, _ in expected]
-    assert cfg.multiplicity == [q for _, q in expected]
-    assert cfg.chosen == [q[0] for _, q in expected]
+    assert joint_records(cfg) == records_of_tuples(oracle)
     return cfg, oracle
 
 
@@ -231,7 +205,9 @@ def test_pairwise_independence_never_stands_in_for_the_full_test(field):
     cfg, _ = assert_detection_matches_oracle(Ff, [Family(k=2, m=3, members=[A, B, C, D])],
                                              [p, (0,) * 6])
     assert cfg.joints == [tuple(Ff.of(x) for x in p)]
-    assert cfg.multiplicity == [[((0, 0), (0, 1), (0, 3))]]
+    # the one qualifying tuple (A, B, D)
+    assert (cfg.chosen, cfg.uses, cfg.M(0)) == (
+        [((0, 0), (0, 1), (0, 3))], [{(0, 0): 1, (0, 1): 1, (0, 3): 1}], 1)
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -249,11 +225,11 @@ def test_the_two_point_rule_and_shared_flat_reducers_hold_for_flats_only(field):
     cfg, _ = assert_detection_matches_oracle(Ff, [Family(k=1, m=2, members=members)],
                                              [(0, 0), (-1, 0), (-1, -1)])
     L, C, L2, M = ((0, i) for i in range(4))
-    assert cfg.multiplicity == [
-        [(L, C), (C, L2)],
-        [(L, C), (L, M), (C, L2), (C, M), (L2, M)],
-        [(C, M)],
-    ]
+    # the qualifying pairs [(L, C), (C, L2)] at P, [(L, C), (L, M),
+    # (C, L2), (C, M), (L2, M)] at Q and [(C, M)] at R
+    assert cfg.chosen == [(L, C), (L, C), (C, M)]
+    assert cfg.uses == [{L: 1, C: 2, L2: 1}, {L: 2, C: 3, L2: 2, M: 3}, {C: 1, M: 1}]
+    assert [cfg.M(j) for j in range(3)] == [2, 5, 1]
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -271,8 +247,11 @@ def test_flat_directions_are_chart_tangent_rows(field):
 def test_detection_matches_is_joint_on_curved_config():
     cfg = curved_plane_config()
     again, _ = assert_detection_matches_oracle(FQ, cfg.families, [(0, 0), (0, 1), (1, 1)])
-    assert again.multiplicity == cfg.multiplicity == [
-        [((0, 0), (0, 2)), ((0, 1), (0, 2))], [((0, 0), (0, 2))]]
+    # the qualifying pairs [((0, 0), (0, 2)), ((0, 1), (0, 2))] at the
+    # origin and [((0, 0), (0, 2))] at (0, 1)
+    assert joint_records(again) == joint_records(cfg) == (
+        [(0, 0), (0, 1)], [((0, 0), (0, 2)), ((0, 0), (0, 2))],
+        [{(0, 0): 1, (0, 1): 1, (0, 2): 2}, {(0, 0): 1, (0, 2): 1}], [2, 1])
 
 
 def test_detect_rejects_member_of_wrong_dimension():

@@ -42,6 +42,7 @@ from jointslab.verify import hasse_vanishing_witness
 
 from bench_loader import verdicts
 from curved import FQ, circle_and_lines, curved_plane_config, parabola_and_circle
+from oracles import detect_by_is_joint, joint_records, records_of_tuples
 
 GOLDEN = verdicts.load_golden()
 CASES = [(name, index) for name in verdicts.WORKLOADS for index in (0, 1)]
@@ -179,22 +180,25 @@ def test_reduction_mod_a_large_prime_is_the_oracle_of_the_Q_path(tmp_path, index
                          ids=["circle-and-lines", "parabola-and-circle", "curved-plane-cusp"])
 def test_reduction_mod_a_large_prime_is_the_oracle_of_the_curved_test_configs(tmp_path, make):
     # The curved configs the tests build over Q, read mod each prime: the
-    # same joints (reduced), qualifying tuples and members through each
-    # joint, with a chart or singular there (the cusp at the origin), and
-    # the same exit code and pipeline.json bytes
+    # same joints (reduced), designated tuples, counts c_V and M(p), which
+    # are those that ``is_joint`` gives tuple by tuple over each field, and
+    # members through each joint, with a chart or singular there (the cusp
+    # at the origin), and the same exit code and pipeline.json bytes
     obj = make(FQ).to_json()
     got = {}
     for p in (None, 2**31 - 1, DEFAULT_PRIME):
         obj["field"] = {"kind": "rational"} if p is None else {"kind": "prime", "p": p}
         cfg = JointsConfiguration.from_json(obj)
+        records = joint_records(cfg)
+        assert records == records_of_tuples(
+            detect_by_is_joint(cfg.field, cfg.families, obj["joints"]))
         incidence = [{ref: C is None for ref, C in on.items()} for on in cfg.charts]
         path, out = tmp_path / f"config-{p}.json", tmp_path / f"out-{p}"
         path.write_text(json.dumps(obj))
         code = verdicts.pipeline(main, path, out, ("--n", "3"))
-        got[p] = (cfg.joints, cfg.multiplicity, incidence, code,
-                  (out / "pipeline.json").read_bytes())
+        got[p] = (*records, incidence, code, (out / "pipeline.json").read_bytes())
     joints, *rest = got[None]
-    assert joints and rest[2] == EXIT_OK
+    assert joints and rest[4] == EXIT_OK
     for p in (2**31 - 1, DEFAULT_PRIME):
         Fp = FieldSpec("prime", p)
         assert got[p] == ([tuple(Fp.of(x) for x in q) for q in joints], *rest)

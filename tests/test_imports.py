@@ -1,9 +1,10 @@
 """Every top-level import of a library or test module is used in that
 module, every private top-level name of the library is used, and every
-public top-level function or class of the library, and every public
-method of a library class, is read by something other than the unit
-tests.  No function of the library takes a parameter whose name starts
-with ``_``: a private flag is a second construction path for one value.
+public top-level function or class of the library, every public method
+of a library class and every public field of a library dataclass is read
+by something other than the unit tests.  No function of the library
+takes a parameter whose name starts with ``_``: a private flag is a
+second construction path for one value.
 No module of the library, the tests or the benchmark defines a top-level
 name twice: the later definition replaces the earlier one, so a test
 defined twice runs only in its second form.
@@ -201,6 +202,51 @@ def test_every_public_library_method_is_read_outside_tests():
     library = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
     named = _traced_names() | _entry_points()
     assert unread_public_methods(library, [ACCEPTANCE.read_text()], named) == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """The class is decorated with ``dataclass`` or ``dataclass(...)``."""
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in (getattr(d, "func", d) for d in cls.decorator_list))
+
+
+def unread_public_fields(library: dict, readers: list, named: set) -> list:
+    """(module, class, field) for each public field of a top-level
+    dataclass of the ``library`` modules whose name is read as an
+    attribute nowhere in the library, nor in any ``readers`` source, and
+    that ``named`` leaves out."""
+    trees = {mod: ast.parse(src) for mod, src in library.items()}
+    read = set(named).union(*(_attribute_reads(tree) for tree in trees.values()),
+                            *(_attribute_reads(ast.parse(src)) for src in readers))
+    return sorted(
+        (mod, cls.name, node.target.id)
+        for mod, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and not node.target.id.startswith("_") and node.target.id not in read
+    )
+
+
+def test_public_field_detector_finds_test_only_fields():
+    library = {
+        "a": "from dataclasses import dataclass\n@dataclass\nclass A:\n    used: int\n"
+             "    checked: int\n    traced: int\n    alone: int\n    _private: int\n"
+             "    stored: int = 0\n@dataclass(frozen=True)\nclass B:\n    lone: int\n"
+             "class C:\n    plain: int\n",
+        "b": "from a import A\nprint(A(1, 2, 3, 4, 5).used)\nA(1, 2, 3, 4, 5).stored = 1\n",
+    }
+    readers = ["from a import A\nprint(A(1, 2, 3, 4, 5).checked)\n"]
+    assert unread_public_fields(library, readers, {"traced"}) == [
+        ("a", "A", "alone"), ("a", "A", "stored"), ("a", "B", "lone")]
+
+
+def test_every_public_dataclass_field_is_read_outside_tests():
+    """A public dataclass field is read by attribute name in library code,
+    in an acceptance test or by the benchmark's trace."""
+    library = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
+    named = _traced_names() | _entry_points()
+    assert unread_public_fields(library, [ACCEPTANCE.read_text()], named) == []
 
 
 def underscore_parameters(source: str) -> list:

@@ -18,6 +18,12 @@ Each configuration is read under two maps with small integer entries,
 drawn per configuration, and one coordinate permutation.  Over F_p the
 map is read mod p; A is drawn with det A a unit, so A^-1 is the
 reduction of the rational inverse.
+
+No such map moves a hypersurface's carrier coordinates, in which its
+equation is written.  So each hypersurface's carrier directions D are
+also replaced by D G, and its equation E by E o G (``oracles.pullback``),
+for a small integer G with det G = +-1: the same point sets, written in
+other carrier coordinates, with the same verdicts and ledger totals.
 """
 
 import json
@@ -27,9 +33,12 @@ from fractions import Fraction
 import pytest
 
 from jointslab.cli import main
+from jointslab.field import FieldSpec
+from jointslab.poly import AffineMap, format_poly, parse_poly
 
 from bench_loader import verdicts
 from curved import FQ, circle_and_lines, curved_plane_config, parabola_and_circle
+from oracles import pullback
 
 
 CURVED = {make.__name__: make for make in (circle_and_lines, parabola_and_circle,
@@ -143,3 +152,46 @@ def test_affine_maps_move_no_verdict(tmp_path, name):
     assert here[1] and here[2]
     for i, (A, b) in enumerate(draw_maps(random.Random(name), d, p)):
         assert invariants(tmp_path, f"map-{i}", mapped(cfg, A, b), args) == here, (A, b)
+
+
+def unimodular(rng: random.Random, c: int) -> list:
+    """A c x c integer matrix with det +-1: the identity with its rows
+    shuffled, then three times a row plus a small multiple of another."""
+    G = [[int(i == j) for j in range(c)] for i in range(c)]
+    rng.shuffle(G)
+    for _ in range(3):
+        i, j = rng.sample(range(c), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        G[i] = [a + f * b for a, b in zip(G[i], G[j])]
+    return G
+
+
+def recoordinated(cfg: dict, rng: random.Random) -> dict:
+    """The configuration with each hypersurface's carrier directions D
+    replaced by D G and its equation E by E o G, G drawn per member by
+    ``unimodular``: point + D u = point + (D G) u' for u = G u', where E
+    vanishes iff E o G does at u'."""
+    F = FieldSpec.from_json(cfg["field"])
+    out = json.loads(json.dumps(cfg))
+    for family in out["families"]:
+        for V in family["members"]:
+            if V["kind"] != "hypersurface":
+                continue
+            D = [[F.of(x) for x in u] for u in V["directions"]]
+            G = unimodular(rng, len(D))
+            V["directions"] = [[str(F.of(sum(g[j] * u[i] for g, u in zip(G, D))))
+                                for i in range(len(D[0]))] for j in range(len(D))]
+            E = parse_poly(V["equations"][0], F, len(D))
+            V["equations"] = [format_poly(pullback(E, AffineMap(F, G, [0] * len(D))))]
+    return out
+
+
+@pytest.mark.parametrize("name", [f"curved-q-{i}" for i in range(4)] + list(CURVED))
+def test_hypersurface_carrier_coordinates_move_no_verdict(tmp_path, name):
+    cfg, args = config(name)
+    here = invariants(tmp_path, "here", cfg, args)
+    rng = random.Random(name)
+    for i in range(2):
+        moved = recoordinated(cfg, rng)
+        assert moved["families"] != cfg["families"]
+        assert invariants(tmp_path, f"moved-{i}", moved, args) == here
