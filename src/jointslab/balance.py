@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
 from math import gcd, lcm
 
 from .basis import Handicap, build_ledger
@@ -218,10 +219,14 @@ class BalanceState:
 
 
 def _sorted_desc(W: dict) -> list:
-    """(joint, W) pairs, W descending, ties by joint ascending: one exact
-    comparison per pair of joints compared."""
-    order = sorted(W, key=cmp_to_key(lambda i, j: W[j].cmp(W[i]) or i - j))
-    return [(j, W[j]) for j in order]
+    """(joint, W) pairs, W descending, ties by joint ascending.  Each W is
+    keyed once by ``approx()``: it is correctly rounded, so it is
+    monotone in W, and joints whose floats differ are in order.  Only a
+    run of equal floats is ordered again, by exact comparison."""
+    approx = {j: w.approx() for j, w in W.items()}
+    exact = cmp_to_key(lambda i, j: W[j].cmp(W[i]) or i - j)
+    runs = groupby(sorted(W, key=lambda j: (-approx[j], j)), key=approx.get)
+    return [(j, W[j]) for _, run in runs for j in sorted(run, key=exact)]
 
 
 def _lex_cmp(a: list, b: list) -> int:
@@ -252,9 +257,11 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
     shared by the ledgers of every handicap tried.  Each member
     keeps the walks of its ledger builds (``basis.build_ledger``): a
     ledger whose walked steps begin a later step order is reused as it
-    is, and any other build resumes after the longest step-order prefix
-    it shares with a stored walk.  An attempt whose ledgers are the very
-    ledgers of the attempt before reuses that attempt's W.  The rebuild
+    is, found by ``basis.begins_step_order`` with no sort, and any other
+    build resumes after the longest step-order prefix it shares with a
+    stored walk.  An attempt whose ledgers are the very ledgers of the
+    attempt before reuses that attempt's W, and each W is sorted by one
+    float key per value (``_sorted_desc``).  The rebuild
     count and ``cap`` still count attempts, reused ones included, so
     ``status``, ``alpha`` and ``log`` are what building every ledger and
     W afresh would give.

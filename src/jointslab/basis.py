@@ -146,6 +146,29 @@ class Walk:
     ledger: BasisLedger
 
 
+def begins_step_order(order: list, h: Handicap, joints, cap: int) -> bool:
+    """True iff ``order`` is a prefix of ``step_order(h, joints, cap)``,
+    for ``order`` the steps of a walk over the same joints and cap (a
+    prefix of the step order of some handicap), decided without sorting.
+    Such a walk's steps at joint j are its first R_j, r = 0, ..., R_j - 1;
+    so it is a prefix iff the keys (r - alpha_j, position of j) increase
+    along it and, at each joint with R_j <= cap, the next step (j, R_j)
+    has a key above that of the walk's last step.  The keys are read as
+    the integers (r - alpha_j) * N + position, N the joint count, which
+    order the same way as the pairs."""
+    N = len(h.preassigned)
+    lead = {j: h.position(j) - N * h.of(j) for j in joints}  # the key of (j, 0)
+    nxt = dict.fromkeys(joints, 0)  # j -> R_j
+    last = float("-inf")
+    for j, r in order:
+        k = lead[j] + N * r
+        if k <= last:
+            return False
+        last = k
+        nxt[j] = r + 1
+    return all(lead[j] + N * R > last for j, R in nxt.items() if R <= cap)
+
+
 def _shared_prefix(a: list, b: list) -> int:
     for k, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -174,9 +197,11 @@ def build_ledger(
     member on this configuration at the same n and cap; the build is
     appended to it.  A ledger depends only on the steps it walks, so when
     a stored walk's steps begin the new step order, its ledger is
-    returned as it is.  Otherwise the build resumes after the longest
-    prefix it shares with a stored walk, from that walk's reducer cut
-    back to the rank the prefix reached (``IncrementalRowReducer.fork``).
+    returned as it is.  The stored walks are checked for that first,
+    latest first, by ``begins_step_order``, which does not sort; only when
+    none passes is the step order sorted, and the build resumes after the
+    longest prefix it shares with a stored walk, from that walk's reducer
+    cut back to the rank the prefix reached (``IncrementalRowReducer.fork``).
     """
     F = cfg.field
     V = cfg.member(ref)
@@ -184,12 +209,13 @@ def build_ledger(
     on = [j for j, C in charts.items() if C is not None]
     if cap is None:
         cap = default_cap(V, n)
+    for walk in reversed(walks or ()):
+        if begins_step_order(walk.order, h, on, cap):
+            return walk.ledger
     order = step_order(h, on, cap)
     shared, base = 0, None
     for walk in walks or ():
         k = _shared_prefix(walk.order, order)
-        if k == len(walk.order):
-            return walk.ledger
         if k > shared:
             shared, base = k, walk
     target = dim_regular_functions(V, n, F)

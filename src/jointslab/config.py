@@ -134,6 +134,8 @@ class JointsConfiguration:
             seed = json_typed(obj.get("seed", 0), int, "seed")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"malformed configuration: {exc!r}") from exc
+        if not families:
+            raise MalformedInput("malformed configuration: no families")
         return detect_joints(F, families, candidates=joints, seed=seed)
 
 

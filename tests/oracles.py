@@ -6,8 +6,9 @@ in a chart's local coordinates, read coefficient by coefficient, a
 flat's incidence and chart worked out at each point, its restriction to
 its own coordinates, a ledger walked on ambient rows, detection by
 ``is_joint`` on every tuple with the records read off its tuple lists,
-and W_p multiplied tuple by tuple."""
+W_p multiplied tuple by tuple, and W sorted by exact comparison."""
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -303,3 +304,10 @@ def W_by_tuples(cfg, tuples, ledgers, n) -> dict:
                 Q *= Fraction(ledgers[ref].joint_total(j), binom(n + k, k))
         out[j] = RootValue(Q, len(choices))
     return out
+
+
+def sorted_desc_by_cmp(W: dict) -> list:
+    """(joint, W) pairs, W descending, ties by joint ascending, sorted by
+    one exact ``RootValue.cmp`` per pair of joints compared."""
+    order = sorted(W, key=functools.cmp_to_key(lambda i, j: W[j].cmp(W[i]) or i - j))
+    return [(j, W[j]) for j in order]

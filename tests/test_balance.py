@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jointslab.balance import (
     RootValue,
+    _sorted_desc,
     balance,
     build_all_ledgers,
     compute_W,
@@ -25,7 +26,7 @@ from jointslab.field import DEFAULT_PRIME, FieldSpec
 from jointslab.poly import parse_poly
 from jointslab.varieties import VarietySpec
 
-from oracles import W_by_tuples, detect_by_is_joint, identity_map
+from oracles import W_by_tuples, detect_by_is_joint, identity_map, sorted_desc_by_cmp
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -186,6 +187,42 @@ def test_W_shift_invariance():
     shifted = Handicap({j: a + 4 for j, a in h.alpha.items()}, ids)
     b = compute_W(cfg, build_all_ledgers(cfg, shifted, 3), 3)
     assert a == b
+
+
+# radicands with values that only part past a float's precision (1 and
+# 1 + 2^-60 round to the same float, at every root index)
+RADICANDS = [Fraction(0), Fraction(1), 1 + Fraction(1, 2**60), 1 - Fraction(1, 2**60),
+             Fraction(2), Fraction(3, 7), Fraction(4), Fraction(9, 4)]
+
+
+def root_values():
+    """RootValues q^(1/M), each drawn as (q^e)^(1/(M e)): so equal values
+    come at different root indices, such as RootValue(4, 2) and
+    RootValue(2, 1); zeros, rational and irrational roots among them."""
+    q = st.one_of(st.sampled_from(RADICANDS), st.fractions(0, 20, max_denominator=30))
+    return st.builds(lambda q, m, e: RootValue(q**e, m * e), q, st.integers(1, 3), st.integers(1, 3))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sorted_desc_matches_the_exact_comparator(data):
+    values = data.draw(st.lists(root_values(), max_size=8), label="values")
+    joints = data.draw(st.permutations(range(len(values))), label="joints")
+    W = dict(zip(joints, values))
+    got, want = _sorted_desc(W), sorted_desc_by_cmp(W)
+    assert [j for j, _ in got] == [j for j, _ in want]
+    assert all(W[j] is w for j, w in got)
+
+
+def test_sorted_desc_orders_equal_floats_exactly():
+    # 1 + 2^-60 > 1 although both W round to 1.0; 4^(1/2) = 2 ties 2^(1/1)
+    # by joint; sqrt(2) sits below both and 0 at the end
+    one, above = RootValue(Fraction(1)), RootValue(1 + Fraction(1, 2**60), 2)
+    assert above.approx() == one.approx() == 1.0
+    W = {0: RootValue(Fraction(0)), 1: one, 2: RootValue(Fraction(2), 2), 3: above,
+         4: RootValue(Fraction(4), 2), 5: RootValue(Fraction(2))}
+    assert [j for j, _ in _sorted_desc(W)] == [j for j, _ in sorted_desc_by_cmp(W)] == [
+        4, 5, 2, 3, 1, 0]
 
 
 # -- descent ----------------------------------------------------------------

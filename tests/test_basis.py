@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointslab.basis import (
     Handicap,
     T_dimension,
+    begins_step_order,
     build_ledger,
     functional_rows,
     ledgers_summary,
@@ -88,6 +91,60 @@ def test_step_order_is_the_priority_order():
         steps = step_order(h, joints, 4)
         assert sorted(steps) == [(j, r) for j in joints for r in range(5)]
         assert all(priority_less(a, b, h) for a, b in zip(steps, steps[1:]))
+
+
+def walk_prefix_cases(draw_handicap, joints, cap, length) -> list:
+    """(walk, handicap) pairs: the first ``length`` steps of a step order
+    over ``joints`` and ``cap``, as a ledger build walks them, against the
+    handicap it was walked at and another."""
+    h = draw_handicap()
+    walk = step_order(h, joints, cap)[:length]
+    return [(walk, h), (walk, draw_handicap())]
+
+
+def assert_begins_iff_prefix(walk, h, joints, cap):
+    assert begins_step_order(walk, h, joints, cap) == (
+        step_order(h, joints, cap)[:len(walk)] == walk)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_begins_step_order_is_the_prefix_test(data):
+    ids = list(range(5))
+    joints = sorted(data.draw(st.sets(st.sampled_from(ids)), label="joints"))
+    cap = data.draw(st.integers(0, 3), label="cap")
+    length = data.draw(st.integers(0, len(joints) * (cap + 1)), label="length")
+
+    def draw_handicap():
+        alpha = data.draw(st.lists(st.integers(-3, 3), min_size=5, max_size=5), label="alpha")
+        return Handicap(dict(zip(ids, alpha)), data.draw(st.permutations(ids), label="ties"))
+
+    for walk, h in walk_prefix_cases(draw_handicap, joints, cap, length):
+        assert_begins_iff_prefix(walk, h, joints, cap)
+
+
+def test_begins_step_order_on_full_and_empty_walks():
+    # a capped walk that covers every step begins only an equal step
+    # order; a member with no regular joint walks no step, which begins
+    # the empty step order of every handicap
+    rng = random.Random(3)
+    ids = list(range(4))
+    verdicts = {"full": set(), "part": set()}
+    for _ in range(60):
+        joints = sorted(rng.sample(ids, rng.randint(1, 4)))
+        cap = rng.randint(0, 2)
+        steps = len(joints) * (cap + 1)
+
+        def draw_handicap():
+            return Handicap({j: rng.randint(-2, 2) for j in ids}, rng.sample(ids, len(ids)))
+
+        for length, kind in ((steps, "full"), (rng.randint(1, steps - 1) if steps > 1 else 1, "part")):
+            for walk, h in walk_prefix_cases(draw_handicap, joints, cap, length):
+                assert_begins_iff_prefix(walk, h, joints, cap)
+                verdicts[kind].add(begins_step_order(walk, h, joints, cap))
+        h = draw_handicap()
+        assert begins_step_order([], h, [], cap) and step_order(h, [], cap) == []
+    assert verdicts == {"full": {True, False}, "part": {True, False}}
 
 
 def test_priority_is_total_order():

@@ -419,6 +419,7 @@ MALFORMED = {
                                     _set_field({"kind": "rational", "p": 7})),
     "field-not-an-object": (["pipeline", "--config", CFG], _set_field("rational")),
     "families-object": (["pipeline", "--config", CFG], _retype("families", make=lambda v: {})),
+    "families-empty": (["pipeline", "--config", CFG], _retype("families", make=lambda v: [])),
     "members-object": (["pipeline", "--config", CFG], _retype("families", 0, "members")),
     "joints-object": (["pipeline", "--config", CFG], _retype("joints")),
     "joint-object": (["pipeline", "--config", CFG], _retype("joints", 0)),

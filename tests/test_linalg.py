@@ -1,6 +1,8 @@
 """Exact dense linear algebra against sympy oracles."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -184,16 +186,64 @@ def assert_canonical(F, store):
             assert all(type(a) is Fraction for a in prow)
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=["F2", "F3", "Fp", "P62", "Q"])
-def test_reducer_matches_reference_loop(F):
+def reference_loop_streams(F):
+    """The row streams of ``test_reducer_matches_reference_loop``."""
     rng = random.Random(F.p or 0)
     for _ in range(40):
         m, n = rng.randint(1, 9), rng.randint(1, 7)
+        yield sparse_rows(rng, F, m, n)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["F2", "F3", "Fp", "P62", "Q"])
+def test_reducer_matches_reference_loop(F):
+    for rows in reference_loop_streams(F):
         red, ref = IncrementalRowReducer(F), ReferenceReducer(F)
-        for row in sparse_rows(rng, F, m, n):
+        for row in rows:
             assert red.insert(row) == ref.insert(row)
             assert red.rref() == ref.pivots
         assert_canonical(F, red.rref())
+
+
+def lead_slot_cases(F, streams) -> set:
+    """Which of the F_p lead-slot cases ``insert`` meets on the streams:
+    "zero mod p", a lead slot that is nonzero but 0 mod p, read where
+    ``f %= p`` runs, and "leading zeros", a row whose slot 0 is empty,
+    read where the first nonzero slot is searched for."""
+    lines, first = inspect.getsourcelines(IncrementalRowReducer.insert)
+    at = {text: first + next(k for k, line in enumerate(lines) if text in line)
+          for text in ("f %= p", "(R & -R)")}
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            if frame.f_lineno == at["f %= p"]:
+                f = frame.f_locals["f"]
+                if f and not f % F.p:
+                    seen.add("zero mod p")
+            elif frame.f_lineno == at["(R & -R)"]:
+                seen.add("leading zeros")
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is IncrementalRowReducer.insert.__code__ else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for rows in streams:
+            red = IncrementalRowReducer(F)
+            for row in rows:
+                red.insert(row)
+    finally:
+        sys.settrace(before)
+    return seen
+
+
+@pytest.mark.parametrize("F", FIELDS[:-1], ids=["F2", "F3", "Fp", "P62"])
+def test_reference_loop_reaches_every_lead_slot_case(F):
+    # both branches of the F_p row step, and a lead that only reads 0
+    # once it is taken mod p, so dropping that reduction fails the loop
+    assert lead_slot_cases(F, reference_loop_streams(F)) == {"zero mod p", "leading zeros"}
 
 
 def field_entries(F):
