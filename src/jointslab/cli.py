@@ -39,10 +39,13 @@ EXIT_CAP_HIT = 3
 
 
 def _parse(flag: str, parse, text):
-    """parse(text), a value that does not parse being an input error."""
+    """parse(text), a value that does not parse, or has a zero
+    denominator, being an input error."""
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise MalformedInput(f"{flag} {text!r}: zero denominator") from exc
+    except ValueError as exc:
         raise MalformedInput(f"{flag} {text!r}: {exc}") from exc
 
 

@@ -132,7 +132,9 @@ class JointsConfiguration:
             joints = [tuple(F.of(x) for x in json_typed(p, list, "joint"))
                       for p in json_typed(obj["joints"], list, "joints")]
             seed = json_typed(obj.get("seed", 0), int, "seed")
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:  # FieldSpec.of names the value
+            raise MalformedInput(f"malformed configuration: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"malformed configuration: {exc!r}") from exc
         if not families:
             raise MalformedInput("malformed configuration: no families")

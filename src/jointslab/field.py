@@ -80,8 +80,9 @@ class FieldSpec:
         string of ASCII digits with at most a leading '-', as configs hold
         them, is read by ``int()``, with no regex and, over F_p, no
         inverse of a denominator; any other string goes through
-        ``Fraction``, which reads or refuses it.  A float is no exact
-        value and a bool, JSON's true or false, is no number: both raise
+        ``Fraction``, which reads or refuses it; a zero denominator raises
+        ZeroDivisionError naming the string.  A float is no exact value
+        and a bool, JSON's true or false, is no number: both raise
         ValueError."""
         cls = type(x)
         if self.kind == "prime":
@@ -98,7 +99,10 @@ class FieldSpec:
             if digits.isascii() and digits.isdigit():
                 x = int(x)
                 return x % self.p if self.kind == "prime" else Fraction(x)
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except ZeroDivisionError:
+                raise ZeroDivisionError(f"zero denominator in {x!r}") from None
         if self.kind == "prime":
             if isinstance(x, Fraction):
                 return self.div(x.numerator % self.p, x.denominator % self.p)

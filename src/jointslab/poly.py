@@ -11,13 +11,19 @@ as a {beta: c} map over the t variables, one per x_i, each value an
 ``shifted_coordinates`` give those of x = A y + b and x = z + y.
 ``expansion_row`` evaluates g -> [t^gamma] g(phi(t)) on every monomial;
 every vanishing-condition row, ledger and rank rows alike, is one, and
-so is the coefficient list of every derivative operator.
+so is the coefficient list of every derivative operator.  Over Q a row
+is built in ints when the coordinates are, as the one reader below makes
+them.
 ``coefficient_along`` is the one reader of [t^gamma] g(phi(t)) for a
 given g, g's coefficients summed against that row: ``polynomial_along``
 (and through it ``Polynomial.substitute`` and ``taylor_shift``),
 ``Polynomial.evaluate``, ``lowest_term`` (and through it
 ``vanishing_order``), ``HasseOperator.evaluate``, the hypersurface
-framing and series solve, and the witness all call it.
+framing, gradient and series solve, and the witness all call it.  Over Q
+it reads in ints: the row is read along the coordinates times the lcm D
+of their denominators (``_integral_coordinates``), g's coefficients are
+read over their common denominator, and only the quotient is a
+``Fraction``; coordinates that are all ints are read as they are.
 ``AffineMap`` holds a map built from outside values, a graph member's
 frame or a test's map, with its inverse; no library code builds one.
 ``HasseOperator`` acts by Hasse^w x^e = C(e, w) x^(e-w), the binomial
@@ -509,17 +515,42 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
     return row
 
 
+def _integral_coordinates(coords) -> tuple:
+    """(psi, D) with ``coords`` = psi / D: D the lcm of the values'
+    denominators and psi the {beta: c} maps times D, in ints.  Maps whose
+    values are all ints are returned as they are, the same list, with
+    D = 1: ``varieties._solve_series`` grows such maps in place between
+    reads that share one memo."""
+    if all(type(c) is int for x in coords for c in x.values()):
+        return coords, 1
+    D = math.lcm(*(c.denominator for x in coords for c in x.values()))
+    return [{b: c.numerator * (D // c.denominator) for b, c in x.items()} for x in coords], D
+
+
 def coefficient_along(g: Polynomial, coords, gamma, memo: dict) -> FieldElement:
     """[t^gamma] g(phi(t)) for ``coords[i]`` = x_i(phi(t)) as {beta: c}
     maps: g's coefficients summed against the ``expansion_row`` of gamma
-    at degree deg g.  ``memo`` is that row memo, so it serves one
-    (coords, deg g) pair."""
+    at degree n = deg g.  Over Q it is read in ints: with g = G / m and
+    coords = psi / D (``_integral_coordinates``), G and psi integral,
+        [t^gamma] g(phi) = sum_delta G_delta D^(n - |delta|) [t^gamma] psi^delta / (m D^n),
+    so the row is read along psi and only the quotient is a ``Fraction``.
+    ``memo`` is the row memo of one (coords, n) pair: it holds the rows
+    along psi and, over Q, (psi, D) under the key None."""
     if len(coords) != g.nvars:
         raise DimensionMismatch("one coordinate per variable required")
-    n = max(map(sum, g.terms), default=0)
-    row = expansion_row(g.field, coords, n, gamma, memo)
+    F, n = g.field, max(map(sum, g.terms), default=0)
     index = _monomial_index(g.nvars, n)
-    return g.field.of(sum(c * row[index[e]] for e, c in g.terms.items()))
+    if F.p:
+        row = expansion_row(F, coords, n, gamma, memo)
+        return sum(c * row[index[e]] for e, c in g.terms.items()) % F.p
+    if None not in memo:
+        memo[None] = _integral_coordinates(coords)
+    psi, D = memo[None]
+    row = expansion_row(F, psi, n, gamma, memo)
+    m = math.lcm(*(c.denominator for c in g.terms.values()))
+    acc = sum(c.numerator * (m // c.denominator) * D ** (n - sum(e)) * row[index[e]]
+              for e, c in g.terms.items())
+    return Fraction(acc, m * D ** n)
 
 
 def conjugate_operator(D: HasseOperator, T: AffineMap) -> HasseOperator:

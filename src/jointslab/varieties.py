@@ -17,8 +17,10 @@ constant or linear part: none for a flat, a graph's Taylor shift, and
 for a hypersurface the solution of its framed equation E(t, h(t)) = 0,
 solved one coefficient at a time, in graded order, each read off one
 ``poly.expansion_row`` row along (t, h), and only as far as a reader
-asks.  A chart holds its frames as plain rows, with no ``AffineMap``
-built.  ``Chart.coordinates(r)`` is the parametrization phi of V near p
+asks; over Q it is solved in ints, as sigma(tau) = h(c tau) / c for the
+scale c of ``_series_scale``, and the chart holds sigma.  A chart holds
+its frames as plain rows, with no ``AffineMap`` built.
+``Chart.coordinates(r)`` is the parametrization phi of V near p
 through degree r.  The functional g -> D^gamma g(p) attached to a local
 exponent vector gamma is g -> [t^gamma] g(phi(t)), which reads phi
 through degree |gamma| only; ledgers, the rank check and the witness
@@ -30,11 +32,11 @@ flat, a graph's ambient space.  Restriction takes F[x]_{<= n} onto
 F[u]_{<= n} on that space, so its rows have the same independent
 subsets as ambient ones, on C(n+c, c) columns instead of C(n+d, d).
 Each lambda is fixed with the chart, and its coordinates over Q are
-ints in every degree >= 1, so each row is lambda^|gamma| times the exact
-one and is built in ints.  ``derivative_operator`` writes the same
-functional as ambient Hasse derivatives, its coefficients one expansion
-row along the centered coordinates phi(t) - p: library API and the test
-oracle for those rows.
+ints in every degree >= 1, read off sigma in ints, so each row is
+lambda^|gamma| times the exact one and is built in ints.
+``derivative_operator`` writes the same functional as ambient Hasse
+derivatives, its coefficients one expansion row along the centered
+coordinates phi(t) - p: library API and the test oracle for those rows.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from operator import mul
 
 from . import linalg
@@ -152,9 +155,9 @@ def _graph_degree(polys) -> int:
 class Chart:
     """Framed local presentation of a variety at a regular point.
 
-    The series ``h`` give V near the center as w = (t, h(t)), t the k
-    local variables and h_{k+1..c} power series with no constant or
-    linear part, c - k of them: none for a flat, one for a hypersurface,
+    The series give V near the center as w = (t, h(t)), t the k local
+    variables and h_{k+1..c} power series with no constant or linear
+    part, c - k of them: none for a flat, one for a hypersurface,
     d - k for a graph.  The chart holds w in two coordinate systems, each
     an affine map q + M w read as plain rows.  ``center`` and ``frame``
     (d x c, whose first k columns span the tangent space) give ambient
@@ -165,18 +168,27 @@ class Chart:
     with z the coordinates its membership test read; and for a graph the
     ambient ones, z = center and B = A'.
 
+    ``h`` holds each series as the {beta: c} map of sigma with
+    h(t) = c sigma(t / c), c the ``series_scale``: over Q a hypersurface's
+    c from ``_series_scale``, for which sigma is integral, and 1 for every
+    other chart, whose series are held as they are.  ``series`` and
+    ``coordinates`` read h exactly, h_beta = sigma_beta / c^(|beta| - 1).
+
     Readers pass the order r they need and get series and coordinates
     exact through degree r, possibly with higher terms: a hypersurface's
     ``solver``, the ``_solve_series`` generator (None for every other
     chart), grows its series one degree per step, on demand.
 
-    Each reader has a positive integer scale lambda, fixed when the chart
-    is made (1 over F_p), such that its coordinates at lambda t have
-    integral coefficients in every degree >= 1.  Rows read along them are
-    rows read along the exact ones times lambda^|gamma|, so they span the
-    same conditions and can be built in ints.  ``scale`` serves the
-    ambient ``scaled_coordinates`` that the rank check reads, so it clears
-    the denominators of A', that is of the carrier's directions as well;
+    The other two readers each have a positive integer scale lambda,
+    fixed when the chart is made (1 over F_p), such that their coordinates
+    at lambda t have integral coefficients in every degree >= 1.  Rows read
+    along them are rows read along the exact ones times lambda^|gamma|, so
+    they span the same conditions and can be built in ints.  Each lambda
+    is c mu, mu clearing the denominators of its rows, and the series are
+    read at lambda t straight off sigma: h_beta lambda^|beta| =
+    c sigma_beta mu^|beta|.  ``scale`` serves the ambient
+    ``scaled_coordinates`` that the rank check reads, so it clears the
+    denominators of A', that is of the carrier's directions as well;
     ``row_scale`` serves ``row_coordinates`` and clears only those of B
     and the series."""
 
@@ -186,18 +198,18 @@ class Chart:
     frame: list = dc_field(repr=False)  # rows of A' (d x c); w = 0 maps to the center
     z: list = dc_field(repr=False)  # the center in the row coordinates
     basis: list = dc_field(repr=False)  # rows of B (c x c)
-    h: list = dc_field(repr=False)  # h_{k+1..c} as {beta: c} maps
+    h: list = dc_field(repr=False)  # sigma_{k+1..c} as {beta: c} maps
     scale: int = 1
     row_scale: int = 1
+    series_scale: int = 1
     solver: object = dc_field(default=None, repr=False, compare=False)
     # the series are exact through this degree: every degree without a
     # solver, else 1 until the solver steps
     _solved: float = dc_field(init=False, repr=False)
-    # (exact through, coordinates), one per coordinate system
-    _coords: tuple | None = dc_field(default=None, init=False, repr=False)
-    _rows: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
-    # (coordinates, scaled_coordinates of them)
-    _scaled_coords: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
+    # (exact through, coordinates) of each coordinate reader
+    _exact_coords: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _scaled_coords: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _row_coords: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
     # the expansion rows that basis.functional_rows reads, one gamma -> row
     # memo per degree bound
     expansion_memos: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -212,62 +224,68 @@ class Chart:
     def series(self, r: int) -> list:
         """h_{k+1..c} as polynomials in t, exact through degree r."""
         self._grow(r)
-        return [Polynomial(self.field, self.owner.dim, h) for h in self.h]
+        F, c = self.field, self.series_scale
+        return [Polynomial(F, self.owner.dim,
+                           h if F.p else {b: Fraction(s, c ** (sum(b) - 1)) for b, s in h.items()})
+                for h in self.h]
 
-    def _along(self, q, rows) -> list:
-        """q_i + sum_j M_ij w_j for each row of M, as {beta: c} maps over
-        the local variables, with w_j = t_j for j < k and the series h_j
-        otherwise.  Each map is read off the row: the series have no
-        constant or linear part, so only their terms can collide."""
-        k, p = self.owner.dim, self.field.p
+    def _along(self, key: str, r: int, q, rows, lam: int) -> list:
+        """q_i + sum_j M_ij w_j(lam t), one {beta: c} map over the local
+        variables per row of M, with w_j(lam t) = lam t_j for j < k and the
+        series h_j(lam t) otherwise, exact through degree r, each value an
+        ``int`` where it is integral over Q; kept in the attribute ``key``
+        and rebuilt only when the series grows.  The t^beta coefficient of
+        M_ij h_j(lam t) is (M_ij mu) c sigma_beta mu^(|beta| - 1) for
+        lam = c mu, in ints when mu clears M_ij's denominator and sigma is
+        integral; at lam = 1 < c it is M_ij sigma_beta / c^(|beta| - 1).
+        Each map is read off the row: the series have no constant or
+        linear part, so only their terms can collide."""
+        got = getattr(self, key)
+        if got is not None and got[0] >= r:
+            return got[1]
+        self._grow(r)
+        k, p, c = self.owner.dim, self.field.p, self.series_scale
+        mu = lam // c if lam % c == 0 else Fraction(lam, c)
         zero, units = (0,) * k, exponents_of_degree(k, 1)
         coords = []
         for row, b in zip(rows, q):
             x = {zero: b} if b else {}
-            x.update((e, a) for e, a in zip(units, row) if a)
+            x.update((e, a * lam) for e, a in zip(units, row) if a)
             for a, h in zip(row[k:], self.h):
                 if a:
-                    for beta, c in h.items():
-                        v = x.get(beta, 0) + a * c
+                    amc = as_int(a * mu) * c
+                    for beta, s in h.items():
+                        v = x.get(beta, 0) + amc * s * mu ** (sum(beta) - 1)
                         if p:
                             v %= p
                         if v:
                             x[beta] = v
-                        else:  # a * c != 0, so x held beta and it cancelled
+                        else:  # the term is nonzero, so x held beta and it cancelled
                             del x[beta]
-            coords.append(x)
+            # over F_p every value is an int already
+            coords.append(x if p else {beta: as_int(v) for beta, v in x.items()})
+        setattr(self, key, (self._solved, coords))
         return coords
 
     def coordinates(self, r: int) -> list:
-        """x(phi(t)) = center + A' (t, h(t)), exact through degree r, rebuilt
-        only when the series grows."""
-        if self._coords is None or self._coords[0] < r:
-            self._grow(r)
-            self._coords = self._solved, self._along(self.center, self.frame)
-        return self._coords[1]
+        """x(phi(t)) = center + A' (t, h(t)), exact through degree r."""
+        return self._along("_exact_coords", r, self.center, self.frame, 1)
 
     def scaled_coordinates(self, r: int) -> list:
         """x_i(phi(lambda t)), lambda = ``scale``: the ``coordinates``
         with the t^beta coefficient times lambda^|beta|, exact through
-        degree r.  Over Q every value is held as an ``int`` where it is
-        integral (all but non-integral constant terms); over F_p they are
-        the ``coordinates`` themselves.  Rebuilt only when those are."""
-        coords = self.coordinates(r)
-        if self.field.p:
-            return coords
-        if self._scaled_coords[0] is not coords:
-            self._scaled_coords = coords, _scaled(coords, self.scale)
-        return self._scaled_coords[1]
+        degree r, each value an ``int`` in every degree >= 1; the
+        ``coordinates`` themselves when lambda = 1, as over F_p."""
+        if self.scale == 1:
+            return self.coordinates(r)
+        return self._along("_scaled_coords", r, self.center, self.frame, self.scale)
 
     def row_coordinates(self, r: int) -> list:
         """z + B (lambda t, h(lambda t)), lambda = ``row_scale``, what ledger
         rows are read along, exact through degree r, each value an ``int``
-        where it is integral over Q; rebuilt only when the series grows."""
-        if self._rows is None or self._rows[0] < r:
-            self._grow(r)
-            coords = self._along(self.z, self.basis)
-            self._rows = self._solved, coords if self.field.p else _scaled(coords, self.row_scale)
-        return self._rows[1]
+        in every degree >= 1: only a z that is not integral, as a flat's
+        can be, puts a ``Fraction`` in its rows."""
+        return self._along("_row_coords", r, self.z, self.basis, self.row_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +337,15 @@ class _Carrier:
     rows (dirs_i | e_i) with the d direction columns in reverse order: the
     nullspace of its first d columns, read back in order, is the normals,
     and its last columns hold W.  Directions that are not independent
-    raise ``MalformedInput``."""
+    raise ``MalformedInput``.  ``dims`` keeps a graph's
+    ``dim_regular_functions`` per n."""
 
-    __slots__ = ("field", "base", "dirs", "normals", "offsets", "coordinate_rows")
+    __slots__ = ("field", "base", "dirs", "normals", "offsets", "coordinate_rows", "dims")
 
     def __init__(self, V: VarietySpec, F: FieldSpec):
         d = V.ambient
         self.field = F
+        self.dims = {}  # n -> a graph's dim_regular_functions
         if V.kind == "graph":
             A = V.frame.inverse
             self.base = linalg.mat_vec(F, A, [F.neg(b) for b in V.frame.translation])
@@ -470,14 +490,14 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
         B.append([F.one if j == i0 else F.zero for j in range(m)])
         rows = [list(row) for row in zip(*B)]
         E2 = polynomial_along(V.surface_poly, affine_coordinates(rows, z), m)
-        series = [{}]
-        solver = _solve_series(F, E2, series[0])
         lam = _series_scale(F, E2)
+        series = [{}]
+        solver = _solve_series(F, E2, lam, series[0])
         frame = [list(row) for row in zip(*(linalg.mat_vec(F, cols, v) for v in B))]
     values = [h.values() for h in series]
     scale = _denominator_lcm(F, itertools.chain(*frame, *values)) * lam
     row_scale = _denominator_lcm(F, itertools.chain(*rows, *values)) * lam
-    return Chart(V, tuple(p), F, frame, z, rows, series, scale, row_scale, solver)
+    return Chart(V, tuple(p), F, frame, z, rows, series, scale, row_scale, lam, solver)
 
 
 def _denominator_lcm(F: FieldSpec, values) -> int:
@@ -489,13 +509,14 @@ def _series_scale(F: FieldSpec, E: Polynomial) -> int:
     """A positive integer c such that s(c tau) has integral coefficients,
     for the series s = h(t) that ``_solve_series`` solves from E; 1 over F_p.
 
-    Scaled to primitive integer coefficients, E is c s + Q(t, s) with Q
-    integral of order >= 2 (no constant or linear t-terms), so s = -Q(t, s)
-    / c.  Then sigma(tau) = s(c tau) / c solves sigma = -sum_j c^(j-2)
-    Q_j(tau, sigma) over the homogeneous parts Q_j, j >= 2, of Q, which
-    has integral coefficients degree by degree.  This is the case A = 1,
-    B = c of Eisenstein's theorem (Dwork and van der Poorten, "The
-    Eisenstein constant", Duke Math. J. 65, 1992)."""
+    Scaled to primitive integer coefficients, E is E' = c' s + Q(t, s)
+    with Q integral of order >= 2 (no constant or linear t-terms), and c is
+    |c'|.  Then sigma(tau) = s(c tau) / c solves P(tau, sigma) = 0 for
+    P(tau, sigma) = E'(c tau, c sigma) / (c c'), whose coefficients
+    sign(c') E'_e c^(|e| - 2) are integers and whose sigma-coefficient is
+    1; so sigma = -(P - sigma) is integral degree by degree.  This is the
+    case A = 1, B = c of Eisenstein's theorem (Dwork and van der Poorten,
+    "The Eisenstein constant", Duke Math. J. 65, 1992)."""
     if F.p:
         return 1
     m = _denominator_lcm(F, E.terms.values())
@@ -510,30 +531,38 @@ def _scaled(coords, scale: int) -> list:
     return [{beta: as_int(c * scale ** sum(beta)) for beta, c in x.items()} for x in coords]
 
 
-def _solve_series(F: FieldSpec, E: Polynomial, h: dict):
-    """Solve into the {gamma: c} map h the series s = h(t) with
-    E(t, h(t)) = 0 and no constant or linear part, for E in (t_1..t_k, s)
-    with E(0) = 0, no linear t-terms and s-coefficient c != 0.  A
-    generator: step r = 2, 3, ... stores the coefficients of degree r and
-    yields r, so a chart solves only the degrees its readers reach.
+def _solve_series(F: FieldSpec, E: Polynomial, c: int, sigma: dict):
+    """Solve into the {gamma: c} map ``sigma`` the series with
+    h(t) = c sigma(t / c), for the series s = h(t) with E(t, h(t)) = 0 and
+    no constant or linear part, E in (t_1..t_k, s) with E(0) = 0, no linear
+    t-terms and s-coefficient E_s != 0, and c the ``_series_scale`` of E
+    (1 over F_p).  A generator: step r = 2, 3, ... stores the coefficients
+    of degree r and yields r, so a chart solves only the degrees its
+    readers reach.
 
-    Coefficients are solved in graded order.  The t^gamma coefficient of
-    E(t, h(t)) is ``coefficient_along`` (t, h): E's coefficients summed
-    against the expansion row of gamma.  As h has no constant or linear
-    part, the only entry that reads h_gamma is that of the monomial s,
-    which equals h_gamma; read while h_gamma is still missing, it is 0, so
-    h_gamma = -[t^gamma] E(t, h(t)) / c.  Storing h_gamma leaves gamma's
-    memo row stale, so the row is dropped before any higher gamma reads it.
+    sigma solves P(tau, sigma) = 0 for P = E(c tau, c sigma) / (c E_s),
+    whose coefficients E_e c^(|e| - 1) / E_s are integers over Q and whose
+    sigma-coefficient is 1, so the solve runs in ints.  Coefficients are
+    solved in graded order.  The tau^gamma coefficient of P(tau, sigma) is
+    ``coefficient_along`` (tau, sigma), read in ints: P's coefficients
+    summed against the expansion row of gamma.  As sigma has no constant
+    or linear part, the only entry that reads sigma_gamma is that of the
+    monomial sigma, which equals sigma_gamma; read while sigma_gamma is
+    still missing, it is 0, so sigma_gamma = -[tau^gamma] P(tau, sigma).
+    Storing sigma_gamma leaves gamma's memo row stale, so the row is
+    dropped before any higher gamma reads it.
     """
     k = E.nvars - 1
-    minus_c_inv = F.neg(F.inv(E.coefficient((0,) * k + (1,))))
-    coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h]
+    lead = E.coefficient((0,) * k + (1,))
+    P = Polynomial(F, k + 1, {e: as_int(F.mul(F.div(a, lead), c ** (sum(e) - 1)))
+                              for e, a in E.terms.items()})
+    coords = [{e: 1} for e in exponents_of_degree(k, 1)] + [sigma]
     memo: dict = {}
     for r in itertools.count(2):
         for gamma in exponents_of_degree(k, r):
-            acc = coefficient_along(E, coords, gamma, memo)
+            acc = coefficient_along(P, coords, gamma, memo)
             if acc:
-                h[gamma] = F.mul(acc, minus_c_inv)
+                sigma[gamma] = as_int(F.neg(acc))
                 del memo[gamma]
         yield r
 
@@ -632,17 +661,20 @@ def dim_regular_functions(V: VarietySpec, n: int, F: FieldSpec | None = None) ->
         # transpose: the expansion rows of every t^gamma, |gamma| <= n deg f,
         # along (t, f(t)).  Over Q they are read along (lambda t, f(lambda t)),
         # lambda clearing the denominators of f, in ints: each row is the
-        # same row times lambda^|gamma|.
-        maxdeg = _graph_degree(V.graph_polys)
-        coords = [{e: 1} for e in exponents_of_degree(k, 1)] + [f.terms for f in V.graph_polys]
-        if not F.p:
-            scale = _denominator_lcm(F, (c for f in V.graph_polys for c in f.terms.values()))
-            coords = _scaled(coords, scale)
-        red = linalg.IncrementalRowReducer(F)
-        memo: dict = {}
-        for gamma in monomials_upto(k, n * maxdeg):
-            red.insert(expansion_row(F, coords, n, gamma, memo))
-        return red.rank
+        # same row times lambda^|gamma|.  Kept per n on the member's carrier.
+        dims = _carrier(V, F).dims
+        if n not in dims:
+            maxdeg = _graph_degree(V.graph_polys)
+            coords = [{e: 1} for e in exponents_of_degree(k, 1)] + [f.terms for f in V.graph_polys]
+            if not F.p:
+                scale = _denominator_lcm(F, (c for f in V.graph_polys for c in f.terms.values()))
+                coords = _scaled(coords, scale)
+            red = linalg.IncrementalRowReducer(F)
+            memo: dict = {}
+            for gamma in monomials_upto(k, n * maxdeg):
+                red.insert(expansion_row(F, coords, n, gamma, memo))
+            dims[n] = red.rank
+        return dims[n]
     # hypersurface
     e = V.degree
     return binom(n + k + 1, k + 1) - binom(n - e + k + 1, k + 1)

@@ -1,10 +1,12 @@
 """Oracles that the tests build from the library's public pieces: the
 algebra of matrices and affine maps, a solve and a nullspace, greedy
 basis completion, a polynomial scaled and pulled back along an affine
-map, a Hasse operator applied to a polynomial, a polynomial's expansion
-in a chart's local coordinates, read coefficient by coefficient, a
-flat's incidence and chart worked out at each point, its restriction to
-its own coordinates, a ledger walked on ambient rows, detection by
+map, a Hasse operator applied to a polynomial, a coefficient of a
+polynomial along coordinates read in field elements, a hypersurface's
+series solved in field elements, a polynomial's expansion in a chart's
+local coordinates, read coefficient by coefficient, a flat's incidence
+and chart worked out at each point, its restriction to its own
+coordinates, a ledger walked on ambient rows, detection by
 ``is_joint`` on every tuple with the records read off its tuple lists,
 W_p multiplied tuple by tuple, and W sorted by exact comparison."""
 
@@ -122,6 +124,53 @@ def pullback(g: Polynomial, T: AffineMap) -> Polynomial:
     if T.dim != g.nvars:
         raise DimensionMismatch("map/ring dimension mismatch")
     return g.substitute([affine_form(g.field, row, b) for row, b in zip(T.matrix, T.translation)])
+
+
+def coefficient_in_field(g: Polynomial, coords, gamma, memo: dict):
+    """[t^gamma] g(phi(t)) read in field elements, the oracle of
+    ``coefficient_along``: g's coefficients summed against the expansion
+    row of gamma along the coordinates as they are, ``Fraction``s
+    included.  ``memo`` is that row memo, for one (coords, deg g) pair."""
+    if len(coords) != g.nvars:
+        raise DimensionMismatch("one coordinate per variable required")
+    n = max(map(sum, g.terms), default=0)
+    row = expansion_row(g.field, coords, n, gamma, memo)
+    index = {e: k for k, e in enumerate(monomials_upto(g.nvars, n))}
+    return g.field.of(sum(c * row[index[e]] for e, c in g.terms.items()))
+
+
+def polynomial_in_field(g: Polynomial, coords, nvars: int) -> Polynomial:
+    """g(phi(t)) in ``nvars`` variables t, every coefficient read by
+    ``coefficient_in_field``: the oracle of ``polynomial_along``."""
+    top = max((sum(e) for x in coords for e in x), default=0)
+    memo: dict = {}
+    return Polynomial(g.field, nvars, {
+        gamma: coefficient_in_field(g, coords, gamma, memo)
+        for gamma in monomials_upto(nvars, int(max(g.degree, 0)) * top)
+    })
+
+
+def series_in_field(F, E: Polynomial, N: int) -> dict:
+    """The series s = h(t) with E(t, h(t)) = 0 and no constant or linear
+    part, through degree N, for E in (t_1..t_k, s) with E(0) = 0, no
+    linear t-terms and s-coefficient c != 0, solved in field elements: the
+    oracle of ``varieties._solve_series``.  In graded order,
+    h_gamma = -[t^gamma] E(t, h(t)) / c, read by ``coefficient_in_field``
+    along the exact (t, h) while h_gamma is still missing, so that the
+    entry of the monomial s reads 0; storing h_gamma leaves gamma's memo
+    row stale, so it is dropped."""
+    k = E.nvars - 1
+    minus_c_inv = F.neg(F.inv(E.coefficient((0,) * k + (1,))))
+    h: dict = {}
+    coords = [{e: F.one} for e in exponents_of_degree(k, 1)] + [h]
+    memo: dict = {}
+    for r in range(2, N + 1):
+        for gamma in exponents_of_degree(k, r):
+            acc = coefficient_in_field(E, coords, gamma, memo)
+            if acc:
+                h[gamma] = F.mul(acc, minus_c_inv)
+                del memo[gamma]
+    return h
 
 
 def substitute_through(g: Polynomial, images: list, N: int) -> Polynomial:

@@ -319,7 +319,8 @@ def _empty_family(**fields):
 
 def _json_entry(key, value):
     """The first entry of joint 0, of member 0's point or of its first
-    direction set to a JSON value that is not a string."""
+    direction set to a JSON value: one that is not a string, or a string
+    that is no field element."""
     def edit(text):
         obj = json.loads(text)
         member = obj["families"][0]["members"][0]
@@ -402,6 +403,10 @@ MALFORMED = {
     "tau-not-a-number-no-joints": (["pipeline", "--config", CFG, "--tau", "abc"], _no_joints),
     "tau-negative": (["pipeline", "--config", CFG, "--tau", "-1"], None),
     "tau-negative-balance": (["balance", "--config", CFG, "--tau=-1/2"], None),
+    "set-zero-denominator": (["verify", "sz", "--poly", "1 * x1", "--set", "1/0,2"], None),
+    "tau-zero-denominator": (["pipeline", "--config", CFG, "--tau", "1/0"], None),
+    "joint-zero-denominator": (["pipeline", "--config", CFG], _json_entry("joint", "1/0")),
+    "flat-point-zero-denominator": (["pipeline", "--config", CFG], _json_entry("point", "-3/0")),
     "set-repeats-a-value": (["verify", "sz", "--poly", "1 * x1", "--set", "0,0"], None),
     "set-repeats-in-the-field": (["verify", "sz", "--poly", "1 * x1", "--set", "0,101",
                                   "--field-p", "101"], None),
@@ -540,8 +545,8 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_is_input_error(tmp_path, capsys, case):
+def _run_malformed(tmp_path, capsys, case) -> tuple:
+    """(exit code, stderr) of the MALFORMED case, its config edited."""
     argv, edit = MALFORMED[case]
     if CFG in argv:
         cfg_path = gen(tmp_path, "a")
@@ -550,9 +555,24 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case):
         argv = [str(cfg_path) if a == CFG else a for a in argv]
     capsys.readouterr()
     code = main([*argv, "--out-dir", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_input_error(tmp_path, capsys, case):
+    code, err = _run_malformed(tmp_path, capsys, case)
     assert code == EXIT_USAGE
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("case", sorted(c for c in MALFORMED if c.endswith("zero-denominator")))
+def test_a_zero_denominator_is_named(tmp_path, capsys, case):
+    # the message names the value and says what is wrong with it, in the
+    # words of the input, not of Python's Fraction
+    code, err = _run_malformed(tmp_path, capsys, case)
+    assert code == EXIT_USAGE
+    value = "'-3/0'" if case.startswith("flat-point") else "'1/0'"
+    assert "zero denominator" in err and value in err and "Fraction" not in err, err
 
 
 # the options each subcommand reads; a flag no command reads is dead

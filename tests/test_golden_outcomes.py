@@ -7,6 +7,8 @@ workload and checks each outcome (exit code, verdict projection of
 On pool config 0 it also counts the matrix inverses, chart builds and
 membership tests a pipeline op takes, and where the inverses happen, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
+While curved-q pool configs 0-3 run, it counts the expansion rows read
+along coordinates that hold a ``Fraction``.
 Curved-q pool configs 0-3 moved off the integer grid give the same
 reports and ledgers as where they are.  Those configs, and the curved
 configs the tests build over Q, give the same outputs, curved members'
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from jointslab import config, linalg, varieties, verify
+from jointslab import basis, config, linalg, poly, varieties, verify
 from jointslab.balance import balance
 from jointslab.basis import functional_rows
 from jointslab.cli import EXIT_OK, EXIT_USAGE, main
@@ -91,6 +93,15 @@ LOAD_INSERTS = {
 }
 
 
+# (poly.expansion_row calls that read a coordinate map holding a Fraction,
+# all calls) while curved-q pool configs 0-3 run pipeline.  Over Q a
+# reader through coefficient_along reads its rows along integral
+# coordinates, the series are solved in ints, and the rank check and
+# ledgers read the series at their scales in ints; what is left is flat
+# ledger rows at a non-integral z
+CURVED_FRACTION_ROWS = (8, 5735)
+
+
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
 def test_load_time_row_inserts(monkeypatch, name):
     real, calls = linalg.IncrementalRowReducer.insert, []
@@ -152,10 +163,28 @@ def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
     assert (len(built), calls["contains_point"]) == CHART_COUNTS[name]
 
 
+def test_curved_rows_are_read_in_ints(tmp_path, monkeypatch):
+    real, calls = poly.expansion_row, []
+
+    def row(F, coords, n, gamma, memo):
+        calls.append(any(type(c) is Fraction for x in coords for c in x.values()))
+        return real(F, coords, n, gamma, memo)
+
+    for module in (poly, basis, varieties, verify):
+        monkeypatch.setattr(module, "expansion_row", row)
+    workload = verdicts.WORKLOADS["curved-q"]
+    for index in range(4):
+        path = tmp_path / f"config-{index}.json"
+        path.write_text(verdicts.config_text(workload.config(index)))
+        out = tmp_path / f"out-{index}"
+        assert verdicts.pipeline(main, path, out, workload.args) == workload.exit_code
+    assert (sum(calls), len(calls)) == CURVED_FRACTION_ROWS
+
+
 @pytest.mark.parametrize("index", range(4))
 def test_reduction_mod_a_large_prime_is_the_oracle_of_the_Q_path(tmp_path, index):
     # The Q path has arithmetic of its own: lambda-scaled integer rows,
-    # series solved in Fractions and fraction-free elimination.  Over F_p
+    # series solved in ints at a scale and fraction-free elimination.  Over F_p
     # rows are residues with lead 1 and lambda is 1.  A config with
     # integral data, reduced mod a prime that divides none of its
     # incidence, tangency and ledger minors, gives the same joints,

@@ -24,11 +24,22 @@ from jointslab.poly import (
     lowest_term,
     monomials_upto,
     parse_poly,
+    polynomial_along,
+    shifted_coordinates,
     taylor_shift,
     vanishing_order,
 )
 
-from oracles import apply, apply_operator, compose, inverse, pullback, substitute_through
+from oracles import (
+    apply,
+    apply_operator,
+    coefficient_in_field,
+    compose,
+    inverse,
+    polynomial_in_field,
+    pullback,
+    substitute_through,
+)
 
 FQ = FieldSpec("rational")
 FP = FieldSpec("prime", 101)
@@ -352,6 +363,75 @@ def test_vanishing_order_additive(seed):
         return
     p = [Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))]
     assert vanishing_order(a * b, p) == vanishing_order(a, p) + vanishing_order(b, p)
+
+
+BIG = 10**40
+
+
+def big_fraction(rng):
+    """A rational with numerator and denominator of up to 40 digits."""
+    return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+
+
+def big_poly(rng, nvars, deg, dense):
+    """Every monomial of degree <= deg (dense) or one to four of them
+    (sparse), each with a ``big_fraction`` coefficient."""
+    monos = monomials_upto(nvars, deg)
+    chosen = monos if dense else rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+    return Polynomial(FQ, nvars, {e: big_fraction(rng) for e in chosen})
+
+
+def big_coordinates(rng, d, nt, top):
+    """d {beta: c} maps over nt variables with terms of degree <= top, the
+    constant among them: most values ``big_fraction``s, some ints."""
+    out = []
+    for _ in range(d):
+        x = {}
+        for beta in monomials_upto(nt, top):
+            if rng.random() < 0.7:
+                c = big_fraction(rng) if rng.random() < 0.7 else rng.randint(-9, 9)
+                if c:
+                    x[beta] = c
+        out.append(x)
+    return out
+
+
+# (variables, degree, dense) of each random g
+READER_CASES = [(1, 5, True), (2, 5, True), (3, 4, True), (4, 3, True), (4, 2, True),
+                (1, 4, False), (2, 5, False), (3, 5, False), (4, 5, False), (4, 4, False),
+                (3, 1, False), (2, 3, True)]
+
+
+@pytest.mark.parametrize("seed", range(len(READER_CASES)))
+def test_integer_reader_matches_the_field_reader(seed):
+    # over Q every reader through coefficient_along reads its rows in ints
+    # along D phi, D clearing the coordinates' denominators; read in
+    # Fractions along phi itself, every value is the same
+    rng = random.Random(seed)
+    nvars, deg, dense = READER_CASES[seed]
+    g = big_poly(rng, nvars, deg, dense)
+    nt = rng.randint(1, 2)
+    coords = big_coordinates(rng, nvars, nt, 2 if nvars * deg <= 8 else 1)
+    assert polynomial_along(g, coords, nt) == polynomial_in_field(g, coords, nt)
+    a = [big_fraction(rng) if rng.random() < 0.8 else Fraction(rng.randint(-3, 3))
+         for _ in range(nvars)]
+    shifted = polynomial_in_field(g, shifted_coordinates(a), nvars)
+    assert taylor_shift(g, a) == shifted
+    assert g.evaluate(a) == coefficient_in_field(g, [{(): x} for x in a], (), {})
+    assert g.evaluate(a) == shifted.coefficient((0,) * nvars)
+    # g - g(a), times the first coordinate shifted to a, vanishes to order
+    # >= 2 at a, so lowest_term reads past the t^0 coefficient
+    x1 = Polynomial.variable(FQ, nvars, 0) - Polynomial.constant(FQ, nvars, a[0])
+    for f in (g, (g - Polynomial.constant(FQ, nvars, g.evaluate(a))) * x1):
+        if f.is_zero():
+            continue
+        A = [[big_fraction(rng) for _ in range(nvars)] for _ in range(nvars)]
+        along, memo = affine_coordinates(A, a), {}
+        assert lowest_term(f, along) == next(
+            (w, c) for r in range(deg + 2) for w in exponents_of_degree(nvars, r)
+            if (c := coefficient_in_field(f, along, w, memo)))
+        at_a = polynomial_in_field(f, shifted_coordinates(a), nvars)
+        assert vanishing_order(f, a) == min(map(sum, at_a.terms))
 
 
 def test_conjugate_operator_definition():

@@ -1,6 +1,7 @@
 """Charts, derivative operators, and regular-function dimensions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import prod
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointslab import linalg, verify
+from jointslab import linalg, varieties, verify
 from jointslab.balance import build_all_ledgers
 from jointslab.basis import Handicap
 from jointslab.config import Family, detect_joints
@@ -25,6 +26,7 @@ from jointslab.poly import (
     AffineMap,
     HasseOperator,
     Polynomial,
+    affine_coordinates,
     affine_form,
     conjugate_operator,
     expansion_row,
@@ -59,10 +61,12 @@ from oracles import (
     identity_map,
     inverse,
     local_expansion,
+    polynomial_in_field,
     pullback,
     restricted,
     restriction_matrix,
     scale,
+    series_in_field,
     substitute_through,
 )
 
@@ -364,10 +368,50 @@ def random_hypersurface(F, rng, k, d, deg):
         return V, tuple(p)
 
 
+def big_hypersurface(rng, k, d, deg, sign):
+    """A random degree-deg hypersurface over Q of a random (k+1)-flat of
+    Q^d and a regular point on it away from the origin, at carrier
+    coordinates with denominators of up to 40 digits.  Its equation is
+    sign * K * G, G with coefficients of up to 40 digits over 40 digits and
+    K a 10-digit prime, so its integral form has content K or more;
+    ``sign`` -1 turns the sign of every chart's s-coefficient."""
+    m, big = k + 1, 10**40
+    frac = lambda: Fraction(rng.randint(-big, big), rng.randint(1, big))
+    while True:
+        dirs = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(m)]
+        base = [rng.randint(-4, 4) for _ in range(d)]
+        z0 = [frac() for _ in range(m)]
+        G = Polynomial(FQ, m, {e: frac() for e in monomials_upto(m, deg) if sum(e)})
+        E = scale(G - Polynomial.constant(FQ, m, G.evaluate(z0)), sign * 1000000007)
+        p = [FQ.add(FQ.of(b), sum((FQ.mul(z, FQ.of(u[i])) for z, u in zip(z0, dirs)), FQ.zero))
+             for i, b in enumerate(base)]
+        if rank(FQ, dirs) < m or E.degree != deg or not any(base):
+            continue
+        V = VarietySpec(kind="hypersurface", ambient=d, dim=k, degree=deg,
+                        point=tuple(base), directions=tuple(map(tuple, dirs)), surface_poly=E)
+        try:
+            make_chart(V, p, FQ)
+        except SingularPoint:
+            continue
+        return V, tuple(p)
+
+
+def _framed_in_field(C):
+    """The framed equation E(z + B w) of a hypersurface chart, in
+    (t_1..t_k, s), read in field elements."""
+    V = C.owner
+    return polynomial_in_field(V.surface_poly, affine_coordinates(C.basis, C.z), V.dim + 1)
+
+
+def _cut(h, N):
+    return Polynomial(h.field, h.nvars, {e: c for e, c in h.terms.items() if sum(e) <= N})
+
+
 @pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
 def test_series_solve_matches_contraction(field):
     # a chart grown one degree at a time and a fresh chart grown in one
-    # jump to N both equal the contraction through degree N
+    # jump to N both equal the contraction through degree N, and the
+    # series solved in field elements
     F = FIELDS[field]
     rng = random.Random(7)
     for k in (1, 2):
@@ -375,17 +419,47 @@ def test_series_solve_matches_contraction(field):
             for deg in (2, 3):
                 V, p = random_hypersurface(F, rng, k, d, deg)
                 stepped = make_chart(V, p, F)
+                oracle = Polynomial(F, k, series_in_field(F, _framed_in_field(stepped), 8))
                 for N in range(9):
                     ref = _contraction_chart(V, p, N, F)
                     for C in (stepped, make_chart(V, p, F)):
-                        assert [Polynomial(F, k, {e: c for e, c in h.terms.items() if sum(e) <= N})
-                                for h in C.series(N)] == ref.series(N)
+                        assert [_cut(h, N) for h in C.series(N)] == ref.series(N)
+                        assert [_cut(h, N) for h in C.series(N)] == [_cut(oracle, N)]
                         assert C.frame == ref.frame and C.center == ref.center
                         assert _through(C.coordinates(N), N) == _through(ref.coordinates(N), N)
                         for e in ambient_equations(V):
                             assert local_expansion(C, e, N).is_zero()
                 if deg == 3:
                     assert any(sum(e) >= 3 for e in stepped.series(8)[0].terms)
+
+
+def test_integral_series_solve_matches_the_field_solve():
+    # over Q the series is solved in ints, as sigma(tau) = s(c tau) / c;
+    # on hypersurfaces through points with 40-digit denominators, whose
+    # framed equations have content > 1 and s-coefficients of either sign,
+    # it is the series solved in Fractions at every truncation 0-8, and the
+    # charts read it back at their scales in ints
+    rng = random.Random(11)
+    signs = set()
+    for (k, d, deg), sign in itertools.product(((1, 2, 2), (1, 3, 3), (2, 4, 2)), (1, -1)):
+        V, p = big_hypersurface(rng, k, d, deg, sign)
+        stepped = make_chart(V, p, FQ)
+        E2 = _framed_in_field(stepped)
+        m = math.lcm(*(c.denominator for c in E2.terms.values()))
+        assert math.gcd(*(c.numerator * (m // c.denominator)
+                          for c in E2.terms.values())) >= 1000000007
+        signs.add(E2.coefficient((0,) * k + (1,)) > 0)
+        oracle = Polynomial(FQ, k, series_in_field(FQ, E2, 8))
+        assert max(c.denominator for c in oracle.terms.values()) > 10**40
+        for N in range(9):
+            for C in (stepped, make_chart(V, p, FQ)):
+                assert [_cut(h, N) for h in C.series(N)] == [_cut(oracle, N)]
+                assert all(type(c) is int
+                           for coords in (C.scaled_coordinates(N), C.row_coordinates(N))
+                           for x in coords for beta, c in x.items() if any(beta))
+        for x, y in zip(stepped.coordinates(8), stepped.scaled_coordinates(8)):
+            assert y == {b: c * stepped.scale ** sum(b) for b, c in x.items()}
+    assert signs == {True, False}
 
 
 def _frame_from_columns(F, basis_vectors, center):
@@ -775,6 +849,31 @@ def _random_graph_polys(F, rng, k, count, deg):
             terms[(deg,) + (0,) * (k - 1)] = F.one
         polys.append(Polynomial(F, k, terms))
     return tuple(polys)
+
+
+def test_graph_dimension_is_computed_once_per_member_and_n(monkeypatch):
+    # a graph's dim R_{V,<=n} is a rank of expansion rows, kept on the
+    # member per (n, field): a second call, as every ledger build of the
+    # member makes, reads no row
+    F, calls = FQ, []
+    real = varieties.expansion_row
+
+    def row(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(varieties, "expansion_row", row)
+    f = parse_poly("1/2 * x1^2 + 3 * x1 x2", F, 2)
+    V = VarietySpec(kind="graph", ambient=3, dim=2, degree=2, frame=identity_map(F, 3),
+                    graph_polys=(f,))
+    first = [dim_regular_functions(V, n, F) for n in (1, 2, 3)]
+    made = len(calls)
+    assert made and first == [dim_regular_functions(V, n) for n in (1, 2, 3)]
+    assert len(calls) == made
+    fresh = VarietySpec(kind="graph", ambient=3, dim=2, degree=2, frame=identity_map(F, 3),
+                        graph_polys=(f,))
+    assert [dim_regular_functions(fresh, n, F) for n in (1, 2, 3)] == first == [
+        _substitution_dim(V, n, F) for n in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("field", ["F3", "Fp", "Q"])
