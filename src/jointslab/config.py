@@ -14,18 +14,17 @@ joint's multiplicity M(p), and the chart of every member passing
 through it, built once at detection; every later step reads incidence
 and charts from there.
 
-What a member's incidence needs that does not depend on the point is
-worked out once per member and field (``varieties``), and a flat's
-reduced tangent rows once per config.  Two flats through two common
-candidates are a dependent pair with no reduction; at each candidate
-every other pair is reduced once, a tuple with a dependent pair is never
-tried, and every other tuple takes the full rank test.
+Detection's work follows the incidences and the surviving tuples: each
+member is tried only at the candidates its carrier holds, and the tuples
+at a point are walked over bitmasks of independent partners, with what a
+flat's tangent space fixes worked out once per config.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import mul
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -41,6 +40,7 @@ from .errors import (
 from .field import DEFAULT_PRIME, FieldSpec, json_typed
 from .varieties import (
     VarietySpec,
+    _carrier,
     make_chart,
     tangent_space,
     variety_from_json,
@@ -175,32 +175,17 @@ def detect_joints(
 ) -> JointsConfiguration:
     """Build the configuration from families plus candidate points.
 
-    The joints are the candidate points, each taken once in its first
-    position, at which some admissible tuple qualifies; no joint is found
-    anywhere else.  Membership and the chart are settled in one
-    ``make_chart`` per member and candidate: ``NotOnVariety`` means the
-    member misses the point, ``SingularPoint`` that it passes through with
-    no chart (its chart is None, and it joins no tuple).  A chart's frame
-    gives the tangent rows without solving any series term.  Every
-    member's membership test and chart read its carrier, the affine space
-    it lives in with its equations and coordinates, worked out once per
-    member (when a config is loaded, else on its first candidate) and kept
-    on it.  Every member must live in F^d with
-    d = sum m_i k_i, else DimensionMismatch, which is what ``is_joint``
-    raises on a tuple whose dimensions do not sum to its ambient one.
-
-    Detection takes two passes over the candidates.  The first builds
-    every candidate's charts, which gives each flat member the set of
-    candidates it passes through.  The second runs ``_qualifying`` at
-    each candidate: it decides the admissible tuples of the regular
-    members through the point, pruning those with a dependent pair, and
-    on each it gives what ``is_joint`` gives, in the same order.  Two
-    rules hold there for flats only, since a flat's tangent space is the
-    same at every point and a curved member's moves.  Two flats through
-    two distinct candidates both hold the line between them, so they are
-    a dependent pair, decided with no elimination.  And a flat's own rows
-    are reduced once per config, into a reducer that every candidate
-    shares and that nothing inserts into.
+    The joints are the candidates, each taken once, at which some
+    admissible tuple qualifies.  Every member must live in F^d with
+    d = sum m_i k_i, and every candidate have d coordinates, else
+    DimensionMismatch.  The first pass coerces each point once and groups
+    the members by direction class, their carrier's canonical ``normals``:
+    a class buckets the candidates by normals . p, and a member's are the
+    bucket of its ``offsets`` (in a class of one, the candidates its
+    carrier ``holds``).  ``make_chart`` runs there only, in member order:
+    ``NotOnVariety`` means a curved member misses the point,
+    ``SingularPoint`` that it has no chart there (None; it joins no
+    tuple).  The second pass runs ``_qualifying`` at each candidate.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:
@@ -210,31 +195,44 @@ def detect_joints(
             raise DimensionMismatch(f"a member's dimension differs from its family's k = {f.k}")
         if any(V.ambient != d for V in f.members):
             raise DimensionMismatch(f"a member's ambient dimension differs from sum m_i k_i = {d}")
-    seen, points, ons = set(), [], []
-    through: dict = {}  # flat member -> the indices of the candidates it passes through
-    for q in candidates:
-        p = tuple(F.of(x) for x in q)
-        if p in seen:
-            continue
-        seen.add(p)
-        on = {}
-        for fi, f in enumerate(families):
-            for mi, V in enumerate(f.members):
-                try:
-                    on[fi, mi] = make_chart(V, p, F)
-                except NotOnVariety:
-                    continue
-                except SingularPoint:
-                    on[fi, mi] = None
-                if V.kind == "flat":
-                    through.setdefault((fi, mi), set()).add(len(points))
-        points.append(p)
-        ons.append(on)
-    flat_singles: dict = {}
+    points = [tuple(F.of(x) for x in q) for q in candidates]
+    if any(len(p) != d for p in points):
+        raise DimensionMismatch("point dimension mismatch")
+    points = list(dict.fromkeys(points))
+    groups: dict = {}  # carrier normals -> [(ref, member, carrier)]
+    for fi, f in enumerate(families):
+        for mi, V in enumerate(f.members):
+            car = _carrier(V, F)
+            groups.setdefault(tuple(map(tuple, car.normals)), []).append(((fi, mi), V, car))
+    incident, classes, through, rows = {}, {}, {}, {}  # classes, through, rows: flats only
+    for c, group in enumerate(groups.values()):
+        if len(group) == 1:
+            incident[group[0][0]] = [i for i, p in enumerate(points) if group[0][2].holds(p)]
+        else:
+            bucket: dict = {}  # normals . p -> the indices of the candidates p
+            for i, p in enumerate(points):
+                bucket.setdefault(tuple(sum(map(mul, a, p)) % F.p if F.p else sum(map(mul, a, p))
+                                        for a in group[0][2].normals), []).append(i)
+            for ref, _, car in group:
+                incident[ref] = bucket.get(tuple(car.offsets), [])
+        for ref, V, car in group:
+            if V.kind == "flat":
+                classes[ref], through[ref], rows[ref] = c, set(incident[ref]), car.dirs
+    ons = [{} for _ in points]
+    for ref in sorted(incident):
+        for i in incident[ref]:
+            try:
+                ons[i][ref] = make_chart(families[ref[0]].members[ref[1]], points[i], F)
+            except NotOnVariety:
+                continue
+            except SingularPoint:
+                ons[i][ref] = None
+    memo = ({}, {}, {})  # of flats by direction class: singles, pairs, pair spans
     joints, chosen, uses, charts = [], [], [], []
     for p, on in zip(points, ons):
-        tangents = {ref: tangent_space(C) for ref, C in on.items() if C is not None}
-        first, counts = _qualifying(F, families, tangents, through, flat_singles)
+        tangents = {ref: rows[ref] if ref in rows else tangent_space(C)
+                    for ref, C in on.items() if C is not None}
+        first, counts = _qualifying(F, families, tangents, classes, through, memo)
         if counts:
             joints.append(p)
             chosen.append(first)
@@ -243,95 +241,129 @@ def detect_joints(
     return JointsConfiguration(F, families, joints, chosen, uses, charts, seed)
 
 
-def _qualifying(F: FieldSpec, families, tangents: dict, through: dict, flat_singles: dict) -> tuple:
+def _qualifying(F: FieldSpec, families, tangents: dict, classes: dict, through: dict,
+                memo: tuple) -> tuple:
     """(first, uses) of the admissible tuples whose tangent rows are
-    independent, each the flat tuple of its refs, in the order of
-    ``itertools.product`` over each family's combinations: the first, or
-    None, and member ref -> the number through it, which each subtree of
-    the walk returns and its member adds up, with no list of tuples.
+    independent, in ``itertools.product`` order over each family's
+    combinations: the first, as the flat tuple of its refs, or None, and
+    member ref -> the number through it, with no list of tuples.
 
-    ``tangents`` maps each regular member through the point to its tangent
-    rows.  A tuple has sum m_i k_i = d rows, so it is a joint exactly when
-    every row raises the rank.  The walk picks one slot at a time, family
-    by family and in increasing member order within a family, which is
-    that product order, and only members that leave enough of their
-    family for the slots after them.  A tuple can be independent only if
-    every pair in it is, so a member that forms a dependent pair with one
-    already picked is skipped.  Each pair is reduced once, when the walk
-    first meets it: its reducer is the node of a two-member prefix, and a
-    longer prefix forks its parent's reducer and inserts the new rows, so
-    every tuple that survives the pairs still takes the full rank test.
+    Member i of ``tangents`` (the regular members through the point, in
+    member order, to their rows) is bit i, and its mask holds the later
+    members it forms an independent pair with.  A prefix's candidates are
+    the AND of its picks' masks, cut to the slot's family after the last
+    pick and leaving enough of it for the slots after.  A non-last slot
+    extends the prefix's reducer by each candidate's rows.  At the last
+    slot, after one pick every candidate qualifies; after more, a lone one
+    is forked in, and two or more are cut by the mask of the members whose
+    rows T complement the prefix's span (T N^T nonsingular, N the
+    annihilator of its canonical ``rref()``).  A pick adds up its
+    subtree's count; ``tally`` counts the last picks, bit-sliced.
 
-    Two rules hold for flats only, whose tangent space is the same at
-    every point.  ``through`` maps each flat member to the candidates it
-    passes through: two flats through two distinct candidates both hold
-    the line between them, so their tangent spaces share its direction
-    and they form a dependent pair, with no reduction.  And a flat's own
-    rows reduce to the same reducer at every candidate, so it is built
-    once per config and kept in ``flat_singles``; nothing inserts into it,
-    since ``extended`` forks before inserting.  A curved member through
-    two common points need not share a tangent direction with the other,
-    and its tangent space moves, so its pairs and its own rows are reduced
-    at each point.
+    ``memo`` keeps each flat's reducer, each pair's (None if dependent)
+    and each pair's N by direction class (``classes``) for the config,
+    since a flat's tangent space is the same at every point.  Two flats
+    through two distinct candidates (``through``) hold the line between
+    them, so they are a dependent pair with no reduction.
     """
     slots = [fi for fi, f in enumerate(families) for _ in range(f.m)]
-    regular = [[ref for ref in tangents if ref[0] == fi] for fi in range(len(families))]
-    if not slots or any(len(regular[fi]) < f.m for fi, f in enumerate(families)):
+    refs = list(tangents)
+    size = [sum(ref[0] == fi for ref in refs) for fi in range(len(families))]
+    if not slots or any(n < f.m for n, f in zip(size, families)):
         return None, {}
+    starts = list(itertools.accumulate(size, initial=0))
     # per slot: how many slots of its family come after it
     later = [slots[depth + 1:].count(fi) for depth, fi in enumerate(slots)]
-    # ref -> its rows reduced, and (a, b) -> a's rows then b's; None if dependent
-    singles: dict = {}
-    pairs: dict = {}
-    first, uses = None, {}
+    flat_singles, flat_pairs, flat_spans = memo
+    singles, pairs, complements = {}, {}, {}
+    first, uses, tally = None, {}, []  # bit i of tally[level]: bit level of i's last-pick count
 
     def extended(red, ref):
         red = red.fork() if red is not None else linalg.IncrementalRowReducer(F)
-        return red if all(red.insert(row) for row in tangents[ref]) else None
+        for row in tangents[ref]:
+            if not red.insert(row):
+                return None
+        return red
 
     def single(a):
-        memo = flat_singles if a in through else singles
-        if a not in memo:
-            memo[a] = extended(None, a)
-        return memo[a]
+        store, key = (flat_singles, classes[a]) if a in classes else (singles, a)
+        if key not in store:
+            store[key] = extended(None, a)
+        return store[key]
 
-    def pair(a, b):
-        if (a, b) not in pairs:
-            if a in through and b in through and len(through[a] & through[b]) > 1:
-                pairs[a, b] = None
+    partners = [0] * len(refs)
+    for j, b in enumerate(refs):
+        cb = classes.get(b)
+        for i, a in enumerate(refs[:j]):
+            ca = classes.get(a)
+            if a[0] == b[0] and families[a[0]].m == 1:
+                continue
+            if ca is None or cb is None:  # a curved member: reduced at this point
+                red = single(a) and extended(single(a), b)
             else:
-                red = single(a)
-                pairs[a, b] = None if red is None else extended(red, b)
-        return pairs[a, b]
+                key = (ca, cb) if ca < cb else (cb, ca)
+                if key not in flat_pairs:
+                    red = None if len(through[a] & through[b]) > 1 else single(a)
+                    flat_pairs[key] = red and extended(red, b)
+                red = flat_pairs[key]
+            if red is not None:
+                pairs[i, j] = red
+                partners[i] |= 1 << j
 
-    def walk(red, picks, start) -> int:
+    def transversal(picks, red):
+        N = flat_spans.get(red)
+        if N is None:
+            N = tuple(map(tuple, linalg.rref_nullspace(F, red.rref(), len(tangents[refs[0]][0]))))
+            if len(picks) == 2 and all(refs[i] in classes for i in picks):
+                flat_spans[red] = N
+        if N not in complements:
+            fi, k = slots[-1], len(N)
+            complements[N] = 0
+            for i in range(starts[fi], starts[fi + 1]):
+                T = [[sum(map(mul, t, n)) % F.p if F.p else sum(map(mul, t, n)) for n in N]
+                     for t in tangents[refs[i]]]
+                if T[0][0] if k == 1 else linalg.rank(F, T) == k:
+                    complements[N] |= 1 << i
+        return complements[N]
+
+    def walk(red, picks, mask) -> int:
         nonlocal first
         depth = len(picks)
-        if depth == len(slots):
-            first = first or tuple(picks)
-            return 1
         fi = slots[depth]
-        if depth and slots[depth - 1] != fi:
-            start = 0
+        lo = picks[-1] + 1 if depth and slots[depth - 1] == fi else starts[fi]
+        cand = mask & (1 << (starts[fi + 1] - later[depth])) - (1 << lo)
+        if depth == len(slots) - 1:
+            if depth > 1 and cand & (cand - 1):
+                cand &= transversal(picks, red)
+            elif depth > 1 and cand and extended(red, refs[cand.bit_length() - 1]) is None:
+                cand = 0
+            if cand and first is None:
+                first = tuple(refs[i] for i in picks) + (refs[(cand & -cand).bit_length() - 1],)
+            found, level = cand.bit_count(), 0
+            while cand:  # add cand, one per survivor, carrying up the levels
+                if level == len(tally):
+                    tally.append(0)
+                tally[level], cand = tally[level] ^ cand, tally[level] & cand
+                level += 1
+            return found
         found = 0
-        for pos in range(start, len(regular[fi]) - later[depth]):
-            ref = regular[fi][pos]
-            if depth == 0:
-                child = single(ref)
-            elif depth == 1:
-                child = pair(picks[0], ref)
-            elif all(pair(a, ref) is not None for a in picks):
-                child = extended(red, ref)
-            else:
-                continue
+        while cand:
+            i = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            child = (single(refs[i]) if depth == 0 else pairs[picks[0], i] if depth == 1
+                     else extended(red, refs[i]))
             if child is not None:
-                below = walk(child, picks + [ref], pos + 1)
+                below = walk(child, picks + [i], mask & partners[i])
                 if below:
-                    uses[ref] = uses.get(ref, 0) + below
+                    uses[refs[i]] = uses.get(refs[i], 0) + below
                     found += below
         return found
 
-    walk(None, [], 0)
+    walk(None, [], -1)  # a chart's tangent rows are independent: its frame is a basis
+    for i, ref in enumerate(refs):
+        last = sum(((bits >> i) & 1) << level for level, bits in enumerate(tally))
+        if last:
+            uses[ref] = uses.get(ref, 0) + last
     return first, uses
 
 
@@ -373,9 +405,7 @@ def connected_components(cfg: JointsConfiguration) -> list:
 
 def _genericity_guard(F: FieldSpec, size: int):
     if F.kind == "prime" and F.p <= 10**6 * size * size:
-        raise FieldTooSmall(
-            f"p = {F.p} below genericity threshold 10^6 * {size}^2"
-        )
+        raise FieldTooSmall(f"p = {F.p} below genericity threshold 10^6 * {size}^2")
 
 
 def _random_vector(rng, F, d):
@@ -389,11 +419,8 @@ def _random_flat(rng, F, d, k) -> VarietySpec:
         dirs = [_random_vector(rng, F, d) for _ in range(k)]
         if linalg.rank(F, dirs) == k:
             break
-    point = _random_vector(rng, F, d)
-    return VarietySpec(
-        kind="flat", ambient=d, dim=k, degree=1,
-        point=tuple(point), directions=tuple(tuple(u) for u in dirs),
-    )
+    return VarietySpec(kind="flat", ambient=d, dim=k, degree=1,
+                       point=tuple(_random_vector(rng, F, d)), directions=tuple(map(tuple, dirs)))
 
 
 def _random_hyperplanes(rng, F, d, h):
@@ -450,14 +477,9 @@ def generate(
             got = _intersect_hyperplanes(F, [planes[i] for i in subset], d)
             if got is None:
                 raise FieldTooSmall("degenerate hyperplane sample; change the seed")
-            point, dirs = got
-            members.append(
-                VarietySpec(
-                    kind="flat", ambient=d, dim=d - cut, degree=1,
-                    point=tuple(point), directions=tuple(tuple(u) for u in dirs),
-                    label="-".join(str(i) for i in subset),
-                )
-            )
+            members.append(VarietySpec(kind="flat", ambient=d, dim=d - cut, degree=1,
+                                       point=tuple(got[0]), directions=tuple(map(tuple, got[1])),
+                                       label="-".join(str(i) for i in subset)))
         fam = Family(k=d - cut, m=3, members=members)
         candidates = []
         for subset in itertools.combinations(range(h), d):
@@ -469,19 +491,10 @@ def generate(
         d = 6 if d is None else d
         if d % k:
             raise DimensionMismatch("k must divide the ambient dimension")
-        members = []
-        for j in range(d // k):
-            dirs = []
-            for i in range(k):
-                e = [F.zero] * d
-                e[j * k + i] = F.one
-                dirs.append(tuple(e))
-            members.append(
-                VarietySpec(
-                    kind="flat", ambient=d, dim=k, degree=1,
-                    point=(F.zero,) * d, directions=tuple(dirs),
-                )
-            )
+        members = [VarietySpec(kind="flat", ambient=d, dim=k, degree=1, point=(F.zero,) * d,
+                               directions=tuple(tuple(F.one if c == j * k + i else F.zero
+                                                      for c in range(d)) for i in range(k)))
+                   for j in range(d // k)]
         fam = Family(k=k, m=d // k, members=members)
         return detect_joints(F, [fam], candidates=[(F.zero,) * d], seed=seed)
     if kind == "grid":
@@ -496,10 +509,7 @@ def generate(
         while all(not x for x in direction):
             direction = _random_vector(rng, F, 2)
         steps = _distinct_scalars(rng, F, t * t)
-        points = [
-            (F.add(base[0], F.mul(s, direction[0])), F.add(base[1], F.mul(s, direction[1])))
-            for s in steps
-        ]
+        points = [tuple(F.add(b, F.mul(s, u)) for b, u in zip(base, direction)) for s in steps]
         return _planar_points_config(F, points, seed)
     if kind == "random-flats":
         d = 6 if d is None else d
@@ -508,37 +518,26 @@ def generate(
         _genericity_guard(F, count)
         # every member passes through the origin: with random base points,
         # d/k >= 3 generic k-flats in F^d share no point
-        members = [
-            VarietySpec(
-                kind="flat", ambient=d, dim=k, degree=1,
-                point=(F.zero,) * d, directions=_random_flat(rng, F, d, k).directions,
-            )
-            for _ in range(count)
-        ]
+        members = [VarietySpec(kind="flat", ambient=d, dim=k, degree=1, point=(F.zero,) * d,
+                               directions=_random_flat(rng, F, d, k).directions)
+                   for _ in range(count)]
         fam = Family(k=k, m=d // k, members=members)
         return detect_joints(F, [fam], candidates=[(F.zero,) * d], seed=seed)
     raise UnsupportedKind(f"unknown generator kind {kind!r}")
 
 
 def _distinct_scalars(rng, F, t):
-    out = []
-    seen = set()
+    out: dict = {}
     while len(out) < t:
-        v = F.of(rng.randrange(F.p)) if F.kind == "prime" else F.of(rng.randint(-10**6, 10**6))
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+        out.setdefault(_random_vector(rng, F, 1)[0])
+    return list(out)
 
 
 def _planar_points_config(F: FieldSpec, points, seed) -> JointsConfiguration:
     """Points on the full plane as a one-member, one-family configuration;
     every point is trivially a joint of the ambient 2-flat."""
-    plane = VarietySpec(
-        kind="flat", ambient=2, dim=2, degree=1,
-        point=(F.zero, F.zero),
-        directions=((F.one, F.zero), (F.zero, F.one)),
-    )
+    plane = VarietySpec(kind="flat", ambient=2, dim=2, degree=1, point=(F.zero, F.zero),
+                        directions=((F.one, F.zero), (F.zero, F.one)))
     fam = Family(k=2, m=1, members=[plane])
     return detect_joints(F, [fam], candidates=points, seed=seed)
 

@@ -382,8 +382,8 @@ class _Carrier:
     def coordinates(self, p) -> list:
         """W (p - base): the carrier coordinates of a point p on the
         carrier, in canonical field elements."""
-        F = self.field
-        return linalg.mat_vec(F, self.coordinate_rows, [F.sub(a, b) for a, b in zip(p, self.base)])
+        q, v = self.field.p, [a - b for a, b in zip(p, self.base)]
+        return [sum(map(mul, w, v)) % q if q else sum(map(mul, w, v)) for w in self.coordinate_rows]
 
 
 def _carrier(V: VarietySpec, F: FieldSpec) -> _Carrier:

@@ -277,13 +277,14 @@ def _set_m(m):
     return edit
 
 
-def _resize_member(key, size):
-    """Member 0's point, or its first direction, cut or padded with zeros
-    to size entries."""
+def _resize(key, size):
+    """Joint 0, member 0's point or its first direction cut or padded with
+    zeros to size entries."""
     def edit(text):
         obj = json.loads(text)
         member = obj["families"][0]["members"][0]
-        vec = member["point"] if key == "point" else member["directions"][0]
+        vec = {"joint": obj["joints"][0], "point": member["point"],
+               "direction": member["directions"][0]}[key]
         vec[:] = (vec + ["0"] * size)[:size]
         return json.dumps(obj)
     return edit
@@ -452,10 +453,12 @@ MALFORMED = {
     "flat-direction-bool": (["verify", "bound", "--config", CFG], _json_entry("direction", True)),
     "flat-degree-0": (["verify", "bound", "--config", CFG], _set_key("member", "degree", 0)),
     "flat-degree-4": (["verify", "bound", "--config", CFG], _set_key("member", "degree", 4)),
-    "flat-point-short": (["pipeline", "--config", CFG], _resize_member("point", 2)),
-    "flat-point-long": (["pipeline", "--config", CFG], _resize_member("point", 5)),
-    "flat-direction-short": (["pipeline", "--config", CFG], _resize_member("direction", 2)),
-    "flat-direction-long": (["pipeline", "--config", CFG], _resize_member("direction", 4)),
+    "flat-point-short": (["pipeline", "--config", CFG], _resize("point", 2)),
+    "flat-point-long": (["pipeline", "--config", CFG], _resize("point", 5)),
+    "flat-direction-short": (["pipeline", "--config", CFG], _resize("direction", 2)),
+    "flat-direction-long": (["pipeline", "--config", CFG], _resize("direction", 4)),
+    "joint-too-short": (["pipeline", "--config", CFG], _resize("joint", 2)),
+    "joint-too-long": (["pipeline", "--config", CFG], _resize("joint", 4)),
     "hypersurface-point-long": (["pipeline", "--config", CFG],
                                 _plane_curve(kind="hypersurface", point=["0", "0", "0"])),
     "hypersurface-direction-long": (["pipeline", "--config", CFG],
@@ -573,6 +576,15 @@ def test_a_zero_denominator_is_named(tmp_path, capsys, case):
     assert code == EXIT_USAGE
     value = "'-3/0'" if case.startswith("flat-point") else "'1/0'"
     assert "zero denominator" in err and value in err and "Fraction" not in err, err
+
+
+@pytest.mark.parametrize("case", ["joint-too-short", "joint-too-long"])
+def test_a_joint_of_the_wrong_length_is_named(tmp_path, capsys, case):
+    # a carrier's equations read a point entry by entry and would take a
+    # short one, so detection checks every candidate's length first
+    code, err = _run_malformed(tmp_path, capsys, case)
+    assert code == EXIT_USAGE
+    assert "error: point dimension mismatch" in err.splitlines(), err
 
 
 # the options each subcommand reads; a flag no command reads is dead

@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -155,25 +157,54 @@ def assert_detection_matches_oracle(F, families, candidates):
 FIELDS = {"F2": FieldSpec("prime", 2), "Fp": F, "Q": FQ}
 
 
-@pytest.mark.parametrize("shape", ["one-family", "two-families"])
+def settled_last_slots(run) -> tuple:
+    """(run(), how the detection walk settled each last slot after two or
+    more picks: a Counter of "span", cut by the mask of the members that
+    complement the prefix's span, and "fork", a lone candidate forked in)."""
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        walk, how = frame.f_back, {"transversal": "span", "extended": "fork"}
+        if event == "call" and frame.f_code.co_name in how and walk.f_code.co_name == "walk":
+            if walk.f_locals["depth"] == len(walk.f_locals["slots"]) - 1:
+                seen[how[frame.f_code.co_name]] += 1
+
+    sys.setprofile(profile)
+    try:
+        return run(), seen
+    finally:
+        sys.setprofile(None)
+
+
+# shape: (d, [(k, m, members)] per family, how last slots are settled).
+# In "lines-and-planes-in-F3" one pick comes before the last slot, which
+# the pair masks settle; in "lines-and-a-plane-in-F4" the last slot has one
+# candidate at most, and often none but lines, which its family excludes
+SHAPES = {
+    "one-family": (4, [(1, 4, 9)], {"span", "fork"}),
+    "two-families": (4, [(1, 2, 5), (2, 1, 4)], {"span", "fork"}),
+    "lines-and-planes-in-F3": (3, [(1, 1, 5), (2, 1, 4)], set()),
+    "lines-and-a-plane-in-F4": (4, [(1, 2, 5), (2, 1, 1)], {"fork"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_detection_matches_is_joint_on_every_tuple(field, shape):
     Ff = FIELDS[field]
-    d = 4
+    d, spec, settled = SHAPES[shape]
     tried = rejected = 0
     multiple = False
+    paths = Counter()
     for seed in range(4):
         rng = random.Random(f"{field}:{shape}:{seed}")
         points = [tuple(Ff.of(rng.randrange(2)) for _ in range(d)) for _ in range(2)]
-        if shape == "one-family":
-            families = [Family(k=1, m=4, members=random_flats_through(rng, Ff, d, 1, 9, points))]
-        else:
-            families = [
-                Family(k=1, m=2, members=random_flats_through(rng, Ff, d, 1, 5, points)),
-                Family(k=2, m=1, members=random_flats_through(rng, Ff, d, 2, 4, points)),
-            ]
+        families = [Family(k=k, m=m, members=random_flats_through(rng, Ff, d, k, count, points))
+                    for k, m, count in spec]
         candidates = points + [tuple(Ff.of(rng.randrange(3)) for _ in range(d)) for _ in range(3)]
-        cfg, oracle = assert_detection_matches_oracle(Ff, families, candidates)
+        (cfg, oracle), seen = settled_last_slots(
+            lambda: assert_detection_matches_oracle(Ff, families, candidates))
+        paths += seen
         for _, q, n_tried in oracle:
             tried += n_tried
             rejected += n_tried - len(q)
@@ -181,6 +212,7 @@ def test_detection_matches_is_joint_on_every_tuple(field, shape):
     # the walk met both outcomes, and joints of multiplicity above 1
     assert 0 < rejected < tried
     assert multiple
+    assert set(paths) == settled
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

@@ -73,21 +73,25 @@ def _counting(calls, key, fn):
 
 # per workload: successful make_chart builds and contains_point calls of one
 # pipeline op on pool config 0.  make_chart tests membership by one
-# contains_point, so the second is the number of make_chart attempts
+# contains_point, so the second is the number of make_chart attempts.
+# Detection tries a member only at the candidates its carrier holds: a
+# flat at its incidences, a curved member at those of its carrier
 CHART_COUNTS = {
     "rank-heavy": (15, 15),
     "descent-heavy": (32, 32),
-    "curved-q": (44, 160),
-    "detect-heavy": (105, 245),
+    "curved-q": (44, 113),
+    "detect-heavy": (105, 105),
 }
 
 # per workload: IncrementalRowReducer.insert calls while pool config 0
-# loads.  Each flat's own tangent rows are reduced once per config, two
-# flats through two common candidates are a dependent pair with no
-# reduction, and a graph's frame is eliminated once, by its inverse
+# loads.  Each flat's own tangent rows are reduced once per config, when a
+# pair or a prefix needs them, and each pair of flats once per pair of
+# direction classes; two flats through two common candidates are a
+# dependent pair with no reduction, and a graph's frame is eliminated
+# once, by its inverse
 LOAD_INSERTS = {
     "rank-heavy": 298,
-    "descent-heavy": 4,
+    "descent-heavy": 2,
     "curved-q": 137,
     "detect-heavy": 976,
 }
