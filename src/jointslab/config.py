@@ -14,17 +14,14 @@ joint's multiplicity M(p), and the chart of every member passing
 through it, built once at detection; every later step reads incidence
 and charts from there.
 
-Detection's work follows the incidences and the surviving tuples: each
-member is tried only at the candidates its carrier holds, and the tuples
-at a point are walked over bitmasks of independent partners, with what a
-flat's tangent space fixes worked out once per config.
+Detection tries each member only at the candidates its carrier holds,
+and walks each point's tuples over bitmasks of independent partners.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from operator import mul
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -178,13 +175,12 @@ def detect_joints(
     The joints are the candidates, each taken once, at which some
     admissible tuple qualifies.  Every member must live in F^d with
     d = sum m_i k_i, and every candidate have d coordinates, else
-    DimensionMismatch.  The first pass coerces each point once and groups
-    the members by direction class, their carrier's canonical ``normals``:
-    a class buckets the candidates by normals . p, and a member's are the
-    bucket of its ``offsets`` (in a class of one, the candidates its
-    carrier ``holds``).  ``make_chart`` runs there only, in member order:
-    ``NotOnVariety`` means a curved member misses the point,
-    ``SingularPoint`` that it has no chart there (None; it joins no
+    DimensionMismatch.  The first pass coerces each point once and takes
+    the members in order.  Each direction class, a carrier's canonical
+    ``normals``, buckets the candidates by normals . p once, and a
+    member's candidates are the bucket of its ``offsets``.  ``make_chart``
+    runs there only: ``NotOnVariety`` means a curved member misses the
+    point, ``SingularPoint`` that it has no chart there (None; it joins no
     tuple).  The second pass runs ``_qualifying`` at each candidate.
     """
     d = sum(f.m * f.k for f in families)
@@ -199,39 +195,30 @@ def detect_joints(
     if any(len(p) != d for p in points):
         raise DimensionMismatch("point dimension mismatch")
     points = list(dict.fromkeys(points))
-    groups: dict = {}  # carrier normals -> [(ref, member, carrier)]
+    ids, buckets, classes, through = {}, {}, {}, {}  # classes and through: flats only
+    ons = [{} for _ in points]
     for fi, f in enumerate(families):
         for mi, V in enumerate(f.members):
             car = _carrier(V, F)
-            groups.setdefault(tuple(map(tuple, car.normals)), []).append(((fi, mi), V, car))
-    incident, classes, through, rows = {}, {}, {}, {}  # classes, through, rows: flats only
-    for c, group in enumerate(groups.values()):
-        if len(group) == 1:
-            incident[group[0][0]] = [i for i, p in enumerate(points) if group[0][2].holds(p)]
-        else:
-            bucket: dict = {}  # normals . p -> the indices of the candidates p
-            for i, p in enumerate(points):
-                bucket.setdefault(tuple(sum(map(mul, a, p)) % F.p if F.p else sum(map(mul, a, p))
-                                        for a in group[0][2].normals), []).append(i)
-            for ref, _, car in group:
-                incident[ref] = bucket.get(tuple(car.offsets), [])
-        for ref, V, car in group:
+            c = ids.setdefault(tuple(map(tuple, car.normals)), len(ids))
+            if c not in buckets:  # a new direction class: its candidates by normals . p
+                buckets[c] = {}
+                for i, p in enumerate(points):
+                    buckets[c].setdefault(tuple(linalg.mat_vec(F, car.normals, p)), []).append(i)
+            incident = buckets[c].get(tuple(car.offsets), [])
             if V.kind == "flat":
-                classes[ref], through[ref], rows[ref] = c, set(incident[ref]), car.dirs
-    ons = [{} for _ in points]
-    for ref in sorted(incident):
-        for i in incident[ref]:
-            try:
-                ons[i][ref] = make_chart(families[ref[0]].members[ref[1]], points[i], F)
-            except NotOnVariety:
-                continue
-            except SingularPoint:
-                ons[i][ref] = None
-    memo = ({}, {}, {})  # of flats by direction class: singles, pairs, pair spans
+                classes[fi, mi], through[fi, mi] = c, set(incident)
+            for i in incident:
+                try:
+                    ons[i][fi, mi] = make_chart(V, points[i], F)
+                except NotOnVariety:
+                    continue
+                except SingularPoint:
+                    ons[i][fi, mi] = None
+    memo = ({}, {}, {}, {})  # of flats by direction class: singles, pairs, spans, complements
     joints, chosen, uses, charts = [], [], [], []
     for p, on in zip(points, ons):
-        tangents = {ref: rows[ref] if ref in rows else tangent_space(C)
-                    for ref, C in on.items() if C is not None}
+        tangents = {ref: tangent_space(C) for ref, C in on.items() if C is not None}
         first, counts = _qualifying(F, families, tangents, classes, through, memo)
         if counts:
             joints.append(p)
@@ -258,32 +245,28 @@ def _qualifying(F: FieldSpec, families, tangents: dict, classes: dict, through: 
     is forked in, and two or more are cut by the mask of the members whose
     rows T complement the prefix's span (T N^T nonsingular, N the
     annihilator of its canonical ``rref()``).  A pick adds up its
-    subtree's count; ``tally`` counts the last picks, bit-sliced.
+    subtree's count, and a last pick counts one.
 
-    ``memo`` keeps each flat's reducer, each pair's (None if dependent)
-    and each pair's N by direction class (``classes``) for the config,
-    since a flat's tangent space is the same at every point.  Two flats
-    through two distinct candidates (``through``) hold the line between
-    them, so they are a dependent pair with no reduction.
+    ``memo`` keeps for the config what a flat's direction class
+    (``classes``) fixes, its tangent space: its reducer, a pair's (None if
+    dependent) and its N, and whether the class complements an N.  Two
+    flats through two distinct candidates (``through``) hold the line
+    between them, so they are a dependent pair with no reduction.
     """
     slots = [fi for fi, f in enumerate(families) for _ in range(f.m)]
     refs = list(tangents)
-    size = [sum(ref[0] == fi for ref in refs) for fi in range(len(families))]
-    if not slots or any(n < f.m for n, f in zip(size, families)):
+    starts = [sum(ref[0] < fi for ref in refs) for fi in range(len(families) + 1)]
+    if not slots or any(starts[fi + 1] - starts[fi] < f.m for fi, f in enumerate(families)):
         return None, {}
-    starts = list(itertools.accumulate(size, initial=0))
     # per slot: how many slots of its family come after it
     later = [slots[depth + 1:].count(fi) for depth, fi in enumerate(slots)]
-    flat_singles, flat_pairs, flat_spans = memo
+    flat_singles, flat_pairs, flat_spans, flat_complements = memo
     singles, pairs, complements = {}, {}, {}
-    first, uses, tally = None, {}, []  # bit i of tally[level]: bit level of i's last-pick count
+    first, uses = None, {}
 
     def extended(red, ref):
         red = red.fork() if red is not None else linalg.IncrementalRowReducer(F)
-        for row in tangents[ref]:
-            if not red.insert(row):
-                return None
-        return red
+        return red if all(red.insert(row) for row in tangents[ref]) else None
 
     def single(a):
         store, key = (flat_singles, classes[a]) if a in classes else (singles, a)
@@ -293,21 +276,16 @@ def _qualifying(F: FieldSpec, families, tangents: dict, classes: dict, through: 
 
     partners = [0] * len(refs)
     for j, b in enumerate(refs):
-        cb = classes.get(b)
         for i, a in enumerate(refs[:j]):
-            ca = classes.get(a)
             if a[0] == b[0] and families[a[0]].m == 1:
                 continue
-            if ca is None or cb is None:  # a curved member: reduced at this point
-                red = single(a) and extended(single(a), b)
-            else:
-                key = (ca, cb) if ca < cb else (cb, ca)
-                if key not in flat_pairs:
-                    red = None if len(through[a] & through[b]) > 1 else single(a)
-                    flat_pairs[key] = red and extended(red, b)
-                red = flat_pairs[key]
-            if red is not None:
-                pairs[i, j] = red
+            flats = a in classes and b in classes  # else a curved member: reduced at this point
+            store, key = (flat_pairs, frozenset((classes[a], classes[b]))) if flats else ({}, None)
+            if key not in store:
+                red = None if flats and len(through[a] & through[b]) > 1 else single(a)
+                store[key] = red and extended(red, b)
+            if store[key] is not None:
+                pairs[i, j] = store[key]
                 partners[i] |= 1 << j
 
     def transversal(picks, red):
@@ -316,15 +294,15 @@ def _qualifying(F: FieldSpec, families, tangents: dict, classes: dict, through: 
             N = tuple(map(tuple, linalg.rref_nullspace(F, red.rref(), len(tangents[refs[0]][0]))))
             if len(picks) == 2 and all(refs[i] in classes for i in picks):
                 flat_spans[red] = N
-        if N not in complements:
-            fi, k = slots[-1], len(N)
-            complements[N] = 0
-            for i in range(starts[fi], starts[fi + 1]):
-                T = [[sum(map(mul, t, n)) % F.p if F.p else sum(map(mul, t, n)) for n in N]
-                     for t in tangents[refs[i]]]
-                if T[0][0] if k == 1 else linalg.rank(F, T) == k:
-                    complements[N] |= 1 << i
+        if N not in complements:  # of the last family, whose members are the last refs
+            complements[N] = sum(1 << i for i in range(starts[-2], len(refs)) if complement(N, refs[i]))
         return complements[N]
+
+    def complement(N, ref):  # whether ref's rows T complement the span: T N^T nonsingular
+        store, key = (flat_complements, (N, classes[ref])) if ref in classes else ({}, None)
+        if key not in store:
+            store[key] = linalg.rank(F, [linalg.mat_vec(F, N, t) for t in tangents[ref]]) == len(N)
+        return store[key]
 
     def walk(red, picks, mask) -> int:
         nonlocal first
@@ -332,38 +310,28 @@ def _qualifying(F: FieldSpec, families, tangents: dict, classes: dict, through: 
         fi = slots[depth]
         lo = picks[-1] + 1 if depth and slots[depth - 1] == fi else starts[fi]
         cand = mask & (1 << (starts[fi + 1] - later[depth])) - (1 << lo)
-        if depth == len(slots) - 1:
-            if depth > 1 and cand & (cand - 1):
-                cand &= transversal(picks, red)
-            elif depth > 1 and cand and extended(red, refs[cand.bit_length() - 1]) is None:
-                cand = 0
-            if cand and first is None:
-                first = tuple(refs[i] for i in picks) + (refs[(cand & -cand).bit_length() - 1],)
-            found, level = cand.bit_count(), 0
-            while cand:  # add cand, one per survivor, carrying up the levels
-                if level == len(tally):
-                    tally.append(0)
-                tally[level], cand = tally[level] ^ cand, tally[level] & cand
-                level += 1
-            return found
+        last = depth == len(slots) - 1
+        if last and depth > 1 and cand & (cand - 1):
+            cand &= transversal(picks, red)
+        elif last and depth > 1 and cand and extended(red, refs[cand.bit_length() - 1]) is None:
+            cand = 0
         found = 0
         while cand:
             i = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            child = (single(refs[i]) if depth == 0 else pairs[picks[0], i] if depth == 1
-                     else extended(red, refs[i]))
-            if child is not None:
-                below = walk(child, picks + [i], mask & partners[i])
-                if below:
-                    uses[refs[i]] = uses.get(refs[i], 0) + below
-                    found += below
+            if last:
+                below = 1
+                first = first or tuple(refs[j] for j in picks + [i])
+            else:
+                child = (single(refs[i]) if depth == 0 else pairs[picks[0], i] if depth == 1
+                         else extended(red, refs[i]))
+                below = child and walk(child, picks + [i], mask & partners[i])
+            if below:
+                uses[refs[i]] = uses.get(refs[i], 0) + below
+                found += below
         return found
 
     walk(None, [], -1)  # a chart's tangent rows are independent: its frame is a basis
-    for i, ref in enumerate(refs):
-        last = sum(((bits >> i) & 1) << level for level, bits in enumerate(tally))
-        if last:
-            uses[ref] = uses.get(ref, 0) + last
     return first, uses
 
 
@@ -405,7 +373,9 @@ def connected_components(cfg: JointsConfiguration) -> list:
 
 def _genericity_guard(F: FieldSpec, size: int):
     if F.kind == "prime" and F.p <= 10**6 * size * size:
-        raise FieldTooSmall(f"p = {F.p} below genericity threshold 10^6 * {size}^2")
+        raise FieldTooSmall(
+            f"p = {F.p} below genericity threshold 10^6 * {size}^2"
+        )
 
 
 def _random_vector(rng, F, d):
@@ -419,8 +389,11 @@ def _random_flat(rng, F, d, k) -> VarietySpec:
         dirs = [_random_vector(rng, F, d) for _ in range(k)]
         if linalg.rank(F, dirs) == k:
             break
-    return VarietySpec(kind="flat", ambient=d, dim=k, degree=1,
-                       point=tuple(_random_vector(rng, F, d)), directions=tuple(map(tuple, dirs)))
+    point = _random_vector(rng, F, d)
+    return VarietySpec(
+        kind="flat", ambient=d, dim=k, degree=1,
+        point=tuple(point), directions=tuple(tuple(u) for u in dirs),
+    )
 
 
 def _random_hyperplanes(rng, F, d, h):
@@ -477,9 +450,14 @@ def generate(
             got = _intersect_hyperplanes(F, [planes[i] for i in subset], d)
             if got is None:
                 raise FieldTooSmall("degenerate hyperplane sample; change the seed")
-            members.append(VarietySpec(kind="flat", ambient=d, dim=d - cut, degree=1,
-                                       point=tuple(got[0]), directions=tuple(map(tuple, got[1])),
-                                       label="-".join(str(i) for i in subset)))
+            point, dirs = got
+            members.append(
+                VarietySpec(
+                    kind="flat", ambient=d, dim=d - cut, degree=1,
+                    point=tuple(point), directions=tuple(tuple(u) for u in dirs),
+                    label="-".join(str(i) for i in subset),
+                )
+            )
         fam = Family(k=d - cut, m=3, members=members)
         candidates = []
         for subset in itertools.combinations(range(h), d):
@@ -491,10 +469,19 @@ def generate(
         d = 6 if d is None else d
         if d % k:
             raise DimensionMismatch("k must divide the ambient dimension")
-        members = [VarietySpec(kind="flat", ambient=d, dim=k, degree=1, point=(F.zero,) * d,
-                               directions=tuple(tuple(F.one if c == j * k + i else F.zero
-                                                      for c in range(d)) for i in range(k)))
-                   for j in range(d // k)]
+        members = []
+        for j in range(d // k):
+            dirs = []
+            for i in range(k):
+                e = [F.zero] * d
+                e[j * k + i] = F.one
+                dirs.append(tuple(e))
+            members.append(
+                VarietySpec(
+                    kind="flat", ambient=d, dim=k, degree=1,
+                    point=(F.zero,) * d, directions=tuple(dirs),
+                )
+            )
         fam = Family(k=k, m=d // k, members=members)
         return detect_joints(F, [fam], candidates=[(F.zero,) * d], seed=seed)
     if kind == "grid":
@@ -509,7 +496,10 @@ def generate(
         while all(not x for x in direction):
             direction = _random_vector(rng, F, 2)
         steps = _distinct_scalars(rng, F, t * t)
-        points = [tuple(F.add(b, F.mul(s, u)) for b, u in zip(base, direction)) for s in steps]
+        points = [
+            (F.add(base[0], F.mul(s, direction[0])), F.add(base[1], F.mul(s, direction[1])))
+            for s in steps
+        ]
         return _planar_points_config(F, points, seed)
     if kind == "random-flats":
         d = 6 if d is None else d
@@ -518,26 +508,37 @@ def generate(
         _genericity_guard(F, count)
         # every member passes through the origin: with random base points,
         # d/k >= 3 generic k-flats in F^d share no point
-        members = [VarietySpec(kind="flat", ambient=d, dim=k, degree=1, point=(F.zero,) * d,
-                               directions=_random_flat(rng, F, d, k).directions)
-                   for _ in range(count)]
+        members = [
+            VarietySpec(
+                kind="flat", ambient=d, dim=k, degree=1,
+                point=(F.zero,) * d, directions=_random_flat(rng, F, d, k).directions,
+            )
+            for _ in range(count)
+        ]
         fam = Family(k=k, m=d // k, members=members)
         return detect_joints(F, [fam], candidates=[(F.zero,) * d], seed=seed)
     raise UnsupportedKind(f"unknown generator kind {kind!r}")
 
 
 def _distinct_scalars(rng, F, t):
-    out: dict = {}
+    out = []
+    seen = set()
     while len(out) < t:
-        out.setdefault(_random_vector(rng, F, 1)[0])
-    return list(out)
+        v = F.of(rng.randrange(F.p)) if F.kind == "prime" else F.of(rng.randint(-10**6, 10**6))
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
 
 
 def _planar_points_config(F: FieldSpec, points, seed) -> JointsConfiguration:
     """Points on the full plane as a one-member, one-family configuration;
     every point is trivially a joint of the ambient 2-flat."""
-    plane = VarietySpec(kind="flat", ambient=2, dim=2, degree=1, point=(F.zero, F.zero),
-                        directions=((F.one, F.zero), (F.zero, F.one)))
+    plane = VarietySpec(
+        kind="flat", ambient=2, dim=2, degree=1,
+        point=(F.zero, F.zero),
+        directions=((F.one, F.zero), (F.zero, F.one)),
+    )
     fam = Family(k=2, m=1, members=[plane])
     return detect_joints(F, [fam], candidates=points, seed=seed)
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 from .field import FieldSpec
 
@@ -58,11 +59,12 @@ def mat_vec(F: FieldSpec, A, v):
 
 
 def _dot(F: FieldSpec, row, v):
-    acc = F.zero
-    for a, b in zip(row, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
+    """row . v in canonical form: over F_p one exact sum, reduced once mod
+    p; over Q the sum of the nonzero terms only, as a Fraction product is
+    dear."""
+    if F.p:
+        return sum(map(mul, row, v)) % F.p
+    return sum((a * b for a, b in zip(row, v) if a and b), F.zero)
 
 
 def identity(F: FieldSpec, n: int):

@@ -46,7 +46,6 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import mul
 
 from . import linalg
 from .errors import (
@@ -372,18 +371,13 @@ class _Carrier:
     def holds(self, p) -> bool:
         """Whether the point p, in canonical field elements, is on the
         carrier."""
-        q = self.field.p
-        for a, c in zip(self.normals, self.offsets):
-            v = sum(map(mul, a, p))
-            if (v % q if q else v) != c:
-                return False
-        return True
+        return linalg.mat_vec(self.field, self.normals, p) == self.offsets
 
     def coordinates(self, p) -> list:
         """W (p - base): the carrier coordinates of a point p on the
         carrier, in canonical field elements."""
-        q, v = self.field.p, [a - b for a, b in zip(p, self.base)]
-        return [sum(map(mul, w, v)) % q if q else sum(map(mul, w, v)) for w in self.coordinate_rows]
+        F = self.field
+        return linalg.mat_vec(F, self.coordinate_rows, [F.sub(a, b) for a, b in zip(p, self.base)])
 
 
 def _carrier(V: VarietySpec, F: FieldSpec) -> _Carrier:
