@@ -30,7 +30,6 @@ from .errors import (
     FieldTooSmall,
     MalformedInput,
     NotAJoint,
-    NotOnVariety,
     SingularPoint,
     UnsupportedKind,
 )
@@ -38,7 +37,8 @@ from .field import DEFAULT_PRIME, FieldSpec, json_typed
 from .varieties import (
     VarietySpec,
     _carrier,
-    make_chart,
+    chart_at,
+    own_coordinates,
     tangent_space,
     variety_from_json,
     variety_to_json,
@@ -178,10 +178,13 @@ def detect_joints(
     DimensionMismatch.  The first pass coerces each point once and takes
     the members in order.  Each direction class, a carrier's canonical
     ``normals``, buckets the candidates by normals . p once, and a
-    member's candidates are the bucket of its ``offsets``.  ``make_chart``
-    runs there only: ``NotOnVariety`` means a curved member misses the
-    point, ``SingularPoint`` that it has no chart there (None; it joins no
-    tuple).  The second pass runs ``_qualifying`` at each candidate.
+    member's candidates are the bucket of its ``offsets``, which are on
+    its carrier.  Only there does it test V's own equations
+    (``own_coordinates``): None means a curved member misses the point,
+    and else ``chart_at`` builds the chart from the z it gave;
+    ``SingularPoint`` means the member is through the point with no chart
+    there (None; it joins no tuple).  The second pass runs ``_qualifying``
+    at each candidate.
     """
     d = sum(f.m * f.k for f in families)
     for f in families:
@@ -209,10 +212,11 @@ def detect_joints(
             if V.kind == "flat":
                 classes[fi, mi], through[fi, mi] = c, set(incident)
             for i in incident:
-                try:
-                    ons[i][fi, mi] = make_chart(V, points[i], F)
-                except NotOnVariety:
+                z = own_coordinates(V, points[i], F)
+                if z is None:
                     continue
+                try:
+                    ons[i][fi, mi] = chart_at(V, points[i], z, F)
                 except SingularPoint:
                     ons[i][fi, mi] = None
     memo = ({}, {}, {}, {})  # of flats by direction class: singles, pairs, spans, complements

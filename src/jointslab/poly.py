@@ -40,6 +40,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import le, sub
 
 from . import linalg
 from .errors import DimensionMismatch, MalformedInput, SingularMap
@@ -486,7 +488,9 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
     on F[x]_{<= n}.  By x^delta = x^(delta - e_i) * x_i, each entry is
         sum over beta <= gamma of c_{i,beta} [t^(gamma - beta)] x^(delta - e_i),
     where beta = 0 reads the row being built and every other beta a row
-    below gamma.  The row is seeded with the ints 1 and 0, so over Q it
+    below gamma.  Each row below is fetched once per distinct beta <= gamma
+    of all the coordinates together, as joint coordinates share their
+    exponents.  The row is seeded with the ints 1 and 0, so over Q it
     is built in ints when the coordinates are.  ``memo`` maps gamma to
     its row for one (coords, n) pair; callers share its rows and must not
     modify them.
@@ -496,14 +500,10 @@ def expansion_row(F: FieldSpec, coords, n: int, gamma, memo: dict) -> list:
         return row
     zero = (0,) * len(gamma)
     const = [ci.get(zero, 0) for ci in coords]
-    lower = [
-        [
-            (c, expansion_row(F, coords, n, tuple(g - b for g, b in zip(gamma, beta)), memo))
-            for beta, c in ci.items()
-            if beta != zero and all(b <= g for b, g in zip(beta, gamma))
-        ]
-        for ci in coords
-    ]
+    by_beta = {beta: expansion_row(F, coords, n, tuple(map(sub, gamma, beta)), memo)
+               for beta in dict.fromkeys(chain.from_iterable(coords))
+               if beta != zero and all(map(le, beta, gamma))}
+    lower = [[(c, by_beta[beta]) for beta, c in ci.items() if beta in by_beta] for ci in coords]
     p = F.p
     row = [1 if gamma == zero else 0]
     for i, k in _expansion_steps(len(coords), n):

@@ -7,8 +7,10 @@ hypersurface's is the (k+1)-flat of its equation, and a graph's is the
 whole space in its frame's coordinates.  Membership, charts and ambient
 equations each read the carrier first and then V's own equations in z:
 none for a flat, the graph equations, or the hypersurface's equation.
-``contains_point`` returns a point's z, or None off V, and the chart
-built there keeps it.
+``contains_point`` runs both tests and returns a point's z, or None off
+V; ``own_coordinates`` runs the second alone, for a point already known
+to be on the carrier, and ``chart_at`` builds the chart there, which
+keeps z.
 
 A chart frames a regular point p of a k-dimensional variety V in c
 coordinates w, c the carrier's dimension, with p at w = 0, the tangent
@@ -299,18 +301,24 @@ def _coerce_point(F: FieldSpec, p):
 def contains_point(V: VarietySpec, p, F: FieldSpec) -> list | None:
     """p's carrier coordinates z = W (p - base) if p is on V, else None.
 
-    p is on V when it is on V's carrier, by the carrier's equations, and
-    z is on V's equations there: none for a flat, z_{k+j} = f_j(z_1..z_k)
-    for a graph and E(z) = 0 for a hypersurface.  The point is read in
-    canonical field elements, or in ints, as ``make_chart`` and detection
-    pass it, so it is coerced once per chart attempt, by its caller.
-    ``make_chart`` keeps z on its chart, so a chart reads it once."""
+    Two tests: the carrier's equations (``_Carrier.holds``), then
+    ``own_coordinates``, V's own equations at z.  The point is read in
+    canonical field elements, as ``make_chart`` passes it, so it is
+    coerced once per chart, by its caller.  Detection has bucketed its
+    candidates by the carrier's equations already, so it runs only the
+    second test."""
     if len(p) != V.ambient:
         raise DimensionMismatch("point dimension mismatch")
-    car = _carrier(V, F)
-    if not car.holds(p):
-        return None
-    z = car.coordinates(p)
+    return own_coordinates(V, p, F) if _carrier(V, F).holds(p) else None
+
+
+def own_coordinates(V: VarietySpec, p, F: FieldSpec) -> list | None:
+    """The carrier coordinates z = W (p - base) of a point p on V's
+    carrier if z is on V's own equations there, else None: none for a
+    flat, z_{k+j} = f_j(z_1..z_k) for a graph and E(z) = 0 for a
+    hypersurface.  The chart built there keeps z, so a chart reads it
+    once."""
+    z = _carrier(V, F).coordinates(p)
     if V.kind == "graph":
         k = V.dim
         on = all(f.evaluate(z[:k]) == z[k + j] for j, f in enumerate(V.graph_polys))
@@ -352,6 +360,7 @@ class _Carrier:
             self.coordinate_rows = V.frame.matrix
             self.normals, self.offsets = [], []
             return
+        # a flat carries no field, and a VarietySpec built directly holds raw ints
         self.base = _coerce_point(F, V.point)
         self.dirs = dirs = [_coerce_point(F, u) for u in V.directions]
         k = len(dirs)
@@ -433,27 +442,37 @@ def _embed(f: Polynomial, d: int) -> Polynomial:
 
 
 def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
-    """Build the local chart of V at the regular point p.
-
-    The point is coerced once, and one ``contains_point`` settles
-    membership and gives its carrier coordinates z.  Each kind gives a
-    basis of its carrier in z's coordinates, tangent vectors first, and
-    its series: for a flat the axes and no series; for a graph the axes,
-    the first k of them plus the linear parts of the f_j Taylor-shifted
-    to z, whose higher parts are the series; for a hypersurface the
-    tangent vectors, then the gradient direction, of E at z, and one
-    series, of E framed once, E(z + B w), along the ``affine_coordinates``
-    of that frame, solved by ``_solve_series`` as far as readers ask.  The
-    frame's columns are that basis mapped through the carrier's
-    directions, with no inverse taken.  Rows are read at z along that
-    basis, but a graph's along its frame, at its center: its frame
-    coordinates would put ``Fraction`` centers in its rows."""
+    """Build the local chart of V at the regular point p, the checked
+    entry point: p is coerced once, and one ``contains_point`` settles
+    membership, raising ``NotOnVariety`` off V, and gives p's carrier
+    coordinates z, from which ``chart_at`` builds the chart."""
     if F is None:
         F = _spec_field(V)
     p = _coerce_point(F, p)
     z = contains_point(V, p, F)
     if z is None:
         raise NotOnVariety(f"point is not on the {V.kind}")
+    return chart_at(V, p, z, F)
+
+
+def chart_at(V: VarietySpec, p, z: list, F: FieldSpec) -> Chart:
+    """The chart of V at a point p on it, in canonical field elements,
+    with carrier coordinates z, as ``own_coordinates`` gives them;
+    ``SingularPoint`` where V has no chart at p.  Detection calls it at
+    each incidence it settled, ``make_chart`` after its checks.
+
+    Each kind gives a basis of its carrier in z's coordinates, tangent
+    vectors first, and its series: for a flat the axes and no series;
+    for a graph the axes, the first k of them plus the linear parts of
+    the f_j Taylor-shifted to z, whose higher parts are the series; for a
+    hypersurface the tangent vectors, then the gradient direction, of E
+    at z, and one series, of E framed once, E(z + B w), along the
+    ``affine_coordinates`` of that frame, solved by ``_solve_series`` as
+    far as readers ask.  The frame's columns are that basis mapped
+    through the carrier's directions, with no inverse taken.  Rows are
+    read at z along that basis, but a graph's along its frame, at its
+    center: its frame coordinates would put ``Fraction`` centers in its
+    rows."""
     d, k = V.ambient, V.dim
     car = _carrier(V, F)
     series, solver, lam = [], None, 1
@@ -467,7 +486,7 @@ def make_chart(V: VarietySpec, p, F: FieldSpec | None = None) -> Chart:
             B[i][k:] = [g.coefficient(e) for g in shifted]
         series = [{e: c for e, c in g.terms.items() if sum(e) >= 2} for g in shifted]
         frame = [list(row) for row in zip(*(linalg.mat_vec(F, cols, v) for v in B))]
-        z, rows = p, frame
+        z, rows = list(p), frame
     else:
         m, memo = k + 1, {}
         grad = [coefficient_along(V.surface_poly, shifted_coordinates(z), e, memo)

@@ -86,13 +86,13 @@ def test_every_joint_has_the_closed_form_counts(q, d, k):
 def test_make_chart_runs_once_per_incidence(monkeypatch):
     # the 117 lines of F_3^3 meet the 27 points in 27 * 13 = 351
     # incidences, out of 3159 (line, point) pairs
-    real, calls = config.make_chart, []
+    real, calls = config.chart_at, []
 
-    def chart(V, p, F=None):
+    def chart(V, p, z, F):
         calls.append(1)
-        return real(V, p, F)
+        return real(V, p, z, F)
 
-    monkeypatch.setattr(config, "make_chart", chart)
+    monkeypatch.setattr(config, "chart_at", chart)
     cfg = JointsConfiguration.from_json(all_flats(3, 3, 1))
     assert len(calls) == sum(len(on) for on in cfg.charts) == 351
 

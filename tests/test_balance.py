@@ -355,7 +355,7 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
     cfg = make()
     members = list(cfg.all_members())
     built, charts_made, W_calls, inserts = [], [], [], [0]
-    real_W, real_build, real_chart = B.compute_W, B.build_ledger, varieties_module.make_chart
+    real_W, real_build, real_chart = B.compute_W, B.build_ledger, varieties_module.chart_at
     real_insert = IncrementalRowReducer.insert
 
     def recording_W(cfg_, ledgers, n_):
@@ -378,7 +378,7 @@ def test_descent_ledgers_match_fresh_builds(monkeypatch, make, kinds, n, tau, ca
     monkeypatch.setattr(B, "compute_W", recording_W)
     monkeypatch.setattr(B, "build_ledger", recording_build)
     for module in (config_module, varieties_module):
-        monkeypatch.setattr(module, "make_chart", counting_chart)
+        monkeypatch.setattr(module, "chart_at", counting_chart)
     monkeypatch.setattr(IncrementalRowReducer, "insert", counting_insert)
     state = B.balance(cfg, n, tau=tau, cap=cap)
     builds, W_seen, charts, stored_inserts = list(built), list(W_calls), list(charts_made), inserts[0]

@@ -478,10 +478,10 @@ def test_build_ledger_wraps_only_library_errors(monkeypatch):
     cusp = build_ledger(cfg, (0, 2), h, 2)
     assert (cusp.rank, cusp.steps, cusp.counts, cusp.cap_hit) == (0, [], {}, False)
 
-    def make_chart(*args, **kwargs):
+    def chart_at(*args, **kwargs):
         raise TypeError("a bug")
 
-    monkeypatch.setattr(config_module, "make_chart", make_chart)
+    monkeypatch.setattr(config_module, "chart_at", chart_at)
     with pytest.raises(TypeError):
         detect_joints(FQ, families, candidates=[(0, 0)])
 

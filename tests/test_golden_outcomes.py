@@ -7,6 +7,8 @@ workload and checks each outcome (exit code, verdict projection of
 On pool config 0 it also counts the matrix inverses, chart builds and
 membership tests a pipeline op takes, and where the inverses happen, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
+There, and on the curved test configs, every chart detection built is the
+one ``make_chart`` builds from scratch.
 While curved-q pool configs 0-3 run, it counts the expansion rows read
 along coordinates that hold a ``Fraction``.
 Curved-q pool configs 0-3 moved off the integer grid give the same
@@ -32,11 +34,13 @@ from jointslab.balance import balance
 from jointslab.basis import functional_rows
 from jointslab.cli import EXIT_OK, EXIT_USAGE, main
 from jointslab.config import JointsConfiguration
+from jointslab.errors import NotOnVariety, SingularPoint
 from jointslab.field import DEFAULT_PRIME, FieldSpec, binom
 from jointslab.poly import parse_poly, taylor_shift
 from jointslab.varieties import (
     ambient_equations,
     dim_regular_functions,
+    make_chart,
     tangent_space,
     variety_from_json,
 )
@@ -71,16 +75,17 @@ def _counting(calls, key, fn):
     return wrapper
 
 
-# per workload: successful make_chart builds and contains_point calls of one
-# pipeline op on pool config 0.  make_chart tests membership by one
-# contains_point, so the second is the number of make_chart attempts.
-# Detection tries a member only at the candidates its carrier holds: a
-# flat at its incidences, a curved member at those of its carrier
+# per workload: chart builds, tests of a member's own equations and
+# contains_point calls of one pipeline op on pool config 0.  Detection
+# tries a member only at the candidates its carrier holds: a flat at its
+# incidences, a curved member at those of its carrier.  There it tests
+# only the member's own equations, so the second count is the number of
+# chart attempts, and no step runs the carrier's test again
 CHART_COUNTS = {
-    "rank-heavy": (15, 15),
-    "descent-heavy": (32, 32),
-    "curved-q": (44, 113),
-    "detect-heavy": (105, 105),
+    "rank-heavy": (15, 15, 0),
+    "descent-heavy": (32, 32, 0),
+    "curved-q": (44, 113, 0),
+    "detect-heavy": (105, 105, 0),
 }
 
 # per workload: IncrementalRowReducer.insert calls while pool config 0
@@ -103,7 +108,7 @@ LOAD_INSERTS = {
 # coordinates, the series are solved in ints, and the rank check and
 # ledgers read the series at their scales in ints; what is left is flat
 # ledger rows at a non-integral z
-CURVED_FRACTION_ROWS = (8, 5735)
+CURVED_FRACTION_ROWS = (8, 5000)
 
 
 @pytest.mark.parametrize("name", list(verdicts.WORKLOADS))
@@ -124,11 +129,11 @@ def test_load_time_row_inserts(monkeypatch, name):
 def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
     # a chart reads its parametrization off its basis columns and takes no
     # inverse; a graph's carrier inverts its frame once per member, while
-    # the config loads.  Detection settles membership and the chart in one
-    # make_chart per member and candidate, and no later step builds a
-    # chart, so each build is a distinct (member, point)
+    # the config loads.  Detection builds each chart once per member and
+    # incidence, and no later step builds a chart, so each build is a
+    # distinct (member, point)
     calls, built, inside, inverted = Counter(), [], [], []
-    real_chart, real_load = varieties.make_chart, config.JointsConfiguration.from_json
+    real_chart, real_load = varieties.chart_at, config.JointsConfiguration.from_json
 
     def within(where, fn, *args):
         inside.append(where)
@@ -137,8 +142,8 @@ def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
         finally:
             inside.pop()
 
-    def chart(V, p, F=None):
-        C = within("chart", real_chart, V, p, F)
+    def chart(V, p, z, F):
+        C = within("chart", real_chart, V, p, z, F)
         calls[f"{V.kind} chart"] += 1
         built.append((id(V), C.center))
         return C
@@ -153,8 +158,10 @@ def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
                         staticmethod(lambda obj: within("load", real_load, obj)))
     monkeypatch.setattr(varieties, "contains_point",
                         _counting(calls, lambda *a: "contains_point", varieties.contains_point))
+    own = _counting(calls, lambda *a: "own_coordinates", varieties.own_coordinates)
     for module in (varieties, config):
-        monkeypatch.setattr(module, "make_chart", chart)
+        monkeypatch.setattr(module, "own_coordinates", own)
+        monkeypatch.setattr(module, "chart_at", chart)
     workload = verdicts.WORKLOADS[name]
     obj = workload.config(0)
     graphs = sum(V["kind"] == "graph" for f in obj["families"] for V in f["members"])
@@ -164,7 +171,49 @@ def test_pipeline_inverts_only_graph_frames(tmp_path, monkeypatch, name):
     assert inverted == [("load",)] * graphs
     assert (graphs > 0) == (calls["graph chart"] > 0) == (name == "curved-q")
     assert len(set(built)) == len(built)
-    assert (len(built), calls["contains_point"]) == CHART_COUNTS[name]
+    assert (len(built), calls["own_coordinates"], calls["contains_point"]) == CHART_COUNTS[name]
+
+
+def _incidence_configs() -> dict:
+    """name -> JSON objects of pool config 0 of every workload and of the
+    curved test configs, over Q and mod a large prime."""
+    configs = {f"{name}-0": workload.config(0) for name, workload in verdicts.WORKLOADS.items()}
+    for make in (circle_and_lines, parabola_and_circle, curved_plane_config):
+        for field in ({"kind": "rational"}, {"kind": "prime", "p": DEFAULT_PRIME}):
+            configs[f"{make.__name__}-{field['kind']}"] = {**make(FQ).to_json(), "field": field}
+    return configs
+
+
+@pytest.mark.parametrize("name", list(_incidence_configs()))
+def test_detection_charts_are_the_checked_ones(monkeypatch, name):
+    # Detection tests only a member's own equations at the candidates its
+    # carrier holds, raising no NotOnVariety, and builds each chart from
+    # the z that test gives.  At every joint and member that is what
+    # make_chart gives on the member read afresh: NotOnVariety off the
+    # member, SingularPoint where detection holds None, else the same chart
+    obj = _incidence_configs()[name]
+    raised = []
+    monkeypatch.setattr(NotOnVariety, "__init__", lambda self, *args: raised.append(args))
+    cfg = JointsConfiguration.from_json(obj)
+    monkeypatch.undo()
+    assert raised == []
+    F = cfg.field
+    fresh = {(fi, mi): variety_from_json(V, F)
+             for fi, family in enumerate(obj["families"]) for mi, V in enumerate(family["members"])}
+    for p, on in zip(cfg.joints, cfg.charts):
+        for ref, V in fresh.items():
+            try:
+                D = make_chart(V, p, F)
+            except NotOnVariety:
+                assert ref not in on
+                continue
+            except SingularPoint:
+                assert ref in on and on[ref] is None
+                continue
+            C = on[ref]
+            assert ([C.center, C.frame, C.z, C.basis, C.scale, C.row_scale, C.series_scale,
+                     C.series(4)] == [D.center, D.frame, D.z, D.basis, D.scale, D.row_scale,
+                                      D.series_scale, D.series(4)])
 
 
 def test_curved_rows_are_read_in_ints(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
@@ -17,6 +18,7 @@ from jointslab.poly import (
     affine_coordinates,
     binom_vec,
     conjugate_operator,
+    expansion_row,
     exponents_of_degree,
     format_poly,
     grlex_key,
@@ -29,6 +31,8 @@ from jointslab.poly import (
     taylor_shift,
     vanishing_order,
 )
+from jointslab.varieties import VarietySpec, make_chart
+from jointslab.verify import joint_coordinates
 
 from oracles import (
     apply,
@@ -163,6 +167,45 @@ def test_substitution_matches_sympy(F):
             gamma = min(moved_g.terms, key=grlex_key)
             assert lowest_term(g, affine_coordinates(T.matrix, T.translation)) == (
                 gamma, moved_g.terms[gamma])
+
+
+def joint_charts(F):
+    """p = (1, 0, 1) and the charts there of a line, a graph curve and a
+    hypersurface curve of F^3, each moving every coordinate along its
+    local variable, so that their joint coordinates share the exponents
+    of degree 1 and hold higher ones of the two curves."""
+    p = (1, 0, 1)
+    A = [[1, 0, 0], [-1, 1, 0], [0, -1, 1]]  # its inverse's first column is (1, 1, 1)
+    members = [
+        VarietySpec(kind="flat", ambient=3, dim=1, degree=1, point=p, directions=((1, 1, 1),)),
+        VarietySpec(kind="graph", ambient=3, dim=1, degree=3,
+                    frame=AffineMap(F, A, [-sum(map(mul, row, p)) for row in A]),
+                    graph_polys=(parse_poly("1 * x1^2", F, 1),
+                                 parse_poly("1 * x1^2 + 1 * x1^3", F, 1))),
+        VarietySpec(kind="hypersurface", ambient=3, dim=1, degree=2, point=p,
+                    directions=((1, 0, 0), (0, 1, 1)),
+                    surface_poly=parse_poly("1 * x1 + 1 * x2 + 1 * x2^2 + 1 * x1 x2", F, 2)),
+    ]
+    return p, [make_chart(V, p, F) for V in members]
+
+
+@pytest.mark.parametrize("F", [F2, FP, FQ], ids=["F2", "F101", "Q"])
+def test_expansion_rows_along_joint_coordinates_match_sympy(F):
+    # [t^gamma] x^delta along the joint coordinates of three charts, built
+    # from the top gamma down through the shared memo, against sympy's
+    # coefficient over Z or Q reduced into F; many gamma have zero entries
+    p, charts = joint_charts(F)
+    coords = joint_coordinates(list(p), [(1, C.coordinates(4)) for C in charts])
+    assert all(e in x for x in coords for e in exponents_of_degree(3, 1))
+    ts = sympy.symbols("t1:4")
+    xs = [sympy.Poly(sum(sympy.Rational(c) * sympy.prod(t**b for t, b in zip(ts, beta))
+                         for beta, c in x.items()), *ts) for x in coords]
+    n, memo = 3, {}
+    products = [from_sympy(sympy.prod(x**e for x, e in zip(xs, delta)).as_expr(), F, ts)
+                for delta in monomials_upto(3, n)]
+    for gamma in reversed(monomials_upto(3, 4)):
+        expected = [g.coefficient(gamma) for g in products]
+        assert [F.of(c) for c in expansion_row(F, coords, n, gamma, memo)] == expected
 
 
 # -- text form --------------------------------------------------------------
