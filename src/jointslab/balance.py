@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .basis import Handicap, build_ledger
 from .errors import Disconnected, LedgerMissing
@@ -83,11 +83,12 @@ class RootValue:
         # Equal values must hash equal, so hash the canonical form: the
         # root index reduced by the largest g | M for which Q is a perfect
         # g-th power, i.e. the least M' with value**M' rational.
-        for g in range(self.M, 0, -1):
-            if self.M % g == 0:
-                q = RootValue(self.Q, g).to_rational()
-                if q is not None:
-                    return hash((q, self.M // g))
+        M = self.M
+        low = [g for g in range(1, isqrt(M) + 1) if M % g == 0]
+        for g in sorted({*low, *(M // g for g in low)}, reverse=True):
+            q = RootValue(self.Q, g).to_rational()
+            if q is not None:
+                return hash((q, M // g))
 
     def to_rational(self) -> Fraction | None:
         """Exact rational value when Q is a perfect M-th power, else None."""
@@ -185,19 +186,23 @@ def compute_W(cfg, ledgers: dict, n: int) -> dict:
     The radicand is taken as prod_V |D_{p,V}|^c_V / prod_V C(n + dim V,
     dim V)^c_V, c_V the number of the joint's qualifying tuples that
     contain V, which the configuration keeps (``cfg.uses``): one integer
-    power per member and one Fraction per joint.
+    power per member and one Fraction per joint.  It is written in lowest
+    terms: with g = gcd(M(p), every c_V), each power is c_V / g and the
+    root index M(p) / g, the same value with a radicand g times shorter.
     """
     out = {}
     for j, uses in enumerate(cfg.uses):
+        M = cfg.M(j)
+        g = gcd(M, *uses.values())
         num = den = 1
         for ref, c in uses.items():
             led = ledgers.get(ref)
             if led is None:
                 raise LedgerMissing(f"no ledger for member {ref}")
             k = cfg.families[ref[0]].k
-            num *= led.joint_total(j) ** c
-            den *= binom(n + k, k) ** c
-        out[j] = RootValue(Fraction(num, den), cfg.M(j))
+            num *= led.joint_total(j) ** (c // g)
+            den *= binom(n + k, k) ** (c // g)
+        out[j] = RootValue(Fraction(num, den), M // g)
     return out
 
 
@@ -259,9 +264,12 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
     ledger whose walked steps begin a later step order is reused as it
     is, found by ``basis.begins_step_order`` with no sort, and any other
     build resumes after the longest step-order prefix it shares with a
-    stored walk.  An attempt whose ledgers are the very ledgers of the
-    attempt before reuses that attempt's W, and each W is sorted by one
-    float key per value (``_sorted_desc``).  The rebuild
+    stored walk.  The reducers of a member's walks share one pack memo,
+    so over F_p each chart row is packed once per descent, not once per
+    insert; the walk store, and with it the memo, is local to the call
+    and freed when it returns.  An attempt whose ledgers are the very
+    ledgers of the attempt before reuses that attempt's W, and each W is
+    sorted by one float key per value (``_sorted_desc``).  The rebuild
     count and ``cap`` still count attempts, reused ones included, so
     ``status``, ``alpha`` and ``log`` are what building every ledger and
     W afresh would give.

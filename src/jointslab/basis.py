@@ -201,7 +201,13 @@ def build_ledger(
     latest first, by ``begins_step_order``, which does not sort; only when
     none passes is the step order sorted, and the build resumes after the
     longest prefix it shares with a stored walk, from that walk's reducer
-    cut back to the rank the prefix reached (``IncrementalRowReducer.fork``).
+    cut back to the rank the prefix reached (``IncrementalRowReducer.fork``);
+    a build that shares no prefix forks the first stored walk's reducer
+    at rank 0.  So the walks of one store descend from the first walk's
+    reducer, made with a pack memo, and pack each chart row once between
+    them: the rows are the charts' memo rows, which no one modifies.  The
+    memo lives as long as the store's reducers; a build with no store
+    makes a reducer with no memo.
     """
     F = cfg.field
     V = cfg.member(ref)
@@ -213,14 +219,14 @@ def build_ledger(
         if begins_step_order(walk.order, h, on, cap):
             return walk.ledger
     order = step_order(h, on, cap)
-    shared, base = 0, None
+    shared, base = 0, walks[0] if walks else None
     for walk in walks or ():
         k = _shared_prefix(walk.order, order)
         if k > shared:
             shared, base = k, walk
     target = dim_regular_functions(V, n, F)
     if base is None:
-        picks, red = [], IncrementalRowReducer(F)
+        picks, red = [], IncrementalRowReducer(F, memo=walks is not None)
     else:
         # the base walk went on past the prefix, so it is below target there
         picks = base.picks[:shared]

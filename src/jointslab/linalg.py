@@ -31,6 +31,18 @@ slots apart; the first row inserted fixes ncols, and with it w.
 ``rref()`` unpacks each stored row to canonical residues before
 back-substituting.
 
+A reducer made with ``memo=True`` over F_p packs each input row object
+once: it keeps a pack memo, {id(row): (row, packed row)}, that each of
+its forks shares, so a row inserted again into the same reducer or
+any reducer forked from the same root is read from the memo, not packed
+again.  The root reducer and its forks own the memo, and it is freed
+with the last of them.  Each entry holds its row, so that no other row
+takes its id while the memo lives; rows inserted through a memo are
+never modified, since the memo would serve their old pack.  A pack
+depends on the row's entries and the slot width, and the width is fixed
+by p and the row's length, so every reducer sharing a memo reads a
+row's pack at one width.  Over Q the memo is not kept.
+
 Over Q a row enters as a primitive integer vector (denominators cleared
 by their lcm, then divided by the content; a row of ints, as the ledgers
 and the rank check build, is only divided by its content); the step is
@@ -122,12 +134,20 @@ class IncrementalRowReducer:
     first nonzero slot only when slot 0 is empty: on a dense row, as the
     ledgers' and the rank check's are, each pivot column it passes costs
     one mask, one shift and the ``f * stored`` step.
+
+    ``memo=True`` gives the reducer a pack memo (see the module
+    docstring), shared with every fork of it and freed with them, so its
+    owner is whoever holds the reducers.  A caller that inserts the same
+    row objects into many forks, as a member's ledger walks do, asks for
+    one; a caller that inserts each row once does not, and then every
+    insert packs its row.
     """
 
-    def __init__(self, F: FieldSpec):
+    def __init__(self, F: FieldSpec, memo: bool = False):
         self.F = F
         self._rows: dict = {}  # pivot column -> row from there on, or its packed tail
         self._p = F.p if F.kind == "prime" else None
+        self._packs = {} if memo and self._p is not None else None  # id(row) -> (row, pack)
         self._ncols = None  # row length, fixed by the first insert
         self._w = 0  # F_p slot width in bits
         self._shifts: list = []  # F_p slot j starts at bit _shifts[j] = j*w
@@ -141,11 +161,13 @@ class IncrementalRowReducer:
         the first ``rank`` of them: the reducer as it was when its rank
         was ``rank``, since the store only grows and keeps its pivots in
         insertion order.  A shallow copy of the store suffices, since
-        stored rows are never mutated."""
+        stored rows are never mutated.  The child shares the pack memo,
+        if there is one."""
         child = IncrementalRowReducer(self.F)
         rows = self._rows
         child._rows = dict(rows) if rank is None else dict(islice(rows.items(), rank))
         child._ncols, child._w, child._shifts = self._ncols, self._w, self._shifts
+        child._packs = self._packs
         return child
 
     def insert(self, row) -> bool:
@@ -159,9 +181,15 @@ class IncrementalRowReducer:
                 self._w = w = ((p - 1) + n * (p - 1) ** 2).bit_length()
                 self._shifts = list(range(0, n * w, w))
         if p is not None:
-            w, shifts = self._w, self._shifts
+            w, shifts, packs = self._w, self._shifts, self._packs
             mask = (1 << w) - 1
-            R = sum([(x % p) << s for x, s in zip(row, shifts) if x])
+            hit = None if packs is None else packs.get(id(row))
+            if hit is None:
+                R = sum([(x % p) << s for x, s in zip(row, shifts) if x])
+                if packs is not None:
+                    packs[id(row)] = row, R
+            else:
+                R = hit[1]
             start = 0  # R holds the entries from column start on, slot 0 first
             while R:
                 f = R & mask

@@ -16,6 +16,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import sympy
+
 from jointslab import linalg
 from jointslab.balance import RootValue
 from jointslab.basis import BasisLedger, LedgerStep, default_cap, step_order
@@ -343,7 +345,9 @@ def records_of_tuples(oracle) -> tuple:
 def W_by_tuples(cfg, tuples, ledgers, n) -> dict:
     """W_p with one factor |D_{p,V}| / C(n + dim V, dim V) per (qualifying
     tuple, member V of it), and root index M(p), from ``tuples``, each
-    joint's list of qualifying tuples."""
+    joint's list of qualifying tuples; then in lowest terms: with g the
+    gcd of M(p) and the number of tuples through each member, the exact
+    g-th root of that product, to the root index M(p) / g."""
     out = {}
     for j, choices in enumerate(tuples):
         Q = Fraction(1)
@@ -351,7 +355,10 @@ def W_by_tuples(cfg, tuples, ledgers, n) -> dict:
             for ref in choice:
                 k = cfg.families[ref[0]].k
                 Q *= Fraction(ledgers[ref].joint_total(j), binom(n + k, k))
-        out[j] = RootValue(Q, len(choices))
+        g = math.gcd(len(choices), *Counter(ref for choice in choices for ref in choice).values())
+        root = [sympy.integer_nthroot(x, g) for x in (Q.numerator, Q.denominator)]
+        assert all(exact for _, exact in root)
+        out[j] = RootValue(Fraction(root[0][0], root[1][0]), len(choices) // g)
     return out
 
 

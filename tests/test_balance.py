@@ -52,6 +52,7 @@ def test_root_value_comparisons():
     assert len({RootValue(Fraction(4), 2), RootValue(Fraction(2), 1)}) == 1
     assert len({RootValue(Fraction(8), 2), RootValue(Fraction(64), 4)}) == 1
     assert len({RootValue(Fraction(0), 3), RootValue(Fraction(0))}) == 1
+    assert len({RootValue(Fraction(64), 12), RootValue(Fraction(2), 2)}) == 1  # 64 = 2^6
     with pytest.raises(ValueError):
         RootValue(Fraction(-1))
 
@@ -156,7 +157,9 @@ def test_W_from_member_counts_is_the_tuple_product():
     # compute_W takes one power per member, to the number of the joint's
     # tuples through it; the oracle multiplies one factor per (tuple,
     # member), over the tuples that ``is_joint`` finds tuple by tuple.
-    # Radicands and root indices are equal as Fractions and ints
+    # Both are in lowest terms (here M = 15 shares g = 3 with every
+    # member's tuple count, so W is a 5th root), and radicands and root
+    # indices are equal as Fractions and ints
     cfg = generate("generic-hyperplanes", field=F, d=6, h=7)
     ids = list(range(len(cfg.joints)))
     tuples = [q for _, q, _ in detect_by_is_joint(F, cfg.families, cfg.joints)]
@@ -166,6 +169,7 @@ def test_W_from_member_counts_is_the_tuple_product():
         got, want = compute_W(cfg, ledgers, 2), W_by_tuples(cfg, tuples, ledgers, 2)
         assert [(j, w.Q, w.M) for j, w in got.items()] == [(j, w.Q, w.M) for j, w in want.items()]
         assert len({w.Q for w in got.values()}) > 1
+        assert {w.M for w in got.values()} == {5}
 
 
 def test_W_zero_when_no_rows_remain():

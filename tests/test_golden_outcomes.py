@@ -102,6 +102,54 @@ LOAD_INSERTS = {
 }
 
 
+# (inserts, distinct row objects) of the ledger walks of one pipeline op
+# on descent-heavy pool config 0.  Each member's walks share one pack
+# memo, made by its first walk and kept by the forks of the later ones, so
+# the memos hold one entry per distinct row object inserted, each packed
+# once however often a resumed walk inserts it again
+WALK_INSERTS = (798, 342)
+
+
+def test_ledger_walks_pack_each_row_once(tmp_path, monkeypatch):
+    # only the descent's ledger walks carry a memo: detection and the
+    # rank check make reducers with none
+    import jointslab.cli as cli
+
+    memo_made, phase, memos, inserted = [], [], {}, []
+    real_init, real_insert = linalg.IncrementalRowReducer.__init__, linalg.IncrementalRowReducer.insert
+
+    def init(self, F, memo=False):
+        memo_made.append((tuple(phase), memo))
+        real_init(self, F, memo=memo)
+
+    def insert(self, row):
+        if self._packs is not None:
+            memos[id(self._packs)] = self._packs  # kept alive to be counted
+            inserted.append((id(self._packs), id(row)))
+        return real_insert(self, row)
+
+    def balancing(*args, **kwargs):
+        phase.append("balance")
+        try:
+            return real_balance(*args, **kwargs)
+        finally:
+            phase.pop()
+
+    real_balance = cli.balance
+    monkeypatch.setattr(linalg.IncrementalRowReducer, "__init__", init)
+    monkeypatch.setattr(linalg.IncrementalRowReducer, "insert", insert)
+    monkeypatch.setattr(cli, "balance", balancing)
+    workload = verdicts.WORKLOADS["descent-heavy"]
+    path = tmp_path / "config.json"
+    path.write_text(verdicts.config_text(workload.config(0)))
+    assert verdicts.pipeline(main, path, tmp_path / "out", workload.args) == workload.exit_code
+    monkeypatch.undo()
+    assert {where for where, memo in memo_made if memo} == {("balance",)}
+    assert any(not where for where, _ in memo_made)
+    assert (len(inserted), len(set(inserted))) == WALK_INSERTS
+    assert sum(map(len, memos.values())) == WALK_INSERTS[1]
+
+
 # (poly.expansion_row calls that read a coordinate map holding a Fraction,
 # all calls) while curved-q pool configs 0-3 run pipeline.  Over Q a
 # reader through coefficient_along reads its rows along integral

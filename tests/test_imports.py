@@ -7,7 +7,10 @@ takes a parameter whose name starts with ``_``: a private flag is a
 second construction path for one value.
 No module of the library, the tests or the benchmark defines a top-level
 name twice: the later definition replaces the earlier one, so a test
-defined twice runs only in its second form.
+defined twice runs only in its second form.  No module of the library
+binds a top-level dict, list or set that library code mutates: a library
+call does not change global state, so a memo belongs to an object the
+caller holds.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
 with ``ast``.  The library's ``__init__.py`` is skipped by the import
@@ -315,3 +318,83 @@ ALL_MODULES = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"),
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[f"{p.parent.name}/{p.stem}" for p in ALL_MODULES])
 def test_no_top_level_name_is_defined_twice(path):
     assert redefined_names(path.read_text()) == []
+
+
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+READERS = {"get", "keys", "values", "items", "copy", "count", "index"}
+
+
+def _builds_container(value) -> bool:
+    """The expression builds a mutable dict, list or set."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in CONTAINERS)
+
+
+def _reads_only(node, parent) -> bool:
+    """The use ``node`` of a container, inside ``parent``, only reads it:
+    an item read, a reading method, a membership test or an iteration."""
+    if isinstance(parent, ast.Subscript):
+        return isinstance(parent.ctx, ast.Load) or parent.slice is node
+    if isinstance(parent, ast.Attribute):
+        return parent.attr in READERS
+    if isinstance(parent, ast.Compare):
+        return node in parent.comparators and all(isinstance(op, (ast.In, ast.NotIn))
+                                                  for op in parent.ops)
+    return isinstance(parent, (ast.comprehension, ast.For)) and parent.iter is node
+
+
+def mutated_module_containers(sources: dict) -> list:
+    """(module, name) for each top-level name a module binds to a dict,
+    list or set that some statement does more with than read: a use other
+    than an item read, a reading method, a membership test or an
+    iteration (a store, a mutating method, an alias that escapes), or a
+    ``global`` declaration.  The module's own bare names are read, and the
+    name as an attribute in any of the modules; names are matched, not
+    scopes."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    bound = {
+        (mod, name)
+        for mod, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        and _builds_container(node.value)
+        for name in _defined(node)
+    }
+    found = set()
+    for mod, tree in trees.items():
+        for parent in ast.walk(tree):
+            if isinstance(parent, ast.Global):
+                found.update((mod, name) for name in parent.names if (mod, name) in bound)
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    uses = {(mod, node.id)} & bound
+                elif isinstance(node, ast.Attribute):
+                    uses = {(m, name) for m, name in bound if name == node.attr}
+                else:
+                    continue
+                if uses and not _reads_only(node, parent):
+                    found |= uses
+    return sorted(found)
+
+
+def test_module_state_detector_finds_mutated_containers():
+    sources = {
+        "a": "_JSON_TYPES = {int: 'an integer'}\n_PACKS = {}\n_SEEN = set()\n"
+             "_LOG: list = []\n_CACHE = dict()\n_TOTALS = [0]\n_KINDS = ('flat',)\n"
+             "_ALIASED = {}\n_ORDER = [1, 2]\n"
+             "def name(x):\n    return _JSON_TYPES[type(x)], list(_KINDS), x in _JSON_TYPES\n"
+             "class R:\n    def __init__(self):\n        self.packs = _ALIASED\n"
+             "    def insert(self, row):\n        _PACKS[id(row)] = row\n"
+             "        return [a for a in _ORDER], _JSON_TYPES.get(row)\n"
+             "def f(x):\n    _SEEN.add(x)\n    _LOG.extend([x])\n    _TOTALS[0] += x\n",
+        "b": "import a\ndef g():\n    del a._CACHE['k']\n",
+    }
+    assert mutated_module_containers(sources) == [
+        ("a", "_ALIASED"), ("a", "_CACHE"), ("a", "_LOG"), ("a", "_PACKS"), ("a", "_SEEN"),
+        ("a", "_TOTALS")]
+
+
+def test_no_library_module_keeps_mutable_state():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert mutated_module_containers(sources) == []

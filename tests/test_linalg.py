@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from jointslab.field import DEFAULT_PRIME, FieldSpec
 from jointslab.linalg import (
     IncrementalRowReducer,
+    _reduced,
     identity,
     inverse,
     mat_vec,
@@ -308,6 +309,59 @@ def test_reducer_streams_with_forks_match_reference(data):
         assert_canonical(F, red.rref())
         if rows:
             check_solvers_against_reference(F, rows)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_forks_sharing_a_pack_memo_match_fresh_reducers(data):
+    """Reducers forked from one root made with ``memo=True``, by ``fork()``,
+    ``fork(rank)`` and ``fork(0)``, and fed one pool of row objects in
+    orders of their own, give the insert verdicts, rank and rref() of
+    fresh reducers with no memo fed the same rows.  Some inserts take a
+    new copy of a pool row, freed after the insert, so that its id comes
+    up again.  Over F_p the same row objects then go to the forks of a
+    root over a second prime, whose slot width differs."""
+    F = data.draw(st.sampled_from(FIELDS), label="field")
+    n = data.draw(st.integers(1, 6), label="columns")
+    entry = field_entries(F)
+    pool = []
+    for _ in range(data.draw(st.integers(1, 6), label="rows")):
+        if pool and data.draw(st.booleans(), label="combination"):
+            row = [F.zero] * n
+            for other in pool:
+                c = data.draw(entry, label="coefficient")
+                row = [F.add(a, F.mul(c, b)) for a, b in zip(row, other)]
+        else:
+            row = data.draw(st.lists(entry, min_size=n, max_size=n), label="row")
+        pool.append(row)
+    fields = [F]
+    if F.kind == "prime":
+        fields.append(data.draw(st.sampled_from([G for G in FIELDS[:-1] if G.p != F.p]),
+                                label="second field"))
+    for G in fields:
+        # each line: a reducer descended from the root, a fresh reducer
+        # fed the same rows, the rows that raised the rank
+        lines = [(IncrementalRowReducer(G, memo=True), IncrementalRowReducer(G), [])]
+        for _ in range(data.draw(st.integers(1, 16), label="steps")):
+            red, fresh, raised = lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+            op = data.draw(st.sampled_from(["fork", "fork(rank)", "fork(0)", "insert"]),
+                           label="op")
+            if op == "fork":
+                lines.append((red.fork(), fresh.fork(), list(raised)))
+            elif op != "insert":
+                rank = 0 if op == "fork(0)" else data.draw(st.integers(0, red.rank), label="rank")
+                lines.append((red.fork(rank), _reduced(G, raised[:rank]), raised[:rank]))
+            else:
+                row = pool[data.draw(st.integers(0, len(pool) - 1), label="pool row")]
+                if data.draw(st.booleans(), label="copy"):
+                    row = list(row)
+                grew = red.insert(row)
+                assert grew == fresh.insert(row)
+                if grew:
+                    raised.append(row)
+                assert red.rank == fresh.rank
+        for red, fresh, _ in lines:
+            assert red.rank == fresh.rank and red.rref() == fresh.rref()
 
 
 def reference_reducer(F, rows):
