@@ -3,9 +3,10 @@
 W_p aggregates, over every qualifying tuple at p, the per-variety counts
 |D_{p,V}| normalized by the dimension count of the ambient degree-n
 space on V; the M(p)-th root is carried exactly as a (radicand, root
-index) pair and compared by cross-powering.  The descent repeatedly
-decrements the handicaps of the currently largest W values until no
-consecutive gap in the sorted list exceeds the threshold tau.
+index) pair, whose one canonical form decides equality and rational
+ratio.  The descent repeatedly decrements the handicaps of the currently
+largest W values until no consecutive gap in the sorted list exceeds the
+threshold tau.
 
 ``exceeds`` decides every comparison of sums of such roots with a
 rational, the descent's gap tests and the bound report's part (b): an
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import groupby
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, log2
 
 from .basis import Handicap, build_ledger
 from .errors import Disconnected, LedgerMissing
@@ -38,15 +39,28 @@ def integer_nth_root(x: int, m: int) -> int:
         raise ValueError("negative radicand")
     if x in (0, 1) or m == 1:
         return x
-    k = 1 << ((x.bit_length() + m - 1) // m)  # upper bound
+    # Newton from above falls to the floor and stops there; a start 2^-30
+    # over the root leaves a few steps.  With t the top 64 bits of x,
+    # x < (t + 1) 2^s, s = q m + r, so the root is below 2^(q + e); the
+    # float carries c <= 52 of the q bits, with error far below 2^-30
+    s = max(x.bit_length() - 64, 0)
+    q, r = divmod(s, m)
+    e = (log2((x >> s) + 1) + r) / m
+    c = min(q, 52)
+    k = (int(2 ** (e + c) * (1 + 2**-30)) + 1) << (q - c)
     while True:
         nk = ((m - 1) * k + x // k ** (m - 1)) // m
         if nk >= k:
-            break
+            return k
         k = nk
-    while k ** m > x:
-        k -= 1
-    return k
+
+
+def _exact_root(q: Fraction, m: int) -> Fraction | None:
+    """q**(1/m) when it is rational, else None."""
+    num, den = integer_nth_root(q.numerator, m), integer_nth_root(q.denominator, m)
+    if num**m == q.numerator and den**m == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 @dataclass(frozen=True)
@@ -60,60 +74,53 @@ class RootValue:
         if self.Q < 0 or self.M < 1:
             raise ValueError("need Q >= 0 and M >= 1")
 
-    def is_zero(self) -> bool:
-        return self.Q == 0
+    @cached_property
+    def canonical(self) -> tuple:
+        """(q, m): m the least root index of the value, the least m with
+        value**m rational, and q = value**m.  The largest g | M for which
+        Q is a perfect g-th power, g = 1 if no larger one is, gives
+        m = M / g.  Two values are equal iff their forms are; and a / b is
+        rational iff a and b have the same m and q_a / q_b is a perfect
+        m-th power, since a**m_b rational forces m_a | m_b."""
+        M = self.M
+        low = [g for g in range(1, isqrt(M) + 1) if M % g == 0]
+        for g in sorted({*low, *(M // g for g in low)} - {1}, reverse=True):
+            q = _exact_root(self.Q, g)
+            if q is not None:
+                return q, M // g
+        return self.Q, M
 
     def cmp(self, other: "RootValue") -> int:
-        """-1 / 0 / 1 comparison of the real values, exact: Q1^(1/M1)
-        against Q2^(1/M2) is Q1^(M2/g) against Q2^(M1/g), g = gcd(M1, M2)."""
+        """-1 / 0 / 1 comparison of the real values, exact: radicands at a
+        shared root index, else equal canonical forms, else ``exceeds``,
+        whose brackets part values that differ."""
         if self.M == other.M:
-            a, b = self.Q, other.Q
-        else:
-            g = gcd(self.M, other.M)
-            a, b = self.Q ** (other.M // g), other.Q ** (self.M // g)
-        return (a > b) - (a < b)
+            return (self.Q > other.Q) - (self.Q < other.Q)
+        if self.canonical == other.canonical:
+            return 0
+        return 1 if exceeds([self], [other])[0] else -1
 
     def __lt__(self, other):
         return self.cmp(other) < 0
 
     def __eq__(self, other):
-        return isinstance(other, RootValue) and self.cmp(other) == 0
+        return isinstance(other, RootValue) and self.canonical == other.canonical
 
     def __hash__(self):
-        # Equal values must hash equal, so hash the canonical form: the
-        # root index reduced by the largest g | M for which Q is a perfect
-        # g-th power, i.e. the least M' with value**M' rational.
-        M = self.M
-        low = [g for g in range(1, isqrt(M) + 1) if M % g == 0]
-        for g in sorted({*low, *(M // g for g in low)}, reverse=True):
-            q = RootValue(self.Q, g).to_rational()
-            if q is not None:
-                return hash((q, M // g))
-
-    def to_rational(self) -> Fraction | None:
-        """Exact rational value when Q is a perfect M-th power, else None."""
-        num = integer_nth_root(self.Q.numerator, self.M)
-        den = integer_nth_root(self.Q.denominator, self.M)
-        if num**self.M == self.Q.numerator and den**self.M == self.Q.denominator:
-            return Fraction(num, den)
-        return None
+        return hash(self.canonical)
 
     def brackets(self, bits: int = 48) -> tuple:
-        """Rational lo <= value <= hi with hi - lo <= 2**-bits."""
-        N = 1 << bits
-        A = self.Q.numerator * N**self.M
-        B = self.Q.denominator
-        k = integer_nth_root(A // B, self.M)
-        while (k + 1) ** self.M * B <= A:
-            k += 1
-        return Fraction(k, N), Fraction(k + 1, N)
+        """Rational lo <= value <= hi with hi - lo <= 2**-bits: the floor
+        of the M-th root of floor(Q 2^(bits M)) is that of Q 2^(bits M)."""
+        k = integer_nth_root((self.Q.numerator << bits * self.M) // self.Q.denominator, self.M)
+        return Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits)
 
     def approx(self) -> float:
         """The value correctly rounded to a float: the rational value's
         when there is one, else brackets refined until both ends round to
         the same float, which every value between them then rounds to."""
-        q = self.to_rational()
-        if q is not None:
+        q, m = self.canonical
+        if m == 1:
             return float(q)
         bits = 64
         while True:
@@ -127,38 +134,36 @@ def exceeds(pos: list, neg: list, tau=Fraction(0)) -> tuple:
     """Exact verdict on sum(pos) - sum(neg) > tau for lists of root values
     and a rational tau, with the bracket bits that decided it.
 
-    The nonzero terms are grouped by rational ratio, tau in the group of
-    1: a / b is rational iff (a.Q^(L/a.M) / b.Q^(L/b.M))^(1/L) is, for
-    L = lcm(a.M, b.M).  By Mordell's theorem (Pacific J. Math. 3, 1953),
-    positive reals that have a rational power, no two in a rational
-    ratio, are linearly independent over Q.  So the difference equals tau
-    iff every group's rational coefficient is 0.  When every group but
-    tau's has coefficient 0 (all terms rational, say), sum(pos) - sum(neg)
-    - tau is tau's coefficient exactly, and its sign is the verdict, at 48
-    bits.  Otherwise the brackets, refined from 48 bits by doubling, part
-    from tau at some width.
+    The terms are grouped by rational ratio (``canonical``), tau in the
+    group of 1 with the rational terms, zeros among them.  By Mordell's
+    theorem (Pacific J. Math. 3, 1953), positive reals that have a
+    rational power, no two in a rational ratio, are linearly independent
+    over Q.  So the difference equals tau iff every group's rational
+    coefficient is 0.  When every group but tau's has coefficient 0 (all
+    terms rational, say), sum(pos) - sum(neg) - tau is tau's coefficient
+    exactly, and its sign is the verdict, at 48 bits.  Otherwise the
+    brackets, refined from 48 bits by doubling, part from tau at some
+    width.
     """
-    groups = [[RootValue(Fraction(1)), -Fraction(tau)]]  # [representative, coefficient]
+    rational = -Fraction(tau)  # tau's group's coefficient
+    groups = []  # [q, m, coefficient], one per irrational group
     for sign, terms in ((1, pos), (-1, neg)):
         for x in terms:
-            if x.is_zero():
-                continue
-            if x.M == 1:  # rational: in tau's group, with ratio x.Q
-                groups[0][1] += sign * x.Q
+            q, m = x.canonical
+            if m == 1:
+                rational += sign * q
                 continue
             for group in groups:
-                b = group[0]
-                L = lcm(x.M, b.M)
-                r = RootValue(x.Q ** (L // x.M) / b.Q ** (L // b.M), L).to_rational()
+                r = _exact_root(q / group[0], m) if m == group[1] else None
                 if r is not None:
-                    group[1] += sign * r
+                    group[2] += sign * r
                     break
             else:
-                groups.append([x, Fraction(sign)])
+                groups.append([q, m, Fraction(sign)])
     bits = 48
-    if not any(c for _, c in groups[1:]):
+    if not any(c for _, _, c in groups):
         # the difference is the rational coefficient of tau's group
-        return groups[0][1] > 0, bits
+        return rational > 0, bits
     while True:
         p = [x.brackets(bits) for x in pos]
         n = [x.brackets(bits) for x in neg]
@@ -232,15 +237,6 @@ def _sorted_desc(W: dict) -> list:
     exact = cmp_to_key(lambda i, j: W[j].cmp(W[i]) or i - j)
     runs = groupby(sorted(W, key=lambda j: (-approx[j], j)), key=approx.get)
     return [(j, W[j]) for _, run in runs for j in sorted(run, key=exact)]
-
-
-def _lex_cmp(a: list, b: list) -> int:
-    """Compare two descending RootValue lists lexicographically."""
-    for (_, x), (_, y) in zip(a, b):
-        c = x.cmp(y)
-        if c:
-            return c
-    return (len(a) > len(b)) - (len(a) < len(b))
 
 
 def default_tau(cfg, n: int) -> Fraction:
@@ -323,7 +319,7 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
                 # accept only strictly lex-decreasing multisets; a changed
                 # but larger multiset means the step is not yet big enough
                 # to push the top block below the rest, so keep doubling
-                if _lex_cmp(sw2, sw) < 0:
+                if [w for _, w in sw2] < [w for _, w in sw]:
                     h, sw, ledgers = h2, sw2, ledgers2
                     moved = True
                     used_t = t

@@ -8,7 +8,8 @@ local coordinates, read coefficient by coefficient, a flat's incidence
 and chart worked out at each point, its restriction to its own
 coordinates, a ledger walked on ambient rows, detection by
 ``is_joint`` on every tuple with the records read off its tuple lists,
-W_p multiplied tuple by tuple, and W sorted by exact comparison."""
+W_p multiplied tuple by tuple, and root values compared by cross powers
+and sorted by that comparison."""
 
 import functools
 import itertools
@@ -362,8 +363,19 @@ def W_by_tuples(cfg, tuples, ledgers, n) -> dict:
     return out
 
 
+def cmp_by_cross_powers(a: RootValue, b: RootValue) -> int:
+    """-1 / 0 / 1 comparison of two root values by raising each radicand
+    to the other's root index: Q1^(1/M1) against Q2^(1/M2) is Q1^(M2/g)
+    against Q2^(M1/g), g = gcd(M1, M2).  Exact, and slow when the root
+    indices are large and differ."""
+    g = math.gcd(a.M, b.M)
+    u, v = a.Q ** (b.M // g), b.Q ** (a.M // g)
+    return (u > v) - (u < v)
+
+
 def sorted_desc_by_cmp(W: dict) -> list:
     """(joint, W) pairs, W descending, ties by joint ascending, sorted by
-    one exact ``RootValue.cmp`` per pair of joints compared."""
-    order = sorted(W, key=functools.cmp_to_key(lambda i, j: W[j].cmp(W[i]) or i - j))
+    one exact ``cmp_by_cross_powers`` per pair of joints compared."""
+    key = functools.cmp_to_key(lambda i, j: cmp_by_cross_powers(W[j], W[i]) or i - j)
+    order = sorted(W, key=key)
     return [(j, W[j]) for j in order]

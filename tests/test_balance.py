@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointslab.balance import (
@@ -26,7 +26,8 @@ from jointslab.field import DEFAULT_PRIME, FieldSpec
 from jointslab.poly import parse_poly
 from jointslab.varieties import VarietySpec
 
-from oracles import W_by_tuples, detect_by_is_joint, identity_map, sorted_desc_by_cmp
+from oracles import (W_by_tuples, cmp_by_cross_powers, detect_by_is_joint, identity_map,
+                     sorted_desc_by_cmp)
 
 F = FieldSpec("prime", DEFAULT_PRIME)
 FQ = FieldSpec("rational")
@@ -36,6 +37,10 @@ FQ = FieldSpec("rational")
 
 
 @given(x=st.integers(0, 10**30), m=st.integers(1, 7))
+@example(x=3 ** (64 * 500) + 12345, m=500)
+@example(x=3 ** (64 * 981) + 12345, m=981)
+@example(x=7 ** 3500 - 1, m=3500)
+@example(x=(2**61 - 1) ** 2000, m=2000)
 @settings(max_examples=150, deadline=None)
 def test_integer_nth_root(x, m):
     k = integer_nth_root(x, m)
@@ -47,7 +52,7 @@ def test_root_value_comparisons():
     assert RootValue(Fraction(1)) < sqrt2 < RootValue(Fraction(2))
     assert sqrt2 == RootValue(Fraction(4), 4)  # 4^(1/4) = 2^(1/2)
     assert RootValue(Fraction(8), 3) == RootValue(Fraction(2))
-    assert RootValue(Fraction(0), 5).is_zero()
+    assert RootValue(Fraction(0), 5) == RootValue(Fraction(0))
     # equal values hash equal
     assert len({RootValue(Fraction(4), 2), RootValue(Fraction(2), 1)}) == 1
     assert len({RootValue(Fraction(8), 2), RootValue(Fraction(64), 4)}) == 1
@@ -60,22 +65,31 @@ def test_root_value_comparisons():
 radicands = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6))
 
 
-@given(a=radicands, b=radicands, m1=st.integers(1, 6), m2=st.integers(1, 6),
+@given(data=st.data(), a=radicands, b=radicands, m1=st.integers(1, 6), m2=st.integers(1, 6),
        k=st.integers(1, 3))
 @settings(max_examples=200, deadline=None)
-def test_root_value_cmp_matches_cross_powers(a, b, m1, m2, k):
-    # the plain cross-power comparison Q1**M2 against Q2**M1, on mixed
-    # root indices and on values written with a common factor k in both
-    for x, y in ((RootValue(a, m1), RootValue(b, m2)),
+def test_root_value_order_equality_and_hash_match_cross_powers(data, a, b, m1, m2, k):
+    # cmp agrees with the plain cross-power comparison Q1**M2 against
+    # Q2**M1, == holds iff cmp gives 0, and equal values hash equal: on
+    # two ``root_values()``, equal values at different root indices and
+    # radicands 1 +- 2^-60 among them; on mixed root indices; and on
+    # values written with a common factor k in both
+    x, y = data.draw(root_values(), label="x"), data.draw(root_values(), label="y")
+    for x, y in ((x, y), (x, RootValue(x.Q ** k, x.M * k)),
+                 (RootValue(a, m1), RootValue(b, m2)),
                  (RootValue(a, m1), RootValue(a ** k, m1 * k)),
                  (RootValue(a ** m2, m1 * m2), RootValue(b ** m1, m1 * m2))):
-        u, v = x.Q ** y.M, y.Q ** x.M
-        assert x.cmp(y) == (u > v) - (u < v) == -y.cmp(x)
+        c = cmp_by_cross_powers(x, y)
+        assert x.cmp(y) == c == -y.cmp(x)
+        assert (x < y) == (c < 0) and (y < x) == (c > 0)
+        assert (x == y) == (y == x) == (c == 0)
+        assert c or hash(x) == hash(y)
 
 
 def test_root_value_rational_and_brackets():
-    assert RootValue(Fraction(27, 8), 3).to_rational() == Fraction(3, 2)
-    assert RootValue(Fraction(2), 2).to_rational() is None
+    assert RootValue(Fraction(27, 8), 3).canonical == (Fraction(3, 2), 1)
+    assert RootValue(Fraction(2), 2).canonical == (Fraction(2), 2)
+    assert RootValue(Fraction(4, 9), 4).canonical == (Fraction(2, 3), 2)
     lo, hi = RootValue(Fraction(2), 2).brackets(64)
     assert lo <= hi and hi - lo <= Fraction(1, 2**64)
     assert lo * lo <= 2 <= hi * hi
@@ -179,8 +193,8 @@ def test_W_zero_when_no_rows_remain():
     ids = list(range(4))
     h = Handicap({0: -10, 1: 0, 2: 0, 3: 0}, ids)
     W = compute_W(cfg, build_all_ledgers(cfg, h, 2), 2)
-    assert W[0].is_zero()
-    assert all(not W[j].is_zero() for j in (1, 2, 3))
+    assert W[0].Q == 0
+    assert all(W[j].Q != 0 for j in (1, 2, 3))
 
 
 def test_W_shift_invariance():

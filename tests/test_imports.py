@@ -10,7 +10,9 @@ name twice: the later definition replaces the earlier one, so a test
 defined twice runs only in its second form.  No module of the library
 binds a top-level dict, list or set that library code mutates: a library
 call does not change global state, so a memo belongs to an object the
-caller holds.
+caller holds.  No library code raises a root value's radicand ``.Q`` to a
+power: at the root indices of the paper's multiplicity setting, in the
+thousands, that power has millions of digits.
 
 ``ruff`` and ``pyflakes`` are not dependencies, so this reads each module
 with ``ast``.  The library's ``__init__.py`` is skipped by the import
@@ -398,3 +400,31 @@ def test_module_state_detector_finds_mutated_containers():
 def test_no_library_module_keeps_mutable_state():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert mutated_module_containers(sources) == []
+
+
+def radicand_powers(source: str) -> list:
+    """Line of each ``<expr>.Q ** ...`` or ``pow(<expr>.Q, ...)``, a root
+    value's radicand raised to a power.  An integer such as
+    ``Q.numerator`` may be raised."""
+    def radicand(node):
+        return isinstance(node, ast.Attribute) and node.attr == "Q"
+
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and radicand(n.left)
+        or isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "pow"
+        and n.args and radicand(n.args[0])
+    )
+
+
+def test_radicand_power_detector_finds_raised_radicands():
+    source = ("def cmp(a, b):\n    return a.Q ** b.M > b.Q ** (a.M // 2)\n"
+              "def ok(x, n):\n    return x.Q.numerator ** 2, x.M ** 2, n ** x.Q, x.Q * x.Q\n"
+              "def f(x):\n    return pow(x.Q, 3), pow(x.M, 2)\n")
+    assert radicand_powers(source) == [2, 2, 6]
+
+
+def test_no_library_code_raises_a_radicand_to_a_power():
+    found = [(p.stem, line) for p in sorted(PACKAGE.glob("*.py"))
+             for line in radicand_powers(p.read_text())]
+    assert found == []
