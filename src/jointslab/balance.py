@@ -256,19 +256,18 @@ def balance(cfg, n: int, tau=None, cap: int = 10**4) -> BalanceState:
     orders the steps, and every ledger reads the configuration's charts,
     so each chart and functional row is built once per configuration and
     shared by the ledgers of every handicap tried.  Each member
-    keeps the walks of its ledger builds (``basis.build_ledger``): a
-    ledger whose walked steps begin a later step order is reused as it
-    is, found by ``basis.begins_step_order`` with no sort, and any other
-    build resumes after the longest step-order prefix it shares with a
-    stored walk.  The reducers of a member's walks share one pack memo,
-    so over F_p each chart row is packed once per descent, not once per
-    insert; the walk store, and with it the memo, is local to the call
-    and freed when it returns.  An attempt whose ledgers are the very
-    ledgers of the attempt before reuses that attempt's W, and each W is
-    sorted by one float key per value (``_sorted_desc``).  The rebuild
-    count and ``cap`` still count attempts, reused ones included, so
-    ``status``, ``alpha`` and ``log`` are what building every ledger and
-    W afresh would give.
+    keeps the walks of its ledger builds (``basis.build_ledger``): each
+    build sorts its step order once, reuses as it is the ledger of a
+    stored walk whose steps begin that order, and otherwise resumes
+    after the longest prefix it shares with a stored walk.  The reducers
+    of a member's walks share one pack memo, so over F_p each chart row
+    is packed once per descent, not once per insert; the walk store, and
+    with it the memo, is local to the call and freed when it returns.  An
+    attempt whose ledgers are the very ledgers of the attempt before
+    reuses that attempt's W, and each W is sorted by one float key per
+    value (``_sorted_desc``).  The rebuild count and ``cap`` still count
+    attempts, reused ones included, so ``status``, ``alpha`` and ``log``
+    are what building every ledger and W afresh would give.
     """
     from .config import connected_components
 

@@ -128,11 +128,14 @@ def step_order(h: Handicap, joints, cap: int) -> list:
     """The steps (j, r), j in ``joints`` and 0 <= r <= cap, in priority
     order: by level r - alpha_j, ties by preassigned position.  A ledger
     walks them in this order, so it depends on the handicap only through
-    this list."""
-    alpha = {j: h.of(j) for j in joints}
-    pos = {j: h.position(j) for j in joints}
-    steps = [(j, r) for j in joints for r in range(cap + 1)]
-    return sorted(steps, key=lambda step: (step[1] - alpha[step[0]], pos[step[0]]))
+    this list.  The steps are sorted by the integer keys
+    (r - alpha_j) * N + position of j, N the joint count, which order
+    the same way as the pairs and are distinct, since the positions are
+    distinct and below N."""
+    N = len(h.preassigned)
+    lead = {j: h.position(j) - N * h.of(j) for j in joints}  # the key of (j, 0)
+    steps = {k + N * r: (j, r) for j, k in lead.items() for r in range(cap + 1)}
+    return [steps[k] for k in sorted(steps)]
 
 
 @dataclass
@@ -144,29 +147,6 @@ class Walk:
     picks: list  # per walked step, the gammas it picked
     red: IncrementalRowReducer
     ledger: BasisLedger
-
-
-def begins_step_order(order: list, h: Handicap, joints, cap: int) -> bool:
-    """True iff ``order`` is a prefix of ``step_order(h, joints, cap)``,
-    for ``order`` the steps of a walk over the same joints and cap (a
-    prefix of the step order of some handicap), decided without sorting.
-    Such a walk's steps at joint j are its first R_j, r = 0, ..., R_j - 1;
-    so it is a prefix iff the keys (r - alpha_j, position of j) increase
-    along it and, at each joint with R_j <= cap, the next step (j, R_j)
-    has a key above that of the walk's last step.  The keys are read as
-    the integers (r - alpha_j) * N + position, N the joint count, which
-    order the same way as the pairs."""
-    N = len(h.preassigned)
-    lead = {j: h.position(j) - N * h.of(j) for j in joints}  # the key of (j, 0)
-    nxt = dict.fromkeys(joints, 0)  # j -> R_j
-    last = float("-inf")
-    for j, r in order:
-        k = lead[j] + N * r
-        if k <= last:
-            return False
-        last = k
-        nxt[j] = r + 1
-    return all(lead[j] + N * R > last for j, R in nxt.items() if R <= cap)
 
 
 def _shared_prefix(a: list, b: list) -> int:
@@ -195,19 +175,17 @@ def build_ledger(
 
     ``walks`` optionally is a list of ``Walk``s shared by builds of this
     member on this configuration at the same n and cap; the build is
-    appended to it.  A ledger depends only on the steps it walks, so when
-    a stored walk's steps begin the new step order, its ledger is
-    returned as it is.  The stored walks are checked for that first,
-    latest first, by ``begins_step_order``, which does not sort; only when
-    none passes is the step order sorted, and the build resumes after the
-    longest prefix it shares with a stored walk, from that walk's reducer
-    cut back to the rank the prefix reached (``IncrementalRowReducer.fork``);
-    a build that shares no prefix forks the first stored walk's reducer
-    at rank 0.  So the walks of one store descend from the first walk's
-    reducer, made with a pack memo, and pack each chart row once between
-    them: the rows are the charts' memo rows, which no one modifies.  The
-    memo lives as long as the store's reducers; a build with no store
-    makes a reducer with no memo.
+    appended to it.  A ledger depends only on the steps it walks, so the
+    build sorts its step order first and returns the ledger of the latest
+    stored walk whose steps begin it, as it is.  Otherwise it resumes
+    after the longest prefix it shares with a stored walk, from that
+    walk's reducer cut back to the rank the prefix reached
+    (``IncrementalRowReducer.fork``); a build that shares no prefix forks
+    the first stored walk's reducer at rank 0.  So the walks of one store
+    descend from the first walk's reducer, made with a pack memo, and
+    pack each chart row once between them: the rows are the charts' memo
+    rows, which no one modifies.  The memo lives as long as the store's
+    reducers; a build with no store makes a reducer with no memo.
     """
     F = cfg.field
     V = cfg.member(ref)
@@ -215,10 +193,10 @@ def build_ledger(
     on = [j for j, C in charts.items() if C is not None]
     if cap is None:
         cap = default_cap(V, n)
-    for walk in reversed(walks or ()):
-        if begins_step_order(walk.order, h, on, cap):
-            return walk.ledger
     order = step_order(h, on, cap)
+    for walk in reversed(walks or ()):
+        if order[:len(walk.order)] == walk.order:
+            return walk.ledger
     shared, base = 0, walks[0] if walks else None
     for walk in walks or ():
         k = _shared_prefix(walk.order, order)

@@ -129,10 +129,10 @@ class JointsConfiguration:
             joints = [tuple(F.of(x) for x in json_typed(p, list, "joint"))
                       for p in json_typed(obj["joints"], list, "joints")]
             seed = json_typed(obj.get("seed", 0), int, "seed")
-        except ZeroDivisionError as exc:  # FieldSpec.of names the value
+        except KeyError as exc:
+            raise MalformedInput(f"malformed configuration: missing key {exc}") from exc
+        except (ZeroDivisionError, TypeError, ValueError) as exc:  # a MalformedInput too
             raise MalformedInput(f"malformed configuration: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"malformed configuration: {exc!r}") from exc
         if not families:
             raise MalformedInput("malformed configuration: no families")
         return detect_joints(F, families, candidates=joints, seed=seed)

@@ -6,10 +6,10 @@ polynomial along coordinates read in field elements, a hypersurface's
 series solved in field elements, a polynomial's expansion in a chart's
 local coordinates, read coefficient by coefficient, a flat's incidence
 and chart worked out at each point, its restriction to its own
-coordinates, a ledger walked on ambient rows, detection by
-``is_joint`` on every tuple with the records read off its tuple lists,
-W_p multiplied tuple by tuple, and root values compared by cross powers
-and sorted by that comparison."""
+coordinates, steps sorted by their (level, position) pairs, a ledger
+walked on ambient rows, detection by ``is_joint`` on every tuple with
+the records read off its tuple lists, W_p multiplied tuple by tuple,
+and root values compared by cross powers and sorted by that comparison."""
 
 import functools
 import itertools
@@ -21,7 +21,7 @@ import sympy
 
 from jointslab import linalg
 from jointslab.balance import RootValue
-from jointslab.basis import BasisLedger, LedgerStep, default_cap, step_order
+from jointslab.basis import BasisLedger, LedgerStep, default_cap
 from jointslab.config import is_joint
 from jointslab.errors import DimensionMismatch, SingularPoint
 from jointslab.field import binom
@@ -266,6 +266,13 @@ def restricted(F, row, R) -> list:
     return [F.of(sum(a * b for a, b in zip(row, col))) for col in zip(*R)]
 
 
+def step_order_by_pairs(h, joints, cap) -> list:
+    """The steps (j, r), j in ``joints`` and 0 <= r <= cap, sorted by the
+    pairs (r - alpha_j, position of j): the oracle of ``step_order``."""
+    return sorted(((j, r) for j in joints for r in range(cap + 1)),
+                  key=lambda step: (step[1] - h.of(step[0]), h.position(step[0])))
+
+
 def ambient_ledger(cfg, ref, h, n, cap=None) -> tuple:
     """(ledger, rows) of ``build_ledger``'s walk with every row ambient:
     the expansion row of gamma along the chart's ``scaled_coordinates``
@@ -277,7 +284,7 @@ def ambient_ledger(cfg, ref, h, n, cap=None) -> tuple:
     target = dim_regular_functions(V, n, F)
     red = linalg.IncrementalRowReducer(F)
     steps, counts, rows = [], {j: {} for j in on}, {}
-    for j, r in step_order(h, on, default_cap(V, n) if cap is None else cap):
+    for j, r in step_order_by_pairs(h, on, default_cap(V, n) if cap is None else cap):
         if red.rank >= target:
             break
         coords, memo, picked = charts[j].scaled_coordinates(r), {}, []

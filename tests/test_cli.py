@@ -566,6 +566,8 @@ def test_malformed_input_is_input_error(tmp_path, capsys, case):
     code, err = _run_malformed(tmp_path, capsys, case)
     assert code == EXIT_USAGE
     assert any(line.startswith("error: ") for line in err.splitlines()), err
+    # the message is in the words of the input, not a Python repr
+    assert not any("Error(" in line or "MalformedInput(" in line for line in err.splitlines()), err
 
 
 @pytest.mark.parametrize("case", sorted(c for c in MALFORMED if c.endswith("zero-denominator")))

@@ -28,6 +28,13 @@ def test_default_prime_is_prime():
     assert is_prime(DEFAULT_PRIME)
 
 
+def test_least_strong_pseudoprime_to_bases_through_37_is_composite():
+    # psi_12 passes Miller-Rabin to every prime base through 37
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_prime(psi_12)
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec("prime", 91)

@@ -7,6 +7,8 @@ workload and checks each outcome (exit code, verdict projection of
 On pool config 0 it also counts the matrix inverses, chart builds and
 membership tests a pipeline op takes, and where the inverses happen, and checks that every chart a
 ledger or a check reads is one the configuration built at detection.
+On descent-heavy pool config 0 it counts the ledger builds, the builds
+that return a stored ledger and the W computations.
 There, and on the curved test configs, every chart detection built is the
 one ``make_chart`` builds from scratch.
 While curved-q pool configs 0-3 run, it counts the expansion rows read
@@ -148,6 +150,41 @@ def test_ledger_walks_pack_each_row_once(tmp_path, monkeypatch):
     assert any(not where for where, _ in memo_made)
     assert (len(inserted), len(set(inserted))) == WALK_INSERTS
     assert sum(map(len, memos.values())) == WALK_INSERTS[1]
+
+
+# (ledger builds, builds that return a stored walk's ledger, compute_W
+# calls) of one pipeline op on descent-heavy pool config 0.  A build whose
+# step order begins with a stored walk's steps returns that walk's ledger
+# and stores no walk; an attempt whose ledgers are all the attempt
+# before's reuses its W.  Outputs alone would not show a reuse that never
+# fires: every build would resume instead, with the same ledgers
+DESCENT_BUILDS = (35, 22, 13)
+
+
+def test_descent_reuses_stored_ledgers(tmp_path, monkeypatch):
+    import jointslab.balance as balance_module
+
+    counts = Counter()
+    real_build, real_W = balance_module.build_ledger, balance_module.compute_W
+
+    def build(*args, walks, **kwargs):
+        stored = len(walks)
+        ledger = real_build(*args, walks=walks, **kwargs)
+        counts["builds"] += 1
+        counts["reused"] += len(walks) == stored
+        return ledger
+
+    def compute_W(*args):
+        counts["W"] += 1
+        return real_W(*args)
+
+    monkeypatch.setattr(balance_module, "build_ledger", build)
+    monkeypatch.setattr(balance_module, "compute_W", compute_W)
+    workload = verdicts.WORKLOADS["descent-heavy"]
+    path = tmp_path / "config.json"
+    path.write_text(verdicts.config_text(workload.config(0)))
+    assert verdicts.pipeline(main, path, tmp_path / "out", workload.args) == workload.exit_code
+    assert (counts["builds"], counts["reused"], counts["W"]) == DESCENT_BUILDS
 
 
 # (poly.expansion_row calls that read a coordinate map holding a Fraction,
